@@ -128,6 +128,7 @@ def run_theorems(
 
     # equivalence of the isomorphism conditions with the model oracle
     mismatches = []
+    iso_inconclusive = []
     pairs_checked = 0
     for la, qa in family:
         for lb, qb in family:
@@ -138,8 +139,8 @@ def run_theorems(
                 oracle, _ = models_isomorphic(
                     records[la].model, records[lb].model, iso_cap
                 )
-            except ResourceLimitError:
-                inconclusive += 1
+            except ResourceLimitError as exc:
+                iso_inconclusive.append({"pair": [la, lb], "reason": str(exc)})
                 continue
             if conj != oracle:
                 mismatches.append(
@@ -150,7 +151,11 @@ def run_theorems(
         "pairs_checked": pairs_checked,
         "mismatches": mismatches,
     }
+    # only when non-empty, so that reports without cap hits keep their bytes
+    if iso_inconclusive:
+        report["iso_conditions"]["inconclusive"] = iso_inconclusive
     falsified |= bool(mismatches)
+    inconclusive += len(iso_inconclusive)
 
     # conditions every translation image must satisfy, plus injected models
     image_entries = []

@@ -9,7 +9,6 @@ never depends on labels.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .config import MAX_ISO_NODES
@@ -352,19 +351,3 @@ def isomorphic_exhaustive(a: KripkeModel, b: KripkeModel) -> bool:
                 return True
     return False
 
-
-@dataclass(frozen=True)
-class ModelSummary:
-    n_worlds: int
-    n_atoms: int
-    n_access: int
-    n_true: int
-
-    @staticmethod
-    def of(m: KripkeModel) -> "ModelSummary":
-        return ModelSummary(
-            len(m.worlds),
-            len(m.domain),
-            len(m.access),
-            sum(m.interp.values()),
-        )

@@ -104,7 +104,13 @@ def _matrix_is_identity(c: KrausChannel) -> bool:
 
 
 class Qrt:
-    """An immutable finite theory. Derived artifacts are cached."""
+    """An immutable finite theory.
+
+    Every derived artifact (the induced function of each channel, the
+    validation report, the translations built by ``translate``) is computed
+    at most once per instance and memoised on it. Changing a
+    ``SystemDecl.states`` mapping after construction is therefore
+    unsupported: the memos would go stale."""
 
     def __init__(
         self,
@@ -135,8 +141,23 @@ class Qrt:
             trivial = ones[0] if len(ones) == 1 else None
         self._trivial = trivial
         self.tol = tol
+        # ChannelDecl -> induced function, None (an image misses the named
+        # universe) or the message of an ambiguous match
+        self._induced: dict = {}
+        # artifacts derived by other modules, keyed by name; see derived()
+        self._derived: dict = {}
 
-    # immutability is by convention; derived data below is cached per instance
+    # immutability is by convention: derived data is memoised per instance,
+    # so neither the declarations nor their state mappings may change
+
+    def derived(self, key: str, build):
+        """The artifact ``key`` of this theory, built by ``build(self)`` on
+        first use and memoised. A build that raises memoises nothing."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(self)
+            return value
 
     @property
     def systems(self) -> tuple:
@@ -176,11 +197,34 @@ class Qrt:
 
     def induced_function(self, decl: ChannelDecl) -> dict | None:
         """The map named-state -> named-state realized by the channel, or
-        None when some image misses the named universe."""
+        None when some image misses the named universe. Derived once per
+        channel; each call returns a fresh dict.
+
+        Raises StructuralError when an image matches more than one named
+        state, on every call."""
+        fn = self._function(decl)
+        return None if fn is None else dict(fn)
+
+    def _function(self, decl: ChannelDecl) -> dict | None:
+        # the memoised induced function itself; readers must not change it
+        try:
+            fn = self._induced[decl]
+        except KeyError:
+            fn = self._induced[decl] = self._derive_function(decl)
+        if isinstance(fn, str):
+            raise StructuralError(fn)
+        return fn
+
+    def _derive_function(self, decl: ChannelDecl) -> dict | str | None:
+        # an ambiguity is kept as its message: a stored exception would keep
+        # its traceback's frames alive
         out: dict[str, str] = {}
         for st, dm in self._by_id[decl.src].states.items():
             image = apply_channel(decl.channel, dm, self.tol)
-            hit = self.match_named(decl.dst, image)
+            try:
+                hit = self.match_named(decl.dst, image)
+            except StructuralError as exc:
+                return str(exc)
             if hit is None:
                 return None
             out[st] = hit
@@ -192,7 +236,7 @@ class Qrt:
         extensional deduplication. Function keys are sorted item tuples."""
         table: dict = {}
         for decl in self._channels:
-            fn = self.induced_function(decl)
+            fn = self._function(decl)
             if fn is None:
                 raise StructuralError(
                     f"channel {decl.id} does not preserve the named universe"
@@ -208,7 +252,7 @@ class Qrt:
     def state_graph(self) -> StateGraph:
         edges = set()
         for decl in self._channels:
-            fn = self.induced_function(decl)
+            fn = self._function(decl)
             if fn is None:
                 raise StructuralError(
                     f"channel {decl.id} does not preserve the named universe"
@@ -229,6 +273,11 @@ class Qrt:
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """The validation report, computed once per instance."""
+        return self._report
+
+    @cached_property
+    def _report(self) -> ValidationReport:
         issues: list[Issue] = []
         seen_sys: set[str] = set()
         for s in self._systems:
@@ -313,7 +362,7 @@ class Qrt:
                 closure_ok = False
                 continue
             try:
-                fn = self.induced_function(decl)
+                fn = self._function(decl)
             except StructuralError as exc:
                 issues.append(Issue("state-closure", decl.id, str(exc)))
                 closure_ok = False
@@ -336,8 +385,7 @@ class Qrt:
                     issues.append(
                         Issue("missing-identity", s.id, "no channel induces the identity")
                     )
-            missing = self._missing_compositions()
-            for (a, b, c), key in missing:
+            for (a, b, c), key in self._missing_compositions:
                 issues.append(
                     Issue(
                         "composition-closure",
@@ -347,6 +395,7 @@ class Qrt:
                 )
         return ValidationReport(tuple(issues))
 
+    @cached_property
     def _missing_compositions(self) -> list:
         """Composable function pairs whose composite is not in the table."""
         missing = []
@@ -366,7 +415,7 @@ class Qrt:
         return missing
 
     def is_composition_complete(self) -> bool:
-        return not self._missing_compositions()
+        return not self._missing_compositions
 
     # -- derived structure ----------------------------------------------------
 
@@ -421,7 +470,7 @@ def complete_composition(q: Qrt, max_channels: int = MAX_CHANNELS) -> Qrt:
     decls = list(q.channels)
     by_fn: dict = {}
     for d in decls:
-        fn = q.induced_function(d)
+        fn = q._function(d)
         if fn is None:
             raise StructuralError(f"channel {d.id} breaks state closure")
         by_fn[(d.src, d.dst, tuple(sorted(fn.items())))] = d
@@ -455,7 +504,10 @@ def complete_composition(q: Qrt, max_channels: int = MAX_CHANNELS) -> Qrt:
     out = sorted(
         by_fn.values(), key=lambda d: (order.get(d.id, len(order)), d.id)
     )
-    return Qrt(q.systems, out, q.trivial_id, q.tol)
+    closed = Qrt(q.systems, out, q.trivial_id, q.tol)
+    # same systems and tolerances: q's kept channels induce the same functions
+    closed._induced.update((d, q._induced[d]) for d in out if d in q._induced)
+    return closed
 
 
 def free_states(q: Qrt) -> frozenset:

@@ -6,8 +6,6 @@ from typing import Hashable, Iterable, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 
-Pair = tuple
-
 
 def reflexive_closure(pairs: Iterable[tuple[T, T]], universe: Iterable[T]) -> frozenset:
     rel = set(pairs)

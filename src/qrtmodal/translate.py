@@ -47,20 +47,28 @@ class TranslationRecord:
             raise StructuralError("record was built without a preorder")
         return StarredModel(self.model, self.order)
 
-    def atom_interp(self, atom: str) -> int:
-        return self.model.interp[atom]
-
 
 def _require_ready(q: Qrt) -> None:
+    # validate reports composition-closure issues, so ok implies complete
     report = q.validate()
     if not report.ok:
         raise StructuralError(f"source theory is invalid: {report.text()}")
-    if not q.is_composition_complete():
-        raise StructuralError("source theory is not composition complete")
 
 
 def to_model(q: Qrt) -> TranslationRecord:
-    """Build the S4 model of a valid, composition-complete theory."""
+    """Build the S4 model of a valid, composition-complete theory. The
+    record is built once per theory and shared by later calls, so callers
+    must not change its maps."""
+    return q.derived("model", _translate)
+
+
+def to_starred_model(q: Qrt) -> TranslationRecord:
+    """As to_model, with the convertibility preorder carried onto atoms;
+    built once per theory from to_model's record."""
+    return q.derived("starred_model", _translate_starred)
+
+
+def _translate(q: Qrt) -> TranslationRecord:
     _require_ready(q)
     world_of = {s.id: s.id for s in q.systems}
     atom_of = {node: node_name(node) for node in q.nodes}
@@ -80,8 +88,7 @@ def to_model(q: Qrt) -> TranslationRecord:
     return TranslationRecord(q, model, world_of, atom_of, c_world)
 
 
-def to_starred_model(q: Qrt) -> TranslationRecord:
-    """As to_model, with the convertibility preorder carried onto atoms."""
+def _translate_starred(q: Qrt) -> TranslationRecord:
     rec = to_model(q)
     order = frozenset(
         (rec.atom_of[a], rec.atom_of[b]) for a, b in q.preorder
@@ -265,7 +272,8 @@ def verify_functoriality(
     sub-models, and the identity inclusion is preserved."""
     base = to_model(x)
     report: dict = {"identity": False, "relabelings": [], "sub_models": [], "nested": None}
-    rebuilt = to_model(x)
+    # a fresh theory, so that two independent derivations are compared
+    rebuilt = to_model(Qrt(x.systems, x.channels, x.trivial_id, x.tol))
     report["identity"] = rebuilt.model == base.model and is_sub_model(base.model, base.model)
     for r in relabelings:
         ok, _ = models_isomorphic(base.model, to_model(r).model)

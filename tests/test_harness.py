@@ -51,3 +51,21 @@ def test_tiny_search_cap_is_inconclusive_not_falsified():
     rep = run_theorems(seed=5, count=4, include_corpus=False, iso_cap=1)
     assert rep["inconclusive"] > 0
     assert rep["status"] == 3
+
+
+def test_report_bytes_pinned():
+    # the same digest as "6:1" in bench/theorems_sha256.json
+    import hashlib
+
+    from qrtmodal import io
+
+    text = io.dumps(run_theorems(seed=1, count=6))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "46e47d01c4e9c78a"
+
+
+def test_inconclusive_iso_conditions_pairs_named():
+    rep = run_theorems(seed=1, count=4, iso_cap=3)
+    named = rep["iso_conditions"]["inconclusive"]
+    assert len(named) == 4
+    assert all(len(e["pair"]) == 2 and "exceeded 3" in e["reason"] for e in named)
+    assert rep["status"] == 3

@@ -1,9 +1,12 @@
 """Theory-level tests: validation, composition closure, free and resource
 states, convertibility, sub-theories, labeled isomorphism."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import qrtmodal.qrt as qrt_module
 from qrtmodal import corpus
 from qrtmodal.errors import ResourceLimitError, StructuralError
 from qrtmodal.generate import GeneratorConfig, generate_qrt, random_relabeling
@@ -385,3 +388,87 @@ class TestGeneratedFamilyProperties:
         assert ("Z", "zeta") in renamed.nodes
         ok, _ = qrt_isomorphic(q, renamed)
         assert ok
+
+
+def _count_applications(monkeypatch):
+    """Patch the channel application the theory layer uses; returns a
+    Counter of (channel object id, state object id) applications."""
+    applied = Counter()
+    original = qrt_module.apply_channel
+
+    def counting(c, rho, *args, **kwargs):
+        applied[(id(c), id(rho))] += 1
+        return original(c, rho, *args, **kwargs)
+
+    monkeypatch.setattr(qrt_module, "apply_channel", counting)
+    return applied
+
+
+class TestDeriveOnce:
+    def test_validation_report_is_memoised(self):
+        q = two_qubit_shell()
+        assert q.validate() is q.validate()
+
+    def test_each_channel_state_pair_applied_once(self, monkeypatch):
+        from qrtmodal.translate import to_starred_model
+
+        made = generate_qrt(GeneratorConfig(seed=3, n_systems=3), index=0)
+        q = Qrt(made.systems, made.channels, made.trivial_id, made.tol)
+        applied = _count_applications(monkeypatch)
+        assert q.validate().ok
+        q.functions
+        q.state_graph
+        q.free_states
+        to_starred_model(q)
+        assert q.is_composition_complete()
+        expected = Counter(
+            (id(d.channel), id(dm))
+            for d in q.channels
+            for dm in q.system(d.src).states.values()
+        )
+        assert applied == expected
+
+    def test_closure_derives_only_new_channels(self, monkeypatch):
+        a0, a1 = basis_state(2, 0), basis_state(2, 1)
+        q = Qrt(
+            [
+                SystemDecl("A", 2, {"a0": a0, "a1": a1}),
+                SystemDecl("B", 2, {"b0": a0, "b1": a1}),
+            ],
+            [
+                ChannelDecl("f", "A", "B", function_channel([0, 1], 2, 2)),
+                ChannelDecl("g", "B", "A", function_channel([1, 0], 2, 2)),
+            ],
+        )
+        applied = _count_applications(monkeypatch)
+        q.validate()
+        before = sum(applied.values())
+        assert before == 2 * len(q.channels)
+        closed = complete_composition(q)
+        assert closed.validate().ok
+        new = [d for d in closed.channels if d not in q.channels]
+        assert new
+        assert sum(applied.values()) - before == 2 * len(new)
+
+    def test_induced_function_returns_a_copy(self):
+        q = corpus.chain_qrt()
+        decl = q.channels[0]
+        fn = q.induced_function(decl)
+        fn.clear()
+        assert q.induced_function(decl)
+        assert q.induced_function(decl) is not q.induced_function(decl)
+
+    def test_ambiguous_match_raises_on_every_use(self):
+        eps = 1e-10  # below the matching radius
+        near = DensityMatrix(np.diag([1 - eps, eps]).astype(complex))
+        q = Qrt([SystemDecl("A", 2, {"a0": basis_state(2, 0), "a1": near})])
+        report = q.validate()
+        assert any(
+            i.code == "state-closure" and "ambiguous match" in i.message
+            for i in report.issues
+        )
+        for _ in range(2):
+            with pytest.raises(StructuralError, match="ambiguous match"):
+                q.functions
+            with pytest.raises(StructuralError, match="ambiguous match"):
+                q.induced_function(q.channels[0])

@@ -90,6 +90,41 @@ class TestToModel:
             assert ok, witness
 
 
+class TestDeriveOnce:
+    def test_translation_is_memoised(self):
+        q = corpus.entanglement_qrt()
+        assert to_model(q) is to_model(q)
+        assert to_starred_model(q) is to_starred_model(q)
+        assert to_starred_model(q).model is to_model(q).model
+
+    def test_s4_check_runs_once_per_theory(self, monkeypatch):
+        import qrtmodal.translate as translate_module
+
+        calls = []
+        original = translate_module.is_s4
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(translate_module, "is_s4", counting)
+        q = corpus.chain_qrt()
+        to_model(q)
+        to_starred_model(q)
+        to_model(q)
+        assert len(calls) == 1
+        # the identity law compares two independent derivations
+        rep = verify_functoriality(q)
+        assert rep["identity"]
+        assert len(calls) == 2
+
+    def test_failed_translation_raises_again(self):
+        q = corpus.broken_tp_qrt()
+        for _ in range(2):
+            with pytest.raises(StructuralError, match="invalid"):
+                to_model(q)
+
+
 class TestToStarredModel:
     def test_identity_only_order_is_diagonal(self):
         q = complete_composition(Qrt([SystemDecl("A", 2, {"a0": basis_state(2, 0)})]))
