@@ -6,6 +6,7 @@ from .errors import (
     DimensionMismatchError,
     FormulaSyntaxError,
     GenerationError,
+    NumericalError,
     QrtModalError,
     ResourceLimitError,
     ShapeError,

@@ -13,6 +13,11 @@ class DimensionMismatchError(QrtModalError):
     """Two objects that must share a dimension do not."""
 
 
+class NumericalError(QrtModalError):
+    """A numerical routine failed on finite input, such as a LAPACK
+    eigen-solve that did not converge."""
+
+
 class StructuralError(QrtModalError):
     """An object violates a structural precondition (missing trivial
     system, malformed model, missing unit world, ...)."""

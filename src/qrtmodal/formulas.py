@@ -239,7 +239,7 @@ def conversion_possibility_report(rec: TranslationRecord) -> dict:
     (rho -> <> sigma) must be valid in the translated model."""
     instances = []
     ok = True
-    for (src, dst, cid) in sorted(rec.source.state_graph.edges):
+    for (src, dst, cid) in sorted(rec.edges):
         f = Implies(Atom(rec.atom_of[src]), Diamond(Atom(rec.atom_of[dst])))
         valid, witness = is_valid(rec.model, f, warn_domains=False)
         instances.append(
@@ -260,7 +260,7 @@ def is_resource_preserving(rec: TranslationRecord) -> tuple[bool, list]:
     (<> sigma -> rho) at the edge's source world; failures are exactly
     the resource-destroying edges and are returned as witnesses."""
     witnesses = []
-    for (src, dst, cid) in sorted(rec.source.state_graph.edges):
+    for (src, dst, cid) in sorted(rec.edges):
         f = Implies(Diamond(Atom(rec.atom_of[dst])), Atom(rec.atom_of[src]))
         world = rec.world_of[src[0]]
         if evaluate(rec.model, f, world, warn_domains=False) == 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import MAX_ISO_NODES, OBJECT_CAP
-from .errors import ResourceLimitError
+from .errors import QrtModalError, ResourceLimitError
 from .formulas import conversion_possibility_report, is_resource_preserving
 from .generate import (
     GeneratorConfig,
@@ -256,7 +256,7 @@ def run_theorems(
                     {"label": label, "laws_ok": laws["ok"], "injected": True}
                 )
                 falsified |= not laws["ok"]
-            except Exception as exc:  # structural failures count as flagged
+            except QrtModalError as exc:  # a model that cannot host the category is flagged
                 smc_entries.append(
                     {"label": label, "laws_ok": False, "error": str(exc), "injected": True}
                 )

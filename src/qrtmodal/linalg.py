@@ -12,15 +12,26 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances, max_dim
-from .errors import DimensionMismatchError, ShapeError
+from .errors import DimensionMismatchError, NumericalError, ShapeError
 
 
 def as_matrix(obj) -> np.ndarray:
-    """Coerce to a 2-D complex array."""
+    """Coerce to a 2-D complex array with finite entries."""
     m = np.asarray(obj, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got array of ndim {m.ndim}")
+    if not np.isfinite(m).all():
+        raise ShapeError("matrix has a non-finite (NaN or infinite) entry")
     return m
+
+
+def _eigh(m: np.ndarray, vectors: bool = False):
+    """Eigenvalues (and, with vectors, eigenvectors) of a Hermitian
+    matrix; a LAPACK failure is raised as a NumericalError."""
+    try:
+        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue solve failed: {exc}") from exc
 
 
 def _check_dim_cap(dim: int) -> None:
@@ -43,18 +54,23 @@ def is_density_matrix(
     on the Hermitian part once Hermiticity itself has passed, which keeps
     the PSD test stable.
     """
-    m = as_matrix(m)
+    return _density_defect(as_matrix(m), tol)
+
+
+def _density_defect(m: np.ndarray, tol: Tolerances) -> tuple[bool, str | None]:
+    # finite entries can still overflow to NaN on the way, so every test
+    # is written to fail, not pass, on a NaN
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"density matrix must be square, got {m.shape}")
     herm_defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if herm_defect > tol.eps_herm:
+    if not herm_defect <= tol.eps_herm:
         return False, f"not Hermitian (defect {herm_defect:.3e})"
-    eigs = np.linalg.eigvalsh(hermitian_part(m))
+    eigs = _eigh(hermitian_part(m))
     lo = float(eigs.min())
-    if lo < -tol.eps_psd:
+    if not lo >= -tol.eps_psd:
         return False, f"not positive semidefinite (eigenvalue {lo:.3e})"
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol.eps_tr:
+    if not abs(tr - 1.0) <= tol.eps_tr:
         return False, f"trace is {tr.real:.6f}, not 1"
     return True, None
 
@@ -66,7 +82,7 @@ class DensityMatrix:
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT_TOLERANCES):
         m = as_matrix(matrix)
-        ok, why = is_density_matrix(m, tol)
+        ok, why = _density_defect(m, tol)
         if not ok:
             raise ShapeError(f"not a density matrix: {why}")
         _check_dim_cap(m.shape[0])
@@ -161,16 +177,16 @@ def is_cptp(
     c: KrausChannel, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[bool, str | None]:
     """Trace preservation (sum K^dag K = I) and complete positivity
-    (Choi matrix PSD), each within tolerance."""
+    (Choi matrix PSD), each within tolerance; a NaN fails either."""
     acc = np.zeros((c.in_dim, c.in_dim), dtype=complex)
     for k in c.kraus_ops:
         acc += k.conj().T @ k
     tp_defect = float(np.max(np.abs(acc - np.eye(c.in_dim))))
-    if tp_defect > tol.eps_tp:
+    if not tp_defect <= tol.eps_tp:
         return False, f"not trace preserving (defect {tp_defect:.3e})"
-    eigs = np.linalg.eigvalsh(hermitian_part(choi_matrix(c)))
+    eigs = _eigh(hermitian_part(choi_matrix(c)))
     lo = float(eigs.min())
-    if lo < -tol.eps_psd:
+    if not lo >= -tol.eps_psd:
         return False, f"not completely positive (Choi eigenvalue {lo:.3e})"
     return True, None
 
@@ -199,7 +215,7 @@ def reduce_kraus(c: KrausChannel, cutoff: float = 1e-12) -> KrausChannel:
     operators by in_dim * out_dim; used to stop repeated composition from
     inflating the representation."""
     j = hermitian_part(choi_matrix(c))
-    vals, vecs = np.linalg.eigh(j)
+    vals, vecs = _eigh(j, vectors=True)
     scale = max(float(vals.max()), 1.0)
     ops = []
     for lam, v in zip(vals, vecs.T):
@@ -227,7 +243,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the absolute eigenvalue sum of a - b."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    eigs = np.linalg.eigvalsh(hermitian_part(a.mat - b.mat))
+    eigs = _eigh(hermitian_part(a.mat - b.mat))
     return float(np.abs(eigs).sum() / 2)
 
 
@@ -240,7 +256,7 @@ def identity_channel(dim: int) -> KrausChannel:
 
 def preparation_channel(rho: DensityMatrix) -> KrausChannel:
     """The channel from the trivial space that prepares rho: z -> z*rho."""
-    vals, vecs = np.linalg.eigh(hermitian_part(rho.mat))
+    vals, vecs = _eigh(hermitian_part(rho.mat), vectors=True)
     ops = []
     for lam, v in zip(vals, vecs.T):
         if lam > 1e-14:

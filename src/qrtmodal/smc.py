@@ -7,8 +7,14 @@ the domain preorder and some accessible world pair hosts the two atoms;
 multi-component arrows are tuples of such components, with unit padding
 when the sides have different sizes.
 
-Internally objects are bitmasks over the non-unit atoms, which keeps the
-exhaustive law checks cheap.
+Internally objects are bitmasks over the non-unit atoms, and the
+one-component arrow relation is built once per category as a set of atom
+pairs. The law sweep over n objects costs what the structure costs: the
+tensor laws and the hom matrix are O(n^2) array work in the narrowest
+unsigned dtype that holds a mask, associativity is checked over all n^3
+object triples one slab of rows at a time with O(n^2) memory,
+transitivity is one n x n matrix product, and explicit morphism
+arithmetic runs on a strided sample of about 60 hom pairs.
 """
 
 from __future__ import annotations
@@ -23,6 +29,30 @@ from .config import OBJECT_CAP
 from .errors import StructuralError
 from .kripke import StarredModel
 from .translate import unit_world_candidates
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _arrow_table(sm: StarredModel) -> frozenset:
+    """The one-component arrow relation over every domain atom, the unit
+    included: (a, b) in the order such that some accessible world pair
+    hosts a and b."""
+    m = sm.model
+    hosts: dict = {a: set() for a in m.domain}
+    for w in m.worlds:
+        for a in m.domains[w]:
+            hosts[a].add(w)
+    reach: dict = {}
+    for w, u in m.access:
+        reach.setdefault(w, set()).add(u)
+    onward = {a: set().union(*(reach.get(w, ()) for w in ws)) for a, ws in hosts.items()}
+    return frozenset((a, b) for a, b in sm.order if not onward[a].isdisjoint(hosts[b]))
 
 
 @dataclass(frozen=True)
@@ -41,6 +71,8 @@ class SmcCategory:
     tensor. Objects are enumerated up to a size cap."""
 
     def __init__(self, sm: StarredModel, object_cap: int = OBJECT_CAP):
+        if object_cap < 1:
+            raise StructuralError(f"the object size cap must be at least 1, got {object_cap}")
         m = sm.model
         candidates = unit_world_candidates(m)
         if not candidates:
@@ -59,20 +91,11 @@ class SmcCategory:
         self.atoms = tuple(sorted(m.domain - {p_c}))
         self.object_cap = object_cap
         self._index = {a: i for i, a in enumerate(self.atoms)}
-        self._hosts = {
-            a: frozenset(w for w in m.worlds if a in m.domains[w])
-            for a in m.domain
-        }
+        self._arrows = _arrow_table(sm)
 
     def arrow(self, a: str, b: str) -> bool:
         """One-component arrow condition between atoms (unit included)."""
-        sm = self.starred
-        if (a, b) not in sm.order:
-            return False
-        access = sm.model.access
-        return any(
-            (w, u) in access for w in self._hosts[a] for u in self._hosts[b]
-        )
+        return (a, b) in self._arrows
 
     # -- objects as bitmasks ----------------------------------------------------
 
@@ -85,7 +108,7 @@ class SmcCategory:
         return mask
 
     def atoms_of(self, mask: int) -> frozenset:
-        return frozenset(a for a, i in self._index.items() if mask >> i & 1)
+        return frozenset(self.atoms[i] for i in _bits(int(mask)))
 
     @cached_property
     def objects(self) -> tuple:
@@ -104,27 +127,21 @@ class SmcCategory:
     @cached_property
     def _out_masks(self) -> tuple:
         """Per atom: bitmask of atoms it has an arrow into, plus a unit flag."""
-        masks, to_unit = [], []
-        for a in self.atoms:
-            m = 0
-            for b in self.atoms:
-                if self.arrow(a, b):
-                    m |= 1 << self._index[b]
-            masks.append(m)
-            to_unit.append(self.arrow(a, self.unit_atom))
-        return tuple(masks), tuple(to_unit)
+        masks = [0] * len(self.atoms)
+        for a, b in self._arrows:
+            if a in self._index and b in self._index:
+                masks[self._index[a]] |= 1 << self._index[b]
+        to_unit = tuple((a, self.unit_atom) in self._arrows for a in self.atoms)
+        return tuple(masks), to_unit
 
     @cached_property
     def _in_masks(self) -> tuple:
-        masks, from_unit = [], []
-        for b in self.atoms:
-            m = 0
-            for a in self.atoms:
-                if self.arrow(a, b):
-                    m |= 1 << self._index[a]
-            masks.append(m)
-            from_unit.append(self.arrow(self.unit_atom, b))
-        return tuple(masks), tuple(from_unit)
+        masks = [0] * len(self.atoms)
+        for a, b in self._arrows:
+            if a in self._index and b in self._index:
+                masks[self._index[b]] |= 1 << self._index[a]
+        from_unit = tuple((self.unit_atom, b) in self._arrows for b in self.atoms)
+        return tuple(masks), from_unit
 
     def hom_nonempty(self, x: int, y: int) -> bool:
         """A pairing exists iff every source atom has some arrow into the
@@ -132,12 +149,9 @@ class SmcCategory:
         (or the unit)."""
         out_masks, to_unit = self._out_masks
         in_masks, from_unit = self._in_masks
-        for i in range(len(self.atoms)):
-            if x >> i & 1 and not (out_masks[i] & y or to_unit[i]):
-                return False
-            if y >> i & 1 and not (in_masks[i] & x or from_unit[i]):
-                return False
-        return True
+        if any(not (out_masks[i] & y or to_unit[i]) for i in _bits(x)):
+            return False
+        return all(in_masks[i] & x or from_unit[i] for i in _bits(y))
 
     def canonical_morphism(self, x: int, y: int) -> SmcMorphism | None:
         """A concrete pairing witnessing hom(x, y), if any: each source
@@ -145,34 +159,34 @@ class SmcCategory:
         are fed from the unit."""
         if not self.hom_nonempty(x, y):
             return None
+        out_masks, _ = self._out_masks
+        in_masks, from_unit = self._in_masks
+        atoms, unit = self.atoms, self.unit_atom
         pairs = set()
         covered = 0
-        xs = sorted(self.atoms_of(x))
-        ys = sorted(self.atoms_of(y))
-        for a in xs:
-            choice = next((b for b in ys if self.arrow(a, b)), None)
-            if choice is None:
-                pairs.add((a, self.unit_atom))
+        for i in _bits(x):
+            hit = out_masks[i] & y
+            if hit:
+                low = hit & -hit  # atoms are sorted, so the lowest bit is the least
+                pairs.add((atoms[i], atoms[low.bit_length() - 1]))
+                covered |= low
             else:
-                pairs.add((a, choice))
-                covered |= 1 << self._index[choice]
-        for b in ys:
-            if covered >> self._index[b] & 1:
-                continue
+                pairs.add((atoms[i], unit))
+        for j in _bits(y & ~covered):
             # an uncovered target is fed from the unit when possible,
             # otherwise by a second component out of some source atom
-            if self.arrow(self.unit_atom, b):
-                pairs.add((self.unit_atom, b))
+            if from_unit[j]:
+                pairs.add((unit, atoms[j]))
             else:
-                a = next((a for a in xs if self.arrow(a, b)), None)
-                if a is None:
+                src = in_masks[j] & x
+                if not src:
                     return None
-                pairs.add((a, b))
+                pairs.add((atoms[(src & -src).bit_length() - 1], atoms[j]))
         return SmcMorphism(self.atoms_of(x), self.atoms_of(y), frozenset(pairs))
 
     def identity_morphism(self, x: int) -> SmcMorphism | None:
         atoms = self.atoms_of(x)
-        if any(not self.arrow(a, a) for a in atoms):
+        if any((a, a) not in self._arrows for a in atoms):
             return None
         return SmcMorphism(atoms, atoms, frozenset((a, a) for a in atoms))
 
@@ -183,7 +197,7 @@ class SmcCategory:
             return False
         if not mor.target <= rights or not (rights - mor.target) <= {self.unit_atom}:
             return False
-        return all(self.arrow(a, b) for a, b in mor.pairs)
+        return mor.pairs <= self._arrows
 
     def compose_morphisms(self, g: SmcMorphism, f: SmcMorphism) -> SmcMorphism:
         """Componentwise composite of f: x -> y and g: y -> z."""
@@ -230,32 +244,76 @@ def free_objects(cat: SmcCategory) -> list:
     return cat.free_objects()
 
 
-def _hom_matrix(cat: SmcCategory) -> np.ndarray:
-    objs = np.array(cat.objects, dtype=np.int64)
-    n = len(objs)
+# elements per associativity slab: small categories take several rows of
+# object triples per numpy call, large ones exactly one n x n row
+_SLAB = 1 << 16
+
+
+def _mask_dtype(n_atoms: int) -> type:
+    """The narrowest unsigned dtype holding a mask over n_atoms atoms."""
+    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if n_atoms <= np.iinfo(dt).bits:
+            return dt
+    raise StructuralError(f"{n_atoms} non-unit atoms do not fit a 64-bit object mask")
+
+
+def _hom_matrix(cat: SmcCategory, objs: np.ndarray) -> np.ndarray:
     out_masks, to_unit = cat._out_masks
     in_masks, from_unit = cat._in_masks
-    n_atoms = len(cat.atoms)
     # bad_src[y]: atoms with no arrow into y nor the unit
-    bad_src = np.zeros(n, dtype=np.int64)
-    bad_tgt = np.zeros(n, dtype=np.int64)
-    for i in range(n_atoms):
+    bad_src = np.zeros_like(objs)
+    bad_tgt = np.zeros_like(objs)
+    for i in range(len(cat.atoms)):
         if not to_unit[i]:
-            miss = (objs & out_masks[i]) == 0
-            bad_src[miss] |= 1 << i
+            bad_src[(objs & out_masks[i]) == 0] |= 1 << i
         if not from_unit[i]:
-            miss = (objs & in_masks[i]) == 0
-            bad_tgt[miss] |= 1 << i
+            bad_tgt[(objs & in_masks[i]) == 0] |= 1 << i
     h = (objs[:, None] & bad_src[None, :]) == 0
     h &= (objs[None, :] & bad_tgt[:, None]) == 0
     return h
 
 
+def _tensor_associative(objs: np.ndarray, sym: np.ndarray) -> bool:
+    """(x | y) | z == x | (y | z) over all n^3 object triples, a slab of
+    rows x at a time into two reused buffers."""
+    n = len(objs)
+    rows = max(1, _SLAB // (n * n))
+    left = np.empty((rows, n, n), dtype=objs.dtype)
+    right = np.empty_like(left)
+    for lo in range(0, n, rows):
+        r = min(rows, n - lo)
+        np.bitwise_or(sym[lo:lo + r, :, None], objs[None, None, :], out=left[:r])
+        np.bitwise_or(objs[lo:lo + r, None, None], sym[None, :, :], out=right[:r])
+        if not np.array_equal(left[:r], right[:r]):
+            return False
+    return True
+
+
+def _hom_sample(h: np.ndarray, samples: int) -> list:
+    """Every step-th hom pair (i, j) in row-major order, about samples of
+    them, read off the hom matrix without listing every pair."""
+    homs = np.flatnonzero(h)
+    step = max(1, len(homs) // samples)
+    return [divmod(int(flat), len(h)) for flat in homs[::step]]
+
+
+def _first(row: np.ndarray) -> int | None:
+    """Index of the first true entry of a boolean row, if any."""
+    k = int(row.argmax())
+    return k if row[k] else None
+
+
 def verify_smc_laws(cat: SmcCategory, morphism_samples: int = 60) -> dict:
     """Exhaustively check the tensor laws over the enumerated objects and
-    the hom-level laws (identities, transitivity, composition) with
-    deterministic sampling for explicit morphism arithmetic."""
-    objs = np.array(cat.objects, dtype=np.int64)
+    the hom-level laws (identities, transitivity), plus explicit morphism
+    arithmetic (closure, identity, associativity of composition) on a
+    deterministic strided sample of about morphism_samples (60) hom pairs.
+
+    Cost for n objects: the tensor laws and the hom matrix are O(n^2)
+    numpy work, associativity is an O(n^3) sweep over all object triples,
+    and transitivity is one n x n matrix product. Masks use the narrowest
+    unsigned dtype over the atoms, and every temporary is O(n^2)."""
+    objs = np.array(cat.objects, dtype=_mask_dtype(len(cat.atoms)))
     n = len(objs)
     report: dict = {"n_objects": int(n)}
 
@@ -265,45 +323,33 @@ def verify_smc_laws(cat: SmcCategory, morphism_samples: int = 60) -> dict:
     report["tensor_unit"] = bool(
         np.array_equal(objs | cat.unit, objs) and np.array_equal(cat.unit | objs, objs)
     )
-    assoc_ok = True
-    chunk = max(1, (1 << 22) // max(n * n, 1))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        left = sym[lo:hi, :, None] | objs[None, None, :]
-        right = objs[lo:hi, None, None] | sym[None, :, :]
-        if not np.array_equal(left, right):
-            assoc_ok = False
-            break
-    report["tensor_associative"] = bool(assoc_ok)
+    report["tensor_associative"] = _tensor_associative(objs, sym)
 
-    ident_bad = [
-        cat.atoms_of(x) for x in cat.objects if cat.identity_morphism(int(x)) is None
-    ]
+    no_loop = sum(1 << i for i, a in enumerate(cat.atoms) if not cat.arrow(a, a))
+    ident_bad = [cat.atoms_of(x) for x in objs[(objs & no_loop) != 0]]
     report["identities"] = not ident_bad
     if ident_bad:
         report["identity_counterexample"] = sorted(map(sorted, ident_bad))[:3]
 
-    h = _hom_matrix(cat)
-    reach2 = (h.astype(np.float32) @ h.astype(np.float32)) > 0
-    trans_bad = reach2 & ~h
+    h = _hom_matrix(cat, objs)
+    hf = h.astype(np.float32)
+    trans_bad = ((hf @ hf) > 0) & ~h
     report["hom_transitive"] = not bool(trans_bad.any())
     if trans_bad.any():
         i, j = np.argwhere(trans_bad)[0]
-        k = int(np.argmax(h[i].astype(np.uint8) & h[:, j].astype(np.uint8)))
+        k = int(np.argmax(h[i] & h[:, j]))
         report["hom_counterexample"] = [
-            sorted(cat.atoms_of(int(objs[i]))),
-            sorted(cat.atoms_of(int(objs[k]))),
-            sorted(cat.atoms_of(int(objs[j]))),
+            sorted(cat.atoms_of(objs[i])),
+            sorted(cat.atoms_of(objs[k])),
+            sorted(cat.atoms_of(objs[j])),
         ]
 
-    # explicit morphism arithmetic on a deterministic sample of hom pairs
-    pairs = [(i, j) for i in range(n) for j in range(n) if h[i, j]]
-    step = max(1, len(pairs) // morphism_samples)
-    sample = pairs[::step]
+    # explicit morphism arithmetic on sampled hom pairs, each composed
+    # with the first arrow out of its target and the first out of that
     compose_ok = True
     identity_ok = True
     assoc_m_ok = True
-    for i, j in sample:
+    for i, j in _hom_sample(h, morphism_samples):
         f = cat.canonical_morphism(int(objs[i]), int(objs[j]))
         if f is None or not cat.valid_morphism(f):
             compose_ok = False
@@ -315,21 +361,21 @@ def verify_smc_laws(cat: SmcCategory, morphism_samples: int = 60) -> dict:
             continue
         if cat.compose_morphisms(f, idx) != f or cat.compose_morphisms(idy, f) != f:
             identity_ok = False
-        for k in range(n):
-            if h[j, k]:
-                g = cat.canonical_morphism(int(objs[j]), int(objs[k]))
-                gf = cat.compose_morphisms(g, f)
-                if not cat.valid_morphism(gf):
-                    compose_ok = False
-                for l in range(n):
-                    if h[k, l]:
-                        e = cat.canonical_morphism(int(objs[k]), int(objs[l]))
-                        if cat.compose_morphisms(e, gf) != cat.compose_morphisms(
-                            cat.compose_morphisms(e, g), f
-                        ):
-                            assoc_m_ok = False
-                        break
-                break
+        k = _first(h[j])
+        if k is None:
+            continue
+        g = cat.canonical_morphism(int(objs[j]), int(objs[k]))
+        gf = cat.compose_morphisms(g, f)
+        if not cat.valid_morphism(gf):
+            compose_ok = False
+        l = _first(h[k])
+        if l is None:
+            continue
+        e = cat.canonical_morphism(int(objs[k]), int(objs[l]))
+        if cat.compose_morphisms(e, gf) != cat.compose_morphisms(
+            cat.compose_morphisms(e, g), f
+        ):
+            assoc_m_ok = False
     report["compose_closed"] = compose_ok
     report["compose_identity"] = identity_ok
     report["compose_associative"] = assoc_m_ok

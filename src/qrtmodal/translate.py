@@ -32,9 +32,11 @@ from .qrt import Qrt, node_name, qrt_isomorphic
 @dataclass(frozen=True)
 class TranslationRecord:
     """A translated theory with both name maps, so atoms can be
-    round-tripped back to states."""
+    round-tripped back to states. It keeps the source theory's conversion
+    edges rather than the theory itself: the theory memoises its record,
+    so a back-reference would make every translated theory a cycle."""
 
-    source: Qrt
+    edges: frozenset      # (source node, target node, channel id)
     model: KripkeModel
     world_of: dict        # system id -> world id
     atom_of: dict         # (system id, state id) -> atom id
@@ -85,7 +87,7 @@ def _translate(q: Qrt) -> TranslationRecord:
     ok, witness = is_s4(model)
     if not ok:
         raise StructuralError(f"translated model is not S4 (witness {witness})")
-    return TranslationRecord(q, model, world_of, atom_of, c_world)
+    return TranslationRecord(q.state_graph.edges, model, world_of, atom_of, c_world)
 
 
 def _translate_starred(q: Qrt) -> TranslationRecord:
@@ -94,7 +96,7 @@ def _translate_starred(q: Qrt) -> TranslationRecord:
         (rec.atom_of[a], rec.atom_of[b]) for a, b in q.preorder
     )
     return TranslationRecord(
-        rec.source, rec.model, rec.world_of, rec.atom_of, rec.c_world, order
+        rec.edges, rec.model, rec.world_of, rec.atom_of, rec.c_world, order
     )
 
 

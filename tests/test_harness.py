@@ -1,8 +1,11 @@
 """Harness tests: family assembly, consolidated report, status codes."""
 
+import pytest
+
+from qrtmodal import corpus, harness
 from qrtmodal.corpus import broken_monotone_model, broken_smc_model
 from qrtmodal.harness import build_family, run_theorems
-from qrtmodal.kripke import models_isomorphic
+from qrtmodal.kripke import StarredModel, models_isomorphic
 from qrtmodal.translate import to_model
 
 
@@ -69,3 +72,37 @@ def test_inconclusive_iso_conditions_pairs_named():
     assert len(named) == 4
     assert all(len(e["pair"]) == 2 and "exceeded 3" in e["reason"] for e in named)
     assert rep["status"] == 3
+
+
+def no_unit_starred_model():
+    return StarredModel(corpus.broken_no_unit_model(), [("a", "a"), ("b", "b")])
+
+
+def test_injected_model_without_unit_is_flagged():
+    rep = run_theorems(
+        family=[("chain", corpus.chain_qrt())],
+        injected_models=[("no_unit", no_unit_starred_model())],
+        include_corpus=False,
+    )
+    (entry,) = [e for e in rep["smc"]["entries"] if e.get("injected")]
+    assert entry["laws_ok"] is False
+    assert "unit" in entry["error"]
+    assert rep["status"] == 1
+
+
+def test_programming_error_in_injected_law_sweep_propagates(monkeypatch):
+    injected = broken_smc_model()
+    real = harness.build_smc
+
+    def failing(m, cap):
+        if m is injected:
+            raise TypeError("a bug, not a verdict")
+        return real(m, cap)
+
+    monkeypatch.setattr(harness, "build_smc", failing)
+    with pytest.raises(TypeError, match="a bug"):
+        run_theorems(
+            family=[("chain", corpus.chain_qrt())],
+            injected_models=[("smc", injected)],
+            include_corpus=False,
+        )

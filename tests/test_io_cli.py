@@ -132,6 +132,19 @@ class TestCli:
         main(["translate", str(corpus_dir / "trivial.qrt.json"), "--out", str(model)])
         assert main(["check", str(model), "(p -> "]) == 2
 
+    def test_validate_nan_kraus_entry_is_input_error(self, tmp_path, capsys):
+        data = qrt_to_dict(corpus.chain_qrt())
+        data["channels"][0]["kraus"][0][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "nan.qrt.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_theorems_cap_below_one_is_input_error(self, cap, capsys):
+        assert main(["theorems", "--count", "6", "--cap", cap]) == 2
+        assert "cap" in capsys.readouterr().err
+
     def test_theorems_default_passes(self, capsys):
         assert main(["theorems", "--seed", "2", "--count", "5"]) == 0
 

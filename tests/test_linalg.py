@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qrtmodal.config import Tolerances
-from qrtmodal.errors import DimensionMismatchError, ShapeError
+from qrtmodal.errors import DimensionMismatchError, NumericalError, ShapeError
 from qrtmodal.linalg import (
     DensityMatrix,
     KrausChannel,
@@ -111,6 +111,40 @@ class TestChoi:
     def test_mismatched_kraus_shapes(self):
         with pytest.raises(ShapeError):
             KrausChannel([np.eye(2), np.eye(3)])
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_density_matrix_rejects_non_finite(self, bad):
+        with pytest.raises(ShapeError, match="non-finite"):
+            DensityMatrix([[bad, 0], [0, bad]])
+
+    def test_kraus_operator_rejects_nan(self):
+        with pytest.raises(ShapeError, match="non-finite"):
+            KrausChannel([[[np.nan, 0], [0, 1]]])
+
+    def test_overflow_to_nan_eigenvalues_fails_positivity(self):
+        # finite entries whose Hermitian part overflows to NaN eigenvalues
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok, why = is_density_matrix([[0.5, 1e308], [1e308, 0.5]])
+            assert not ok and "positive semidefinite" in why
+            with pytest.raises(ShapeError, match="positive semidefinite"):
+                DensityMatrix([[0.5, 1e308], [1e308, 0.5]])
+
+    def test_overflowing_kraus_operator_is_not_trace_preserving(self):
+        # K^dag K overflows to a NaN defect, which used to pass the trace
+        # test and then stop the Choi eigen-solve with a LinAlgError
+        with np.errstate(all="ignore"):
+            ok, why = is_cptp(KrausChannel([[[1e200 + 1e200j, 0], [0, 1]]]))
+        assert not ok and "trace preserving" in why
+
+    def test_lapack_failure_becomes_numerical_error(self, monkeypatch):
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(NumericalError, match="did not converge"):
+            is_cptp(identity_channel(2))
 
 
 class TestIsCptp:

@@ -1,11 +1,18 @@
 """Monoidal category tests: construction, tensor and hom laws, free
-objects, and the shipped hom-transitivity negative."""
+objects, the shipped hom-transitivity negative, and a differential check
+of the law sweep against the host-scanning, int64 reference algorithm."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from qrtmodal import corpus
+from qrtmodal import corpus, smc
 from qrtmodal.errors import StructuralError
+from qrtmodal.generate import GeneratorConfig, generate_qrt
+from qrtmodal.harness import build_family
 from qrtmodal.kripke import KripkeModel, StarredModel
+from qrtmodal.qrt import complete_composition
 from qrtmodal.smc import (
     SmcMorphism,
     build_smc,
@@ -55,6 +62,12 @@ class TestBuild:
         cat = build_smc(StarredModel(m, order))
         assert cat.unit_atom == "p"
         assert cat.c_world == "c"
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_object_cap_below_one_rejected(self, cap):
+        rec = to_starred_model(corpus.entanglement_qrt())
+        with pytest.raises(StructuralError, match="cap"):
+            build_smc(rec.starred, cap)
 
     def test_false_unit_atom_rejected(self):
         m = KripkeModel(
@@ -188,3 +201,322 @@ class TestFreeObjects:
         for x in cat.objects:
             atoms = cat.atoms_of(x)
             assert (frozenset(atoms) in frees) == (atoms <= free_atoms)
+
+
+# -- differential oracle ----------------------------------------------------------
+
+
+class ReferenceCategory:
+    """The hom structure of a category derived the way the law sweep did
+    before the arrow table: every arrow by scanning pairs of host worlds,
+    the atoms of a mask by scanning the index. Composition is pairing
+    arithmetic and is shared with the category under test."""
+
+    def __init__(self, cat):
+        m = cat.starred.model
+        self.cat = cat
+        self.starred = cat.starred
+        self.atoms = cat.atoms
+        self.unit_atom = cat.unit_atom
+        self.objects = cat.objects
+        self.unit = 0
+        self._index = {a: i for i, a in enumerate(self.atoms)}
+        self._hosts = {
+            a: frozenset(w for w in m.worlds if a in m.domains[w]) for a in m.domain
+        }
+        self.compose_morphisms = cat.compose_morphisms
+        self.out_masks = self._out_masks()
+        self.in_masks = self._in_masks()
+
+    def arrow(self, a, b):
+        if (a, b) not in self.starred.order:
+            return False
+        access = self.starred.model.access
+        return any((w, u) in access for w in self._hosts[a] for u in self._hosts[b])
+
+    def atoms_of(self, mask):
+        return frozenset(a for a, i in self._index.items() if mask >> i & 1)
+
+    def _out_masks(self):
+        masks, to_unit = [], []
+        for a in self.atoms:
+            m = 0
+            for b in self.atoms:
+                if self.arrow(a, b):
+                    m |= 1 << self._index[b]
+            masks.append(m)
+            to_unit.append(self.arrow(a, self.unit_atom))
+        return masks, to_unit
+
+    def _in_masks(self):
+        masks, from_unit = [], []
+        for b in self.atoms:
+            m = 0
+            for a in self.atoms:
+                if self.arrow(a, b):
+                    m |= 1 << self._index[a]
+            masks.append(m)
+            from_unit.append(self.arrow(self.unit_atom, b))
+        return masks, from_unit
+
+    def hom_nonempty(self, x, y):
+        out_masks, to_unit = self.out_masks
+        in_masks, from_unit = self.in_masks
+        for i in range(len(self.atoms)):
+            if x >> i & 1 and not (out_masks[i] & y or to_unit[i]):
+                return False
+            if y >> i & 1 and not (in_masks[i] & x or from_unit[i]):
+                return False
+        return True
+
+    def canonical_morphism(self, x, y):
+        if not self.hom_nonempty(x, y):
+            return None
+        pairs = set()
+        covered = 0
+        xs = sorted(self.atoms_of(x))
+        ys = sorted(self.atoms_of(y))
+        for a in xs:
+            choice = next((b for b in ys if self.arrow(a, b)), None)
+            if choice is None:
+                pairs.add((a, self.unit_atom))
+            else:
+                pairs.add((a, choice))
+                covered |= 1 << self._index[choice]
+        for b in ys:
+            if covered >> self._index[b] & 1:
+                continue
+            if self.arrow(self.unit_atom, b):
+                pairs.add((self.unit_atom, b))
+            else:
+                a = next((a for a in xs if self.arrow(a, b)), None)
+                if a is None:
+                    return None
+                pairs.add((a, b))
+        return SmcMorphism(self.atoms_of(x), self.atoms_of(y), frozenset(pairs))
+
+    def identity_morphism(self, x):
+        atoms = self.atoms_of(x)
+        if any(not self.arrow(a, a) for a in atoms):
+            return None
+        return SmcMorphism(atoms, atoms, frozenset((a, a) for a in atoms))
+
+    def valid_morphism(self, mor):
+        lefts = {a for a, _ in mor.pairs}
+        rights = {b for _, b in mor.pairs}
+        if not mor.source <= lefts or not (lefts - mor.source) <= {self.unit_atom}:
+            return False
+        if not mor.target <= rights or not (rights - mor.target) <= {self.unit_atom}:
+            return False
+        return all(self.arrow(a, b) for a, b in mor.pairs)
+
+    def hom_matrix(self):
+        objs = np.array(self.objects, dtype=np.int64)
+        n = len(objs)
+        out_masks, to_unit = self.out_masks
+        in_masks, from_unit = self.in_masks
+        bad_src = np.zeros(n, dtype=np.int64)
+        bad_tgt = np.zeros(n, dtype=np.int64)
+        for i in range(len(self.atoms)):
+            if not to_unit[i]:
+                bad_src[(objs & out_masks[i]) == 0] |= 1 << i
+            if not from_unit[i]:
+                bad_tgt[(objs & in_masks[i]) == 0] |= 1 << i
+        h = (objs[:, None] & bad_src[None, :]) == 0
+        h &= (objs[None, :] & bad_tgt[:, None]) == 0
+        return h
+
+    def sampled_pairs(self, morphism_samples=60):
+        h = self.hom_matrix()
+        n = len(self.objects)
+        pairs = [(i, j) for i in range(n) for j in range(n) if h[i, j]]
+        return pairs[:: max(1, len(pairs) // morphism_samples)]
+
+
+def reference_laws(cat, morphism_samples=60):
+    """The law sweep with the int64 chunked associativity pass and a
+    Python list of every hom pair, run on the reference hom structure."""
+    ref = ReferenceCategory(cat)
+    objs = np.array(ref.objects, dtype=np.int64)
+    n = len(objs)
+    report = {"n_objects": int(n)}
+
+    sym = objs[:, None] | objs[None, :]
+    report["tensor_symmetric"] = bool(np.array_equal(sym, sym.T))
+    report["tensor_idempotent"] = bool(np.array_equal(np.diagonal(sym), objs))
+    report["tensor_unit"] = bool(
+        np.array_equal(objs | ref.unit, objs) and np.array_equal(ref.unit | objs, objs)
+    )
+    assoc_ok = True
+    chunk = max(1, (1 << 22) // max(n * n, 1))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        left = sym[lo:hi, :, None] | objs[None, None, :]
+        right = objs[lo:hi, None, None] | sym[None, :, :]
+        if not np.array_equal(left, right):
+            assoc_ok = False
+            break
+    report["tensor_associative"] = bool(assoc_ok)
+
+    ident_bad = [
+        ref.atoms_of(x) for x in ref.objects if ref.identity_morphism(int(x)) is None
+    ]
+    report["identities"] = not ident_bad
+    if ident_bad:
+        report["identity_counterexample"] = sorted(map(sorted, ident_bad))[:3]
+
+    h = ref.hom_matrix()
+    reach2 = (h.astype(np.float32) @ h.astype(np.float32)) > 0
+    trans_bad = reach2 & ~h
+    report["hom_transitive"] = not bool(trans_bad.any())
+    if trans_bad.any():
+        i, j = np.argwhere(trans_bad)[0]
+        k = int(np.argmax(h[i].astype(np.uint8) & h[:, j].astype(np.uint8)))
+        report["hom_counterexample"] = [
+            sorted(ref.atoms_of(int(objs[i]))),
+            sorted(ref.atoms_of(int(objs[k]))),
+            sorted(ref.atoms_of(int(objs[j]))),
+        ]
+
+    compose_ok = True
+    identity_ok = True
+    assoc_m_ok = True
+    for i, j in ref.sampled_pairs(morphism_samples):
+        f = ref.canonical_morphism(int(objs[i]), int(objs[j]))
+        if f is None or not ref.valid_morphism(f):
+            compose_ok = False
+            continue
+        idx = ref.identity_morphism(int(objs[i]))
+        idy = ref.identity_morphism(int(objs[j]))
+        if idx is None or idy is None:
+            identity_ok = False
+            continue
+        if ref.compose_morphisms(f, idx) != f or ref.compose_morphisms(idy, f) != f:
+            identity_ok = False
+        for k in range(n):
+            if h[j, k]:
+                g = ref.canonical_morphism(int(objs[j]), int(objs[k]))
+                gf = ref.compose_morphisms(g, f)
+                if not ref.valid_morphism(gf):
+                    compose_ok = False
+                for l in range(n):
+                    if h[k, l]:
+                        e = ref.canonical_morphism(int(objs[k]), int(objs[l]))
+                        if ref.compose_morphisms(e, gf) != ref.compose_morphisms(
+                            ref.compose_morphisms(e, g), f
+                        ):
+                            assoc_m_ok = False
+                        break
+                break
+    report["compose_closed"] = compose_ok
+    report["compose_identity"] = identity_ok
+    report["compose_associative"] = assoc_m_ok
+    report["ok"] = all(
+        report[k]
+        for k in (
+            "tensor_symmetric",
+            "tensor_idempotent",
+            "tensor_unit",
+            "tensor_associative",
+            "identities",
+            "hom_transitive",
+            "compose_closed",
+            "compose_identity",
+            "compose_associative",
+        )
+    )
+    return report
+
+
+def first_arrow(h, j):
+    return next((k for k in range(len(h)) if h[j, k]), None)
+
+
+def assert_matches_reference(cat):
+    report = verify_smc_laws(cat)
+    assert report == reference_laws(cat)
+    ref = ReferenceCategory(cat)
+    objs = cat.objects
+    h = ref.hom_matrix()
+    mask_objs = np.array(objs, dtype=smc._mask_dtype(len(cat.atoms)))
+    assert np.array_equal(smc._hom_matrix(cat, mask_objs), h)
+    sample = ref.sampled_pairs()
+    assert smc._hom_sample(h, 60) == sample
+    for i, j in sample:
+        assert cat.canonical_morphism(objs[i], objs[j]) == ref.canonical_morphism(
+            objs[i], objs[j]
+        )
+        k = first_arrow(h, j)
+        assert smc._first(h[j]) == k
+        if k is not None:
+            assert smc._first(h[k]) == first_arrow(h, k)
+    return report
+
+
+class TestAgainstReference:
+    CORPUS = (
+        corpus.trivial_qrt,
+        corpus.chain_qrt,
+        corpus.entanglement_qrt,
+        corpus.convex_closed_qrt,
+        corpus.convexity_demo_qrt,
+        corpus.resource_destroying_qrt,
+    )
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        return build_family(1, 20)
+
+    def test_corpus_images(self):
+        for build in self.CORPUS:
+            assert_matches_reference(build_smc(to_starred_model(build()).starred))
+
+    def test_broken_model_counterexample(self):
+        report = assert_matches_reference(build_smc(corpus.broken_smc_model()))
+        assert report["hom_counterexample"] == [["a"], ["b"], ["d"]]
+
+    @pytest.mark.parametrize("cap", [2, 3, 5])
+    def test_family(self, family, cap):
+        for _, q in family:
+            assert_matches_reference(build_smc(to_starred_model(q).starred, cap))
+
+    @pytest.mark.parametrize(
+        "index, n_atoms, dtype", [(1, 8, np.uint8), (16, 10, np.uint16)]
+    )
+    def test_four_system_theories(self, index, n_atoms, dtype):
+        cfg = GeneratorConfig(seed=1, n_systems=4, dims=(1, 2, 3), states_per_system=4)
+        q = complete_composition(generate_qrt(cfg, index=index))
+        assert len(q.nodes) == n_atoms
+        cat = build_smc(to_starred_model(q).starred)
+        assert smc._mask_dtype(len(cat.atoms)) is dtype
+        assert assert_matches_reference(cat)["ok"]
+
+
+class TestSweepCost:
+    def test_mask_dtype_is_the_narrowest(self):
+        assert smc._mask_dtype(0) is np.uint8
+        assert smc._mask_dtype(8) is np.uint8
+        assert smc._mask_dtype(9) is np.uint16
+        assert smc._mask_dtype(16) is np.uint16
+        assert smc._mask_dtype(17) is np.uint32
+        assert smc._mask_dtype(64) is np.uint64
+        with pytest.raises(StructuralError):
+            smc._mask_dtype(65)
+
+    def test_first_arrow_of_a_row(self):
+        assert smc._first(np.array([False, True, True])) == 1
+        assert smc._first(np.array([True, False])) == 0
+        assert smc._first(np.array([False, False])) is None
+
+    def test_temporaries_are_quadratic(self):
+        # 9 non-unit atoms at cap 5: 382 objects, n^3 = 56M triples
+        cfg = GeneratorConfig(seed=1, n_systems=4, dims=(1, 2, 3), states_per_system=4)
+        cat = build_smc(to_starred_model(generate_qrt(cfg, index=16)).starred)
+        n = len(cat.objects)
+        tracemalloc.start()
+        try:
+            verify_smc_laws(cat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * n * n

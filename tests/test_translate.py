@@ -118,6 +118,22 @@ class TestDeriveOnce:
         assert rep["identity"]
         assert len(calls) == 2
 
+    def test_translated_theory_is_not_a_reference_cycle(self):
+        # the theory memoises its records, so they must not point back
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            q = corpus.chain_qrt()
+            alive = weakref.ref(q)
+            rec = to_starred_model(q)
+            del q
+            assert alive() is None
+            assert rec.edges
+        finally:
+            gc.enable()
+
     def test_failed_translation_raises_again(self):
         q = corpus.broken_tp_qrt()
         for _ in range(2):
