@@ -60,7 +60,7 @@ from .qrt import (
     sub_qrt,
     validate_qrt,
 )
-from .smc import build_smc, category_summary, free_objects, verify_smc_laws
+from .smc import build_smc, free_objects, verify_smc_laws
 from .translate import (
     TranslationRecord,
     image_conditions,

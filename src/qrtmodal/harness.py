@@ -22,7 +22,7 @@ from .generate import (
 )
 from .kripke import KripkeModel, StarredModel, is_s4, models_isomorphic
 from .qrt import Qrt
-from .smc import build_smc, free_objects, verify_smc_laws
+from .smc import build_smc, check_object_cap, free_objects, verify_smc_laws
 from .translate import (
     image_conditions,
     iso_conditions,
@@ -83,6 +83,7 @@ def run_theorems(
 ) -> dict:
     """Run every oracle; returns the consolidated report with a 'status'
     field following the exit-code contract."""
+    check_object_cap(smc_cap)  # an input error: reject it before any section runs
     if family is None:
         family = build_family(seed, count)
     injected_models = injected_models or []

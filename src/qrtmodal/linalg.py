@@ -41,7 +41,10 @@ def _check_dim_cap(dim: int) -> None:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    # only unchecked input can overflow here, and the inf or NaN then fails
+    # the caller's positivity test, so numpy's warning would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (m + m.conj().T) / 2
 
 
 def is_density_matrix(
@@ -179,9 +182,10 @@ def is_cptp(
     """Trace preservation (sum K^dag K = I) and complete positivity
     (Choi matrix PSD), each within tolerance; a NaN fails either."""
     acc = np.zeros((c.in_dim, c.in_dim), dtype=complex)
-    for k in c.kraus_ops:
-        acc += k.conj().T @ k
-    tp_defect = float(np.max(np.abs(acc - np.eye(c.in_dim))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
+        for k in c.kraus_ops:
+            acc += k.conj().T @ k
+        tp_defect = float(np.max(np.abs(acc - np.eye(c.in_dim))))
     if not tp_defect <= tol.eps_tp:
         return False, f"not trace preserving (defect {tp_defect:.3e})"
     eigs = _eigh(hermitian_part(choi_matrix(c)))

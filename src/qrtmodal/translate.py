@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .config import MAX_ISO_NODES
@@ -43,8 +44,9 @@ class TranslationRecord:
     c_world: str | None
     order: frozenset | None = None
 
-    @property
+    @cached_property
     def starred(self) -> StarredModel:
+        """The starred model, built and validated on first access."""
         if self.order is None:
             raise StructuralError("record was built without a preorder")
         return StarredModel(self.model, self.order)

@@ -145,6 +145,15 @@ class TestCli:
         assert main(["theorems", "--count", "6", "--cap", cap]) == 2
         assert "cap" in capsys.readouterr().err
 
+    def test_theorems_cap_checked_before_the_family_is_built(self, monkeypatch, capsys):
+        from qrtmodal import harness
+
+        calls = []
+        monkeypatch.setattr(harness, "build_family", lambda *a, **k: calls.append(a))
+        assert main(["theorems", "--count", "6", "--cap", "0"]) == 2
+        assert "cap" in capsys.readouterr().err
+        assert not calls
+
     def test_theorems_default_passes(self, capsys):
         assert main(["theorems", "--seed", "2", "--count", "5"]) == 0
 

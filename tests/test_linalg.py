@@ -1,6 +1,8 @@
 """Matrix substrate tests: density predicates, Choi matrices, CPTP
 verification, application, composition, trace distance."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,15 @@ class TestNonFinite:
         # K^dag K overflows to a NaN defect, which used to pass the trace
         # test and then stop the Choi eigen-solve with a LinAlgError
         with np.errstate(all="ignore"):
+            ok, why = is_cptp(KrausChannel([[[1e200 + 1e200j, 0], [0, 1]]]))
+        assert not ok and "trace preserving" in why
+
+    def test_overflow_raises_no_numpy_warning(self):
+        # the rejection is the only thing that surfaces
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="positive semidefinite"):
+                DensityMatrix([[0.5, 1e308], [1e308, 0.5]])
             ok, why = is_cptp(KrausChannel([[[1e200 + 1e200j, 0], [0, 1]]]))
         assert not ok and "trace preserving" in why
 

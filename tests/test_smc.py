@@ -1,22 +1,25 @@
 """Monoidal category tests: construction, tensor and hom laws, free
-objects, the shipped hom-transitivity negative, and a differential check
-of the law sweep against the host-scanning, int64 reference algorithm."""
+objects, the shipped hom-transitivity negative, a differential check of
+the law sweep against the host-scanning, int64 reference algorithm with
+its n^3 tensor sweep, and encoding mutants that the encoding checks catch
+and that sweep does not."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qrtmodal import corpus, smc
+from qrtmodal import corpus, harness, smc
 from qrtmodal.errors import StructuralError
 from qrtmodal.generate import GeneratorConfig, generate_qrt
-from qrtmodal.harness import build_family
+from qrtmodal.harness import build_family, run_theorems
 from qrtmodal.kripke import KripkeModel, StarredModel
 from qrtmodal.qrt import complete_composition
 from qrtmodal.smc import (
+    SmcCategory,
     SmcMorphism,
     build_smc,
-    category_summary,
     free_objects,
     verify_smc_laws,
 )
@@ -180,17 +183,6 @@ class TestFreeObjects:
         }
         assert singles == expected
         assert "AB.bell" not in singles
-
-    def test_summary_is_json_ready(self):
-        import json
-
-        _, cat = entanglement_category(cap=2)
-        summary = category_summary(cat)
-        assert summary["unit_atom"] == "c.one"
-        assert summary["n_objects"] == len(cat.objects)
-        assert [] in summary["free_objects"]  # the unit
-        assert summary["laws"]["ok"]
-        json.dumps(summary)  # must serialize as-is
 
     def test_object_free_iff_every_atom_free(self):
         rec, cat = entanglement_category()
@@ -432,9 +424,21 @@ def first_arrow(h, j):
     return next((k for k in range(len(h)) if h[j, k]), None)
 
 
+TENSOR_LAWS = ("tensor_symmetric", "tensor_idempotent", "tensor_unit", "tensor_associative")
+ENCODING_CHECKS = ("objects_canonical", "tensor_is_union")
+
+
 def assert_matches_reference(cat):
+    """Every key the two sweeps share is equal; the reference's n^3 tensor
+    laws and the encoding checks that replace them all hold."""
     report = verify_smc_laws(cat)
-    assert report == reference_laws(cat)
+    expected = reference_laws(cat)
+    shared = set(expected) - set(TENSOR_LAWS)
+    assert set(report) == shared | set(ENCODING_CHECKS)
+    for key in sorted(shared):
+        assert report[key] == expected[key], key
+    assert all(expected[k] for k in TENSOR_LAWS)
+    assert all(report[k] for k in ENCODING_CHECKS)
     ref = ReferenceCategory(cat)
     objs = cat.objects
     h = ref.hom_matrix()
@@ -492,6 +496,61 @@ class TestAgainstReference:
         assert assert_matches_reference(cat)["ok"]
 
 
+# -- encoding mutants ---------------------------------------------------------------
+
+
+class MisIndexedAtom(SmcCategory):
+    """mask_of puts the first atom on the second atom's bit."""
+
+    def mask_of(self, atoms):
+        first, second = self.atoms[:2]
+        return super().mask_of(second if a == first else a for a in atoms)
+
+
+class DroppedBit(SmcCategory):
+    """tensor loses bit 0."""
+
+    def tensor(self, x, y):
+        z = x | y
+        return z ^ (z & 1)
+
+
+class DuplicatedObject(SmcCategory):
+    """objects lists the unit twice."""
+
+    @property
+    def objects(self):
+        return (0,) + SmcCategory.objects.func(self)
+
+
+MUTANTS = [
+    (MisIndexedAtom, "tensor_is_union"),
+    (DroppedBit, "tensor_is_union"),
+    (DuplicatedObject, "objects_canonical"),
+]
+
+
+class TestEncodingMutants:
+    @pytest.mark.parametrize("mutant, caught_by", MUTANTS)
+    def test_caught_by_the_encoding_checks_alone(self, mutant, caught_by):
+        cat = mutant(to_starred_model(corpus.entanglement_qrt()).starred, 3)
+        report = verify_smc_laws(cat)
+        assert not report["ok"]
+        assert not report[caught_by]
+        assert all(report[k] for k in smc._LAWS if k != caught_by)
+        # the n^3 sweep of bitwise OR over the object list passes the mutant
+        expected = reference_laws(cat)
+        assert all(expected[k] for k in TENSOR_LAWS)
+        assert expected["ok"]
+
+    @pytest.mark.parametrize("mutant, caught_by", MUTANTS)
+    def test_falsifies_the_theorems_report(self, mutant, caught_by, monkeypatch):
+        monkeypatch.setattr(harness, "build_smc", mutant)
+        rep = run_theorems(family=[("chain", corpus.chain_qrt())], include_corpus=False)
+        assert [e["laws_ok"] for e in rep["smc"]["entries"]] == [False]
+        assert rep["status"] == 1
+
+
 class TestSweepCost:
     def test_mask_dtype_is_the_narrowest(self):
         assert smc._mask_dtype(0) is np.uint8
@@ -502,6 +561,18 @@ class TestSweepCost:
         assert smc._mask_dtype(64) is np.uint64
         with pytest.raises(StructuralError):
             smc._mask_dtype(65)
+
+    def test_objects_canonical_bit_range(self):
+        # eight atoms fill uint8, so no bit lies at or above k
+        full = SimpleNamespace(atoms=tuple("abcdefgh"), object_cap=8)
+        assert smc._objects_canonical(full, np.arange(256, dtype=np.uint8))
+        # seven atoms: bit 7 is out of range though count, order and
+        # popcount all hold
+        seven = SimpleNamespace(atoms=tuple("abcdefg"), object_cap=7)
+        objs = np.arange(128, dtype=np.uint8)
+        assert smc._objects_canonical(seven, objs)
+        objs[-1] = 128
+        assert not smc._objects_canonical(seven, objs)
 
     def test_first_arrow_of_a_row(self):
         assert smc._first(np.array([False, True, True])) == 1

@@ -134,6 +134,14 @@ class TestDeriveOnce:
         finally:
             gc.enable()
 
+    def test_starred_model_is_built_once(self):
+        rec = to_starred_model(corpus.entanglement_qrt())
+        assert rec.starred is rec.starred
+        plain = to_model(corpus.chain_qrt())
+        for _ in range(2):  # a failure is not cached
+            with pytest.raises(StructuralError, match="preorder"):
+                plain.starred
+
     def test_failed_translation_raises_again(self):
         q = corpus.broken_tp_qrt()
         for _ in range(2):
