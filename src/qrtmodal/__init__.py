@@ -51,12 +51,9 @@ from .qrt import (
     Qrt,
     SystemDecl,
     complete_composition,
-    convertibility_preorder,
-    free_states,
     is_sub_qrt,
     qrt_isomorphic,
     relabel_qrt,
-    resource_states,
     sub_qrt,
     validate_qrt,
 )

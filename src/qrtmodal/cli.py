@@ -11,12 +11,11 @@ import json
 import sys
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import FormulaSyntaxError, QrtModalError
+from .errors import QrtModalError
 from .formulas import is_valid, parse
 from .generate import GeneratorConfig, generate_qrt
 from .harness import run_theorems
 from .io import (
-    FormatError,
     dumps,
     load_json,
     model_from_dict,
@@ -41,11 +40,7 @@ def _load_qrt(path, tol):
 
 
 def cmd_validate(args) -> int:
-    try:
-        q = _load_qrt(args.file, _tolerances(args))
-    except (OSError, json.JSONDecodeError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    q = _load_qrt(args.file, _tolerances(args))
     report = q.validate()
     if args.json:
         print(dumps(report.to_dict()), end="")
@@ -55,11 +50,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    try:
-        q = _load_qrt(args.file, _tolerances(args))
-    except (OSError, json.JSONDecodeError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    q = _load_qrt(args.file, _tolerances(args))
     report = q.validate()
     if not report.ok:
         print(report.text(), file=sys.stderr)
@@ -77,18 +68,9 @@ def cmd_translate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        loaded = model_from_dict(load_json(args.model))
-        model = loaded.model if isinstance(loaded, StarredModel) else loaded
-        formula = parse(args.formula)
-    except (OSError, json.JSONDecodeError, FormatError, FormulaSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        valid, witness = is_valid(model, formula, warn_domains=False)
-    except QrtModalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    loaded = model_from_dict(load_json(args.model))
+    model = loaded.model if isinstance(loaded, StarredModel) else loaded
+    valid, witness = is_valid(model, parse(args.formula), warn_domains=False)
     if args.json:
         print(dumps({"valid": valid, "witness": witness}), end="")
     elif valid:
@@ -102,23 +84,19 @@ def cmd_theorems(args) -> int:
     tol = _tolerances(args)
     family = None
     injected = []
-    try:
-        if args.files:
-            family = []
-            for path in args.files:
-                q = _load_qrt(path, tol)
-                rep = q.validate()
-                if not rep.ok:
-                    print(f"error: {path}: {rep.text()}", file=sys.stderr)
-                    return 2
-                if not q.is_composition_complete():
-                    q = complete_composition(q)
-                family.append((path, q))
-        for path in args.models or []:
-            injected.append((path, model_from_dict(load_json(path))))
-    except (OSError, json.JSONDecodeError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.files:
+        family = []
+        for path in args.files:
+            q = _load_qrt(path, tol)
+            rep = q.validate()
+            if not rep.ok:
+                print(f"error: {path}: {rep.text()}", file=sys.stderr)
+                return 2
+            if not q.is_composition_complete():
+                q = complete_composition(q)
+            family.append((path, q))
+    for path in args.models or []:
+        injected.append((path, model_from_dict(load_json(path))))
     report = run_theorems(
         family=family,
         injected_models=injected,
@@ -235,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QrtModalError as exc:
+    except (OSError, json.JSONDecodeError, QrtModalError) as exc:  # input errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -101,20 +101,47 @@ def model_to_dict(m: KripkeModel, order=None) -> dict:
     return out
 
 
-def model_from_dict(data: dict) -> KripkeModel | StarredModel:
+def _ids(value: Any, what: str) -> list:
+    if type(value) is list and set(map(type, value)) <= {str}:
+        return value
+    raise FormatError(f"malformed model file: {what} is not a list of string ids")
+
+
+def _pairs(value: Any, what: str) -> list:
+    if type(value) is list:
+        pairs = [
+            tuple(p) for p in value
+            if type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str
+        ]
+        if len(pairs) == len(value):
+            return pairs
+    raise FormatError(f"malformed model file: {what} is not a list of [id, id] pairs")
+
+
+def model_from_dict(data: Any) -> KripkeModel | StarredModel:
+    """The model (or starred model, when there is an "order") of a model
+    file. Ids are strings, truth values the integers 0 and 1."""
+    if not isinstance(data, dict):
+        raise FormatError("malformed model file: not a JSON object")
     try:
+        domains, interp = data.get("domains", {}), data["interp"]
+        if not isinstance(domains, dict) or not isinstance(interp, dict):
+            raise FormatError("malformed model file: domains and interp must be objects")
+        for atom, v in interp.items():
+            if type(v) is not int or v not in (0, 1):
+                raise FormatError(f"malformed model file: {atom} has truth value {v!r}, not 0 or 1")
         model = KripkeModel(
-            data["worlds"],
-            [tuple(p) for p in data.get("access", [])],
-            data["domain"],
-            {w: set(v) for w, v in data.get("domains", {}).items()},
-            {a: int(v) for a, v in data["interp"].items()},
+            _ids(data["worlds"], "worlds"),
+            _pairs(data.get("access", []), "access"),
+            _ids(data["domain"], "domain"),
+            {w: _ids(v, "a world's domain") for w, v in domains.items()},
+            interp,
         )
         if "order" in data:
-            return StarredModel(model, [tuple(p) for p in data["order"]])
+            return StarredModel(model, _pairs(data["order"], "order"))
         return model
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed model file: {exc}") from exc
+    except KeyError as exc:
+        raise FormatError(f"malformed model file: missing {exc}") from exc
 
 
 def record_to_dict(rec: TranslationRecord) -> dict:

@@ -9,11 +9,12 @@ never depends on labels.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterable, Mapping
 
 from .config import MAX_ISO_NODES
-from .errors import ResourceLimitError, StructuralError
-from .relations import find_nonreflexive, find_nontransitive
+from .errors import StructuralError
+from .relations import Budget, bijections, find_nonreflexive, find_nontransitive
 
 
 class KripkeModel:
@@ -29,9 +30,9 @@ class KripkeModel:
     ):
         w = frozenset(worlds)
         d = frozenset(domain)
-        r = frozenset((a, b) for a, b in access)
+        r = frozenset(map(tuple, access))
         q = {wid: frozenset(domains.get(wid, ())) for wid in w}
-        i = {atom: int(v) for atom, v in interp.items()}
+        i = dict(interp)
         if not w:
             raise StructuralError("the world set is empty")
         if not d:
@@ -42,8 +43,11 @@ class KripkeModel:
         for wid, sub in q.items():
             if not sub <= d:
                 raise StructuralError(f"domain of world {wid} is not a subset of the global domain")
+        for atom, v in i.items():
+            if type(v) is not int or v not in (0, 1):
+                raise StructuralError(f"truth value of atom {atom} is {v!r}, not 0 or 1")
         for atom in d:
-            if atom not in i or i[atom] not in (0, 1):
+            if atom not in i:
                 raise StructuralError(f"interpretation is not total over the domain (atom {atom})")
         extra = set(i) - set(d)
         if extra:
@@ -56,9 +60,6 @@ class KripkeModel:
 
     def __setattr__(self, name, value):
         raise AttributeError("KripkeModel is immutable")
-
-    def successors(self, w: str) -> frozenset:
-        return frozenset(b for a, b in self.access if a == w)
 
     def __eq__(self, other):
         return (
@@ -83,7 +84,7 @@ class StarredModel:
     __slots__ = ("model", "order")
 
     def __init__(self, model: KripkeModel, order: Iterable[tuple[str, str]]):
-        rel = frozenset((a, b) for a, b in order)
+        rel = frozenset(map(tuple, order))
         for a, b in rel:
             if a not in model.domain or b not in model.domain:
                 raise StructuralError(f"order pair ({a}, {b}) leaves the domain")
@@ -145,104 +146,67 @@ def is_sub_model(sub: KripkeModel, sup: KripkeModel) -> bool:
 
 # -- isomorphism search -------------------------------------------------------
 
-
-def _world_signature(m: KripkeModel, w: str) -> tuple:
-    in_deg = sum(1 for a, b in m.access if b == w)
-    out_deg = sum(1 for a, b in m.access if a == w)
-    true_atoms = sum(1 for atom in m.domains[w] if m.interp[atom] == 1)
-    return (in_deg, out_deg, len(m.domains[w]), true_atoms)
+# Worlds and atoms are searched jointly as the vertices (0, world) and
+# (1, atom) of one structure. Link labels: access out of and into a world,
+# domain membership, and the preorder below and above an atom.
+_OUT, _IN, _MEMBER, _BELOW, _ABOVE = 1, 2, 4, 8, 16
 
 
-def _atom_membership(m: KripkeModel, atom: str) -> frozenset:
-    return frozenset(w for w in m.worlds if atom in m.domains[w])
-
-
-def _atom_groups(m: KripkeModel, world_map: dict | None):
-    """Group atoms by truth value and (optionally mapped) world membership."""
-    groups: dict = {}
-    for atom in m.domain:
-        member = _atom_membership(m, atom)
-        if world_map is not None:
-            member = frozenset(world_map[w] for w in member)
-        groups.setdefault((m.interp[atom], member), []).append(atom)
-    return groups
-
-
-class _Budget:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
-
-    def spend(self, n: int = 1):
-        self.used += n
-        if self.used > self.cap:
-            raise ResourceLimitError(
-                f"isomorphism search exceeded {self.cap} nodes"
-            )
-
-
-def _world_bijections(a: KripkeModel, b: KripkeModel, budget: _Budget):
-    """Yield R-preserving world bijections, pruned by world signatures."""
-    sig_a = {w: _world_signature(a, w) for w in a.worlds}
-    sig_b = {w: _world_signature(b, w) for w in b.worlds}
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        return
-    order = sorted(a.worlds, key=lambda w: (sig_a[w], w))
-    candidates = {
-        w: sorted(u for u in b.worlds if sig_b[u] == sig_a[w]) for w in order
+def _colours(m: KripkeModel, order: frozenset) -> dict:
+    """Each vertex's colour: a world by its access degrees, self-loop,
+    domain size and true atoms; an atom by its truth, the number of worlds
+    holding it and its preorder degrees."""
+    outs, ins = Counter(u for u, _ in m.access), Counter(v for _, v in m.access)
+    held = Counter(p for dom in m.domains.values() for p in dom)
+    below, above = Counter(p for p, _ in order), Counter(q for _, q in order)
+    colour = {
+        (0, w): (0, ins[w], outs[w], (w, w) in m.access, len(dom), sum(m.interp[p] for p in dom))
+        for w, dom in m.domains.items()
     }
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
+    colour.update(((1, p), (1, m.interp[p], held[p], below[p], above[p])) for p in m.domain)
+    return colour
 
-    def consistent(w: str, u: str) -> bool:
-        for w2, u2 in mapping.items():
-            if ((w, w2) in a.access) != ((u, u2) in b.access):
-                return False
-            if ((w2, w) in a.access) != ((u2, u) in b.access):
-                return False
-        return ((w, w) in a.access) == ((u, u) in b.access)
 
-    def rec(idx: int):
-        if idx == len(order):
-            yield dict(mapping)
-            return
-        w = order[idx]
-        for u in candidates[w]:
-            if u in used:
-                continue
-            budget.spend()
-            if not consistent(w, u):
-                continue
-            mapping[w] = u
-            used.add(u)
-            yield from rec(idx + 1)
-            del mapping[w]
-            used.discard(u)
+def _links(m: KripkeModel, order: frozenset) -> dict:
+    """Labelled links between distinct vertices, added in sorted order so
+    that the search, and so its witness, does not depend on set order."""
+    rels = [((0, u), (0, v), _OUT, _IN) for u, v in m.access if u != v]
+    rels += [((0, w), (1, p), _MEMBER, _MEMBER) for w in m.worlds for p in m.domains[w]]
+    rels += [((1, p), (1, q), _BELOW, _ABOVE) for p, q in order if p != q]
+    links: dict = {}
+    for u, v, forward, backward in sorted(rels):
+        for s, t, label in ((u, v, forward), (v, u, backward)):
+            row = links.setdefault(s, {})
+            row[t] = row.get(t, 0) | label
+    return links
 
-    yield from rec(0)
+
+def _isomorphic(
+    a: KripkeModel, b: KripkeModel, order_a: frozenset, order_b: frozenset, max_nodes: int
+) -> tuple[bool, tuple[dict, dict] | None]:
+    def sizes(m: KripkeModel, order: frozenset) -> tuple:
+        return len(m.worlds), len(m.domain), len(m.access), len(order)
+
+    if sizes(a, order_a) != sizes(b, order_b):
+        return False, None
+    colour_a, colour_b = _colours(a, order_a), _colours(b, order_b)
+    if sorted(colour_a.values()) != sorted(colour_b.values()):
+        return False, None
+    links_a, links_b = _links(a, order_a), _links(b, order_b)
+    for m in bijections(colour_a, colour_b, links_a, links_b, None, Budget(max_nodes)):
+        maps: tuple[dict, dict] = ({}, {})
+        for (kind, u), (_, v) in m.items():
+            maps[kind][u] = v
+        return True, maps
+    return False, None
 
 
 def models_isomorphic(
     a: KripkeModel, b: KripkeModel, max_nodes: int = MAX_ISO_NODES
 ) -> tuple[bool, tuple[dict, dict] | None]:
-    """Backtracking search for bijections (phi_W, phi_D) preserving R,
-    per-world domains, and I. Returns the witness pair when found."""
-    if len(a.worlds) != len(b.worlds) or len(a.domain) != len(b.domain):
-        return False, None
-    budget = _Budget(max_nodes)
-    for world_map in _world_bijections(a, b, budget):
-        ga = _atom_groups(a, world_map)
-        gb = _atom_groups(b, None)
-        if set(ga) != set(gb):
-            continue
-        if any(len(ga[k]) != len(gb[k]) for k in ga):
-            continue
-        atom_map: dict[str, str] = {}
-        for key, atoms in ga.items():
-            for x, y in zip(sorted(atoms), sorted(gb[key])):
-                atom_map[x] = y
-        return True, (world_map, atom_map)
-    return False, None
+    """Search for bijections (phi_W, phi_D) preserving R, per-world
+    domains, and I. Returns the witness pair when found."""
+    return _isomorphic(a, b, frozenset(), frozenset(), max_nodes)
 
 
 def starred_isomorphic(
@@ -250,104 +214,34 @@ def starred_isomorphic(
 ) -> tuple[bool, tuple[dict, dict] | None]:
     """As models_isomorphic with the extra clause that the domain
     preorders correspond: x <= y iff phi_D(x) <=' phi_D(y)."""
-    ma, mb = a.model, b.model
-    if len(ma.worlds) != len(mb.worlds) or len(ma.domain) != len(mb.domain):
-        return False, None
-    if len(a.order) != len(b.order):
-        return False, None
-    budget = _Budget(max_nodes)
-
-    def order_degrees(sm: StarredModel, atom: str) -> tuple[int, int]:
-        outs = sum(1 for x, y in sm.order if x == atom)
-        ins = sum(1 for x, y in sm.order if y == atom)
-        return (outs, ins)
-
-    for world_map in _world_bijections(ma, mb, budget):
-        ga = _atom_groups(ma, world_map)
-        gb = _atom_groups(mb, None)
-        if set(ga) != set(gb) or any(len(ga[k]) != len(gb[k]) for k in ga):
-            continue
-        # refine groups with preorder in/out degrees; the key sort must not
-        # depend on frozenset iteration order
-        keys = sorted(ga, key=lambda k: (k[0], tuple(sorted(k[1]))))
-        slots: list[tuple[list, list]] = []
-        ok = True
-        for key in keys:
-            xs: dict = {}
-            ys: dict = {}
-            for atom in ga[key]:
-                xs.setdefault(order_degrees(a, atom), []).append(atom)
-            for atom in gb[key]:
-                ys.setdefault(order_degrees(b, atom), []).append(atom)
-            if set(xs) != set(ys) or any(len(xs[d]) != len(ys[d]) for d in xs):
-                ok = False
-                break
-            for d in sorted(xs):
-                slots.append((sorted(xs[d]), sorted(ys[d])))
-        if not ok:
-            continue
-
-        atom_map: dict[str, str] = {}
-
-        def compatible(x: str, y: str) -> bool:
-            for x2, y2 in atom_map.items():
-                if ((x, x2) in a.order) != ((y, y2) in b.order):
-                    return False
-                if ((x2, x) in a.order) != ((y2, y) in b.order):
-                    return False
-            return True
-
-        def assign(slot_idx: int) -> bool:
-            if slot_idx == len(slots):
-                return True
-            xs, ys = slots[slot_idx]
-
-            def fill(i: int, remaining: list) -> bool:
-                if i == len(xs):
-                    return assign(slot_idx + 1)
-                x = xs[i]
-                for j, y in enumerate(remaining):
-                    budget.spend()
-                    if not compatible(x, y):
-                        continue
-                    atom_map[x] = y
-                    if fill(i + 1, remaining[:j] + remaining[j + 1:]):
-                        return True
-                    del atom_map[x]
-                return False
-
-            return fill(0, list(ys))
-
-        if assign(0):
-            return True, (world_map, dict(atom_map))
-    return False, None
+    return _isomorphic(a.model, b.model, a.order, b.order, max_nodes)
 
 
 # -- exhaustive oracle (used by tests to certify the pruned search) -----------
 
 
-def isomorphic_exhaustive(a: KripkeModel, b: KripkeModel) -> bool:
-    """Unpruned search over all world and atom bijections."""
+def isomorphic_exhaustive(
+    a: KripkeModel | StarredModel, b: KripkeModel | StarredModel
+) -> bool:
+    """Unpruned search over all world and atom bijections. Given two
+    starred models, the atom bijection must also carry one preorder
+    exactly onto the other."""
+    order_a = order_b = frozenset()
+    if isinstance(a, StarredModel):
+        a, order_a, b, order_b = a.model, a.order, b.model, b.order
     if len(a.worlds) != len(b.worlds) or len(a.domain) != len(b.domain):
         return False
-    aw, bw = sorted(a.worlds), sorted(b.worlds)
-    ad, bd = sorted(a.domain), sorted(b.domain)
-    for wperm in itertools.permutations(bw):
+    aw, ad = sorted(a.worlds), sorted(a.domain)
+    for wperm in itertools.permutations(sorted(b.worlds)):
         wmap = dict(zip(aw, wperm))
-        if any(
-            ((x, y) in a.access) != ((wmap[x], wmap[y]) in b.access)
-            for x in aw
-            for y in aw
-        ):
+        if {(wmap[u], wmap[v]) for u, v in a.access} != b.access:
             continue
-        for dperm in itertools.permutations(bd):
+        for dperm in itertools.permutations(sorted(b.domain)):
             dmap = dict(zip(ad, dperm))
-            if any(a.interp[x] != b.interp[dmap[x]] for x in ad):
-                continue
-            if all(
-                frozenset(dmap[x] for x in a.domains[w]) == b.domains[wmap[w]]
-                for w in aw
+            if (
+                all(a.interp[p] == b.interp[dmap[p]] for p in ad)
+                and {(dmap[p], dmap[q]) for p, q in order_a} == order_b
+                and all({dmap[p] for p in a.domains[w]} == b.domains[wmap[w]] for w in aw)
             ):
                 return True
     return False
-

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .linalg import (
     is_cptp,
     trace_distance,
 )
-from .relations import reflexive_transitive_closure
+from .relations import Budget, bijections, reflexive_transitive_closure
 
 ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -510,18 +510,6 @@ def complete_composition(q: Qrt, max_channels: int = MAX_CHANNELS) -> Qrt:
     return closed
 
 
-def free_states(q: Qrt) -> frozenset:
-    return q.free_states
-
-
-def resource_states(q: Qrt) -> frozenset:
-    return q.resource_states
-
-
-def convertibility_preorder(q: Qrt) -> frozenset:
-    return q.preorder
-
-
 def is_sub_qrt(x: Qrt, y: Qrt) -> bool:
     """x's systems embed by id into y's, and x's induced-function set is
     exactly y's restricted to those systems."""
@@ -541,29 +529,50 @@ def is_sub_qrt(x: Qrt, y: Qrt) -> bool:
     return mine == restricted
 
 
-def _free_local(q: Qrt, sid: str) -> frozenset:
-    return frozenset(st for (s, st) in q.free_states if s == sid)
+def _labeled_bijections(
+    x: Qrt, y: Qrt, marked_x: frozenset, marked_y: frozenset, match_dims: bool,
+    pair_ok: Callable, budget: Budget,
+) -> Iterator[dict] | None:
+    """The bijections, each one map on the vertices (system,) and (system,
+    state), that keep each system's profile (dim if ``match_dims``, state
+    count, marked-state count), send each state into its system's image
+    and marked states onto marked ones, and satisfy ``pair_ok(a, b, m)``
+    on every ordered pair of x's systems once both are complete. None,
+    with no search, when the multisets of profiles differ."""
 
+    def profiles(q: Qrt, marked: frozenset) -> dict:
+        held: dict = {}
+        for sid, _ in marked:
+            held[sid] = held.get(sid, 0) + 1
+        return {
+            s.id: (s.dim if match_dims else 0, len(s.states), held.get(s.id, 0))
+            for s in q.systems
+        }
 
-def _permutations_preserving(groups_x: list, groups_y: list, budget):
-    """Bijections between grouped id lists, blockwise."""
-    import itertools
+    profile_x, profile_y = profiles(x, marked_x), profiles(y, marked_y)
+    if sorted(profile_x.values()) != sorted(profile_y.values()):
+        return None
 
-    def rec(idx: int, acc: dict):
-        if idx == len(groups_x):
-            yield dict(acc)
-            return
-        xs, ys = groups_x[idx], groups_y[idx]
-        for perm in itertools.permutations(ys):
-            budget()
-            acc.update(zip(xs, perm))
-            yield from rec(idx + 1, acc)
-            for k in xs:
-                acc.pop(k, None)
+    def structure(q: Qrt, profile: dict, marked: frozenset) -> tuple[dict, dict]:
+        colour, links = {}, {}
+        for s in q.systems:
+            colour[(s.id,)], links[(s.id,)] = profile[s.id], {}
+            for st in sorted(s.states):
+                colour[(s.id, st)] = (profile[s.id], (s.id, st) in marked)
+                links[(s.id,)][(s.id, st)] = 1
+                links[(s.id, st)] = {(s.id,): 1}
+        return colour, links
 
-    if any(len(a) != len(b) for a, b in zip(groups_x, groups_y)):
-        return
-    yield from rec(0, {})
+    members = {s.id: [(s.id,), *((s.id, st) for st in s.states)] for s in x.systems}
+
+    def fits(v, w, m) -> bool:
+        done = [b for b, vs in members.items() if all(u in m for u in vs)]
+        a = v[0]
+        return a not in done or all(pair_ok(a, b, m) and pair_ok(b, a, m) for b in done)
+
+    colour_x, links_x = structure(x, profile_x, marked_x)
+    colour_y, links_y = structure(y, profile_y, marked_y)
+    return bijections(colour_x, colour_y, links_x, links_y, fits, budget)
 
 
 def qrt_isomorphic(
@@ -576,85 +585,20 @@ def qrt_isomorphic(
     A positive answer certifies isomorphism of the induced labeled
     structures only; whether the bijection lifts to Hilbert-space
     isomorphisms intertwining the channel matrices is not decided here."""
-    if len(x.systems) != len(y.systems):
-        return False, None
 
-    def profile(q: Qrt, s: SystemDecl):
-        return (s.dim, len(s.states), len(_free_local(q, s.id)))
-
-    if sorted(profile(x, s) for s in x.systems) != sorted(
-        profile(y, s) for s in y.systems
-    ):
-        return False, None
-
-    used = [0]
-
-    def spend():
-        used[0] += 1
-        if used[0] > max_nodes:
-            raise ResourceLimitError(f"isomorphism search exceeded {max_nodes} nodes")
-
-    sys_ids = sorted(s.id for s in x.systems)
-    cands = {
-        s: sorted(
-            t.id for t in y.systems if profile(y, t) == profile(x, x.system(s))
-        )
-        for s in sys_ids
-    }
-    order = sorted(sys_ids, key=lambda s: (len(cands[s]), s))
-
-    sys_map: dict = {}
-    state_map: dict = {}  # local per system: {sys: {state: state'}}
-
-    def functions_ok(a: str, b: str) -> bool:
+    def transported(a: str, b: str, m: dict) -> bool:
         fx = x.functions.get((a, b), {})
-        fy = y.functions.get((sys_map[a], sys_map[b]), {})
-        if len(fx) != len(fy):
-            return False
-        ma, mb = state_map[a], state_map[b]
-        transported = {
-            tuple(sorted((ma[s], mb[i]) for s, i in key)) for key in fx
-        }
-        return transported == set(fy)
+        fy = y.functions.get((m[(a,)][0], m[(b,)][0]), {})
+        return len(fx) == len(fy) and {
+            tuple(sorted((m[(a, s)][1], m[(b, i)][1]) for s, i in key)) for key in fx
+        } == fy.keys()
 
-    def rec(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        a = order[idx]
-        sa = x.system(a)
-        free_a = _free_local(x, a)
-        for b in cands[a]:
-            if b in sys_map.values():
-                continue
-            spend()
-            sb = y.system(b)
-            free_b = _free_local(y, b)
-            groups_x = [sorted(set(sa.states) - free_a), sorted(free_a)]
-            groups_y = [sorted(set(sb.states) - free_b), sorted(free_b)]
-            sys_map[a] = b
-            for smap in _permutations_preserving(groups_x, groups_y, spend):
-                state_map[a] = smap
-                ok = True
-                for a2 in sys_map:
-                    if not (
-                        functions_ok(a, a2)
-                        and functions_ok(a2, a)
-                    ):
-                        ok = False
-                        break
-                if ok and rec(idx + 1):
-                    return True
-                state_map.pop(a, None)
-            sys_map.pop(a, None)
-        return False
-
-    if rec(0):
-        node_map = {
-            (a, s): (sys_map[a], state_map[a][s])
-            for a in sys_map
-            for s in state_map[a]
-        }
-        return True, (dict(sys_map), node_map)
+    found = _labeled_bijections(
+        x, y, x.free_states, y.free_states, True, transported, Budget(max_nodes)
+    )
+    for m in found or ():
+        sys_map = {v[0]: w[0] for v, w in m.items() if len(v) == 1}
+        return True, (sys_map, {v: w for v, w in m.items() if len(v) == 2})
     return False, None
 
 

@@ -1,8 +1,11 @@
-"""Small helpers for binary relations stored as sets of ordered pairs."""
+"""Small helpers for binary relations stored as sets of ordered pairs,
+and the one isomorphism search engine shared by models and theories."""
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
+
+from .errors import ResourceLimitError
 
 T = TypeVar("T", bound=Hashable)
 
@@ -55,3 +58,80 @@ def find_nontransitive(pairs: frozenset):
             if (a, c) not in pairs:
                 return (a, b, c)
     return None
+
+
+# -- isomorphism search --------------------------------------------------------
+
+
+class Budget:
+    """Nodes spent by one isomorphism search: each candidate tried costs
+    one, and the node past the cap raises ResourceLimitError."""
+
+    def __init__(self, cap: int):
+        self.cap, self.used = cap, 0
+
+    def spend(self) -> None:
+        self.used += 1
+        if self.used > self.cap:
+            raise ResourceLimitError(f"isomorphism search exceeded {self.cap} nodes")
+
+
+def bijections(
+    colour_x: Mapping, colour_y: Mapping, links_x: Mapping, links_y: Mapping,
+    fits: Callable | None, budget: Budget,
+) -> Iterator[dict]:
+    """Yield, each as a fresh dict, every colour-preserving bijection from
+    x's vertices onto y's that carries the labelled links among placed
+    vertices onto equal links, and for which ``fits(x, y, m)`` holds at
+    every placement (``m`` is the live partial map, x already on y).
+
+    ``links[u]`` is {v: label}, kept at both ends of each link and never
+    for u itself (a vertex's relations with itself belong in its colour).
+    Vertex ids must be mutually comparable. The placement order is fixed
+    up front: the vertex with the most links to placed ones first, then
+    the one in the smaller colour class, then the smaller id. A vertex with
+    a placed neighbour draws its candidates from the links of that
+    neighbour's image, in ``links_y`` order, any other from its colour
+    class in id order. Each candidate tried costs one ``budget`` node.
+    Witnesses are thus deterministic; a report carries one only for a
+    falsification candidate."""
+    classes: dict = {}
+    for v in sorted(colour_y):
+        classes.setdefault(colour_y[v], []).append(v)
+    rank = {v: (len(classes.get(c, ())), v) for v, c in colour_x.items()}
+    placed_links = dict.fromkeys(colour_x, 0)
+    order: list = []
+    back: list = []  # per position: [(placed neighbour, label), ...]
+    while rank:
+        x = min(rank, key=lambda v: (-placed_links[v], rank[v]))
+        del rank[x]
+        lx = links_x.get(x, {})
+        back.append([(v, lx[v]) for v in order if v in lx])
+        order.append(x)
+        for v in lx:
+            placed_links[v] += 1
+    m: dict = {}
+    used: set = set()
+
+    def place(k: int):
+        if k == len(order):
+            yield dict(m)
+            return
+        x, bx = order[k], back[k]
+        want = {m[v]: label for v, label in bx}
+        pool = links_y.get(m[bx[0][0]], {}) if bx else classes.get(colour_x[x], ())
+        for y in pool:
+            if y in used or colour_y[y] != colour_x[x]:
+                continue
+            budget.spend()
+            if {w: label for w, label in links_y.get(y, {}).items() if w in used} != want:
+                continue
+            m[x] = y
+            if fits is None or fits(x, y, m):
+                used.add(y)
+                yield from place(k + 1)
+                used.discard(y)
+            del m[x]
+
+    if len(colour_x) == len(colour_y):
+        yield from place(0)

@@ -12,7 +12,6 @@ All theorem-condition oracles in this module work at the labeled
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -27,7 +26,8 @@ from .kripke import (
     models_isomorphic,
     starred_isomorphic,
 )
-from .qrt import Qrt, node_name, qrt_isomorphic
+from .qrt import Qrt, _labeled_bijections, node_name, qrt_isomorphic
+from .relations import Budget
 
 
 @dataclass(frozen=True)
@@ -105,68 +105,9 @@ def _translate_starred(q: Qrt) -> TranslationRecord:
 # -- conditions under which two translations are isomorphic -------------------
 
 
-def _state_bijections(x: Qrt, y: Qrt, sys_map: dict, spend):
-    """Per-system state bijections preserving the truth value of atoms
-    (freeness, with the unit atom true)."""
-
-    def truth(q: Qrt, sid: str, st: str) -> int:
-        node = (sid, st)
-        if node == q.trivial_node:
-            return 1
-        return 1 if node in q.free_states else 0
-
-    per_system: list[list[dict]] = []
-    for a, b in sys_map.items():
-        sa, sb = x.system(a), y.system(b)
-        if len(sa.states) != len(sb.states):
-            return
-        xs_by = {0: [], 1: []}
-        ys_by = {0: [], 1: []}
-        for st in sorted(sa.states):
-            xs_by[truth(x, a, st)].append(st)
-        for st in sorted(sb.states):
-            ys_by[truth(y, b, st)].append(st)
-        if any(len(xs_by[v]) != len(ys_by[v]) for v in (0, 1)):
-            return
-        options = []
-        for perm0 in itertools.permutations(ys_by[0]):
-            for perm1 in itertools.permutations(ys_by[1]):
-                spend()
-                options.append(
-                    dict(zip(xs_by[0], perm0)) | dict(zip(xs_by[1], perm1))
-                )
-        per_system.append(options)
-    sys_ids = list(sys_map)
-    for combo in itertools.product(*per_system):
-        spend()
-        yield dict(zip(sys_ids, combo))
-
-
-def _image_cover_ok(x: Qrt, y: Qrt, sys_map: dict, smaps: dict) -> bool:
-    """Every induced function's image set must be exactly a union of
-    image sets of functions in the other theory, both directions, under
-    the given bijections."""
-
-    def covers(src: Qrt, dst: Qrt, fwd_sys: dict, fwd_states: dict) -> bool:
-        for (a, b), fns in src.functions.items():
-            a2, b2 = fwd_sys[a], fwd_sys[b]
-            dst_fns = dst.functions.get((a2, b2), {})
-            dst_images = [frozenset(img for _, img in key) for key in dst_fns]
-            for key in fns:
-                target = frozenset(fwd_states[b][img] for _, img in key)
-                union: set = set()
-                for im in dst_images:
-                    if im <= target:
-                        union |= im
-                if union != target:
-                    return False
-        return True
-
-    inv_sys = {v: k for k, v in sys_map.items()}
-    inv_states = {
-        sys_map[a]: {v: k for k, v in smap.items()} for a, smap in smaps.items()
-    }
-    return covers(x, y, sys_map, smaps) and covers(y, x, inv_sys, inv_states)
+def _covered(targets: list, images: list) -> bool:
+    """Each target set is exactly the union of the images inside it."""
+    return all(t == set().union(*(im for im in images if im <= t)) for t in targets)
 
 
 def iso_conditions(
@@ -182,41 +123,29 @@ def iso_conditions(
           is exactly a union of images of the other theory's functions on
           the corresponding system pair (checked in both directions; true
           if at least one candidate bijection works).
-    """
-    used = [0]
 
-    def spend():
-        used[0] += 1
-        if used[0] > max_nodes:
-            raise ResourceLimitError(f"condition search exceeded {max_nodes} nodes")
+    (i) and (ii) are multiset tests: of dims, and of (dim, state count,
+    true-atom count) per system. When (i) fails, (ii) and (iii) range over
+    all system bijections and (ii) drops the dim. Only (iii) searches."""
 
-    xs = sorted(s.id for s in x.systems)
-    ys = sorted(s.id for s in y.systems)
-    out = {"i": False, "ii": False, "iii": False}
-    if len(xs) != len(ys):
-        return out
+    def truth(q: Qrt) -> frozenset:
+        # the unit atom is true as an axiom
+        return q.free_states | {q.trivial_node} if q.trivial_node else q.free_states
 
-    def bijections(match_dims: bool):
-        for perm in itertools.permutations(ys):
-            spend()
-            m = dict(zip(xs, perm))
-            if match_dims and any(
-                x.system(a).dim != y.system(b).dim for a, b in m.items()
-            ):
-                continue
-            yield m
+    def image_cover(a: str, b: str, m: dict) -> bool:
+        fx = x.functions.get((a, b), {})
+        fy = y.functions.get((m[(a,)][0], m[(b,)][0]), {})
+        images_x = [frozenset(m[(b, img)][1] for _, img in key) for key in fx]
+        images_y = [frozenset(img for _, img in key) for key in fy]
+        return _covered(images_x, images_y) and _covered(images_y, images_x)
 
-    out["i"] = any(True for _ in bijections(match_dims=True))
-    # (ii)/(iii) search over dim-matching bijections; if none exist the
-    # remaining conditions are reported relative to count-matching ones.
-    pool = list(bijections(match_dims=True)) or list(bijections(match_dims=False))
-    for sys_map in pool:
-        for smaps in _state_bijections(x, y, sys_map, spend):
-            out["ii"] = True
-            if _image_cover_ok(x, y, sys_map, smaps):
-                out["iii"] = True
-                return out
-    return out
+    dims = sorted(s.dim for s in x.systems) == sorted(s.dim for s in y.systems)
+    found = _labeled_bijections(x, y, truth(x), truth(y), dims, image_cover, Budget(max_nodes))
+    return {
+        "i": dims,
+        "ii": found is not None,
+        "iii": found is not None and next(found, None) is not None,
+    }
 
 
 # -- conditions a model must satisfy to be a translation image ----------------

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrtmodal import corpus
 from qrtmodal.cli import main
@@ -228,3 +230,80 @@ class TestCli:
     def test_examples_command(self, tmp_path, capsys):
         assert main(["examples", "--out", str(tmp_path / "ex")]) == 0
         assert (tmp_path / "ex" / "trivial.qrt.json").exists()
+
+
+def small_model_dict() -> dict:
+    return {
+        "worlds": ["w", "u"],
+        "access": [["w", "w"], ["u", "u"], ["w", "u"]],
+        "domain": ["p", "q"],
+        "domains": {"w": ["p"], "u": ["q"]},
+        "interp": {"p": 1, "q": 0},
+    }
+
+
+class TestModelInput:
+    def test_well_formed_model_accepted(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(small_model_dict()))
+        assert main(["check", str(path), "p"]) == 0
+        assert main(["check", str(path), "q"]) == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("interp", {"p": 1.7, "q": 0}),
+            ("interp", {"p": 0.5, "q": 0}),
+            ("interp", {"p": "1", "q": 0}),
+            ("interp", {"p": True, "q": 0}),
+            ("interp", {"p": float("nan"), "q": 0}),
+            ("interp", ["p", "q"]),
+            ("worlds", "wu"),
+            ("worlds", ["w", 1]),
+            ("domain", "pq"),
+            ("access", "wu"),
+            ("access", [["w", "w", "u"]]),
+            ("domains", {"w": "p", "u": ["q"]}),
+            ("domains", ["w", "u"]),
+        ],
+    )
+    def test_malformed_model_is_input_error(self, field, value, tmp_path, capsys):
+        data = small_model_dict() | {field: value}
+        with pytest.raises(FormatError):
+            model_from_dict(data)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path), "p"]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed model file")
+        assert main(["theorems", "--no-corpus", "--models", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed model file")
+
+
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.floats(allow_nan=True), st.text(max_size=2)
+)
+_names = st.sampled_from(["w", "u", "p", "q"])
+_ids = st.one_of(_names, _junk)
+_id_lists = st.one_of(st.lists(_ids, max_size=4), _junk)
+_pair_lists = st.one_of(st.lists(st.lists(_ids, max_size=3), max_size=5), _junk)
+_model_dicts = st.fixed_dictionaries(
+    {},
+    optional={
+        "worlds": _id_lists,
+        "access": _pair_lists,
+        "domain": _id_lists,
+        "domains": st.one_of(st.dictionaries(_names, _id_lists, max_size=3), _junk),
+        "interp": st.one_of(
+            st.dictionaries(_names, st.one_of(st.integers(0, 1), _junk), max_size=4), _junk
+        ),
+        "order": _pair_lists,
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(_model_dicts, st.lists(_junk, max_size=2), _junk))
+def test_check_on_malformed_model_files_never_raises(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "p"]) in {0, 1, 2, 3}

@@ -1,11 +1,17 @@
 """Kripke model tests: well-formedness, S4, sub-models, isomorphism
 search (including oracle equivalence for the pruned search)."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrtmodal.errors import ResourceLimitError, StructuralError
 from qrtmodal.generate import random_model
+from qrtmodal.relations import reflexive_transitive_closure
+from qrtmodal.translate import to_starred_model
 from qrtmodal.kripke import (
     KripkeModel,
     StarredModel,
@@ -243,3 +249,137 @@ class TestEquivalenceRelation:
                     if ab and bc:
                         ac, _ = models_isomorphic(a, c)
                         assert ac
+
+
+# -- the shared engine against the exhaustive oracle ---------------------------
+
+
+def relabel(sm: StarredModel, rng: random.Random) -> StarredModel:
+    """A copy of a starred model with worlds and atoms renamed at random."""
+    m = sm.model
+    ws, ds = sorted(m.worlds), sorted(m.domain)
+    wmap = dict(zip(ws, rng.sample([f"W{i}" for i in range(len(ws))], len(ws))))
+    dmap = dict(zip(ds, rng.sample([f"D{i}" for i in range(len(ds))], len(ds))))
+    model = KripkeModel(
+        [wmap[w] for w in ws],
+        [(wmap[u], wmap[v]) for u, v in m.access],
+        [dmap[p] for p in ds],
+        {wmap[w]: {dmap[p] for p in m.domains[w]} for w in ws},
+        {dmap[p]: m.interp[p] for p in ds},
+    )
+    return StarredModel(model, [(dmap[p], dmap[q]) for p, q in sm.order])
+
+
+def maps_structure(a: StarredModel, b: StarredModel, witness, starred: bool) -> bool:
+    """The witness is a pair of bijections carrying access, domains, truth
+    and, when ``starred``, the preorder of a exactly onto b's."""
+    (wmap, dmap), ma, mb = witness, a.model, b.model
+    return (
+        set(wmap) == ma.worlds
+        and set(wmap.values()) == mb.worlds
+        and set(dmap) == ma.domain
+        and set(dmap.values()) == mb.domain
+        and {(wmap[u], wmap[v]) for u, v in ma.access} == mb.access
+        and all({dmap[p] for p in ma.domains[w]} == mb.domains[wmap[w]] for w in ma.worlds)
+        and all(ma.interp[p] == mb.interp[dmap[p]] for p in ma.domain)
+        and (not starred or {(dmap[p], dmap[q]) for p, q in a.order} == b.order)
+    )
+
+
+def assert_agrees_with_oracle(a: StarredModel, b: StarredModel, label: str = "") -> None:
+    ok, witness = models_isomorphic(a.model, b.model)
+    assert ok == isomorphic_exhaustive(a.model, b.model), label
+    assert witness is None if not ok else maps_structure(a, b, witness, False), label
+    ok, witness = starred_isomorphic(a, b)
+    assert ok == isomorphic_exhaustive(a, b), label
+    assert witness is None if not ok else maps_structure(a, b, witness, True), label
+
+
+@st.composite
+def starred_models(draw, max_worlds: int = 3, max_atoms: int = 4) -> StarredModel:
+    worlds = [f"w{i}" for i in range(draw(st.integers(1, max_worlds)))]
+    atoms = [f"a{i}" for i in range(draw(st.integers(1, max_atoms)))]
+    pairs = lambda xs: st.sets(st.tuples(st.sampled_from(xs), st.sampled_from(xs)))
+    model = KripkeModel(
+        worlds,
+        draw(pairs(worlds)),
+        atoms,
+        {w: draw(st.sets(st.sampled_from(atoms))) for w in worlds},
+        {p: draw(st.integers(0, 1)) for p in atoms},
+    )
+    return StarredModel(model, reflexive_transitive_closure(draw(pairs(atoms)), atoms))
+
+
+class TestSearchAgainstExhaustiveOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(starred_models(), starred_models())
+    def test_drawn_pairs(self, a, b):
+        assert_agrees_with_oracle(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(starred_models(4, 5), st.randoms(use_true_random=False))
+    def test_drawn_relabelings(self, a, rng):
+        b = relabel(a, rng)
+        assert models_isomorphic(a.model, b.model)[0] and starred_isomorphic(a, b)[0]
+        assert_agrees_with_oracle(a, b)
+
+    def test_edge_direction(self):
+        # the same in- and out-degree multisets, so only the direction of
+        # each link tells the two apart
+        worlds = ["w0", "w1", "w2", "w3"]
+        one = [("w0", "w1"), ("w1", "w3"), ("w2", "w1"), ("w2", "w3"), ("w3", "w0"), ("w3", "w2")]
+        two = [("w0", "w1"), ("w1", "w3"), ("w2", "w0"), ("w2", "w3"), ("w3", "w0"), ("w3", "w2")]
+        a, b = (KripkeModel(worlds, r, ["p"], {}, {"p": 0}) for r in (one, two))
+        assert not isomorphic_exhaustive(a, b)
+        assert models_isomorphic(a, b) == (False, None)
+
+    def test_translated_pairs(self, theory_pairs):
+        for label, x, y in theory_pairs:
+            a, b = to_starred_model(x).starred, to_starred_model(y).starred
+            assert_agrees_with_oracle(a, b, label)
+
+
+def cycles_model(sizes: list, truth: int) -> StarredModel:
+    """Worlds on disjoint cycles, consecutive worlds sharing one atom. Each
+    world has only its self-loop and two atoms of one truth value, so every
+    world and every atom looks alike to a degree count."""
+    worlds, atoms, domains = [], [], {}
+    for k in sizes:
+        ws = [f"w{len(worlds) + i}" for i in range(k)]
+        ats = [f"a{len(atoms) + i}" for i in range(k)]
+        domains.update((w, {ats[i], ats[(i + 1) % k]}) for i, w in enumerate(ws))
+        worlds += ws
+        atoms += ats
+    model = KripkeModel(
+        worlds, [(w, w) for w in worlds], atoms, domains, {p: truth for p in atoms}
+    )
+    return StarredModel(model, [(p, p) for p in atoms])
+
+
+class TestCycleSearch:
+    """One 8-cycle against a 3-cycle and a 5-cycle: a search over worlds
+    alone lists all 8! world maps before it looks at an atom."""
+
+    def test_long_cycle_against_two_short_ones(self):
+        one, two = cycles_model([8], 1), cycles_model([3, 5], 1)
+        assert models_isomorphic(one.model, two.model, max_nodes=10_000) == (False, None)
+        assert starred_isomorphic(one, two, max_nodes=10_000) == (False, None)
+
+    def test_relabelled_long_cycle(self):
+        one = cycles_model([8], 0)
+        other = relabel(one, random.Random(8))
+        ok, witness = models_isomorphic(one.model, other.model, max_nodes=10_000)
+        assert ok and maps_structure(one, other, witness, False)
+        ok, witness = starred_isomorphic(one, other, max_nodes=10_000)
+        assert ok and maps_structure(one, other, witness, True)
+
+
+class TestBudget:
+    def test_one_node_is_not_enough(self):
+        a = small_model()
+        sa = StarredModel(a, [("p", "p"), ("q", "q")])
+        message = r"^isomorphism search exceeded 1 nodes$"
+        with pytest.raises(ResourceLimitError, match=message):
+            models_isomorphic(a, a, max_nodes=1)
+        with pytest.raises(ResourceLimitError, match=message):
+            starred_isomorphic(sa, sa, max_nodes=1)

@@ -1,6 +1,7 @@
 """Theory-level tests: validation, composition closure, free and resource
 states, convertibility, sub-theories, labeled isomorphism."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -337,6 +338,78 @@ class TestQrtIsomorphic:
     def test_search_cap(self):
         q = corpus.chain_qrt()
         with pytest.raises(ResourceLimitError):
+            qrt_isomorphic(q, q, max_nodes=1)
+
+
+def carries(x: Qrt, y: Qrt, sys_map: dict, node_map: dict) -> bool:
+    """The maps are bijections of systems (equal dims) and of named states
+    (each into its system's image) that carry x's free set and induced
+    function table exactly onto y's."""
+    systems_y = {s.id for s in y.systems}
+    if set(sys_map) != {s.id for s in x.systems} or set(sys_map.values()) != systems_y:
+        return False
+    if any(x.system(a).dim != y.system(b).dim for a, b in sys_map.items()):
+        return False
+    if set(node_map) != set(x.nodes) or set(node_map.values()) != set(y.nodes):
+        return False
+    if any(node_map[n][0] != sys_map[n[0]] for n in x.nodes):
+        return False
+    if {node_map[n] for n in x.free_states} != y.free_states:
+        return False
+    table_x = {
+        (sys_map[a], sys_map[b]): {
+            tuple(sorted((node_map[(a, s)][1], node_map[(b, i)][1]) for s, i in key))
+            for key in fns
+        }
+        for (a, b), fns in x.functions.items()
+    }
+    return table_x == {pair: set(fns) for pair, fns in y.functions.items()}
+
+
+def labeled_isomorphic_reference(x: Qrt, y: Qrt):
+    """Unpruned oracle for qrt_isomorphic: tries every system bijection and
+    every per-system bijection of named states, and returns the first
+    (sys_map, node_map) that carries x onto y, or None."""
+    xs = [s.id for s in x.systems]
+    if len(xs) != len(y.systems):
+        return None
+    for perm in itertools.permutations([s.id for s in y.systems]):
+        sys_map = dict(zip(xs, perm))
+        per_system = [
+            [
+                {(a, s): (b, t) for s, t in zip(sorted(x.system(a).states), image)}
+                for image in itertools.permutations(sorted(y.system(b).states))
+            ]
+            for a, b in sys_map.items()
+            if len(x.system(a).states) == len(y.system(b).states)
+        ]
+        if len(per_system) != len(xs):
+            continue
+        for combo in itertools.product(*per_system):
+            node_map = {k: v for part in combo for k, v in part.items()}
+            if carries(x, y, sys_map, node_map):
+                return sys_map, node_map
+    return None
+
+
+class TestQrtIsomorphicAgainstReference:
+    def test_differential_pairs(self, theory_pairs):
+        for label, x, y in theory_pairs:
+            ok, witness = qrt_isomorphic(x, y)
+            assert ok == (labeled_isomorphic_reference(x, y) is not None), label
+            assert witness is None if not ok else carries(x, y, *witness), label
+
+    def test_relabelings(self):
+        rng = np.random.default_rng(31)
+        for build in (corpus.chain_qrt, corpus.entanglement_qrt, corpus.convexity_demo_qrt):
+            q = build()
+            r = random_relabeling(q, rng)
+            ok, witness = qrt_isomorphic(q, r)
+            assert ok and carries(q, r, *witness)
+
+    def test_one_node_is_not_enough(self):
+        q = corpus.chain_qrt()
+        with pytest.raises(ResourceLimitError, match=r"^isomorphism search exceeded 1 nodes$"):
             qrt_isomorphic(q, q, max_nodes=1)
 
 

@@ -2,11 +2,13 @@
 isomorphism conditions, the image conditions, functor laws, and the
 starred-injectivity sweep."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qrtmodal import corpus
-from qrtmodal.errors import StructuralError
+from qrtmodal.errors import ResourceLimitError, StructuralError
 from qrtmodal.generate import (
     GeneratorConfig,
     generate_qrt,
@@ -250,6 +252,115 @@ class TestIsoConditions:
                 conj = cond["i"] and cond["ii"] and cond["iii"]
                 oracle, _ = models_isomorphic(recs[i].model, recs[j].model)
                 assert conj == oracle, (i, j, cond, oracle)
+
+
+def _state_bijections(x: Qrt, y: Qrt, sys_map: dict):
+    """Per-system state bijections preserving the truth value of atoms
+    (freeness, with the unit atom true)."""
+
+    def truth(q: Qrt, sid: str, st: str) -> int:
+        node = (sid, st)
+        if node == q.trivial_node:
+            return 1
+        return 1 if node in q.free_states else 0
+
+    per_system: list[list[dict]] = []
+    for a, b in sys_map.items():
+        sa, sb = x.system(a), y.system(b)
+        if len(sa.states) != len(sb.states):
+            return
+        xs_by = {0: [], 1: []}
+        ys_by = {0: [], 1: []}
+        for st in sorted(sa.states):
+            xs_by[truth(x, a, st)].append(st)
+        for st in sorted(sb.states):
+            ys_by[truth(y, b, st)].append(st)
+        if any(len(xs_by[v]) != len(ys_by[v]) for v in (0, 1)):
+            return
+        options = []
+        for perm0 in itertools.permutations(ys_by[0]):
+            for perm1 in itertools.permutations(ys_by[1]):
+                options.append(
+                    dict(zip(xs_by[0], perm0)) | dict(zip(xs_by[1], perm1))
+                )
+        per_system.append(options)
+    sys_ids = list(sys_map)
+    for combo in itertools.product(*per_system):
+        yield dict(zip(sys_ids, combo))
+
+
+def _image_cover_ok(x: Qrt, y: Qrt, sys_map: dict, smaps: dict) -> bool:
+    """Every induced function's image set must be exactly a union of
+    image sets of functions in the other theory, both directions, under
+    the given bijections."""
+
+    def covers(src: Qrt, dst: Qrt, fwd_sys: dict, fwd_states: dict) -> bool:
+        for (a, b), fns in src.functions.items():
+            a2, b2 = fwd_sys[a], fwd_sys[b]
+            dst_fns = dst.functions.get((a2, b2), {})
+            dst_images = [frozenset(img for _, img in key) for key in dst_fns]
+            for key in fns:
+                target = frozenset(fwd_states[b][img] for _, img in key)
+                union: set = set()
+                for im in dst_images:
+                    if im <= target:
+                        union |= im
+                if union != target:
+                    return False
+        return True
+
+    inv_sys = {v: k for k, v in sys_map.items()}
+    inv_states = {
+        sys_map[a]: {v: k for k, v in smap.items()} for a, smap in smaps.items()
+    }
+    return covers(x, y, sys_map, smaps) and covers(y, x, inv_sys, inv_states)
+
+
+def reference_iso_conditions(x: Qrt, y: Qrt) -> dict:
+    """The enumeration iso_conditions used before its search was shared:
+    all system permutations, then every truth-preserving state bijection
+    of each, with no pruning and no budget."""
+    xs = sorted(s.id for s in x.systems)
+    ys = sorted(s.id for s in y.systems)
+    out = {"i": False, "ii": False, "iii": False}
+    if len(xs) != len(ys):
+        return out
+
+    def bijections(match_dims: bool):
+        for perm in itertools.permutations(ys):
+            m = dict(zip(xs, perm))
+            if match_dims and any(
+                x.system(a).dim != y.system(b).dim for a, b in m.items()
+            ):
+                continue
+            yield m
+
+    out["i"] = any(True for _ in bijections(match_dims=True))
+    pool = list(bijections(match_dims=True)) or list(bijections(match_dims=False))
+    for sys_map in pool:
+        for smaps in _state_bijections(x, y, sys_map):
+            out["ii"] = True
+            if _image_cover_ok(x, y, sys_map, smaps):
+                out["iii"] = True
+                return out
+    return out
+
+
+class TestIsoConditionsAgainstReference:
+    def test_differential_pairs(self, theory_pairs):
+        seen = set()
+        for label, x, y in theory_pairs:
+            cond = iso_conditions(x, y)
+            assert cond == reference_iso_conditions(x, y), label
+            seen.add(tuple(cond.values()))
+        # every verdict pattern that the conditions can take here occurs
+        assert {(True, False, False), (True, True, False), (True, True, True)} <= seen
+        assert any(not i for i, _, _ in seen)
+
+    def test_one_node_is_not_enough(self):
+        q = corpus.chain_qrt()
+        with pytest.raises(ResourceLimitError, match=r"^isomorphism search exceeded 1 nodes$"):
+            iso_conditions(q, q, max_nodes=1)
 
 
 class TestImageConditions:
