@@ -55,7 +55,6 @@ from .qrt import (
     qrt_isomorphic,
     relabel_qrt,
     sub_qrt,
-    validate_qrt,
 )
 from .smc import build_smc, free_objects, verify_smc_laws
 from .translate import (

@@ -14,7 +14,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import QrtModalError
 from .formulas import is_valid, parse
 from .generate import GeneratorConfig, generate_qrt
-from .harness import run_theorems
+from .harness import SECTIONS, run_theorems
 from .io import (
     dumps,
     load_json,
@@ -83,7 +83,6 @@ def cmd_check(args) -> int:
 def cmd_theorems(args) -> int:
     tol = _tolerances(args)
     family = None
-    injected = []
     if args.files:
         family = []
         for path in args.files:
@@ -95,8 +94,7 @@ def cmd_theorems(args) -> int:
             if not q.is_composition_complete():
                 q = complete_composition(q)
             family.append((path, q))
-    for path in args.models or []:
-        injected.append((path, model_from_dict(load_json(path))))
+    injected = [(path, model_from_dict(load_json(path))) for path in args.models or []]
     report = run_theorems(
         family=family,
         injected_models=injected,
@@ -108,19 +106,8 @@ def cmd_theorems(args) -> int:
     if args.json:
         print(dumps(report), end="")
     else:
-        for key in (
-            "s4",
-            "functoriality",
-            "iso_conditions",
-            "image_conditions",
-            "possibility",
-            "monotonicity",
-            "starred_injectivity",
-            "smc",
-        ):
-            section = report[key]
-            ok = section.get("ok", section.get("falsifications", 1) == 0)
-            print(f"{key:22s} {'ok' if ok else 'FALSIFIED'}")
+        for key in SECTIONS:
+            print(f"{key:22s} {'ok' if report[key]['ok'] else 'FALSIFIED'}")
         print(f"status: {report['status']}")
     return report["status"]
 

@@ -72,10 +72,6 @@ class _Budget:
             )
 
 
-def _random_frame(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return random_isometry(rng, dim, dim)
-
-
 def _distinct_states(
     rng: np.random.Generator, dim: int, count: int, budget: _Budget
 ) -> list[DensityMatrix]:
@@ -130,7 +126,7 @@ def generate_qrt(
         classical = rng.random() < 0.6
         if classical:
             n_states = int(rng.integers(1, min(cfg.states_per_system, dim) + 1))
-            frame = _random_frame(rng, dim)
+            frame = random_isometry(rng, dim, dim)
             idx = list(rng.permutation(dim)[:n_states])
             states = {
                 f"s{i}": DensityMatrix(
@@ -209,10 +205,6 @@ def _template_channel(rng, src, dst, frames, basis_index, next_id) -> ChannelDec
     return ChannelDecl(
         next_id(), src.id, dst.id, constant_channel(dst.states[target], src.dim)
     )
-
-
-def generate_family(cfg: GeneratorConfig, count: int, **kwargs) -> list[Qrt]:
-    return [generate_qrt(cfg, index=i, **kwargs) for i in range(count)]
 
 
 # -- random relabelings and restrictions ---------------------------------------

@@ -2,9 +2,10 @@
 family (plus the shipped twisted-pair corpus and any injected inputs) and
 aggregates one consolidated, deterministic report.
 
-Exit status contract: 0 all checks pass, 1 some check falsified,
-3 inconclusive entries only (a search cap was hit), 2 is reserved for
-input errors and raised by the CLI layer.
+Exit status contract, read off the sections named in SECTIONS: 1 if any
+section's "ok" is false, else 3 if an isomorphism search hit its cap (the
+iso-conditions or injectivity section counted an inconclusive entry),
+else 0. 2 is reserved for input errors and raised by the CLI layer.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import MAX_ISO_NODES, OBJECT_CAP
-from .errors import QrtModalError, ResourceLimitError
+from .errors import QrtModalError, ResourceLimitError, StructuralError
 from .formulas import conversion_possibility_report, is_resource_preserving
 from .generate import (
     GeneratorConfig,
@@ -30,6 +31,19 @@ from .translate import (
     to_starred_model,
     verify_functoriality,
     verify_starred_injectivity,
+)
+
+
+# the report sections that carry a verdict, in the order `theorems` prints them
+SECTIONS = (
+    "s4",
+    "functoriality",
+    "iso_conditions",
+    "image_conditions",
+    "possibility",
+    "monotonicity",
+    "starred_injectivity",
+    "smc",
 )
 
 
@@ -86,7 +100,9 @@ def run_theorems(
     check_object_cap(smc_cap)  # an input error: reject it before any section runs
     if family is None:
         family = build_family(seed, count)
-    injected_models = injected_models or []
+    for label, q in family:  # the unit world every check below relies on
+        if q.trivial_node is None:
+            raise StructuralError(f"{label}: the theorems need a trivial system, and it has none")
     rng = np.random.default_rng([seed, 1234])
     report: dict = {
         "seed": seed,
@@ -95,51 +111,43 @@ def run_theorems(
                 "label": label,
                 "systems": len(q.systems),
                 "states": len(q.nodes),
-                "functions": q.function_count(),
+                "functions": sum(map(len, q.functions.values())),
             }
             for label, q in family
         ],
     }
-    falsified = False
-    inconclusive = 0
 
     records = {label: to_starred_model(q) for label, q in family}
+    # the family's starred images, then the injected models as negative controls
+    subjects = [(label, records[label].starred, {}) for label, _ in family] + [
+        (label, m, {"injected": True}) for label, m in injected_models or []
+    ]
 
     # S4 form of every translated model
     s4_failures = []
-    for label, q in family:
+    for label, _ in family:
         ok, witness = is_s4(records[label].model)
         if not ok:
             s4_failures.append({"label": label, "witness": witness})
     report["s4"] = {"ok": not s4_failures, "failures": s4_failures}
-    falsified |= bool(s4_failures)
 
     # functor laws: relabelings and restrictions
     funct_entries = []
     for label, q in family:
         rel = [random_relabeling(q, rng)]
         subs = [random_sub_qrt(q, rng)] if len(q.systems) > 1 else []
-        r = verify_functoriality(q, rel, subs)
-        funct_entries.append({"label": label, "ok": r["ok"]})
-        falsified |= not r["ok"]
-    report["functoriality"] = {
-        "ok": all(e["ok"] for e in funct_entries),
-        "entries": funct_entries,
-    }
+        funct_entries.append({"label": label, "ok": verify_functoriality(q, rel, subs)["ok"]})
+    report["functoriality"] = {"ok": all(e["ok"] for e in funct_entries), "entries": funct_entries}
 
     # equivalence of the isomorphism conditions with the model oracle
     mismatches = []
     iso_inconclusive = []
-    pairs_checked = 0
     for la, qa in family:
         for lb, qb in family:
-            pairs_checked += 1
             try:
                 cond = iso_conditions(qa, qb, iso_cap)
                 conj = cond["i"] and cond["ii"] and cond["iii"]
-                oracle, _ = models_isomorphic(
-                    records[la].model, records[lb].model, iso_cap
-                )
+                oracle, _ = models_isomorphic(records[la].model, records[lb].model, iso_cap)
             except ResourceLimitError as exc:
                 iso_inconclusive.append({"pair": [la, lb], "reason": str(exc)})
                 continue
@@ -149,30 +157,18 @@ def run_theorems(
                 )
     report["iso_conditions"] = {
         "ok": not mismatches,
-        "pairs_checked": pairs_checked,
+        "pairs_checked": len(family) ** 2,
         "mismatches": mismatches,
     }
     # only when non-empty, so that reports without cap hits keep their bytes
     if iso_inconclusive:
         report["iso_conditions"]["inconclusive"] = iso_inconclusive
-    falsified |= bool(mismatches)
-    inconclusive += len(iso_inconclusive)
 
-    # conditions every translation image must satisfy, plus injected models
+    # conditions every translation image must satisfy
     image_entries = []
-    for label, q in family:
-        cond = image_conditions(records[label].model)
-        entry_ok = cond["i"] and cond["ii"]
-        image_entries.append({"label": label, "i": cond["i"], "ii": cond["ii"]})
-        falsified |= not entry_ok
-    for label, m in injected_models:
-        base = m.model if isinstance(m, StarredModel) else m
-        cond = image_conditions(base)
-        entry_ok = cond["i"] and cond["ii"]
-        image_entries.append(
-            {"label": label, "i": cond["i"], "ii": cond["ii"], "injected": True}
-        )
-        falsified |= not entry_ok
+    for label, m, mark in subjects:
+        cond = image_conditions(m.model if isinstance(m, StarredModel) else m)
+        image_entries.append({"label": label, "i": cond["i"], "ii": cond["ii"], **mark})
     report["image_conditions"] = {
         "ok": all(e["i"] and e["ii"] for e in image_entries),
         "entries": image_entries,
@@ -181,12 +177,11 @@ def run_theorems(
     # every conversion edge validates (rho -> <> sigma)
     possibility_failures = []
     n_instances = 0
-    for label, q in family:
+    for label, _ in family:
         rep = conversion_possibility_report(records[label])
         n_instances += len(rep["instances"])
         if not rep["ok"]:
             possibility_failures.append(label)
-        falsified |= not rep["ok"]
     report["possibility"] = {
         "ok": not possibility_failures,
         "instances": n_instances,
@@ -196,30 +191,23 @@ def run_theorems(
     # truth is monotone along edges: free never maps to resource
     monotone_violations = []
     destroying = []
-    for label, q in family:
+    for label, _ in family:
         rec = records[label]
-        for (src, dst, cid) in sorted(q.state_graph.edges):
-            if (
-                rec.model.interp[rec.atom_of[src]] == 1
-                and rec.model.interp[rec.atom_of[dst]] == 0
-            ):
+        truth = rec.model.interp
+        for (src, dst, cid) in sorted(rec.edges):
+            if truth[rec.atom_of[src]] == 1 and truth[rec.atom_of[dst]] == 0:
                 monotone_violations.append({"label": label, "edge": [src, dst, cid]})
         preserving, witnesses = is_resource_preserving(rec)
         if not preserving:
             destroying.append({"label": label, "edges": witnesses})
-    report["monotonicity"] = {
-        "ok": not monotone_violations,
-        "violations": monotone_violations,
-    }
+    report["monotonicity"] = {"ok": not monotone_violations, "violations": monotone_violations}
     report["resource_preservation"] = {"destroying": destroying}
-    falsified |= bool(monotone_violations)
 
     # starred injectivity over family pairs (and the twisted-pair corpus)
     pairs = []
     labels = []
-    items = list(family)
-    for i, (la, qa) in enumerate(items):
-        for lb, qb in items[i:]:
+    for i, (la, qa) in enumerate(family):
+        for lb, qb in family[i:]:
             pairs.append((qa, qb))
             labels.append(f"{la}|{lb}")
     if include_corpus:
@@ -228,45 +216,33 @@ def run_theorems(
         for name, qa, qb in xi_sweep():
             pairs.append((qa, qb))
             labels.append(f"xi:{name}")
-    inj = verify_starred_injectivity(pairs, iso_cap, labels)
-    report["starred_injectivity"] = inj
-    falsified |= inj["falsifications"] > 0
-    inconclusive += inj["inconclusive"]
+    report["starred_injectivity"] = verify_starred_injectivity(pairs, iso_cap, labels)
 
-    # monoidal category laws on every starred image, plus injected starred models
+    # monoidal category laws on every starred model; a plain injected model has none
     smc_entries = []
-    for label, q in family:
-        cat = build_smc(records[label].starred, smc_cap)
-        laws = verify_smc_laws(cat)
-        frees = {frozenset(x) for x in free_objects(cat) if len(x) == 1}
-        expected = {
-            frozenset({atom})
-            for atom, v in records[label].model.interp.items()
-            if v == 1 and atom != cat.unit_atom
-        }
-        atoms_match = frees == expected
-        smc_entries.append(
-            {"label": label, "laws_ok": laws["ok"], "free_atoms_match": atoms_match}
-        )
-        falsified |= not (laws["ok"] and atoms_match)
-    for label, m in injected_models:
-        if isinstance(m, StarredModel):
-            try:
-                laws = verify_smc_laws(build_smc(m, smc_cap))
-                smc_entries.append(
-                    {"label": label, "laws_ok": laws["ok"], "injected": True}
-                )
-                falsified |= not laws["ok"]
-            except QrtModalError as exc:  # a model that cannot host the category is flagged
-                smc_entries.append(
-                    {"label": label, "laws_ok": False, "error": str(exc), "injected": True}
-                )
-                falsified = True
+    for label, m, mark in subjects:
+        if not isinstance(m, StarredModel):
+            continue
+        entry = {"label": label, **mark}
+        try:
+            cat = build_smc(m, smc_cap)
+            entry["laws_ok"] = verify_smc_laws(cat)["ok"]
+        except QrtModalError as exc:  # flags an injected model; a family theory is an input error
+            if not mark:
+                raise
+            entry.update(laws_ok=False, error=str(exc))
+        else:
+            if not mark:  # the singleton free objects are the true atoms but the unit
+                singles = {a for x in free_objects(cat) if len(x) == 1 for a in x}
+                true = {a for a, v in m.model.interp.items() if v == 1}
+                entry["free_atoms_match"] = singles == true - {cat.unit_atom}
+        smc_entries.append(entry)
     report["smc"] = {
         "ok": all(e["laws_ok"] and e.get("free_atoms_match", True) for e in smc_entries),
         "entries": smc_entries,
     }
 
-    report["inconclusive"] = inconclusive
-    report["status"] = 1 if falsified else (3 if inconclusive else 0)
+    report["inconclusive"] = len(iso_inconclusive) + report["starred_injectivity"]["inconclusive"]
+    all_ok = all(report[k]["ok"] for k in SECTIONS)
+    report["status"] = (3 if report["inconclusive"] else 0) if all_ok else 1
     return report

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, max_dim
 from .errors import QrtModalError, ShapeError
 from .kripke import KripkeModel, StarredModel
 from .linalg import DensityMatrix, KrausChannel
@@ -30,9 +30,9 @@ def encode_matrix(m: np.ndarray) -> list:
 
 def decode_matrix(data: Any) -> np.ndarray:
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, IndexError) as exc:
-        raise FormatError(f"malformed matrix: {exc}") from exc
+        rows = [[complex(re, im) for re, im in row] for row in data]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed matrix: entries must be [re, im] pairs ({exc})") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise FormatError("matrix rows are empty or ragged")
     return np.array(rows, dtype=complex)
@@ -61,31 +61,55 @@ def qrt_to_dict(q: Qrt) -> dict:
     }
 
 
-def qrt_from_dict(data: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> Qrt:
+def _string(value: Any, what: str) -> str:
+    if type(value) is str:
+        return value
+    raise FormatError(f"malformed theory file: {what} {value!r} is not a string")
+
+
+def _list(value: Any, what: str) -> list:
+    if type(value) is list:
+        return value
+    raise FormatError(f"malformed theory file: {what} is not a list")
+
+
+def qrt_from_dict(data: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Qrt:
+    """The theory of a theory file. Ids are strings, "states" an object,
+    "dim" an integer from 1 to max_dim() (checked before any matrix is
+    built), and every matrix entry an [re, im] pair."""
+    if not isinstance(data, dict):
+        raise FormatError("malformed theory file: not a JSON object")
     try:
-        systems = [
-            SystemDecl(
-                str(s["id"]),
-                int(s["dim"]),
-                {
-                    str(st): DensityMatrix(decode_matrix(mat), tol)
-                    for st, mat in s.get("states", {}).items()
-                },
-            )
-            for s in data["systems"]
-        ]
+        cap = max_dim()
+        systems = []
+        for s in _list(data["systems"], "systems"):
+            sid, dim, states = _string(s["id"], "system id"), s["dim"], s.get("states", {})
+            if type(dim) is not int or not 1 <= dim <= cap:
+                raise FormatError(
+                    f"malformed theory file: system {sid} has dim {dim!r},"
+                    f" not an integer from 1 to {cap}"
+                )
+            if not isinstance(states, dict):
+                raise FormatError(f"malformed theory file: the states of {sid} are not an object")
+            decoded = {st: DensityMatrix(decode_matrix(mat), tol) for st, mat in states.items()}
+            systems.append(SystemDecl(sid, dim, decoded))
         channels = [
             ChannelDecl(
-                str(c["id"]),
-                str(c["from"]),
-                str(c["to"]),
+                _string(c["id"], "channel id"),
+                _string(c["from"], "channel source"),
+                _string(c["to"], "channel target"),
                 KrausChannel([decode_matrix(k) for k in c["kraus"]]),
             )
-            for c in data.get("channels", [])
+            for c in _list(data.get("channels", []), "channels")
         ]
-    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+        trivial = data.get("trivial")
+        if trivial is not None:
+            _string(trivial, "trivial")
+    except KeyError as exc:
+        raise FormatError(f"malformed theory file: missing {exc}") from exc
+    except (TypeError, ValueError, ShapeError) as exc:
         raise FormatError(f"malformed theory file: {exc}") from exc
-    return Qrt(systems, channels, data.get("trivial"), tol)
+    return Qrt(systems, channels, trivial, tol)
 
 
 def model_to_dict(m: KripkeModel, order=None) -> dict:

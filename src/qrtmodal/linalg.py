@@ -212,7 +212,11 @@ def apply_channel(
     return DensityMatrix(out, tol)
 
 
-def reduce_kraus(c: KrausChannel, cutoff: float = 1e-12) -> KrausChannel:
+# Choi eigenvalues at or below this fraction of the largest are dropped
+_KRAUS_CUTOFF = 1e-12
+
+
+def reduce_kraus(c: KrausChannel) -> KrausChannel:
     """Canonical Kraus set recovered from the Choi eigendecomposition.
 
     Leaves the channel's action unchanged but bounds the number of
@@ -223,7 +227,7 @@ def reduce_kraus(c: KrausChannel, cutoff: float = 1e-12) -> KrausChannel:
     scale = max(float(vals.max()), 1.0)
     ops = []
     for lam, v in zip(vals, vecs.T):
-        if lam > cutoff * scale:
+        if lam > _KRAUS_CUTOFF * scale:
             ops.append(np.sqrt(lam) * v.reshape(c.in_dim, c.out_dim).T)
     if not ops:
         ops = [np.zeros((c.out_dim, c.in_dim), dtype=complex)]

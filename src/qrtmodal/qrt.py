@@ -245,9 +245,6 @@ class Qrt:
             table.setdefault((decl.src, decl.dst), {}).setdefault(key, decl.id)
         return table
 
-    def function_count(self) -> int:
-        return sum(len(v) for v in self.functions.values())
-
     @cached_property
     def state_graph(self) -> StateGraph:
         edges = set()
@@ -457,10 +454,6 @@ class Qrt:
     def preorder(self) -> frozenset:
         """Convertibility: reflexive-transitive reachability over edges."""
         return reflexive_transitive_closure(self.state_graph.simple_edges, self.nodes)
-
-
-def validate_qrt(q: Qrt) -> ValidationReport:
-    return q.validate()
 
 
 def complete_composition(q: Qrt, max_channels: int = MAX_CHANNELS) -> Qrt:

@@ -1,9 +1,19 @@
 """Harness tests: family assembly, consolidated report, status codes."""
 
+import hashlib
+
 import pytest
 
-from qrtmodal import corpus, harness
-from qrtmodal.corpus import broken_monotone_model, broken_smc_model
+from qrtmodal import corpus, harness, io
+from qrtmodal.cli import main
+from qrtmodal.corpus import (
+    broken_monotone_model,
+    broken_no_unit_model,
+    broken_smc_model,
+    chain_qrt,
+    entanglement_qrt,
+    resource_destroying_qrt,
+)
 from qrtmodal.harness import build_family, run_theorems
 from qrtmodal.kripke import StarredModel, models_isomorphic
 from qrtmodal.translate import to_model
@@ -106,3 +116,70 @@ def test_programming_error_in_injected_law_sweep_propagates(monkeypatch):
             injected_models=[("smc", injected)],
             include_corpus=False,
         )
+
+
+def injected():
+    return [
+        ("mono", broken_monotone_model()),
+        ("nounit", broken_no_unit_model()),
+        ("smc", broken_smc_model()),
+    ]
+
+
+def corpus_family():
+    return [
+        ("chain", chain_qrt()),
+        ("ent", entanglement_qrt()),
+        ("dest", resource_destroying_qrt()),
+    ]
+
+
+# first 16 hex digits of the SHA-256 of io.dumps(report); the 6:n digests
+# are the same as in bench/theorems_sha256.json
+@pytest.mark.parametrize(
+    "make_kwargs, status, digest",
+    [
+        (lambda: dict(seed=2, count=6), 0, "5def05f679a06bf7"),
+        (lambda: dict(seed=3, count=6), 0, "8e045db3de012d07"),
+        (lambda: dict(seed=4, count=6), 0, "286740c23c3327cb"),
+        (lambda: dict(seed=1, count=6, injected_models=injected()), 1, "50ed7e2d8ab2e593"),
+        (lambda: dict(seed=1, count=4, iso_cap=3), 3, "ba0f83f5c749558a"),
+        (
+            lambda: dict(family=corpus_family(), injected_models=injected(), include_corpus=False),
+            1,
+            "1265050570c77010",
+        ),
+    ],
+    ids=["6:2", "6:3", "6:4", "status1", "status3", "file-family"],
+)
+def test_report_paths_pinned(make_kwargs, status, digest):
+    report = run_theorems(**make_kwargs())
+    assert report["status"] == status
+    assert hashlib.sha256(io.dumps(report).encode()).hexdigest()[:16] == digest
+
+
+# each oracle the harness calls, replaced by one that always says "false"
+FALSE_ORACLES = {
+    "s4": ("is_s4", lambda m: (False, "w")),
+    "functoriality": ("verify_functoriality", lambda q, rel, subs: {"ok": False}),
+    "iso_conditions": ("iso_conditions", lambda a, b, cap: {"i": False, "ii": False, "iii": False}),
+    "image_conditions": ("image_conditions", lambda m: {"i": False, "ii": True}),
+    "possibility": ("conversion_possibility_report", lambda rec: {"instances": [], "ok": False}),
+    "starred_injectivity": (
+        "verify_starred_injectivity",
+        lambda pairs, cap, labels: {
+            "entries": [], "falsifications": 1, "inconclusive": 0, "ok": False
+        },
+    ),
+    "smc": ("verify_smc_laws", lambda cat: {"ok": False}),
+}
+
+
+@pytest.mark.parametrize("section", sorted(FALSE_ORACLES))
+def test_false_oracle_falsifies_exactly_its_section(section, monkeypatch, capsys):
+    name, oracle = FALSE_ORACLES[section]
+    monkeypatch.setattr(harness, name, oracle)
+    assert main(["theorems", "--seed", "1", "--count", "4", "--no-corpus"]) == 1
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines() if "FALSIFIED" in line] == [section]
+    assert out.endswith("status: 1\n")

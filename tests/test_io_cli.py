@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qrtmodal import corpus
 from qrtmodal.cli import main
+from qrtmodal.config import max_dim
 from qrtmodal.io import (
     FormatError,
     decode_matrix,
@@ -156,6 +157,20 @@ class TestCli:
         assert "cap" in capsys.readouterr().err
         assert not calls
 
+    def test_theorems_file_without_trivial_system_is_input_error(
+        self, corpus_dir, monkeypatch, capsys
+    ):
+        from qrtmodal import harness
+
+        calls = []
+        monkeypatch.setattr(harness, "to_starred_model", lambda q: calls.append(q))
+        gap = str(corpus_dir / "injectivity_gap_x.qrt.json")
+        assert main(["theorems", str(corpus_dir / "chain.qrt.json"), gap]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {gap}: ") and "trivial" in err
+        assert out == ""
+        assert not calls
+
     def test_theorems_default_passes(self, capsys):
         assert main(["theorems", "--seed", "2", "--count", "5"]) == 0
 
@@ -279,6 +294,61 @@ class TestModelInput:
         assert capsys.readouterr().err.startswith("error: malformed model file")
 
 
+def chain_dict() -> dict:
+    return qrt_to_dict(corpus.chain_qrt())
+
+
+def edit_system(field, value):
+    def edit(data):
+        data["systems"][1][field] = value  # system A, a qubit with one named state
+
+    return edit
+
+
+def edit_entry(value):
+    def edit(data):
+        data["systems"][1]["states"]["rho"][0][0] = value
+
+    return edit
+
+
+class TestTheoryInput:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            edit_system("states", []),
+            edit_system("states", "ab"),
+            edit_system("dim", 0),
+            edit_system("dim", -2),
+            edit_system("dim", 1.7),
+            edit_system("dim", True),
+            edit_system("dim", max_dim() + 1),
+            edit_system("id", 3),
+            edit_entry([1, 0, 5]),
+            edit_entry([1]),
+            lambda data: data.update(trivial=["c"]),
+            lambda data: data.update(trivial=5),
+            lambda data: data["channels"][0].update({"from": 3}),
+            lambda data: data.update(systems={}),
+        ],
+    )
+    def test_malformed_theory_is_input_error(self, edit, tmp_path, capsys):
+        data = chain_dict()
+        edit(data)
+        with pytest.raises(FormatError):
+            qrt_from_dict(data)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(data))
+        for command in ("validate", "translate"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: malformed")
+
+    def test_well_formed_theory_accepted(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(chain_dict()))
+        assert main(["validate", str(path)]) == 0
+
+
 _junk = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 2), st.floats(allow_nan=True), st.text(max_size=2)
 )
@@ -307,3 +377,47 @@ def test_check_on_malformed_model_files_never_raises(data, tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "m.json"
     path.write_text(json.dumps(data))
     assert main(["check", str(path), "p"]) in {0, 1, 2, 3}
+
+
+_numbers = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-1, 1))
+_entries = st.one_of(st.lists(_numbers, min_size=2, max_size=2), st.lists(_numbers, max_size=3), _junk)
+# NaN and inf entries, ragged, empty and wrongly sized matrices
+_matrices = st.one_of(st.lists(st.lists(_entries, max_size=3), max_size=3), _junk)
+_states = st.one_of(
+    st.lists(_matrices, max_size=2), st.dictionaries(_names, _matrices, max_size=2), _junk
+)
+_kraus = st.one_of(st.lists(_matrices, max_size=2), _junk)
+_bad_ids = st.one_of(_junk, st.lists(_names, max_size=2))
+# at most max_dim() + 1, so that a missed cap check allocates little
+_dims = st.one_of(st.integers(-2, max_dim() + 1), st.floats(allow_nan=True), _junk)
+
+
+@st.composite
+def _theory_dicts(draw):
+    """The chain theory with one field replaced by a drawn bad value."""
+    data = chain_dict()
+    system = draw(st.sampled_from(data["systems"]))
+    channel = draw(st.sampled_from(data["channels"]))
+    target, key, value = draw(
+        st.one_of(
+            st.tuples(st.just(data), st.just("trivial"), _bad_ids),
+            st.tuples(st.just(data), st.sampled_from(["systems", "channels"]), _junk),
+            st.tuples(st.just(system), st.just("id"), _bad_ids),
+            st.tuples(st.just(system), st.just("dim"), _dims),
+            st.tuples(st.just(system), st.just("states"), _states),
+            st.tuples(st.just(system["states"]), st.sampled_from(sorted(system["states"])), _matrices),
+            st.tuples(st.just(channel), st.sampled_from(["id", "from", "to"]), _bad_ids),
+            st.tuples(st.just(channel), st.just("kraus"), _kraus),
+        )
+    )
+    target[key] = value
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_theory_dicts())
+def test_theory_commands_on_malformed_theory_files_never_raise(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "t.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate"], ["translate"], ["theorems", "--no-corpus", "--json"]):
+        assert main([argv[0], str(path), *argv[1:]]) in {0, 1, 2, 3}

@@ -30,7 +30,6 @@ from qrtmodal.qrt import (
     qrt_isomorphic,
     relabel_qrt,
     sub_qrt,
-    validate_qrt,
 )
 
 
@@ -48,10 +47,10 @@ def two_qubit_shell():
 
 class TestValidate:
     def test_trivial_theory(self):
-        assert validate_qrt(corpus.trivial_qrt()).ok
+        assert corpus.trivial_qrt().validate().ok
 
     def test_four_system_shell_with_identities(self):
-        assert validate_qrt(two_qubit_shell()).ok
+        assert two_qubit_shell().validate().ok
 
     def test_state_closure_violation_named(self):
         # a rotation moves the only named state off the named universe
