@@ -26,7 +26,7 @@ from .io import (
 )
 from .kripke import StarredModel
 from .qrt import complete_composition
-from .translate import to_model, to_starred_model
+from .translate import to_model
 
 
 def _tolerances(args) -> Tolerances:
@@ -57,8 +57,7 @@ def cmd_translate(args) -> int:
         return 1
     if not q.is_composition_complete():
         q = complete_composition(q)
-    rec = to_starred_model(q) if args.star else to_model(q)
-    payload = record_to_dict(rec)
+    payload = record_to_dict(to_model(q), args.star)
     if args.out:
         save_json(args.out, payload)
         print(f"wrote {args.out}")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .errors import FormulaSyntaxError, UnknownSymbolError
 from .kripke import KripkeModel
 from .linalg import DensityMatrix
+from .qrt import node_name
 from .translate import TranslationRecord
 
 
@@ -240,11 +241,11 @@ def conversion_possibility_report(rec: TranslationRecord) -> dict:
     instances = []
     ok = True
     for (src, dst, cid) in sorted(rec.edges):
-        f = Implies(Atom(rec.atom_of[src]), Diamond(Atom(rec.atom_of[dst])))
+        f = Implies(Atom(node_name(src)), Diamond(Atom(node_name(dst))))
         valid, witness = is_valid(rec.model, f, warn_domains=False)
         instances.append(
             {
-                "edge": [rec.atom_of[src], rec.atom_of[dst], cid],
+                "edge": [node_name(src), node_name(dst), cid],
                 "formula": print_formula(f),
                 "valid": bool(valid),
                 "witness": witness,
@@ -261,10 +262,9 @@ def is_resource_preserving(rec: TranslationRecord) -> tuple[bool, list]:
     the resource-destroying edges and are returned as witnesses."""
     witnesses = []
     for (src, dst, cid) in sorted(rec.edges):
-        f = Implies(Diamond(Atom(rec.atom_of[dst])), Atom(rec.atom_of[src]))
-        world = rec.world_of[src[0]]
-        if evaluate(rec.model, f, world, warn_domains=False) == 0:
-            witnesses.append((rec.atom_of[src], rec.atom_of[dst], cid))
+        f = Implies(Diamond(Atom(node_name(dst))), Atom(node_name(src)))
+        if evaluate(rec.model, f, src[0], warn_domains=False) == 0:
+            witnesses.append((node_name(src), node_name(dst), cid))
     return (not witnesses), witnesses
 
 
@@ -307,7 +307,7 @@ class PredicateFormula:
 def _pair_verdict(
     q, rec: TranslationRecord, sid: str, st1: str, st2: str, p: float
 ) -> str:
-    a1, a2 = rec.atom_of[(sid, st1)], rec.atom_of[(sid, st2)]
+    a1, a2 = node_name((sid, st1)), node_name((sid, st2))
     if rec.model.interp[a1] == 0 or rec.model.interp[a2] == 0:
         return "holds"  # one argument is not free
     m1: DensityMatrix = q.system(sid).states[st1]
@@ -316,7 +316,7 @@ def _pair_verdict(
     hit = q.match_named(sid, combo)
     if hit is None:
         return "closure-indeterminate"
-    return "holds" if rec.model.interp[rec.atom_of[(sid, hit)]] == 1 else "fails"
+    return "holds" if rec.model.interp[node_name((sid, hit))] == 1 else "fails"
 
 
 def evaluate_predicate(q, rec: TranslationRecord, pf: PredicateFormula) -> dict:

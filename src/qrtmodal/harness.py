@@ -22,7 +22,7 @@ from .generate import (
     random_sub_qrt,
 )
 from .kripke import KripkeModel, StarredModel, is_s4, models_isomorphic
-from .qrt import Qrt
+from .qrt import Qrt, node_name
 from .smc import build_smc, check_object_cap, free_objects, verify_smc_laws
 from .translate import (
     image_conditions,
@@ -195,7 +195,7 @@ def run_theorems(
         rec = records[label]
         truth = rec.model.interp
         for (src, dst, cid) in sorted(rec.edges):
-            if truth[rec.atom_of[src]] == 1 and truth[rec.atom_of[dst]] == 0:
+            if truth[node_name(src)] == 1 and truth[node_name(dst)] == 0:
                 monotone_violations.append({"label": label, "edge": [src, dst, cid]})
         preserving, witnesses = is_resource_preserving(rec)
         if not preserving:

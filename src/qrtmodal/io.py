@@ -28,9 +28,16 @@ def encode_matrix(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _entry(re: Any, im: Any) -> complex:
+    # complex() reads JSON true and false as 1 and 0
+    if type(re) is bool or type(im) is bool:
+        raise TypeError("true and false are not numbers")
+    return complex(re, im)
+
+
 def decode_matrix(data: Any) -> np.ndarray:
     try:
-        rows = [[complex(re, im) for re, im in row] for row in data]
+        rows = [[_entry(re, im) for re, im in row] for row in data]
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed matrix: entries must be [re, im] pairs ({exc})") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
@@ -168,14 +175,14 @@ def model_from_dict(data: Any) -> KripkeModel | StarredModel:
         raise FormatError(f"malformed model file: missing {exc}") from exc
 
 
-def record_to_dict(rec: TranslationRecord) -> dict:
-    """A model file with the translation's name maps alongside, so the
-    output can be fed straight back into model-consuming commands."""
-    out = model_to_dict(rec.model, rec.order)
-    out["world_of"] = dict(sorted(rec.world_of.items()))
-    out["atom_of"] = {
-        f"{s}.{st}": atom for (s, st), atom in sorted(rec.atom_of.items())
-    }
+def record_to_dict(rec: TranslationRecord, star: bool = False) -> dict:
+    """A model file, with the preorder when ``star``, and the name maps
+    alongside, so the output can be fed straight back into model-consuming
+    commands. Worlds are named by their systems and atoms by their
+    qualified states, so both maps send every id to itself."""
+    out = model_to_dict(rec.model, rec.order if star else None)
+    out["world_of"] = {w: w for w in rec.model.worlds}
+    out["atom_of"] = {a: a for a in rec.model.domain}
     if rec.c_world is not None:
         out["c_world"] = rec.c_world
     return out

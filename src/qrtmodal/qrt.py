@@ -3,7 +3,7 @@
 A theory is a set of named systems (each with finitely many named states),
 a set of CPTP channels between them, and an optional trivial
 one-dimensional system. Free states are never supplied: they are computed
-as the states reachable from the trivial system's unique state.
+as the states convertible from the trivial system's unique state.
 
 Channels are identified extensionally by the function they induce on the
 named universe; matching an output matrix to a named state uses the
@@ -85,18 +85,6 @@ class ValidationReport:
         return "\n".join(f"[{i.code}] {i.subject}: {i.message}" for i in self.issues)
 
 
-@dataclass(frozen=True)
-class StateGraph:
-    """Named states as nodes; an edge per (channel, named source state)."""
-
-    nodes: tuple
-    edges: frozenset  # (src node, dst node, channel id)
-
-    @property
-    def simple_edges(self) -> frozenset:
-        return frozenset((a, b) for a, b, _ in self.edges)
-
-
 def _matrix_is_identity(c: KrausChannel) -> bool:
     if c.in_dim != c.out_dim or len(c.kraus_ops) != 1:
         return False
@@ -107,8 +95,8 @@ class Qrt:
     """An immutable finite theory.
 
     Every derived artifact (the induced function of each channel, the
-    validation report, the translations built by ``translate``) is computed
-    at most once per instance and memoised on it. Changing a
+    validation report, the edges, the preorder and the free states) is
+    computed at most once per instance and memoised on it. Changing a
     ``SystemDecl.states`` mapping after construction is therefore
     unsupported: the memos would go stale."""
 
@@ -144,20 +132,9 @@ class Qrt:
         # ChannelDecl -> induced function, None (an image misses the named
         # universe) or the message of an ambiguous match
         self._induced: dict = {}
-        # artifacts derived by other modules, keyed by name; see derived()
-        self._derived: dict = {}
 
     # immutability is by convention: derived data is memoised per instance,
     # so neither the declarations nor their state mappings may change
-
-    def derived(self, key: str, build):
-        """The artifact ``key`` of this theory, built by ``build(self)`` on
-        first use and memoised. A build that raises memoises nothing."""
-        try:
-            return self._derived[key]
-        except KeyError:
-            value = self._derived[key] = build(self)
-            return value
 
     @property
     def systems(self) -> tuple:
@@ -195,18 +172,13 @@ class Qrt:
             )
         return hits[0] if hits else None
 
-    def induced_function(self, decl: ChannelDecl) -> dict | None:
+    def _function(self, decl: ChannelDecl) -> dict | None:
         """The map named-state -> named-state realized by the channel, or
         None when some image misses the named universe. Derived once per
-        channel; each call returns a fresh dict.
+        channel and shared, so readers must not change it.
 
         Raises StructuralError when an image matches more than one named
         state, on every call."""
-        fn = self._function(decl)
-        return None if fn is None else dict(fn)
-
-    def _function(self, decl: ChannelDecl) -> dict | None:
-        # the memoised induced function itself; readers must not change it
         try:
             fn = self._induced[decl]
         except KeyError:
@@ -246,7 +218,9 @@ class Qrt:
         return table
 
     @cached_property
-    def state_graph(self) -> StateGraph:
+    def edges(self) -> frozenset:
+        """The conversion edges: (source node, target node, channel id) for
+        every channel and named source state."""
         edges = set()
         for decl in self._channels:
             fn = self._function(decl)
@@ -256,7 +230,7 @@ class Qrt:
                 )
             for st, img in fn.items():
                 edges.add(((decl.src, st), (decl.dst, img), decl.id))
-        return StateGraph(self.nodes, frozenset(edges))
+        return frozenset(edges)
 
     @cached_property
     def trivial_node(self) -> Node | None:
@@ -418,8 +392,9 @@ class Qrt:
 
     @cached_property
     def free_states(self) -> frozenset:
-        """Named states reachable from the trivial state; the trivial
-        state itself is excluded (it is neither free nor a resource)."""
+        """Named states convertible from the trivial state: its up-set in
+        the preorder. The trivial state itself is excluded (it is neither
+        free nor a resource)."""
         start = self.trivial_node
         if start is None:
             if any(
@@ -427,20 +402,7 @@ class Qrt:
             ):
                 raise StructuralError("preparations declared but no trivial system")
             return frozenset()
-        succ: dict = {}
-        for a, b, _ in self.state_graph.edges:
-            succ.setdefault(a, set()).add(b)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for n in frontier:
-                for m in succ.get(n, ()):
-                    if m not in seen:
-                        seen.add(m)
-                        nxt.append(m)
-            frontier = nxt
-        return frozenset(seen - {start})
+        return frozenset(b for a, b in self.preorder if a == start and b != start)
 
     @cached_property
     def resource_states(self) -> frozenset:
@@ -453,7 +415,7 @@ class Qrt:
     @cached_property
     def preorder(self) -> frozenset:
         """Convertibility: reflexive-transitive reachability over edges."""
-        return reflexive_transitive_closure(self.state_graph.simple_edges, self.nodes)
+        return reflexive_transitive_closure(((a, b) for a, b, _ in self.edges), self.nodes)
 
 
 def complete_composition(q: Qrt, max_channels: int = MAX_CHANNELS) -> Qrt:

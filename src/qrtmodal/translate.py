@@ -2,8 +2,8 @@
 
 Worlds are the systems, atoms are the qualified named states, accessibility
 records channel existence, and an atom is true exactly when its state is
-free. The starred translation additionally carries the convertibility
-preorder onto the global domain. The unit axiom is enforced on every
+free. The starred translation is the same model with the convertibility
+preorder carried onto the global domain. The unit axiom is enforced on every
 generated model: when a trivial system exists, its unique atom is true.
 
 All theorem-condition oracles in this module work at the labeled
@@ -12,6 +12,7 @@ All theorem-condition oracles in this module work at the labeled
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -26,80 +27,74 @@ from .kripke import (
     models_isomorphic,
     starred_isomorphic,
 )
-from .qrt import Qrt, _labeled_bijections, node_name, qrt_isomorphic
+from .qrt import Qrt, _labeled_bijections, node_name, qrt_isomorphic, sub_qrt
 from .relations import Budget
 
 
 @dataclass(frozen=True)
 class TranslationRecord:
-    """A translated theory with both name maps, so atoms can be
-    round-tripped back to states. It keeps the source theory's conversion
-    edges rather than the theory itself: the theory memoises its record,
-    so a back-reference would make every translated theory a cycle."""
+    """A translated theory: its S4 model, the convertibility preorder on
+    its atoms and the source theory's conversion edges. A world id is its
+    system's id and an atom id is its state's ``node_name``, so no name
+    maps are kept. The record holds no reference to its theory, so the
+    memo in ``to_model`` frees both once the theory is dropped."""
 
     edges: frozenset      # (source node, target node, channel id)
     model: KripkeModel
-    world_of: dict        # system id -> world id
-    atom_of: dict         # (system id, state id) -> atom id
+    order: frozenset      # (atom, atom) pairs of the preorder
     c_world: str | None
-    order: frozenset | None = None
 
     @cached_property
     def starred(self) -> StarredModel:
         """The starred model, built and validated on first access."""
-        if self.order is None:
-            raise StructuralError("record was built without a preorder")
         return StarredModel(self.model, self.order)
 
 
-def _require_ready(q: Qrt) -> None:
+# theory -> its record; an entry goes when its theory is freed
+_records: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def to_model(q: Qrt) -> TranslationRecord:
+    """The translation of a valid, composition-complete theory, with the
+    preorder on atoms. The record is built once per theory and shared by
+    later calls; a build that raises memoises nothing."""
+    try:
+        return _records[q]
+    except KeyError:
+        rec = _records[q] = _translate(q)
+        return rec
+
+
+def to_starred_model(q: Qrt) -> TranslationRecord:
+    """to_model's record, whose ``starred`` is the starred model."""
+    return to_model(q)
+
+
+def _true_nodes(q: Qrt) -> frozenset:
+    """The states whose atoms are true: the free states, and the trivial
+    state by the unit axiom."""
+    return q.free_states | {q.trivial_node} if q.trivial_node else q.free_states
+
+
+def _translate(q: Qrt) -> TranslationRecord:
     # validate reports composition-closure issues, so ok implies complete
     report = q.validate()
     if not report.ok:
         raise StructuralError(f"source theory is invalid: {report.text()}")
-
-
-def to_model(q: Qrt) -> TranslationRecord:
-    """Build the S4 model of a valid, composition-complete theory. The
-    record is built once per theory and shared by later calls, so callers
-    must not change its maps."""
-    return q.derived("model", _translate)
-
-
-def to_starred_model(q: Qrt) -> TranslationRecord:
-    """As to_model, with the convertibility preorder carried onto atoms;
-    built once per theory from to_model's record."""
-    return q.derived("starred_model", _translate_starred)
-
-
-def _translate(q: Qrt) -> TranslationRecord:
-    _require_ready(q)
-    world_of = {s.id: s.id for s in q.systems}
-    atom_of = {node: node_name(node) for node in q.nodes}
-    worlds = set(world_of.values())
-    access = {(a, b) for (a, b) in q.functions}
-    domains = {s.id: frozenset(atom_of[(s.id, st)] for st in s.states) for s in q.systems}
-    free = q.free_states
-    interp = {atom_of[n]: 1 if n in free else 0 for n in q.nodes}
-    c_world = None
-    if q.trivial_node is not None:
-        c_world = world_of[q.trivial_id]
-        interp[atom_of[q.trivial_node]] = 1  # the unit atom is an axiom
-    model = KripkeModel(worlds, access, set(atom_of.values()), domains, interp)
+    true = _true_nodes(q)
+    model = KripkeModel(
+        {s.id for s in q.systems},
+        set(q.functions),
+        {node_name(n) for n in q.nodes},
+        {s.id: frozenset(node_name((s.id, st)) for st in s.states) for s in q.systems},
+        {node_name(n): int(n in true) for n in q.nodes},
+    )
     ok, witness = is_s4(model)
     if not ok:
         raise StructuralError(f"translated model is not S4 (witness {witness})")
-    return TranslationRecord(q.state_graph.edges, model, world_of, atom_of, c_world)
-
-
-def _translate_starred(q: Qrt) -> TranslationRecord:
-    rec = to_model(q)
-    order = frozenset(
-        (rec.atom_of[a], rec.atom_of[b]) for a, b in q.preorder
-    )
-    return TranslationRecord(
-        rec.edges, rec.model, rec.world_of, rec.atom_of, rec.c_world, order
-    )
+    order = frozenset((node_name(a), node_name(b)) for a, b in q.preorder)
+    c_world = q.trivial_id if q.trivial_node is not None else None
+    return TranslationRecord(q.edges, model, order, c_world)
 
 
 # -- conditions under which two translations are isomorphic -------------------
@@ -128,10 +123,6 @@ def iso_conditions(
     true-atom count) per system. When (i) fails, (ii) and (iii) range over
     all system bijections and (ii) drops the dim. Only (iii) searches."""
 
-    def truth(q: Qrt) -> frozenset:
-        # the unit atom is true as an axiom
-        return q.free_states | {q.trivial_node} if q.trivial_node else q.free_states
-
     def image_cover(a: str, b: str, m: dict) -> bool:
         fx = x.functions.get((a, b), {})
         fy = y.functions.get((m[(a,)][0], m[(b,)][0]), {})
@@ -140,7 +131,9 @@ def iso_conditions(
         return _covered(images_x, images_y) and _covered(images_y, images_x)
 
     dims = sorted(s.dim for s in x.systems) == sorted(s.dim for s in y.systems)
-    found = _labeled_bijections(x, y, truth(x), truth(y), dims, image_cover, Budget(max_nodes))
+    found = _labeled_bijections(
+        x, y, _true_nodes(x), _true_nodes(y), dims, image_cover, Budget(max_nodes)
+    )
     return {
         "i": dims,
         "ii": found is not None,
@@ -217,8 +210,6 @@ def verify_functoriality(
     # a composite of two inclusions is itself an inclusion
     for s in subs:
         if len(s.systems) > 1:
-            from .qrt import sub_qrt
-
             inner = sub_qrt(s, [t.id for t in s.systems][:-1])
             report["nested"] = bool(
                 is_sub_model(to_model(inner).model, to_model(s).model)

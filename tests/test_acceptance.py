@@ -43,6 +43,7 @@ from qrtmodal.linalg import (
     is_cptp,
     random_cptp_channel,
 )
+from qrtmodal.qrt import node_name
 from qrtmodal.smc import build_smc, free_objects, verify_smc_laws
 from qrtmodal.translate import (
     image_conditions,
@@ -156,10 +157,10 @@ def test_resource_monotonicity_and_destroying_negative(family20):
     edges = 0
     for label, q in family20:
         rec = to_model(q)
-        for (src, dst, cid) in q.state_graph.edges:
+        for (src, dst, cid) in q.edges:
             edges += 1
-            if rec.model.interp[rec.atom_of[src]] == 1:
-                assert rec.model.interp[rec.atom_of[dst]] == 1, (label, src, dst)
+            if rec.model.interp[node_name(src)] == 1:
+                assert rec.model.interp[node_name(dst)] == 1, (label, src, dst)
     ok, witnesses = is_resource_preserving(to_model(corpus.resource_destroying_qrt()))
     assert not ok and witnesses
     _report(

@@ -29,6 +29,7 @@ from qrtmodal.formulas import (
 )
 from qrtmodal.generate import random_formula, random_model
 from qrtmodal.kripke import KripkeModel
+from qrtmodal.qrt import node_name
 from qrtmodal.translate import to_model
 
 
@@ -226,13 +227,13 @@ class TestPreservationBiconditional:
             # independent scan of the edge truth values
             direct = [
                 (src, dst)
-                for (src, dst, _) in q.state_graph.edges
-                if rec.model.interp[rec.atom_of[src]] == 0
-                and rec.model.interp[rec.atom_of[dst]] == 1
+                for (src, dst, _) in q.edges
+                if rec.model.interp[node_name(src)] == 0
+                and rec.model.interp[node_name(dst)] == 1
             ]
             assert ok == (not direct)
             assert {(a, b) for a, b, _ in witnesses} == {
-                (rec.atom_of[s], rec.atom_of[d]) for s, d in direct
+                (node_name(s), node_name(d)) for s, d in direct
             }
 
 

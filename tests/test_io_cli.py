@@ -1,6 +1,7 @@
 """File format and CLI tests: codecs, round trips, exit codes,
 report determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -247,6 +248,63 @@ class TestCli:
         assert (tmp_path / "ex" / "trivial.qrt.json").exists()
 
 
+# `qrtmodal translate FILE [--star]` on every corpus theory file:
+# (file, --star, exit code, first 16 hex digits of the stdout's SHA-256)
+TRANSLATE_PINS = [
+    ("broken_tp.qrt.json", False, 1, "e3b0c44298fc1c14"),
+    ("broken_tp.qrt.json", True, 1, "e3b0c44298fc1c14"),
+    ("chain.qrt.json", False, 0, "f04741f0bd6ef6ad"),
+    ("chain.qrt.json", True, 0, "ff2127e96dcacfbc"),
+    ("convex_closed.qrt.json", False, 0, "bfbf5f5686d0e9c3"),
+    ("convex_closed.qrt.json", True, 0, "d10cebbf8e9f8d6d"),
+    ("convexity_demo.qrt.json", False, 0, "bc22716202d2ac95"),
+    ("convexity_demo.qrt.json", True, 0, "f24b74b87b412de9"),
+    ("entanglement.qrt.json", False, 0, "ce9c7e7133ab757e"),
+    ("entanglement.qrt.json", True, 0, "98c3c0d1e5169b7b"),
+    ("injectivity_gap_x.qrt.json", False, 0, "8e08da49f02a7113"),
+    ("injectivity_gap_x.qrt.json", True, 0, "7e56f243df44bcb3"),
+    ("injectivity_gap_y.qrt.json", False, 0, "8e08da49f02a7113"),
+    ("injectivity_gap_y.qrt.json", True, 0, "7e56f243df44bcb3"),
+    ("iso_gap_x.qrt.json", False, 0, "66f8dabe87cb7b1f"),
+    ("iso_gap_x.qrt.json", True, 0, "ec14bb3c8722855c"),
+    ("iso_gap_y.qrt.json", False, 0, "66f8dabe87cb7b1f"),
+    ("iso_gap_y.qrt.json", True, 0, "f52fe194bb7f665e"),
+    ("resource_destroying.qrt.json", False, 0, "839e249c566a7715"),
+    ("resource_destroying.qrt.json", True, 0, "955e2cd01d9574a1"),
+    ("trivial.qrt.json", False, 0, "1b024760d037bc00"),
+    ("trivial.qrt.json", True, 0, "a123fe079f8989f0"),
+    ("xi_base.qrt.json", False, 0, "e684080bdc4c2c91"),
+    ("xi_base.qrt.json", True, 0, "bee3c05d26ebc216"),
+    ("xi_collapse_base.qrt.json", False, 0, "e684080bdc4c2c91"),
+    ("xi_collapse_base.qrt.json", True, 0, "6fff88a5a14f5873"),
+    ("xi_collapse_flip.qrt.json", False, 0, "e684080bdc4c2c91"),
+    ("xi_collapse_flip.qrt.json", True, 0, "db363d4f869e6090"),
+    ("xi_flip.qrt.json", False, 0, "e684080bdc4c2c91"),
+    ("xi_flip.qrt.json", True, 0, "76944964cbee5795"),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_corpus_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpus")
+    corpus.write_corpus(out)
+    return out
+
+
+def test_translate_pins_cover_the_corpus(pinned_corpus_dir):
+    names = {p.name for p in pinned_corpus_dir.glob("*.qrt.json")}
+    assert {name for name, *_ in TRANSLATE_PINS} == names
+    assert len(TRANSLATE_PINS) == 2 * len(names)
+
+
+@pytest.mark.parametrize("name, star, code, digest", TRANSLATE_PINS)
+def test_translate_bytes_pinned(name, star, code, digest, pinned_corpus_dir, capsys):
+    argv = ["translate", str(pinned_corpus_dir / name)] + (["--star"] if star else [])
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def small_model_dict() -> dict:
     return {
         "worlds": ["w", "u"],
@@ -326,6 +384,8 @@ class TestTheoryInput:
             edit_system("id", 3),
             edit_entry([1, 0, 5]),
             edit_entry([1]),
+            edit_entry([True, 0]),
+            edit_entry([0, False]),
             lambda data: data.update(trivial=["c"]),
             lambda data: data.update(trivial=5),
             lambda data: data["channels"][0].update({"from": 3}),
@@ -380,8 +440,13 @@ def test_check_on_malformed_model_files_never_raises(data, tmp_path_factory):
 
 
 _numbers = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-1, 1))
-_entries = st.one_of(st.lists(_numbers, min_size=2, max_size=2), st.lists(_numbers, max_size=3), _junk)
-# NaN and inf entries, ragged, empty and wrongly sized matrices
+_entries = st.one_of(
+    st.lists(_numbers, min_size=2, max_size=2),
+    st.lists(_numbers, max_size=3),
+    st.sampled_from([[True, 0], [0, False]]),
+    _junk,
+)
+# NaN, inf and boolean entries, ragged, empty and wrongly sized matrices
 _matrices = st.one_of(st.lists(st.lists(_entries, max_size=3), max_size=3), _junk)
 _states = st.one_of(
     st.lists(_matrices, max_size=2), st.dictionaries(_names, _matrices, max_size=2), _junk

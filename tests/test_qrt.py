@@ -448,7 +448,7 @@ class TestGeneratedFamilyProperties:
         cfg = GeneratorConfig(seed=7, n_systems=3, dims=(1, 2), states_per_system=3)
         for idx in range(8):
             q = generate_qrt(cfg, index=idx)
-            for a, b in q.state_graph.simple_edges:
+            for a, b, _ in q.edges:
                 if a in q.free_states:
                     assert b in q.free_states or b == q.trivial_node
 
@@ -489,7 +489,7 @@ class TestDeriveOnce:
         applied = _count_applications(monkeypatch)
         assert q.validate().ok
         q.functions
-        q.state_graph
+        q.edges
         q.free_states
         to_starred_model(q)
         assert q.is_composition_complete()
@@ -522,14 +522,6 @@ class TestDeriveOnce:
         assert new
         assert sum(applied.values()) - before == 2 * len(new)
 
-    def test_induced_function_returns_a_copy(self):
-        q = corpus.chain_qrt()
-        decl = q.channels[0]
-        fn = q.induced_function(decl)
-        fn.clear()
-        assert q.induced_function(decl)
-        assert q.induced_function(decl) is not q.induced_function(decl)
-
     def test_ambiguous_match_raises_on_every_use(self):
         eps = 1e-10  # below the matching radius
         near = DensityMatrix(np.diag([1 - eps, eps]).astype(complex))
@@ -542,5 +534,3 @@ class TestDeriveOnce:
         for _ in range(2):
             with pytest.raises(StructuralError, match="ambiguous match"):
                 q.functions
-            with pytest.raises(StructuralError, match="ambiguous match"):
-                q.induced_function(q.channels[0])
