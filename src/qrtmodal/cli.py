@@ -25,7 +25,6 @@ from .io import (
     save_json,
 )
 from .kripke import StarredModel
-from .qrt import complete_composition
 from .translate import to_model
 
 
@@ -55,8 +54,6 @@ def cmd_translate(args) -> int:
     if not report.ok:
         print(report.text(), file=sys.stderr)
         return 1
-    if not q.is_composition_complete():
-        q = complete_composition(q)
     payload = record_to_dict(to_model(q), args.star)
     if args.out:
         save_json(args.out, payload)
@@ -90,8 +87,6 @@ def cmd_theorems(args) -> int:
             if not rep.ok:
                 print(f"error: {path}: {rep.text()}", file=sys.stderr)
                 return 2
-            if not q.is_composition_complete():
-                q = complete_composition(q)
             family.append((path, q))
     injected = [(path, model_from_dict(load_json(path))) for path in args.models or []]
     report = run_theorems(

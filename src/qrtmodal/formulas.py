@@ -186,15 +186,21 @@ def print_formula(f: Formula) -> str:
 # -- valuation -----------------------------------------------------------------
 
 
-def evaluate(m: KripkeModel, f: Formula, w: str, warn_domains: bool = True) -> int:
-    """The inductive valuation: atoms read the global interpretation,
-    negation and implication are classical, box quantifies over all
-    accessible worlds and diamond over some accessible world."""
-    if w not in m.worlds:
-        raise UnknownSymbolError(f"unknown world {w!r}")
+def _require_atoms(m: KripkeModel, f: Formula) -> None:
+    """Raise UnknownSymbolError for the first atom of f, left to right,
+    that the model does not declare."""
     if isinstance(f, Atom):
         if f.name not in m.domain:
             raise UnknownSymbolError(f"unknown atom {f.name!r}")
+    elif isinstance(f, Implies):
+        _require_atoms(m, f.left)
+        _require_atoms(m, f.right)
+    elif isinstance(f, (Not, Box, Diamond)):
+        _require_atoms(m, f.sub)
+
+
+def _value(m: KripkeModel, f: Formula, w: str, warn_domains: bool) -> int:
+    if isinstance(f, Atom):
         if warn_domains and f.name not in m.domains[w]:
             warnings.warn(
                 f"atom {f.name} evaluated at world {w} outside its domain",
@@ -203,31 +209,46 @@ def evaluate(m: KripkeModel, f: Formula, w: str, warn_domains: bool = True) -> i
             )
         return m.interp[f.name]
     if isinstance(f, Not):
-        return 1 - evaluate(m, f.sub, w, warn_domains)
+        return 1 - _value(m, f.sub, w, warn_domains)
     if isinstance(f, Implies):
-        if evaluate(m, f.left, w, warn_domains) == 0:
+        if _value(m, f.left, w, warn_domains) == 0:
             return 1
-        return evaluate(m, f.right, w, warn_domains)
+        return _value(m, f.right, w, warn_domains)
     if isinstance(f, Box):
         for u in sorted(m.worlds):
-            if (w, u) in m.access and evaluate(m, f.sub, u, warn_domains) == 0:
+            if (w, u) in m.access and _value(m, f.sub, u, warn_domains) == 0:
                 return 0
         return 1
     if isinstance(f, Diamond):
         for u in sorted(m.worlds):
-            if (w, u) in m.access and evaluate(m, f.sub, u, warn_domains) == 1:
+            if (w, u) in m.access and _value(m, f.sub, u, warn_domains) == 1:
                 return 1
         return 0
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def evaluate(m: KripkeModel, f: Formula, w: str, warn_domains: bool = True) -> int:
+    """The inductive valuation: atoms read the global interpretation,
+    negation and implication are classical, box quantifies over all
+    accessible worlds and diamond over some accessible world.
+
+    An unknown world or an atom the model does not declare, anywhere in f,
+    raises UnknownSymbolError before anything is evaluated."""
+    if w not in m.worlds:
+        raise UnknownSymbolError(f"unknown world {w!r}")
+    _require_atoms(m, f)
+    return _value(m, f, w, warn_domains)
 
 
 def is_valid(
     m: KripkeModel, f: Formula, warn_domains: bool = True
 ) -> tuple[bool, str | None]:
     """Validity in the model: true at every world; otherwise the first
-    failing world (in sorted order) is returned."""
+    failing world (in sorted order) is returned. An atom the model does
+    not declare, anywhere in f, raises UnknownSymbolError first."""
+    _require_atoms(m, f)
     for w in sorted(m.worlds):
-        if evaluate(m, f, w, warn_domains) == 0:
+        if _value(m, f, w, warn_domains) == 0:
             return False, w
     return True, None
 

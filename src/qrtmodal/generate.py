@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
-from .errors import GenerationError
+from .errors import GenerationError, StructuralError
 from .formulas import Atom, Box, Diamond, Formula, Implies, Not
 from .kripke import KripkeModel
 from .linalg import (
     DensityMatrix,
-    apply_channel,
     constant_channel,
     function_channel,
     preparation_channel,
@@ -32,7 +30,15 @@ from .linalg import (
     trace_channel,
     trace_distance,
 )
-from .qrt import ChannelDecl, Qrt, SystemDecl, complete_composition, relabel_qrt, sub_qrt
+from .qrt import (
+    ChannelDecl,
+    Qrt,
+    SystemDecl,
+    complete_composition,
+    induced_map,
+    relabel_qrt,
+    sub_qrt,
+)
 from .relations import reflexive_transitive_closure
 
 _SYSTEM_NAMES = ("A", "B", "G", "H")
@@ -83,20 +89,6 @@ def _distinct_states(
         else:
             budget.reject()
     return out
-
-
-def _snap_test(q_states: dict, channel, src_states: dict, tol) -> bool:
-    """True when every named source image lies within the matching radius
-    of exactly one named target state."""
-    for dm in src_states.values():
-        image = apply_channel(channel, dm)
-        hits = [
-            st for st, named in q_states.items()
-            if trace_distance(image, named) <= tol
-        ]
-        if len(hits) != 1:
-            return False
-    return True
 
 
 def generate_qrt(
@@ -165,7 +157,11 @@ def generate_qrt(
             # to respect the named universe
             if src.dim > 1 and dst.dim > 1 and rng.random() < raw_probability:
                 raw = random_cptp_channel(rng, src.dim, dst.dim)
-                if _snap_test(dst.states, raw, src.states, DEFAULT_TOLERANCES.eps_match):
+                try:
+                    fits = induced_map(raw, src, dst) is not None
+                except StructuralError:  # an ambiguous match
+                    fits = False
+                if fits:
                     channels.append(ChannelDecl(next_id(), src.id, dst.id, raw))
                     continue
                 budget.reject()

@@ -91,6 +91,30 @@ def _matrix_is_identity(c: KrausChannel) -> bool:
     return bool(np.allclose(c.kraus_ops[0], np.eye(c.in_dim), atol=1e-12))
 
 
+def _match(system: SystemDecl, dm: DensityMatrix, eps: float) -> str | None:
+    hits = [st for st, named in system.states.items() if trace_distance(dm, named) <= eps]
+    if len(hits) > 1:
+        raise StructuralError(f"ambiguous match in system {system.id}: {sorted(hits)}")
+    return hits[0] if hits else None
+
+
+def induced_map(
+    channel: KrausChannel, src: SystemDecl, dst: SystemDecl, tol: Tolerances = DEFAULT_TOLERANCES
+) -> dict | None:
+    """The map named state -> named state that channel realizes from src to
+    dst: each image goes to the unique named state of dst within
+    eps_match. None when some image matches no named state.
+
+    Raises StructuralError when an image matches more than one."""
+    out: dict[str, str] = {}
+    for st, dm in src.states.items():
+        hit = _match(dst, apply_channel(channel, dm, tol), tol.eps_match)
+        if hit is None:
+            return None
+        out[st] = hit
+    return out
+
+
 class Qrt:
     """An immutable finite theory.
 
@@ -133,9 +157,6 @@ class Qrt:
         # universe) or the message of an ambiguous match
         self._induced: dict = {}
 
-    # immutability is by convention: derived data is memoised per instance,
-    # so neither the declarations nor their state mappings may change
-
     @property
     def systems(self) -> tuple:
         return self._systems
@@ -153,66 +174,54 @@ class Qrt:
 
     @cached_property
     def nodes(self) -> tuple:
-        return tuple(
-            (s.id, st) for s in self._systems for st in sorted(s.states)
-        )
+        return tuple((s.id, st) for s in self._systems for st in sorted(s.states))
 
     def match_named(self, sid: str, dm: DensityMatrix) -> str | None:
         """The unique named state of system sid within eps_match, or None.
 
         Raises StructuralError when more than one named state matches."""
-        hits = [
-            st
-            for st, named in self._by_id[sid].states.items()
-            if trace_distance(dm, named) <= self.tol.eps_match
-        ]
-        if len(hits) > 1:
-            raise StructuralError(
-                f"ambiguous match in system {sid}: {sorted(hits)}"
-            )
-        return hits[0] if hits else None
+        return _match(self._by_id[sid], dm, self.tol.eps_match)
 
     def _function(self, decl: ChannelDecl) -> dict | None:
-        """The map named-state -> named-state realized by the channel, or
-        None when some image misses the named universe. Derived once per
-        channel and shared, so readers must not change it.
+        """The channel's ``induced_map``, derived once per channel and
+        shared, so readers must not change it.
 
         Raises StructuralError when an image matches more than one named
         state, on every call."""
         try:
             fn = self._induced[decl]
         except KeyError:
-            fn = self._induced[decl] = self._derive_function(decl)
+            try:
+                fn = induced_map(
+                    decl.channel, self._by_id[decl.src], self._by_id[decl.dst], self.tol
+                )
+            except StructuralError as exc:
+                # kept as its message: an exception keeps its traceback's frames
+                fn = str(exc)
+            self._induced[decl] = fn
         if isinstance(fn, str):
             raise StructuralError(fn)
         return fn
 
-    def _derive_function(self, decl: ChannelDecl) -> dict | str | None:
-        # an ambiguity is kept as its message: a stored exception would keep
-        # its traceback's frames alive
-        out: dict[str, str] = {}
-        for st, dm in self._by_id[decl.src].states.items():
-            image = apply_channel(decl.channel, dm, self.tol)
-            try:
-                hit = self.match_named(decl.dst, image)
-            except StructuralError as exc:
-                return str(exc)
-            if hit is None:
-                return None
-            out[st] = hit
-        return out
+    @cached_property
+    def _channel_functions(self) -> tuple:
+        """(channel, induced function) for every channel, in declaration
+        order. Raises StructuralError for the first channel whose function
+        leaves the named universe."""
+        pairs = []
+        for decl in self._channels:
+            fn = self._function(decl)
+            if fn is None:
+                raise StructuralError(f"channel {decl.id} does not preserve the named universe")
+            pairs.append((decl, fn))
+        return tuple(pairs)
 
     @cached_property
     def functions(self) -> dict:
         """{(src, dst): {function key: representative channel id}} with
         extensional deduplication. Function keys are sorted item tuples."""
         table: dict = {}
-        for decl in self._channels:
-            fn = self._function(decl)
-            if fn is None:
-                raise StructuralError(
-                    f"channel {decl.id} does not preserve the named universe"
-                )
+        for decl, fn in self._channel_functions:
             key = tuple(sorted(fn.items()))
             table.setdefault((decl.src, decl.dst), {}).setdefault(key, decl.id)
         return table
@@ -221,16 +230,11 @@ class Qrt:
     def edges(self) -> frozenset:
         """The conversion edges: (source node, target node, channel id) for
         every channel and named source state."""
-        edges = set()
-        for decl in self._channels:
-            fn = self._function(decl)
-            if fn is None:
-                raise StructuralError(
-                    f"channel {decl.id} does not preserve the named universe"
-                )
-            for st, img in fn.items():
-                edges.add(((decl.src, st), (decl.dst, img), decl.id))
-        return frozenset(edges)
+        return frozenset(
+            ((decl.src, st), (decl.dst, img), decl.id)
+            for decl, fn in self._channel_functions
+            for st, img in fn.items()
+        )
 
     @cached_property
     def trivial_node(self) -> Node | None:
@@ -251,6 +255,7 @@ class Qrt:
     def _report(self) -> ValidationReport:
         issues: list[Issue] = []
         seen_sys: set[str] = set()
+        misdimensioned: set[str] = set()
         for s in self._systems:
             if not ID_RE.match(s.id):
                 issues.append(Issue("bad-id", s.id, "system id is not an identifier"))
@@ -259,17 +264,11 @@ class Qrt:
             seen_sys.add(s.id)
             for st, dm in s.states.items():
                 if not ID_RE.match(st):
-                    issues.append(
-                        Issue("bad-id", f"{s.id}.{st}", "state id is not an identifier")
-                    )
+                    issues.append(Issue("bad-id", f"{s.id}.{st}", "state id is not an identifier"))
                 if dm.dim != s.dim:
-                    issues.append(
-                        Issue(
-                            "dim-mismatch",
-                            f"{s.id}.{st}",
-                            f"state dim {dm.dim} != system dim {s.dim}",
-                        )
-                    )
+                    misdimensioned.add(s.id)
+                    why = f"state dim {dm.dim} != system dim {s.dim}"
+                    issues.append(Issue("dim-mismatch", f"{s.id}.{st}", why))
             # ambiguity: two named states closer than the matching radius allows
             names = sorted(s.states)
             for i, st1 in enumerate(names):
@@ -278,13 +277,8 @@ class Qrt:
                         continue
                     d = trace_distance(s.states[st1], s.states[st2])
                     if d <= 2 * self.tol.eps_match:
-                        issues.append(
-                            Issue(
-                                "ambiguous-states",
-                                f"{s.id}.{st1}/{st2}",
-                                f"named states only {d:.3e} apart",
-                            )
-                        )
+                        why = f"named states only {d:.3e} apart"
+                        issues.append(Issue("ambiguous-states", f"{s.id}.{st1}/{st2}", why))
 
         ones = [s for s in self._systems if s.dim == 1]
         if len(ones) > 1:
@@ -317,14 +311,12 @@ class Qrt:
                 continue
             src, dst = self._by_id[decl.src], self._by_id[decl.dst]
             if decl.channel.in_dim != src.dim or decl.channel.out_dim != dst.dim:
-                issues.append(
-                    Issue(
-                        "dim-mismatch",
-                        decl.id,
-                        f"kraus shape {decl.channel.out_dim}x{decl.channel.in_dim} "
-                        f"!= {dst.dim}x{src.dim}",
-                    )
-                )
+                shape = f"{decl.channel.out_dim}x{decl.channel.in_dim} != {dst.dim}x{src.dim}"
+                issues.append(Issue("dim-mismatch", decl.id, f"kraus shape {shape}"))
+                closure_ok = False
+                continue
+            if decl.src in misdimensioned or decl.dst in misdimensioned:
+                # its named states cannot pass through it; reported above
                 closure_ok = False
                 continue
             ok, why = is_cptp(decl.channel, self.tol)
@@ -333,19 +325,12 @@ class Qrt:
                 closure_ok = False
                 continue
             try:
-                fn = self._function(decl)
-            except StructuralError as exc:
-                issues.append(Issue("state-closure", decl.id, str(exc)))
-                closure_ok = False
-                continue
-            if fn is None:
-                issues.append(
-                    Issue(
-                        "state-closure",
-                        decl.id,
-                        "some named state's image matches no named state",
-                    )
-                )
+                missed = self._function(decl) is None
+                why = "some named state's image matches no named state" if missed else None
+            except StructuralError as exc:  # an ambiguous match
+                why = str(exc)
+            if why is not None:
+                issues.append(Issue("state-closure", decl.id, why))
                 closure_ok = False
 
         if closure_ok:
@@ -356,34 +341,22 @@ class Qrt:
                     issues.append(
                         Issue("missing-identity", s.id, "no channel induces the identity")
                     )
-            for (a, b, c), key in self._missing_compositions:
-                issues.append(
-                    Issue(
-                        "composition-closure",
-                        f"{a}->{b}->{c}",
-                        "composite state function is not induced by any channel",
-                    )
+            issues += (
+                Issue(
+                    "composition-closure",
+                    f"{a}->{b}->{c}",
+                    "composite state function is not induced by any channel",
                 )
+                for a, b, _, c, _, _ in self._missing_compositions
+            )
         return ValidationReport(tuple(issues))
 
     @cached_property
     def _missing_compositions(self) -> list:
-        """Composable function pairs whose composite is not in the table."""
-        missing = []
-        table = self.functions
-        for (a, b), fns in sorted(table.items()):
-            for (b2, c), gns in sorted(table.items()):
-                if b2 != b:
-                    continue
-                have = table.get((a, c), {})
-                for fkey in sorted(fns):
-                    f = dict(fkey)
-                    for gkey in sorted(gns):
-                        g = dict(gkey)
-                        comp = tuple(sorted((s, g[f[s]]) for s in f))
-                        if comp not in have:
-                            missing.append(((a, b, c), comp))
-        return missing
+        """The composable function pairs whose composite no channel
+        induces: ``_missing_composites`` of ``functions``, in its
+        (a, b, f, c, g) order."""
+        return _missing_composites(self.functions)
 
     def is_composition_complete(self) -> bool:
         return not self._missing_compositions
@@ -418,46 +391,58 @@ class Qrt:
         return reflexive_transitive_closure(((a, b) for a, b, _ in self.edges), self.nodes)
 
 
+def _missing_composites(table: Mapping) -> list:
+    """Every composable pair of functions in ``table``, {(src, dst):
+    {function key: representative}}, whose composite g . f is not in the
+    table, as (a, b, f, c, g, composite key) with f and g representatives.
+    Listed in (a, b, f, c, g) order: pairs, then function keys, sorted."""
+    missing = []
+    pairs = sorted(table)
+    for a, b in pairs:
+        fns = table[(a, b)]
+        after = [(c, table[(b2, c)]) for b2, c in pairs if b2 == b]
+        for fkey in sorted(fns):
+            f = dict(fkey)
+            for c, gns in after:
+                have = table.get((a, c), {})
+                for gkey in sorted(gns):
+                    g = dict(gkey)
+                    comp = tuple(sorted((s, g[f[s]]) for s in f))
+                    if comp not in have:
+                        missing.append((a, b, fns[fkey], c, gns[gkey], comp))
+    return missing
+
+
 def complete_composition(q: Qrt, max_channels: int = MAX_CHANNELS) -> Qrt:
     """Close the channel set under composition at the induced-function
-    level. New channels are synthesized by Kraus composition and
-    deduplicated extensionally; idempotent on already-closed theories."""
-    decls = list(q.channels)
-    by_fn: dict = {}
-    for d in decls:
-        fn = q._function(d)
-        if fn is None:
-            raise StructuralError(f"channel {d.id} breaks state closure")
-        by_fn[(d.src, d.dst, tuple(sorted(fn.items())))] = d
+    level. Each function keeps its last declared channel. Each pass walks
+    ``_missing_composites`` in its (a, b, f, c, g) order and synthesizes
+    comp_N = g . f by Kraus composition for every composite still missing;
+    passes repeat until none is. Idempotent on already-closed theories."""
+    table: dict = {}
+    for d, fn in q._channel_functions:
+        table.setdefault((d.src, d.dst), {})[tuple(sorted(fn.items()))] = d
+    size = sum(len(fns) for fns in table.values())
+    taken = {d.id for fns in table.values() for d in fns.values()}
     counter = 0
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(by_fn.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
-        for (a, b, fkey), fd in items:
-            for (b2, c, gkey), gd in items:
-                if b2 != b:
-                    continue
-                f, g = dict(fkey), dict(gkey)
-                comp_key = tuple(sorted((s, g[f[s]]) for s in f))
-                if (a, c, comp_key) in by_fn:
-                    continue
-                if len(by_fn) + 1 > max_channels:
-                    raise ResourceLimitError(
-                        f"composition closure exceeds {max_channels} functions"
-                    )
-                cid = f"comp_{counter}"
+    while missing := _missing_composites(table):
+        for a, _, fd, c, gd, key in missing:
+            have = table.setdefault((a, c), {})
+            if key in have:
+                continue
+            if size + 1 > max_channels:
+                raise ResourceLimitError(f"composition closure exceeds {max_channels} functions")
+            while f"comp_{counter}" in taken:
                 counter += 1
-                existing = {d.id for d in by_fn.values()}
-                while cid in existing:
-                    cid = f"comp_{counter}"
-                    counter += 1
-                new = ChannelDecl(cid, a, c, compose(gd.channel, fd.channel))
-                by_fn[(a, c, comp_key)] = new
-                changed = True
-    order = {d.id: i for i, d in enumerate(decls)}
+            cid = f"comp_{counter}"
+            counter += 1
+            taken.add(cid)
+            have[key] = ChannelDecl(cid, a, c, compose(gd.channel, fd.channel))
+            size += 1
+    order = {d.id: i for i, d in enumerate(q.channels)}
     out = sorted(
-        by_fn.values(), key=lambda d: (order.get(d.id, len(order)), d.id)
+        (d for fns in table.values() for d in fns.values()),
+        key=lambda d: (order.get(d.id, len(order)), d.id),
     )
     closed = Qrt(q.systems, out, q.trivial_id, q.tol)
     # same systems and tolerances: q's kept channels induce the same functions

@@ -10,15 +10,13 @@ from .errors import ResourceLimitError
 T = TypeVar("T", bound=Hashable)
 
 
-def reflexive_closure(pairs: Iterable[tuple[T, T]], universe: Iterable[T]) -> frozenset:
+def reflexive_transitive_closure(
+    pairs: Iterable[tuple[T, T]], universe: Iterable[T]
+) -> frozenset:
+    """The pairs with a self-loop on every element of universe added,
+    closed under transitivity by iterative squaring."""
     rel = set(pairs)
     rel.update((x, x) for x in universe)
-    return frozenset(rel)
-
-
-def transitive_closure(pairs: Iterable[tuple[T, T]]) -> frozenset:
-    """Transitive closure by iterative squaring."""
-    rel = set(pairs)
     while True:
         succ: dict[T, set[T]] = {}
         for a, b in rel:
@@ -32,12 +30,6 @@ def transitive_closure(pairs: Iterable[tuple[T, T]]) -> frozenset:
         if not new:
             return frozenset(rel)
         rel |= new
-
-
-def reflexive_transitive_closure(
-    pairs: Iterable[tuple[T, T]], universe: Iterable[T]
-) -> frozenset:
-    return transitive_closure(reflexive_closure(pairs, universe))
 
 
 def find_nonreflexive(pairs: frozenset, universe: Iterable[T]):

@@ -150,6 +150,14 @@ class TestEvaluate:
         with pytest.raises(UnknownSymbolError):
             evaluate(m, Atom("zz"), "w")
 
+    def test_unknown_atom_in_a_branch_never_visited(self):
+        m = self.small()  # q is false, so (q -> zz) never looks at zz
+        for f in (Implies(Atom("q"), Atom("zz")), Box(Implies(Atom("q"), Atom("zz")))):
+            with pytest.raises(UnknownSymbolError, match="zz"):
+                evaluate(m, f, "w", warn_domains=False)
+            with pytest.raises(UnknownSymbolError, match="zz"):
+                is_valid(m, f, warn_domains=False)
+
 
 class TestIsValid:
     def test_tautology(self):

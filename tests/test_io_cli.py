@@ -486,3 +486,66 @@ def test_theory_commands_on_malformed_theory_files_never_raise(data, tmp_path_fa
     path.write_text(json.dumps(data))
     for argv in (["validate"], ["translate"], ["theorems", "--no-corpus", "--json"]):
         assert main([argv[0], str(path), *argv[1:]]) in {0, 1, 2, 3}
+
+
+def rename_system_b(data):
+    data["systems"][2]["id"] = "2B"
+    for c in data["channels"]:
+        for end in ("from", "to"):
+            if c[end] == "B":
+                c[end] = "2B"
+
+
+def set_channel(field, value):
+    def edit(data):
+        data["channels"][1][field] = value  # fwd, from A to B
+
+    return edit
+
+
+# one theory file per validate issue code: (edit of the chain theory, issues)
+ISSUE_FILES = {
+    "bad-id-state": (
+        lambda data: data["systems"][1].update(states={"r-ho": data["systems"][1]["states"]["rho"]}),
+        [("bad-id", "A.r-ho")],
+    ),
+    "bad-id-system": (rename_system_b, [("bad-id", "2B")]),
+    "duplicate-system": (
+        lambda data: data["systems"].append(
+            {"id": "A", "dim": 2, "states": {"tau": data["systems"][1]["states"]["rho"]}}
+        ),
+        [("duplicate-id", "A"), ("missing-identity", "A")],
+    ),
+    "duplicate-channel": (set_channel("id", "prep_rho"), [("duplicate-id", "prep_rho")]),
+    "kraus-shape": (
+        set_channel("kraus", [encode_matrix(np.eye(3, 2))]), [("dim-mismatch", "fwd")]
+    ),
+    "state-dim": (
+        lambda data: data["systems"][1]["states"].update(rho=encode_matrix(np.diag([1.0, 0, 0]))),
+        [("dim-mismatch", "A.rho")],
+    ),
+    "unknown-system": (set_channel("to", "Z"), [("unknown-system", "fwd")]),
+    "undeclared-trivial": (lambda data: data.update(trivial="Z"), [("bad-trivial", "Z")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISSUE_FILES))
+def test_each_validate_issue_code_exits_one(name, tmp_path, capsys):
+    edit, issues = ISSUE_FILES[name]
+    data = chain_dict()
+    edit(data)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--json", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [(i["code"], i["subject"]) for i in report["issues"]] == issues
+    assert main(["translate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"[{issues[0][0]}]")
+
+
+@pytest.mark.parametrize("formula", ["(p -> zz)", "(zz -> p)", "[] (p -> zz)"])
+def test_check_rejects_unknown_atom_anywhere(formula, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(small_model_dict() | {"interp": {"p": 0, "q": 0}}))
+    assert main(["check", str(path), formula]) == 2
+    assert capsys.readouterr().err == "error: unknown atom 'zz'\n"

@@ -3,13 +3,14 @@ states, convertibility, sub-theories, labeled isomorphism."""
 
 import itertools
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
 import qrtmodal.qrt as qrt_module
 from qrtmodal import corpus
-from qrtmodal.errors import ResourceLimitError, StructuralError
+from qrtmodal.errors import QrtModalError, ResourceLimitError, StructuralError
 from qrtmodal.generate import GeneratorConfig, generate_qrt, random_relabeling
 from qrtmodal.linalg import (
     DensityMatrix,
@@ -26,6 +27,7 @@ from qrtmodal.qrt import (
     Qrt,
     SystemDecl,
     complete_composition,
+    induced_map,
     is_sub_qrt,
     qrt_isomorphic,
     relabel_qrt,
@@ -534,3 +536,207 @@ class TestDeriveOnce:
         for _ in range(2):
             with pytest.raises(StructuralError, match="ambiguous match"):
                 q.functions
+
+
+# -- the composition closure against its first implementation -------------------
+
+
+def fixpoint_closure(q: Qrt, max_channels: int = qrt_module.MAX_CHANNELS) -> Qrt:
+    """The closure as first written, a fixpoint over one dict keyed by
+    (src, dst, function key): the oracle for complete_composition."""
+    decls = list(q.channels)
+    by_fn: dict = {}
+    for d in decls:
+        fn = q._function(d)
+        if fn is None:
+            raise StructuralError(f"channel {d.id} breaks state closure")
+        by_fn[(d.src, d.dst, tuple(sorted(fn.items())))] = d
+    counter = 0
+    changed = True
+    while changed:
+        changed = False
+        items = sorted(by_fn.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
+        for (a, b, fkey), fd in items:
+            for (b2, c, gkey), gd in items:
+                if b2 != b:
+                    continue
+                f, g = dict(fkey), dict(gkey)
+                comp_key = tuple(sorted((s, g[f[s]]) for s in f))
+                if (a, c, comp_key) in by_fn:
+                    continue
+                if len(by_fn) + 1 > max_channels:
+                    raise ResourceLimitError(
+                        f"composition closure exceeds {max_channels} functions"
+                    )
+                cid = f"comp_{counter}"
+                counter += 1
+                existing = {d.id for d in by_fn.values()}
+                while cid in existing:
+                    cid = f"comp_{counter}"
+                    counter += 1
+                by_fn[(a, c, comp_key)] = ChannelDecl(
+                    cid, a, c, qrt_module.compose(gd.channel, fd.channel)
+                )
+                changed = True
+    order = {d.id: i for i, d in enumerate(decls)}
+    out = sorted(by_fn.values(), key=lambda d: (order.get(d.id, len(order)), d.id))
+    return Qrt(q.systems, out, q.trivial_id, q.tol)
+
+
+def closure_outcome(close, q: Qrt):
+    """Channel ids, endpoints and Kraus matrices in order, or the error type."""
+    try:
+        closed = close(q)
+    except QrtModalError as exc:
+        return type(exc)
+    return [
+        (d.id, d.src, d.dst, [k.tobytes() for k in d.channel.kraus_ops])
+        for d in closed.channels
+    ]
+
+
+def open_variants(q: Qrt) -> list:
+    """Channel sets to close, from q: its own channels, without its
+    synthesized composites in declaration order and reversed, those declared
+    twice under fresh ids (so a function's last declared channel is not its
+    first), and every other channel, so that a pass synthesizes composites
+    out of several functions per system pair."""
+    base = [d for d in q.channels if not d.id.startswith("comp_")]
+    twice = base + [ChannelDecl(f"{d.id}_again", d.src, d.dst, d.channel) for d in base]
+    return [
+        Qrt(q.systems, chans, q.trivial_id, q.tol)
+        for chans in (q.channels, base, base[::-1], twice, q.channels[::2], q.channels[1::2])
+    ]
+
+
+def generated_open_theories(monkeypatch) -> list:
+    """The theories generate_qrt hands to its closure, for seeds 1-3, 3 or 4
+    systems, dims (1, 2) or (1, 2, 3) and indices 0-3."""
+    import qrtmodal.generate as generate_module
+
+    handed = []
+
+    def capture(q):
+        handed.append(q)
+        return fixpoint_closure(q)
+
+    monkeypatch.setattr(generate_module, "complete_composition", capture)
+    for seed in (1, 2, 3):
+        for n_systems in (3, 4):
+            for dims in ((1, 2), (1, 2, 3)):
+                cfg = GeneratorConfig(seed=seed, n_systems=n_systems, dims=dims)
+                for index in range(4):
+                    generate_qrt(cfg, index=index)
+    return handed
+
+
+class TestClosureAgainstFixpoint:
+    def test_corpus(self):
+        theories = [getattr(corpus, n)() for n in (
+            "trivial_qrt", "chain_qrt", "entanglement_qrt", "resource_destroying_qrt",
+            "convex_closed_qrt", "convexity_demo_qrt", "broken_tp_qrt",
+        )]
+        for pair in (corpus.xi_pair(), corpus.xi_collapse_pair(), corpus.iso_gap_pair(),
+                     corpus.injectivity_gap_pair()):
+            theories += pair
+        for q in theories:
+            for variant in open_variants(q):
+                assert closure_outcome(complete_composition, variant) == closure_outcome(
+                    fixpoint_closure, variant
+                )
+
+    def test_generated(self, monkeypatch):
+        handed = generated_open_theories(monkeypatch)
+        assert len(handed) == 48
+        grew = 0
+        for q in handed:
+            for variant in [q, *open_variants(fixpoint_closure(q))]:
+                ours = closure_outcome(complete_composition, variant)
+                assert ours == closure_outcome(fixpoint_closure, variant)
+                grew += len(ours) > len(variant.channels)
+        assert grew  # the closures do synthesize composites
+
+    def test_cap(self):
+        a0, a1 = basis_state(2, 0), basis_state(2, 1)
+        q = Qrt(
+            [
+                SystemDecl("A", 2, {"a0": a0, "a1": a1}),
+                SystemDecl("B", 2, {"b0": a0, "b1": a1}),
+            ],
+            [
+                ChannelDecl("f", "A", "B", function_channel([0, 1], 2, 2)),
+                ChannelDecl("g", "B", "A", function_channel([1, 1], 2, 2)),
+            ],
+        )
+        for cap in range(4, 9):
+            assert closure_outcome(partial(complete_composition, max_channels=cap), q) == (
+                closure_outcome(partial(fixpoint_closure, max_channels=cap), q)
+            )
+
+    def test_composites_numbered_in_abfcg_order(self):
+        # two functions A -> B, each followed by B -> C and by B -> D: four new
+        # composites, numbered f1 then C before D, then f2
+        s0, s1 = basis_state(2, 0), basis_state(2, 1)
+        q = Qrt(
+            [SystemDecl(sid, 2, {"s0": s0, "s1": s1}) for sid in "ABCD"],
+            [
+                ChannelDecl("f1", "A", "B", function_channel([0, 1], 2, 2)),
+                ChannelDecl("f2", "A", "B", function_channel([1, 0], 2, 2)),
+                ChannelDecl("h", "B", "C", function_channel([0, 1], 2, 2)),
+                ChannelDecl("g", "B", "D", function_channel([0, 1], 2, 2)),
+            ],
+        )
+        closed = complete_composition(q)
+        made = {d.id: (d.dst, closed._function(d)["s0"]) for d in closed.channels}
+        assert [made[f"comp_{n}"] for n in range(4)] == [
+            ("C", "s0"), ("D", "s0"), ("C", "s1"), ("D", "s1"),
+        ]
+        assert closure_outcome(complete_composition, q) == closure_outcome(fixpoint_closure, q)
+
+    def test_comp_ids_skip_taken_ids(self):
+        a0, a1 = basis_state(2, 0), basis_state(2, 1)
+        q = Qrt(
+            [
+                SystemDecl("A", 2, {"a0": a0, "a1": a1}),
+                SystemDecl("B", 2, {"b0": a0, "b1": a1}),
+            ],
+            [
+                ChannelDecl("comp_0", "A", "B", function_channel([0, 1], 2, 2)),
+                ChannelDecl("comp_2", "B", "A", function_channel([1, 0], 2, 2)),
+            ],
+        )
+        closed = complete_composition(q)
+        assert [d.id for d in closed.channels][:2] == ["comp_0", "comp_2"]
+        assert closure_outcome(complete_composition, q) == closure_outcome(fixpoint_closure, q)
+
+
+def test_composition_issues_listed_in_abfcg_order():
+    # two functions f1 < f2 from A to B, each followed by B -> A and B -> C:
+    # the issues run A->B->A, A->B->C for f1, then the same for f2
+    s0, s1 = basis_state(2, 0), basis_state(2, 1)
+    q = Qrt(
+        [SystemDecl(sid, 2, {"s0": s0, "s1": s1}) for sid in ("A", "B", "C")],
+        [
+            ChannelDecl("f1", "A", "B", function_channel([0, 1], 2, 2)),
+            ChannelDecl("f2", "A", "B", function_channel([1, 0], 2, 2)),
+            ChannelDecl("h", "B", "A", function_channel([0, 0], 2, 2)),
+            ChannelDecl("g", "B", "C", function_channel([0, 0], 2, 2)),
+        ],
+    )
+    subjects = [i.subject for i in q.validate().issues if i.code == "composition-closure"]
+    assert subjects == [
+        "A->B->A", "A->B->C", "A->B->A", "A->B->C", "B->A->B", "B->A->B",
+    ]
+    assert complete_composition(q).validate().ok
+
+
+def test_induced_map_miss_and_ambiguity():
+    a0, a1 = basis_state(2, 0), basis_state(2, 1)
+    src = SystemDecl("A", 2, {"a0": a0, "a1": a1})
+    swap = function_channel([1, 0], 2, 2)
+    assert induced_map(swap, src, src) == {"a0": "a1", "a1": "a0"}
+    assert induced_map(swap, src, SystemDecl("B", 2, {"b1": a1})) is None
+    near_a1 = DensityMatrix(np.diag([1e-10, 1 - 1e-10]).astype(complex))
+    crowded = SystemDecl("B", 2, {"b0": a0, "b1": a1, "c1": near_a1})
+    with pytest.raises(StructuralError, match="ambiguous match in system B"):
+        induced_map(swap, src, crowded)
