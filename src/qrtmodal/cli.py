@@ -155,7 +155,6 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p.add_argument("--star", action="store_true", help="include the convertibility preorder")
     p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--tolerance", type=float)
     p.set_defaults(func=cmd_translate)
 

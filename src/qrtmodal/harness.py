@@ -28,7 +28,6 @@ from .translate import (
     image_conditions,
     iso_conditions,
     to_model,
-    to_starred_model,
     verify_functoriality,
     verify_starred_injectivity,
 )
@@ -117,7 +116,7 @@ def run_theorems(
         ],
     }
 
-    records = {label: to_starred_model(q) for label, q in family}
+    records = {label: to_model(q) for label, q in family}
     # the family's starred images, then the injected models as negative controls
     subjects = [(label, records[label].starred, {}) for label, _ in family] + [
         (label, m, {"injected": True}) for label, m in injected_models or []

@@ -8,7 +8,6 @@ never depends on labels.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import Iterable, Mapping
 
@@ -215,33 +214,3 @@ def starred_isomorphic(
     """As models_isomorphic with the extra clause that the domain
     preorders correspond: x <= y iff phi_D(x) <=' phi_D(y)."""
     return _isomorphic(a.model, b.model, a.order, b.order, max_nodes)
-
-
-# -- exhaustive oracle (used by tests to certify the pruned search) -----------
-
-
-def isomorphic_exhaustive(
-    a: KripkeModel | StarredModel, b: KripkeModel | StarredModel
-) -> bool:
-    """Unpruned search over all world and atom bijections. Given two
-    starred models, the atom bijection must also carry one preorder
-    exactly onto the other."""
-    order_a = order_b = frozenset()
-    if isinstance(a, StarredModel):
-        a, order_a, b, order_b = a.model, a.order, b.model, b.order
-    if len(a.worlds) != len(b.worlds) or len(a.domain) != len(b.domain):
-        return False
-    aw, ad = sorted(a.worlds), sorted(a.domain)
-    for wperm in itertools.permutations(sorted(b.worlds)):
-        wmap = dict(zip(aw, wperm))
-        if {(wmap[u], wmap[v]) for u, v in a.access} != b.access:
-            continue
-        for dperm in itertools.permutations(sorted(b.domain)):
-            dmap = dict(zip(ad, dperm))
-            if (
-                all(a.interp[p] == b.interp[dmap[p]] for p in ad)
-                and {(dmap[p], dmap[q]) for p, q in order_a} == order_b
-                and all({dmap[p] for p in a.domains[w]} == b.domains[wmap[w]] for w in aw)
-            ):
-                return True
-    return False

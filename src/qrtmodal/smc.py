@@ -7,15 +7,17 @@ the domain preorder and some accessible world pair hosts the two atoms;
 multi-component arrows are tuples of such components, with unit padding
 when the sides have different sizes.
 
-Internally objects are bitmasks over the k non-unit atoms, and the
-one-component arrow relation is built once per category as a set of atom
-pairs. The law sweep checks this encoding, not the laws of bitwise OR:
-with each atom its own bit, the unit absorbed and tensor equal to OR,
-atoms_of is an injective homomorphism from (masks, |, 0) onto (atom sets,
-union, empty set), so the tensor laws are those of set union. The capped
-object set is a window onto that monoid and is not closed under tensor.
-Over n objects the encoding checks cost O(n k) array work and O(n + k)
-Python calls, the hom laws O(n^2) plus one n x n matrix product.
+Internally objects are bitmasks over the k non-unit atoms. The
+one-component arrow relation is built once per category as bit rows over
+the atoms with the unit at index k, and a morphism is one such row of
+targets per atom. The law sweep checks the encoding, not the laws of
+bitwise OR: with each atom its own bit, the unit absorbed and tensor equal
+to OR, atoms_of is an injective homomorphism from (masks, |, 0) onto (atom
+sets, union, empty set), so the tensor laws are those of set union. The
+capped object set is a window onto that monoid and is not closed under
+tensor. Over n objects the encoding checks cost O(n k) array work and
+O(n + k) Python calls, the hom laws O(n^2) plus one (k+1) x (k+1) matrix
+product.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ def check_object_cap(object_cap: int) -> None:
         raise StructuralError(f"the object size cap must be at least 1, got {object_cap}")
 
 
-def _arrow_table(sm: StarredModel) -> frozenset:
-    """The one-component arrow relation over every domain atom, the unit
-    included: (a, b) in the order such that some accessible world pair
-    hosts a and b."""
+def _arrow_rows(sm: StarredModel, index: dict) -> tuple:
+    """The one-component arrow relation as two tuples of bit rows over the
+    atom indices: out[i] has bit j and in[j] has bit i when atom i precedes
+    atom j in the order and some accessible world pair hosts the two."""
     m = sm.model
     hosts: dict = {a: set() for a in m.domain}
     for w in m.worlds:
@@ -60,18 +62,25 @@ def _arrow_table(sm: StarredModel) -> frozenset:
     for w, u in m.access:
         reach.setdefault(w, set()).add(u)
     onward = {a: set().union(*(reach.get(w, ()) for w in ws)) for a, ws in hosts.items()}
-    return frozenset((a, b) for a, b in sm.order if not onward[a].isdisjoint(hosts[b]))
+    out, into = [0] * len(index), [0] * len(index)
+    for a, b in sm.order:
+        if not onward[a].isdisjoint(hosts[b]):
+            out[index[a]] |= 1 << index[b]
+            into[index[b]] |= 1 << index[a]
+    return tuple(out), tuple(into)
 
 
 @dataclass(frozen=True)
 class SmcMorphism:
-    """A morphism as its component pairing. Every source atom appears on
-    the left, every target atom on the right; the unit atom may pad either
-    side. Morphism equality is pairing equality."""
+    """A morphism as bit rows: rows[i] is the mask of the atoms that atom i
+    has a component into, with bit k standing for the unit; the unit's own
+    row comes last. Every source atom has a non-empty row, every target
+    atom is hit, and the unit may pad either side. Morphism equality is
+    row equality."""
 
-    source: frozenset
-    target: frozenset
-    pairs: frozenset
+    source: int
+    target: int
+    rows: tuple
 
 
 class SmcCategory:
@@ -97,22 +106,22 @@ class SmcCategory:
         self.unit_atom = p_c
         self.atoms = tuple(sorted(m.domain - {p_c}))
         self.object_cap = object_cap
-        self._index = {a: i for i, a in enumerate(self.atoms)}
-        self._arrows = _arrow_table(sm)
+        # the unit atom takes index k, so bit k of a row is "the unit"
+        self._index = {a: i for i, a in enumerate(self.atoms + (p_c,))}
+        self._unit_bit = 1 << len(self.atoms)
+        self._out, self._in = _arrow_rows(sm, self._index)
 
     def arrow(self, a: str, b: str) -> bool:
         """One-component arrow condition between atoms (unit included)."""
-        return (a, b) in self._arrows
+        return bool(self._out[self._index[a]] >> self._index[b] & 1)
 
     # -- objects as bitmasks ----------------------------------------------------
 
     def mask_of(self, atoms) -> int:
         mask = 0
         for a in atoms:
-            if a == self.unit_atom:
-                continue  # the unit is absorbed
             mask |= 1 << self._index[a]
-        return mask
+        return mask & ~self._unit_bit  # the unit is absorbed
 
     def atoms_of(self, mask: int) -> frozenset:
         return frozenset(self.atoms[i] for i in _bits(int(mask)))
@@ -131,34 +140,13 @@ class SmcCategory:
 
     unit = 0
 
-    @cached_property
-    def _out_masks(self) -> tuple:
-        """Per atom: bitmask of atoms it has an arrow into, plus a unit flag."""
-        masks = [0] * len(self.atoms)
-        for a, b in self._arrows:
-            if a in self._index and b in self._index:
-                masks[self._index[a]] |= 1 << self._index[b]
-        to_unit = tuple((a, self.unit_atom) in self._arrows for a in self.atoms)
-        return tuple(masks), to_unit
-
-    @cached_property
-    def _in_masks(self) -> tuple:
-        masks = [0] * len(self.atoms)
-        for a, b in self._arrows:
-            if a in self._index and b in self._index:
-                masks[self._index[b]] |= 1 << self._index[a]
-        from_unit = tuple((self.unit_atom, b) in self._arrows for b in self.atoms)
-        return tuple(masks), from_unit
-
     def hom_nonempty(self, x: int, y: int) -> bool:
         """A pairing exists iff every source atom has some arrow into the
         target (or the unit) and every target atom is hit from the source
         (or the unit)."""
-        out_masks, to_unit = self._out_masks
-        in_masks, from_unit = self._in_masks
-        if any(not (out_masks[i] & y or to_unit[i]) for i in _bits(x)):
+        if any(not self._out[i] & (y | self._unit_bit) for i in _bits(x)):
             return False
-        return all(in_masks[i] & x or from_unit[i] for i in _bits(y))
+        return all(self._in[j] & (x | self._unit_bit) for j in _bits(y))
 
     def canonical_morphism(self, x: int, y: int) -> SmcMorphism | None:
         """A concrete pairing witnessing hom(x, y), if any: each source
@@ -166,63 +154,61 @@ class SmcCategory:
         are fed from the unit."""
         if not self.hom_nonempty(x, y):
             return None
-        out_masks, _ = self._out_masks
-        in_masks, from_unit = self._in_masks
-        atoms, unit = self.atoms, self.unit_atom
-        pairs = set()
+        k = len(self.atoms)
+        rows = [0] * (k + 1)
         covered = 0
         for i in _bits(x):
-            hit = out_masks[i] & y
-            if hit:
-                low = hit & -hit  # atoms are sorted, so the lowest bit is the least
-                pairs.add((atoms[i], atoms[low.bit_length() - 1]))
-                covered |= low
-            else:
-                pairs.add((atoms[i], unit))
+            hit = self._out[i] & y
+            # atoms are sorted, so the lowest bit is the least; no hit
+            # means an arrow into the unit
+            rows[i] = hit & -hit if hit else self._unit_bit
+            covered |= rows[i]
         for j in _bits(y & ~covered):
             # an uncovered target is fed from the unit when possible,
-            # otherwise by a second component out of some source atom
-            if from_unit[j]:
-                pairs.add((unit, atoms[j]))
-            else:
-                src = in_masks[j] & x
-                if not src:
-                    return None
-                pairs.add((atoms[(src & -src).bit_length() - 1], atoms[j]))
-        return SmcMorphism(self.atoms_of(x), self.atoms_of(y), frozenset(pairs))
+            # otherwise by a second component out of some source atom;
+            # hom_nonempty guarantees one of the two
+            src = self._in[j] & (x | self._unit_bit)
+            i = k if src & self._unit_bit else (src & -src).bit_length() - 1
+            rows[i] |= 1 << j
+        return SmcMorphism(x, y, tuple(rows))
 
     def identity_morphism(self, x: int) -> SmcMorphism | None:
-        atoms = self.atoms_of(x)
-        if any((a, a) not in self._arrows for a in atoms):
+        if any(not self._out[i] >> i & 1 for i in _bits(x)):
             return None
-        return SmcMorphism(atoms, atoms, frozenset((a, a) for a in atoms))
+        return SmcMorphism(x, x, tuple(x & 1 << i for i in range(len(self._out))))
 
     def valid_morphism(self, mor: SmcMorphism) -> bool:
-        lefts = {a for a, _ in mor.pairs}
-        rights = {b for _, b in mor.pairs}
-        if not mor.source <= lefts or not (lefts - mor.source) <= {self.unit_atom}:
+        """Every row within the arrow relation, the non-empty rows exactly
+        the source (the unit may pad) and their union exactly the target
+        (the unit may pad)."""
+        if len(mor.rows) != len(self._out):
             return False
-        if not mor.target <= rights or not (rights - mor.target) <= {self.unit_atom}:
-            return False
-        return mor.pairs <= self._arrows
+        lefts = rights = 0
+        for i, row in enumerate(mor.rows):
+            if row:
+                if row & ~self._out[i]:
+                    return False
+                lefts |= 1 << i
+                rights |= row
+        real = self._unit_bit - 1
+        return lefts & real == mor.source and rights & real == mor.target
 
     def compose_morphisms(self, g: SmcMorphism, f: SmcMorphism) -> SmcMorphism:
-        """Componentwise composite of f: x -> y and g: y -> z."""
+        """Componentwise composite of f: x -> y and g: y -> z: a component
+        into the unit stays, one into an atom continues along that atom's
+        row of g, and g's components out of the unit join the unit row."""
         if f.target != g.source:
             raise StructuralError("morphisms are not composable")
-        pairs = set()
-        for a, b in f.pairs:
-            if b == self.unit_atom:
-                pairs.add((a, self.unit_atom))
-            else:
-                for b2, c in g.pairs:
-                    if b2 == b:
-                        pairs.add((a, c))
-        for b2, c in g.pairs:
-            if b2 == self.unit_atom:
-                pairs.add((self.unit_atom, c))
-        pairs.discard((self.unit_atom, self.unit_atom))
-        return SmcMorphism(f.source, g.target, frozenset(pairs))
+        unit = self._unit_bit
+        rows = [0] * len(f.rows)
+        for i, row in enumerate(f.rows):
+            if row:
+                rows[i] = row & unit
+                for j in _bits(row & ~unit):
+                    rows[i] |= g.rows[j]
+        # a unit-to-unit component is no component
+        rows[-1] = (rows[-1] | g.rows[-1]) & ~unit
+        return SmcMorphism(f.source, g.target, tuple(rows))
 
     def free_objects(self) -> list:
         """Objects with a morphism out of the unit, as atom sets."""
@@ -258,16 +244,16 @@ def _mask_dtype(n_atoms: int) -> type:
 
 
 def _hom_matrix(cat: SmcCategory, objs: np.ndarray) -> np.ndarray:
-    out_masks, to_unit = cat._out_masks
-    in_masks, from_unit = cat._in_masks
+    unit = cat._unit_bit
+    real = unit - 1  # the row bits that fit the mask dtype
     # bad_src[y]: atoms with no arrow into y nor the unit
     bad_src = np.zeros_like(objs)
     bad_tgt = np.zeros_like(objs)
     for i in range(len(cat.atoms)):
-        if not to_unit[i]:
-            bad_src[(objs & out_masks[i]) == 0] |= 1 << i
-        if not from_unit[i]:
-            bad_tgt[(objs & in_masks[i]) == 0] |= 1 << i
+        if not cat._out[i] & unit:
+            bad_src[(objs & (cat._out[i] & real)) == 0] |= 1 << i
+        if not cat._in[i] & unit:
+            bad_tgt[(objs & (cat._in[i] & real)) == 0] |= 1 << i
     h = (objs[:, None] & bad_src[None, :]) == 0
     h &= (objs[None, :] & bad_tgt[:, None]) == 0
     return h
@@ -322,14 +308,26 @@ def verify_smc_laws(cat: SmcCategory) -> dict:
     """Check the object set (objects_canonical) and the encoding
     (tensor_is_union), which make atoms_of an injective homomorphism onto
     (atom sets, union, empty set), so the tensor laws are those of union;
-    then the hom laws (identities, transitivity) over all objects, and
-    morphism arithmetic (closure, identity, associativity) on a strided
-    sample of about MORPHISM_SAMPLES hom pairs.
+    then the hom laws (identities over all objects, transitivity on the
+    objects with at most one atom) and morphism arithmetic (closure,
+    identity, associativity) on a strided sample of about MORPHISM_SAMPLES
+    hom pairs.
+
+    Transitivity on objects of at most one atom decides it on all. If
+    x -> y -> z but not x -> z, either some a in x has no arrow into z nor
+    the unit, so a -> b for some b in y, and b has an arrow into some c in
+    z or into the unit: ({a}, {b}, {c}) or ({a}, {b}, {}) fails. Or some c
+    in z is hit from neither x nor the unit, so b -> c for some b in y,
+    and b is hit from some a in x or from the unit: ({a}, {b}, {c}) or
+    ({}, {b}, {c}) fails. The witness's ends are subsets of x and z and
+    its middle is a proper subset of a y of two or more atoms, so in mask
+    order the first failing triple over all objects is the first over the
+    small ones; that is the reported counterexample.
 
     Cost for n objects over k atoms: the encoding checks are O(n k) numpy
     work plus O(n + k) Python calls, the hom matrix is O(n^2) in the
-    narrowest unsigned mask dtype, and transitivity is one n x n matrix
-    product."""
+    narrowest unsigned mask dtype, and transitivity is one (k+1) x (k+1)
+    matrix product."""
     objs = np.array(cat.objects, dtype=_mask_dtype(len(cat.atoms)))
     report: dict = {
         "n_objects": len(objs),
@@ -337,23 +335,23 @@ def verify_smc_laws(cat: SmcCategory) -> dict:
         "tensor_is_union": _tensor_is_union(cat, objs),
     }
 
-    no_loop = sum(1 << i for i, a in enumerate(cat.atoms) if not cat.arrow(a, a))
+    no_loop = sum(1 << i for i in range(len(cat.atoms)) if not cat._out[i] >> i & 1)
     ident_bad = [cat.atoms_of(x) for x in objs[(objs & no_loop) != 0]]
     report["identities"] = not ident_bad
     if ident_bad:
         report["identity_counterexample"] = sorted(map(sorted, ident_bad))[:3]
 
     h = _hom_matrix(cat, objs)
-    hf = h.astype(np.float32)
-    trans_bad = ((hf @ hf) > 0) & ~h
+    small = np.flatnonzero(np.bitwise_count(objs) <= 1)
+    hs = h[np.ix_(small, small)]
+    hf = hs.astype(np.float32)
+    trans_bad = ((hf @ hf) > 0) & ~hs
     report["hom_transitive"] = not bool(trans_bad.any())
     if trans_bad.any():
         i, j = np.argwhere(trans_bad)[0]
-        k = int(np.argmax(h[i] & h[:, j]))
+        k = int(np.argmax(hs[i] & hs[:, j]))
         report["hom_counterexample"] = [
-            sorted(cat.atoms_of(objs[i])),
-            sorted(cat.atoms_of(objs[k])),
-            sorted(cat.atoms_of(objs[j])),
+            sorted(cat.atoms_of(objs[small[t]])) for t in (i, k, j)
         ]
 
     # explicit morphism arithmetic on sampled hom pairs, each composed

@@ -118,6 +118,13 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["interp"]["AB.bell"] == 0
 
+    def test_translate_rejects_json_flag(self, corpus_dir, capsys):
+        # translate always writes JSON, so there is no --json option
+        with pytest.raises(SystemExit) as exc:
+            main(["translate", str(corpus_dir / "trivial.qrt.json"), "--json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+
     def test_check_valid_and_invalid(self, corpus_dir, tmp_path, capsys):
         model = tmp_path / "m.json"
         assert main(
@@ -164,7 +171,7 @@ class TestCli:
         from qrtmodal import harness
 
         calls = []
-        monkeypatch.setattr(harness, "to_starred_model", lambda q: calls.append(q))
+        monkeypatch.setattr(harness, "to_model", lambda q: calls.append(q))
         gap = str(corpus_dir / "injectivity_gap_x.qrt.json")
         assert main(["theorems", str(corpus_dir / "chain.qrt.json"), gap]) == 2
         out, err = capsys.readouterr()

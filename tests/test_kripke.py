@@ -1,6 +1,7 @@
 """Kripke model tests: well-formedness, S4, sub-models, isomorphism
 search (including oracle equivalence for the pruned search)."""
 
+import itertools
 import random
 
 import numpy as np
@@ -17,7 +18,6 @@ from qrtmodal.kripke import (
     StarredModel,
     is_s4,
     is_sub_model,
-    isomorphic_exhaustive,
     models_isomorphic,
     starred_isomorphic,
 )
@@ -33,6 +33,31 @@ def small_model(**overrides):
     )
     base.update(overrides)
     return KripkeModel(**base)
+
+
+def isomorphic_exhaustive(a, b):
+    """The oracle that certifies the pruned search: an unpruned search
+    over all world and atom bijections. Given two starred models, the atom
+    bijection must also carry one preorder exactly onto the other."""
+    order_a = order_b = frozenset()
+    if isinstance(a, StarredModel):
+        a, order_a, b, order_b = a.model, a.order, b.model, b.order
+    if len(a.worlds) != len(b.worlds) or len(a.domain) != len(b.domain):
+        return False
+    aw, ad = sorted(a.worlds), sorted(a.domain)
+    for wperm in itertools.permutations(sorted(b.worlds)):
+        wmap = dict(zip(aw, wperm))
+        if {(wmap[u], wmap[v]) for u, v in a.access} != b.access:
+            continue
+        for dperm in itertools.permutations(sorted(b.domain)):
+            dmap = dict(zip(ad, dperm))
+            if (
+                all(a.interp[p] == b.interp[dmap[p]] for p in ad)
+                and {(dmap[p], dmap[q]) for p, q in order_a} == order_b
+                and all({dmap[p] for p in a.domains[w]} == b.domains[wmap[w]] for w in aw)
+            ):
+                return True
+    return False
 
 
 class TestWellFormedness:

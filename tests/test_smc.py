@@ -1,10 +1,13 @@
 """Monoidal category tests: construction, tensor and hom laws, free
 objects, the shipped hom-transitivity negative, a differential check of
 the law sweep against the host-scanning, int64 reference algorithm with
-its n^3 tensor sweep, and encoding mutants that the encoding checks catch
-and that sweep does not."""
+its n^3 tensor sweep and name-pair morphisms, transitivity on small
+objects against the full check on random models, and encoding mutants
+that the encoding checks catch and that sweep does not."""
 
+import random
 import tracemalloc
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +19,7 @@ from qrtmodal.generate import GeneratorConfig, generate_qrt
 from qrtmodal.harness import build_family, run_theorems
 from qrtmodal.kripke import KripkeModel, StarredModel
 from qrtmodal.qrt import complete_composition
+from qrtmodal.relations import reflexive_transitive_closure
 from qrtmodal.smc import (
     SmcCategory,
     SmcMorphism,
@@ -162,11 +166,11 @@ class TestHomAndMorphisms:
 
     def test_invalid_morphism_detected(self):
         _, cat = entanglement_category()
-        bogus = SmcMorphism(
-            frozenset({"AB.bell"}),
-            frozenset({"A.a0"}),
-            frozenset({("AB.bell", "A.a0")}),
-        )
+        x, y = cat.mask_of(["AB.bell"]), cat.mask_of(["A.a0"])
+        rows = [0] * (len(cat.atoms) + 1)
+        rows[cat.atoms.index("AB.bell")] = y
+        bogus = SmcMorphism(x, y, tuple(rows))
+        assert not cat.arrow("AB.bell", "A.a0")
         assert not cat.valid_morphism(bogus)
 
 
@@ -198,11 +202,34 @@ class TestFreeObjects:
 # -- differential oracle ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PairMorphism:
+    """A morphism as its component pairing of atom names: every source
+    atom on the left, every target atom on the right, the unit atom
+    padding either side."""
+
+    source: frozenset
+    target: frozenset
+    pairs: frozenset
+
+
+def names(cat, mor):
+    """The name view of a bit-row morphism: row i (the unit's row last)
+    read as the pairs (atom i, atom j) for each bit j, bit k the unit."""
+    if mor is None:
+        return None
+    label = cat.atoms + (cat.unit_atom,)
+    pairs = frozenset(
+        (label[i], label[j]) for i, row in enumerate(mor.rows) for j in smc._bits(row)
+    )
+    return PairMorphism(cat.atoms_of(mor.source), cat.atoms_of(mor.target), pairs)
+
+
 class ReferenceCategory:
     """The hom structure of a category derived the way the law sweep did
     before the arrow table: every arrow by scanning pairs of host worlds,
-    the atoms of a mask by scanning the index. Composition is pairing
-    arithmetic and is shared with the category under test."""
+    the atoms of a mask by scanning the index, and morphisms as sets of
+    name pairs with the pairing arithmetic of that time."""
 
     def __init__(self, cat):
         m = cat.starred.model
@@ -216,7 +243,6 @@ class ReferenceCategory:
         self._hosts = {
             a: frozenset(w for w in m.worlds if a in m.domains[w]) for a in m.domain
         }
-        self.compose_morphisms = cat.compose_morphisms
         self.out_masks = self._out_masks()
         self.in_masks = self._in_masks()
 
@@ -285,13 +311,30 @@ class ReferenceCategory:
                 if a is None:
                     return None
                 pairs.add((a, b))
-        return SmcMorphism(self.atoms_of(x), self.atoms_of(y), frozenset(pairs))
+        return PairMorphism(self.atoms_of(x), self.atoms_of(y), frozenset(pairs))
 
     def identity_morphism(self, x):
         atoms = self.atoms_of(x)
         if any(not self.arrow(a, a) for a in atoms):
             return None
-        return SmcMorphism(atoms, atoms, frozenset((a, a) for a in atoms))
+        return PairMorphism(atoms, atoms, frozenset((a, a) for a in atoms))
+
+    def compose_morphisms(self, g, f):
+        if f.target != g.source:
+            raise StructuralError("morphisms are not composable")
+        pairs = set()
+        for a, b in f.pairs:
+            if b == self.unit_atom:
+                pairs.add((a, self.unit_atom))
+            else:
+                for b2, c in g.pairs:
+                    if b2 == b:
+                        pairs.add((a, c))
+        for b2, c in g.pairs:
+            if b2 == self.unit_atom:
+                pairs.add((self.unit_atom, c))
+        pairs.discard((self.unit_atom, self.unit_atom))
+        return PairMorphism(f.source, g.target, frozenset(pairs))
 
     def valid_morphism(self, mor):
         lefts = {a for a, _ in mor.pairs}
@@ -323,6 +366,18 @@ class ReferenceCategory:
         n = len(self.objects)
         pairs = [(i, j) for i in range(n) for j in range(n) if h[i, j]]
         return pairs[:: max(1, len(pairs) // morphism_samples)]
+
+
+def first_intransitive_triple(ref, h):
+    """The first (x, y, z) in object order with x -> y -> z but not x -> z,
+    over all n objects by one n x n matrix product, as sorted atom lists."""
+    reach2 = (h.astype(np.float32) @ h.astype(np.float32)) > 0
+    trans_bad = reach2 & ~h
+    if not trans_bad.any():
+        return None
+    i, j = np.argwhere(trans_bad)[0]
+    k = int(np.argmax(h[i].astype(np.uint8) & h[:, j].astype(np.uint8)))
+    return [sorted(ref.atoms_of(int(ref.objects[t]))) for t in (i, k, j)]
 
 
 def reference_laws(cat, morphism_samples=60):
@@ -358,17 +413,10 @@ def reference_laws(cat, morphism_samples=60):
         report["identity_counterexample"] = sorted(map(sorted, ident_bad))[:3]
 
     h = ref.hom_matrix()
-    reach2 = (h.astype(np.float32) @ h.astype(np.float32)) > 0
-    trans_bad = reach2 & ~h
-    report["hom_transitive"] = not bool(trans_bad.any())
-    if trans_bad.any():
-        i, j = np.argwhere(trans_bad)[0]
-        k = int(np.argmax(h[i].astype(np.uint8) & h[:, j].astype(np.uint8)))
-        report["hom_counterexample"] = [
-            sorted(ref.atoms_of(int(objs[i]))),
-            sorted(ref.atoms_of(int(objs[k]))),
-            sorted(ref.atoms_of(int(objs[j]))),
-        ]
+    triple = first_intransitive_triple(ref, h)
+    report["hom_transitive"] = triple is None
+    if triple is not None:
+        report["hom_counterexample"] = triple
 
     compose_ok = True
     identity_ok = True
@@ -446,14 +494,39 @@ def assert_matches_reference(cat):
     assert np.array_equal(smc._hom_matrix(cat, mask_objs), h)
     sample = ref.sampled_pairs()
     assert smc._hom_sample(h, 60) == sample
+
+    def canonical(i, j):
+        """The canonical morphism objs[i] -> objs[j] of both categories."""
+        pair = cat.canonical_morphism(objs[i], objs[j]), ref.canonical_morphism(objs[i], objs[j])
+        assert names(cat, pair[0]) == pair[1]
+        return pair
+
+    def compose(g, f):
+        """g after f in both categories, by their own arithmetic."""
+        pair = cat.compose_morphisms(g[0], f[0]), ref.compose_morphisms(g[1], f[1])
+        assert names(cat, pair[0]) == pair[1]
+        return pair
+
     for i, j in sample:
-        assert cat.canonical_morphism(objs[i], objs[j]) == ref.canonical_morphism(
-            objs[i], objs[j]
-        )
+        f = canonical(i, j)
+        idx = cat.identity_morphism(objs[i]), ref.identity_morphism(objs[i])
+        idy = cat.identity_morphism(objs[j]), ref.identity_morphism(objs[j])
+        assert names(cat, idx[0]) == idx[1] and names(cat, idy[0]) == idy[1]
+        if idx[1] is not None and idy[1] is not None:
+            compose(f, idx)
+            compose(idy, f)
         k = first_arrow(h, j)
         assert smc._first(h[j]) == k
-        if k is not None:
-            assert smc._first(h[k]) == first_arrow(h, k)
+        if k is None:
+            continue
+        g = canonical(j, k)
+        gf = compose(g, f)
+        l = first_arrow(h, k)
+        assert smc._first(h[k]) == l
+        if l is not None:
+            e = canonical(k, l)
+            compose(e, gf)
+            compose(compose(e, g), f)
     return report
 
 
@@ -494,6 +567,52 @@ class TestAgainstReference:
         cat = build_smc(to_starred_model(q).starred)
         assert smc._mask_dtype(len(cat.atoms)) is dtype
         assert assert_matches_reference(cat)["ok"]
+
+
+def random_starred_model(rng, k):
+    """A starred model with k non-unit atoms spread over a few worlds, an
+    atom often shared by two of them, random access that is mostly not
+    transitive, a random preorder, and the true unit atom alone in world
+    c0, which reaches every world with a true atom."""
+    atoms = [f"a{i}" for i in range(k)]
+    worlds = [f"w{i}" for i in range(rng.randint(2, k + 2))]
+    domains = {w: rng.sample(atoms, rng.randint(1, min(2, k))) for w in worlds}
+    interp = {a: int(rng.random() < 0.3) for a in atoms}
+    access = {(w, w) for w in worlds + ["c0"]}
+    access |= {(u, w) for u in worlds for w in worlds if rng.random() < 0.3}
+    access |= {
+        ("c0", w) for w in worlds
+        if rng.random() < 0.3 or any(interp[a] for a in domains[w])
+    }
+    model = KripkeModel(
+        worlds + ["c0"], access, atoms + ["p"], {**domains, "c0": ["p"]}, {**interp, "p": 1}
+    )
+    rel = [(a, b) for a in atoms + ["p"] for b in atoms if a != b and rng.random() < 0.5]
+    return StarredModel(model, reflexive_transitive_closure(rel, atoms + ["p"]))
+
+
+class TestTransitivityOnSmallObjects:
+    def test_agrees_with_the_full_check(self):
+        rng = random.Random(7)
+        verdicts = []
+        for _ in range(150):
+            k = rng.randint(1, 6)
+            sm = random_starred_model(rng, k)
+            for cap in range(1, k + 1):
+                cat = build_smc(sm, cap)
+                report = verify_smc_laws(cat)
+                ref = ReferenceCategory(cat)
+                expected = first_intransitive_triple(ref, ref.hom_matrix())
+                assert report["hom_transitive"] == (expected is None)
+                verdicts.append(report["hom_transitive"])
+                if expected is None:
+                    continue
+                x, y, z = (cat.mask_of(t) for t in report["hom_counterexample"])
+                assert ref.hom_nonempty(x, y) and ref.hom_nonempty(y, z)
+                assert not ref.hom_nonempty(x, z)
+                assert report["hom_counterexample"] == expected
+        # both verdicts are common, so agreement is not agreement on "yes"
+        assert min(verdicts.count(True), verdicts.count(False)) > len(verdicts) // 4
 
 
 # -- encoding mutants ---------------------------------------------------------------
