@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .config import DEFAULT_TOLERANCES, Tolerances
@@ -26,6 +27,15 @@ from .io import (
 )
 from .kripke import StarredModel
 from .translate import to_model
+
+
+def _tolerance(text: str) -> float:
+    """The --tolerance type: a finite number at least 0. argparse turns
+    either error into exit 2 with a message naming the option."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _tolerances(args) -> Tolerances:
@@ -77,6 +87,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_theorems(args) -> int:
+    if args.tolerance is not None and not args.files:
+        print("error: --tolerance applies only to theory files", file=sys.stderr)
+        return 2
     tol = _tolerances(args)
     family = None
     if args.files:
@@ -148,14 +161,14 @@ def main(argv=None) -> int:
     p = sub.add_parser("validate", help="check a theory file against all invariants")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--tolerance", type=_tolerance)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("translate", help="translate a theory into a model file")
     p.add_argument("file")
     p.add_argument("--star", action="store_true", help="include the convertibility preorder")
     p.add_argument("--out")
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--tolerance", type=_tolerance)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("check", help="model-check a formula against a model file")
@@ -172,7 +185,7 @@ def main(argv=None) -> int:
     p.add_argument("--cap", type=int, default=5, help="object size cap for category checks")
     p.add_argument("--no-corpus", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--tolerance", type=_tolerance)
     p.set_defaults(func=cmd_theorems)
 
     p = sub.add_parser("generate", help="write a seeded family of theory files")

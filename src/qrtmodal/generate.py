@@ -39,7 +39,7 @@ from .qrt import (
     relabel_qrt,
     sub_qrt,
 )
-from .relations import reflexive_transitive_closure
+from .relations import Budget, reflexive_transitive_closure
 
 _SYSTEM_NAMES = ("A", "B", "G", "H")
 _MIN_STATE_GAP = 1e-2  # named states must be clearly separated
@@ -65,17 +65,8 @@ class GeneratorConfig:
             raise ValueError("channel_density must lie in [0, 1]")
 
 
-class _Budget:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
-
-    def reject(self):
-        self.used += 1
-        if self.used > self.cap:
-            raise GenerationError(
-                f"resampling budget exhausted after {self.used} rejections"
-            )
+class _Budget(Budget):
+    error, message = GenerationError, "resampling budget of {cap} rejections exhausted"
 
 
 def _distinct_states(
@@ -87,7 +78,7 @@ def _distinct_states(
         if all(trace_distance(cand, prev) > _MIN_STATE_GAP for prev in out):
             out.append(cand)
         else:
-            budget.reject()
+            budget.spend()
     return out
 
 
@@ -164,7 +155,7 @@ def generate_qrt(
                 if fits:
                     channels.append(ChannelDecl(next_id(), src.id, dst.id, raw))
                     continue
-                budget.reject()
+                budget.spend()
             channels.append(_template_channel(rng, src, dst, frames, basis_index, next_id))
 
     q = complete_composition(Qrt(systems, channels))

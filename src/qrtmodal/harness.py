@@ -63,9 +63,11 @@ def default_family_config(seed: int) -> GeneratorConfig:
 def build_family(
     seed: int, count: int = 20, n_relabeled: int = 3, config: GeneratorConfig | None = None
 ) -> list[tuple[str, Qrt]]:
-    """count theories: fresh generations deduplicated by translation
-    isomorphism, then relabeled copies of the first few (so the sweep
-    exercises true positives with non-trivial witnesses)."""
+    """At most count theories: up to count - n_relabeled fresh generations
+    deduplicated by translation isomorphism, then relabeled copies of the
+    first min(n_relabeled, fresh) of them (so the sweep exercises true
+    positives with non-trivial witnesses). A count of at most n_relabeled
+    yields no theory; below 2 n_relabeled, fewer than count."""
     cfg = config or default_family_config(seed)
     rng = np.random.default_rng([seed, 999])
     base: list[tuple[str, Qrt]] = []
@@ -99,6 +101,8 @@ def run_theorems(
     check_object_cap(smc_cap)  # an input error: reject it before any section runs
     if family is None:
         family = build_family(seed, count)
+    if not family:  # build_family yields none for a count of at most 3
+        raise StructuralError(f"the family is empty (count {count}): the theorems need a theory")
     for label, q in family:  # the unit world every check below relies on
         if q.trivial_node is None:
             raise StructuralError(f"{label}: the theorems need a trivial system, and it has none")

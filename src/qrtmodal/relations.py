@@ -56,8 +56,11 @@ def find_nontransitive(pairs: frozenset):
 
 
 class Budget:
-    """Nodes spent by one isomorphism search: each candidate tried costs
-    one, and the node past the cap raises ResourceLimitError."""
+    """Steps spent by one bounded search: each candidate tried costs one,
+    and the step past the cap raises ``error`` with ``message`` naming the
+    cap. A search with an error of its own sets both in a subclass."""
+
+    error, message = ResourceLimitError, "isomorphism search exceeded {cap} nodes"
 
     def __init__(self, cap: int):
         self.cap, self.used = cap, 0
@@ -65,7 +68,7 @@ class Budget:
     def spend(self) -> None:
         self.used += 1
         if self.used > self.cap:
-            raise ResourceLimitError(f"isomorphism search exceeded {self.cap} nodes")
+            raise self.error(self.message.format(cap=self.cap))
 
 
 def bijections(

@@ -76,7 +76,7 @@ class TestStructure:
 
     def test_budget_exhaustion_raises(self):
         cfg = GeneratorConfig(seed=6, n_systems=3, dims=(1, 2), channel_density=1.0)
-        with pytest.raises(GenerationError):
+        with pytest.raises(GenerationError, match=r"^resampling budget of 0 rejections exhausted$"):
             generate_qrt(cfg, max_resamples=0, raw_probability=1.0)
 
     def test_random_sub_is_sub(self):

@@ -179,6 +179,65 @@ class TestCli:
         assert out == ""
         assert not calls
 
+    @pytest.fixture()
+    def inflated_chain(self, corpus_dir):
+        """chain.qrt.json with fwd's Kraus operators doubled: trace defect 3."""
+        path = corpus_dir / "chain.qrt.json"
+        data = json.loads(path.read_text())
+        (fwd,) = [c for c in data["channels"] if c["id"] == "fwd"]
+        fwd["kraus"] = [[[[2 * v for v in z] for z in row] for row in k] for k in fwd["kraus"]]
+        out = corpus_dir / "inflated_chain.qrt.json"
+        out.write_text(json.dumps(data))
+        return out
+
+    @pytest.mark.parametrize("command", ["validate", "translate"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1", "abc"])
+    def test_tolerance_must_be_finite_and_not_negative(
+        self, inflated_chain, command, value, capsys
+    ):
+        assert main([command, str(inflated_chain)]) == 1
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(inflated_chain), f"--tolerance={value}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "argument --tolerance" in err and "Hermitian" not in err
+        assert out == ""
+
+    def test_finite_tolerances_are_accepted(self, corpus_dir, capsys):
+        chain = str(corpus_dir / "chain.qrt.json")
+        assert main(["validate", chain, "--tolerance", "0"]) in (0, 1)  # a verdict, not exit 2
+        assert main(["validate", chain, "--tolerance", "1e-6"]) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_theorems_bad_tolerance_is_input_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["theorems", "--count", "4", "--no-corpus", f"--tolerance={value}"])
+        assert exc.value.code == 2
+        assert "argument --tolerance" in capsys.readouterr().err
+
+    def test_theorems_tolerance_needs_theory_files(self, monkeypatch, capsys):
+        from qrtmodal import harness
+
+        calls = []
+        monkeypatch.setattr(harness, "build_family", lambda *a, **k: calls.append(a))
+        assert main(["theorems", "--count", "4", "--no-corpus", "--tolerance", "1e-6"]) == 2
+        assert "--tolerance" in capsys.readouterr().err
+        assert not calls
+
+    def test_theorems_tolerance_with_theory_files(self, corpus_dir, capsys):
+        chain = str(corpus_dir / "chain.qrt.json")
+        assert main(["theorems", chain, "--no-corpus", "--tolerance", "1e-6"]) == 0
+
+    @pytest.mark.parametrize("count", ["0", "3", "-5"])
+    def test_theorems_empty_family_is_input_error(self, count, capsys):
+        assert main(["theorems", "--count", count, "--no-corpus"]) == 2
+        assert "empty" in capsys.readouterr().err
+
+    def test_theorems_smallest_family(self, capsys):
+        assert main(["theorems", "--count", "4", "--no-corpus", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["family"]) == 2
+
     def test_theorems_default_passes(self, capsys):
         assert main(["theorems", "--seed", "2", "--count", "5"]) == 0
 

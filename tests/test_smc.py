@@ -1,9 +1,11 @@
 """Monoidal category tests: construction, tensor and hom laws, free
 objects, the shipped hom-transitivity negative, a differential check of
 the law sweep against the host-scanning, int64 reference algorithm with
-its n^3 tensor sweep and name-pair morphisms, transitivity on small
-objects against the full check on random models, and encoding mutants
-that the encoding checks catch and that sweep does not."""
+its n^3 tensor sweep, full hom matrix and name-pair morphism arithmetic,
+transitivity on small objects and closure on the arrow rows against
+those oracles on random models, the unit detour that hom transitivity
+cannot see, and encoding mutants that the encoding checks catch and that
+the n^3 sweep does not."""
 
 import random
 import tracemalloc
@@ -20,13 +22,7 @@ from qrtmodal.harness import build_family, run_theorems
 from qrtmodal.kripke import KripkeModel, StarredModel
 from qrtmodal.qrt import complete_composition
 from qrtmodal.relations import reflexive_transitive_closure
-from qrtmodal.smc import (
-    SmcCategory,
-    SmcMorphism,
-    build_smc,
-    free_objects,
-    verify_smc_laws,
-)
+from qrtmodal.smc import SmcCategory, build_smc, free_objects, verify_smc_laws
 from qrtmodal.translate import to_starred_model
 
 
@@ -139,19 +135,26 @@ class TestLaws:
 class TestHomAndMorphisms:
     def test_identity_morphism_exists_everywhere(self):
         _, cat = entanglement_category()
+        ref = ReferenceCategory(cat)
+        assert verify_smc_laws(cat)["identities"]
         for x in cat.objects:
-            assert cat.identity_morphism(int(x)) is not None
+            assert cat.hom_nonempty(x, x)
+            ident = ref.identity_morphism(int(x))
+            assert ident is not None and ref.valid_morphism(ident)
 
     def test_composition_with_identity(self):
+        # the law the sweep derives from identities, in the oracle's arithmetic
         _, cat = entanglement_category()
+        ref = ReferenceCategory(cat)
         x = cat.mask_of(["A.a0"])
         y = cat.mask_of(["B.b0"])
-        f = cat.canonical_morphism(x, y)
-        assert f is not None and cat.valid_morphism(f)
-        idx = cat.identity_morphism(x)
-        idy = cat.identity_morphism(y)
-        assert cat.compose_morphisms(f, idx) == f
-        assert cat.compose_morphisms(idy, f) == f
+        assert cat.hom_nonempty(x, y)
+        f = ref.canonical_morphism(x, y)
+        assert f is not None and ref.valid_morphism(f)
+        idx = ref.identity_morphism(x)
+        idy = ref.identity_morphism(y)
+        assert ref.compose_morphisms(f, idx) == f
+        assert ref.compose_morphisms(idy, f) == f
 
     def test_hom_transitivity_on_image(self):
         _, cat = entanglement_category()
@@ -166,12 +169,14 @@ class TestHomAndMorphisms:
 
     def test_invalid_morphism_detected(self):
         _, cat = entanglement_category()
+        ref = ReferenceCategory(cat)
         x, y = cat.mask_of(["AB.bell"]), cat.mask_of(["A.a0"])
-        rows = [0] * (len(cat.atoms) + 1)
-        rows[cat.atoms.index("AB.bell")] = y
-        bogus = SmcMorphism(x, y, tuple(rows))
+        bogus = PairMorphism(
+            frozenset({"AB.bell"}), frozenset({"A.a0"}), frozenset({("AB.bell", "A.a0")})
+        )
         assert not cat.arrow("AB.bell", "A.a0")
-        assert not cat.valid_morphism(bogus)
+        assert not ref.valid_morphism(bogus)
+        assert not cat.hom_nonempty(x, y) and ref.canonical_morphism(x, y) is None
 
 
 class TestFreeObjects:
@@ -211,18 +216,6 @@ class PairMorphism:
     source: frozenset
     target: frozenset
     pairs: frozenset
-
-
-def names(cat, mor):
-    """The name view of a bit-row morphism: row i (the unit's row last)
-    read as the pairs (atom i, atom j) for each bit j, bit k the unit."""
-    if mor is None:
-        return None
-    label = cat.atoms + (cat.unit_atom,)
-    pairs = frozenset(
-        (label[i], label[j]) for i, row in enumerate(mor.rows) for j in smc._bits(row)
-    )
-    return PairMorphism(cat.atoms_of(mor.source), cat.atoms_of(mor.target), pairs)
 
 
 class ReferenceCategory:
@@ -361,11 +354,17 @@ class ReferenceCategory:
         h &= (objs[None, :] & bad_tgt[:, None]) == 0
         return h
 
-    def sampled_pairs(self, morphism_samples=60):
-        h = self.hom_matrix()
-        n = len(self.objects)
-        pairs = [(i, j) for i in range(n) for j in range(n) if h[i, j]]
-        return pairs[:: max(1, len(pairs) // morphism_samples)]
+    def single_morphisms(self):
+        """Every morphism of one component, in index order with the unit
+        atom last; the empty object stands in for the unit at either end,
+        and a unit-to-unit component is no component."""
+        label = self.atoms + (self.unit_atom,)
+        return [
+            PairMorphism(frozenset({a}) - {self.unit_atom}, frozenset({b}) - {self.unit_atom},
+                         frozenset({(a, b)}))
+            for a in label for b in label
+            if self.arrow(a, b) and (a, b) != (self.unit_atom, self.unit_atom)
+        ]
 
 
 def first_intransitive_triple(ref, h):
@@ -380,9 +379,23 @@ def first_intransitive_triple(ref, h):
     return [sorted(ref.atoms_of(int(ref.objects[t]))) for t in (i, k, j)]
 
 
-def reference_laws(cat, morphism_samples=60):
-    """The law sweep with the int64 chunked associativity pass and a
-    Python list of every hom pair, run on the reference hom structure."""
+def first_broken_chain(ref):
+    """The first chain of single-component morphisms, in index order, whose
+    composite by the name-pair arithmetic is not a morphism, as the atom
+    ids of its source, middle and target components; None if all compose."""
+    singles = ref.single_morphisms()
+    for f in singles:
+        for g in singles:
+            if f.target == g.source and not ref.valid_morphism(ref.compose_morphisms(g, f)):
+                ((a, b),), ((_, c),) = f.pairs, g.pairs
+                return [a, b, c]
+    return None
+
+
+def reference_laws(cat):
+    """The law sweep with the int64 chunked n^3 tensor pass, the full
+    n x n hom matrix, and closure by composing every chain of
+    single-component morphisms, run on the reference hom structure."""
     ref = ReferenceCategory(cat)
     objs = np.array(ref.objects, dtype=np.int64)
     n = len(objs)
@@ -412,45 +425,15 @@ def reference_laws(cat, morphism_samples=60):
     if ident_bad:
         report["identity_counterexample"] = sorted(map(sorted, ident_bad))[:3]
 
-    h = ref.hom_matrix()
-    triple = first_intransitive_triple(ref, h)
+    triple = first_intransitive_triple(ref, ref.hom_matrix())
     report["hom_transitive"] = triple is None
     if triple is not None:
         report["hom_counterexample"] = triple
 
-    compose_ok = True
-    identity_ok = True
-    assoc_m_ok = True
-    for i, j in ref.sampled_pairs(morphism_samples):
-        f = ref.canonical_morphism(int(objs[i]), int(objs[j]))
-        if f is None or not ref.valid_morphism(f):
-            compose_ok = False
-            continue
-        idx = ref.identity_morphism(int(objs[i]))
-        idy = ref.identity_morphism(int(objs[j]))
-        if idx is None or idy is None:
-            identity_ok = False
-            continue
-        if ref.compose_morphisms(f, idx) != f or ref.compose_morphisms(idy, f) != f:
-            identity_ok = False
-        for k in range(n):
-            if h[j, k]:
-                g = ref.canonical_morphism(int(objs[j]), int(objs[k]))
-                gf = ref.compose_morphisms(g, f)
-                if not ref.valid_morphism(gf):
-                    compose_ok = False
-                for l in range(n):
-                    if h[k, l]:
-                        e = ref.canonical_morphism(int(objs[k]), int(objs[l]))
-                        if ref.compose_morphisms(e, gf) != ref.compose_morphisms(
-                            ref.compose_morphisms(e, g), f
-                        ):
-                            assoc_m_ok = False
-                        break
-                break
-    report["compose_closed"] = compose_ok
-    report["compose_identity"] = identity_ok
-    report["compose_associative"] = assoc_m_ok
+    chain = first_broken_chain(ref)
+    report["compose_closed"] = chain is None
+    if chain is not None:
+        report["compose_counterexample"] = chain
     report["ok"] = all(
         report[k]
         for k in (
@@ -461,15 +444,9 @@ def reference_laws(cat, morphism_samples=60):
             "identities",
             "hom_transitive",
             "compose_closed",
-            "compose_identity",
-            "compose_associative",
         )
     )
     return report
-
-
-def first_arrow(h, j):
-    return next((k for k in range(len(h)) if h[j, k]), None)
 
 
 TENSOR_LAWS = ("tensor_symmetric", "tensor_idempotent", "tensor_unit", "tensor_associative")
@@ -478,7 +455,9 @@ ENCODING_CHECKS = ("objects_canonical", "tensor_is_union")
 
 def assert_matches_reference(cat):
     """Every key the two sweeps share is equal; the reference's n^3 tensor
-    laws and the encoding checks that replace them all hold."""
+    laws and the encoding checks that replace them all hold; hom_nonempty
+    and the sweep's hom matrix agree with the reference's on every object
+    pair."""
     report = verify_smc_laws(cat)
     expected = reference_laws(cat)
     shared = set(expected) - set(TENSOR_LAWS)
@@ -487,46 +466,11 @@ def assert_matches_reference(cat):
         assert report[key] == expected[key], key
     assert all(expected[k] for k in TENSOR_LAWS)
     assert all(report[k] for k in ENCODING_CHECKS)
-    ref = ReferenceCategory(cat)
+    h = ReferenceCategory(cat).hom_matrix()
     objs = cat.objects
-    h = ref.hom_matrix()
+    assert [[cat.hom_nonempty(x, y) for y in objs] for x in objs] == h.tolist()
     mask_objs = np.array(objs, dtype=smc._mask_dtype(len(cat.atoms)))
     assert np.array_equal(smc._hom_matrix(cat, mask_objs), h)
-    sample = ref.sampled_pairs()
-    assert smc._hom_sample(h, 60) == sample
-
-    def canonical(i, j):
-        """The canonical morphism objs[i] -> objs[j] of both categories."""
-        pair = cat.canonical_morphism(objs[i], objs[j]), ref.canonical_morphism(objs[i], objs[j])
-        assert names(cat, pair[0]) == pair[1]
-        return pair
-
-    def compose(g, f):
-        """g after f in both categories, by their own arithmetic."""
-        pair = cat.compose_morphisms(g[0], f[0]), ref.compose_morphisms(g[1], f[1])
-        assert names(cat, pair[0]) == pair[1]
-        return pair
-
-    for i, j in sample:
-        f = canonical(i, j)
-        idx = cat.identity_morphism(objs[i]), ref.identity_morphism(objs[i])
-        idy = cat.identity_morphism(objs[j]), ref.identity_morphism(objs[j])
-        assert names(cat, idx[0]) == idx[1] and names(cat, idy[0]) == idy[1]
-        if idx[1] is not None and idy[1] is not None:
-            compose(f, idx)
-            compose(idy, f)
-        k = first_arrow(h, j)
-        assert smc._first(h[j]) == k
-        if k is None:
-            continue
-        g = canonical(j, k)
-        gf = compose(g, f)
-        l = first_arrow(h, k)
-        assert smc._first(h[k]) == l
-        if l is not None:
-            e = canonical(k, l)
-            compose(e, gf)
-            compose(compose(e, g), f)
     return report
 
 
@@ -569,11 +513,13 @@ class TestAgainstReference:
         assert assert_matches_reference(cat)["ok"]
 
 
-def random_starred_model(rng, k):
+def random_starred_model(rng, k, unit_reach=False):
     """A starred model with k non-unit atoms spread over a few worlds, an
     atom often shared by two of them, random access that is mostly not
     transitive, a random preorder, and the true unit atom alone in world
-    c0, which reaches every world with a true atom."""
+    c0, which reaches every world with a true atom. With unit_reach,
+    worlds may also reach c0 and atoms may precede the unit atom, so
+    chains can run into and through the unit."""
     atoms = [f"a{i}" for i in range(k)]
     worlds = [f"w{i}" for i in range(rng.randint(2, k + 2))]
     domains = {w: rng.sample(atoms, rng.randint(1, min(2, k))) for w in worlds}
@@ -584,10 +530,14 @@ def random_starred_model(rng, k):
         ("c0", w) for w in worlds
         if rng.random() < 0.3 or any(interp[a] for a in domains[w])
     }
+    if unit_reach:
+        access |= {(w, "c0") for w in worlds if rng.random() < 0.3}
     model = KripkeModel(
         worlds + ["c0"], access, atoms + ["p"], {**domains, "c0": ["p"]}, {**interp, "p": 1}
     )
     rel = [(a, b) for a in atoms + ["p"] for b in atoms if a != b and rng.random() < 0.5]
+    if unit_reach:
+        rel += [(a, "p") for a in atoms if rng.random() < 0.3]
     return StarredModel(model, reflexive_transitive_closure(rel, atoms + ["p"]))
 
 
@@ -613,6 +563,96 @@ class TestTransitivityOnSmallObjects:
                 assert report["hom_counterexample"] == expected
         # both verdicts are common, so agreement is not agreement on "yes"
         assert min(verdicts.count(True), verdicts.count(False)) > len(verdicts) // 4
+
+
+def unit_detour_model():
+    """a -> b -> c with no a -> c, while a -> unit -> c makes hom({a}, {c})
+    non-empty: hom transitivity holds and composition is not closed."""
+    worlds = ["w0", "w1", "w2", "c0"]
+    access = [(w, w) for w in worlds] + [("w0", "w1"), ("w1", "w2"), ("w0", "c0"), ("c0", "w2")]
+    domains = {"w0": {"a"}, "w1": {"b"}, "w2": {"c"}, "c0": {"p"}}
+    model = KripkeModel(worlds, access, list("abcp"), domains, {"a": 0, "b": 0, "c": 0, "p": 1})
+    order = reflexive_transitive_closure(
+        [("a", "b"), ("b", "c"), ("a", "p"), ("p", "c")], list("abcp")
+    )
+    return StarredModel(model, order)
+
+
+def assert_canonical_composites_valid(ref):
+    """g o f is a morphism for the canonical f: x -> y and g: y -> z of
+    every pair of hom pairs."""
+    objs = [int(x) for x in ref.objects]
+    canon = {(x, y): ref.canonical_morphism(x, y) for x in objs for y in objs}
+    for (x, y), f in canon.items():
+        for z in objs:
+            if f is not None and canon[y, z] is not None:
+                assert ref.valid_morphism(ref.compose_morphisms(canon[y, z], f))
+
+
+def assert_identity_and_associativity(ref):
+    """f o id = f = id o f for the canonical f of every hom pair, and
+    e o (g o f) = (e o g) o f where g and e are the canonical morphisms
+    into the first object reachable from f's and then g's target."""
+    objs = [int(x) for x in ref.objects]
+    canon = {(x, y): ref.canonical_morphism(x, y) for x in objs for y in objs}
+    first = {x: next((y for y in objs if canon[x, y] is not None), None) for x in objs}
+    for (x, y), f in canon.items():
+        if f is None:
+            continue
+        assert ref.compose_morphisms(f, ref.identity_morphism(x)) == f
+        assert ref.compose_morphisms(ref.identity_morphism(y), f) == f
+        z = first[y]
+        if z is None or first[z] is None:
+            continue
+        g, e = canon[y, z], canon[z, first[z]]
+        assert ref.compose_morphisms(e, ref.compose_morphisms(g, f)) == (
+            ref.compose_morphisms(ref.compose_morphisms(e, g), f)
+        )
+
+
+class TestClosureOnArrowRows:
+    def test_agrees_with_every_chain_of_reference_morphisms(self):
+        rng = random.Random(11)
+        closed, detours = [], 0
+        for _ in range(200):
+            k = rng.randint(1, 5)
+            sm = random_starred_model(rng, k, unit_reach=True)
+            ref = ReferenceCategory(build_smc(sm, k))
+            # the unit's self-arrow, which spares its row a special case
+            assert ref.arrow(ref.unit_atom, ref.unit_atom)
+            chain = first_broken_chain(ref)
+            for cap in range(1, k + 1):
+                report = verify_smc_laws(build_smc(sm, cap))
+                assert report["compose_closed"] == (chain is None)
+                assert report.get("compose_counterexample") == chain
+            closed.append(chain is None)
+            detours += chain is not None and report["hom_transitive"]
+            if chain is None:
+                assert_canonical_composites_valid(ref)
+            if report["identities"]:
+                assert_identity_and_associativity(ref)
+        # both verdicts are common, and some broken chains hide behind the unit
+        assert min(closed.count(True), closed.count(False)) > len(closed) // 4
+        assert detours
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_unit_detour_fails_closure_only(self, cap):
+        cat = build_smc(unit_detour_model(), cap)
+        report = assert_matches_reference(cat)
+        assert report["hom_transitive"] and report["identities"]
+        assert not report["compose_closed"] and not report["ok"]
+        assert report["compose_counterexample"] == ["a", "b", "c"]
+        ref = ReferenceCategory(cat)
+        assert ref.arrow("a", "b") and ref.arrow("b", "c") and not ref.arrow("a", "c")
+        a, b, c = (cat.mask_of([t]) for t in "abc")
+        assert ref.hom_nonempty(a, c)
+        f, g = ref.canonical_morphism(a, b), ref.canonical_morphism(b, c)
+        assert not ref.valid_morphism(ref.compose_morphisms(g, f))
+
+    def test_broken_model_chain(self):
+        cat = build_smc(corpus.broken_smc_model())
+        report = assert_matches_reference(cat)
+        assert report["compose_counterexample"] == ["a", "b", "d"]
 
 
 # -- encoding mutants ---------------------------------------------------------------
@@ -693,20 +733,17 @@ class TestSweepCost:
         objs[-1] = 128
         assert not smc._objects_canonical(seven, objs)
 
-    def test_first_arrow_of_a_row(self):
-        assert smc._first(np.array([False, True, True])) == 1
-        assert smc._first(np.array([True, False])) == 0
-        assert smc._first(np.array([False, False])) is None
-
-    def test_temporaries_are_quadratic(self):
-        # 9 non-unit atoms at cap 5: 382 objects, n^3 = 56M triples
+    def test_temporaries_are_linear(self):
+        # 9 non-unit atoms at cap 5: 382 objects; the sweep peaks near
+        # 8 n (k+1) bytes, and an n x n boolean matrix alone would take
+        # n^2 = 38 n (k+1) bytes
         cfg = GeneratorConfig(seed=1, n_systems=4, dims=(1, 2, 3), states_per_system=4)
         cat = build_smc(to_starred_model(generate_qrt(cfg, index=16)).starred)
-        n = len(cat.objects)
+        n, k = len(cat.objects), len(cat.atoms)
         tracemalloc.start()
         try:
             verify_smc_laws(cat)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 * n * n
+        assert peak < 20 * n * (k + 1)
