@@ -28,7 +28,7 @@ from .linalg import (
     random_isometry,
     scalar_one,
     trace_channel,
-    trace_distance,
+    within_trace_distance,
 )
 from .qrt import (
     ChannelDecl,
@@ -75,7 +75,7 @@ def _distinct_states(
     out: list[DensityMatrix] = []
     while len(out) < count:
         cand = random_density(rng, dim, pure=bool(rng.integers(2)))
-        if all(trace_distance(cand, prev) > _MIN_STATE_GAP for prev in out):
+        if not any(within_trace_distance(cand, prev, _MIN_STATE_GAP) for prev in out):
             out.append(cand)
         else:
             budget.spend()

@@ -3,10 +3,20 @@ CPTP verification, channel application and composition.
 
 Matrices are plain numpy arrays of complex128. Channels are stored in
 Kraus form only; the Choi matrix is derived on demand.
+
+The theory layer asks three questions of each channel, and each costs one
+pass: ``apply_channel_stack`` applies the channel to all of a system's
+named states with one Kraus sum and checks the images with one
+eigensolve; ``within_trace_distance`` decides whether two states lie
+within a radius from Frobenius bounds and diagonalises only a pair the
+bounds leave open; ``is_cptp`` keeps its verdict on the immutable channel,
+per tolerance. The tolerance semantics are those of the plain rules: a
+bound only skips an eigensolve whose outcome it proves.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,10 +51,11 @@ def _check_dim_cap(dim: int) -> None:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2, of a matrix or of each matrix of a stack."""
     # only unchecked input can overflow here, and the inf or NaN then fails
     # the caller's positivity test, so numpy's warning would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
-        return (m + m.conj().T) / 2
+        return (m + np.swapaxes(m, -1, -2).conj()) / 2
 
 
 def is_density_matrix(
@@ -57,25 +68,49 @@ def is_density_matrix(
     on the Hermitian part once Hermiticity itself has passed, which keeps
     the PSD test stable.
     """
-    return _density_defect(as_matrix(m), tol)
+    bad = _density_defect(as_matrix(m)[None], tol)
+    return (True, None) if bad is None else (False, bad[1])
 
 
-def _density_defect(m: np.ndarray, tol: Tolerances) -> tuple[bool, str | None]:
+def _density_defect(ms: np.ndarray, tol: Tolerances) -> tuple[int, str] | None:
+    """The first matrix of the (n, d, d) stack ``ms`` that fails a state
+    invariant, as (index, diagnostic), or None when every one passes.
+
+    Each matrix is tested in the order Hermitian, PSD, unit trace, and the
+    first matrix in stack order with any defect is the one reported, as a
+    matrix-by-matrix check would. The PSD test is one eigensolve over the
+    matrices before the first non-Hermitian one."""
     # finite entries can still overflow to NaN on the way, so every test
     # is written to fail, not pass, on a NaN
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"density matrix must be square, got {m.shape}")
-    herm_defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if not herm_defect <= tol.eps_herm:
-        return False, f"not Hermitian (defect {herm_defect:.3e})"
-    eigs = _eigh(hermitian_part(m))
-    lo = float(eigs.min())
-    if not lo >= -tol.eps_psd:
-        return False, f"not positive semidefinite (eigenvalue {lo:.3e})"
-    tr = complex(np.trace(m))
-    if not abs(tr - 1.0) <= tol.eps_tr:
-        return False, f"trace is {tr.real:.6f}, not 1"
-    return True, None
+    if ms.shape[1] != ms.shape[2]:
+        raise ShapeError(f"density matrix must be square, got {ms.shape[1:]}")
+    n = len(ms)
+    herm = np.abs(ms - ms.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    ok = herm <= tol.eps_herm
+    j = n if ok.all() else int(ok.argmin())
+    if j:
+        head = ms[:j]
+        try:
+            lo = _eigh(hermitian_part(head)).min(axis=1)
+        except NumericalError:
+            if j == 1:
+                raise
+            # one failed solve fails the stack; find the first failure in order
+            for i in range(j):
+                bad = _density_defect(ms[i:i + 1], tol)
+                if bad is not None:
+                    return i, bad[1]
+            raise
+        tr = head.trace(axis1=1, axis2=2)
+        ok = (lo >= -tol.eps_psd) & (np.abs(tr - 1.0) <= tol.eps_tr)
+        if not ok.all():
+            i = int(ok.argmin())
+            if not lo[i] >= -tol.eps_psd:
+                return i, f"not positive semidefinite (eigenvalue {float(lo[i]):.3e})"
+            return i, f"trace is {tr[i].real:.6f}, not 1"
+    if j < n:
+        return j, f"not Hermitian (defect {float(herm[j]):.3e})"
+    return None
 
 
 class DensityMatrix:
@@ -85,14 +120,22 @@ class DensityMatrix:
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT_TOLERANCES):
         m = as_matrix(matrix)
-        ok, why = _density_defect(m, tol)
-        if not ok:
-            raise ShapeError(f"not a density matrix: {why}")
+        bad = _density_defect(m[None], tol)
+        if bad is not None:
+            raise ShapeError(f"not a density matrix: {bad[1]}")
         _check_dim_cap(m.shape[0])
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "dim", int(m.shape[0]))
         object.__setattr__(self, "mat", m)
+
+    @classmethod
+    def _checked(cls, m: np.ndarray) -> "DensityMatrix":
+        """Wrap a read-only matrix that has already passed the state checks."""
+        dm = object.__new__(cls)
+        object.__setattr__(dm, "dim", int(m.shape[0]))
+        object.__setattr__(dm, "mat", m)
+        return dm
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("DensityMatrix is immutable")
@@ -129,7 +172,7 @@ class KrausChannel:
     predicate so that deliberately broken channels can be represented.
     """
 
-    __slots__ = ("in_dim", "out_dim", "kraus_ops")
+    __slots__ = ("in_dim", "out_dim", "kraus_ops", "_cptp")
 
     def __init__(self, kraus_ops: Iterable):
         ops = tuple(as_matrix(k) for k in kraus_ops)
@@ -150,6 +193,8 @@ class KrausChannel:
         object.__setattr__(self, "in_dim", int(in_dim))
         object.__setattr__(self, "out_dim", int(out_dim))
         object.__setattr__(self, "kraus_ops", tuple(frozen))
+        # (eps_tp, eps_psd) -> is_cptp verdict; the operators never change
+        object.__setattr__(self, "_cptp", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("KrausChannel is immutable")
@@ -180,17 +225,28 @@ def is_cptp(
     c: KrausChannel, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[bool, str | None]:
     """Trace preservation (sum K^dag K = I) and complete positivity
-    (Choi matrix PSD), each within tolerance; a NaN fails either."""
+    (Choi matrix PSD), each within tolerance; a NaN fails either.
+
+    The verdict is kept on the channel per (eps_tp, eps_psd): a channel is
+    immutable, and the theories derived from one share its objects."""
+    key = (tol.eps_tp, tol.eps_psd)
+    verdict = c._cptp.get(key)
+    if verdict is None:
+        verdict = c._cptp[key] = _cptp_verdict(c, *key)
+    return verdict
+
+
+def _cptp_verdict(c: KrausChannel, eps_tp: float, eps_psd: float) -> tuple[bool, str | None]:
     acc = np.zeros((c.in_dim, c.in_dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
         for k in c.kraus_ops:
             acc += k.conj().T @ k
         tp_defect = float(np.max(np.abs(acc - np.eye(c.in_dim))))
-    if not tp_defect <= tol.eps_tp:
+    if not tp_defect <= eps_tp:
         return False, f"not trace preserving (defect {tp_defect:.3e})"
     eigs = _eigh(hermitian_part(choi_matrix(c)))
     lo = float(eigs.min())
-    if not lo >= -tol.eps_psd:
+    if not lo >= -eps_psd:
         return False, f"not completely positive (Choi eigenvalue {lo:.3e})"
     return True, None
 
@@ -198,18 +254,48 @@ def is_cptp(
 def apply_channel(
     c: KrausChannel, rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> DensityMatrix:
-    """Evaluate sum_i K_i rho K_i^dag and re-check the state invariants.
+    """Evaluate sum_i K_i rho K_i^dag and re-check the state invariants:
+    ``apply_channel_stack`` of the one state."""
+    return apply_channel_stack(c, (rho,), tol)[0]
+
+
+def apply_channel_stack(
+    c: KrausChannel, states: Sequence[DensityMatrix], tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple:
+    """The images sum_i K_i rho K_i^dag of all the states, in order, from
+    one Kraus sum over their (n, d, d) stack and one state check of the
+    images.
 
     The caller is responsible for c being CPTP; an invariant violation in
-    the output signals numerical breakdown (or a non-CPTP channel)."""
-    if rho.dim != c.in_dim:
+    an output signals numerical breakdown (or a non-CPTP channel). The
+    first state in order whose application fails raises what applying the
+    channel to it alone raises: DimensionMismatchError for a state of the
+    wrong dim, ShapeError for an image that is not a density matrix, or
+    NumericalError."""
+    # the states before the first one of the wrong dim
+    n = next((i for i, rho in enumerate(states) if rho.dim != c.in_dim), len(states))
+    out = np.zeros((n, c.out_dim, c.out_dim), dtype=complex)
+    if n:
+        rhos = np.array([rho.mat for rho in states[:n]])
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite image fails below
+            for op in c.kraus_ops:
+                out += op @ rhos @ op.conj().T
+        if c.out_dim > max_dim():
+            out = out[:1]  # the first image fails the cap once it passes its own checks
+        finite = np.isfinite(out).all(axis=(1, 2))
+        j = len(out) if finite.all() else int(finite.argmin())
+        bad = _density_defect(out[:j], tol)
+        if bad is not None:
+            raise ShapeError(f"not a density matrix: {bad[1]}")
+        if j < len(out):
+            raise ShapeError("matrix has a non-finite (NaN or infinite) entry")
+        _check_dim_cap(c.out_dim)
+    if n < len(states):
         raise DimensionMismatchError(
-            f"state dim {rho.dim} does not match channel input dim {c.in_dim}"
+            f"state dim {states[n].dim} does not match channel input dim {c.in_dim}"
         )
-    out = np.zeros((c.out_dim, c.out_dim), dtype=complex)
-    for k in c.kraus_ops:
-        out += k @ rho.mat @ k.conj().T
-    return DensityMatrix(out, tol)
+    out.flags.writeable = False
+    return tuple(DensityMatrix._checked(m) for m in out)
 
 
 # Choi eigenvalues at or below this fraction of the largest are dropped
@@ -253,6 +339,30 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
         raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
     eigs = _eigh(hermitian_part(a.mat - b.mat))
     return float(np.abs(eigs).sum() / 2)
+
+
+# Rounding slack of the Frobenius bounds: a distance whose bounds come
+# within this of the radius is computed by eigensolve instead
+_GUARD = 1e-12
+
+
+def within_trace_distance(a: DensityMatrix, b: DensityMatrix, eps: float) -> bool:
+    """Whether trace_distance(a, b) <= eps.
+
+    For the d x d Hermitian part D of a - b, ||D||_F <= ||D||_1 <=
+    sqrt(d) ||D||_F, so half the Frobenius norm decides a miss beyond
+    eps + _GUARD and half of sqrt(d) times it a hit within eps - _GUARD;
+    only a distance between the two is computed by ``trace_distance``."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
+    d = a.mat - b.mat
+    h = d + d.conj().T  # twice the Hermitian part: its norm is 4 x the half norm
+    half = math.sqrt(np.vdot(h, h).real) / 4
+    if half > eps + _GUARD:
+        return False
+    if half * math.sqrt(a.dim) <= eps - _GUARD:
+        return True
+    return trace_distance(a, b) <= eps
 
 
 # -- stock channels -----------------------------------------------------------

@@ -21,15 +21,23 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, MAX_CHANNELS, MAX_ISO_NODES, Tolerances
-from .errors import ResourceLimitError, StructuralError
+from .errors import (
+    DimensionMismatchError,
+    NumericalError,
+    ResourceLimitError,
+    ShapeError,
+    StructuralError,
+)
 from .linalg import (
     DensityMatrix,
     KrausChannel,
     apply_channel,
+    apply_channel_stack,
     compose,
     identity_channel,
     is_cptp,
     trace_distance,
+    within_trace_distance,
 )
 from .relations import Budget, bijections, reflexive_transitive_closure
 
@@ -86,13 +94,16 @@ class ValidationReport:
 
 
 def _matrix_is_identity(c: KrausChannel) -> bool:
+    """The single Kraus operator is the identity entrywise within
+    1e-12 + 1e-5 |I| (numpy's allclose rule with atol 1e-12)."""
     if c.in_dim != c.out_dim or len(c.kraus_ops) != 1:
         return False
-    return bool(np.allclose(c.kraus_ops[0], np.eye(c.in_dim), atol=1e-12))
+    eye = np.eye(c.in_dim)
+    return bool((np.abs(c.kraus_ops[0] - eye) <= 1e-12 + 1e-5 * eye).all())
 
 
 def _match(system: SystemDecl, dm: DensityMatrix, eps: float) -> str | None:
-    hits = [st for st, named in system.states.items() if trace_distance(dm, named) <= eps]
+    hits = [st for st, named in system.states.items() if within_trace_distance(dm, named, eps)]
     if len(hits) > 1:
         raise StructuralError(f"ambiguous match in system {system.id}: {sorted(hits)}")
     return hits[0] if hits else None
@@ -105,10 +116,19 @@ def induced_map(
     dst: each image goes to the unique named state of dst within
     eps_match. None when some image matches no named state.
 
-    Raises StructuralError when an image matches more than one."""
+    Raises StructuralError when an image matches more than one. When a
+    state's image fails its checks and no earlier image missed or matched
+    ambiguously, raises what applying the channel to that state raises."""
     out: dict[str, str] = {}
-    for st, dm in src.states.items():
-        hit = _match(dst, apply_channel(channel, dm, tol), tol.eps_match)
+    states = tuple(src.states.values())
+    try:
+        images = apply_channel_stack(channel, states, tol)
+    except (ShapeError, DimensionMismatchError, NumericalError):
+        # one state at a time, so that a miss or an ambiguity before the
+        # failing state is still the outcome
+        images = (apply_channel(channel, rho, tol) for rho in states)
+    for st, dm in zip(src.states, images):
+        hit = _match(dst, dm, tol.eps_match)
         if hit is None:
             return None
         out[st] = hit
@@ -273,11 +293,11 @@ class Qrt:
             names = sorted(s.states)
             for i, st1 in enumerate(names):
                 for st2 in names[i + 1:]:
-                    if s.states[st1].dim != s.states[st2].dim:
+                    a, b = s.states[st1], s.states[st2]
+                    if a.dim != b.dim:
                         continue
-                    d = trace_distance(s.states[st1], s.states[st2])
-                    if d <= 2 * self.tol.eps_match:
-                        why = f"named states only {d:.3e} apart"
+                    if within_trace_distance(a, b, 2 * self.tol.eps_match):
+                        why = f"named states only {trace_distance(a, b):.3e} apart"
                         issues.append(Issue("ambiguous-states", f"{s.id}.{st1}/{st2}", why))
 
         ones = [s for s in self._systems if s.dim == 1]
@@ -458,7 +478,7 @@ def is_sub_qrt(x: Qrt, y: Qrt) -> bool:
         if t is None or t.dim != s.dim or set(t.states) != set(s.states):
             return False
         for st in s.states:
-            if trace_distance(s.states[st], t.states[st]) > x.tol.eps_match:
+            if not within_trace_distance(s.states[st], t.states[st], x.tol.eps_match):
                 return False
     kept = {s.id for s in x.systems}
     restricted: dict = {}

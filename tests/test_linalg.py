@@ -1,17 +1,21 @@
 """Matrix substrate tests: density predicates, Choi matrices, CPTP
 verification, application, composition, trace distance."""
 
+import itertools
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qrtmodal.config import Tolerances
-from qrtmodal.errors import DimensionMismatchError, NumericalError, ShapeError
+import qrtmodal.linalg as linalg_module
+from qrtmodal.config import DEFAULT_TOLERANCES, Tolerances, max_dim
+from qrtmodal.errors import DimensionMismatchError, NumericalError, QrtModalError, ShapeError
 from qrtmodal.linalg import (
     DensityMatrix,
     KrausChannel,
     apply_channel,
+    apply_channel_stack,
     basis_state,
     choi_matrix,
     compose,
@@ -27,6 +31,7 @@ from qrtmodal.linalg import (
     scalar_one,
     trace_channel,
     trace_distance,
+    within_trace_distance,
 )
 
 
@@ -307,3 +312,308 @@ class TestRandomChannelProperties:
         for _ in range(60):
             a, b, c = (random_density(rng, 3) for _ in range(3))
             assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-9
+
+
+# -- the stacked image check against the per-state rule ---------------------------
+
+
+def reference_density_defect(m, tol):
+    """The state check of one matrix, as it stood before the check was
+    stacked: Hermitian, then PSD, then unit trace."""
+    herm_defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if not herm_defect <= tol.eps_herm:
+        return False, f"not Hermitian (defect {herm_defect:.3e})"
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (m + m.conj().T) / 2
+    try:
+        eigs = np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue solve failed: {exc}") from exc
+    lo = float(eigs.min())
+    if not lo >= -tol.eps_psd:
+        return False, f"not positive semidefinite (eigenvalue {lo:.3e})"
+    tr = complex(np.trace(m))
+    if not abs(tr - 1.0) <= tol.eps_tr:
+        return False, f"trace is {tr.real:.6f}, not 1"
+    return True, None
+
+
+def reference_apply(c, rho, tol=DEFAULT_TOLERANCES):
+    """One state through the channel, as a per-state apply_channel did it."""
+    if rho.dim != c.in_dim:
+        raise DimensionMismatchError(
+            f"state dim {rho.dim} does not match channel input dim {c.in_dim}"
+        )
+    out = np.zeros((c.out_dim, c.out_dim), dtype=complex)
+    with np.errstate(all="ignore"):
+        for k in c.kraus_ops:
+            out += k @ rho.mat @ k.conj().T
+    if not np.isfinite(out).all():
+        raise ShapeError("matrix has a non-finite (NaN or infinite) entry")
+    ok, why = reference_density_defect(out, tol)
+    if not ok:
+        raise ShapeError(f"not a density matrix: {why}")
+    if c.out_dim > max_dim():
+        raise ShapeError(f"dimension {c.out_dim} exceeds the configured cap {max_dim()}")
+    return out
+
+
+def outcome(run):
+    """("ok", images) or (exception type, message) of one run."""
+    try:
+        return "ok", run()
+    except QrtModalError as exc:
+        return type(exc), str(exc)
+
+
+def stacked(c, states, tol=DEFAULT_TOLERANCES):
+    return outcome(lambda: [dm.mat for dm in apply_channel_stack(c, states, tol)])
+
+
+def per_state(c, states, tol=DEFAULT_TOLERANCES):
+    return outcome(lambda: [reference_apply(c, rho, tol) for rho in states])
+
+
+def same_outcome(got, want) -> bool:
+    if got[0] != want[0]:
+        return False
+    if got[0] != "ok":
+        return got[1] == want[1]
+    return len(got[1]) == len(want[1]) and all(map(np.array_equal, got[1], want[1]))
+
+
+def skewed_state(defect):
+    """|0><0| plus an anti-Hermitian part whose Hermiticity defect is defect."""
+    skew = np.array([[0, defect / 2], [-defect / 2, 0]], dtype=complex)
+    return DensityMatrix(basis_state(2, 0).mat + skew)
+
+
+# states that pass their own check but fail through a non-unital map
+STATE_POOL = {
+    "zero": basis_state(2, 0),
+    "one": basis_state(2, 1),
+    "mixed": maximally_mixed(2),
+    "skewed": skewed_state(0.9e-9),  # Hermitian to within eps_herm
+    "negative": DensityMatrix(np.diag([1 + 0.9e-9, -0.9e-9])),  # PSD to within eps_psd
+    "qutrit": basis_state(3, 0),  # of the wrong dim for every channel below
+}
+
+CHANNELS = {
+    "identity": identity_channel(2),
+    # 100 x the state: amplifies the skewed state's defect and the negative
+    # state's eigenvalue past the tolerance; every image has trace 100
+    "amplify": KrausChannel([10 * np.eye(2)]),
+    "inflate": KrausChannel([np.diag([1.0, 1.1])]),  # trace 1.21 on |1><1|
+    "overflow": KrausChannel([np.diag([1.0, 1e200])]),  # inf on |1><1|
+}
+
+
+class TestApplyChannelStack:
+    def test_each_failure_kind_matches_the_per_state_rule(self):
+        cases = {
+            "non-Hermitian image": ("amplify", ["skewed"], "not Hermitian"),
+            "non-PSD image": ("amplify", ["negative"], "positive semidefinite"),
+            "trace not 1": ("inflate", ["zero", "one"], "trace is 1.210000"),
+            "overflow to inf": ("overflow", ["zero", "one"], "non-finite"),
+            "wrong dim": ("identity", ["zero", "qutrit"], "state dim 3"),
+        }
+        for name, (cname, names, text) in cases.items():
+            states = [STATE_POOL[n] for n in names]
+            got = stacked(CHANNELS[cname], states)
+            assert got[0] != "ok" and text in got[1], name
+            assert same_outcome(got, per_state(CHANNELS[cname], states)), name
+
+    def test_first_failing_state_in_order_matches_the_per_state_rule(self):
+        for c in CHANNELS.values():
+            for names in itertools.permutations(STATE_POOL, 3):
+                states = [STATE_POOL[n] for n in names]
+                got, want = stacked(c, states), per_state(c, states)
+                assert same_outcome(got, want), (c, names, got, want)
+
+    def test_failed_eigensolve_reports_the_first_failure_in_order(self, monkeypatch):
+        # a solve fails on any matrix whose (0, 0) entry is 0.3; one such
+        # matrix fails a whole stacked solve
+        original = np.linalg.eigvalsh
+
+        def failing(m):
+            if np.any(np.isclose(np.asarray(m)[..., 0, 0], 0.3)):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(m)
+
+        pool = {
+            "zero": basis_state(2, 0),
+            "one": basis_state(2, 1),  # fails the trace through inflate
+            "marked": DensityMatrix(np.diag([0.3 + 0j, 0.7])),
+            "qutrit": basis_state(3, 0),
+        }
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        seen = set()
+        for names in itertools.permutations(pool, 3):
+            states = [pool[n] for n in names]
+            got = stacked(CHANNELS["inflate"], states)
+            assert same_outcome(got, per_state(CHANNELS["inflate"], states)), names
+            seen.add(got[0])
+        assert seen == {NumericalError, ShapeError, DimensionMismatchError}
+
+    def test_cap_lowered_after_the_channel_was_built(self, monkeypatch):
+        monkeypatch.setenv("QRTMODAL_MAX_DIM", "1")
+        for c in CHANNELS.values():
+            for names in itertools.permutations(STATE_POOL, 2):
+                states = [STATE_POOL[n] for n in names]
+                assert same_outcome(stacked(c, states), per_state(c, states)), names
+
+    def test_images_equal_the_per_state_products(self):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            din, dout = (int(d) for d in rng.integers(1, 4, 2))
+            c = random_cptp_channel(rng, din, dout)
+            states = [random_density(rng, din, pure=bool(k % 2)) for k in range(4)]
+            got, want = stacked(c, states), per_state(c, states)
+            assert got[0] == "ok" and same_outcome(got, want)
+
+    def test_apply_channel_is_the_one_state_stack(self):
+        dep = depolarizing_channel()
+        rho = basis_state(2, 0)
+        (image,) = apply_channel_stack(dep, [rho])
+        assert np.array_equal(apply_channel(dep, rho).mat, image.mat)
+        assert apply_channel_stack(dep, []) == ()
+
+    def test_images_are_read_only(self):
+        (image,) = apply_channel_stack(identity_channel(2), [basis_state(2, 0)])
+        with pytest.raises(ValueError):
+            image.mat[0, 0] = 0
+
+
+# -- the certified trace-distance predicate against the scalar rule ---------------
+
+GUARD = linalg_module._GUARD
+LOOSE = Tolerances.uniform(1.0)  # lets a state carry a trace away from 1
+
+
+def scalar_rule(a, b, eps) -> bool:
+    return trace_distance(a, b) <= eps
+
+
+def count_eigensolves(monkeypatch) -> Counter:
+    """Count the exact trace distances the predicate falls back to."""
+    calls = Counter()
+    original = linalg_module.trace_distance
+
+    def counting(a, b):
+        calls["trace_distance"] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(linalg_module, "trace_distance", counting)
+    return calls
+
+
+def flat_pair(t, dim=2):
+    """States at trace distance t whose difference diag(t, -t) has a flat
+    spectrum, so the sqrt(d) Frobenius bound is tight."""
+    base = maximally_mixed(dim)
+    delta = np.zeros((dim, dim))
+    delta[0, 0], delta[1, 1] = t, -t
+    return DensityMatrix(base.mat + delta, LOOSE), base
+
+
+def rank_one_pair(t):
+    """States at trace distance t whose difference diag(2t, 0) has rank
+    one, so the plain Frobenius bound is tight."""
+    base = maximally_mixed(2)
+    return DensityMatrix(base.mat + np.diag([2 * t, 0.0]), LOOSE), base
+
+
+def random_pair(rng, t, dim=3):
+    """base + a random traceless Hermitian direction scaled to distance t."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = g + g.conj().T
+    h -= np.trace(h) / dim * np.eye(dim)
+    h *= t / (np.abs(np.linalg.eigvalsh(h)).sum() / 2)
+    base = maximally_mixed(dim)
+    return DensityMatrix(base.mat + h, LOOSE), base
+
+
+class TestWithinTraceDistance:
+    RADII = (0.0, 1e-9, 2e-9, 1e-2, 0.2)
+
+    def test_agrees_with_scalar_rule_at_the_radius(self):
+        rng = np.random.default_rng(47)
+        for eps in self.RADII:
+            for k in (-10, -1, 0, 1, 10):
+                t = eps + k * GUARD
+                if t < 0:
+                    continue
+                pairs = [flat_pair(t), flat_pair(t, 3), rank_one_pair(t), random_pair(rng, t)]
+                for a, b in pairs:
+                    assert within_trace_distance(a, b, eps) == scalar_rule(a, b, eps), (eps, k)
+                    assert within_trace_distance(b, a, eps) == scalar_rule(b, a, eps), (eps, k)
+
+    def test_bounds_decide_without_an_eigensolve(self, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        eps = 1e-9
+        assert within_trace_distance(*flat_pair(eps - 10 * GUARD), eps)
+        assert not within_trace_distance(*rank_one_pair(eps + 10 * GUARD), eps)
+        assert within_trace_distance(basis_state(2, 0), basis_state(2, 0), eps)
+        assert not within_trace_distance(basis_state(2, 0), basis_state(2, 1), eps)
+        assert calls["trace_distance"] == 0
+        # between the two bounds only the eigensolve decides
+        assert not within_trace_distance(*flat_pair(eps + GUARD), eps)
+        assert within_trace_distance(*rank_one_pair(eps - GUARD), eps)
+        assert calls["trace_distance"] == 2
+
+    def test_anti_hermitian_defect_is_not_a_distance(self):
+        # the raw difference's Frobenius norm would certify a miss here;
+        # the Hermitian part of the difference is zero
+        a, b = skewed_state(0.98e-9), basis_state(2, 0)
+        assert np.linalg.norm(a.mat - b.mat) / 2 > 1e-10 + GUARD
+        for eps in (0.0, 1e-10, 1e-9):
+            assert within_trace_distance(a, b, eps) is scalar_rule(a, b, eps) is True
+
+    def test_random_states_agree_with_scalar_rule(self):
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            dim = int(rng.integers(1, 4))
+            a, b = random_density(rng, dim), random_density(rng, dim)
+            eps = float(trace_distance(a, b)) * float(rng.choice([0.5, 1.0, 2.0]))
+            assert within_trace_distance(a, b, eps) == scalar_rule(a, b, eps)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            within_trace_distance(basis_state(2, 0), maximally_mixed(3), 1.0)
+
+
+# -- one CPTP verdict per channel and tolerance ------------------------------------
+
+
+def leaky_channel():
+    """sum K^dag K = (1 + 1e-7) I: trace preserving only to within 1e-7."""
+    return KrausChannel([np.sqrt(1 + 1e-7) * np.eye(2)])
+
+
+class TestCptpVerdictCache:
+    def test_verdict_per_tolerance_in_either_order(self):
+        loose = Tolerances.uniform(1e-6)
+        for order in ((loose, DEFAULT_TOLERANCES), (DEFAULT_TOLERANCES, loose)):
+            c = leaky_channel()
+            verdicts = {tol: is_cptp(c, tol) for tol in order}
+            assert verdicts[loose] == (True, None)
+            ok, why = verdicts[DEFAULT_TOLERANCES]
+            assert not ok and "not trace preserving" in why
+            assert is_cptp(c, loose) == (True, None)
+            assert is_cptp(c, DEFAULT_TOLERANCES) == (ok, why)
+
+    def test_worker_runs_once_per_channel_and_tolerance(self, monkeypatch):
+        calls = Counter()
+        original = linalg_module._cptp_verdict
+
+        def counting(c, *key):
+            calls[(id(c), key)] += 1
+            return original(c, *key)
+
+        monkeypatch.setattr(linalg_module, "_cptp_verdict", counting)
+        channels = [leaky_channel(), depolarizing_channel()]
+        for _ in range(3):
+            for c in channels:
+                for tol in (DEFAULT_TOLERANCES, Tolerances.uniform(1e-6), Tolerances()):
+                    is_cptp(c, tol)
+        assert sorted(calls.values()) == [1, 1, 1, 1]

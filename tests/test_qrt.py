@@ -8,19 +8,23 @@ from functools import partial
 import numpy as np
 import pytest
 
+import qrtmodal.linalg as linalg_module
 import qrtmodal.qrt as qrt_module
 from qrtmodal import corpus
-from qrtmodal.errors import QrtModalError, ResourceLimitError, StructuralError
+from qrtmodal.config import DEFAULT_TOLERANCES, Tolerances
+from qrtmodal.errors import QrtModalError, ResourceLimitError, ShapeError, StructuralError
 from qrtmodal.generate import GeneratorConfig, generate_qrt, random_relabeling
 from qrtmodal.linalg import (
     DensityMatrix,
     KrausChannel,
+    apply_channel_stack,
     basis_state,
     constant_channel,
     function_channel,
     preparation_channel,
     scalar_one,
     trace_distance,
+    within_trace_distance,
 )
 from qrtmodal.qrt import (
     ChannelDecl,
@@ -465,16 +469,18 @@ class TestGeneratedFamilyProperties:
 
 
 def _count_applications(monkeypatch):
-    """Patch the channel application the theory layer uses; returns a
-    Counter of (channel object id, state object id) applications."""
+    """Patch the stacked channel application the theory layer uses;
+    returns a Counter of (channel object id, state object id) applications,
+    one per state of each stack."""
     applied = Counter()
-    original = qrt_module.apply_channel
+    original = qrt_module.apply_channel_stack
 
-    def counting(c, rho, *args, **kwargs):
-        applied[(id(c), id(rho))] += 1
-        return original(c, rho, *args, **kwargs)
+    def counting(c, states, *args, **kwargs):
+        for rho in states:
+            applied[(id(c), id(rho))] += 1
+        return original(c, states, *args, **kwargs)
 
-    monkeypatch.setattr(qrt_module, "apply_channel", counting)
+    monkeypatch.setattr(qrt_module, "apply_channel_stack", counting)
     return applied
 
 
@@ -536,6 +542,116 @@ class TestDeriveOnce:
         for _ in range(2):
             with pytest.raises(StructuralError, match="ambiguous match"):
                 q.functions
+
+
+    def test_functoriality_checks_each_channel_once(self, monkeypatch):
+        from qrtmodal.harness import build_family
+        from qrtmodal.translate import verify_functoriality
+
+        made = build_family(1, 5)[0][1]
+        # fresh channel objects: no verdict is kept on them yet
+        q = Qrt(
+            made.systems,
+            [ChannelDecl(d.id, d.src, d.dst, KrausChannel(d.channel.kraus_ops)) for d in made.channels],
+            made.trivial_id,
+            made.tol,
+        )
+        checked = Counter()
+        original = linalg_module._cptp_verdict
+
+        def counting(c, *key):
+            checked[id(c)] += 1
+            return original(c, *key)
+
+        monkeypatch.setattr(linalg_module, "_cptp_verdict", counting)
+        rng = np.random.default_rng(5)
+        rel, sub = random_relabeling(q, rng), sub_qrt(q, [s.id for s in q.systems][:2])
+        assert verify_functoriality(q, [rel], [sub])["ok"]
+        assert checked == Counter({id(d.channel): 1 for d in q.channels})
+
+    def test_functoriality_rederives_the_rebuilt_theory(self, monkeypatch):
+        from qrtmodal.harness import build_family
+        from qrtmodal.translate import to_model, verify_functoriality
+
+        q = build_family(1, 5)[0][1]
+        to_model(q)  # the theory's own record is kept; the rebuilt one is not
+        induced = Counter()
+        original = qrt_module.induced_map
+
+        def counting(channel, *args, **kwargs):
+            induced[id(channel)] += 1
+            return original(channel, *args, **kwargs)
+
+        monkeypatch.setattr(qrt_module, "induced_map", counting)
+        assert verify_functoriality(q)["ok"]
+        assert induced == Counter(id(d.channel) for d in q.channels)
+
+
+def test_identity_rule_is_allclose_with_atol_1e12():
+    near = KrausChannel([np.diag([1 + 5e-6, 1 + 5e-6])])
+    assert qrt_module._matrix_is_identity(near)
+    off = np.eye(2, dtype=complex)
+    off[0, 1] = 1e-11
+    assert not qrt_module._matrix_is_identity(KrausChannel([off]))
+    # so a theory adds its own identity beside the second channel only
+    a = {"a0": basis_state(2, 0), "a1": basis_state(2, 1)}
+    for k, has_own in ((near.kraus_ops[0], False), (off, True)):
+        q = Qrt([SystemDecl("A", 2, a)], [ChannelDecl("e", "A", "A", KrausChannel([k]))])
+        assert any(d.id == "id_A" for d in q.channels) is has_own
+    # numpy's allclose rule, kept as the oracle
+    rng = np.random.default_rng(59)
+    for _ in range(300):
+        dim = int(rng.integers(1, 4))
+        scale = 10.0 ** rng.uniform(-13, -3)
+        k = np.eye(dim) + scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        if rng.random() < 0.5:
+            k = np.diag(np.diag(k))
+        want = bool(np.allclose(k, np.eye(dim), atol=1e-12))
+        assert qrt_module._matrix_is_identity(KrausChannel([k])) is want
+
+
+# -- the certified predicate against the scalar rule on the theories ------------
+
+
+def corpus_theories() -> list:
+    return [q for q in corpus.corpus_entries().values() if isinstance(q, Qrt)]
+
+
+def named_state_pairs(q: Qrt):
+    """Every (image, named state) pair of q, with each image taken under
+    loose tolerances so that a broken channel's images count too, and
+    every pair of named states of one system."""
+    loose = Tolerances.uniform(1.0)
+    for d in q.channels:
+        src, dst = q.system(d.src), q.system(d.dst)
+        try:
+            images = apply_channel_stack(d.channel, tuple(src.states.values()), loose)
+        except QrtModalError:
+            continue
+        for image in images:
+            yield from ((image, named) for named in dst.states.values() if named.dim == image.dim)
+    for s in q.systems:
+        states = list(s.states.values())
+        yield from ((a, b) for a, b in itertools.combinations(states, 2) if a.dim == b.dim)
+
+
+def test_certified_matching_agrees_with_scalar_rule():
+    from qrtmodal.harness import build_family
+
+    theories = corpus_theories() + [q for _, q in build_family(1, 40)]
+    assert len(theories) == 15 + 40
+    radii = sorted(
+        {r for tol in (DEFAULT_TOLERANCES, Tolerances.uniform(0), Tolerances.uniform(0.2))
+         for r in (tol.eps_match, 2 * tol.eps_match)}
+    )
+    checked = 0
+    for q in theories:
+        for a, b in named_state_pairs(q):
+            d = trace_distance(a, b)
+            for eps in radii:
+                assert within_trace_distance(a, b, eps) == (d <= eps), (d, eps)
+                checked += 1
+    assert checked > 5000
 
 
 # -- the composition closure against its first implementation -------------------
@@ -740,3 +856,17 @@ def test_induced_map_miss_and_ambiguity():
     crowded = SystemDecl("B", 2, {"b0": a0, "b1": a1, "c1": near_a1})
     with pytest.raises(StructuralError, match="ambiguous match in system B"):
         induced_map(swap, src, crowded)
+
+
+def test_induced_map_outcome_is_that_of_the_first_unmatched_state():
+    # |0> passes diag(1, 1.1) to itself, which B does not name; |1> comes
+    # out with trace 1.21, which is no state
+    inflate = KrausChannel([np.diag([1.0, 1.1])])
+    a0, a1 = basis_state(2, 0), basis_state(2, 1)
+    only_b1 = SystemDecl("B", 2, {"b1": a1})
+    assert induced_map(inflate, SystemDecl("A", 2, {"a0": a0, "a1": a1}), only_b1) is None
+    with pytest.raises(ShapeError, match="trace is 1.210000"):
+        induced_map(inflate, SystemDecl("A", 2, {"a1": a1, "a0": a0}), only_b1)
+    crowded = SystemDecl("B", 2, {"b0": a0, "c0": a0})
+    with pytest.raises(StructuralError, match="ambiguous match"):
+        induced_map(inflate, SystemDecl("A", 2, {"a0": a0, "a1": a1}), crowded)
