@@ -1,7 +1,7 @@
 """Finite quantum resource theories, variable-domain S4 translations,
 model checking, and desk-scale theorem verification."""
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOL
 from .errors import (
     DimensionMismatchError,
     FormulaSyntaxError,

@@ -11,7 +11,7 @@ import json
 import math
 import sys
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOL
 from .errors import QrtModalError
 from .formulas import is_valid, parse
 from .generate import GeneratorConfig, generate_qrt
@@ -38,10 +38,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _tolerances(args) -> Tolerances:
-    if getattr(args, "tolerance", None) is not None:
-        return Tolerances.uniform(args.tolerance)
-    return DEFAULT_TOLERANCES
+def _seed(text: str) -> int:
+    """The --seed type: an integer at least 0, as numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
+def _tolerances(args) -> float:
+    return DEFAULT_TOL if args.tolerance is None else args.tolerance
 
 
 def _load_qrt(path, tol):
@@ -180,7 +186,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("theorems", help="run every theorem oracle over a family")
     p.add_argument("files", nargs="*", help="theory files to use instead of a generated family")
     p.add_argument("--models", nargs="*", help="model files injected into the image checks")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--cap", type=int, default=5, help="object size cap for category checks")
     p.add_argument("--no-corpus", action="store_true")
@@ -189,7 +195,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_theorems)
 
     p = sub.add_parser("generate", help="write a seeded family of theory files")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--out", required=True)
     p.add_argument("--systems", type=int, default=3)

@@ -1,45 +1,24 @@
-"""Numerical tolerances and resource caps.
+"""Numerical tolerance and resource caps.
 
-All tolerances default to 1e-9: double-precision eigensolves on the matrix
-sizes this package allows (dim <= 64) stay several orders of magnitude below
-that.
+One tolerance, ``tol``, bounds every matrix-level rule: the Hermiticity
+defect, the PSD floor and the trace deviation of a state; the
+trace-preservation defect and the Choi PSD floor of a channel; and the
+trace-distance radius for matching a matrix to a named state, with two
+named states within 2 tol of each other an ambiguity. It defaults to
+1e-9: double-precision eigensolves on the matrix sizes this package
+allows (dim <= 64) stay several orders of magnitude below that.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 MAX_DIM_DEFAULT = 64
 MAX_CHANNELS = 10_000
 MAX_ISO_NODES = 10_000_000
 OBJECT_CAP = 5
 DEFAULT_P_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric slack for the matrix-level predicates.
-
-    eps_herm   Hermiticity defect allowed in a density matrix.
-    eps_psd    How far below zero an eigenvalue may dip.
-    eps_tp     Defect allowed in the trace-preservation identity.
-    eps_tr     Deviation of a state's trace from 1.
-    eps_match  Trace-distance radius for matching a matrix to a named state.
-    """
-
-    eps_herm: float = 1e-9
-    eps_psd: float = 1e-9
-    eps_tp: float = 1e-9
-    eps_tr: float = 1e-9
-    eps_match: float = 1e-9
-
-    @staticmethod
-    def uniform(eps: float) -> "Tolerances":
-        return Tolerances(eps, eps, eps, eps, eps)
-
-
-DEFAULT_TOLERANCES = Tolerances()
+DEFAULT_TOL = 1e-9
 
 
 def max_dim() -> int:

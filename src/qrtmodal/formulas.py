@@ -289,40 +289,7 @@ def is_resource_preserving(rec: TranslationRecord) -> tuple[bool, list]:
     return (not witnesses), witnesses
 
 
-# -- the bounded predicate layer -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConvexCombination:
-    """The built-in two-place predicate family: true for a pair of states
-    when both are free and their p-weighted combination matches a free
-    named state, or when at least one of them is not free."""
-
-    p: float
-    left: str
-    right: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
-
-
-@dataclass(frozen=True)
-class PredicateFormula:
-    """A bounded universal prefix (up to two variables over the global
-    domain) around a built-in predicate."""
-
-    variables: tuple
-    body: ConvexCombination
-
-    def __post_init__(self):
-        if not 1 <= len(self.variables) <= 2:
-            raise ValueError("only one or two bound variables are supported")
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("variables must be bound exactly once")
-        for v in (self.body.left, self.body.right):
-            if v not in self.variables:
-                raise ValueError(f"unbound variable {v!r}")
+# -- the convexity predicate ---------------------------------------------------
 
 
 def _pair_verdict(
@@ -340,33 +307,28 @@ def _pair_verdict(
     return "holds" if rec.model.interp[node_name((sid, hit))] == 1 else "fails"
 
 
-def evaluate_predicate(q, rec: TranslationRecord, pf: PredicateFormula) -> dict:
-    """Sweep the bounded quantifiers over same-system ordered pairs.
-
-    Combinations across systems are dimensionally meaningless, so the
-    quantifier domain is restricted to pairs on a shared system. Pairs
-    whose combination leaves the named universe are reported as
-    closure-indeterminate, a third verdict distinct from failure."""
-    holds, fails, indet = [], [], []
-    for s in q.systems:
-        for st1 in sorted(s.states):
-            for st2 in sorted(s.states):
-                verdict = _pair_verdict(q, rec, s.id, st1, st2, pf.body.p)
-                bucket = {"holds": holds, "fails": fails}.get(verdict, indet)
-                bucket.append((f"{s.id}.{st1}", f"{s.id}.{st2}"))
-    return {
-        "p": pf.body.p,
-        "holds": holds,
-        "fails": fails,
-        "indeterminate": indet,
-        "ok": not fails,
-    }
-
-
 def convexity_report(q, rec: TranslationRecord, p_samples) -> list[dict]:
-    """Evaluate the convexity predicate schema at each sampled p."""
+    """The convexity predicate at each sampled weight p, one report per p.
+
+    For an ordered pair of named states the predicate holds when one of
+    them is not free or their p-weighted combination matches a free named
+    state. Combinations across systems are dimensionally meaningless, so
+    the pairs range over each system's own states. A pair whose
+    combination leaves the named universe is indeterminate, a third
+    verdict distinct from failure. Raises ValueError for a p outside
+    [0, 1]."""
     out = []
-    for p in p_samples:
-        pf = PredicateFormula(("r1", "r2"), ConvexCombination(float(p), "r1", "r2"))
-        out.append(evaluate_predicate(q, rec, pf))
+    for p in map(float, p_samples):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+        holds, fails, indet = [], [], []
+        for s in q.systems:
+            for st1 in sorted(s.states):
+                for st2 in sorted(s.states):
+                    verdict = _pair_verdict(q, rec, s.id, st1, st2, p)
+                    bucket = {"holds": holds, "fails": fails}.get(verdict, indet)
+                    bucket.append((f"{s.id}.{st1}", f"{s.id}.{st2}"))
+        out.append(
+            {"p": p, "holds": holds, "fails": fails, "indeterminate": indet, "ok": not fails}
+        )
     return out

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances, max_dim
+from .config import DEFAULT_TOL, max_dim
 from .errors import QrtModalError, ShapeError
 from .kripke import KripkeModel, StarredModel
 from .linalg import DensityMatrix, KrausChannel
@@ -80,7 +80,7 @@ def _list(value: Any, what: str) -> list:
     raise FormatError(f"malformed theory file: {what} is not a list")
 
 
-def qrt_from_dict(data: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Qrt:
+def qrt_from_dict(data: Any, tol: float = DEFAULT_TOL) -> Qrt:
     """The theory of a theory file. Ids are strings, "states" an object,
     "dim" an integer from 1 to max_dim() (checked before any matrix is
     built), and every matrix entry an [re, im] pair."""

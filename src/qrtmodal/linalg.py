@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances, max_dim
+from .config import DEFAULT_TOL, max_dim
 from .errors import DimensionMismatchError, NumericalError, ShapeError
 
 
@@ -58,9 +58,7 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
         return (m + np.swapaxes(m, -1, -2).conj()) / 2
 
 
-def is_density_matrix(
-    m, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[bool, str | None]:
+def is_density_matrix(m, tol: float = DEFAULT_TOL) -> tuple[bool, str | None]:
     """Check the three state invariants: Hermitian, PSD, unit trace.
 
     Returns (ok, diagnostic); the diagnostic names the first violated
@@ -72,7 +70,7 @@ def is_density_matrix(
     return (True, None) if bad is None else (False, bad[1])
 
 
-def _density_defect(ms: np.ndarray, tol: Tolerances) -> tuple[int, str] | None:
+def _density_defect(ms: np.ndarray, tol: float) -> tuple[int, str] | None:
     """The first matrix of the (n, d, d) stack ``ms`` that fails a state
     invariant, as (index, diagnostic), or None when every one passes.
 
@@ -86,7 +84,7 @@ def _density_defect(ms: np.ndarray, tol: Tolerances) -> tuple[int, str] | None:
         raise ShapeError(f"density matrix must be square, got {ms.shape[1:]}")
     n = len(ms)
     herm = np.abs(ms - ms.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
-    ok = herm <= tol.eps_herm
+    ok = herm <= tol
     j = n if ok.all() else int(ok.argmin())
     if j:
         head = ms[:j]
@@ -102,10 +100,10 @@ def _density_defect(ms: np.ndarray, tol: Tolerances) -> tuple[int, str] | None:
                     return i, bad[1]
             raise
         tr = head.trace(axis1=1, axis2=2)
-        ok = (lo >= -tol.eps_psd) & (np.abs(tr - 1.0) <= tol.eps_tr)
+        ok = (lo >= -tol) & (np.abs(tr - 1.0) <= tol)
         if not ok.all():
             i = int(ok.argmin())
-            if not lo[i] >= -tol.eps_psd:
+            if not lo[i] >= -tol:
                 return i, f"not positive semidefinite (eigenvalue {float(lo[i]):.3e})"
             return i, f"trace is {tr[i].real:.6f}, not 1"
     if j < n:
@@ -118,7 +116,7 @@ class DensityMatrix:
 
     __slots__ = ("dim", "mat")
 
-    def __init__(self, matrix, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, matrix, tol: float = DEFAULT_TOL):
         m = as_matrix(matrix)
         bad = _density_defect(m[None], tol)
         if bad is not None:
@@ -193,7 +191,7 @@ class KrausChannel:
         object.__setattr__(self, "in_dim", int(in_dim))
         object.__setattr__(self, "out_dim", int(out_dim))
         object.__setattr__(self, "kraus_ops", tuple(frozen))
-        # (eps_tp, eps_psd) -> is_cptp verdict; the operators never change
+        # tol -> is_cptp verdict; the operators never change
         object.__setattr__(self, "_cptp", {})
 
     def __setattr__(self, name, value):
@@ -221,46 +219,41 @@ def choi_matrix(c: KrausChannel) -> np.ndarray:
     return j
 
 
-def is_cptp(
-    c: KrausChannel, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[bool, str | None]:
+def is_cptp(c: KrausChannel, tol: float = DEFAULT_TOL) -> tuple[bool, str | None]:
     """Trace preservation (sum K^dag K = I) and complete positivity
-    (Choi matrix PSD), each within tolerance; a NaN fails either.
+    (Choi matrix PSD), each within tol; a NaN fails either.
 
-    The verdict is kept on the channel per (eps_tp, eps_psd): a channel is
-    immutable, and the theories derived from one share its objects."""
-    key = (tol.eps_tp, tol.eps_psd)
-    verdict = c._cptp.get(key)
+    The verdict is kept on the channel per tol: a channel is immutable,
+    and the theories derived from one share its objects."""
+    verdict = c._cptp.get(tol)
     if verdict is None:
-        verdict = c._cptp[key] = _cptp_verdict(c, *key)
+        verdict = c._cptp[tol] = _cptp_verdict(c, tol)
     return verdict
 
 
-def _cptp_verdict(c: KrausChannel, eps_tp: float, eps_psd: float) -> tuple[bool, str | None]:
+def _cptp_verdict(c: KrausChannel, tol: float) -> tuple[bool, str | None]:
     acc = np.zeros((c.in_dim, c.in_dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
         for k in c.kraus_ops:
             acc += k.conj().T @ k
         tp_defect = float(np.max(np.abs(acc - np.eye(c.in_dim))))
-    if not tp_defect <= eps_tp:
+    if not tp_defect <= tol:
         return False, f"not trace preserving (defect {tp_defect:.3e})"
     eigs = _eigh(hermitian_part(choi_matrix(c)))
     lo = float(eigs.min())
-    if not lo >= -eps_psd:
+    if not lo >= -tol:
         return False, f"not completely positive (Choi eigenvalue {lo:.3e})"
     return True, None
 
 
-def apply_channel(
-    c: KrausChannel, rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
-) -> DensityMatrix:
+def apply_channel(c: KrausChannel, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Evaluate sum_i K_i rho K_i^dag and re-check the state invariants:
     ``apply_channel_stack`` of the one state."""
     return apply_channel_stack(c, (rho,), tol)[0]
 
 
 def apply_channel_stack(
-    c: KrausChannel, states: Sequence[DensityMatrix], tol: Tolerances = DEFAULT_TOLERANCES
+    c: KrausChannel, states: Sequence[DensityMatrix], tol: float = DEFAULT_TOL
 ) -> tuple:
     """The images sum_i K_i rho K_i^dag of all the states, in order, from
     one Kraus sum over their (n, d, d) stack and one state check of the

@@ -7,8 +7,7 @@ as the states convertible from the trivial system's unique state.
 
 Channels are identified extensionally by the function they induce on the
 named universe; matching an output matrix to a named state uses the
-nearest-within-eps_match rule, with ambiguity treated as a validation
-error.
+unique-within-tol rule, with ambiguity treated as a validation error.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, MAX_CHANNELS, MAX_ISO_NODES, Tolerances
+from .config import DEFAULT_TOL, MAX_CHANNELS, MAX_ISO_NODES
 from .errors import (
     DimensionMismatchError,
     NumericalError,
@@ -110,11 +109,11 @@ def _match(system: SystemDecl, dm: DensityMatrix, eps: float) -> str | None:
 
 
 def induced_map(
-    channel: KrausChannel, src: SystemDecl, dst: SystemDecl, tol: Tolerances = DEFAULT_TOLERANCES
+    channel: KrausChannel, src: SystemDecl, dst: SystemDecl, tol: float = DEFAULT_TOL
 ) -> dict | None:
     """The map named state -> named state that channel realizes from src to
-    dst: each image goes to the unique named state of dst within
-    eps_match. None when some image matches no named state.
+    dst: each image goes to the unique named state of dst within trace
+    distance tol. None when some image matches no named state.
 
     Raises StructuralError when an image matches more than one. When a
     state's image fails its checks and no earlier image missed or matched
@@ -128,7 +127,7 @@ def induced_map(
         # failing state is still the outcome
         images = (apply_channel(channel, rho, tol) for rho in states)
     for st, dm in zip(src.states, images):
-        hit = _match(dst, dm, tol.eps_match)
+        hit = _match(dst, dm, tol)
         if hit is None:
             return None
         out[st] = hit
@@ -149,7 +148,7 @@ class Qrt:
         systems: Sequence[SystemDecl],
         channels: Sequence[ChannelDecl] = (),
         trivial: str | None = None,
-        tol: Tolerances = DEFAULT_TOLERANCES,
+        tol: float = DEFAULT_TOL,
     ):
         self._systems = tuple(systems)
         self._by_id = {s.id: s for s in self._systems}
@@ -197,10 +196,11 @@ class Qrt:
         return tuple((s.id, st) for s in self._systems for st in sorted(s.states))
 
     def match_named(self, sid: str, dm: DensityMatrix) -> str | None:
-        """The unique named state of system sid within eps_match, or None.
+        """The unique named state of system sid within trace distance tol,
+        or None.
 
         Raises StructuralError when more than one named state matches."""
-        return _match(self._by_id[sid], dm, self.tol.eps_match)
+        return _match(self._by_id[sid], dm, self.tol)
 
     def _function(self, decl: ChannelDecl) -> dict | None:
         """The channel's ``induced_map``, derived once per channel and
@@ -296,7 +296,7 @@ class Qrt:
                     a, b = s.states[st1], s.states[st2]
                     if a.dim != b.dim:
                         continue
-                    if within_trace_distance(a, b, 2 * self.tol.eps_match):
+                    if within_trace_distance(a, b, 2 * self.tol):
                         why = f"named states only {trace_distance(a, b):.3e} apart"
                         issues.append(Issue("ambiguous-states", f"{s.id}.{st1}/{st2}", why))
 
@@ -478,7 +478,7 @@ def is_sub_qrt(x: Qrt, y: Qrt) -> bool:
         if t is None or t.dim != s.dim or set(t.states) != set(s.states):
             return False
         for st in s.states:
-            if not within_trace_distance(s.states[st], t.states[st], x.tol.eps_match):
+            if not within_trace_distance(s.states[st], t.states[st], x.tol):
                 return False
     kept = {s.id for s in x.systems}
     restricted: dict = {}

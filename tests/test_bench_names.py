@@ -1,9 +1,12 @@
-"""The benchmark under bench/ reads names from qrtmodal; one that is
-renamed or deleted makes every benchmark run fail. These tests check,
-without running the benchmark, that each name it reads still exists."""
+"""The benchmark under bench/ reads names from qrtmodal and calls them;
+one that is renamed or deleted, or a keyword it passes that is renamed,
+makes every benchmark run fail. These tests check, without running the
+benchmark, that each name it reads still exists and that each call it
+makes binds to the callee's signature."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -19,36 +22,77 @@ def bench_tree(name):
     return ast.parse(path.read_text())
 
 
+def qrtmodal_bindings(tree):
+    """{local name: dotted qrtmodal name} for every qrtmodal module or
+    attribute a module imports, and the set of those that are modules."""
+    bound = {}
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] != "qrtmodal":
+                    continue
+                # a plain `import qrtmodal.x` binds the package only
+                local = alias.asname or "qrtmodal"
+                bound[local] = alias.name if alias.asname else "qrtmodal"
+                modules.add(local)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qrtmodal":
+            for alias in node.names:
+                local = alias.asname or alias.name
+                bound[local] = f"{node.module}.{alias.name}"
+                try:
+                    importlib.import_module(bound[local])
+                except ModuleNotFoundError:
+                    pass  # a plain attribute, or a deleted module
+                else:
+                    modules.add(local)
+    return bound, modules
+
+
+def dotted(node, bound):
+    """The dotted qrtmodal name an expression reads, or None."""
+    chain = []
+    while isinstance(node, ast.Attribute):
+        chain.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in bound:
+        return ".".join([bound[node.id], *reversed(chain)])
+    return None
+
+
 def qrtmodal_names(tree):
     """The dotted qrtmodal names a module reads: every name imported from
     a qrtmodal module, and every attribute chain off a local name bound to
     a qrtmodal module."""
-    modules = {}  # local name -> module
-    names = set()
+    bound, modules = qrtmodal_bindings(tree)
+    names = {bound[local] for local in bound.keys() - modules}
+    off_modules = {local: bound[local] for local in modules}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname and alias.name.split(".")[0] == "qrtmodal":
-                    modules[alias.asname] = alias.name
-                elif alias.name.split(".")[0] == "qrtmodal":
-                    modules["qrtmodal"] = "qrtmodal"  # binds the package only
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qrtmodal":
-            for alias in node.names:
-                full = f"{node.module}.{alias.name}"
-                try:
-                    importlib.import_module(full)
-                except ModuleNotFoundError:
-                    names.add(full)  # a plain attribute, or a deleted module
-                else:
-                    modules[alias.asname or alias.name] = full
-    for node in ast.walk(tree):
-        chain = []
-        while isinstance(node, ast.Attribute):
-            chain.append(node.attr)
-            node = node.value
-        if chain and isinstance(node, ast.Name) and node.id in modules:
-            names.add(".".join([modules[node.id], *reversed(chain)]))
+        if isinstance(node, ast.Attribute):
+            name = dotted(node, off_modules)
+            if name is not None:
+                names.add(name)
     return names
+
+
+def qrtmodal_calls(tree):
+    """(line, callee, positional count, keyword names) of every call whose
+    callee is a dotted qrtmodal name. A call that unpacks ``*args`` or
+    ``**kwargs`` is left out: it cannot be bound without running it."""
+    bound, _ = qrtmodal_bindings(tree)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = dotted(node.func, bound)
+        if callee is None:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            continue
+        calls.append((node.lineno, callee, len(node.args), tuple(k.arg for k in node.keywords)))
+    return calls
 
 
 def resolves(dotted):
@@ -72,6 +116,29 @@ def test_names_the_workloads_read_exist(name):
             "qrtmodal.smc.free_objects",
         } <= used
     assert sorted(n for n in used if not resolves(n)) == []
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "oracles.py"])
+def test_calls_the_workloads_make_bind(name):
+    calls = qrtmodal_calls(bench_tree(name))
+    if name == "workloads.py":
+        # the scan itself finds calls the workloads are known to make
+        assert {
+            ("qrtmodal.formulas.is_valid", 2, ("warn_domains",)),
+            ("qrtmodal.generate.generate_qrt", 1, ("index",)),
+            ("qrtmodal.harness.run_theorems", 0, ("seed", "count")),
+        } <= {call[1:] for call in calls}
+    unbound = []
+    for line, callee, n_args, keywords in calls:
+        if not resolves(callee):
+            continue  # reported by test_names_the_workloads_read_exist
+        try:
+            inspect.signature(pkgutil.resolve_name(callee)).bind(
+                *[None] * n_args, **dict.fromkeys(keywords)
+            )
+        except TypeError as exc:
+            unbound.append(f"bench/{name}:{line}: {callee}: {exc}")
+    assert unbound == []
 
 
 def test_traced_layers_exist():

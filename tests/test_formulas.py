@@ -13,12 +13,10 @@ from qrtmodal.errors import FormulaSyntaxError, UnknownSymbolError
 from qrtmodal.formulas import (
     Atom,
     Box,
-    ConvexCombination,
     Diamond,
     DomainWarning,
     Implies,
     Not,
-    PredicateFormula,
     conversion_possibility_report,
     convexity_report,
     evaluate,
@@ -284,12 +282,9 @@ class TestResourcePreservation:
 
 class TestConvexity:
     def test_predicate_validation(self):
-        with pytest.raises(ValueError):
-            ConvexCombination(1.5, "r1", "r2")
-        with pytest.raises(ValueError):
-            PredicateFormula(("r1",), ConvexCombination(0.5, "r1", "r2"))
-        with pytest.raises(ValueError):
-            PredicateFormula(("r1", "r1"), ConvexCombination(0.5, "r1", "r1"))
+        q = corpus.convex_closed_qrt()
+        with pytest.raises(ValueError, match="p must lie in"):
+            convexity_report(q, to_model(q), (1.5,))
 
     def test_convex_closed_example_holds_everywhere(self):
         q = corpus.convex_closed_qrt()

@@ -309,6 +309,18 @@ class TestCli:
         for name in ("qrt_9_0.qrt.json", "qrt_9_1.qrt.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["theorems", "generate"])
+    def test_negative_seed_is_input_error(self, command, tmp_path, capsys):
+        out = tmp_path / "gen"
+        argv = [command, "--seed", "-1", "--count", "4"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--out", str(out)] if command == "generate" else ["--no-corpus"]))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be an integer >= 0, got '-1'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_examples_command(self, tmp_path, capsys):
         assert main(["examples", "--out", str(tmp_path / "ex")]) == 0
         assert (tmp_path / "ex" / "trivial.qrt.json").exists()
@@ -369,6 +381,80 @@ def test_translate_bytes_pinned(name, star, code, digest, pinned_corpus_dir, cap
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+# `qrtmodal validate --json FILE [--tolerance T]` on every corpus theory
+# file, at T = 0, the default and 0.2: (file, T or None, exit code, first
+# 16 hex digits of the stdout's SHA-256). One tolerance bounds every rule,
+# so this pins what each value accepts; at 0 the entanglement file's
+# states miss trace 1 by rounding, an input error.
+VALIDATE_PINS = [
+    ("broken_tp.qrt.json", "0", 1, "2f8e8b1e23426e49"),
+    ("broken_tp.qrt.json", None, 1, "2f8e8b1e23426e49"),
+    ("broken_tp.qrt.json", "0.2", 1, "2f8e8b1e23426e49"),
+    ("chain.qrt.json", "0", 1, "b9f453d4bab8ce46"),
+    ("chain.qrt.json", None, 0, "be64df4a431fa850"),
+    ("chain.qrt.json", "0.2", 0, "be64df4a431fa850"),
+    ("convex_closed.qrt.json", "0", 0, "be64df4a431fa850"),
+    ("convex_closed.qrt.json", None, 0, "be64df4a431fa850"),
+    ("convex_closed.qrt.json", "0.2", 0, "be64df4a431fa850"),
+    ("convexity_demo.qrt.json", "0", 1, "d59eb4e30fb4f757"),
+    ("convexity_demo.qrt.json", None, 0, "be64df4a431fa850"),
+    ("convexity_demo.qrt.json", "0.2", 0, "be64df4a431fa850"),
+    ("entanglement.qrt.json", "0", 2, "e3b0c44298fc1c14"),
+    ("entanglement.qrt.json", None, 0, "be64df4a431fa850"),
+    ("entanglement.qrt.json", "0.2", 0, "be64df4a431fa850"),
+    ("injectivity_gap_x.qrt.json", "0", 1, "57c6841785a218ef"),
+    ("injectivity_gap_x.qrt.json", None, 0, "be64df4a431fa850"),
+    ("injectivity_gap_x.qrt.json", "0.2", 0, "be64df4a431fa850"),
+    ("injectivity_gap_y.qrt.json", "0", 1, "57c6841785a218ef"),
+    ("injectivity_gap_y.qrt.json", None, 0, "be64df4a431fa850"),
+    ("injectivity_gap_y.qrt.json", "0.2", 0, "be64df4a431fa850"),
+    ("iso_gap_x.qrt.json", "0", 0, "be64df4a431fa850"),
+    ("iso_gap_x.qrt.json", None, 0, "be64df4a431fa850"),
+    ("iso_gap_x.qrt.json", "0.2", 0, "be64df4a431fa850"),
+    ("iso_gap_y.qrt.json", "0", 0, "be64df4a431fa850"),
+    ("iso_gap_y.qrt.json", None, 0, "be64df4a431fa850"),
+    ("iso_gap_y.qrt.json", "0.2", 0, "be64df4a431fa850"),
+    ("resource_destroying.qrt.json", "0", 0, "be64df4a431fa850"),
+    ("resource_destroying.qrt.json", None, 0, "be64df4a431fa850"),
+    ("resource_destroying.qrt.json", "0.2", 0, "be64df4a431fa850"),
+    ("trivial.qrt.json", "0", 0, "be64df4a431fa850"),
+    ("trivial.qrt.json", None, 0, "be64df4a431fa850"),
+    ("trivial.qrt.json", "0.2", 0, "be64df4a431fa850"),
+    ("xi_base.qrt.json", "0", 0, "be64df4a431fa850"),
+    ("xi_base.qrt.json", None, 0, "be64df4a431fa850"),
+    ("xi_base.qrt.json", "0.2", 0, "be64df4a431fa850"),
+    ("xi_collapse_base.qrt.json", "0", 0, "be64df4a431fa850"),
+    ("xi_collapse_base.qrt.json", None, 0, "be64df4a431fa850"),
+    ("xi_collapse_base.qrt.json", "0.2", 0, "be64df4a431fa850"),
+    ("xi_collapse_flip.qrt.json", "0", 0, "be64df4a431fa850"),
+    ("xi_collapse_flip.qrt.json", None, 0, "be64df4a431fa850"),
+    ("xi_collapse_flip.qrt.json", "0.2", 0, "be64df4a431fa850"),
+    ("xi_flip.qrt.json", "0", 0, "be64df4a431fa850"),
+    ("xi_flip.qrt.json", None, 0, "be64df4a431fa850"),
+    ("xi_flip.qrt.json", "0.2", 0, "be64df4a431fa850"),
+]
+
+
+def test_validate_pins_cover_the_corpus(pinned_corpus_dir):
+    names = {p.name for p in pinned_corpus_dir.glob("*.qrt.json")}
+    assert {name for name, *_ in VALIDATE_PINS} == names
+    assert len(VALIDATE_PINS) == 3 * len(names)
+    assert {code for *_, code, _ in VALIDATE_PINS} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("name, tol, code, digest", VALIDATE_PINS)
+def test_validate_bytes_pinned(name, tol, code, digest, pinned_corpus_dir, capsys):
+    path = pinned_corpus_dir / name
+    argv = ["validate", "--json", str(path)] + (["--tolerance", tol] if tol else [])
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+    assert err.startswith("error: ") if code == 2 else err == ""
+    if tol == "0.2":  # the library at the same tolerance agrees with the CLI
+        report = qrt_from_dict(json.loads(path.read_text()), 0.2).validate()
+        assert (dumps(report.to_dict()), 0 if report.ok else 1) == (out, code)
 
 
 def small_model_dict() -> dict:

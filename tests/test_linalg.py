@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qrtmodal.linalg as linalg_module
-from qrtmodal.config import DEFAULT_TOLERANCES, Tolerances, max_dim
+from qrtmodal.config import DEFAULT_TOL, max_dim
 from qrtmodal.errors import DimensionMismatchError, NumericalError, QrtModalError, ShapeError
 from qrtmodal.linalg import (
     DensityMatrix,
@@ -80,7 +80,7 @@ class TestIsDensityMatrix:
             is_density_matrix(np.zeros((2, 3)))
 
     def test_tolerance_override(self):
-        loose = Tolerances.uniform(1e-2)
+        loose = 1e-2
         ok, _ = is_density_matrix(np.diag([1.001, 0.0]), loose)
         assert ok
 
@@ -321,7 +321,7 @@ def reference_density_defect(m, tol):
     """The state check of one matrix, as it stood before the check was
     stacked: Hermitian, then PSD, then unit trace."""
     herm_defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if not herm_defect <= tol.eps_herm:
+    if not herm_defect <= tol:
         return False, f"not Hermitian (defect {herm_defect:.3e})"
     with np.errstate(over="ignore", invalid="ignore"):
         h = (m + m.conj().T) / 2
@@ -330,15 +330,15 @@ def reference_density_defect(m, tol):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solve failed: {exc}") from exc
     lo = float(eigs.min())
-    if not lo >= -tol.eps_psd:
+    if not lo >= -tol:
         return False, f"not positive semidefinite (eigenvalue {lo:.3e})"
     tr = complex(np.trace(m))
-    if not abs(tr - 1.0) <= tol.eps_tr:
+    if not abs(tr - 1.0) <= tol:
         return False, f"trace is {tr.real:.6f}, not 1"
     return True, None
 
 
-def reference_apply(c, rho, tol=DEFAULT_TOLERANCES):
+def reference_apply(c, rho, tol=DEFAULT_TOL):
     """One state through the channel, as a per-state apply_channel did it."""
     if rho.dim != c.in_dim:
         raise DimensionMismatchError(
@@ -366,11 +366,11 @@ def outcome(run):
         return type(exc), str(exc)
 
 
-def stacked(c, states, tol=DEFAULT_TOLERANCES):
+def stacked(c, states, tol=DEFAULT_TOL):
     return outcome(lambda: [dm.mat for dm in apply_channel_stack(c, states, tol)])
 
 
-def per_state(c, states, tol=DEFAULT_TOLERANCES):
+def per_state(c, states, tol=DEFAULT_TOL):
     return outcome(lambda: [reference_apply(c, rho, tol) for rho in states])
 
 
@@ -393,8 +393,8 @@ STATE_POOL = {
     "zero": basis_state(2, 0),
     "one": basis_state(2, 1),
     "mixed": maximally_mixed(2),
-    "skewed": skewed_state(0.9e-9),  # Hermitian to within eps_herm
-    "negative": DensityMatrix(np.diag([1 + 0.9e-9, -0.9e-9])),  # PSD to within eps_psd
+    "skewed": skewed_state(0.9e-9),  # Hermitian to within tol
+    "negative": DensityMatrix(np.diag([1 + 0.9e-9, -0.9e-9])),  # PSD to within tol
     "qutrit": basis_state(3, 0),  # of the wrong dim for every channel below
 }
 
@@ -487,7 +487,7 @@ class TestApplyChannelStack:
 # -- the certified trace-distance predicate against the scalar rule ---------------
 
 GUARD = linalg_module._GUARD
-LOOSE = Tolerances.uniform(1.0)  # lets a state carry a trace away from 1
+LOOSE = 1.0  # lets a state carry a trace away from 1
 
 
 def scalar_rule(a, b, eps) -> bool:
@@ -592,15 +592,15 @@ def leaky_channel():
 
 class TestCptpVerdictCache:
     def test_verdict_per_tolerance_in_either_order(self):
-        loose = Tolerances.uniform(1e-6)
-        for order in ((loose, DEFAULT_TOLERANCES), (DEFAULT_TOLERANCES, loose)):
+        loose = 1e-6
+        for order in ((loose, DEFAULT_TOL), (DEFAULT_TOL, loose)):
             c = leaky_channel()
             verdicts = {tol: is_cptp(c, tol) for tol in order}
             assert verdicts[loose] == (True, None)
-            ok, why = verdicts[DEFAULT_TOLERANCES]
+            ok, why = verdicts[DEFAULT_TOL]
             assert not ok and "not trace preserving" in why
             assert is_cptp(c, loose) == (True, None)
-            assert is_cptp(c, DEFAULT_TOLERANCES) == (ok, why)
+            assert is_cptp(c, DEFAULT_TOL) == (ok, why)
 
     def test_worker_runs_once_per_channel_and_tolerance(self, monkeypatch):
         calls = Counter()
@@ -614,6 +614,6 @@ class TestCptpVerdictCache:
         channels = [leaky_channel(), depolarizing_channel()]
         for _ in range(3):
             for c in channels:
-                for tol in (DEFAULT_TOLERANCES, Tolerances.uniform(1e-6), Tolerances()):
+                for tol in (DEFAULT_TOL, 1e-6, 1e-9):  # 1e-9 is the default's value
                     is_cptp(c, tol)
         assert sorted(calls.values()) == [1, 1, 1, 1]

@@ -11,7 +11,7 @@ import pytest
 import qrtmodal.linalg as linalg_module
 import qrtmodal.qrt as qrt_module
 from qrtmodal import corpus
-from qrtmodal.config import DEFAULT_TOLERANCES, Tolerances
+from qrtmodal.config import DEFAULT_TOL
 from qrtmodal.errors import QrtModalError, ResourceLimitError, ShapeError, StructuralError
 from qrtmodal.generate import GeneratorConfig, generate_qrt, random_relabeling
 from qrtmodal.linalg import (
@@ -621,7 +621,7 @@ def named_state_pairs(q: Qrt):
     """Every (image, named state) pair of q, with each image taken under
     loose tolerances so that a broken channel's images count too, and
     every pair of named states of one system."""
-    loose = Tolerances.uniform(1.0)
+    loose = 1.0
     for d in q.channels:
         src, dst = q.system(d.src), q.system(d.dst)
         try:
@@ -641,8 +641,7 @@ def test_certified_matching_agrees_with_scalar_rule():
     theories = corpus_theories() + [q for _, q in build_family(1, 40)]
     assert len(theories) == 15 + 40
     radii = sorted(
-        {r for tol in (DEFAULT_TOLERANCES, Tolerances.uniform(0), Tolerances.uniform(0.2))
-         for r in (tol.eps_match, 2 * tol.eps_match)}
+        {r for tol in (DEFAULT_TOL, 0, 0.2) for r in (tol, 2 * tol)}
     )
     checked = 0
     for q in theories:

@@ -100,16 +100,17 @@ class TestDeriveOnce:
         assert to_starred_model(q).model is to_model(q).model
 
     def test_s4_check_runs_once_per_theory(self, monkeypatch):
+        # validation is the S4 check, so it runs with the one translation
         import qrtmodal.translate as translate_module
 
         calls = []
-        original = translate_module.is_s4
+        original = translate_module._translate
 
-        def counting(m):
-            calls.append(m)
-            return original(m)
+        def counting(q):
+            calls.append(q)
+            return original(q)
 
-        monkeypatch.setattr(translate_module, "is_s4", counting)
+        monkeypatch.setattr(translate_module, "_translate", counting)
         q = corpus.chain_qrt()
         to_model(q)
         to_starred_model(q)
