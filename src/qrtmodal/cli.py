@@ -31,8 +31,11 @@ from .translate import to_model
 
 def _tolerance(text: str) -> float:
     """The --tolerance type: a finite number at least 0. argparse turns
-    either error into exit 2 with a message naming the option."""
-    value = float(text)
+    the error into exit 2 with a message naming the option."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # fails the check below
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
@@ -40,7 +43,10 @@ def _tolerance(text: str) -> float:
 
 def _seed(text: str) -> int:
     """The --seed type: an integer at least 0, as numpy's generators take."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # fails the check below
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return value

@@ -1,4 +1,4 @@
-"""Seeded random generation of theories, models, and formulas.
+"""Seeded random generation of theories and formulas.
 
 The same seed always yields the same family. Channels are sampled from
 isometry-based templates that act exactly on the named universe
@@ -6,7 +6,8 @@ isometry-based templates that act exactly on the named universe
 functions); occasionally a raw random isometry channel is attempted and
 kept only if its images land within the matching radius of named states,
 otherwise it is rejected and the slot is resampled from the exact
-templates. Exceeding the resampling budget raises GenerationError.
+templates. More than _MAX_RESAMPLES rejections in one theory raise
+GenerationError.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import GenerationError, StructuralError
 from .formulas import Atom, Box, Diamond, Formula, Implies, Not
-from .kripke import KripkeModel
 from .linalg import (
     DensityMatrix,
     constant_channel,
@@ -39,10 +39,12 @@ from .qrt import (
     relabel_qrt,
     sub_qrt,
 )
-from .relations import Budget, reflexive_transitive_closure
+from .relations import Budget
 
 _SYSTEM_NAMES = ("A", "B", "G", "H")
 _MIN_STATE_GAP = 1e-2  # named states must be clearly separated
+_MAX_RESAMPLES = 200  # rejected samples allowed per theory
+_RAW_PROBABILITY = 0.1  # chance that a channel slot first tries a raw isometry
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ class GeneratorConfig:
             raise ValueError("states_per_system must be between 1 and 4")
         if not 0.0 <= self.channel_density <= 1.0:
             raise ValueError("channel_density must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
 
 
 class _Budget(Budget):
@@ -82,16 +86,11 @@ def _distinct_states(
     return out
 
 
-def generate_qrt(
-    cfg: GeneratorConfig,
-    index: int = 0,
-    max_resamples: int = 200,
-    raw_probability: float = 0.1,
-) -> Qrt:
+def generate_qrt(cfg: GeneratorConfig, index: int = 0) -> Qrt:
     """One deterministic theory from (seed, index): validated and
     composition-complete."""
     rng = np.random.default_rng([cfg.seed, index])
-    budget = _Budget(max_resamples)
+    budget = _Budget(_MAX_RESAMPLES)
 
     nontrivial_dims = [d for d in cfg.dims if d > 1] or [2]
     systems: list[SystemDecl] = []
@@ -146,7 +145,7 @@ def generate_qrt(
                 continue
             # an occasional raw isometry channel, kept only if it happens
             # to respect the named universe
-            if src.dim > 1 and dst.dim > 1 and rng.random() < raw_probability:
+            if src.dim > 1 and dst.dim > 1 and rng.random() < _RAW_PROBABILITY:
                 raw = random_cptp_channel(rng, src.dim, dst.dim)
                 try:
                     fits = induced_map(raw, src, dst) is not None
@@ -218,29 +217,7 @@ def random_sub_qrt(q: Qrt, rng: np.random.Generator) -> Qrt:
     return sub_qrt(q, keep)
 
 
-# -- random models and formulas (for the logic kernel checks) ------------------
-
-
-def random_model(
-    rng: np.random.Generator,
-    max_worlds: int = 4,
-    max_atoms: int = 6,
-    s4: bool = False,
-) -> KripkeModel:
-    n_w = int(rng.integers(1, max_worlds + 1))
-    n_a = int(rng.integers(1, max_atoms + 1))
-    worlds = [f"w{i}" for i in range(n_w)]
-    atoms = [f"a{i}" for i in range(n_a)]
-    access = {
-        (w, u) for w in worlds for u in worlds if rng.random() < 0.4
-    }
-    if s4:
-        access = set(reflexive_transitive_closure(access, worlds))
-    domains = {
-        w: frozenset(a for a in atoms if rng.random() < 0.6) for w in worlds
-    }
-    interp = {a: int(rng.integers(2)) for a in atoms}
-    return KripkeModel(worlds, access, atoms, domains, interp)
+# -- random formulas (for the logic kernel checks) -----------------------------
 
 
 def random_formula(

@@ -33,6 +33,9 @@ from .translate import (
 )
 
 
+# relabeled copies appended to a built family
+_N_RELABELED = 3
+
 # the report sections that carry a verdict, in the order `theorems` prints them
 SECTIONS = (
     "s4",
@@ -61,19 +64,19 @@ def default_family_config(seed: int) -> GeneratorConfig:
 
 
 def build_family(
-    seed: int, count: int = 20, n_relabeled: int = 3, config: GeneratorConfig | None = None
+    seed: int, count: int = 20, config: GeneratorConfig | None = None
 ) -> list[tuple[str, Qrt]]:
-    """At most count theories: up to count - n_relabeled fresh generations
+    """At most count theories: up to count - _N_RELABELED fresh generations
     deduplicated by translation isomorphism, then relabeled copies of the
-    first min(n_relabeled, fresh) of them (so the sweep exercises true
-    positives with non-trivial witnesses). A count of at most n_relabeled
-    yields no theory; below 2 n_relabeled, fewer than count."""
+    first min(_N_RELABELED, fresh) of them (so the sweep exercises true
+    positives with non-trivial witnesses). A count of at most _N_RELABELED
+    yields no theory; below 2 _N_RELABELED, fewer than count."""
     cfg = config or default_family_config(seed)
     rng = np.random.default_rng([seed, 999])
     base: list[tuple[str, Qrt]] = []
     models = []
     idx = 0
-    want = count - n_relabeled
+    want = count - _N_RELABELED
     while len(base) < want and idx < want * 10:
         q = generate_qrt(cfg, index=idx)
         m = to_model(q).model
@@ -82,7 +85,7 @@ def build_family(
             models.append(m)
         idx += 1
     out = list(base)
-    for k in range(min(n_relabeled, len(base))):
+    for k in range(min(_N_RELABELED, len(base))):
         out.append((f"{base[k][0]}_relabeled", random_relabeling(base[k][1], rng)))
     return out
 
@@ -98,10 +101,13 @@ def run_theorems(
 ) -> dict:
     """Run every oracle; returns the consolidated report with a 'status'
     field following the exit-code contract."""
-    check_object_cap(smc_cap)  # an input error: reject it before any section runs
+    # input errors: reject them before any section runs
+    check_object_cap(smc_cap)
+    if seed < 0:
+        raise StructuralError(f"the seed must be at least 0, got {seed}")
     if family is None:
         family = build_family(seed, count)
-    if not family:  # build_family yields none for a count of at most 3
+    if not family:  # build_family yields none for a count of at most _N_RELABELED
         raise StructuralError(f"the family is empty (count {count}): the theorems need a theory")
     for label, q in family:  # the unit world every check below relies on
         if q.trivial_node is None:

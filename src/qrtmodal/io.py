@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import DEFAULT_TOL, max_dim
+from .config import DEFAULT_TOL, MAX_DIM
 from .errors import QrtModalError, ShapeError
 from .kripke import KripkeModel, StarredModel
 from .linalg import DensityMatrix, KrausChannel
@@ -82,19 +82,18 @@ def _list(value: Any, what: str) -> list:
 
 def qrt_from_dict(data: Any, tol: float = DEFAULT_TOL) -> Qrt:
     """The theory of a theory file. Ids are strings, "states" an object,
-    "dim" an integer from 1 to max_dim() (checked before any matrix is
+    "dim" an integer from 1 to MAX_DIM (checked before any matrix is
     built), and every matrix entry an [re, im] pair."""
     if not isinstance(data, dict):
         raise FormatError("malformed theory file: not a JSON object")
     try:
-        cap = max_dim()
         systems = []
         for s in _list(data["systems"], "systems"):
             sid, dim, states = _string(s["id"], "system id"), s["dim"], s.get("states", {})
-            if type(dim) is not int or not 1 <= dim <= cap:
+            if type(dim) is not int or not 1 <= dim <= MAX_DIM:
                 raise FormatError(
                     f"malformed theory file: system {sid} has dim {dim!r},"
-                    f" not an integer from 1 to {cap}"
+                    f" not an integer from 1 to {MAX_DIM}"
                 )
             if not isinstance(states, dict):
                 raise FormatError(f"malformed theory file: the states of {sid} are not an object")

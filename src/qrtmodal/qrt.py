@@ -347,7 +347,8 @@ class Qrt:
             try:
                 missed = self._function(decl) is None
                 why = "some named state's image matches no named state" if missed else None
-            except StructuralError as exc:  # an ambiguous match
+            except (StructuralError, ShapeError, NumericalError) as exc:
+                # an ambiguous match, or an image that fails the state checks
                 why = str(exc)
             if why is not None:
                 issues.append(Issue("state-closure", decl.id, why))
@@ -433,12 +434,13 @@ def _missing_composites(table: Mapping) -> list:
     return missing
 
 
-def complete_composition(q: Qrt, max_channels: int = MAX_CHANNELS) -> Qrt:
+def complete_composition(q: Qrt) -> Qrt:
     """Close the channel set under composition at the induced-function
     level. Each function keeps its last declared channel. Each pass walks
     ``_missing_composites`` in its (a, b, f, c, g) order and synthesizes
     comp_N = g . f by Kraus composition for every composite still missing;
-    passes repeat until none is. Idempotent on already-closed theories."""
+    passes repeat until none is. Idempotent on already-closed theories.
+    More than MAX_CHANNELS functions raise ResourceLimitError."""
     table: dict = {}
     for d, fn in q._channel_functions:
         table.setdefault((d.src, d.dst), {})[tuple(sorted(fn.items()))] = d
@@ -450,8 +452,8 @@ def complete_composition(q: Qrt, max_channels: int = MAX_CHANNELS) -> Qrt:
             have = table.setdefault((a, c), {})
             if key in have:
                 continue
-            if size + 1 > max_channels:
-                raise ResourceLimitError(f"composition closure exceeds {max_channels} functions")
+            if size + 1 > MAX_CHANNELS:
+                raise ResourceLimitError(f"composition closure exceeds {MAX_CHANNELS} functions")
             while f"comp_{counter}" in taken:
                 counter += 1
             cid = f"comp_{counter}"

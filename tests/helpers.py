@@ -1,0 +1,44 @@
+"""Test inputs shared by several test modules: a stock channel, random
+Kripke models and the convexity weights the acceptance criteria name."""
+
+import numpy as np
+
+from qrtmodal.kripke import KripkeModel
+from qrtmodal.linalg import KrausChannel
+from qrtmodal.relations import reflexive_transitive_closure
+
+# the weights p in [0, 1] at which the convexity schema is checked
+P_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def depolarizing_channel() -> KrausChannel:
+    """The fully depolarizing qubit channel, Kraus (1/2){I, X, Y, Z}."""
+    i2 = np.eye(2, dtype=complex)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    z = np.array([[1, 0], [0, -1]], dtype=complex)
+    return KrausChannel([0.5 * i2, 0.5 * x, 0.5 * y, 0.5 * z])
+
+
+def random_model(
+    rng: np.random.Generator,
+    max_worlds: int = 4,
+    max_atoms: int = 6,
+    s4: bool = False,
+) -> KripkeModel:
+    """A seeded model of 1 to max_worlds worlds and 1 to max_atoms atoms;
+    with s4, its access relation is closed to a preorder."""
+    n_w = int(rng.integers(1, max_worlds + 1))
+    n_a = int(rng.integers(1, max_atoms + 1))
+    worlds = [f"w{i}" for i in range(n_w)]
+    atoms = [f"a{i}" for i in range(n_a)]
+    access = {
+        (w, u) for w in worlds for u in worlds if rng.random() < 0.4
+    }
+    if s4:
+        access = set(reflexive_transitive_closure(access, worlds))
+    domains = {
+        w: frozenset(a for a in atoms if rng.random() < 0.6) for w in worlds
+    }
+    interp = {a: int(rng.integers(2)) for a in atoms}
+    return KripkeModel(worlds, access, atoms, domains, interp)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from qrtmodal import corpus
-from qrtmodal.config import DEFAULT_P_SAMPLES
 from qrtmodal.formulas import (
     Box,
     Diamond,
@@ -29,7 +28,6 @@ from qrtmodal.generate import (
     GeneratorConfig,
     generate_qrt,
     random_formula,
-    random_model,
     random_relabeling,
     random_sub_qrt,
 )
@@ -38,7 +36,6 @@ from qrtmodal.kripke import is_s4, models_isomorphic
 from qrtmodal.linalg import (
     KrausChannel,
     choi_matrix,
-    depolarizing_channel,
     identity_channel,
     is_cptp,
     random_cptp_channel,
@@ -53,6 +50,8 @@ from qrtmodal.translate import (
     verify_functoriality,
     verify_starred_injectivity,
 )
+
+from helpers import P_SAMPLES, depolarizing_channel, random_model
 
 
 @pytest.fixture(scope="module")
@@ -264,8 +263,8 @@ def test_logic_kernel():
 def test_convexity_schema():
     q = corpus.convex_closed_qrt()
     rec = to_model(q)
-    reports = convexity_report(q, rec, DEFAULT_P_SAMPLES)
-    assert [r["p"] for r in reports] == list(DEFAULT_P_SAMPLES)
+    reports = convexity_report(q, rec, P_SAMPLES)
+    assert [r["p"] for r in reports] == list(P_SAMPLES)
     for r in reports:
         assert r["ok"] and not r["fails"], r
         assert not r["indeterminate"]
@@ -281,6 +280,6 @@ def test_convexity_schema():
         swept += 1
     _report(
         "convexity",
-        f"convex-closed example holds at all {len(DEFAULT_P_SAMPLES)} weights; "
+        f"convex-closed example holds at all {len(P_SAMPLES)} weights; "
         f"endpoints determinate on {swept} inputs",
     )

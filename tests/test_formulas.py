@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qrtmodal import corpus
-from qrtmodal.config import DEFAULT_P_SAMPLES
 from qrtmodal.errors import FormulaSyntaxError, UnknownSymbolError
 from qrtmodal.formulas import (
     Atom,
@@ -25,10 +24,12 @@ from qrtmodal.formulas import (
     parse,
     print_formula,
 )
-from qrtmodal.generate import random_formula, random_model
+from qrtmodal.generate import random_formula
 from qrtmodal.kripke import KripkeModel
 from qrtmodal.qrt import node_name
 from qrtmodal.translate import to_model
+
+from helpers import P_SAMPLES, random_model
 
 
 class TestParse:
@@ -288,7 +289,7 @@ class TestConvexity:
 
     def test_convex_closed_example_holds_everywhere(self):
         q = corpus.convex_closed_qrt()
-        reports = convexity_report(q, to_model(q), DEFAULT_P_SAMPLES)
+        reports = convexity_report(q, to_model(q), P_SAMPLES)
         for rep in reports:
             assert rep["ok"], rep
             assert not rep["indeterminate"]
@@ -318,6 +319,6 @@ class TestConvexity:
 
     def test_resource_argument_satisfies_clause_two(self):
         q = corpus.resource_destroying_qrt()
-        for rep in convexity_report(q, to_model(q), DEFAULT_P_SAMPLES):
+        for rep in convexity_report(q, to_model(q), P_SAMPLES):
             assert ("A.a0", "A.a1") in rep["holds"]
             assert rep["ok"]

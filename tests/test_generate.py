@@ -6,16 +6,18 @@ import hashlib
 import numpy as np
 import pytest
 
+from qrtmodal import generate
 from qrtmodal.errors import GenerationError
 from qrtmodal.generate import (
     GeneratorConfig,
     generate_qrt,
-    random_model,
     random_sub_qrt,
 )
 from qrtmodal.io import dumps, qrt_to_dict
 from qrtmodal.kripke import is_s4
 from qrtmodal.qrt import is_sub_qrt
+
+from helpers import random_model
 
 
 class TestConfig:
@@ -30,6 +32,10 @@ class TestConfig:
             GeneratorConfig(seed=1, states_per_system=9)
         with pytest.raises(ValueError):
             GeneratorConfig(seed=1, channel_density=1.5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be at least 0$"):
+            GeneratorConfig(seed=-1)
 
 
 class TestDeterminism:
@@ -74,10 +80,12 @@ class TestStructure:
             assert q.validate().ok
             assert q.is_composition_complete()
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         cfg = GeneratorConfig(seed=6, n_systems=3, dims=(1, 2), channel_density=1.0)
+        monkeypatch.setattr(generate, "_MAX_RESAMPLES", 0)
+        monkeypatch.setattr(generate, "_RAW_PROBABILITY", 1.0)
         with pytest.raises(GenerationError, match=r"^resampling budget of 0 rejections exhausted$"):
-            generate_qrt(cfg, max_resamples=0, raw_probability=1.0)
+            generate_qrt(cfg)
 
     def test_random_sub_is_sub(self):
         rng = np.random.default_rng(8)

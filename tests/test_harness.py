@@ -14,13 +14,15 @@ from qrtmodal.corpus import (
     entanglement_qrt,
     resource_destroying_qrt,
 )
+from qrtmodal.errors import StructuralError
 from qrtmodal.harness import build_family, run_theorems
 from qrtmodal.kripke import StarredModel, models_isomorphic
 from qrtmodal.translate import to_model
 
 
-def test_family_members_are_pairwise_fresh():
-    fam = build_family(seed=4, count=10, n_relabeled=2)
+def test_family_members_are_pairwise_fresh(monkeypatch):
+    monkeypatch.setattr(harness, "_N_RELABELED", 2)
+    fam = build_family(seed=4, count=10)
     assert len(fam) == 10
     base = [(l, q) for l, q in fam if not l.endswith("_relabeled")]
     models = [to_model(q).model for _, q in base]
@@ -42,6 +44,14 @@ def test_clean_run_status_zero():
     assert rep["status"] == 0
     assert rep["inconclusive"] == 0
     assert rep["starred_injectivity"]["falsifications"] == 0
+
+
+def test_negative_seed_is_rejected_before_any_section(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "build_family", lambda *a, **k: calls.append(a))
+    with pytest.raises(StructuralError, match=r"^the seed must be at least 0, got -1$"):
+        run_theorems(seed=-1, count=4)
+    assert not calls
 
 
 def test_injected_broken_models_falsify():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qrtmodal import corpus
 from qrtmodal.cli import main
-from qrtmodal.config import max_dim
+from qrtmodal.config import MAX_DIM
 from qrtmodal.io import (
     FormatError,
     decode_matrix,
@@ -321,6 +321,20 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--seed", "x", "must be an integer >= 0, got 'x'"),
+            ("--tolerance", "abc", "must be a finite number >= 0, got 'abc'"),
+        ],
+    )
+    def test_unparsable_number_names_the_option(self, option, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["theorems", option, value])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"qrtmodal theorems: error: argument {option}: {message}"
+
     def test_examples_command(self, tmp_path, capsys):
         assert main(["examples", "--out", str(tmp_path / "ex")]) == 0
         assert (tmp_path / "ex" / "trivial.qrt.json").exists()
@@ -532,7 +546,7 @@ class TestTheoryInput:
             edit_system("dim", -2),
             edit_system("dim", 1.7),
             edit_system("dim", True),
-            edit_system("dim", max_dim() + 1),
+            edit_system("dim", MAX_DIM + 1),
             edit_system("id", 3),
             edit_entry([1, 0, 5]),
             edit_entry([1]),
@@ -605,8 +619,8 @@ _states = st.one_of(
 )
 _kraus = st.one_of(st.lists(_matrices, max_size=2), _junk)
 _bad_ids = st.one_of(_junk, st.lists(_names, max_size=2))
-# at most max_dim() + 1, so that a missed cap check allocates little
-_dims = st.one_of(st.integers(-2, max_dim() + 1), st.floats(allow_nan=True), _junk)
+# at most MAX_DIM + 1, so that a missed cap check allocates little
+_dims = st.one_of(st.integers(-2, MAX_DIM + 1), st.floats(allow_nan=True), _junk)
 
 
 @st.composite
@@ -693,6 +707,36 @@ def test_each_validate_issue_code_exits_one(name, tmp_path, capsys):
     assert [(i["code"], i["subject"]) for i in report["issues"]] == issues
     assert main(["translate", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"[{issues[0][0]}]")
+
+
+def overfull_image_dict() -> dict:
+    """System A of dim 3 with the one state |u><u|, u = (1, 1, 1)/sqrt(3),
+    and one channel whose Kraus operator is sqrt(I + a(J - I)), J the
+    all-ones matrix and a = 0.9e-9. Its trace-preservation defect a is
+    within the default tolerance; the image of |u><u|, with trace 1 + 2a,
+    is not."""
+    u = np.ones(3) / np.sqrt(3)
+    vals, vecs = np.linalg.eigh(np.eye(3) + 0.9e-9 * (np.ones((3, 3)) - np.eye(3)))
+    kraus = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
+    return {
+        "systems": [{"id": "A", "dim": 3, "states": {"u": encode_matrix(np.outer(u, u))}}],
+        "channels": [{"id": "k", "from": "A", "to": "A", "kraus": [encode_matrix(kraus)]}],
+    }
+
+
+def test_image_failing_the_state_check_is_a_state_closure_issue(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(overfull_image_dict()))
+    assert main(["validate", "--json", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["issues"] == [
+        {
+            "code": "state-closure",
+            "subject": "k",
+            "message": "not a density matrix: trace is 1.000000, not 1",
+        }
+    ]
+    assert main(["translate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("[state-closure] k: ")
 
 
 @pytest.mark.parametrize("formula", ["(p -> zz)", "(zz -> p)", "[] (p -> zz)"])

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrtmodal.errors import ResourceLimitError, StructuralError
-from qrtmodal.generate import random_model
 from qrtmodal.relations import reflexive_transitive_closure
 from qrtmodal.translate import to_starred_model
 from qrtmodal.kripke import (
@@ -21,6 +20,8 @@ from qrtmodal.kripke import (
     models_isomorphic,
     starred_isomorphic,
 )
+
+from helpers import random_model
 
 
 def small_model(**overrides):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import qrtmodal.linalg as linalg_module
-from qrtmodal.config import DEFAULT_TOL, max_dim
+from qrtmodal.config import DEFAULT_TOL, MAX_DIM
 from qrtmodal.errors import DimensionMismatchError, NumericalError, QrtModalError, ShapeError
+from qrtmodal.io import FormatError, qrt_from_dict
 from qrtmodal.linalg import (
     DensityMatrix,
     KrausChannel,
@@ -20,7 +21,6 @@ from qrtmodal.linalg import (
     choi_matrix,
     compose,
     constant_channel,
-    depolarizing_channel,
     identity_channel,
     is_cptp,
     is_density_matrix,
@@ -33,6 +33,8 @@ from qrtmodal.linalg import (
     trace_distance,
     within_trace_distance,
 )
+
+from helpers import depolarizing_channel
 
 
 def hand_choi(channel):
@@ -84,14 +86,17 @@ class TestIsDensityMatrix:
         ok, _ = is_density_matrix(np.diag([1.001, 0.0]), loose)
         assert ok
 
-    def test_dim_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("QRTMODAL_MAX_DIM", "2")
-        with pytest.raises(ShapeError):
-            DensityMatrix(np.eye(3) / 3)
-        DensityMatrix(np.eye(2) / 2)
-        monkeypatch.setenv("QRTMODAL_MAX_DIM", "not-a-number")
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(2) / 2)
+    def test_dim_cap(self):
+        over = MAX_DIM + 1
+        message = rf"^dimension {over} exceeds the configured cap {MAX_DIM}$"
+        with pytest.raises(ShapeError, match=message):
+            DensityMatrix(np.eye(over) / over)
+        with pytest.raises(ShapeError, match=message):
+            KrausChannel([np.eye(over)])
+        data = {"systems": [{"id": "A", "dim": over}]}
+        with pytest.raises(FormatError, match=f"not an integer from 1 to {MAX_DIM}$"):
+            qrt_from_dict(data)
+        assert DensityMatrix(np.eye(MAX_DIM) / MAX_DIM).dim == MAX_DIM
 
 
 class TestChoi:
@@ -353,8 +358,6 @@ def reference_apply(c, rho, tol=DEFAULT_TOL):
     ok, why = reference_density_defect(out, tol)
     if not ok:
         raise ShapeError(f"not a density matrix: {why}")
-    if c.out_dim > max_dim():
-        raise ShapeError(f"dimension {c.out_dim} exceeds the configured cap {max_dim()}")
     return out
 
 
@@ -454,13 +457,6 @@ class TestApplyChannelStack:
             assert same_outcome(got, per_state(CHANNELS["inflate"], states)), names
             seen.add(got[0])
         assert seen == {NumericalError, ShapeError, DimensionMismatchError}
-
-    def test_cap_lowered_after_the_channel_was_built(self, monkeypatch):
-        monkeypatch.setenv("QRTMODAL_MAX_DIM", "1")
-        for c in CHANNELS.values():
-            for names in itertools.permutations(STATE_POOL, 2):
-                states = [STATE_POOL[n] for n in names]
-                assert same_outcome(stacked(c, states), per_state(c, states)), names
 
     def test_images_equal_the_per_state_products(self):
         rng = np.random.default_rng(43)

@@ -151,7 +151,7 @@ class TestCompleteComposition:
             k: set(v) for k, v in again.functions.items()
         }
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         a0, a1 = basis_state(2, 0), basis_state(2, 1)
         q = Qrt(
             [
@@ -165,8 +165,9 @@ class TestCompleteComposition:
         )
         # identities plus f and g already sit at the cap, so the first
         # synthesized composite must overflow it
+        monkeypatch.setattr(qrt_module, "MAX_CHANNELS", 4)
         with pytest.raises(ResourceLimitError):
-            complete_composition(q, max_channels=4)
+            complete_composition(q)
 
 
 class TestFreeAndResourceStates:
@@ -771,7 +772,7 @@ class TestClosureAgainstFixpoint:
                 grew += len(ours) > len(variant.channels)
         assert grew  # the closures do synthesize composites
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         a0, a1 = basis_state(2, 0), basis_state(2, 1)
         q = Qrt(
             [
@@ -784,7 +785,8 @@ class TestClosureAgainstFixpoint:
             ],
         )
         for cap in range(4, 9):
-            assert closure_outcome(partial(complete_composition, max_channels=cap), q) == (
+            monkeypatch.setattr(qrt_module, "MAX_CHANNELS", cap)
+            assert closure_outcome(complete_composition, q) == (
                 closure_outcome(partial(fixpoint_closure, max_channels=cap), q)
             )
 
