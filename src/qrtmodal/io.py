@@ -15,7 +15,7 @@ import numpy as np
 from .config import DEFAULT_TOL, MAX_DIM
 from .errors import QrtModalError, ShapeError
 from .kripke import KripkeModel, StarredModel
-from .linalg import DensityMatrix, KrausChannel
+from .linalg import DensityMatrix, KrausChannel, density_matrices
 from .qrt import ChannelDecl, Qrt, SystemDecl
 from .translate import TranslationRecord
 
@@ -80,6 +80,18 @@ def _list(value: Any, what: str) -> list:
     raise FormatError(f"malformed theory file: {what} is not a list")
 
 
+def _states(states: dict, tol: float) -> dict:
+    """A system's named states, decoded, then checked as one stack by
+    ``density_matrices``. When a matrix does not decode, they are decoded
+    and checked one at a time, so the first bad state in file order raises
+    its own error."""
+    try:
+        mats = [decode_matrix(mat) for mat in states.values()]
+    except FormatError:
+        return {st: DensityMatrix(decode_matrix(mat), tol) for st, mat in states.items()}
+    return dict(zip(states, density_matrices(mats, tol)))
+
+
 def qrt_from_dict(data: Any, tol: float = DEFAULT_TOL) -> Qrt:
     """The theory of a theory file. Ids are strings, "states" an object,
     "dim" an integer from 1 to MAX_DIM (checked before any matrix is
@@ -97,8 +109,7 @@ def qrt_from_dict(data: Any, tol: float = DEFAULT_TOL) -> Qrt:
                 )
             if not isinstance(states, dict):
                 raise FormatError(f"malformed theory file: the states of {sid} are not an object")
-            decoded = {st: DensityMatrix(decode_matrix(mat), tol) for st, mat in states.items()}
-            systems.append(SystemDecl(sid, dim, decoded))
+            systems.append(SystemDecl(sid, dim, _states(states, tol)))
         channels = [
             ChannelDecl(
                 _string(c["id"], "channel id"),

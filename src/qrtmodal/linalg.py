@@ -4,14 +4,17 @@ CPTP verification, channel application and composition.
 Matrices are plain numpy arrays of complex128. Channels are stored in
 Kraus form only; the Choi matrix is derived on demand.
 
-The theory layer asks three questions of each channel, and each costs one
-pass: ``apply_channel_stack`` applies the channel to all of a system's
-named states with one Kraus sum and checks the images with one
-eigensolve; ``within_trace_distance`` decides whether two states lie
-within a radius from Frobenius bounds and diagonalises only a pair the
-bounds leave open; ``is_cptp`` keeps its verdict on the immutable channel,
-per tolerance. The tolerance semantics are those of the plain rules: a
-bound only skips an eigensolve whose outcome it proves.
+The theory layer asks three questions of its channels, and each costs one
+pass: ``apply_channels`` applies a group of channels of one shape, each to
+its own stack of states, with one Kraus sum over their zero-padded Kraus
+lists and checks all the images with one eigensolve call;
+``within_trace_distances`` decides, for every (image, named state) pair at
+once, whether the two lie within a radius, from one array of Frobenius
+bounds, and diagonalises only a pair the bounds leave open; ``is_cptp``
+keeps its verdict on the immutable channel, per tolerance.
+``apply_channel_stack`` and ``within_trace_distance`` are the one-channel
+and one-pair cases of the first two. The tolerance semantics are those of
+the plain rules: a bound only skips an eigensolve whose outcome it proves.
 """
 
 from __future__ import annotations
@@ -141,6 +144,24 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
+def density_matrices(matrices: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> tuple:
+    """``DensityMatrix(m, tol)`` of each matrix, in order. Matrices of one
+    square shape within the dim cap are checked as one stack; any other
+    input, or a stack with a defect, is checked matrix by matrix, so the
+    first failing matrix raises what it raises alone."""
+    if len(matrices) and all(m.shape == matrices[0].shape for m in matrices):
+        stack = np.array(matrices, dtype=complex)
+        if stack.ndim == 3 and stack.shape[1] == stack.shape[2] <= MAX_DIM and np.isfinite(stack).all():
+            try:
+                bad = _density_defect(stack, tol)
+            except NumericalError:
+                bad = True
+            if bad is None:
+                stack.flags.writeable = False
+                return tuple(DensityMatrix._checked(m) for m in stack)
+    return tuple(DensityMatrix(m, tol) for m in matrices)
+
+
 def pure_state(vec) -> DensityMatrix:
     v = np.asarray(vec, dtype=complex).reshape(-1)
     v = v / np.linalg.norm(v)
@@ -254,9 +275,8 @@ def apply_channel(c: KrausChannel, rho: DensityMatrix, tol: float = DEFAULT_TOL)
 def apply_channel_stack(
     c: KrausChannel, states: Sequence[DensityMatrix], tol: float = DEFAULT_TOL
 ) -> tuple:
-    """The images sum_i K_i rho K_i^dag of all the states, in order, from
-    one Kraus sum over their (n, d, d) stack and one state check of the
-    images.
+    """The images sum_i K_i rho K_i^dag of all the states, in order:
+    ``apply_channels`` of the one channel.
 
     The caller is responsible for c being CPTP; an invariant violation in
     an output signals numerical breakdown (or a non-CPTP channel). The
@@ -266,25 +286,49 @@ def apply_channel_stack(
     NumericalError."""
     # the states before the first one of the wrong dim
     n = next((i for i, rho in enumerate(states) if rho.dim != c.in_dim), len(states))
-    out = np.zeros((n, c.out_dim, c.out_dim), dtype=complex)
-    if n:
-        rhos = np.array([rho.mat for rho in states[:n]])
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite image fails below
-            for op in c.kraus_ops:
-                out += op @ rhos @ op.conj().T
-        finite = np.isfinite(out).all(axis=(1, 2))
-        j = len(out) if finite.all() else int(finite.argmin())
-        bad = _density_defect(out[:j], tol)
-        if bad is not None:
-            raise ShapeError(f"not a density matrix: {bad[1]}")
-        if j < len(out):
-            raise ShapeError("matrix has a non-finite (NaN or infinite) entry")
+    out = apply_channels((c,), (states[:n],), tol)
     if n < len(states):
         raise DimensionMismatchError(
             f"state dim {states[n].dim} does not match channel input dim {c.in_dim}"
         )
-    out.flags.writeable = False
     return tuple(DensityMatrix._checked(m) for m in out)
+
+
+def apply_channels(
+    channels: Sequence[KrausChannel], stacks: Sequence[Sequence[DensityMatrix]],
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
+    """The images sum_i K_i rho K_i^dag of every state of ``stacks[j]``
+    under ``channels[j]``, in that order, as one read-only (n, out, out)
+    array. The channels share one (in_dim, out_dim) and the states have
+    the in dim.
+
+    One Kraus sum runs over the stack of every (channel, state) pair, with
+    each Kraus list zero-padded to the longest and its terms kept in
+    order: a padded term adds exact zeros, so each image has the bits of
+    its channel's own sum. One state check covers all the images. The
+    first image in order that is not a density matrix raises ShapeError,
+    or NumericalError from a failed eigensolve."""
+    c0 = channels[0]
+    pair_channel = np.repeat(np.arange(len(channels)), [len(states) for states in stacks])
+    rhos = np.array([rho.mat for states in stacks for rho in states]).reshape(-1, c0.in_dim, c0.in_dim)
+    out = np.zeros((len(rhos), c0.out_dim, c0.out_dim), dtype=complex)
+    zero = np.zeros((c0.out_dim, c0.in_dim), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite image fails below
+        # term k of every pair's Kraus list, built one term at a time so that
+        # the padding never holds more than one term per channel
+        for k in range(max(len(c.kraus_ops) for c in channels)):
+            op = np.array([c.kraus_ops[k] if k < len(c.kraus_ops) else zero for c in channels])[pair_channel]
+            out += op @ rhos @ op.conj().swapaxes(1, 2)
+    finite = np.isfinite(out).all(axis=(1, 2))
+    j = len(out) if finite.all() else int(finite.argmin())
+    bad = _density_defect(out[:j], tol)
+    if bad is not None:
+        raise ShapeError(f"not a density matrix: {bad[1]}")
+    if j < len(out):
+        raise ShapeError("matrix has a non-finite (NaN or infinite) entry")
+    out.flags.writeable = False
+    return out
 
 
 # Choi eigenvalues at or below this fraction of the largest are dropped
@@ -333,25 +377,45 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 # Rounding slack of the Frobenius bounds: a distance whose bounds come
 # within this of the radius is computed by eigensolve instead
 _GUARD = 1e-12
+# Matrix entries of the (images x named states) differences held at once:
+# the bounds are taken over blocks of images no larger than this
+_BOUND_BLOCK = 1 << 20
 
 
 def within_trace_distance(a: DensityMatrix, b: DensityMatrix, eps: float) -> bool:
-    """Whether trace_distance(a, b) <= eps.
-
-    For the d x d Hermitian part D of a - b, ||D||_F <= ||D||_1 <=
-    sqrt(d) ||D||_F, so half the Frobenius norm decides a miss beyond
-    eps + _GUARD and half of sqrt(d) times it a hit within eps - _GUARD;
-    only a distance between the two is computed by ``trace_distance``."""
+    """Whether trace_distance(a, b) <= eps: ``within_trace_distances`` of
+    the one pair."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    d = a.mat - b.mat
-    h = d + d.conj().T  # twice the Hermitian part: its norm is 4 x the half norm
-    half = math.sqrt(np.vdot(h, h).real) / 4
-    if half > eps + _GUARD:
-        return False
-    if half * math.sqrt(a.dim) <= eps - _GUARD:
-        return True
-    return trace_distance(a, b) <= eps
+    return bool(within_trace_distances(a.mat[None], b.mat[None], eps)[0, 0])
+
+
+def within_trace_distances(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+    """The (len(a), len(b)) boolean array of whether the trace distance of
+    a[i] and b[j] is at most eps, for two stacks of d x d states.
+
+    For the Hermitian part D of a[i] - b[j], ||D||_F <= ||D||_1 <= sqrt(d)
+    ||D||_F, so half the Frobenius norm decides a miss beyond eps + _GUARD
+    and half of sqrt(d) times it a hit within eps - _GUARD; only a pair
+    between the two is decided by ``trace_distance``."""
+    dim = a.shape[-1]
+    step = max(1, _BOUND_BLOCK // max(1, len(b) * dim * dim))
+    # four times the half norms: the Frobenius norms of twice the Hermitian parts
+    norm = np.concatenate([_hermitian_norms(a[lo:lo + step], b) for lo in range(0, max(len(a), 1), step)])
+    # the bounds scaled by 4, which is exact
+    hit = norm * math.sqrt(dim) <= 4 * (eps - _GUARD)
+    decided = hit | (norm > 4 * (eps + _GUARD))
+    if not decided.all():
+        for i, j in zip(*np.nonzero(~decided)):
+            hit[i, j] = trace_distance(DensityMatrix._checked(a[i]), DensityMatrix._checked(b[j])) <= eps
+    return hit
+
+
+def _hermitian_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) Frobenius norms of d + d^dag for d = a[i] - b[j]."""
+    d = a[:, None] - b[None, :]
+    sq = np.square((d + d.conj().swapaxes(-1, -2)).view(np.float64))  # squared real and imaginary parts
+    return np.sqrt(sq.reshape(len(a), len(b), 2 * a.shape[-1] ** 2).sum(axis=-1))
 
 
 # -- stock channels -----------------------------------------------------------

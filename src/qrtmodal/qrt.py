@@ -8,6 +8,14 @@ as the states convertible from the trivial system's unique state.
 Channels are identified extensionally by the function they induce on the
 named universe; matching an output matrix to a named state uses the
 unique-within-tol rule, with ambiguity treated as a validation error.
+
+A theory derives those functions once, in one stacked pass per
+(in_dim, out_dim) group of its channels (``_induced_maps``): one Kraus
+sum and one state check over every (channel, source state) pair, and one
+array of Frobenius bounds per destination system. A group whose images
+fail a check, and a channel whose states do not fit its dims, go through
+``induced_map`` one channel at a time, which raises each channel's own
+error.
 """
 
 from __future__ import annotations
@@ -32,11 +40,13 @@ from .linalg import (
     KrausChannel,
     apply_channel,
     apply_channel_stack,
+    apply_channels,
     compose,
     identity_channel,
     is_cptp,
     trace_distance,
     within_trace_distance,
+    within_trace_distances,
 )
 from .relations import Budget, bijections, reflexive_transitive_closure
 
@@ -101,10 +111,14 @@ def _matrix_is_identity(c: KrausChannel) -> bool:
     return bool((np.abs(c.kraus_ops[0] - eye) <= 1e-12 + 1e-5 * eye).all())
 
 
+def _ambiguity(system: SystemDecl, hits: list) -> str:
+    return f"ambiguous match in system {system.id}: {sorted(hits)}"
+
+
 def _match(system: SystemDecl, dm: DensityMatrix, eps: float) -> str | None:
     hits = [st for st, named in system.states.items() if within_trace_distance(dm, named, eps)]
     if len(hits) > 1:
-        raise StructuralError(f"ambiguous match in system {system.id}: {sorted(hits)}")
+        raise StructuralError(_ambiguity(system, hits))
     return hits[0] if hits else None
 
 
@@ -131,6 +145,70 @@ def induced_map(
         if hit is None:
             return None
         out[st] = hit
+    return out
+
+
+def _induced_maps(derivations: Sequence[tuple], tol: float) -> dict:
+    """{decl: outcome} for (decl, src, dst) triples, where the outcome is
+    ``induced_map(decl.channel, src, dst, tol)``: the function, None, or
+    the message of the StructuralError it raises.
+
+    The channels whose states all have the channel's dims are derived in
+    one pass per (in_dim, out_dim) group: one ``apply_channels`` over every
+    (channel, source state) pair, then one ``within_trace_distances`` array
+    per destination system. In state order, the first image that matches
+    no named state gives None and the first that matches several gives the
+    ambiguity. A group whose images fail a check is left out, as is a
+    channel whose states do not fit it: ``induced_map`` derives each of
+    those on its own, with its own error."""
+    groups: dict = {}
+    for decl, src, dst in derivations:
+        c = decl.channel
+        if all(rho.dim == c.in_dim for rho in src.states.values()) and all(
+            dm.dim == c.out_dim for dm in dst.states.values()
+        ):
+            groups.setdefault((c.in_dim, c.out_dim), []).append((decl, src, dst))
+    out: dict = {}
+    for members in groups.values():
+        try:
+            images = apply_channels(
+                [decl.channel for decl, _, _ in members],
+                [tuple(src.states.values()) for _, src, _ in members],
+                tol,
+            )
+            out.update(_match_images(images, members, tol))
+        except (ShapeError, NumericalError):
+            continue
+    return out
+
+
+def _match_images(images: np.ndarray, members: list, tol: float) -> dict:
+    """{decl: outcome} for a group's (decl, src, dst) members, from their
+    images stacked in member and state order: one bound array per
+    destination system."""
+    by_dst: dict = {}
+    start = 0
+    for decl, src, dst in members:
+        stop = start + len(src.states)
+        by_dst.setdefault(dst, []).append((decl, src, range(start, stop)))
+        start = stop
+    out: dict = {}
+    for dst, mine in by_dst.items():
+        names = list(dst.states)
+        named = np.array([dm.mat for dm in dst.states.values()]).reshape(len(names), *images.shape[1:])
+        hit = within_trace_distances(images[[r for _, _, rows in mine for r in rows]], named, tol)
+        counts = hit.sum(axis=1).tolist()
+        first = (hit @ np.arange(len(names))).tolist()  # the hit of a row with exactly one
+        row = 0
+        for decl, src, rows in mine:
+            fn: dict | str | None = {}
+            for i, st in enumerate(src.states, row):
+                if counts[i] != 1:
+                    fn = _ambiguity(dst, [names[j] for j in np.flatnonzero(hit[i])]) if counts[i] else None
+                    break
+                fn[st] = names[first[i]]
+            out[decl] = fn
+            row += len(rows)
     return out
 
 
@@ -175,6 +253,8 @@ class Qrt:
         # ChannelDecl -> induced function, None (an image misses the named
         # universe) or the message of an ambiguous match
         self._induced: dict = {}
+        # whether the grouped pass over the channels has run
+        self._grouped = False
 
     @property
     def systems(self) -> tuple:
@@ -204,10 +284,19 @@ class Qrt:
 
     def _function(self, decl: ChannelDecl) -> dict | None:
         """The channel's ``induced_map``, derived once per channel and
-        shared, so readers must not change it.
+        shared, so readers must not change it. The first miss derives every
+        channel not yet derived, in one ``_induced_maps`` pass; a channel
+        that pass leaves out is derived on its own.
 
         Raises StructuralError when an image matches more than one named
         state, on every call."""
+        if not self._grouped and decl not in self._induced:
+            self._grouped = True
+            self._induced.update(_induced_maps([
+                (d, self._by_id[d.src], self._by_id[d.dst])
+                for d in self._channels
+                if d not in self._induced and d.src in self._by_id and d.dst in self._by_id
+            ], self.tol))
         try:
             fn = self._induced[decl]
         except KeyError:
@@ -379,9 +468,6 @@ class Qrt:
         (a, b, f, c, g) order."""
         return _missing_composites(self.functions)
 
-    def is_composition_complete(self) -> bool:
-        return not self._missing_compositions
-
     # -- derived structure ----------------------------------------------------
 
     @cached_property
@@ -397,14 +483,6 @@ class Qrt:
                 raise StructuralError("preparations declared but no trivial system")
             return frozenset()
         return frozenset(b for a, b in self.preorder if a == start and b != start)
-
-    @cached_property
-    def resource_states(self) -> frozenset:
-        start = self.trivial_node
-        out = set(self.nodes) - self.free_states
-        if start is not None:
-            out.discard(start)
-        return frozenset(out)
 
     @cached_property
     def preorder(self) -> frozenset:

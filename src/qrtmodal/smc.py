@@ -100,10 +100,6 @@ class SmcCategory:
         self._unit_bit = 1 << len(self.atoms)
         self._out, self._in = _arrow_rows(sm, self._index)
 
-    def arrow(self, a: str, b: str) -> bool:
-        """One-component arrow condition between atoms (unit included)."""
-        return bool(self._out[self._index[a]] >> self._index[b] & 1)
-
     # -- objects as bitmasks ----------------------------------------------------
 
     def mask_of(self, atoms) -> int:

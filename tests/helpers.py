@@ -1,11 +1,15 @@
-"""Test inputs shared by several test modules: a stock channel, random
-Kripke models and the convexity weights the acceptance criteria name."""
+"""Test inputs and readings shared by several test modules: a stock
+channel, random Kripke models, the convexity weights the acceptance
+criteria name, and derived facts of theories and categories that only the
+tests ask for."""
 
 import numpy as np
 
 from qrtmodal.kripke import KripkeModel
 from qrtmodal.linalg import KrausChannel
+from qrtmodal.qrt import Qrt, _missing_composites
 from qrtmodal.relations import reflexive_transitive_closure
+from qrtmodal.smc import SmcCategory
 
 # the weights p in [0, 1] at which the convexity schema is checked
 P_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -42,3 +46,19 @@ def random_model(
     }
     interp = {a: int(rng.integers(2)) for a in atoms}
     return KripkeModel(worlds, access, atoms, domains, interp)
+
+
+def is_composition_complete(q: Qrt) -> bool:
+    """Every composite of two of q's induced functions is induced."""
+    return not _missing_composites(q.functions)
+
+
+def resource_states(q: Qrt) -> frozenset:
+    """The named states that are neither free nor the trivial state."""
+    return frozenset(set(q.nodes) - q.free_states - {q.trivial_node})
+
+
+def arrow(cat: SmcCategory, a: str, b: str) -> bool:
+    """The one-component arrow condition between atoms (unit included),
+    read off the category's arrow rows."""
+    return bool(cat._out[cat._index[a]] >> cat._index[b] & 1)

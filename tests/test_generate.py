@@ -17,7 +17,7 @@ from qrtmodal.io import dumps, qrt_to_dict
 from qrtmodal.kripke import is_s4
 from qrtmodal.qrt import is_sub_qrt
 
-from helpers import random_model
+from helpers import is_composition_complete, random_model
 
 
 class TestConfig:
@@ -78,7 +78,7 @@ class TestStructure:
         for i in range(8):
             q = generate_qrt(cfg, index=i)
             assert q.validate().ok
-            assert q.is_composition_complete()
+            assert is_composition_complete(q)
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         cfg = GeneratorConfig(seed=6, n_systems=3, dims=(1, 2), channel_density=1.0)

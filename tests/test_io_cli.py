@@ -569,6 +569,41 @@ class TestTheoryInput:
             assert main([command, str(path)]) == 2
             assert capsys.readouterr().err.startswith("error: malformed")
 
+    @pytest.mark.parametrize(
+        "states, why",
+        [
+            # two bad states: the first in file order is the one reported
+            (
+                {"x": [[1, 0], [0, 1]], "y": [[1.5, 0], [0, -0.5]]},
+                "not a density matrix: trace is 2.000000, not 1",
+            ),
+            # states of mixed shapes, the first bad one 3 x 3
+            (
+                {"a": [[1, 0], [0, 0]], "b": [[1, 0, 0], [0, 1, 0], [0, 0, 0]], "c": [[1, 1], [0, 0]]},
+                "not a density matrix: trace is 2.000000, not 1",
+            ),
+            # a non-Hermitian state after a good one
+            ({"good": [[1, 0], [0, 0]], "bad": [[1, 1], [0, 0]]}, "not a density matrix: not Hermitian (defect 1.000e+00)"),
+            # a bad state before one that does not decode
+            ({"bad": [[1, 1], [0, 0]], "junk": "ab"}, "not a density matrix: not Hermitian (defect 1.000e+00)"),
+        ],
+    )
+    def test_first_bad_state_in_file_order_is_reported(self, states, why, tmp_path, capsys):
+        data = chain_dict()
+        data["systems"][1]["states"] = {
+            st: encode_matrix(np.array(rows, dtype=complex)) if isinstance(rows, list) else rows
+            for st, rows in states.items()
+        }
+        message = f"malformed theory file: {why}"
+        with pytest.raises(FormatError) as exc:
+            qrt_from_dict(data)
+        assert str(exc.value) == message
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(data))
+        for command in ("validate", "translate"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_well_formed_theory_accepted(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(chain_dict()))

@@ -32,6 +32,7 @@ from qrtmodal.linalg import (
     trace_channel,
     trace_distance,
     within_trace_distance,
+    within_trace_distances,
 )
 
 from helpers import depolarizing_channel
@@ -576,6 +577,17 @@ class TestWithinTraceDistance:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             within_trace_distance(basis_state(2, 0), maximally_mixed(3), 1.0)
+
+    def test_blocks_of_images_agree_with_the_pairs(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        images = [random_density(rng, 3) for _ in range(7)]
+        named = [random_density(rng, 3) for _ in range(5)]
+        eps = float(np.median([trace_distance(a, b) for a in images for b in named]))
+        pairs = [[within_trace_distance(a, b, eps) for b in named] for a in images]
+        stacks = np.array([a.mat for a in images]), np.array([b.mat for b in named])
+        for block in (1, 45, 10 ** 6):  # one image per block, two images, all at once
+            monkeypatch.setattr(linalg_module, "_BOUND_BLOCK", block)
+            assert within_trace_distances(*stacks, eps).tolist() == pairs
 
 
 # -- one CPTP verdict per channel and tolerance ------------------------------------

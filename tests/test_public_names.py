@@ -1,9 +1,10 @@
 """A public module-level name in qrtmodal stays only if the package
 itself or the benchmark uses it: it is exported from ``__init__``, a
 module of the package refers to it (its own module, past the
-definition, counts), or bench/ reads it. A name only the tests use
-belongs in the tests. The scan reads the sources without importing
-them."""
+definition, counts), or bench/ reads it. A public method or property of
+a class stays only if some module of the package, or of bench/, reads an
+attribute of its name. A name only the tests use belongs in the tests.
+The scan reads the sources without importing them."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,18 @@ def defined(tree):
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
     return [n for n in names if not n.startswith("_")]
+
+
+def methods(tree):
+    """The public methods and properties of a module's classes, as
+    "Class.name"."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
 
 
 def referenced(tree):
@@ -57,6 +70,19 @@ def unused_public_names():
     ]
 
 
+def unused_public_methods():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
+    # a method is read as an attribute, whatever the object
+    read = set().union(*map(referenced, trees + bench))
+    return [
+        name for tree in trees for name in methods(tree) if name.split(".")[1] not in read
+    ]
+
+
 def test_every_public_name_has_a_use_outside_the_tests():
     assert unused_public_names() == []
 
+
+def test_every_public_method_has_a_use_outside_the_tests():
+    assert unused_public_methods() == []

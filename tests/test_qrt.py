@@ -12,15 +12,25 @@ import qrtmodal.linalg as linalg_module
 import qrtmodal.qrt as qrt_module
 from qrtmodal import corpus
 from qrtmodal.config import DEFAULT_TOL
-from qrtmodal.errors import QrtModalError, ResourceLimitError, ShapeError, StructuralError
+from qrtmodal.errors import (
+    DimensionMismatchError,
+    GenerationError,
+    QrtModalError,
+    ResourceLimitError,
+    ShapeError,
+    StructuralError,
+)
 from qrtmodal.generate import GeneratorConfig, generate_qrt, random_relabeling
 from qrtmodal.linalg import (
     DensityMatrix,
     KrausChannel,
+    apply_channel,
     apply_channel_stack,
     basis_state,
     constant_channel,
     function_channel,
+    identity_channel,
+    maximally_mixed,
     preparation_channel,
     scalar_one,
     trace_distance,
@@ -37,6 +47,8 @@ from qrtmodal.qrt import (
     relabel_qrt,
     sub_qrt,
 )
+
+from helpers import is_composition_complete, resource_states
 
 
 def two_qubit_shell():
@@ -183,7 +195,7 @@ class TestFreeAndResourceStates:
             )
         )
         assert q.free_states == {("A", "rho")}
-        assert q.resource_states == {("A", "tau")}
+        assert resource_states(q) == {("A", "tau")}
 
     def test_two_step_reachability(self):
         q = corpus.chain_qrt()
@@ -217,15 +229,15 @@ class TestFreeAndResourceStates:
             )
         )
         assert q.free_states == frozenset()
-        assert q.resource_states == {("A", "a0")}
+        assert resource_states(q) == {("A", "a0")}
 
     def test_entanglement_resource_is_bell(self):
         q = corpus.entanglement_qrt()
-        assert q.resource_states == {("AB", "bell")}
+        assert resource_states(q) == {("AB", "bell")}
 
     def test_all_free_theory_has_no_resources(self):
         q, _ = corpus.xi_pair()  # every named state is prepared or reached
-        assert q.resource_states == frozenset()
+        assert resource_states(q) == frozenset()
 
     def test_unresolved_trivial_is_structural_error(self):
         q = Qrt(
@@ -262,8 +274,8 @@ class TestConvertibility:
         for build in (corpus.entanglement_qrt, corpus.resource_destroying_qrt):
             q = build()
             for rho, sigma in q.preorder:
-                if sigma in q.resource_states and rho != q.trivial_node:
-                    assert rho in q.resource_states
+                if sigma in resource_states(q) and rho != q.trivial_node:
+                    assert rho in resource_states(q)
 
 
 class TestSubQrt:
@@ -470,18 +482,24 @@ class TestGeneratedFamilyProperties:
 
 
 def _count_applications(monkeypatch):
-    """Patch the stacked channel application the theory layer uses;
-    returns a Counter of (channel object id, state object id) applications,
-    one per state of each stack."""
+    """Patch the channel applications the theory layer uses, the grouped
+    kernel and the one-channel stack of the per-channel path; returns a
+    Counter of (channel object id, state object id) applications, one per
+    (channel, state) pair."""
     applied = Counter()
-    original = qrt_module.apply_channel_stack
+    grouped, single = qrt_module.apply_channels, qrt_module.apply_channel_stack
 
-    def counting(c, states, *args, **kwargs):
-        for rho in states:
-            applied[(id(c), id(rho))] += 1
-        return original(c, states, *args, **kwargs)
+    def counting_grouped(channels, stacks, *args, **kwargs):
+        for c, states in zip(channels, stacks):
+            applied.update((id(c), id(rho)) for rho in states)
+        return grouped(channels, stacks, *args, **kwargs)
 
-    monkeypatch.setattr(qrt_module, "apply_channel_stack", counting)
+    def counting_single(c, states, *args, **kwargs):
+        applied.update((id(c), id(rho)) for rho in states)
+        return single(c, states, *args, **kwargs)
+
+    monkeypatch.setattr(qrt_module, "apply_channels", counting_grouped)
+    monkeypatch.setattr(qrt_module, "apply_channel_stack", counting_single)
     return applied
 
 
@@ -501,7 +519,7 @@ class TestDeriveOnce:
         q.edges
         q.free_states
         to_starred_model(q)
-        assert q.is_composition_complete()
+        assert is_composition_complete(q)
         expected = Counter(
             (id(d.channel), id(dm))
             for d in q.channels
@@ -576,16 +594,13 @@ class TestDeriveOnce:
 
         q = build_family(1, 5)[0][1]
         to_model(q)  # the theory's own record is kept; the rebuilt one is not
-        induced = Counter()
-        original = qrt_module.induced_map
-
-        def counting(channel, *args, **kwargs):
-            induced[id(channel)] += 1
-            return original(channel, *args, **kwargs)
-
-        monkeypatch.setattr(qrt_module, "induced_map", counting)
+        applied = _count_applications(monkeypatch)
         assert verify_functoriality(q)["ok"]
-        assert induced == Counter(id(d.channel) for d in q.channels)
+        assert applied == Counter(
+            (id(d.channel), id(dm))
+            for d in q.channels
+            for dm in q.system(d.src).states.values()
+        )
 
 
 def test_identity_rule_is_allclose_with_atol_1e12():
@@ -871,3 +886,232 @@ def test_induced_map_outcome_is_that_of_the_first_unmatched_state():
     crowded = SystemDecl("B", 2, {"b0": a0, "c0": a0})
     with pytest.raises(StructuralError, match="ambiguous match"):
         induced_map(inflate, SystemDecl("A", 2, {"a0": a0, "a1": a1}), crowded)
+
+
+# -- the grouped derivation against the per-channel path ----------------------
+
+GUARD = linalg_module._GUARD
+
+
+def outcome(call):
+    """A derivation's outcome: ("map", its items in order), ("map", None),
+    or the type and text of what it raised."""
+    try:
+        fn = call()
+    except QrtModalError as exc:
+        return type(exc), str(exc)
+    return "map", None if fn is None else list(fn.items())
+
+
+def derivation_pairs(q: Qrt):
+    """(grouped, per-channel) outcome of every channel of a fresh copy of
+    q, and how many channels the grouped pass settled itself."""
+    fresh = Qrt(q.systems, q.channels, q.trivial_id, q.tol)
+    triples = [(d, fresh.system(d.src), fresh.system(d.dst)) for d in fresh.channels]
+    settled = qrt_module._induced_maps(triples, fresh.tol)
+    pairs = [
+        (
+            outcome(partial(fresh._function, d)),
+            outcome(partial(induced_map, d.channel, src, dst, fresh.tol)),
+        )
+        for d, src, dst in triples
+    ]
+    return pairs, sum(d in settled for d, _, _ in triples)
+
+
+def image_bits_and_verdicts(q: Qrt) -> int:
+    """Apply each (in_dim, out_dim) group of q's channels with one
+    ``apply_channels`` and compare every image bit for bit with the
+    channel's own ``apply_channel_stack``; where the bits differ, the
+    image's verdicts against the named states must not. Returns the count
+    of images compared."""
+    groups: dict = {}
+    for d in q.channels:
+        src, dst = q.system(d.src), q.system(d.dst)
+        if all(r.dim == d.channel.in_dim for r in src.states.values()) and all(
+            r.dim == d.channel.out_dim for r in dst.states.values()
+        ):
+            groups.setdefault((d.channel.in_dim, d.channel.out_dim), []).append(d)
+    compared = 0
+    for decls in groups.values():
+        stacks = [tuple(q.system(d.src).states.values()) for d in decls]
+        try:
+            images = linalg_module.apply_channels([d.channel for d in decls], stacks, q.tol)
+        except QrtModalError:
+            continue
+        row = 0
+        for d, states in zip(decls, stacks):
+            named = q.system(d.dst).states.values()
+            for image, single in zip(images[row:row + len(states)], apply_channel_stack(d.channel, states, q.tol)):
+                if image.tobytes() != single.mat.tobytes():
+                    grouped_image = DensityMatrix._checked(image)
+                    assert [within_trace_distance(grouped_image, n, q.tol) for n in named] == [
+                        within_trace_distance(single, n, q.tol) for n in named
+                    ]
+                compared += 1
+            row += len(states)
+    return compared
+
+
+def iso_pool() -> list:
+    """The theories the iso benchmark decides: generator seed 1, four
+    systems of dims 1 and 2, four states each."""
+    cfg = GeneratorConfig(seed=1, n_systems=4, dims=(1, 2), states_per_system=4)
+    pool = []
+    for index in range(48):
+        try:
+            pool.append(generate_qrt(cfg, index=index))
+        except GenerationError:
+            continue
+    return pool
+
+
+def scalar_map(channel: KrausChannel, src: SystemDecl, dst: SystemDecl, tol: float) -> dict | None:
+    """induced_map by the plain rules, one state at a time: each image by
+    apply_channel, each verdict by trace_distance."""
+    out = {}
+    for st, rho in src.states.items():
+        image = apply_channel(channel, rho, tol)
+        hits = [name for name, named in dst.states.items() if trace_distance(image, named) <= tol]
+        if len(hits) > 1:
+            raise StructuralError(f"ambiguous match in system {dst.id}: {sorted(hits)}")
+        if not hits:
+            return None
+        out[st] = hits[0]
+    return out
+
+
+def built_theories() -> dict:
+    """Theories made to reach each branch of the grouped pass."""
+    a0, a1 = basis_state(2, 0), basis_state(2, 1)
+    eye = identity_channel(2)
+    base = maximally_mixed(2)
+    # states at eps + k g from base, where eps is the matching radius: the
+    # bounds decide k = -10, the eigensolve k = 0, 1 and 10, and k = -1
+    # sits on the hit bound
+    near = [DensityMatrix(base.mat + np.diag([t, -t])) for t in (DEFAULT_TOL + k * GUARD for k in (-10, -1, 0, 1, 10))]
+    guard = Qrt(
+        [SystemDecl("B", 2, {"mid": base})]
+        + [SystemDecl(f"N{i}", 2, {"s": s}) for i, s in enumerate(near)],
+        [ChannelDecl(f"to_b{i}", f"N{i}", "B", eye) for i in range(len(near))]
+        + [ChannelDecl(f"from_b{i}", "B", f"N{i}", eye) for i in range(len(near))],
+    )
+    src = SystemDecl("A", 2, {"a0": a0, "a1": a1})
+    # |0> matches nothing in C, |1> matches two named states
+    crowded = SystemDecl("C", 2, {"c1": a1, "c1_near": DensityMatrix(np.diag([1e-10, 1 - 1e-10]).astype(complex))})
+    order = Qrt(
+        [src, crowded],
+        [
+            ChannelDecl("miss_first", "A", "C", function_channel([0, 1], 2, 2)),
+            ChannelDecl("ambiguous_first", "A", "C", function_channel([1, 0], 2, 2)),
+        ],
+    )
+    dst = SystemDecl("B", 2, {"b0": a0, "b1": a1})
+    good = [
+        ChannelDecl("keep", "A", "B", function_channel([0, 1], 2, 2)),
+        ChannelDecl("swap", "A", "B", function_channel([1, 0], 2, 2)),
+    ]
+
+    def beside_good(decl: ChannelDecl, *systems: SystemDecl) -> Qrt:
+        return Qrt([src, dst, *systems], [good[0], decl, good[1]])
+
+    wide = SystemDecl("W", 2, {"w0": a0, "w3": basis_state(3, 0)})  # a state of the wrong dim
+    return {
+        "guard": guard,
+        "order": order,
+        "non_cptp": beside_good(ChannelDecl("inflate", "A", "B", KrausChannel([np.diag([1.0, 1.1])]))),
+        "non_finite": beside_good(ChannelDecl("huge", "A", "B", KrausChannel([1e200 * np.eye(2)]))),
+        "misdimensioned": beside_good(ChannelDecl("to_wide", "A", "W", eye), wide),
+    }
+
+
+def check_grouped_against_per_channel(q: Qrt) -> tuple[list, int, int]:
+    """The grouped outcome of each channel of q equals induced_map's and
+    the plain rules', and each grouped image equals its one-channel image
+    or gets the same verdicts. Returns the (grouped, per-channel) outcome
+    pairs, the count of channels the grouped pass settled itself and the
+    count of images compared."""
+    pairs, settled = derivation_pairs(q)
+    plain = [
+        outcome(partial(scalar_map, d.channel, q.system(d.src), q.system(d.dst), q.tol))
+        for d in q.channels
+    ]
+    for d, (grouped, single), rule in zip(q.channels, pairs, plain):
+        assert grouped == single == rule, d.id
+    return pairs, settled, image_bits_and_verdicts(q)
+
+
+def check_settles_every_channel(theories: list) -> None:
+    """On theories where no channel fails its own derivation, the grouped
+    pass settles every channel and agrees with the per-channel path."""
+    compared = 0
+    for q in theories:
+        pairs, settled, images = check_grouped_against_per_channel(q)
+        compared += images
+        if all(single[0] in ("map", StructuralError) for _, single in pairs):
+            assert settled == len(q.channels)
+    assert compared > 0
+
+
+class TestGroupedDerivation:
+    def test_corpus(self):
+        check_settles_every_channel(corpus_theories())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_family(self, seed):
+        from qrtmodal.harness import build_family
+
+        check_settles_every_channel([q for _, q in build_family(seed, 40)])
+
+    def test_iso_pool(self):
+        pool = iso_pool()
+        assert len(pool) >= 32
+        check_settles_every_channel(pool)
+
+    def test_guard_band(self, monkeypatch):
+        q = built_theories()["guard"]
+        calls = Counter()
+        original = linalg_module.trace_distance
+
+        def counting(a, b):
+            calls["trace_distance"] += 1
+            return original(a, b)
+
+        monkeypatch.setattr(linalg_module, "trace_distance", counting)
+        settled = qrt_module._induced_maps([(d, q.system(d.src), q.system(d.dst)) for d in q.channels], q.tol)
+        monkeypatch.undo()
+        assert len(settled) == len(q.channels)
+        # k = 0, 1 and 10 lie between the bounds, in each direction; k = -1
+        # sits on the hit bound, where rounding decides which side
+        assert calls["trace_distance"] >= 6
+        pairs, _, _ = check_grouped_against_per_channel(q)
+        hits = {d.id: grouped[1] is not None for d, (grouped, _) in zip(q.channels, pairs)}
+        for way in ("to_b", "from_b"):
+            # k = 0 is a distance of eps up to rounding, so it may go either way
+            assert [hits[f"{way}{i}"] for i in (0, 1, 3, 4)] == [True, True, False, False]
+
+    def test_first_miss_or_ambiguity_in_state_order_decides(self):
+        q = built_theories()["order"]
+        pairs, settled, _ = check_grouped_against_per_channel(q)
+        assert settled == len(q.channels)
+        outcomes = {d.id: grouped for d, (grouped, _) in zip(q.channels, pairs)}
+        assert outcomes["miss_first"] == ("map", None)
+        assert outcomes["ambiguous_first"] == (
+            StructuralError, "ambiguous match in system C: ['c1', 'c1_near']"
+        )
+
+    @pytest.mark.parametrize(
+        "name, bad, error",
+        [
+            ("non_cptp", "inflate", (ShapeError, "not a density matrix: trace is 1.210000, not 1")),
+            ("non_finite", "huge", (ShapeError, "matrix has a non-finite (NaN or infinite) entry")),
+            ("misdimensioned", "to_wide", (DimensionMismatchError, "dims differ: 2 vs 3")),
+        ],
+    )
+    def test_a_failing_channel_leaves_its_group_to_the_per_channel_path(self, name, bad, error):
+        q = built_theories()[name]
+        pairs, _, _ = check_grouped_against_per_channel(q)
+        outcomes = {d.id: grouped for d, (grouped, _) in zip(q.channels, pairs)}
+        assert outcomes[bad] == error
+        assert outcomes["keep"] == ("map", [("a0", "b0"), ("a1", "b1")])
+        assert outcomes["swap"] == ("map", [("a0", "b1"), ("a1", "b0")])

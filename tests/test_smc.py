@@ -25,6 +25,8 @@ from qrtmodal.relations import reflexive_transitive_closure
 from qrtmodal.smc import SmcCategory, build_smc, free_objects, verify_smc_laws
 from qrtmodal.translate import to_starred_model
 
+from helpers import arrow
+
 
 def entanglement_category(cap=5):
     rec = to_starred_model(corpus.entanglement_qrt())
@@ -174,7 +176,7 @@ class TestHomAndMorphisms:
         bogus = PairMorphism(
             frozenset({"AB.bell"}), frozenset({"A.a0"}), frozenset({("AB.bell", "A.a0")})
         )
-        assert not cat.arrow("AB.bell", "A.a0")
+        assert not arrow(cat, "AB.bell", "A.a0")
         assert not ref.valid_morphism(bogus)
         assert not cat.hom_nonempty(x, y) and ref.canonical_morphism(x, y) is None
 
