@@ -41,15 +41,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """The --seed type: an integer at least 0, as numpy's generators take."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1  # fails the check below
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
+def _at_least(low: int):
+    """The type of an integer option whose values start at low, such as
+    --seed, which numpy's generators take from 0. argparse turns the error
+    into exit 2 with a message naming the option."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1  # fails the check below
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _tolerances(args) -> float:
@@ -192,7 +198,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("theorems", help="run every theorem oracle over a family")
     p.add_argument("files", nargs="*", help="theory files to use instead of a generated family")
     p.add_argument("--models", nargs="*", help="model files injected into the image checks")
-    p.add_argument("--seed", type=_seed, default=1)
+    p.add_argument("--seed", type=_at_least(0), default=1)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--cap", type=int, default=5, help="object size cap for category checks")
     p.add_argument("--no-corpus", action="store_true")
@@ -201,8 +207,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_theorems)
 
     p = sub.add_parser("generate", help="write a seeded family of theory files")
-    p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--seed", type=_at_least(0), required=True)
+    p.add_argument("--count", type=_at_least(1), default=5)
     p.add_argument("--out", required=True)
     p.add_argument("--systems", type=int, default=3)
     p.add_argument("--dims", default="1,2,3")

@@ -15,7 +15,7 @@ import numpy as np
 from .config import DEFAULT_TOL, MAX_DIM
 from .errors import QrtModalError, ShapeError
 from .kripke import KripkeModel, StarredModel
-from .linalg import DensityMatrix, KrausChannel, density_matrices
+from .linalg import KrausChannel, density_matrices
 from .qrt import ChannelDecl, Qrt, SystemDecl
 from .translate import TranslationRecord
 
@@ -81,14 +81,16 @@ def _list(value: Any, what: str) -> list:
 
 
 def _states(states: dict, tol: float) -> dict:
-    """A system's named states, decoded, then checked as one stack by
-    ``density_matrices``. When a matrix does not decode, they are decoded
-    and checked one at a time, so the first bad state in file order raises
-    its own error."""
-    try:
-        mats = [decode_matrix(mat) for mat in states.values()]
-    except FormatError:
-        return {st: DensityMatrix(decode_matrix(mat), tol) for st, mat in states.items()}
+    """A system's named states, checked by ``density_matrices``. When a
+    matrix does not decode, the matrices before it are checked first, so
+    the first bad state in file order raises its own error."""
+    mats: list = []
+    for mat in states.values():
+        try:
+            mats.append(decode_matrix(mat))
+        except FormatError:
+            density_matrices(mats, tol)
+            raise
     return dict(zip(states, density_matrices(mats, tol)))
 
 

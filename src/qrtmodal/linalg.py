@@ -7,18 +7,20 @@ Kraus form only; the Choi matrix is derived on demand.
 The theory layer asks three questions of its channels, and each costs one
 pass: ``apply_channels`` applies a group of channels of one shape, each to
 its own stack of states, with one Kraus sum over their zero-padded Kraus
-lists and checks all the images with one eigensolve call;
-``within_trace_distances`` decides, for every (image, named state) pair at
-once, whether the two lie within a radius, from one array of Frobenius
-bounds, and diagonalises only a pair the bounds leave open; ``is_cptp``
-keeps its verdict on the immutable channel, per tolerance.
-``apply_channel_stack`` and ``within_trace_distance`` are the one-channel
-and one-pair cases of the first two. The tolerance semantics are those of
-the plain rules: a bound only skips an eigensolve whose outcome it proves.
+lists, checks all the images with one eigensolve call and returns the
+error of each image that fails; ``within_trace_distances`` decides, for
+every (image, named state) pair at once, whether the two lie within a
+radius, from one array of Frobenius bounds, and diagonalises only a pair
+the bounds leave open; ``is_cptp`` keeps its verdict on the immutable
+channel, per tolerance. ``apply_channel`` and ``within_trace_distance``
+are the one-state and one-pair cases of the first two. The tolerance
+semantics are those of the plain rules: a bound only skips an eigensolve
+whose outcome it proves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -68,49 +70,68 @@ def is_density_matrix(m, tol: float = DEFAULT_TOL) -> tuple[bool, str | None]:
     on the Hermitian part once Hermiticity itself has passed, which keeps
     the PSD test stable.
     """
-    bad = _density_defect(as_matrix(m)[None], tol)
-    return (True, None) if bad is None else (False, bad[1])
+    defect = _density_defect(as_matrix(m)[None], tol).get(0)
+    if isinstance(defect, NumericalError):
+        raise defect
+    return defect is None, defect
 
 
-def _density_defect(ms: np.ndarray, tol: float) -> tuple[int, str] | None:
-    """The first matrix of the (n, d, d) stack ``ms`` that fails a state
-    invariant, as (index, diagnostic), or None when every one passes.
+def _density_defect(ms: np.ndarray, tol: float) -> dict:
+    """{index: defect} for every matrix of the (n, d, d) stack ``ms`` that
+    fails a state invariant. The defect is the diagnostic of the first
+    invariant the matrix fails, in the order Hermitian, PSD, unit trace,
+    as a check of that matrix alone gives it, or the NumericalError of its
+    failed eigensolve.
 
-    Each matrix is tested in the order Hermitian, PSD, unit trace, and the
-    first matrix in stack order with any defect is the one reported, as a
-    matrix-by-matrix check would. The PSD test is one eigensolve over the
-    matrices before the first non-Hermitian one."""
+    The PSD test is one eigensolve over the Hermitian matrices."""
     # finite entries can still overflow to NaN on the way, so every test
     # is written to fail, not pass, on a NaN
     if ms.shape[1] != ms.shape[2]:
         raise ShapeError(f"density matrix must be square, got {ms.shape[1:]}")
-    n = len(ms)
     herm = np.abs(ms - ms.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
     ok = herm <= tol
-    j = n if ok.all() else int(ok.argmin())
-    if j:
-        head = ms[:j]
-        try:
-            lo = _eigh(hermitian_part(head)).min(axis=1)
-        except NumericalError:
-            if j == 1:
-                raise
-            # one failed solve fails the stack; find the first failure in order
-            for i in range(j):
-                bad = _density_defect(ms[i:i + 1], tol)
-                if bad is not None:
-                    return i, bad[1]
-            raise
-        tr = head.trace(axis1=1, axis2=2)
-        ok = (lo >= -tol) & (np.abs(tr - 1.0) <= tol)
-        if not ok.all():
-            i = int(ok.argmin())
-            if not lo[i] >= -tol:
-                return i, f"not positive semidefinite (eigenvalue {float(lo[i]):.3e})"
-            return i, f"trace is {tr[i].real:.6f}, not 1"
-    if j < n:
-        return j, f"not Hermitian (defect {float(herm[j]):.3e})"
-    return None
+    if ok.all():
+        defects: dict = {}
+        keep, head = range(len(ms)), ms
+    else:
+        defects = {int(i): f"not Hermitian (defect {float(herm[i]):.3e})" for i in np.flatnonzero(~ok)}
+        keep = np.flatnonzero(ok)
+        head = ms[keep]
+    try:
+        lo = _eigh(hermitian_part(head)).min(axis=1)
+    except NumericalError:
+        # LAPACK cannot say which matrix failed the stacked solve
+        lo = np.zeros(len(head))
+        for k in range(len(head)):
+            try:
+                lo[k] = _eigh(hermitian_part(head[k])).min()
+            except NumericalError as exc:
+                defects[int(keep[k])] = exc
+    tr = head.trace(axis1=1, axis2=2)
+    ok = (lo >= -tol) & (np.abs(tr - 1.0) <= tol)
+    for k in () if ok.all() else np.flatnonzero(~ok):
+        why = (
+            f"not positive semidefinite (eigenvalue {float(lo[k]):.3e})"
+            if not lo[k] >= -tol else f"trace is {tr[k].real:.6f}, not 1"
+        )
+        defects.setdefault(int(keep[k]), why)
+    return defects
+
+
+def _state_errors(ms: np.ndarray, tol: float) -> dict:
+    """{index: error} for every matrix of the (n, d, d) stack ``ms`` that
+    is not a state: the ShapeError or NumericalError that
+    ``DensityMatrix`` raises for it alone."""
+    finite = np.isfinite(ms).all(axis=(1, 2))
+    odd = () if finite.all() else np.flatnonzero(~finite)
+    # a non-finite matrix is checked as a zero stand-in, whose defect is replaced
+    defects = _density_defect(np.where(finite[:, None, None], ms, 0) if len(odd) else ms, tol)
+    errors = {
+        i: defect if isinstance(defect, NumericalError) else ShapeError(f"not a density matrix: {defect}")
+        for i, defect in defects.items()
+    }
+    errors.update((int(i), ShapeError("matrix has a non-finite (NaN or infinite) entry")) for i in odd)
+    return errors
 
 
 class DensityMatrix:
@@ -120,9 +141,9 @@ class DensityMatrix:
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
         m = as_matrix(matrix)
-        bad = _density_defect(m[None], tol)
-        if bad is not None:
-            raise ShapeError(f"not a density matrix: {bad[1]}")
+        errors = _state_errors(m[None], tol)
+        if errors:
+            raise errors[0]
         _check_dim_cap(m.shape[0])
         m = m.copy()
         m.flags.writeable = False
@@ -145,21 +166,21 @@ class DensityMatrix:
 
 
 def density_matrices(matrices: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> tuple:
-    """``DensityMatrix(m, tol)`` of each matrix, in order. Matrices of one
-    square shape within the dim cap are checked as one stack; any other
-    input, or a stack with a defect, is checked matrix by matrix, so the
-    first failing matrix raises what it raises alone."""
-    if len(matrices) and all(m.shape == matrices[0].shape for m in matrices):
-        stack = np.array(matrices, dtype=complex)
-        if stack.ndim == 3 and stack.shape[1] == stack.shape[2] <= MAX_DIM and np.isfinite(stack).all():
-            try:
-                bad = _density_defect(stack, tol)
-            except NumericalError:
-                bad = True
-            if bad is None:
-                stack.flags.writeable = False
-                return tuple(DensityMatrix._checked(m) for m in stack)
-    return tuple(DensityMatrix(m, tol) for m in matrices)
+    """``DensityMatrix(m, tol)`` of each matrix, in order. Each run of
+    matrices of one shape is checked as one stack, and the first failing
+    matrix in order raises what it raises alone."""
+    out: list = []
+    for _, run in itertools.groupby(matrices, np.shape):
+        stack = np.array(list(run), dtype=complex)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] > MAX_DIM:
+            # a shape no state has: every matrix of the run fails, the first raises
+            DensityMatrix(stack[0], tol)
+        errors = _state_errors(stack, tol)
+        if errors:
+            raise errors[min(errors)]
+        stack.flags.writeable = False
+        out += (DensityMatrix._checked(m) for m in stack)
+    return tuple(out)
 
 
 def pure_state(vec) -> DensityMatrix:
@@ -268,67 +289,48 @@ def _cptp_verdict(c: KrausChannel, tol: float) -> tuple[bool, str | None]:
 
 def apply_channel(c: KrausChannel, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Evaluate sum_i K_i rho K_i^dag and re-check the state invariants:
-    ``apply_channel_stack`` of the one state."""
-    return apply_channel_stack(c, (rho,), tol)[0]
-
-
-def apply_channel_stack(
-    c: KrausChannel, states: Sequence[DensityMatrix], tol: float = DEFAULT_TOL
-) -> tuple:
-    """The images sum_i K_i rho K_i^dag of all the states, in order:
-    ``apply_channels`` of the one channel.
+    ``apply_channels`` of the one state.
 
     The caller is responsible for c being CPTP; an invariant violation in
-    an output signals numerical breakdown (or a non-CPTP channel). The
-    first state in order whose application fails raises what applying the
-    channel to it alone raises: DimensionMismatchError for a state of the
-    wrong dim, ShapeError for an image that is not a density matrix, or
-    NumericalError."""
-    # the states before the first one of the wrong dim
-    n = next((i for i, rho in enumerate(states) if rho.dim != c.in_dim), len(states))
-    out = apply_channels((c,), (states[:n],), tol)
-    if n < len(states):
-        raise DimensionMismatchError(
-            f"state dim {states[n].dim} does not match channel input dim {c.in_dim}"
-        )
-    return tuple(DensityMatrix._checked(m) for m in out)
+    the output signals numerical breakdown (or a non-CPTP channel). Raises
+    DimensionMismatchError for a state of the wrong dim, ShapeError for an
+    image that is not a density matrix, or NumericalError."""
+    if rho.dim != c.in_dim:
+        raise DimensionMismatchError(f"state dim {rho.dim} does not match channel input dim {c.in_dim}")
+    images, errors = apply_channels((c,), ((rho,),), tol)
+    if errors:
+        raise errors[0]
+    return DensityMatrix._checked(images[0])
 
 
 def apply_channels(
     channels: Sequence[KrausChannel], stacks: Sequence[Sequence[DensityMatrix]],
     tol: float = DEFAULT_TOL,
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict]:
     """The images sum_i K_i rho K_i^dag of every state of ``stacks[j]``
     under ``channels[j]``, in that order, as one read-only (n, out, out)
-    array. The channels share one (in_dim, out_dim) and the states have
-    the in dim.
+    array, and {row: error} for every image that is not a density matrix:
+    the ShapeError, or the NumericalError of a failed eigensolve, that the
+    image raises as a state. The channels share one (in_dim, out_dim) and
+    the states have the in dim.
 
     One Kraus sum runs over the stack of every (channel, state) pair, with
     each Kraus list zero-padded to the longest and its terms kept in
     order: a padded term adds exact zeros, so each image has the bits of
-    its channel's own sum. One state check covers all the images. The
-    first image in order that is not a density matrix raises ShapeError,
-    or NumericalError from a failed eigensolve."""
+    its channel's own sum. One state check covers all the images."""
     c0 = channels[0]
     pair_channel = np.repeat(np.arange(len(channels)), [len(states) for states in stacks])
-    rhos = np.array([rho.mat for states in stacks for rho in states]).reshape(-1, c0.in_dim, c0.in_dim)
+    rhos = np.array([rho.mat for states in stacks for rho in states]).reshape(len(pair_channel), c0.in_dim, c0.in_dim)
     out = np.zeros((len(rhos), c0.out_dim, c0.out_dim), dtype=complex)
     zero = np.zeros((c0.out_dim, c0.in_dim), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite image fails below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite image fails the check
         # term k of every pair's Kraus list, built one term at a time so that
         # the padding never holds more than one term per channel
         for k in range(max(len(c.kraus_ops) for c in channels)):
             op = np.array([c.kraus_ops[k] if k < len(c.kraus_ops) else zero for c in channels])[pair_channel]
             out += op @ rhos @ op.conj().swapaxes(1, 2)
-    finite = np.isfinite(out).all(axis=(1, 2))
-    j = len(out) if finite.all() else int(finite.argmin())
-    bad = _density_defect(out[:j], tol)
-    if bad is not None:
-        raise ShapeError(f"not a density matrix: {bad[1]}")
-    if j < len(out):
-        raise ShapeError("matrix has a non-finite (NaN or infinite) entry")
     out.flags.writeable = False
-    return out
+    return out, _state_errors(out, tol)
 
 
 # Choi eigenvalues at or below this fraction of the largest are dropped

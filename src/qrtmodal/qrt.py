@@ -12,10 +12,10 @@ unique-within-tol rule, with ambiguity treated as a validation error.
 A theory derives those functions once, in one stacked pass per
 (in_dim, out_dim) group of its channels (``_induced_maps``): one Kraus
 sum and one state check over every (channel, source state) pair, and one
-array of Frobenius bounds per destination system. A group whose images
-fail a check, and a channel whose states do not fit its dims, go through
-``induced_map`` one channel at a time, which raises each channel's own
-error.
+array of Frobenius bounds per destination system. The pass settles every
+channel, failures included: the first state in order whose image fails,
+misses or matches ambiguously decides the channel's outcome, and a
+failure is kept as its error, which every later use raises again.
 """
 
 from __future__ import annotations
@@ -28,18 +28,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, MAX_CHANNELS, MAX_ISO_NODES
-from .errors import (
-    DimensionMismatchError,
-    NumericalError,
-    ResourceLimitError,
-    ShapeError,
-    StructuralError,
-)
+from .errors import DimensionMismatchError, ResourceLimitError, StructuralError
 from .linalg import (
     DensityMatrix,
     KrausChannel,
-    apply_channel,
-    apply_channel_stack,
     apply_channels,
     compose,
     identity_channel,
@@ -111,15 +103,37 @@ def _matrix_is_identity(c: KrausChannel) -> bool:
     return bool((np.abs(c.kraus_ops[0] - eye) <= 1e-12 + 1e-5 * eye).all())
 
 
-def _ambiguity(system: SystemDecl, hits: list) -> str:
-    return f"ambiguous match in system {system.id}: {sorted(hits)}"
+def _settled(outcome):
+    """A derivation's outcome as its result: a map, a named state or None,
+    or its (error type, message) raised."""
+    if isinstance(outcome, tuple):
+        kind, message = outcome
+        raise kind(message)
+    return outcome
 
 
-def _match(system: SystemDecl, dm: DensityMatrix, eps: float) -> str | None:
-    hits = [st for st, named in system.states.items() if within_trace_distance(dm, named, eps)]
-    if len(hits) > 1:
-        raise StructuralError(_ambiguity(system, hits))
-    return hits[0] if hits else None
+def _matches(dst: SystemDecl, images: np.ndarray, tol: float) -> list:
+    """The outcome of matching each image of the (n, d, d) stack to the
+    named states of dst, in order: the one named state within trace
+    distance tol, None when there is none, or (StructuralError, message)
+    when there are several. Every outcome is (DimensionMismatchError,
+    message) when dst names a state of another dim than the images, as
+    ``within_trace_distance`` raises it."""
+    dim = images.shape[-1]
+    odd = next((dm.dim for dm in dst.states.values() if dm.dim != dim), None)
+    if odd is not None:
+        return [(DimensionMismatchError, f"dims differ: {dim} vs {odd}")] * len(images)
+    names = list(dst.states)
+    named = np.array([dm.mat for dm in dst.states.values()]).reshape(len(names), dim, dim)
+    hit = within_trace_distances(images, named, tol)
+    counts = hit.sum(axis=1).tolist()
+    first = (hit @ np.arange(len(names))).tolist()  # the hit of a row with exactly one
+
+    def several(i: int) -> tuple:
+        hits = sorted(names[j] for j in np.flatnonzero(hit[i]))
+        return StructuralError, f"ambiguous match in system {dst.id}: {hits}"
+
+    return [names[f] if n == 1 else several(i) if n else None for i, (n, f) in enumerate(zip(counts, first))]
 
 
 def induced_map(
@@ -127,89 +141,59 @@ def induced_map(
 ) -> dict | None:
     """The map named state -> named state that channel realizes from src to
     dst: each image goes to the unique named state of dst within trace
-    distance tol. None when some image matches no named state.
-
-    Raises StructuralError when an image matches more than one. When a
-    state's image fails its checks and no earlier image missed or matched
-    ambiguously, raises what applying the channel to that state raises."""
-    out: dict[str, str] = {}
-    states = tuple(src.states.values())
-    try:
-        images = apply_channel_stack(channel, states, tol)
-    except (ShapeError, DimensionMismatchError, NumericalError):
-        # one state at a time, so that a miss or an ambiguity before the
-        # failing state is still the outcome
-        images = (apply_channel(channel, rho, tol) for rho in states)
-    for st, dm in zip(src.states, images):
-        hit = _match(dst, dm, tol)
-        if hit is None:
-            return None
-        out[st] = hit
-    return out
+    distance tol. ``_induced_maps`` of the one triple: None when an image
+    matches no named state, StructuralError when one matches several, or
+    what applying the channel to a state raises, whichever comes first in
+    state order."""
+    (outcome,) = _induced_maps([(channel, src, dst)], tol)
+    return _settled(outcome)
 
 
-def _induced_maps(derivations: Sequence[tuple], tol: float) -> dict:
-    """{decl: outcome} for (decl, src, dst) triples, where the outcome is
-    ``induced_map(decl.channel, src, dst, tol)``: the function, None, or
-    the message of the StructuralError it raises.
+def _induced_maps(derivations: Sequence[tuple], tol: float) -> list:
+    """The outcome of each (channel, src, dst) triple, in order: the
+    induced map, None, or (error type, message) for what deriving it one
+    state at a time raises first.
 
-    The channels whose states all have the channel's dims are derived in
-    one pass per (in_dim, out_dim) group: one ``apply_channels`` over every
-    (channel, source state) pair, then one ``within_trace_distances`` array
-    per destination system. In state order, the first image that matches
-    no named state gives None and the first that matches several gives the
-    ambiguity. A group whose images fail a check is left out, as is a
-    channel whose states do not fit it: ``induced_map`` derives each of
-    those on its own, with its own error."""
+    The triples are derived in one pass per (in_dim, out_dim) group: one
+    ``apply_channels`` over each channel's states up to the first of
+    another dim, with the channels of one destination system side by side,
+    then one ``_matches`` per destination over their images. A channel's
+    outcome is read in state order: a failing image, a miss, an ambiguity
+    or a destination that names a state of another dim, whichever comes
+    first, then a state of another dim; else its map."""
+    outcomes: list = [None] * len(derivations)
     groups: dict = {}
-    for decl, src, dst in derivations:
-        c = decl.channel
-        if all(rho.dim == c.in_dim for rho in src.states.values()) and all(
-            dm.dim == c.out_dim for dm in dst.states.values()
-        ):
-            groups.setdefault((c.in_dim, c.out_dim), []).append((decl, src, dst))
-    out: dict = {}
-    for members in groups.values():
-        try:
-            images = apply_channels(
-                [decl.channel for decl, _, _ in members],
-                [tuple(src.states.values()) for _, src, _ in members],
-                tol,
-            )
-            out.update(_match_images(images, members, tol))
-        except (ShapeError, NumericalError):
-            continue
-    return out
-
-
-def _match_images(images: np.ndarray, members: list, tol: float) -> dict:
-    """{decl: outcome} for a group's (decl, src, dst) members, from their
-    images stacked in member and state order: one bound array per
-    destination system."""
-    by_dst: dict = {}
-    start = 0
-    for decl, src, dst in members:
-        stop = start + len(src.states)
-        by_dst.setdefault(dst, []).append((decl, src, range(start, stop)))
-        start = stop
-    out: dict = {}
-    for dst, mine in by_dst.items():
-        names = list(dst.states)
-        named = np.array([dm.mat for dm in dst.states.values()]).reshape(len(names), *images.shape[1:])
-        hit = within_trace_distances(images[[r for _, _, rows in mine for r in rows]], named, tol)
-        counts = hit.sum(axis=1).tolist()
-        first = (hit @ np.arange(len(names))).tolist()  # the hit of a row with exactly one
+    for k, (c, src, dst) in enumerate(derivations):
+        states = tuple(src.states.values())
+        n = next((i for i, rho in enumerate(states) if rho.dim != c.in_dim), len(states))
+        groups.setdefault((c.in_dim, c.out_dim), {}).setdefault(dst, []).append((k, states, n))
+    for by_dst in groups.values():
+        members = [m for mine in by_dst.values() for m in mine]
+        images, errors = apply_channels(
+            [derivations[k][0] for k, _, _ in members], [states[:n] for _, states, n in members], tol
+        )
+        if errors:  # a failing image is matched as a zero matrix, and never read
+            images = images.copy()
+            images[list(errors)] = 0
         row = 0
-        for decl, src, rows in mine:
-            fn: dict | str | None = {}
-            for i, st in enumerate(src.states, row):
-                if counts[i] != 1:
-                    fn = _ambiguity(dst, [names[j] for j in np.flatnonzero(hit[i])]) if counts[i] else None
-                    break
-                fn[st] = names[first[i]]
-            out[decl] = fn
-            row += len(rows)
-    return out
+        for dst, mine in by_dst.items():
+            base = row
+            matched = _matches(dst, images[base:base + sum(n for _, _, n in mine)], tol)
+            for k, states, n in mine:
+                fn: dict | tuple | None = {}
+                for st, r in zip(derivations[k][1].states, range(row, row + n)):
+                    m = (type(errors[r]), str(errors[r])) if r in errors else matched[r - base]
+                    if not isinstance(m, str):  # a failure or a miss settles the channel
+                        fn = m
+                        break
+                    fn[st] = m
+                else:
+                    if n < len(states):
+                        c = derivations[k][0]
+                        fn = DimensionMismatchError, f"state dim {states[n].dim} does not match channel input dim {c.in_dim}"
+                outcomes[k] = fn
+                row += n
+    return outcomes
 
 
 class Qrt:
@@ -250,11 +234,9 @@ class Qrt:
             trivial = ones[0] if len(ones) == 1 else None
         self._trivial = trivial
         self.tol = tol
-        # ChannelDecl -> induced function, None (an image misses the named
-        # universe) or the message of an ambiguous match
+        # ChannelDecl -> the outcome of _induced_maps: the induced function,
+        # None (an image misses the named universe) or (error type, message)
         self._induced: dict = {}
-        # whether the grouped pass over the channels has run
-        self._grouped = False
 
     @property
     def systems(self) -> tuple:
@@ -277,40 +259,30 @@ class Qrt:
 
     def match_named(self, sid: str, dm: DensityMatrix) -> str | None:
         """The unique named state of system sid within trace distance tol,
-        or None.
+        or None: ``_matches`` of the one state.
 
         Raises StructuralError when more than one named state matches."""
-        return _match(self._by_id[sid], dm, self.tol)
+        (outcome,) = _matches(self._by_id[sid], dm.mat[None], self.tol)
+        return _settled(outcome)
+
+    def _outcome(self, decl: ChannelDecl):
+        """The channel's ``_induced_maps`` outcome, derived once per channel
+        and shared, so readers must not change it. The first lookup of a
+        channel not yet derived derives every such channel, in one pass."""
+        if decl not in self._induced:
+            todo = [
+                d for d in self._channels
+                if d not in self._induced and d.src in self._by_id and d.dst in self._by_id
+            ]
+            self._induced.update(zip(todo, _induced_maps(
+                [(d.channel, self._by_id[d.src], self._by_id[d.dst]) for d in todo], self.tol
+            )))
+        return self._induced[decl]
 
     def _function(self, decl: ChannelDecl) -> dict | None:
-        """The channel's ``induced_map``, derived once per channel and
-        shared, so readers must not change it. The first miss derives every
-        channel not yet derived, in one ``_induced_maps`` pass; a channel
-        that pass leaves out is derived on its own.
-
-        Raises StructuralError when an image matches more than one named
-        state, on every call."""
-        if not self._grouped and decl not in self._induced:
-            self._grouped = True
-            self._induced.update(_induced_maps([
-                (d, self._by_id[d.src], self._by_id[d.dst])
-                for d in self._channels
-                if d not in self._induced and d.src in self._by_id and d.dst in self._by_id
-            ], self.tol))
-        try:
-            fn = self._induced[decl]
-        except KeyError:
-            try:
-                fn = induced_map(
-                    decl.channel, self._by_id[decl.src], self._by_id[decl.dst], self.tol
-                )
-            except StructuralError as exc:
-                # kept as its message: an exception keeps its traceback's frames
-                fn = str(exc)
-            self._induced[decl] = fn
-        if isinstance(fn, str):
-            raise StructuralError(fn)
-        return fn
+        """The channel's ``induced_map``; a failure raises its error again
+        on every call."""
+        return _settled(self._outcome(decl))
 
     @cached_property
     def _channel_functions(self) -> tuple:
@@ -433,13 +405,10 @@ class Qrt:
                 issues.append(Issue("non-cptp", decl.id, why))
                 closure_ok = False
                 continue
-            try:
-                missed = self._function(decl) is None
-                why = "some named state's image matches no named state" if missed else None
-            except (StructuralError, ShapeError, NumericalError) as exc:
-                # an ambiguous match, or an image that fails the state checks
-                why = str(exc)
-            if why is not None:
+            fn = self._outcome(decl)
+            if fn is None or isinstance(fn, tuple):
+                # a miss, an ambiguous match or an image that fails the state checks
+                why = fn[1] if fn else "some named state's image matches no named state"
                 issues.append(Issue("state-closure", decl.id, why))
                 closure_ok = False
 

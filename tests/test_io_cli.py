@@ -321,6 +321,17 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["-2", "0"])
+    def test_generate_count_below_one_is_input_error(self, count, tmp_path, capsys):
+        out = tmp_path / "gen"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--seed", "1", "--count", count, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --count: must be an integer >= 1, got '{count}'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "option, value, message",
         [

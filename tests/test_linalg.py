@@ -16,11 +16,12 @@ from qrtmodal.linalg import (
     DensityMatrix,
     KrausChannel,
     apply_channel,
-    apply_channel_stack,
+    apply_channels,
     basis_state,
     choi_matrix,
     compose,
     constant_channel,
+    density_matrices,
     identity_channel,
     is_cptp,
     is_density_matrix,
@@ -371,19 +372,38 @@ def outcome(run):
 
 
 def stacked(c, states, tol=DEFAULT_TOL):
-    return outcome(lambda: [dm.mat for dm in apply_channel_stack(c, states, tol)])
+    """The outcome of each state's image, in order: ("ok", image) or the
+    type and text of its error from one ``apply_channels`` over the states
+    before the first of another dim, then ``apply_channel``'s outcome for
+    that state."""
+    n = next((i for i, rho in enumerate(states) if rho.dim != c.in_dim), len(states))
+    images, errors = apply_channels([c], [states[:n]], tol)
+    got = [(type(errors[i]), str(errors[i])) if i in errors else ("ok", images[i]) for i in range(n)]
+    if n < len(states):
+        got.append(outcome(lambda: apply_channel(c, states[n], tol).mat))
+    return got
 
 
 def per_state(c, states, tol=DEFAULT_TOL):
-    return outcome(lambda: [reference_apply(c, rho, tol) for rho in states])
+    """reference_apply's outcome for each state, in order, up to the first
+    state of another dim."""
+    got = []
+    for rho in states:
+        got.append(outcome(lambda: reference_apply(c, rho, tol)))
+        if rho.dim != c.in_dim:
+            break
+    return got
 
 
 def same_outcome(got, want) -> bool:
-    if got[0] != want[0]:
+    if len(got) != len(want):
         return False
-    if got[0] != "ok":
-        return got[1] == want[1]
-    return len(got[1]) == len(want[1]) and all(map(np.array_equal, got[1], want[1]))
+    for (kind, value), (want_kind, want_value) in zip(got, want):
+        if kind != want_kind:
+            return False
+        if not (np.array_equal(value, want_value) if kind == "ok" else value == want_value):
+            return False
+    return True
 
 
 def skewed_state(defect):
@@ -413,6 +433,9 @@ CHANNELS = {
 
 
 class TestApplyChannelStack:
+    """``apply_channels``' image and error of every state, against the
+    per-state rule."""
+
     def test_each_failure_kind_matches_the_per_state_rule(self):
         cases = {
             "non-Hermitian image": ("amplify", ["skewed"], "not Hermitian"),
@@ -424,10 +447,11 @@ class TestApplyChannelStack:
         for name, (cname, names, text) in cases.items():
             states = [STATE_POOL[n] for n in names]
             got = stacked(CHANNELS[cname], states)
-            assert got[0] != "ok" and text in got[1], name
+            assert any(kind != "ok" and text in value for kind, value in got), name
             assert same_outcome(got, per_state(CHANNELS[cname], states)), name
 
     def test_first_failing_state_in_order_matches_the_per_state_rule(self):
+        # every state's outcome, so the failing images after the first too
         for c in CHANNELS.values():
             for names in itertools.permutations(STATE_POOL, 3):
                 states = [STATE_POOL[n] for n in names]
@@ -436,7 +460,8 @@ class TestApplyChannelStack:
 
     def test_failed_eigensolve_reports_the_first_failure_in_order(self, monkeypatch):
         # a solve fails on any matrix whose (0, 0) entry is 0.3; one such
-        # matrix fails a whole stacked solve
+        # matrix fails a whole stacked solve, and each image then gets its
+        # own verdict
         original = np.linalg.eigvalsh
 
         def failing(m):
@@ -456,8 +481,8 @@ class TestApplyChannelStack:
             states = [pool[n] for n in names]
             got = stacked(CHANNELS["inflate"], states)
             assert same_outcome(got, per_state(CHANNELS["inflate"], states)), names
-            seen.add(got[0])
-        assert seen == {NumericalError, ShapeError, DimensionMismatchError}
+            seen.update(kind for kind, _ in got)
+        assert seen == {"ok", NumericalError, ShapeError, DimensionMismatchError}
 
     def test_images_equal_the_per_state_products(self):
         rng = np.random.default_rng(43)
@@ -466,19 +491,53 @@ class TestApplyChannelStack:
             c = random_cptp_channel(rng, din, dout)
             states = [random_density(rng, din, pure=bool(k % 2)) for k in range(4)]
             got, want = stacked(c, states), per_state(c, states)
-            assert got[0] == "ok" and same_outcome(got, want)
+            assert all(kind == "ok" for kind, _ in got) and same_outcome(got, want)
 
     def test_apply_channel_is_the_one_state_stack(self):
         dep = depolarizing_channel()
         rho = basis_state(2, 0)
-        (image,) = apply_channel_stack(dep, [rho])
-        assert np.array_equal(apply_channel(dep, rho).mat, image.mat)
-        assert apply_channel_stack(dep, []) == ()
+        images, errors = apply_channels([dep], [[rho]])
+        assert errors == {}
+        assert np.array_equal(apply_channel(dep, rho).mat, images[0])
+        images, errors = apply_channels([dep], [[]])
+        assert images.shape == (0, 2, 2) and errors == {}
 
     def test_images_are_read_only(self):
-        (image,) = apply_channel_stack(identity_channel(2), [basis_state(2, 0)])
+        images, _ = apply_channels([identity_channel(2)], [[basis_state(2, 0)]])
+        with pytest.raises(ValueError):
+            images[0, 0, 0] = 0
+        image = apply_channel(identity_channel(2), basis_state(2, 0))
         with pytest.raises(ValueError):
             image.mat[0, 0] = 0
+
+
+class TestDensityMatrices:
+    def test_first_failing_matrix_in_order_raises_its_own_error(self):
+        big = MAX_DIM + 1
+        pool = {
+            "qubit": np.diag([1.0, 0.0]),
+            "qutrit": np.diag([1.0, 0.0, 0.0]),
+            "trace": np.diag([1.5, 0.5]),
+            "skew": np.array([[1.0, 1.0], [0.0, 0.0]]),
+            "infinite": np.diag([np.inf, 0.0]),
+            "oblong": np.full((2, 3), 0.5),
+            "vector": np.array([1.0, 0.0]),
+            "over_cap": np.eye(big) / big,
+        }
+        seen = set()
+        for names in itertools.permutations(pool, 3):
+            mats = [np.asarray(pool[n], dtype=complex) for n in names]
+            got = outcome(lambda: [dm.mat for dm in density_matrices(mats)])
+            want = outcome(lambda: [DensityMatrix(m).mat for m in mats])
+            assert got[0] == want[0], names
+            if got[0] == "ok":
+                assert all(map(np.array_equal, got[1], want[1]))
+            else:
+                assert got[1] == want[1], names
+            seen.add(got[1] if got[0] != "ok" else "ok")
+        assert len(seen) == 6  # each failure kind
+        mixed = [pool[n].astype(complex) for n in ("qubit", "qutrit", "qubit", "qubit")]
+        assert all(map(np.array_equal, (dm.mat for dm in density_matrices(mixed)), mixed))
 
 
 # -- the certified trace-distance predicate against the scalar rule ---------------

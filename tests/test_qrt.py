@@ -25,7 +25,6 @@ from qrtmodal.linalg import (
     DensityMatrix,
     KrausChannel,
     apply_channel,
-    apply_channel_stack,
     basis_state,
     constant_channel,
     function_channel,
@@ -482,24 +481,18 @@ class TestGeneratedFamilyProperties:
 
 
 def _count_applications(monkeypatch):
-    """Patch the channel applications the theory layer uses, the grouped
-    kernel and the one-channel stack of the per-channel path; returns a
-    Counter of (channel object id, state object id) applications, one per
-    (channel, state) pair."""
+    """Patch the channel application the theory layer uses, the grouped
+    kernel; returns a Counter of (channel object id, state object id)
+    applications, one per (channel, state) pair."""
     applied = Counter()
-    grouped, single = qrt_module.apply_channels, qrt_module.apply_channel_stack
+    grouped = qrt_module.apply_channels
 
     def counting_grouped(channels, stacks, *args, **kwargs):
         for c, states in zip(channels, stacks):
             applied.update((id(c), id(rho)) for rho in states)
         return grouped(channels, stacks, *args, **kwargs)
 
-    def counting_single(c, states, *args, **kwargs):
-        applied.update((id(c), id(rho)) for rho in states)
-        return single(c, states, *args, **kwargs)
-
     monkeypatch.setattr(qrt_module, "apply_channels", counting_grouped)
-    monkeypatch.setattr(qrt_module, "apply_channel_stack", counting_single)
     return applied
 
 
@@ -548,6 +541,22 @@ class TestDeriveOnce:
         new = [d for d in closed.channels if d not in q.channels]
         assert new
         assert sum(applied.values()) - before == 2 * len(new)
+
+    def test_a_failing_channel_is_derived_once(self, monkeypatch):
+        q = built_theories()["non_cptp"]
+        inflate = next(d for d in q.channels if d.id == "inflate")
+        applied = _count_applications(monkeypatch)
+        texts = []
+        for _ in range(2):
+            with pytest.raises(ShapeError) as exc:
+                q._function(inflate)
+            texts.append(str(exc.value))
+        assert texts == ["not a density matrix: trace is 1.210000, not 1"] * 2
+        assert applied == Counter(
+            (id(d.channel), id(dm))
+            for d in q.channels
+            for dm in q.system(d.src).states.values()
+        )
 
     def test_ambiguous_match_raises_on_every_use(self):
         eps = 1e-10  # below the matching radius
@@ -641,7 +650,7 @@ def named_state_pairs(q: Qrt):
     for d in q.channels:
         src, dst = q.system(d.src), q.system(d.dst)
         try:
-            images = apply_channel_stack(d.channel, tuple(src.states.values()), loose)
+            images = [apply_channel(d.channel, rho, loose) for rho in src.states.values()]
         except QrtModalError:
             continue
         for image in images:
@@ -904,27 +913,29 @@ def outcome(call):
 
 
 def derivation_pairs(q: Qrt):
-    """(grouped, per-channel) outcome of every channel of a fresh copy of
-    q, and how many channels the grouped pass settled itself."""
+    """(grouped, one-channel) outcome of every channel of a fresh copy of
+    q: the theory's own derivation, and ``induced_map`` of the channel
+    alone. Also the count of channels that the first derivation's pass
+    settled."""
     fresh = Qrt(q.systems, q.channels, q.trivial_id, q.tol)
-    triples = [(d, fresh.system(d.src), fresh.system(d.dst)) for d in fresh.channels]
-    settled = qrt_module._induced_maps(triples, fresh.tol)
+    outcome(partial(fresh._function, fresh.channels[0]))
+    settled = len(fresh._induced)
     pairs = [
         (
             outcome(partial(fresh._function, d)),
-            outcome(partial(induced_map, d.channel, src, dst, fresh.tol)),
+            outcome(partial(induced_map, d.channel, fresh.system(d.src), fresh.system(d.dst), fresh.tol)),
         )
-        for d, src, dst in triples
+        for d in fresh.channels
     ]
-    return pairs, sum(d in settled for d, _, _ in triples)
+    return pairs, settled
 
 
 def image_bits_and_verdicts(q: Qrt) -> int:
     """Apply each (in_dim, out_dim) group of q's channels with one
-    ``apply_channels`` and compare every image bit for bit with the
-    channel's own ``apply_channel_stack``; where the bits differ, the
-    image's verdicts against the named states must not. Returns the count
-    of images compared."""
+    ``apply_channels`` and compare every image with the state's own
+    ``apply_channel``: a failing image must raise the same error alone,
+    and where the bits of a passing one differ, its verdicts against the
+    named states must not. Returns the count of images compared."""
     groups: dict = {}
     for d in q.channels:
         src, dst = q.system(d.src), q.system(d.dst)
@@ -935,20 +946,23 @@ def image_bits_and_verdicts(q: Qrt) -> int:
     compared = 0
     for decls in groups.values():
         stacks = [tuple(q.system(d.src).states.values()) for d in decls]
-        try:
-            images = linalg_module.apply_channels([d.channel for d in decls], stacks, q.tol)
-        except QrtModalError:
-            continue
+        images, errors = linalg_module.apply_channels([d.channel for d in decls], stacks, q.tol)
         row = 0
         for d, states in zip(decls, stacks):
             named = q.system(d.dst).states.values()
-            for image, single in zip(images[row:row + len(states)], apply_channel_stack(d.channel, states, q.tol)):
-                if image.tobytes() != single.mat.tobytes():
-                    grouped_image = DensityMatrix._checked(image)
-                    assert [within_trace_distance(grouped_image, n, q.tol) for n in named] == [
-                        within_trace_distance(single, n, q.tol) for n in named
-                    ]
+            for i, rho in enumerate(states, row):
                 compared += 1
+                try:
+                    alone = apply_channel(d.channel, rho, q.tol)
+                except QrtModalError as exc:
+                    assert i in errors and (type(errors[i]), str(errors[i])) == (type(exc), str(exc))
+                    continue
+                assert i not in errors
+                if images[i].tobytes() != alone.mat.tobytes():
+                    grouped_image = DensityMatrix._checked(images[i])
+                    assert [within_trace_distance(grouped_image, n, q.tol) for n in named] == [
+                        within_trace_distance(alone, n, q.tol) for n in named
+                    ]
             row += len(states)
     return compared
 
@@ -1021,6 +1035,8 @@ def built_theories() -> dict:
         "order": order,
         "non_cptp": beside_good(ChannelDecl("inflate", "A", "B", KrausChannel([np.diag([1.0, 1.1])]))),
         "non_finite": beside_good(ChannelDecl("huge", "A", "B", KrausChannel([1e200 * np.eye(2)]))),
+        # finite images whose distances to the named states would overflow
+        "overflowing": beside_good(ChannelDecl("large", "A", "B", KrausChannel([1e80 * np.eye(2)]))),
         "misdimensioned": beside_good(ChannelDecl("to_wide", "A", "W", eye), wide),
     }
 
@@ -1042,14 +1058,13 @@ def check_grouped_against_per_channel(q: Qrt) -> tuple[list, int, int]:
 
 
 def check_settles_every_channel(theories: list) -> None:
-    """On theories where no channel fails its own derivation, the grouped
-    pass settles every channel and agrees with the per-channel path."""
+    """The grouped pass settles every channel and agrees with the
+    one-channel derivation and the plain rules."""
     compared = 0
     for q in theories:
         pairs, settled, images = check_grouped_against_per_channel(q)
         compared += images
-        if all(single[0] in ("map", StructuralError) for _, single in pairs):
-            assert settled == len(q.channels)
+        assert settled == len(q.channels)
     assert compared > 0
 
 
@@ -1078,9 +1093,9 @@ class TestGroupedDerivation:
             return original(a, b)
 
         monkeypatch.setattr(linalg_module, "trace_distance", counting)
-        settled = qrt_module._induced_maps([(d, q.system(d.src), q.system(d.dst)) for d in q.channels], q.tol)
+        settled = qrt_module._induced_maps([(d.channel, q.system(d.src), q.system(d.dst)) for d in q.channels], q.tol)
         monkeypatch.undo()
-        assert len(settled) == len(q.channels)
+        assert len(settled) == len(q.channels) and not any(isinstance(o, tuple) for o in settled)
         # k = 0, 1 and 10 lie between the bounds, in each direction; k = -1
         # sits on the hit bound, where rounding decides which side
         assert calls["trace_distance"] >= 6
@@ -1100,18 +1115,38 @@ class TestGroupedDerivation:
             StructuralError, "ambiguous match in system C: ['c1', 'c1_near']"
         )
 
+    def test_a_state_of_another_dim_is_read_in_state_order(self):
+        # a miss before the misfit state settles the channel; the misfit
+        # state first raises, as applying the channel to it alone does
+        mixed, qutrit = maximally_mixed(2), basis_state(3, 0)
+        dst = SystemDecl("B", 2, {"b0": basis_state(2, 0), "b1": basis_state(2, 1)})
+        misfit = (DimensionMismatchError, "state dim 3 does not match channel input dim 2")
+        for states, want in (({"m": mixed, "q": qutrit}, ("map", None)), ({"q": qutrit, "m": mixed}, misfit)):
+            q = Qrt([SystemDecl("W", 2, states), dst], [ChannelDecl("from_w", "W", "B", identity_channel(2))])
+            pairs, settled, _ = check_grouped_against_per_channel(q)
+            assert settled == len(q.channels)
+            assert pairs[0][0] == want
+
     @pytest.mark.parametrize(
         "name, bad, error",
         [
             ("non_cptp", "inflate", (ShapeError, "not a density matrix: trace is 1.210000, not 1")),
             ("non_finite", "huge", (ShapeError, "matrix has a non-finite (NaN or infinite) entry")),
+            ("overflowing", "large", (ShapeError, f"not a density matrix: trace is {1e80 ** 2:.6f}, not 1")),
             ("misdimensioned", "to_wide", (DimensionMismatchError, "dims differ: 2 vs 3")),
         ],
     )
-    def test_a_failing_channel_leaves_its_group_to_the_per_channel_path(self, name, bad, error):
+    def test_a_failing_channel_settles_in_its_group_beside_unchanged_group_mates(self, name, bad, error):
         q = built_theories()[name]
-        pairs, _, _ = check_grouped_against_per_channel(q)
+        pairs, settled, _ = check_grouped_against_per_channel(q)
+        assert settled == len(q.channels)
         outcomes = {d.id: grouped for d, (grouped, _) in zip(q.channels, pairs)}
         assert outcomes[bad] == error
         assert outcomes["keep"] == ("map", [("a0", "b0"), ("a1", "b1")])
         assert outcomes["swap"] == ("map", [("a0", "b1"), ("a1", "b0")])
+        # its group-mates read as they do without it
+        without = Qrt(q.systems, [d for d in q.channels if d.id != bad], q.trivial_id, q.tol)
+        alone, _ = derivation_pairs(without)
+        assert {d.id: grouped for d, (grouped, _) in zip(without.channels, alone)} == {
+            k: v for k, v in outcomes.items() if k != bad
+        }
