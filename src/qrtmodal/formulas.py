@@ -1,13 +1,14 @@
 """The modal formula language: grammar, parser, printer, valuation.
 
-Grammar (fully parenthesized binary connectives):
+Grammar, with U a prefix connective of ``_UNARY`` and B a binary one of
+``_BINARY``; those two tables are the one place the syntax is written:
 
-    atom  :=  IDENT ("." IDENT)?
-    phi   :=  atom | "~" phi | "[]" phi | "<>" phi
-            | "(" phi "->" phi ")" | "(" phi "&" phi ")"
-            | "(" phi "|" phi ")" | "(" phi "<->" phi ")"
+    atom  :=  NAME ("." NAME)?
+    phi   :=  atom | U phi | "(" phi B phi ")"
 
-And/Or/Iff are sugar, desugared at parse time into {~, ->}. Diamond is a
+A NAME is a letter or "_", then letters, digits or "_", as str.isalpha
+and str.isalnum judge them. Every binary connective but implication is
+sugar, desugared at parse time into {Not, Implies}. Diamond is a
 first-class node but is definitionally ~[]~; evaluation of both forms must
 agree (and is property-tested).
 
@@ -19,6 +20,7 @@ error.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -77,54 +79,38 @@ def iff(a: Formula, b: Formula) -> Formula:
     return conj(Implies(a, b), Implies(b, a))
 
 
-# -- parsing -------------------------------------------------------------------
+# -- concrete syntax -----------------------------------------------------------
 
-_PUNCT = ("<->", "->", "[]", "<>", "~", "(", ")", "&", "|")
+# read by the tokenizer, the parser, the printer and generate.random_formula
+_UNARY = {"~": Not, "[]": Box, "<>": Diamond}
+_BINARY = {"->": Implies, "&": conj, "|": disj, "<->": iff}
+_SYMBOL = {node: sym for sym, node in (*_UNARY.items(), *_BINARY.items())}
+# a connective or parenthesis (none is a prefix of another, so their order
+# is free); a name and its qualifier; or any other character but a space,
+# which is an error
+_TOKEN = re.compile("(" + "|".join(map(re.escape, [*_UNARY, *_BINARY, "(", ")"])) + r")|(\w+)(\.\w*)?|(\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of every token: a connective or parenthesis
+    is its own kind, a name is "IDENT"."""
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                out.append((p, p, i))
-                i += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            if j < n and text[j] == ".":
-                k = j + 1
-                if k < n and (text[k].isalpha() or text[k] == "_"):
-                    m = k
-                    while m < n and (text[m].isalnum() or text[m] == "_"):
-                        m += 1
-                    name = text[i:m]
-                    j = m
-                else:
-                    raise FormulaSyntaxError("expected identifier after '.'", j)
-            out.append(("IDENT", name, i))
-            i = j
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        punct, name, qualifier, other = m.groups()
+        if punct:
+            out.append((punct, punct, m.start()))
+        elif other or not (name[0].isalpha() or name[0] == "_"):
+            raise FormulaSyntaxError(f"unexpected character {m.group()[0]!r}", m.start())
+        elif qualifier and not (qualifier[1:2].isalpha() or qualifier[1:2] == "_"):
+            raise FormulaSyntaxError("expected identifier after '.'", m.start(3))
+        else:
+            out.append(("IDENT", m.group(), m.start()))
     return out
 
 
 def parse(text: str) -> Formula:
     """Parse formula text; raises FormulaSyntaxError with a position."""
-    toks = _tokenize(text)
+    toks = _tokens(text)
 
     def peek(idx: int):
         return toks[idx] if idx < len(toks) else (None, None, len(text))
@@ -135,31 +121,19 @@ def parse(text: str) -> Formula:
             raise FormulaSyntaxError("unexpected end of input", pos)
         if kind == "IDENT":
             return Atom(value), idx + 1
-        if kind == "~":
+        if kind in _UNARY:
             sub, nxt = formula(idx + 1)
-            return Not(sub), nxt
-        if kind == "[]":
-            sub, nxt = formula(idx + 1)
-            return Box(sub), nxt
-        if kind == "<>":
-            sub, nxt = formula(idx + 1)
-            return Diamond(sub), nxt
+            return _UNARY[kind](sub), nxt
         if kind == "(":
             left, nxt = formula(idx + 1)
-            op_kind, _, op_pos = peek(nxt)
-            if op_kind not in ("->", "&", "|", "<->"):
+            op, _, op_pos = peek(nxt)
+            if op not in _BINARY:
                 raise FormulaSyntaxError("expected a binary connective", op_pos)
-            right, nxt2 = formula(nxt + 1)
-            close, _, close_pos = peek(nxt2)
+            right, nxt = formula(nxt + 1)
+            close, _, close_pos = peek(nxt)
             if close != ")":
                 raise FormulaSyntaxError("expected ')'", close_pos)
-            built = {
-                "->": Implies,
-                "&": conj,
-                "|": disj,
-                "<->": iff,
-            }[op_kind](left, right)
-            return built, nxt2 + 1
+            return _BINARY[op](left, right), nxt + 1
         raise FormulaSyntaxError(f"unexpected token {value!r}", pos)
 
     tree, end = formula(0)
@@ -172,15 +146,11 @@ def print_formula(f: Formula) -> str:
     """Concrete syntax that parses back to an identical AST."""
     if isinstance(f, Atom):
         return f.name
-    if isinstance(f, Not):
-        return f"~ {print_formula(f.sub)}"
-    if isinstance(f, Box):
-        return f"[] {print_formula(f.sub)}"
-    if isinstance(f, Diamond):
-        return f"<> {print_formula(f.sub)}"
     if isinstance(f, Implies):
-        return f"({print_formula(f.left)} -> {print_formula(f.right)})"
-    raise TypeError(f"not a formula node: {f!r}")
+        return f"({print_formula(f.left)} {_SYMBOL[Implies]} {print_formula(f.right)})"
+    if type(f) not in _UNARY.values():
+        raise TypeError(f"not a formula node: {f!r}")
+    return f"{_SYMBOL[type(f)]} {print_formula(f.sub)}"
 
 
 # -- valuation -----------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError, StructuralError
-from .formulas import Atom, Box, Diamond, Formula, Implies, Not
+from .formulas import _UNARY, Atom, Formula, Implies
 from .linalg import (
     DensityMatrix,
     constant_channel,
@@ -225,14 +225,8 @@ def random_formula(
 ) -> Formula:
     if max_depth == 0 or rng.random() < 0.3:
         return Atom(atoms[int(rng.integers(len(atoms)))])
-    kind = int(rng.integers(4))
-    if kind == 0:
-        return Not(random_formula(rng, atoms, max_depth - 1))
-    if kind == 1:
-        return Box(random_formula(rng, atoms, max_depth - 1))
-    if kind == 2:
-        return Diamond(random_formula(rng, atoms, max_depth - 1))
-    return Implies(
-        random_formula(rng, atoms, max_depth - 1),
-        random_formula(rng, atoms, max_depth - 1),
-    )
+    kinds = (*_UNARY.values(), Implies)
+    node = kinds[int(rng.integers(len(kinds)))]
+    if node is Implies:
+        return Implies(random_formula(rng, atoms, max_depth - 1), random_formula(rng, atoms, max_depth - 1))
+    return node(random_formula(rng, atoms, max_depth - 1))

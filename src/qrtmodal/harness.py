@@ -236,9 +236,7 @@ def run_theorems(
         try:
             cat = build_smc(m, smc_cap)
             entry["laws_ok"] = verify_smc_laws(cat)["ok"]
-        except QrtModalError as exc:  # flags an injected model; a family theory is an input error
-            if not mark:
-                raise
+        except QrtModalError as exc:  # fails the laws, for any subject
             entry.update(laws_ok=False, error=str(exc))
         else:
             if not mark:  # the singleton free objects are the true atoms but the unit

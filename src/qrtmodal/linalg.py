@@ -66,9 +66,9 @@ def is_density_matrix(m, tol: float = DEFAULT_TOL) -> tuple[bool, str | None]:
     """Check the three state invariants: Hermitian, PSD, unit trace.
 
     Returns (ok, diagnostic); the diagnostic names the first violated
-    invariant. Non-square input raises ShapeError. Eigenvalues are taken
-    on the Hermitian part once Hermiticity itself has passed, which keeps
-    the PSD test stable.
+    invariant. Non-square or 0x0 input raises ShapeError. Eigenvalues are
+    taken on the Hermitian part once Hermiticity itself has passed, which
+    keeps the PSD test stable.
     """
     defect = _density_defect(as_matrix(m)[None], tol).get(0)
     if isinstance(defect, NumericalError):
@@ -88,6 +88,8 @@ def _density_defect(ms: np.ndarray, tol: float) -> dict:
     # is written to fail, not pass, on a NaN
     if ms.shape[1] != ms.shape[2]:
         raise ShapeError(f"density matrix must be square, got {ms.shape[1:]}")
+    if not ms.shape[1]:
+        raise ShapeError("density matrix must have dim at least 1, got 0")
     herm = np.abs(ms - ms.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
     ok = herm <= tol
     if ok.all():

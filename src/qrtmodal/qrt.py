@@ -268,12 +268,17 @@ class Qrt:
     def _outcome(self, decl: ChannelDecl):
         """The channel's ``_induced_maps`` outcome, derived once per channel
         and shared, so readers must not change it. The first lookup of a
-        channel not yet derived derives every such channel, in one pass."""
+        channel not yet derived derives every such channel, in one pass; a
+        channel with an undeclared endpoint settles as a StructuralError."""
         if decl not in self._induced:
-            todo = [
-                d for d in self._channels
-                if d not in self._induced and d.src in self._by_id and d.dst in self._by_id
-            ]
+            todo = []
+            for d in self._channels:
+                if d in self._induced:
+                    continue
+                if d.src in self._by_id and d.dst in self._by_id:
+                    todo.append(d)
+                else:
+                    self._induced[d] = (StructuralError, f"channel {d.id}: endpoints {d.src}->{d.dst} undeclared")
             self._induced.update(zip(todo, _induced_maps(
                 [(d.channel, self._by_id[d.src], self._by_id[d.dst]) for d in todo], self.tol
             )))

@@ -1,10 +1,12 @@
 """Test inputs and readings shared by several test modules: a stock
 channel, random Kripke models, the convexity weights the acceptance
-criteria name, and derived facts of theories and categories that only the
-tests ask for."""
+criteria name, derived facts of theories and categories that only the
+tests ask for, and the reference formula parser."""
 
 import numpy as np
 
+from qrtmodal.errors import FormulaSyntaxError
+from qrtmodal.formulas import Atom, Box, Diamond, Formula, Implies, Not, conj, disj, iff
 from qrtmodal.kripke import KripkeModel
 from qrtmodal.linalg import KrausChannel
 from qrtmodal.qrt import Qrt, _missing_composites
@@ -62,3 +64,93 @@ def arrow(cat: SmcCategory, a: str, b: str) -> bool:
     """The one-component arrow condition between atoms (unit included),
     read off the category's arrow rows."""
     return bool(cat._out[cat._index[a]] >> cat._index[b] & 1)
+
+
+_PUNCT = ("<->", "->", "[]", "<>", "~", "(", ")", "&", "|")
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        matched = False
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                out.append((p, p, i))
+                i += len(p)
+                matched = True
+                break
+        if matched:
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            name = text[i:j]
+            if j < n and text[j] == ".":
+                k = j + 1
+                if k < n and (text[k].isalpha() or text[k] == "_"):
+                    m = k
+                    while m < n and (text[m].isalnum() or text[m] == "_"):
+                        m += 1
+                    name = text[i:m]
+                    j = m
+                else:
+                    raise FormulaSyntaxError("expected identifier after '.'", j)
+            out.append(("IDENT", name, i))
+            i = j
+            continue
+        raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
+    return out
+
+
+def reference_parse(text: str) -> Formula:
+    """The character-by-character scanner and the parser that
+    ``formulas.parse`` replaced, kept as its differential oracle."""
+    toks = reference_tokenize(text)
+
+    def peek(idx: int):
+        return toks[idx] if idx < len(toks) else (None, None, len(text))
+
+    def formula(idx: int) -> tuple[Formula, int]:
+        kind, value, pos = peek(idx)
+        if kind is None:
+            raise FormulaSyntaxError("unexpected end of input", pos)
+        if kind == "IDENT":
+            return Atom(value), idx + 1
+        if kind == "~":
+            sub, nxt = formula(idx + 1)
+            return Not(sub), nxt
+        if kind == "[]":
+            sub, nxt = formula(idx + 1)
+            return Box(sub), nxt
+        if kind == "<>":
+            sub, nxt = formula(idx + 1)
+            return Diamond(sub), nxt
+        if kind == "(":
+            left, nxt = formula(idx + 1)
+            op_kind, _, op_pos = peek(nxt)
+            if op_kind not in ("->", "&", "|", "<->"):
+                raise FormulaSyntaxError("expected a binary connective", op_pos)
+            right, nxt2 = formula(nxt + 1)
+            close, _, close_pos = peek(nxt2)
+            if close != ")":
+                raise FormulaSyntaxError("expected ')'", close_pos)
+            built = {
+                "->": Implies,
+                "&": conj,
+                "|": disj,
+                "<->": iff,
+            }[op_kind](left, right)
+            return built, nxt2 + 1
+        raise FormulaSyntaxError(f"unexpected token {value!r}", pos)
+
+    tree, end = formula(0)
+    if end != len(toks):
+        raise FormulaSyntaxError("unexpected trailing input", toks[end][2])
+    return tree

@@ -2,9 +2,11 @@
 edge-possibility and resource-preservation reports, and the bounded
 convexity predicate."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrtmodal import corpus
@@ -29,7 +31,7 @@ from qrtmodal.kripke import KripkeModel
 from qrtmodal.qrt import node_name
 from qrtmodal.translate import to_model
 
-from helpers import P_SAMPLES, random_model
+from helpers import P_SAMPLES, random_model, reference_parse
 
 
 class TestParse:
@@ -102,6 +104,57 @@ _formulas = st.recursive(
 @given(_formulas)
 def test_print_parse_round_trip(f):
     assert parse(print_formula(f)) == f
+
+
+def parse_outcome(parser, text):
+    """The AST, or the message and position of the FormulaSyntaxError."""
+    try:
+        return parser(text)
+    except FormulaSyntaxError as exc:
+        return str(exc), exc.position
+
+
+# connective fragments, whole and broken, beside ASCII and arbitrary
+# Unicode letters, digits, spaces and other code points
+_texts = st.lists(
+    st.one_of(
+        st.sampled_from(["~", "[]", "<>", "->", "<->", "&", "|", "(", ")", ".", "<", "-", "[", ">", " "]),
+        st.characters(max_codepoint=127),
+        st.characters(categories=["L", "N", "Z"]),
+        st.characters(),
+    ),
+    max_size=24,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts)
+def test_parse_agrees_with_the_reference_parser(text):
+    assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("a.", ("expected identifier after '.' (at position 1)", 1)),
+        ("a.1", ("expected identifier after '.' (at position 1)", 1)),
+        ("a.b.c", ("unexpected character '.' (at position 3)", 3)),
+        ("\u00bdx", ("unexpected character '\u00bd' (at position 0)", 0)),
+        ("x\u00bd", Atom("x\u00bd")),
+        ("3x", ("unexpected character '3' (at position 0)", 0)),
+        ("\u3000p", Atom("p")),
+    ],
+)
+def test_name_rule_edge_cases(text, outcome):
+    assert parse_outcome(parse, text) == outcome == parse_outcome(reference_parse, text)
+
+
+def test_random_formula_draws_are_pinned():
+    # the print_formula texts of 200 draws; the modelcheck benchmark's inputs
+    # are drawn by the same function
+    rng = np.random.default_rng(2)
+    texts = [print_formula(random_formula(rng, ["p", "q", "A.rho"], max_depth=8)) for _ in range(200)]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16] == "e8df5f210ef795ed"
 
 
 class TestEvaluate:

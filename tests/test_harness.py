@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from qrtmodal import corpus, harness, io
+from qrtmodal import corpus, harness, io, translate
 from qrtmodal.cli import main
 from qrtmodal.corpus import (
     broken_monotone_model,
@@ -16,7 +16,7 @@ from qrtmodal.corpus import (
 )
 from qrtmodal.errors import StructuralError
 from qrtmodal.harness import build_family, run_theorems
-from qrtmodal.kripke import StarredModel, models_isomorphic
+from qrtmodal.kripke import KripkeModel, StarredModel, models_isomorphic
 from qrtmodal.translate import to_model
 
 
@@ -126,6 +126,28 @@ def test_programming_error_in_injected_law_sweep_propagates(monkeypatch):
             injected_models=[("smc", injected)],
             include_corpus=False,
         )
+
+
+def test_a_build_error_on_a_family_theory_fails_smc(monkeypatch):
+    # a planted translation defect: the first resource atom of each model reads true
+    real = translate._translate
+
+    def planted(q):
+        rec = real(q)
+        m = rec.model
+        resource = sorted(a for a, v in m.interp.items() if v == 0)
+        if not resource:
+            return rec
+        model = KripkeModel(m.worlds, m.access, m.domain, m.domains, {**m.interp, resource[0]: 1})
+        return translate.TranslationRecord(rec.edges, model, rec.order, rec.c_world)
+
+    monkeypatch.setattr(translate, "_translate", planted)
+    rep = run_theorems(seed=1, count=6)
+    assert rep["status"] == 1
+    assert [k for k in harness.SECTIONS if not rep[k]["ok"]] == ["functoriality", "image_conditions", "smc"]
+    failed = [e for e in rep["smc"]["entries"] if not e["laws_ok"]]
+    assert [e["label"] for e in failed] == ["gen0", "gen0_relabeled"]
+    assert all(e["error"] == "no unit world: the model cannot host the category" for e in failed)
 
 
 def injected():

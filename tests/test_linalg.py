@@ -79,6 +79,15 @@ class TestIsDensityMatrix:
         assert not ok
         assert "trace" in why
 
+    @pytest.mark.parametrize(
+        "check",
+        [DensityMatrix, is_density_matrix, lambda m: density_matrices([np.eye(1), m])],
+        ids=["DensityMatrix", "is_density_matrix", "density_matrices"],
+    )
+    def test_a_0x0_matrix_is_a_shape_error(self, check):
+        with pytest.raises(ShapeError, match=r"^density matrix must have dim at least 1, got 0$"):
+            check(np.zeros((0, 0)))
+
     def test_non_square_raises(self):
         with pytest.raises(ShapeError):
             is_density_matrix(np.zeros((2, 3)))

@@ -4,9 +4,12 @@ module of the package refers to it (its own module, past the
 definition, counts), or bench/ reads it. A public method or property of
 a class stays only if some module of the package, or of bench/, reads an
 attribute of its name. A name only the tests use belongs in the tests.
-The scan reads the sources without importing them."""
+A private module-level name or method stays only if some module of the
+package reads it outside its own definition. The scan reads the sources
+without importing them."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 from test_bench_names import qrtmodal_names
@@ -15,17 +18,23 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qrtmodal"
 
 
-def defined(tree):
-    """The public functions, classes and assigned names of a module body."""
-    names = []
+def definitions(tree):
+    """(name, node) of every function, class and assigned name of a module
+    body."""
+    out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            out.append((node.name, node))
         elif isinstance(node, ast.Assign):
-            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            out += [(t.id, node) for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.append(node.target.id)
-    return [n for n in names if not n.startswith("_")]
+            out.append((node.target.id, node))
+    return out
+
+
+def defined(tree):
+    """The public functions, classes and assigned names of a module body."""
+    return [n for n, _ in definitions(tree) if not n.startswith("_")]
 
 
 def methods(tree):
@@ -40,18 +49,24 @@ def methods(tree):
     ]
 
 
-def referenced(tree):
-    """Every name a module reads, as a plain name or an attribute, or
-    imports."""
-    out = set()
+def reads(tree):
+    """Each name a module or node reads, as a plain name or an attribute,
+    or imports, with the number of times it does."""
+    out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
     return out
+
+
+def referenced(tree):
+    """Every name a module reads, as a plain name or an attribute, or
+    imports."""
+    return set(reads(tree))
 
 
 def unused_public_names():
@@ -80,9 +95,38 @@ def unused_public_methods():
     ]
 
 
+def unused_private_names():
+    """The private module-level names and methods, as "module.name" and
+    "module.Class.name", that no module of the package reads outside their
+    own definition; a dunder name belongs to the language."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = sum(map(reads, trees.values()), Counter())
+    private = [
+        (f"{module}.{name}", name, node)
+        for module, tree in trees.items()
+        for name, node in definitions(tree)
+    ] + [
+        (f"{module}.{node.name}.{item.name}", item.name, item)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+    ]
+    return [
+        label
+        for label, name, node in private
+        if name.startswith("_") and not name.endswith("__") and read[name] == reads(node)[name]
+    ]
+
+
 def test_every_public_name_has_a_use_outside_the_tests():
     assert unused_public_names() == []
 
 
 def test_every_public_method_has_a_use_outside_the_tests():
     assert unused_public_methods() == []
+
+
+def test_every_private_name_has_a_reader_in_the_package():
+    assert unused_private_names() == []

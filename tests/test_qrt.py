@@ -122,6 +122,20 @@ class TestValidate:
         report = q.validate()
         assert any(i.code == "ambiguous-states" for i in report.issues)
 
+    @pytest.mark.parametrize("read", ["functions", "edges", "preorder", "complete_composition"])
+    def test_an_undeclared_endpoint_is_a_structural_error(self, read):
+        q = Qrt(
+            [SystemDecl("A", 2, {"a0": basis_state(2, 0)})],
+            [ChannelDecl("x", "A", "Z", identity_channel(2))],
+        )
+        derive = partial(complete_composition, q) if read == "complete_composition" else partial(getattr, q, read)
+        for _ in range(2):  # the memoised outcome raises again
+            with pytest.raises(StructuralError, match=r"^channel x: endpoints A->Z undeclared$"):
+                derive()
+        assert [(i.code, i.message) for i in q.validate().issues] == [
+            ("unknown-system", "endpoints A->Z undeclared")
+        ]
+
     def test_two_trivial_systems_rejected(self):
         q = Qrt(
             [
