@@ -128,6 +128,9 @@ def cmd_theorems(args) -> int:
         include_corpus=not args.no_corpus,
         smc_cap=args.cap,
     )
+    built = len(report["family"])
+    if family is None and built < args.count:  # the generator found fewer classes than asked
+        print(f"note: the family has {built} theories, fewer than the {args.count} asked", file=sys.stderr)
     if args.json:
         print(dumps(report), end="")
     else:

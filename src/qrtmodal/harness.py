@@ -21,12 +21,15 @@ from .generate import (
     random_relabeling,
     random_sub_qrt,
 )
-from .kripke import KripkeModel, StarredModel, is_s4, models_isomorphic
-from .qrt import Qrt, node_name
+from .kripke import KripkeModel, StarredModel, is_s4, model_key, models_isomorphic
+from .qrt import Qrt
 from .smc import build_smc, check_object_cap, free_objects, verify_smc_laws
 from .translate import (
+    conditions_key,
     image_conditions,
     iso_conditions,
+    monotone_violations,
+    settled_conditions,
     to_model,
     verify_functoriality,
     verify_starred_injectivity,
@@ -74,15 +77,16 @@ def build_family(
     cfg = config or default_family_config(seed)
     rng = np.random.default_rng([seed, 999])
     base: list[tuple[str, Qrt]] = []
-    models = []
+    kept: dict = {}  # model_key -> the kept models with that key; no other can be isomorphic
     idx = 0
     want = count - _N_RELABELED
     while len(base) < want and idx < want * 10:
         q = generate_qrt(cfg, index=idx)
         m = to_model(q).model
-        if not any(models_isomorphic(m, prev)[0] for prev in models):
+        bucket = kept.setdefault(model_key(m), [])
+        if not any(models_isomorphic(m, prev)[0] for prev in bucket):
             base.append((f"gen{idx}", q))
-            models.append(m)
+            bucket.append(m)
         idx += 1
     out = list(base)
     for k in range(min(_N_RELABELED, len(base))):
@@ -148,15 +152,20 @@ def run_theorems(
         funct_entries.append({"label": label, "ok": verify_functoriality(q, rel, subs)["ok"]})
     report["functoriality"] = {"ok": all(e["ok"] for e in funct_entries), "entries": funct_entries}
 
-    # equivalence of the isomorphism conditions with the model oracle
+    # equivalence of the isomorphism conditions with the model oracle; each
+    # side searches only where its own per-theory keys leave the pair open
+    theory_keys = {label: conditions_key(q) for label, q in family}
+    model_keys = {label: model_key(records[label].model) for label, _ in family}
     mismatches = []
     iso_inconclusive = []
     for la, qa in family:
         for lb, qb in family:
             try:
-                cond = iso_conditions(qa, qb, iso_cap)
+                cond = settled_conditions(theory_keys[la], theory_keys[lb]) or iso_conditions(qa, qb, iso_cap)
                 conj = cond["i"] and cond["ii"] and cond["iii"]
-                oracle, _ = models_isomorphic(records[la].model, records[lb].model, iso_cap)
+                oracle = model_keys[la] == model_keys[lb] and models_isomorphic(
+                    records[la].model, records[lb].model, iso_cap
+                )[0]
             except ResourceLimitError as exc:
                 iso_inconclusive.append({"pair": [la, lb], "reason": str(exc)})
                 continue
@@ -198,18 +207,15 @@ def run_theorems(
     }
 
     # truth is monotone along edges: free never maps to resource
-    monotone_violations = []
+    violations = []
     destroying = []
     for label, _ in family:
         rec = records[label]
-        truth = rec.model.interp
-        for (src, dst, cid) in sorted(rec.edges):
-            if truth[node_name(src)] == 1 and truth[node_name(dst)] == 0:
-                monotone_violations.append({"label": label, "edge": [src, dst, cid]})
+        violations += ({"label": label, "edge": list(edge)} for edge in monotone_violations(rec))
         preserving, witnesses = is_resource_preserving(rec)
         if not preserving:
             destroying.append({"label": label, "edges": witnesses})
-    report["monotonicity"] = {"ok": not monotone_violations, "violations": monotone_violations}
+    report["monotonicity"] = {"ok": not violations, "violations": violations}
     report["resource_preservation"] = {"destroying": destroying}
 
     # starred injectivity over family pairs (and the twisted-pair corpus)

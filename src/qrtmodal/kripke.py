@@ -180,13 +180,22 @@ def _links(m: KripkeModel, order: frozenset) -> dict:
     return links
 
 
+def _sizes(m: KripkeModel, order: frozenset) -> tuple:
+    return len(m.worlds), len(m.domain), len(m.access), len(order)
+
+
+def model_key(m: KripkeModel) -> tuple:
+    """The model side's per-model key: what ``models_isomorphic`` compares
+    before it searches, the sizes and the sorted vertex colours. Two
+    models are isomorphic only when their keys are equal."""
+    return _sizes(m, frozenset()), tuple(sorted(_colours(m, frozenset()).values()))
+
+
 def _isomorphic(
     a: KripkeModel, b: KripkeModel, order_a: frozenset, order_b: frozenset, max_nodes: int
 ) -> tuple[bool, tuple[dict, dict] | None]:
-    def sizes(m: KripkeModel, order: frozenset) -> tuple:
-        return len(m.worlds), len(m.domain), len(m.access), len(order)
-
-    if sizes(a, order_a) != sizes(b, order_b):
+    # model_key's two parts, the sizes first: they skip the colours
+    if _sizes(a, order_a) != _sizes(b, order_b):
         return False, None
     colour_a, colour_b = _colours(a, order_a), _colours(b, order_b)
     if sorted(colour_a.values()) != sorted(colour_b.values()):

@@ -124,6 +124,8 @@ def _state_errors(ms: np.ndarray, tol: float) -> dict:
     """{index: error} for every matrix of the (n, d, d) stack ``ms`` that
     is not a state: the ShapeError or NumericalError that
     ``DensityMatrix`` raises for it alone."""
+    if ms.shape[1:] == (0, 0):  # no 0x0 matrix is a state, and each says so alone
+        return {i: ShapeError("density matrix must have dim at least 1, got 0") for i in range(len(ms))}
     finite = np.isfinite(ms).all(axis=(1, 2))
     odd = () if finite.all() else np.flatnonzero(~finite)
     # a non-finite matrix is checked as a zero stand-in, whose defect is replaced

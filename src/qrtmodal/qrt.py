@@ -21,6 +21,7 @@ failure is kept as its error, which every later use raises again.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -518,10 +519,31 @@ def complete_composition(q: Qrt) -> Qrt:
         (d for fns in table.values() for d in fns.values()),
         key=lambda d: (order.get(d.id, len(order)), d.id),
     )
-    closed = Qrt(q.systems, out, q.trivial_id, q.tol)
     # same systems and tolerances: q's kept channels induce the same functions
-    closed._induced.update((d, q._induced[d]) for d in out if d in q._induced)
-    return closed
+    return _inherit(Qrt(q.systems, out, q.trivial_id, q.tol), q, ((d, d) for d in out))
+
+
+def _inherit(
+    child: Qrt, parent: Qrt, copies: Iterable[tuple], state_maps: Mapping | None = None
+) -> Qrt:
+    """child, given the settled outcome of each of parent's channels that
+    a channel of child copies. ``copies`` pairs them, (parent's, child's);
+    each pair runs between the same systems, up to names, at the same
+    tolerance, so a fresh derivation would settle the same. With
+    ``state_maps``, {parent's system id: {state: new name}}, injective on
+    each system, a map's states are renamed, and an error is not carried,
+    since its message names parent's labels: child derives it again."""
+    for old, new in copies:
+        if old not in parent._induced:
+            continue
+        outcome = parent._induced[old]
+        if state_maps is not None and outcome is not None:
+            if isinstance(outcome, tuple):
+                continue
+            a, b = state_maps.get(old.src, {}), state_maps.get(old.dst, {})
+            outcome = {a.get(st, st): b.get(img, img) for st, img in outcome.items()}
+        child._induced[new] = outcome
+    return child
 
 
 def is_sub_qrt(x: Qrt, y: Qrt) -> bool:
@@ -543,29 +565,42 @@ def is_sub_qrt(x: Qrt, y: Qrt) -> bool:
     return mine == restricted
 
 
+def _profiles(q: Qrt, marked: frozenset, match_dims: bool) -> dict:
+    """{system id: (dim if match_dims else 0, state count, marked-state
+    count)} for each of q's systems."""
+    held = Counter(sid for sid, _ in marked)
+    return {s.id: (s.dim if match_dims else 0, len(s.states), held[s.id]) for s in q.systems}
+
+
+def _profile_key(q: Qrt, marked: frozenset) -> tuple:
+    """All that ``_labeled_bijections`` needs of one theory to know whether
+    it can find anything: the sorted dims of q's systems and the sorted
+    ``_profiles``, with the dim and without it. A per-theory key: two
+    theories' keys are compared by ``_profiles_agree``."""
+    return (
+        tuple(sorted(s.dim for s in q.systems)),
+        tuple(sorted(_profiles(q, marked, True).values())),
+        tuple(sorted(_profiles(q, marked, False).values())),
+    )
+
+
+def _profiles_agree(key_x: tuple, key_y: tuple, match_dims: bool) -> bool:
+    """Two ``_profile_key``s have equal profile multisets, with the dim if
+    ``match_dims``: the pre-check a ``_labeled_bijections`` search needs."""
+    return key_x[1] == key_y[1] if match_dims else key_x[2] == key_y[2]
+
+
 def _labeled_bijections(
     x: Qrt, y: Qrt, marked_x: frozenset, marked_y: frozenset, match_dims: bool,
     pair_ok: Callable, budget: Budget,
-) -> Iterator[dict] | None:
+) -> Iterator[dict]:
     """The bijections, each one map on the vertices (system,) and (system,
-    state), that keep each system's profile (dim if ``match_dims``, state
-    count, marked-state count), send each state into its system's image
-    and marked states onto marked ones, and satisfy ``pair_ok(a, b, m)``
-    on every ordered pair of x's systems once both are complete. None,
-    with no search, when the multisets of profiles differ."""
-
-    def profiles(q: Qrt, marked: frozenset) -> dict:
-        held: dict = {}
-        for sid, _ in marked:
-            held[sid] = held.get(sid, 0) + 1
-        return {
-            s.id: (s.dim if match_dims else 0, len(s.states), held.get(s.id, 0))
-            for s in q.systems
-        }
-
-    profile_x, profile_y = profiles(x, marked_x), profiles(y, marked_y)
-    if sorted(profile_x.values()) != sorted(profile_y.values()):
-        return None
+    state), that keep each system's profile (``_profiles``), send each
+    state into its system's image and marked states onto marked ones, and
+    satisfy ``pair_ok(a, b, m)`` on every ordered pair of x's systems once
+    both are complete. Callers search only where ``_profiles_agree``: no
+    bijection exists otherwise."""
+    profile_x, profile_y = _profiles(x, marked_x, match_dims), _profiles(y, marked_y, match_dims)
 
     def structure(q: Qrt, profile: dict, marked: frozenset) -> tuple[dict, dict]:
         colour, links = {}, {}
@@ -607,43 +642,52 @@ def qrt_isomorphic(
             tuple(sorted((m[(a, s)][1], m[(b, i)][1]) for s, i in key)) for key in fx
         } == fy.keys()
 
-    found = _labeled_bijections(
-        x, y, x.free_states, y.free_states, True, transported, Budget(max_nodes)
-    )
-    for m in found or ():
+    free_x, free_y = x.free_states, y.free_states
+    if not _profiles_agree(_profile_key(x, free_x), _profile_key(y, free_y), True):
+        return False, None
+    for m in _labeled_bijections(x, y, free_x, free_y, True, transported, Budget(max_nodes)):
         sys_map = {v[0]: w[0] for v, w in m.items() if len(v) == 1}
         return True, (sys_map, {v: w for v, w in m.items() if len(v) == 2})
     return False, None
 
 
 def relabel_qrt(q: Qrt, sys_map: Mapping[str, str], state_maps: Mapping[str, Mapping[str, str]]) -> Qrt:
-    """A copy of q with systems and states renamed. Channel matrices and
-    structure are untouched."""
+    """A copy of q with systems and states renamed; an id the maps leave
+    out keeps its name. Channel matrices and structure are untouched, and
+    the copy is given q's settled induced functions, renamed. Raises
+    StructuralError when two systems, or two states of one system, would
+    share a name."""
+    names: dict = {}
+    for sid in dict.fromkeys(s.id for s in q.systems):
+        new = sys_map.get(sid, sid)
+        if names.setdefault(new, sid) != sid:
+            raise StructuralError(f"relabeling maps systems {names[new]} and {sid} both to {new}")
     systems = []
     for s in q.systems:
-        smap = state_maps.get(s.id, {})
-        systems.append(
-            SystemDecl(
-                sys_map.get(s.id, s.id),
-                s.dim,
-                {smap.get(st, st): dm for st, dm in s.states.items()},
-            )
-        )
-    channels = [
-        ChannelDecl(d.id, sys_map.get(d.src, d.src), sys_map.get(d.dst, d.dst), d.channel)
+        smap, states = state_maps.get(s.id, {}), {}
+        for st, dm in s.states.items():
+            new = smap.get(st, st)
+            if new in states:
+                raise StructuralError(f"relabeling maps two states of system {s.id} to {new}")
+            states[new] = dm
+        systems.append(SystemDecl(sys_map.get(s.id, s.id), s.dim, states))
+    copies = [
+        (d, ChannelDecl(d.id, sys_map.get(d.src, d.src), sys_map.get(d.dst, d.dst), d.channel))
         for d in q.channels
     ]
     trivial = sys_map.get(q.trivial_id, q.trivial_id) if q.trivial_id else None
-    return Qrt(systems, channels, trivial, q.tol)
+    return _inherit(Qrt(systems, [d for _, d in copies], trivial, q.tol), q, copies, state_maps)
 
 
 def sub_qrt(q: Qrt, keep: Iterable[str]) -> Qrt:
     """The restriction of q to the given systems: channels with any
-    dropped endpoint are removed."""
+    dropped endpoint are removed. The restriction is given q's settled
+    induced functions."""
     kept = set(keep)
     systems = [s for s in q.systems if s.id in kept]
     if not systems:
         raise StructuralError("a sub-theory needs at least one system")
     channels = [d for d in q.channels if d.src in kept and d.dst in kept]
     trivial = q.trivial_id if q.trivial_id in kept else None
-    return Qrt(systems, channels, trivial, q.tol)
+    # the same channel and system objects: q's settled outcomes hold as they are
+    return _inherit(Qrt(systems, channels, trivial, q.tol), q, ((d, d) for d in channels))

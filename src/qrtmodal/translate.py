@@ -26,7 +26,15 @@ from .kripke import (
     models_isomorphic,
     starred_isomorphic,
 )
-from .qrt import Qrt, _labeled_bijections, node_name, qrt_isomorphic, sub_qrt
+from .qrt import (
+    Qrt,
+    _labeled_bijections,
+    _profile_key,
+    _profiles_agree,
+    node_name,
+    qrt_isomorphic,
+    sub_qrt,
+)
 from .relations import Budget
 
 
@@ -118,7 +126,8 @@ def iso_conditions(
           if at least one candidate bijection works).
 
     (i) and (ii) are multiset tests: of dims, and of (dim, state count,
-    true-atom count) per system. When (i) fails, (ii) and (iii) range over
+    true-atom count) per system, read off each theory's ``conditions_key``
+    (``settled_conditions``). When (i) fails, (ii) and (iii) range over
     all system bijections and (ii) drops the dim. Only (iii) searches."""
 
     def image_cover(a: str, b: str, m: dict) -> bool:
@@ -128,15 +137,31 @@ def iso_conditions(
         images_y = [frozenset(img for _, img in key) for key in fy]
         return _covered(images_x, images_y) and _covered(images_y, images_x)
 
-    dims = sorted(s.dim for s in x.systems) == sorted(s.dim for s in y.systems)
+    key_x, key_y = conditions_key(x), conditions_key(y)
+    settled = settled_conditions(key_x, key_y)
+    if settled is not None:
+        return settled
+    dims = key_x[0] == key_y[0]
     found = _labeled_bijections(
         x, y, _true_nodes(x), _true_nodes(y), dims, image_cover, Budget(max_nodes)
     )
-    return {
-        "i": dims,
-        "ii": found is not None,
-        "iii": found is not None and next(found, None) is not None,
-    }
+    return {"i": dims, "ii": True, "iii": next(found, None) is not None}
+
+
+def conditions_key(q: Qrt) -> tuple:
+    """The theory side's per-theory key: what ``iso_conditions`` reads of
+    q before its search, the system dims and profiles over the true atoms
+    (``qrt._profile_key``)."""
+    return _profile_key(q, _true_nodes(q))
+
+
+def settled_conditions(key_x: tuple, key_y: tuple) -> dict | None:
+    """``iso_conditions`` of two theories with these ``conditions_key``s
+    when the keys settle it: (i) from the dims, and (ii) and (iii) false
+    when the profiles allow no bijection. None when (ii) holds, so that
+    only the search of (iii) can settle the rest."""
+    dims = key_x[0] == key_y[0]
+    return None if _profiles_agree(key_x, key_y, dims) else {"i": dims, "ii": False, "iii": False}
 
 
 # -- conditions a model must satisfy to be a translation image ----------------
@@ -185,6 +210,18 @@ def image_conditions(m: KripkeModel) -> dict:
     return {"i": ok_i, "ii": c_world is not None, "c_world": c_world, "witness_i": witness}
 
 
+def monotone_violations(rec: TranslationRecord) -> list:
+    """The conversion edges (source node, target node, channel id) of rec,
+    sorted, that lead from a true atom to an untrue one: a free state
+    converted into a resource, which monotonicity of truth forbids."""
+    truth = rec.model.interp
+    return [
+        (src, dst, cid)
+        for src, dst, cid in sorted(rec.edges)
+        if truth[node_name(src)] == 1 and truth[node_name(dst)] == 0
+    ]
+
+
 # -- functor laws --------------------------------------------------------------
 
 
@@ -193,7 +230,14 @@ def verify_functoriality(
 ) -> dict:
     """Check that translation respects identity, isomorphism, and
     inclusion: relabeled sources give isomorphic models, restrictions give
-    sub-models, and the identity inclusion is preserved."""
+    sub-models, and the identity inclusion is preserved.
+
+    Copies made by ``relabel_qrt`` and ``sub_qrt`` (the nested restriction
+    included) hold x's channel and state objects and are given x's settled
+    induced functions, so they translate without deriving them again; the
+    check is of the translation, not of the numerics. ``rebuilt``, a fresh
+    theory over x's declarations, is the one independent derivation, and
+    the identity law compares its model with x's."""
     base = to_model(x)
     report: dict = {"identity": False, "relabelings": [], "sub_models": [], "nested": None}
     # a fresh theory, so that two independent derivations are compared

@@ -1,17 +1,21 @@
 """Test inputs and readings shared by several test modules: a stock
 channel, random Kripke models, the convexity weights the acceptance
 criteria name, derived facts of theories and categories that only the
-tests ask for, and the reference formula parser."""
+tests ask for, the reference formula parser and the reference family
+builder."""
 
 import numpy as np
 
+from qrtmodal import harness
 from qrtmodal.errors import FormulaSyntaxError
 from qrtmodal.formulas import Atom, Box, Diamond, Formula, Implies, Not, conj, disj, iff
-from qrtmodal.kripke import KripkeModel
+from qrtmodal.generate import generate_qrt, random_relabeling
+from qrtmodal.kripke import KripkeModel, models_isomorphic
 from qrtmodal.linalg import KrausChannel
 from qrtmodal.qrt import Qrt, _missing_composites
 from qrtmodal.relations import reflexive_transitive_closure
 from qrtmodal.smc import SmcCategory
+from qrtmodal.translate import to_model
 
 # the weights p in [0, 1] at which the convexity schema is checked
 P_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -154,3 +158,25 @@ def reference_parse(text: str) -> Formula:
     if end != len(toks):
         raise FormulaSyntaxError("unexpected trailing input", toks[end][2])
     return tree
+
+
+def reference_build_family(seed: int, count: int, config=None) -> list:
+    """``harness.build_family`` with its dedup as a search against every
+    kept model, not only those of the new model's key: the differential
+    oracle of its key buckets."""
+    cfg = config or harness.default_family_config(seed)
+    rng = np.random.default_rng([seed, 999])
+    base, models = [], []
+    idx = 0
+    want = count - harness._N_RELABELED
+    while len(base) < want and idx < want * 10:
+        q = generate_qrt(cfg, index=idx)
+        m = to_model(q).model
+        if not any(models_isomorphic(m, prev)[0] for prev in models):
+            base.append((f"gen{idx}", q))
+            models.append(m)
+        idx += 1
+    out = list(base)
+    for k in range(min(harness._N_RELABELED, len(base))):
+        out.append((f"{base[k][0]}_relabeled", random_relabeling(base[k][1], rng)))
+    return out

@@ -1,6 +1,7 @@
 """Harness tests: family assembly, consolidated report, status codes."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -15,9 +16,12 @@ from qrtmodal.corpus import (
     resource_destroying_qrt,
 )
 from qrtmodal.errors import StructuralError
+from qrtmodal.generate import GeneratorConfig
 from qrtmodal.harness import build_family, run_theorems
-from qrtmodal.kripke import KripkeModel, StarredModel, models_isomorphic
-from qrtmodal.translate import to_model
+from qrtmodal.kripke import KripkeModel, StarredModel, model_key, models_isomorphic
+from qrtmodal.translate import conditions_key, iso_conditions, settled_conditions, to_model
+
+from helpers import reference_build_family
 
 
 def test_family_members_are_pairwise_fresh(monkeypatch):
@@ -197,6 +201,7 @@ FALSE_ORACLES = {
     "iso_conditions": ("iso_conditions", lambda a, b, cap: {"i": False, "ii": False, "iii": False}),
     "image_conditions": ("image_conditions", lambda m: {"i": False, "ii": True}),
     "possibility": ("conversion_possibility_report", lambda rec: {"instances": [], "ok": False}),
+    "monotonicity": ("monotone_violations", lambda rec: [(("A", "a0"), ("B", "b0"), "f")]),
     "starred_injectivity": (
         "verify_starred_injectivity",
         lambda pairs, cap, labels: {
@@ -215,3 +220,45 @@ def test_false_oracle_falsifies_exactly_its_section(section, monkeypatch, capsys
     out = capsys.readouterr().out
     assert [line.split()[0] for line in out.splitlines() if "FALSIFIED" in line] == [section]
     assert out.endswith("status: 1\n")
+
+
+# -- per-theory keys and key buckets against the calls they replace ------------
+
+
+def test_keyed_sweep_agrees_with_the_calls(theory_pairs):
+    """On each pair, the sweep's keyed (conditions, oracle) equals the
+    unkeyed calls; a pair whose keys differ on one side is one that side
+    answers without a search."""
+    theory_keys, model_keys = {}, {}
+    searched = Counter()
+    for label, x, y in theory_pairs:
+        for q in (x, y):
+            theory_keys.setdefault(q, conditions_key(q))
+            model_keys.setdefault(q, model_key(to_model(q).model))
+        mx, my = to_model(x).model, to_model(y).model
+        cond = settled_conditions(theory_keys[x], theory_keys[y])
+        searched["conditions"] += cond is None
+        cond = cond or iso_conditions(x, y)
+        searched["models"] += model_keys[x] == model_keys[y]
+        oracle = model_keys[x] == model_keys[y] and models_isomorphic(mx, my)[0]
+        assert (cond, oracle) == (iso_conditions(x, y), models_isomorphic(mx, my)[0]), label
+    # the keys settle most pairs, and leave some to each search
+    assert 0 < searched["conditions"] < len(theory_pairs) / 2, searched
+    assert 0 < searched["models"] < len(theory_pairs) / 2, searched
+
+
+@pytest.mark.parametrize(
+    "seed, count, config",
+    [
+        *((1, count, None) for count in (3, 4, 5, 6, 10, 12, 20, 40)),
+        *((seed, 6, None) for seed in (2, 3, 4)),  # the 6:n digests
+        *((seed, 20, None) for seed in (2, 3)),  # conftest.theory_pairs
+        *((seed, 40, None) for seed in (2, 3, 4, 5, 6)),  # the theorems benchmark's pool
+        (4, 12, GeneratorConfig(seed=4, n_systems=3, dims=(1, 2, 3), states_per_system=2)),
+    ],
+)
+def test_family_buckets_keep_the_same_sequence(seed, count, config):
+    want = reference_build_family(seed, count, config)
+    got = build_family(seed, count, config)
+    assert [label for label, _ in got] == [label for label, _ in want]
+    assert [to_model(q).model for _, q in got] == [to_model(q).model for _, q in want]

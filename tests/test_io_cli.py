@@ -238,6 +238,17 @@ class TestCli:
         assert main(["theorems", "--count", "4", "--no-corpus", "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["family"]) == 2
 
+    def test_theorems_says_when_the_family_falls_short(self, capsys):
+        from qrtmodal.harness import run_theorems
+        from qrtmodal.io import dumps
+
+        assert main(["theorems", "--count", "4", "--no-corpus", "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "note: the family has 2 theories, fewer than the 4 asked\n"
+        assert out == dumps(run_theorems(seed=1, count=4, include_corpus=False))
+        assert main(["theorems", "--count", "6", "--no-corpus"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_theorems_default_passes(self, capsys):
         assert main(["theorems", "--seed", "2", "--count", "5"]) == 0
 

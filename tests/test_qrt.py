@@ -20,7 +20,7 @@ from qrtmodal.errors import (
     ShapeError,
     StructuralError,
 )
-from qrtmodal.generate import GeneratorConfig, generate_qrt, random_relabeling
+from qrtmodal.generate import GeneratorConfig, generate_qrt, random_relabeling, random_sub_qrt
 from qrtmodal.linalg import (
     DensityMatrix,
     KrausChannel,
@@ -625,6 +625,25 @@ class TestDeriveOnce:
             for dm in q.system(d.src).states.values()
         )
 
+    def test_functoriality_derives_only_the_rebuilt_theory(self, monkeypatch):
+        from qrtmodal.harness import build_family
+        from qrtmodal.translate import to_model, verify_functoriality
+
+        q = build_family(1, 5)[0][1]
+        to_model(q)
+        rng = np.random.default_rng(5)
+        rel, sub = random_relabeling(q, rng), sub_qrt(q, [s.id for s in q.systems][:2])
+        applied = _count_applications(monkeypatch)
+        report = verify_functoriality(q, [rel], [sub])
+        assert report["ok"] and report["nested"] is not None
+        # the copies and the nested restriction carry q's outcomes: only
+        # the rebuilt theory applies q's channels, each to each state once
+        assert applied == Counter(
+            (id(d.channel), id(dm))
+            for d in q.channels
+            for dm in q.system(d.src).states.values()
+        )
+
 
 def test_identity_rule_is_allclose_with_atol_1e12():
     near = KrausChannel([np.diag([1 + 5e-6, 1 + 5e-6])])
@@ -1164,3 +1183,91 @@ class TestGroupedDerivation:
         assert {d.id: grouped for d, (grouped, _) in zip(without.channels, alone)} == {
             k: v for k, v in outcomes.items() if k != bad
         }
+
+
+# -- copies carry their parent's settled outcomes -------------------------------
+
+
+def carried_outcomes(copy: Qrt) -> dict:
+    """The outcomes copy holds before any derivation of its own, checked
+    against a fresh theory over its declarations, which derives every
+    channel itself."""
+    carried = dict(copy._induced)
+    fresh = Qrt(copy.systems, copy.channels, copy.trivial_id, copy.tol)
+    assert carried == {d: fresh._outcome(d) for d in carried}
+    return carried
+
+
+def settled(q: Qrt) -> Qrt:
+    for d in q.channels:
+        q._outcome(d)
+    return q
+
+
+class TestCarriedOutcomes:
+    def test_copies_carry_what_a_fresh_derivation_settles(self):
+        from qrtmodal.harness import build_family
+
+        rng = np.random.default_rng(20)
+        theories = corpus_theories() + list(built_theories().values())
+        theories += [q for seed in (1, 2, 3) for _, q in build_family(seed, 20)]
+        counts = Counter()
+        for q in map(settled, theories):
+            rel, sub = random_relabeling(q, rng), random_sub_qrt(q, rng)
+            # a relabeled copy carries every outcome but the errors, whose
+            # messages name the old labels
+            assert set(carried_outcomes(rel)) == {
+                new for old, new in zip(q.channels, rel.channels) if not isinstance(q._induced[old], tuple)
+            }
+            assert set(carried_outcomes(sub)) == set(sub.channels)
+            nested = [random_sub_qrt(rel, rng), random_relabeling(sub, rng)]
+            if len(sub.systems) > 1:
+                nested.append(sub_qrt(sub, [s.id for s in sub.systems][:-1]))
+            for copy in (rel, sub, *nested):
+                outcomes = carried_outcomes(copy).values()
+                counts["maps"] += sum(isinstance(o, dict) for o in outcomes)
+                counts["misses"] += sum(o is None for o in outcomes)
+                counts["errors"] += sum(isinstance(o, tuple) for o in outcomes)
+        assert min(counts.values()) > 0, counts
+
+    def test_an_unsettled_parent_carries_nothing(self):
+        q = two_qubit_shell()
+        assert not random_relabeling(q, np.random.default_rng(1))._induced
+        assert not sub_qrt(q, ["A", "B"])._induced
+
+    def test_relabeling_two_states_onto_one_name_raises(self):
+        from qrtmodal.harness import build_family
+
+        q = next(q for _, q in build_family(1, 10) if len(q.system("A").states) == 2)
+        with pytest.raises(StructuralError, match=r"^relabeling maps two states of system A to s1$"):
+            relabel_qrt(q, {}, {"A": {"s0": "s1"}})
+        # a swap is injective, and keeps every state
+        swapped = relabel_qrt(q, {}, {"A": {"s0": "s1", "s1": "s0"}})
+        assert set(swapped.nodes) == set(q.nodes)
+
+    def test_relabeling_two_systems_onto_one_name_raises(self):
+        q = corpus.chain_qrt()
+        a, b = (s.id for s in q.systems[:2])
+        with pytest.raises(StructuralError, match=rf"^relabeling maps systems {a} and {b} both to {b}$"):
+            relabel_qrt(q, {a: b}, {})
+        with pytest.raises(StructuralError, match=rf"^relabeling maps systems {a} and {b} both to Z$"):
+            relabel_qrt(q, {a: "Z", b: "Z"}, {})
+
+
+def test_a_zero_output_dim_is_its_own_dim_mismatch():
+    # KrausChannel accepts an output dim of 0; no image of it is a state
+    a = SystemDecl("A", 2, {"a0": basis_state(2, 0)})
+    empty = SystemDecl("E", 2, {})
+    zero = KrausChannel([np.zeros((0, 2))])
+    mates = [ChannelDecl("from_e", "E", "A", zero), ChannelDecl("keep", "A", "A", identity_channel(2))]
+    q = Qrt([a, empty], [ChannelDecl("z", "A", "A", zero), *mates])
+    assert [(i.code, i.subject) for i in q.validate().issues] == [("dim-mismatch", "z"), ("dim-mismatch", "from_e")]
+    outcomes = {d.id: q._outcome(d) for d in q.channels}
+    assert outcomes["z"] == (ShapeError, "density matrix must have dim at least 1, got 0")
+    # the group-mate in (2, 0), and the rest, read as they do without it
+    without = Qrt([a, empty], mates)
+    assert {d.id: without._outcome(d) for d in without.channels} == {
+        k: v for k, v in outcomes.items() if k != "z"
+    }
+    with pytest.raises(ShapeError, match="dim at least 1, got 0"):
+        apply_channel(zero, basis_state(2, 0))
