@@ -2,18 +2,25 @@
 CPTP verification, channel application and composition.
 
 Matrices are plain numpy arrays of complex128. Channels are stored in
-Kraus form only; the Choi matrix is derived on demand.
+Kraus form only, as one read-only (n_ops, out_dim, in_dim) array; the
+Choi matrix is derived on demand.
 
-The theory layer asks three questions of its channels, and each costs one
+The theory layer asks four questions of its channels, and each costs one
 pass: ``apply_channels`` applies a group of channels of one shape, each to
 its own stack of states, with one Kraus sum over their zero-padded Kraus
 lists, checks all the images with one eigensolve call and returns the
 error of each image that fails; ``within_trace_distances`` decides, for
 every (image, named state) pair at once, whether the two lie within a
 radius, from one array of Frobenius bounds, and diagonalises only a pair
-the bounds leave open; ``is_cptp`` keeps its verdict on the immutable
-channel, per tolerance. ``apply_channel`` and ``within_trace_distance``
-are the one-state and one-pair cases of the first two. The tolerance
+the bounds leave open; ``settle_cptp`` decides whether each channel of a
+group is CPTP, with one Kraus sum for every trace-preservation defect and
+one eigensolve over the Choi matrices, and keeps the verdict on the
+immutable channel, per tolerance; ``compose`` forms every Kraus product
+of two channels in one broadcast product. ``apply_channel``,
+``within_trace_distance`` and ``is_cptp`` are the one-state, one-pair and
+one-channel cases of the first three. A sum over Kraus terms runs in term
+order, one stacked term at a time, so a zero-padded term adds exact zeros
+and every result has the bits of its channel's own sum. The tolerance
 semantics are those of the plain rules: a bound only skips an eigensolve
 whose outcome it proves.
 """
@@ -209,7 +216,8 @@ def scalar_one() -> DensityMatrix:
 
 
 class KrausChannel:
-    """A channel given by Kraus operators, each out_dim x in_dim.
+    """A channel given by Kraus operators, each out_dim x in_dim, held as
+    one read-only (n_ops, out_dim, in_dim) array ``kraus_ops``.
 
     Construction checks shapes only; CPTP verification is a separate
     predicate so that deliberately broken channels can be represented.
@@ -218,26 +226,34 @@ class KrausChannel:
     __slots__ = ("in_dim", "out_dim", "kraus_ops", "_cptp")
 
     def __init__(self, kraus_ops: Iterable):
-        ops = tuple(as_matrix(k) for k in kraus_ops)
-        if not ops:
-            raise ShapeError("a channel needs at least one Kraus operator")
-        out_dim, in_dim = ops[0].shape
-        for k in ops[1:]:
-            if k.shape != (out_dim, in_dim):
-                raise ShapeError(
-                    f"inconsistent Kraus shapes: {k.shape} vs {(out_dim, in_dim)}"
-                )
-        _check_dim_cap(max(in_dim, out_dim))
-        frozen = []
-        for k in ops:
-            k = k.copy()
-            k.flags.writeable = False
-            frozen.append(k)
-        object.__setattr__(self, "in_dim", int(in_dim))
-        object.__setattr__(self, "out_dim", int(out_dim))
-        object.__setattr__(self, "kraus_ops", tuple(frozen))
+        ops = list(kraus_ops)
+        try:
+            stack = np.array(ops, dtype=complex)
+        except Exception:  # whatever the one array fails on, the per-operator checks raise
+            stack = None
+        if stack is None or stack.ndim != 3 or not np.isfinite(stack).all():
+            # some operator fails a check: the checks of one operator at a time word it
+            stack = _kraus_stack(ops)
+        _check_dim_cap(max(stack.shape[1:]))
+        self._init(stack)
+
+    def _init(self, stack: np.ndarray) -> None:
+        stack.flags.writeable = False
+        object.__setattr__(self, "in_dim", int(stack.shape[2]))
+        object.__setattr__(self, "out_dim", int(stack.shape[1]))
+        object.__setattr__(self, "kraus_ops", stack)
         # tol -> is_cptp verdict; the operators never change
         object.__setattr__(self, "_cptp", {})
+
+    @classmethod
+    def _from_stack(cls, stack: np.ndarray) -> "KrausChannel":
+        """The channel of a fresh (n_ops, out_dim, in_dim) array made from
+        checked channels: only its entries, which can overflow, are checked."""
+        if not np.isfinite(stack).all():
+            raise ShapeError("matrix has a non-finite (NaN or infinite) entry")
+        c = object.__new__(cls)
+        c._init(np.ascontiguousarray(stack))
+        return c
 
     def __setattr__(self, name, value):
         raise AttributeError("KrausChannel is immutable")
@@ -249,46 +265,117 @@ class KrausChannel:
         )
 
 
+def _kraus_stack(ops: list) -> np.ndarray:
+    """The one array of a list of Kraus operators, checked one operator at
+    a time: the first that is no finite matrix, or has another shape than
+    the first, raises."""
+    mats = [as_matrix(k) for k in ops]
+    if not mats:
+        raise ShapeError("a channel needs at least one Kraus operator")
+    for k in mats[1:]:
+        if k.shape != mats[0].shape:
+            raise ShapeError(f"inconsistent Kraus shapes: {k.shape} vs {mats[0].shape}")
+    return np.array(mats)
+
+
 def choi_matrix(c: KrausChannel) -> np.ndarray:
-    """The channel's Choi matrix, sum_ij E_ij (x) Phi(E_ij).
+    """The channel's Choi matrix, sum_ij E_ij (x) Phi(E_ij): ``_choi``
+    of the one channel.
 
     With row-major (i (x) k, j (x) l) indexing this equals
     sum_a |v_a><v_a| for v_a the column-stacked transpose of each Kraus
     operator; size (in*out) x (in*out).
     """
-    d = c.in_dim * c.out_dim
-    j = np.zeros((d, d), dtype=complex)
-    for k in c.kraus_ops:
-        v = k.T.reshape(-1)
-        j += np.outer(v, v.conj())
+    return _choi(c.kraus_ops[None])[0]
+
+
+def _choi(ops: np.ndarray) -> np.ndarray:
+    """The Choi matrix of each channel of an (n, n_ops, out, in) stack of
+    Kraus lists, zero-padded to one length. The outer products are added
+    one term at a time in term order, as a sum over one channel's list
+    adds them: a padded term adds exact zeros, so each matrix has the bits
+    of its channel's own sum."""
+    n, terms, out_dim, in_dim = ops.shape
+    vecs = ops.swapaxes(2, 3).reshape(n, terms, in_dim * out_dim)
+    outer = vecs[:, :, :, None] * vecs[:, :, None, :].conj()
+    j = np.zeros((n, in_dim * out_dim, in_dim * out_dim), dtype=complex)
+    for a in range(terms):
+        j += outer[:, a]
     return j
 
 
 def is_cptp(c: KrausChannel, tol: float = DEFAULT_TOL) -> tuple[bool, str | None]:
     """Trace preservation (sum K^dag K = I) and complete positivity
-    (Choi matrix PSD), each within tol; a NaN fails either.
+    (Choi matrix PSD), each within tol; a NaN fails either:
+    ``settle_cptp`` of the one channel.
 
     The verdict is kept on the channel per tol: a channel is immutable,
     and the theories derived from one share its objects."""
     verdict = c._cptp.get(tol)
     if verdict is None:
-        verdict = c._cptp[tol] = _cptp_verdict(c, tol)
+        errors = settle_cptp((c,), tol)
+        if errors:
+            raise errors[c]
+        verdict = c._cptp[tol]
     return verdict
 
 
-def _cptp_verdict(c: KrausChannel, tol: float) -> tuple[bool, str | None]:
-    acc = np.zeros((c.in_dim, c.in_dim), dtype=complex)
+def settle_cptp(channels: Iterable[KrausChannel], tol: float) -> dict:
+    """Keep the ``is_cptp`` verdict at tol on each channel that has none
+    yet, in one pass per (in_dim, out_dim) group. Returns {channel:
+    NumericalError} for each channel whose Choi eigensolve failed; such a
+    channel keeps no verdict, and ``is_cptp`` raises the error again."""
+    groups: dict = {}
+    for c in channels:
+        if tol not in c._cptp:
+            groups.setdefault((c.in_dim, c.out_dim), {})[c] = None
+    errors: dict = {}
+    for group in groups.values():
+        errors.update(_settle_group(list(group), tol))
+    return errors
+
+
+def _settle_group(channels: list, tol: float) -> dict:
+    """``settle_cptp`` of channels of one (in_dim, out_dim): one Kraus sum
+    for every trace-preservation defect and one eigensolve for the Choi
+    matrices of the channels that pass it, over the Kraus lists zero-padded
+    to the longest. Sums run in term order, so every verdict has the bits
+    of its channel's own."""
+    c0 = channels[0]
+    ops = np.zeros((len(channels), max(len(c.kraus_ops) for c in channels), c0.out_dim, c0.in_dim), dtype=complex)
+    for i, c in enumerate(channels):
+        ops[i, :len(c.kraus_ops)] = c.kraus_ops
+    acc = np.zeros((len(channels), c0.in_dim, c0.in_dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
-        for k in c.kraus_ops:
-            acc += k.conj().T @ k
-        tp_defect = float(np.max(np.abs(acc - np.eye(c.in_dim))))
-    if not tp_defect <= tol:
-        return False, f"not trace preserving (defect {tp_defect:.3e})"
-    eigs = _eigh(hermitian_part(choi_matrix(c)))
-    lo = float(eigs.min())
-    if not lo >= -tol:
-        return False, f"not completely positive (Choi eigenvalue {lo:.3e})"
-    return True, None
+        products = ops.conj().swapaxes(2, 3) @ ops
+        for a in range(ops.shape[1]):
+            acc += products[:, a]
+        tp_defect = np.abs(acc - np.eye(c0.in_dim)).max(axis=(1, 2))
+    tp = tp_defect <= tol
+    for i in np.flatnonzero(~tp):
+        channels[i]._cptp[tol] = False, f"not trace preserving (defect {float(tp_defect[i]):.3e})"
+    passed = np.flatnonzero(tp)
+    errors: dict = {}
+    if not len(passed):
+        return errors
+    choi = hermitian_part(_choi(ops[passed]))
+    try:
+        lo = _eigh(choi).min(axis=1)
+    except NumericalError:
+        # LAPACK cannot say which matrix failed the stacked solve
+        lo = np.zeros(len(passed))
+        for k, i in enumerate(passed):
+            try:
+                lo[k] = _eigh(choi[k]).min()
+            except NumericalError as exc:
+                errors[channels[i]] = exc
+    for k, i in enumerate(passed):
+        if channels[i] not in errors:
+            channels[i]._cptp[tol] = (
+                (True, None) if lo[k] >= -tol
+                else (False, f"not completely positive (Choi eigenvalue {float(lo[k]):.3e})")
+            )
+    return errors
 
 
 def apply_channel(c: KrausChannel, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -350,24 +437,22 @@ def reduce_kraus(c: KrausChannel) -> KrausChannel:
     j = hermitian_part(choi_matrix(c))
     vals, vecs = _eigh(j, vectors=True)
     scale = max(float(vals.max()), 1.0)
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam > _KRAUS_CUTOFF * scale:
-            ops.append(np.sqrt(lam) * v.reshape(c.in_dim, c.out_dim).T)
-    if not ops:
-        ops = [np.zeros((c.out_dim, c.in_dim), dtype=complex)]
-    return KrausChannel(ops)
+    keep = vals > _KRAUS_CUTOFF * scale
+    if not keep.any():
+        return KrausChannel._from_stack(np.zeros((1, c.out_dim, c.in_dim), dtype=complex))
+    ops = vecs.T[keep].reshape(-1, c.in_dim, c.out_dim).swapaxes(1, 2)
+    return KrausChannel._from_stack(np.sqrt(vals[keep])[:, None, None] * ops)
 
 
 def compose(g: KrausChannel, f: KrausChannel) -> KrausChannel:
-    """The composite channel g after f, with Kraus set {G_i F_j}."""
+    """The composite channel g after f, with Kraus set {G_i F_j}, i major."""
     if f.out_dim != g.in_dim:
         raise DimensionMismatchError(
             f"cannot compose: inner dims {f.out_dim} vs {g.in_dim}"
         )
-    ops = [gi @ fj for gi in g.kraus_ops for fj in f.kraus_ops]
-    out = KrausChannel(ops)
-    if len(ops) > f.in_dim * g.out_dim:
+    ops = g.kraus_ops[:, None] @ f.kraus_ops[None, :]
+    out = KrausChannel._from_stack(ops.reshape(-1, g.out_dim, f.in_dim))
+    if len(out.kraus_ops) > f.in_dim * g.out_dim:
         out = reduce_kraus(out)
     return out
 
@@ -390,10 +475,14 @@ _BOUND_BLOCK = 1 << 20
 
 def within_trace_distance(a: DensityMatrix, b: DensityMatrix, eps: float) -> bool:
     """Whether trace_distance(a, b) <= eps: ``within_trace_distances`` of
-    the one pair."""
+    the one pair, by the same bounds in plain 2-D arithmetic."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    return bool(within_trace_distances(a.mat[None], b.mat[None], eps)[0, 0])
+    d = a.mat - b.mat
+    norm = math.sqrt(np.square((d + d.conj().T).view(np.float64)).sum())
+    if norm * math.sqrt(a.dim) <= 4 * (eps - _GUARD):
+        return True
+    return bool(not norm > 4 * (eps + _GUARD) and trace_distance(a, b) <= eps)
 
 
 def within_trace_distances(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:

@@ -37,6 +37,7 @@ from .linalg import (
     compose,
     identity_channel,
     is_cptp,
+    settle_cptp,
     trace_distance,
     within_trace_distance,
     within_trace_distances,
@@ -385,26 +386,29 @@ class Qrt:
                 issues.append(Issue("bad-trivial", self._trivial, "trivial system must have dim 1"))
 
         seen_ch: set[str] = set()
-        closure_ok = True
+        checked = []  # (channel, its issues before the CPTP check, whether it reaches the check)
         for decl in self._channels:
+            found = []
             if decl.id in seen_ch:
-                issues.append(Issue("duplicate-id", decl.id, "duplicate channel id"))
+                found.append(Issue("duplicate-id", decl.id, "duplicate channel id"))
             seen_ch.add(decl.id)
-            if decl.src not in self._by_id or decl.dst not in self._by_id:
-                issues.append(
-                    Issue("unknown-system", decl.id, f"endpoints {decl.src}->{decl.dst} undeclared")
-                )
-                closure_ok = False
-                continue
-            src, dst = self._by_id[decl.src], self._by_id[decl.dst]
-            if decl.channel.in_dim != src.dim or decl.channel.out_dim != dst.dim:
+            src, dst = self._by_id.get(decl.src), self._by_id.get(decl.dst)
+            reaches = False
+            if src is None or dst is None:
+                found.append(Issue("unknown-system", decl.id, f"endpoints {decl.src}->{decl.dst} undeclared"))
+            elif decl.channel.in_dim != src.dim or decl.channel.out_dim != dst.dim:
                 shape = f"{decl.channel.out_dim}x{decl.channel.in_dim} != {dst.dim}x{src.dim}"
-                issues.append(Issue("dim-mismatch", decl.id, f"kraus shape {shape}"))
-                closure_ok = False
-                continue
-            if decl.src in misdimensioned or decl.dst in misdimensioned:
-                # its named states cannot pass through it; reported above
-                closure_ok = False
+                found.append(Issue("dim-mismatch", decl.id, f"kraus shape {shape}"))
+            else:
+                # its named states cannot pass through a system with a state
+                # of another dim; that state is reported above
+                reaches = decl.src not in misdimensioned and decl.dst not in misdimensioned
+            checked.append((decl, found, reaches))
+        settle_cptp([decl.channel for decl, _, reaches in checked if reaches], self.tol)
+        closure_ok = all(reaches for _, _, reaches in checked)
+        for decl, found, reaches in checked:
+            issues += found
+            if not reaches:
                 continue
             ok, why = is_cptp(decl.channel, self.tol)
             if not ok:
@@ -467,23 +471,25 @@ class Qrt:
 
 def _missing_composites(table: Mapping) -> list:
     """Every composable pair of functions in ``table``, {(src, dst):
-    {function key: representative}}, whose composite g . f is not in the
-    table, as (a, b, f, c, g, composite key) with f and g representatives.
+    {function key: representative}} with each key a function's sorted item
+    tuple, whose composite g . f is not in the table, as (a, b, f, c, g,
+    composite key) with f and g representatives.
     Listed in (a, b, f, c, g) order: pairs, then function keys, sorted."""
+    # each pair's functions as sorted (key, map, representative) rows
+    rows = {pair: [(key, dict(key), fns[key]) for key in sorted(fns)] for pair, fns in table.items()}
+    after: dict = {}  # b -> [(c, rows of (b, c))], by c
+    for b, c in sorted(table):
+        after.setdefault(b, []).append((c, rows[(b, c)]))
     missing = []
-    pairs = sorted(table)
-    for a, b in pairs:
-        fns = table[(a, b)]
-        after = [(c, table[(b2, c)]) for b2, c in pairs if b2 == b]
-        for fkey in sorted(fns):
-            f = dict(fkey)
-            for c, gns in after:
-                have = table.get((a, c), {})
-                for gkey in sorted(gns):
-                    g = dict(gkey)
-                    comp = tuple(sorted((s, g[f[s]]) for s in f))
+    for a, b in sorted(table):
+        nexts = [(c, grows, table.get((a, c), {})) for c, grows in after.get(b, ())]
+        for fkey, _, fd in rows[(a, b)]:
+            for c, grows, have in nexts:
+                for _, g, gd in grows:
+                    # fkey is in source-state order, and so is the composite
+                    comp = tuple((s, g[t]) for s, t in fkey)
                     if comp not in have:
-                        missing.append((a, b, fns[fkey], c, gns[gkey], comp))
+                        missing.append((a, b, fd, c, gd, comp))
     return missing
 
 

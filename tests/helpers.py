@@ -1,17 +1,18 @@
 """Test inputs and readings shared by several test modules: a stock
 channel, random Kripke models, the convexity weights the acceptance
 criteria name, derived facts of theories and categories that only the
-tests ask for, the reference formula parser and the reference family
-builder."""
+tests ask for, the reference formula parser, the reference family
+builder, the per-operator channel kernels and the reference composite
+sweep."""
 
 import numpy as np
 
 from qrtmodal import harness
-from qrtmodal.errors import FormulaSyntaxError
+from qrtmodal.errors import FormulaSyntaxError, ShapeError
 from qrtmodal.formulas import Atom, Box, Diamond, Formula, Implies, Not, conj, disj, iff
 from qrtmodal.generate import generate_qrt, random_relabeling
 from qrtmodal.kripke import KripkeModel, models_isomorphic
-from qrtmodal.linalg import KrausChannel
+from qrtmodal.linalg import _KRAUS_CUTOFF, KrausChannel, _check_dim_cap, _eigh, as_matrix, hermitian_part
 from qrtmodal.qrt import Qrt, _missing_composites
 from qrtmodal.relations import reflexive_transitive_closure
 from qrtmodal.smc import SmcCategory
@@ -180,3 +181,83 @@ def reference_build_family(seed: int, count: int, config=None) -> list:
     for k in range(min(harness._N_RELABELED, len(base))):
         out.append((f"{base[k][0]}_relabeled", random_relabeling(base[k][1], rng)))
     return out
+
+
+def reference_kraus_ops(kraus_ops) -> tuple:
+    """The operators as ``KrausChannel`` checked and copied them one at a
+    time before it held them as one array; raises what it raised."""
+    ops = tuple(as_matrix(k) for k in kraus_ops)
+    if not ops:
+        raise ShapeError("a channel needs at least one Kraus operator")
+    out_dim, in_dim = ops[0].shape
+    for k in ops[1:]:
+        if k.shape != (out_dim, in_dim):
+            raise ShapeError(f"inconsistent Kraus shapes: {k.shape} vs {(out_dim, in_dim)}")
+    _check_dim_cap(max(in_dim, out_dim))
+    return tuple(k.copy() for k in ops)
+
+
+def reference_choi_matrix(c: KrausChannel) -> np.ndarray:
+    """The Choi matrix summed one Kraus operator at a time, as
+    ``linalg.choi_matrix`` did before it read the channel's one array."""
+    d = c.in_dim * c.out_dim
+    j = np.zeros((d, d), dtype=complex)
+    for k in c.kraus_ops:
+        v = k.T.reshape(-1)
+        j += np.outer(v, v.conj())
+    return j
+
+
+def reference_cptp_verdict(c: KrausChannel, tol: float) -> tuple:
+    """The one-channel CPTP verdict of the per-operator code that
+    ``linalg.settle_cptp`` replaced."""
+    acc = np.zeros((c.in_dim, c.in_dim), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in c.kraus_ops:
+            acc += k.conj().T @ k
+        tp_defect = float(np.max(np.abs(acc - np.eye(c.in_dim))))
+    if not tp_defect <= tol:
+        return False, f"not trace preserving (defect {tp_defect:.3e})"
+    lo = float(_eigh(hermitian_part(reference_choi_matrix(c))).min())
+    if not lo >= -tol:
+        return False, f"not completely positive (Choi eigenvalue {lo:.3e})"
+    return True, None
+
+
+def reference_reduce_kraus(c: KrausChannel) -> list:
+    """The Kraus operators ``linalg.reduce_kraus`` keeps, picked one
+    eigenvector at a time."""
+    vals, vecs = _eigh(hermitian_part(reference_choi_matrix(c)), vectors=True)
+    scale = max(float(vals.max()), 1.0)
+    ops = [np.sqrt(lam) * v.reshape(c.in_dim, c.out_dim).T for lam, v in zip(vals, vecs.T) if lam > _KRAUS_CUTOFF * scale]
+    return ops or [np.zeros((c.out_dim, c.in_dim), dtype=complex)]
+
+
+def reference_compose(g: KrausChannel, f: KrausChannel) -> list:
+    """The Kraus operators of ``linalg.compose(g, f)``, one product at a
+    time."""
+    ops = [gi @ fj for gi in g.kraus_ops for fj in f.kraus_ops]
+    if len(ops) > f.in_dim * g.out_dim:
+        ops = reference_reduce_kraus(KrausChannel(ops))
+    return ops
+
+
+def reference_missing_composites(table) -> list:
+    """``qrt._missing_composites`` as it was before its rows were built
+    once per call: every function map rebuilt and every key list sorted
+    again for each function."""
+    missing = []
+    pairs = sorted(table)
+    for a, b in pairs:
+        fns = table[(a, b)]
+        after = [(c, table[(b2, c)]) for b2, c in pairs if b2 == b]
+        for fkey in sorted(fns):
+            f = dict(fkey)
+            for c, gns in after:
+                have = table.get((a, c), {})
+                for gkey in sorted(gns):
+                    g = dict(gkey)
+                    comp = tuple(sorted((s, g[f[s]]) for s in f))
+                    if comp not in have:
+                        missing.append((a, b, fns[fkey], c, gns[gkey], comp))
+    return missing

@@ -1,5 +1,6 @@
 """Matrix substrate tests: density predicates, Choi matrices, CPTP
-verification, application, composition, trace distance."""
+verification, application, composition, trace distance, and the
+one-array channel kernels against the per-operator code."""
 
 import itertools
 import warnings
@@ -7,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qrtmodal.linalg as linalg_module
 from qrtmodal.config import DEFAULT_TOL, MAX_DIM
@@ -29,14 +32,23 @@ from qrtmodal.linalg import (
     preparation_channel,
     random_cptp_channel,
     random_density,
+    reduce_kraus,
     scalar_one,
+    settle_cptp,
     trace_channel,
     trace_distance,
     within_trace_distance,
     within_trace_distances,
 )
 
-from helpers import depolarizing_channel
+from helpers import (
+    depolarizing_channel,
+    reference_choi_matrix,
+    reference_compose,
+    reference_cptp_verdict,
+    reference_kraus_ops,
+    reference_reduce_kraus,
+)
 
 
 def hand_choi(channel):
@@ -680,16 +692,210 @@ class TestCptpVerdictCache:
 
     def test_worker_runs_once_per_channel_and_tolerance(self, monkeypatch):
         calls = Counter()
-        original = linalg_module._cptp_verdict
+        original = linalg_module._settle_group
 
-        def counting(c, *key):
-            calls[(id(c), key)] += 1
-            return original(c, *key)
+        def counting(channels, tol):
+            calls.update((id(c), tol) for c in channels)
+            return original(channels, tol)
 
-        monkeypatch.setattr(linalg_module, "_cptp_verdict", counting)
+        monkeypatch.setattr(linalg_module, "_settle_group", counting)
         channels = [leaky_channel(), depolarizing_channel()]
         for _ in range(3):
             for c in channels:
                 for tol in (DEFAULT_TOL, 1e-6, 1e-9):  # 1e-9 is the default's value
                     is_cptp(c, tol)
         assert sorted(calls.values()) == [1, 1, 1, 1]
+
+
+# -- one Kraus array per channel, against the per-operator code ------------------
+
+
+def raised(call, *args):
+    """(exception type, message) of a call, or ("ok", its value)."""
+    try:
+        return "ok", call(*args)
+    except Exception as exc:  # numpy's own errors included: parity is the point
+        return type(exc), str(exc)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def drawn_channel(rng: np.random.Generator, in_dim: int, out_dim: int, n_ops: int, kind: str) -> KrausChannel:
+    """A channel of n_ops operators, or of the fewest that a CPTP channel
+    between the dims has if that is more: "cptp" is a Stinespring
+    channel; "leaky" is one scaled by sqrt(1 + 1e-9 + u), |u| <= 1e-12, so
+    that its trace-preservation defect lies within 1e-12 of the default
+    tolerance; "raw" has Gaussian entries."""
+    if kind == "raw":
+        return KrausChannel(rng.normal(size=(n_ops, out_dim, in_dim)) + 1j * rng.normal(size=(n_ops, out_dim, in_dim)))
+    ops = random_cptp_channel(rng, in_dim, out_dim, n_ops).kraus_ops
+    if kind == "leaky":
+        ops = ops * np.sqrt(1 + DEFAULT_TOL + float(rng.uniform(-1e-12, 1e-12)))
+    return KrausChannel(ops)
+
+
+_channel_specs = st.tuples(
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.sampled_from(["cptp", "leaky", "raw"])
+)
+
+
+def cptp_tolerances(c: KrausChannel) -> list:
+    """The default tolerance, 0, and tolerances at the channel's own
+    Choi floor: its lowest Choi eigenvalue is then -tol, or one step to
+    either side of it."""
+    lo = float(np.linalg.eigvalsh(hermitian_choi(c)).min())
+    tols = [DEFAULT_TOL, 0.0]
+    if lo < 0:
+        tols += [-lo, float(np.nextafter(-lo, 0)), float(np.nextafter(-lo, 1))]
+    return tols
+
+
+def hermitian_choi(c: KrausChannel) -> np.ndarray:
+    return linalg_module.hermitian_part(reference_choi_matrix(c))
+
+
+class TestKrausArray:
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [],
+            [np.eye(2), np.eye(3)],  # ragged
+            [np.eye(2), np.zeros((2, 3))],
+            [np.ones(2)],  # a 1-D operator
+            [np.eye(2), np.ones(2)],
+            [np.zeros((2, 2, 2))],  # a 3-D operator
+            [np.eye(2), np.zeros((1, 2, 2))],
+            [[[np.nan, 0], [0, 1]]],
+            [np.eye(2), np.diag([1.0, np.inf])],
+            [np.eye(2), np.ones(3), [[np.nan]]],  # the first failing operator in order words it
+            [np.eye(MAX_DIM + 1)],
+            [np.eye(MAX_DIM + 1), np.eye(MAX_DIM)],
+            [np.diag([np.nan, 1.0]), np.eye(MAX_DIM + 1)],
+            [[[1, 0], [0]]],  # nested lists, ragged
+            [[[1, 0], [0, 1]], [[0, 1]]],
+            ["ab"],
+            [[[1, 0], [0, 1]]],  # nested lists that are a matrix
+            [[[0.5, 0], [0, 0.5]], [[0.5j, 0], [0, -0.5j]]],
+            [np.eye(2, dtype=int)],
+            [np.zeros((0, 2))],
+        ],
+    )
+    def test_construction_keeps_each_error_and_the_operators(self, ops):
+        ours, want = raised(KrausChannel, ops), raised(reference_kraus_ops, ops)
+        assert ours[0] == want[0]
+        if want[0] == "ok":
+            assert same_bits(ours[1].kraus_ops, np.array(want[1]))
+            assert not ours[1].kraus_ops.flags.writeable
+        else:
+            assert ours[1] == want[1]
+
+    def test_operators_from_a_generator(self):
+        c = KrausChannel(np.eye(2) / np.sqrt(2) for _ in range(2))
+        assert c.kraus_ops.shape == (2, 2, 2) and is_cptp(c) == (True, None)
+
+    def test_the_channel_keeps_one_copy(self):
+        ops = np.array([np.eye(2)], dtype=complex)
+        c = KrausChannel(ops)
+        assert not np.shares_memory(c.kraus_ops, ops)
+        assert c.kraus_ops.flags.c_contiguous and c.kraus_ops.base is None
+
+    def test_an_overflowing_composite_raises_as_before(self):
+        for n_ops in (1, 3):  # three operators each: nine products, reduced
+            big = KrausChannel([1e200 * np.eye(2)] * n_ops)
+            with warnings.catch_warnings():  # numpy's own matmul warning, as before
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert raised(compose, big, big) == (ShapeError, "matrix has a non-finite (NaN or infinite) entry")
+                with pytest.raises(ShapeError, match="non-finite"):
+                    KrausChannel([gi @ fj for gi in big.kraus_ops for fj in big.kraus_ops])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_channel_specs, min_size=1, max_size=6), st.integers(0, 2 ** 32 - 1))
+    def test_kernels_have_the_bits_of_the_per_operator_code(self, specs, seed):
+        rng = np.random.default_rng(seed)
+        channels = [drawn_channel(rng, *spec) for spec in specs]
+        for c in channels:
+            assert same_bits(choi_matrix(c), reference_choi_matrix(c))
+            assert same_bits(reduce_kraus(c).kraus_ops, np.array(reference_reduce_kraus(c)))
+            for g in channels:
+                if g.in_dim == c.out_dim:
+                    assert same_bits(compose(g, c).kraus_ops, np.array(reference_compose(g, c)))
+        tols = sorted({tol for c in channels for tol in cptp_tolerances(c)})
+        for tol in tols:
+            fresh = [KrausChannel(c.kraus_ops) for c in channels]
+            assert settle_cptp(fresh, tol) == {}
+            assert [c._cptp[tol] for c in fresh] == [reference_cptp_verdict(c, tol) for c in channels]
+            assert [is_cptp(KrausChannel(c.kraus_ops), tol) for c in channels] == [c._cptp[tol] for c in fresh]
+
+    def test_verdicts_at_the_boundaries_take_both_sides(self):
+        # leaky channels at the default tolerance reach both sides of the
+        # trace test; exact ones at their own Choi floor both sides of the
+        # positivity test
+        rng = np.random.default_rng(83)
+        seen = Counter()
+        for _ in range(300):
+            dims = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 10))
+            leaky, exact = drawn_channel(rng, *dims, "leaky"), drawn_channel(rng, *dims, "cptp")
+            for c, tols in ((leaky, [DEFAULT_TOL]), (exact, cptp_tolerances(exact)[2:])):
+                for tol in tols:
+                    ok, why = reference_cptp_verdict(c, tol)
+                    seen[why.split(" (")[0] if why else ok] += 1
+                    assert is_cptp(c, tol) == (ok, why)
+        assert min(seen[True], seen["not trace preserving"], seen["not completely positive"]) >= 5, seen
+
+    def test_a_failed_choi_eigensolve_fails_its_channel_only(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        channels = [random_cptp_channel(rng, 2, 2, k) for k in (1, 2, 3, 4)]
+        bad = channels[2]
+        target = hermitian_choi(bad)
+        original = linalg_module._eigh
+        solved = Counter()
+
+        def planted(m, vectors=False):
+            stack = m if m.ndim == 3 else m[None]
+            hit = any(np.array_equal(x, target) for x in stack)
+            solved[len(stack), hit] += 1
+            if hit:
+                raise NumericalError("eigenvalue solve failed: planted")
+            return original(m, vectors)
+
+        monkeypatch.setattr(linalg_module, "_eigh", planted)
+        errors = settle_cptp(channels, DEFAULT_TOL)
+        assert list(errors) == [bad] and str(errors[bad]) == "eigenvalue solve failed: planted"
+        # one stacked solve, then each channel alone
+        assert solved == Counter({(4, True): 1, (1, True): 1, (1, False): 3})
+        assert DEFAULT_TOL not in bad._cptp
+        for c in channels:
+            if c is not bad:
+                assert c._cptp[DEFAULT_TOL] == reference_cptp_verdict(c, DEFAULT_TOL) == (True, None)
+        solved.clear()
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="planted"):
+                is_cptp(bad)
+            assert [is_cptp(c) for c in channels if c is not bad] == [(True, None)] * 3
+        assert set(solved) == {(1, True)}  # only the failing channel is solved again
+
+
+class TestOnePairDistance:
+    def test_agrees_with_the_stacked_kernel(self):
+        rng = np.random.default_rng(97)
+        checked = Counter()
+        for _ in range(400):
+            dim = int(rng.integers(1, 5))
+            a = random_density(rng, dim, pure=bool(rng.integers(2)))
+            b = a if rng.random() < 0.05 else random_density(rng, dim, pure=bool(rng.integers(2)))
+            d = a.mat - b.mat
+            norm = float(np.linalg.norm(d + d.conj().T))
+            dist = trace_distance(a, b)
+            radii = [dist * f for f in (0.0, 0.5, 1.0, 2.0)]
+            radii += [dist + u for u in (-1e-13, 1e-13, -1e-12, 1e-12)]
+            # the radii at which the bounds meet the guard band
+            radii += [norm * np.sqrt(dim) / 4 + linalg_module._GUARD + u for u in (-1e-15, 0.0, 1e-15)]
+            radii += [norm / 4 - linalg_module._GUARD + u for u in (-1e-15, 0.0, 1e-15)]
+            for eps in radii:
+                want = bool(within_trace_distances(a.mat[None], b.mat[None], eps)[0, 0])
+                assert within_trace_distance(a, b, eps) is want
+                checked[want] += 1
+        assert checked[True] > 500 and checked[False] > 500

@@ -15,6 +15,7 @@ from qrtmodal.config import DEFAULT_TOL
 from qrtmodal.errors import (
     DimensionMismatchError,
     GenerationError,
+    NumericalError,
     QrtModalError,
     ResourceLimitError,
     ShapeError,
@@ -47,7 +48,14 @@ from qrtmodal.qrt import (
     sub_qrt,
 )
 
-from helpers import is_composition_complete, resource_states
+from helpers import (
+    is_composition_complete,
+    reference_choi_matrix,
+    reference_compose,
+    reference_cptp_verdict,
+    reference_missing_composites,
+    resource_states,
+)
 
 
 def two_qubit_shell():
@@ -599,17 +607,17 @@ class TestDeriveOnce:
             made.tol,
         )
         checked = Counter()
-        original = linalg_module._cptp_verdict
+        original = linalg_module._settle_group
 
-        def counting(c, *key):
-            checked[id(c)] += 1
-            return original(c, *key)
+        def counting(channels, tol):
+            checked.update((id(c), tol) for c in channels)
+            return original(channels, tol)
 
-        monkeypatch.setattr(linalg_module, "_cptp_verdict", counting)
+        monkeypatch.setattr(linalg_module, "_settle_group", counting)
         rng = np.random.default_rng(5)
         rel, sub = random_relabeling(q, rng), sub_qrt(q, [s.id for s in q.systems][:2])
         assert verify_functoriality(q, [rel], [sub])["ok"]
-        assert checked == Counter({id(d.channel): 1 for d in q.channels})
+        assert checked == Counter({(id(d.channel), q.tol): 1 for d in q.channels})
 
     def test_functoriality_rederives_the_rebuilt_theory(self, monkeypatch):
         from qrtmodal.harness import build_family
@@ -1271,3 +1279,106 @@ def test_a_zero_output_dim_is_its_own_dim_mismatch():
     }
     with pytest.raises(ShapeError, match="dim at least 1, got 0"):
         apply_channel(zero, basis_state(2, 0))
+
+
+# -- one Kraus array per channel, on the theories -------------------------------
+
+
+def differential_theories() -> list:
+    """The corpus and the families of seeds 1 and 2 at size 40."""
+    from qrtmodal.harness import build_family
+
+    return corpus_theories() + [q for seed in (1, 2) for _, q in build_family(seed, 40)]
+
+
+def test_channel_kernels_have_the_bits_of_the_per_operator_code():
+    theories = differential_theories()
+    channels = list({id(d.channel): d.channel for q in theories for d in q.channels}.values())
+    assert len(channels) > 500
+    for tol in (DEFAULT_TOL, 1e-6, 0.0):
+        fresh = [KrausChannel(c.kraus_ops) for c in channels]
+        assert linalg_module.settle_cptp(fresh, tol) == {}
+        assert [c._cptp[tol] for c in fresh] == [reference_cptp_verdict(c, tol) for c in channels]
+    composed = 0
+    for q in theories:
+        by_src: dict = {}
+        for d in q.channels:
+            by_src.setdefault(d.src, []).append(d.channel)
+        for d in q.channels:
+            assert reference_choi_matrix(d.channel).tobytes() == linalg_module.choi_matrix(d.channel).tobytes()
+            for g in by_src.get(d.dst, [])[:3]:
+                ours = linalg_module.compose(g, d.channel).kraus_ops
+                want = np.array(reference_compose(g, d.channel))
+                assert ours.shape == want.shape and ours.tobytes() == want.tobytes()
+                composed += 1
+    assert composed > 1000
+
+
+def test_validation_settles_each_reached_channel_in_one_group_pass(monkeypatch):
+    q = built_theories()["non_cptp"]
+    fresh = Qrt(q.systems, [ChannelDecl(d.id, d.src, d.dst, KrausChannel(d.channel.kraus_ops)) for d in q.channels])
+    passes = []
+    original = linalg_module._settle_group
+
+    def counting(channels, tol):
+        passes.append(sorted(id(c) for c in channels))
+        return original(channels, tol)
+
+    monkeypatch.setattr(linalg_module, "_settle_group", counting)
+    report = fresh.validate()
+    assert [i.code for i in report.issues] == ["non-cptp"]
+    # every channel is 2x2, so one pass settles them all
+    assert passes == [sorted(id(d.channel) for d in fresh.channels)]
+
+
+def test_a_failed_choi_eigensolve_raises_out_of_validation_for_its_channel(monkeypatch):
+    rng = np.random.default_rng(101)
+    a = {"a0": basis_state(2, 0), "a1": basis_state(2, 1)}
+    bad = linalg_module.random_cptp_channel(rng, 2, 2, 2)
+    q = Qrt(
+        [SystemDecl("A", 2, a)],
+        [ChannelDecl("flip", "A", "A", function_channel([1, 0], 2, 2)), ChannelDecl("bad", "A", "A", bad)],
+    )
+    target = linalg_module.hermitian_part(reference_choi_matrix(bad))
+    original = linalg_module._eigh
+
+    def planted(m, vectors=False):
+        if any(np.array_equal(x, target) for x in (m if m.ndim == 3 else m[None])):
+            raise NumericalError("eigenvalue solve failed: planted")
+        return original(m, vectors)
+
+    monkeypatch.setattr(linalg_module, "_eigh", planted)
+    with pytest.raises(NumericalError, match="planted"):
+        q.validate()
+    assert [DEFAULT_TOL in d.channel._cptp for d in q.channels] == [True, False, True]
+
+
+class TestMissingCompositesAgainstReference:
+    def test_theories(self):
+        checked = 0
+        for q in differential_theories():
+            for variant in open_variants(q):
+                try:
+                    table = variant.functions
+                except QrtModalError:  # a broken theory has no function table
+                    continue
+                assert qrt_module._missing_composites(table) == reference_missing_composites(table)
+                checked += 1
+        assert checked > 300
+
+    def test_every_pass_of_the_closure(self, monkeypatch):
+        original = qrt_module._missing_composites
+        passes = Counter()
+
+        def checked(table):
+            got = original(table)
+            assert got == reference_missing_composites(table)
+            passes[bool(got)] += 1
+            return got
+
+        monkeypatch.setattr(qrt_module, "_missing_composites", checked)
+        handed = generated_open_theories(monkeypatch)
+        for q in handed + corpus_theories():
+            for variant in open_variants(q):
+                closure_outcome(complete_composition, variant)
+        assert passes[True] > 50 and passes[False] > 50
