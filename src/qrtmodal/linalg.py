@@ -20,7 +20,8 @@ of two channels in one broadcast product. ``apply_channel``,
 ``within_trace_distance`` and ``is_cptp`` are the one-state, one-pair and
 one-channel cases of the first three. A sum over Kraus terms runs in term
 order, one stacked term at a time, so a zero-padded term adds exact zeros
-and every result has the bits of its channel's own sum. The tolerance
+and every result has the bits of its channel's own sum; the stacks are
+cut into blocks of bounded size, so memory stays linear. The tolerance
 semantics are those of the plain rules: a bound only skips an eigensolve
 whose outcome it proves.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +46,11 @@ def as_matrix(obj) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ShapeError("matrix has a non-finite (NaN or infinite) entry")
     return m
+
+
+# Matrix entries a stacked kernel holds at once: Kraus sums, CPTP groups
+# and the trace-distance bounds run over blocks no larger than this
+_BOUND_BLOCK = 1 << 20
 
 
 def _eigh(m: np.ndarray, vectors: bool = False):
@@ -106,16 +112,8 @@ def _density_defect(ms: np.ndarray, tol: float) -> dict:
         defects = {int(i): f"not Hermitian (defect {float(herm[i]):.3e})" for i in np.flatnonzero(~ok)}
         keep = np.flatnonzero(ok)
         head = ms[keep]
-    try:
-        lo = _eigh(hermitian_part(head)).min(axis=1)
-    except NumericalError:
-        # LAPACK cannot say which matrix failed the stacked solve
-        lo = np.zeros(len(head))
-        for k in range(len(head)):
-            try:
-                lo[k] = _eigh(hermitian_part(head[k])).min()
-            except NumericalError as exc:
-                defects[int(keep[k])] = exc
+    lo, failed = _min_eigenvalues(hermitian_part(head))
+    defects.update((int(keep[k]), exc) for k, exc in failed.items())
     tr = head.trace(axis1=1, axis2=2)
     ok = (lo >= -tol) & (np.abs(tr - 1.0) <= tol)
     for k in () if ok.all() else np.flatnonzero(~ok):
@@ -125,6 +123,24 @@ def _density_defect(ms: np.ndarray, tol: float) -> dict:
         )
         defects.setdefault(int(keep[k]), why)
     return defects
+
+
+def _min_eigenvalues(ms: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The least eigenvalue of each Hermitian matrix of the (n, d, d)
+    stack ``ms``, from one eigensolve, and {index: NumericalError} for
+    each matrix whose own solve fails; its least eigenvalue reads 0."""
+    try:
+        return _eigh(ms).min(axis=1), {}
+    except NumericalError:
+        # LAPACK cannot say which matrix failed the stacked solve
+        lo = np.zeros(len(ms))
+        failed = {}
+        for k in range(len(ms)):
+            try:
+                lo[k] = _eigh(ms[k]).min()
+            except NumericalError as exc:
+                failed[k] = exc
+        return lo, failed
 
 
 def _state_errors(ms: np.ndarray, tol: float) -> dict:
@@ -291,17 +307,29 @@ def choi_matrix(c: KrausChannel) -> np.ndarray:
 
 def _choi(ops: np.ndarray) -> np.ndarray:
     """The Choi matrix of each channel of an (n, n_ops, out, in) stack of
-    Kraus lists, zero-padded to one length. The outer products are added
-    one term at a time in term order, as a sum over one channel's list
-    adds them: a padded term adds exact zeros, so each matrix has the bits
-    of its channel's own sum."""
+    Kraus lists, zero-padded to one length: ``_term_sum`` of the outer
+    products of the column-stacked operators."""
     n, terms, out_dim, in_dim = ops.shape
     vecs = ops.swapaxes(2, 3).reshape(n, terms, in_dim * out_dim)
-    outer = vecs[:, :, :, None] * vecs[:, :, None, :].conj()
-    j = np.zeros((n, in_dim * out_dim, in_dim * out_dim), dtype=complex)
-    for a in range(terms):
-        j += outer[:, a]
-    return j
+    return _term_sum(vecs, lambda v: v[..., :, None] * v[..., None, :].conj(), (in_dim * out_dim,) * 2)
+
+
+def _term_sum(ops: np.ndarray, term, shape: tuple) -> np.ndarray:
+    """sum_a term(ops[:, a]) for each row of the (n, n_terms, ...) stack
+    ``ops``: ``term`` maps a block of terms to the (n, block, *shape)
+    stack of their images. The images are added one term at a time in
+    term order, as a sum over one channel's list adds them, so a padded
+    term adds exact zeros and each sum has the bits of its channel's own;
+    the blocks hold at most _BOUND_BLOCK image entries, or one term."""
+    n, terms = ops.shape[:2]
+    acc = np.zeros((n, *shape), dtype=complex)
+    step = max(1, _BOUND_BLOCK // (n * math.prod(shape) or 1))
+    for lo in range(0, terms, step):
+        images = term(ops[:, lo:lo + step])
+        for a in range(images.shape[1]):
+            acc += images[:, a]
+        del images  # so that one block at a time is held
+    return acc
 
 
 def is_cptp(c: KrausChannel, tol: float = DEFAULT_TOL) -> tuple[bool, str | None]:
@@ -331,46 +359,47 @@ def settle_cptp(channels: Iterable[KrausChannel], tol: float) -> dict:
             groups.setdefault((c.in_dim, c.out_dim), {})[c] = None
     errors: dict = {}
     for group in groups.values():
-        errors.update(_settle_group(list(group), tol))
+        for chunk in _chunks(list(group)):
+            errors.update(_settle_group(chunk, tol))
     return errors
 
 
+def _chunks(channels: list) -> Iterator[list]:
+    """The channels of one (in_dim, out_dim), longest Kraus list first, in
+    runs whose zero-padded Kraus lists and Choi matrices each hold at most
+    _BOUND_BLOCK entries, or of one channel."""
+    channels = sorted(channels, key=lambda c: -len(c.kraus_ops))
+    d = channels[0].in_dim * channels[0].out_dim
+    lo = 0
+    while lo < len(channels):
+        hi = lo + max(1, _BOUND_BLOCK // (max(len(channels[lo].kraus_ops), d) * d or 1))
+        yield channels[lo:hi]
+        lo = hi
+
+
 def _settle_group(channels: list, tol: float) -> dict:
-    """``settle_cptp`` of channels of one (in_dim, out_dim): one Kraus sum
-    for every trace-preservation defect and one eigensolve for the Choi
-    matrices of the channels that pass it, over the Kraus lists zero-padded
-    to the longest. Sums run in term order, so every verdict has the bits
-    of its channel's own."""
+    """``settle_cptp`` of a run of channels of one (in_dim, out_dim): one
+    Kraus sum for every trace-preservation defect and one eigensolve for
+    the Choi matrices of the channels that pass it, over the Kraus lists
+    zero-padded to the longest. Sums run in term order, so every verdict
+    has the bits of its channel's own."""
     c0 = channels[0]
     ops = np.zeros((len(channels), max(len(c.kraus_ops) for c in channels), c0.out_dim, c0.in_dim), dtype=complex)
     for i, c in enumerate(channels):
         ops[i, :len(c.kraus_ops)] = c.kraus_ops
-    acc = np.zeros((len(channels), c0.in_dim, c0.in_dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
-        products = ops.conj().swapaxes(2, 3) @ ops
-        for a in range(ops.shape[1]):
-            acc += products[:, a]
+        acc = _term_sum(ops, lambda k: k.conj().swapaxes(2, 3) @ k, (c0.in_dim, c0.in_dim))
         tp_defect = np.abs(acc - np.eye(c0.in_dim)).max(axis=(1, 2))
     tp = tp_defect <= tol
     for i in np.flatnonzero(~tp):
         channels[i]._cptp[tol] = False, f"not trace preserving (defect {float(tp_defect[i]):.3e})"
     passed = np.flatnonzero(tp)
-    errors: dict = {}
     if not len(passed):
-        return errors
-    choi = hermitian_part(_choi(ops[passed]))
-    try:
-        lo = _eigh(choi).min(axis=1)
-    except NumericalError:
-        # LAPACK cannot say which matrix failed the stacked solve
-        lo = np.zeros(len(passed))
-        for k, i in enumerate(passed):
-            try:
-                lo[k] = _eigh(choi[k]).min()
-            except NumericalError as exc:
-                errors[channels[i]] = exc
+        return {}
+    lo, failed = _min_eigenvalues(hermitian_part(_choi(ops[passed])))
+    errors = {channels[passed[k]]: exc for k, exc in failed.items()}
     for k, i in enumerate(passed):
-        if channels[i] not in errors:
+        if k not in failed:
             channels[i]._cptp[tol] = (
                 (True, None) if lo[k] >= -tol
                 else (False, f"not completely positive (Choi eigenvalue {float(lo[k]):.3e})")
@@ -468,9 +497,6 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 # Rounding slack of the Frobenius bounds: a distance whose bounds come
 # within this of the radius is computed by eigensolve instead
 _GUARD = 1e-12
-# Matrix entries of the (images x named states) differences held at once:
-# the bounds are taken over blocks of images no larger than this
-_BOUND_BLOCK = 1 << 20
 
 
 def within_trace_distance(a: DensityMatrix, b: DensityMatrix, eps: float) -> bool:
@@ -479,10 +505,8 @@ def within_trace_distance(a: DensityMatrix, b: DensityMatrix, eps: float) -> boo
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
     d = a.mat - b.mat
-    norm = math.sqrt(np.square((d + d.conj().T).view(np.float64)).sum())
-    if norm * math.sqrt(a.dim) <= 4 * (eps - _GUARD):
-        return True
-    return bool(not norm > 4 * (eps + _GUARD) and trace_distance(a, b) <= eps)
+    hit, miss = _bound_verdicts(math.sqrt(np.square((d + d.conj().T).view(np.float64)).sum()), a.dim, eps)
+    return bool(hit if hit or miss else trace_distance(a, b) <= eps)
 
 
 def within_trace_distances(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
@@ -497,13 +521,22 @@ def within_trace_distances(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarr
     step = max(1, _BOUND_BLOCK // max(1, len(b) * dim * dim))
     # four times the half norms: the Frobenius norms of twice the Hermitian parts
     norm = np.concatenate([_hermitian_norms(a[lo:lo + step], b) for lo in range(0, max(len(a), 1), step)])
-    # the bounds scaled by 4, which is exact
-    hit = norm * math.sqrt(dim) <= 4 * (eps - _GUARD)
-    decided = hit | (norm > 4 * (eps + _GUARD))
+    hit, miss = _bound_verdicts(norm, dim, eps)
+    decided = hit | miss
     if not decided.all():
         for i, j in zip(*np.nonzero(~decided)):
             hit[i, j] = trace_distance(DensityMatrix._checked(a[i]), DensityMatrix._checked(b[j])) <= eps
     return hit
+
+
+def _bound_verdicts(norm, dim: int, eps: float):
+    """(hit, miss) of the Frobenius bounds at radius eps, for ``norm`` the
+    Frobenius norm of d + d^dag (four times the half norm of the Hermitian
+    part of d), a float or an array of them: a hit lies within
+    eps - _GUARD, a miss beyond eps + _GUARD, and a pair that is neither
+    is left to ``trace_distance``."""
+    # the bounds scaled by 4, which is exact
+    return norm * math.sqrt(dim) <= 4 * (eps - _GUARD), norm > 4 * (eps + _GUARD)
 
 
 def _hermitian_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ verification, application, composition, trace distance, and the
 one-array channel kernels against the per-operator code."""
 
 import itertools
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -876,6 +877,59 @@ class TestKrausArray:
                 is_cptp(bad)
             assert [is_cptp(c) for c in channels if c is not bad] == [(True, None)] * 3
         assert set(solved) == {(1, True)}  # only the failing channel is solved again
+
+    def test_blocks_and_runs_keep_the_bits(self, monkeypatch):
+        rng = np.random.default_rng(101)
+        channels = [
+            drawn_channel(rng, i, o, n, kind)
+            for i, o in ((2, 2), (3, 1)) for n in (1, 3, 7) for kind in ("cptp", "leaky", "raw")
+        ]
+        tols = (DEFAULT_TOL, 0.0)
+        want = {tol: [reference_cptp_verdict(c, tol) for c in channels] for tol in tols}
+        assert {ok for verdicts in want.values() for ok, _ in verdicts} == {True, False}
+        runs = Counter()
+        original = linalg_module._settle_group
+
+        def counting(group, tol):
+            runs[block] += 1
+            return original(group, tol)
+
+        monkeypatch.setattr(linalg_module, "_settle_group", counting)
+        # one term per block and one channel per run, a few of each, all at once
+        for block in (1, 40, 10 ** 6):
+            monkeypatch.setattr(linalg_module, "_BOUND_BLOCK", block)
+            for c in channels:
+                assert same_bits(choi_matrix(c), reference_choi_matrix(c))
+                assert same_bits(reduce_kraus(c).kraus_ops, np.array(reference_reduce_kraus(c)))
+                if c.in_dim == c.out_dim:
+                    assert same_bits(compose(c, c).kraus_ops, np.array(reference_compose(c, c)))
+            for tol in tols:
+                fresh = [KrausChannel(c.kraus_ops) for c in channels]
+                assert settle_cptp(fresh, tol) == {}
+                assert [c._cptp[tol] for c in fresh] == want[tol]
+        assert runs[1] == 2 * len(channels) and len(tols) * 2 < runs[40] < runs[1] and runs[10 ** 6] == 2 * len(tols)
+
+    def test_kraus_sums_hold_bounded_memory(self):
+        # every outer product of a sum at once would hold 256 MiB for the
+        # composite's 4096 terms and 264 MiB for the group
+        rng = np.random.default_rng(97)
+        g, f = (random_cptp_channel(rng, 8, 8, 64) for _ in range(2))
+        group = [random_cptp_channel(rng, 8, 8, n) for n in (1024, 16, 4, 1)]
+        composite, peak = traced(compose, g, f)
+        assert peak < 48 * 2 ** 20
+        assert same_bits(composite.kraus_ops, np.array(reference_compose(g, f)))
+        errors, peak = traced(settle_cptp, group, DEFAULT_TOL)
+        assert errors == {} and peak < 48 * 2 ** 20
+        assert [c._cptp[DEFAULT_TOL] for c in group] == [reference_cptp_verdict(c, DEFAULT_TOL) for c in group]
+
+
+def traced(call, *args):
+    """A call's value and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestOnePairDistance:
