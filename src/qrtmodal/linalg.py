@@ -501,12 +501,10 @@ _GUARD = 1e-12
 
 def within_trace_distance(a: DensityMatrix, b: DensityMatrix, eps: float) -> bool:
     """Whether trace_distance(a, b) <= eps: ``within_trace_distances`` of
-    the one pair, by the same bounds in plain 2-D arithmetic."""
+    the one pair."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    d = a.mat - b.mat
-    hit, miss = _bound_verdicts(math.sqrt(np.square((d + d.conj().T).view(np.float64)).sum()), a.dim, eps)
-    return bool(hit if hit or miss else trace_distance(a, b) <= eps)
+    return bool(within_trace_distances(a.mat[None], b.mat[None], eps)[0, 0])
 
 
 def within_trace_distances(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
@@ -521,22 +519,13 @@ def within_trace_distances(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarr
     step = max(1, _BOUND_BLOCK // max(1, len(b) * dim * dim))
     # four times the half norms: the Frobenius norms of twice the Hermitian parts
     norm = np.concatenate([_hermitian_norms(a[lo:lo + step], b) for lo in range(0, max(len(a), 1), step)])
-    hit, miss = _bound_verdicts(norm, dim, eps)
-    decided = hit | miss
+    # the bounds scaled by 4, which is exact
+    hit = norm * math.sqrt(dim) <= 4 * (eps - _GUARD)
+    decided = hit | (norm > 4 * (eps + _GUARD))
     if not decided.all():
         for i, j in zip(*np.nonzero(~decided)):
             hit[i, j] = trace_distance(DensityMatrix._checked(a[i]), DensityMatrix._checked(b[j])) <= eps
     return hit
-
-
-def _bound_verdicts(norm, dim: int, eps: float):
-    """(hit, miss) of the Frobenius bounds at radius eps, for ``norm`` the
-    Frobenius norm of d + d^dag (four times the half norm of the Hermitian
-    part of d), a float or an array of them: a hit lies within
-    eps - _GUARD, a miss beyond eps + _GUARD, and a pair that is neither
-    is left to ``trace_distance``."""
-    # the bounds scaled by 4, which is exact
-    return norm * math.sqrt(dim) <= 4 * (eps - _GUARD), norm > 4 * (eps + _GUARD)
 
 
 def _hermitian_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:

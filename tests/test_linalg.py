@@ -930,26 +930,3 @@ def traced(call, *args):
         return call(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-class TestOnePairDistance:
-    def test_agrees_with_the_stacked_kernel(self):
-        rng = np.random.default_rng(97)
-        checked = Counter()
-        for _ in range(400):
-            dim = int(rng.integers(1, 5))
-            a = random_density(rng, dim, pure=bool(rng.integers(2)))
-            b = a if rng.random() < 0.05 else random_density(rng, dim, pure=bool(rng.integers(2)))
-            d = a.mat - b.mat
-            norm = float(np.linalg.norm(d + d.conj().T))
-            dist = trace_distance(a, b)
-            radii = [dist * f for f in (0.0, 0.5, 1.0, 2.0)]
-            radii += [dist + u for u in (-1e-13, 1e-13, -1e-12, 1e-12)]
-            # the radii at which the bounds meet the guard band
-            radii += [norm * np.sqrt(dim) / 4 + linalg_module._GUARD + u for u in (-1e-15, 0.0, 1e-15)]
-            radii += [norm / 4 - linalg_module._GUARD + u for u in (-1e-15, 0.0, 1e-15)]
-            for eps in radii:
-                want = bool(within_trace_distances(a.mat[None], b.mat[None], eps)[0, 0])
-                assert within_trace_distance(a, b, eps) is want
-                checked[want] += 1
-        assert checked[True] > 500 and checked[False] > 500
