@@ -51,6 +51,7 @@ from .qrt import (
     Qrt,
     SystemDecl,
     complete_composition,
+    derive,
     is_sub_qrt,
     qrt_isomorphic,
     relabel_qrt,

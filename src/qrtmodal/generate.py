@@ -8,15 +8,23 @@ kept only if its images land within the matching radius of named states,
 otherwise it is rejected and the slot is resampled from the exact
 templates. More than _MAX_RESAMPLES rejections in one theory raise
 GenerationError.
+
+``generate_qrts`` makes many indices' theories at once: it draws each
+one's declarations as ``generate_qrt`` does, derives all their channels
+in one pass, closes each under composition, and derives and checks all
+the closed theories in one more pass (``qrt.derive``), so the batch pays
+numpy's per-call cost once, not once per theory. ``generate_qrt`` is its
+batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .errors import GenerationError, StructuralError
+from .errors import GenerationError, QrtModalError, StructuralError
 from .formulas import _UNARY, Atom, Formula, Implies
 from .linalg import (
     DensityMatrix,
@@ -34,7 +42,9 @@ from .qrt import (
     ChannelDecl,
     Qrt,
     SystemDecl,
+    _derive_maps,
     complete_composition,
+    derive,
     induced_map,
     relabel_qrt,
     sub_qrt,
@@ -88,7 +98,52 @@ def _distinct_states(
 
 def generate_qrt(cfg: GeneratorConfig, index: int = 0) -> Qrt:
     """One deterministic theory from (seed, index): validated and
-    composition-complete."""
+    composition-complete. ``generate_qrts`` of the one index."""
+    (q,) = generate_qrts(cfg, (index,))
+    return q
+
+
+def generate_qrts(cfg: GeneratorConfig, indices: Iterable[int]) -> list[Qrt]:
+    """``generate_qrt`` of each index, in order, in five steps: draw each
+    index's declarations, derive all their channels in one pass, close
+    each theory under composition, derive all the closed theories in one
+    pass (``derive``), and validate each one.
+
+    Raises what generating the indices one at a time raises first: the
+    failure of the lowest failing index, whether its draw, its closure or
+    its validation failed. A failed draw is not derived, and no index
+    after it is drawn."""
+    declared: list[Qrt] = []
+    # the failure of the lowest index so far: it is raised only once every
+    # earlier index has closed and validated
+    failure: QrtModalError | None = None
+    for index in indices:
+        try:
+            declared.append(_declared_qrt(cfg, index))
+        except QrtModalError as exc:
+            failure = exc
+            break
+    _derive_maps(declared)
+    closed: list[Qrt] = []
+    for q in declared:
+        try:
+            closed.append(complete_composition(q))
+        except QrtModalError as exc:
+            failure = exc
+            break
+    derive(closed)
+    for q in closed:
+        report = q.validate()
+        if not report.ok:
+            raise GenerationError(f"generated theory failed validation: {report.text()}")
+    if failure is not None:
+        raise failure
+    return closed
+
+
+def _declared_qrt(cfg: GeneratorConfig, index: int) -> Qrt:
+    """The theory of (seed, index) as drawn, before its closure: its
+    systems and the channels drawn between them."""
     rng = np.random.default_rng([cfg.seed, index])
     budget = _Budget(_MAX_RESAMPLES)
 
@@ -156,12 +211,7 @@ def generate_qrt(cfg: GeneratorConfig, index: int = 0) -> Qrt:
                     continue
                 budget.spend()
             channels.append(_template_channel(rng, src, dst, frames, basis_index, next_id))
-
-    q = complete_composition(Qrt(systems, channels))
-    report = q.validate()
-    if not report.ok:
-        raise GenerationError(f"generated theory failed validation: {report.text()}")
-    return q
+    return Qrt(systems, channels)
 
 
 def _template_channel(rng, src, dst, frames, basis_index, next_id) -> ChannelDecl:

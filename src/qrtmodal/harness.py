@@ -17,12 +17,12 @@ from .errors import QrtModalError, ResourceLimitError, StructuralError
 from .formulas import conversion_possibility_report, is_resource_preserving
 from .generate import (
     GeneratorConfig,
-    generate_qrt,
+    generate_qrts,
     random_relabeling,
     random_sub_qrt,
 )
 from .kripke import KripkeModel, StarredModel, is_s4, model_key, models_isomorphic
-from .qrt import Qrt
+from .qrt import Qrt, node_name
 from .smc import build_smc, check_object_cap, free_objects, verify_smc_laws
 from .translate import (
     conditions_key,
@@ -73,7 +73,13 @@ def build_family(
     deduplicated by translation isomorphism, then relabeled copies of the
     first min(_N_RELABELED, fresh) of them (so the sweep exercises true
     positives with non-trivial witnesses). A count of at most _N_RELABELED
-    yields no theory; below 2 _N_RELABELED, fewer than count."""
+    yields no theory; below 2 _N_RELABELED, fewer than count.
+
+    The generations come in batches (``generate_qrts``), each of as many
+    indices as the family still lacks theories, and no more than the
+    want * 10 limit leaves: every index of a batch is one that drawing
+    one index at a time would reach, so the family and the error raised
+    are the same."""
     cfg = config or default_family_config(seed)
     rng = np.random.default_rng([seed, 999])
     base: list[tuple[str, Qrt]] = []
@@ -81,17 +87,28 @@ def build_family(
     idx = 0
     want = count - _N_RELABELED
     while len(base) < want and idx < want * 10:
-        q = generate_qrt(cfg, index=idx)
-        m = to_model(q).model
-        bucket = kept.setdefault(model_key(m), [])
-        if not any(models_isomorphic(m, prev)[0] for prev in bucket):
-            base.append((f"gen{idx}", q))
-            bucket.append(m)
-        idx += 1
+        for q in generate_qrts(cfg, range(idx, idx + min(want - len(base), want * 10 - idx))):
+            m = to_model(q).model
+            bucket = kept.setdefault(model_key(m), [])
+            if not any(models_isomorphic(m, prev)[0] for prev in bucket):
+                base.append((f"gen{idx}", q))
+                bucket.append(m)
+            idx += 1
     out = list(base)
     for k in range(min(_N_RELABELED, len(base))):
         out.append((f"{base[k][0]}_relabeled", random_relabeling(base[k][1], rng)))
     return out
+
+
+def _function_edges(q: Qrt) -> set:
+    """(source atom, target atom, channel id) for each state pair of each
+    function of q's table, under the function's representative channel."""
+    return {
+        (node_name((a, st)), node_name((b, img)), cid)
+        for (a, b), fns in q.functions.items()
+        for key, cid in fns.items()
+        for st, img in key
+    }
 
 
 def run_theorems(
@@ -144,12 +161,14 @@ def run_theorems(
             s4_failures.append({"label": label, "witness": witness})
     report["s4"] = {"ok": not s4_failures, "failures": s4_failures}
 
-    # functor laws: relabelings and restrictions
-    funct_entries = []
-    for label, q in family:
-        rel = [random_relabeling(q, rng)]
-        subs = [random_sub_qrt(q, rng)] if len(q.systems) > 1 else []
-        funct_entries.append({"label": label, "ok": verify_functoriality(q, rel, subs)["ok"]})
+    # functor laws: relabelings and restrictions, drawn for every theory in
+    # family order before any is checked, so that the rebuilt theories
+    # derive in one batch; no list here holds the copies past their check
+    reports = verify_functoriality(
+        (q, [random_relabeling(q, rng)], [random_sub_qrt(q, rng)] if len(q.systems) > 1 else [])
+        for _, q in family
+    )
+    funct_entries = [{"label": label, "ok": rep["ok"]} for (label, _), rep in zip(family, reports)]
     report["functoriality"] = {"ok": all(e["ok"] for e in funct_entries), "entries": funct_entries}
 
     # equivalence of the isomorphism conditions with the model oracle; each
@@ -192,19 +211,27 @@ def run_theorems(
         "entries": image_entries,
     }
 
-    # every conversion edge validates (rho -> <> sigma)
+    # every conversion edge validates (rho -> <> sigma), and the instances
+    # cover every edge the theory's function table induces
     possibility_failures = []
+    uncovered = []
     n_instances = 0
-    for label, _ in family:
+    for label, q in family:
         rep = conversion_possibility_report(records[label])
         n_instances += len(rep["instances"])
-        if not rep["ok"]:
+        covered = {tuple(inst["edge"]) for inst in rep["instances"]}
+        missed = sorted(_function_edges(q) - covered)
+        uncovered += ({"label": label, "edge": list(edge)} for edge in missed)
+        if not rep["ok"] or missed:
             possibility_failures.append(label)
     report["possibility"] = {
         "ok": not possibility_failures,
         "instances": n_instances,
         "failures": possibility_failures,
     }
+    # only when non-empty, so that reports of covering records keep their bytes
+    if uncovered:
+        report["possibility"]["uncovered"] = uncovered
 
     # truth is monotone along edges: free never maps to resource
     violations = []

@@ -16,6 +16,11 @@ array of Frobenius bounds per destination system. The pass settles every
 channel, failures included: the first state in order whose image fails,
 misses or matches ambiguously decides the channel's outcome, and a
 failure is kept as its error, which every later use raises again.
+
+``derive`` runs that pass, and the CPTP verdicts validation reads, for
+many theories at once: the theories of one tolerance share each group
+pass, so numpy's fixed cost per call is paid once per batch, not once
+per theory. A lone theory derives as the batch of one.
 """
 
 from __future__ import annotations
@@ -239,6 +244,9 @@ class Qrt:
         # ChannelDecl -> the outcome of _induced_maps: the induced function,
         # None (an image misses the named universe) or (error type, message)
         self._induced: dict = {}
+        # {(src, dst): function keys} of the closure that made this theory,
+        # whose last sweep found no composite missing; None for any other
+        self._closure_keys: dict | None = None
 
     @property
     def systems(self) -> tuple:
@@ -270,20 +278,10 @@ class Qrt:
     def _outcome(self, decl: ChannelDecl):
         """The channel's ``_induced_maps`` outcome, derived once per channel
         and shared, so readers must not change it. The first lookup of a
-        channel not yet derived derives every such channel, in one pass; a
-        channel with an undeclared endpoint settles as a StructuralError."""
+        channel not yet derived derives every such channel, in one pass
+        (``_derive_maps`` of this theory)."""
         if decl not in self._induced:
-            todo = []
-            for d in self._channels:
-                if d in self._induced:
-                    continue
-                if d.src in self._by_id and d.dst in self._by_id:
-                    todo.append(d)
-                else:
-                    self._induced[d] = (StructuralError, f"channel {d.id}: endpoints {d.src}->{d.dst} undeclared")
-            self._induced.update(zip(todo, _induced_maps(
-                [(d.channel, self._by_id[d.src], self._by_id[d.dst]) for d in todo], self.tol
-            )))
+            _derive_maps((self,))
         return self._induced[decl]
 
     def _function(self, decl: ChannelDecl) -> dict | None:
@@ -343,7 +341,6 @@ class Qrt:
     def _report(self) -> ValidationReport:
         issues: list[Issue] = []
         seen_sys: set[str] = set()
-        misdimensioned: set[str] = set()
         for s in self._systems:
             if not ID_RE.match(s.id):
                 issues.append(Issue("bad-id", s.id, "system id is not an identifier"))
@@ -354,7 +351,6 @@ class Qrt:
                 if not ID_RE.match(st):
                     issues.append(Issue("bad-id", f"{s.id}.{st}", "state id is not an identifier"))
                 if dm.dim != s.dim:
-                    misdimensioned.add(s.id)
                     why = f"state dim {dm.dim} != system dim {s.dim}"
                     issues.append(Issue("dim-mismatch", f"{s.id}.{st}", why))
             # ambiguity: two named states closer than the matching radius allows
@@ -385,28 +381,9 @@ class Qrt:
             elif t.dim != 1:
                 issues.append(Issue("bad-trivial", self._trivial, "trivial system must have dim 1"))
 
-        seen_ch: set[str] = set()
-        checked = []  # (channel, its issues before the CPTP check, whether it reaches the check)
-        for decl in self._channels:
-            found = []
-            if decl.id in seen_ch:
-                found.append(Issue("duplicate-id", decl.id, "duplicate channel id"))
-            seen_ch.add(decl.id)
-            src, dst = self._by_id.get(decl.src), self._by_id.get(decl.dst)
-            reaches = False
-            if src is None or dst is None:
-                found.append(Issue("unknown-system", decl.id, f"endpoints {decl.src}->{decl.dst} undeclared"))
-            elif decl.channel.in_dim != src.dim or decl.channel.out_dim != dst.dim:
-                shape = f"{decl.channel.out_dim}x{decl.channel.in_dim} != {dst.dim}x{src.dim}"
-                found.append(Issue("dim-mismatch", decl.id, f"kraus shape {shape}"))
-            else:
-                # its named states cannot pass through a system with a state
-                # of another dim; that state is reported above
-                reaches = decl.src not in misdimensioned and decl.dst not in misdimensioned
-            checked.append((decl, found, reaches))
-        settle_cptp([decl.channel for decl, _, reaches in checked if reaches], self.tol)
-        closure_ok = all(reaches for _, _, reaches in checked)
-        for decl, found, reaches in checked:
+        derive((self,))
+        closure_ok = all(reaches for _, _, reaches in self._checked)
+        for decl, found, reaches in self._checked:
             issues += found
             if not reaches:
                 continue
@@ -441,10 +418,41 @@ class Qrt:
         return ValidationReport(tuple(issues))
 
     @cached_property
+    def _checked(self) -> tuple:
+        """(channel, its issues before the CPTP check, whether it reaches
+        the check) for every channel, in declaration order."""
+        # its named states cannot pass through a system with a state of
+        # another dim; the validation report names that state
+        misdimensioned = {s.id for s in self._systems if any(dm.dim != s.dim for dm in s.states.values())}
+        seen: set[str] = set()
+        checked = []
+        for decl in self._channels:
+            found = []
+            if decl.id in seen:
+                found.append(Issue("duplicate-id", decl.id, "duplicate channel id"))
+            seen.add(decl.id)
+            src, dst = self._by_id.get(decl.src), self._by_id.get(decl.dst)
+            reaches = False
+            if src is None or dst is None:
+                found.append(Issue("unknown-system", decl.id, f"endpoints {decl.src}->{decl.dst} undeclared"))
+            elif decl.channel.in_dim != src.dim or decl.channel.out_dim != dst.dim:
+                shape = f"{decl.channel.out_dim}x{decl.channel.in_dim} != {dst.dim}x{src.dim}"
+                found.append(Issue("dim-mismatch", decl.id, f"kraus shape {shape}"))
+            else:
+                reaches = decl.src not in misdimensioned and decl.dst not in misdimensioned
+            checked.append((decl, found, reaches))
+        return tuple(checked)
+
+    @cached_property
     def _missing_compositions(self) -> list:
         """The composable function pairs whose composite no channel
         induces: ``_missing_composites`` of ``functions``, in its
-        (a, b, f, c, g) order."""
+        (a, b, f, c, g) order. Empty without a sweep when ``functions``
+        has exactly the pairs and function keys of the closure that made
+        this theory: that closure's last sweep found nothing missing, and
+        a sweep reads nothing else."""
+        if {pair: fns.keys() for pair, fns in self.functions.items()} == self._closure_keys:
+            return []
         return _missing_composites(self.functions)
 
     # -- derived structure ----------------------------------------------------
@@ -467,6 +475,44 @@ class Qrt:
     def preorder(self) -> frozenset:
         """Convertibility: reflexive-transitive reachability over edges."""
         return reflexive_transitive_closure(((a, b) for a, b, _ in self.edges), self.nodes)
+
+
+def _derive_maps(theories: Iterable[Qrt]) -> None:
+    """Settle the outcome of every channel of the theories that has none
+    yet, with one ``_induced_maps`` call per tolerance: theories of one
+    tolerance share its group passes. A channel with an undeclared
+    endpoint settles as a StructuralError."""
+    todo: dict = {}  # tol -> [(theory, channel)]
+    for q in theories:
+        for d in q._channels:
+            if d in q._induced:
+                continue
+            if d.src in q._by_id and d.dst in q._by_id:
+                todo.setdefault(q.tol, []).append((q, d))
+            else:
+                q._induced[d] = (StructuralError, f"channel {d.id}: endpoints {d.src}->{d.dst} undeclared")
+    for tol, pending in todo.items():
+        outcomes = _induced_maps([(d.channel, q._by_id[d.src], q._by_id[d.dst]) for q, d in pending], tol)
+        for (q, d), outcome in zip(pending, outcomes):
+            q._induced[d] = outcome
+
+
+def derive(theories: Iterable[Qrt]) -> None:
+    """Settle what validating each theory derives, for all of them at
+    once: the outcome of every channel not yet derived (``_derive_maps``)
+    and the CPTP verdict of every channel validation checks, with one
+    ``settle_cptp`` call per tolerance. A batch only adds rows to the
+    one-theory passes, and every sum runs in Kraus-term order, so each
+    outcome and verdict is the one the theory would settle alone. An
+    eigensolve that fails leaves its channel unsettled, and validating
+    its theory raises the error."""
+    theories = list(theories)
+    _derive_maps(theories)
+    checked: dict = {}  # tol -> the channels validation checks
+    for q in theories:
+        checked.setdefault(q.tol, []).extend(d.channel for d, _, reaches in q._checked if reaches)
+    for tol, channels in checked.items():
+        settle_cptp(channels, tol)
 
 
 def _missing_composites(table: Mapping) -> list:
@@ -526,7 +572,9 @@ def complete_composition(q: Qrt) -> Qrt:
         key=lambda d: (order.get(d.id, len(order)), d.id),
     )
     # same systems and tolerances: q's kept channels induce the same functions
-    return _inherit(Qrt(q.systems, out, q.trivial_id, q.tol), q, ((d, d) for d in out))
+    closed = _inherit(Qrt(q.systems, out, q.trivial_id, q.tol), q, ((d, d) for d in out))
+    closed._closure_keys = {pair: frozenset(fns) for pair, fns in table.items()}
+    return closed
 
 
 def _inherit(

@@ -13,6 +13,7 @@ All theorem-condition oracles in this module work at the labeled
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -31,6 +32,7 @@ from .qrt import (
     _labeled_bijections,
     _profile_key,
     _profiles_agree,
+    derive,
     node_name,
     qrt_isomorphic,
     sub_qrt,
@@ -225,24 +227,35 @@ def monotone_violations(rec: TranslationRecord) -> list:
 # -- functor laws --------------------------------------------------------------
 
 
-def verify_functoriality(
-    x: Qrt, relabelings: Sequence[Qrt] = (), sub_qrts: Sequence[Qrt] = ()
-) -> dict:
-    """Check that translation respects identity, isomorphism, and
-    inclusion: relabeled sources give isomorphic models, restrictions give
-    sub-models, and the identity inclusion is preserved.
+def verify_functoriality(cases: Iterable[tuple[Qrt, Sequence[Qrt], Sequence[Qrt]]]) -> list[dict]:
+    """For each case (x, relabelings, sub_qrts), check that translation
+    respects identity, isomorphism, and inclusion: relabeled sources give
+    isomorphic models, restrictions give sub-models, and the identity
+    inclusion is preserved. One report per case, in order.
 
     Copies made by ``relabel_qrt`` and ``sub_qrt`` (the nested restriction
     included) hold x's channel and state objects and are given x's settled
     induced functions, so they translate without deriving them again; the
-    check is of the translation, not of the numerics. ``rebuilt``, a fresh
-    theory over x's declarations, is the one independent derivation, and
-    the identity law compares its model with x's."""
+    check is of the translation, not of the numerics. Each case's
+    ``rebuilt``, a fresh theory over x's declarations, is the one
+    independent derivation, and the identity law compares its model with
+    x's. The rebuilt theories of all cases are made first and derived in
+    one batch (``derive``); none shares an outcome with its x."""
+    pending = deque((x, Qrt(x.systems, x.channels, x.trivial_id, x.tol), rels, subs) for x, rels, subs in cases)
+    derive(rebuilt for _, rebuilt, _, _ in pending)
+    reports = []
+    while pending:  # a case goes once reported, so the records of its theories do not pile up
+        reports.append(_functor_laws(*pending.popleft()))
+    return reports
+
+
+def _functor_laws(x: Qrt, rebuilt: Qrt, relabelings: Sequence[Qrt], sub_qrts: Sequence[Qrt]) -> dict:
+    """``verify_functoriality``'s report of one case, with its rebuilt
+    theory."""
     base = to_model(x)
     report: dict = {"identity": False, "relabelings": [], "sub_models": [], "nested": None}
-    # a fresh theory, so that two independent derivations are compared
-    rebuilt = to_model(Qrt(x.systems, x.channels, x.trivial_id, x.tol))
-    report["identity"] = rebuilt.model == base.model and is_sub_model(base.model, base.model)
+    # two independent derivations are compared
+    report["identity"] = to_model(rebuilt).model == base.model and is_sub_model(base.model, base.model)
     for r in relabelings:
         ok, _ = models_isomorphic(base.model, to_model(r).model)
         report["relabelings"].append(bool(ok))

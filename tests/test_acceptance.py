@@ -105,7 +105,7 @@ def test_functoriality_relabelings_and_restrictions():
         q = generate_qrt(cfg)
         rels = [random_relabeling(q, rng) for _ in range(3)]
         subs = [random_sub_qrt(q, rng) for _ in range(2)] if len(q.systems) > 1 else []
-        rep = verify_functoriality(q, rels, subs)
+        (rep,) = verify_functoriality([(q, rels, subs)])
         assert rep["ok"], (k, rep)
         passed += 1
     assert passed == 50

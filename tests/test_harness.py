@@ -1,11 +1,13 @@
 """Harness tests: family assembly, consolidated report, status codes."""
 
 import hashlib
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from qrtmodal import corpus, harness, io, translate
+from qrtmodal import corpus, generate, harness, io, translate
 from qrtmodal.cli import main
 from qrtmodal.corpus import (
     broken_monotone_model,
@@ -15,10 +17,12 @@ from qrtmodal.corpus import (
     entanglement_qrt,
     resource_destroying_qrt,
 )
-from qrtmodal.errors import StructuralError
+from qrtmodal.errors import GenerationError, QrtModalError, ResourceLimitError, StructuralError
 from qrtmodal.generate import GeneratorConfig
 from qrtmodal.harness import build_family, run_theorems
 from qrtmodal.kripke import KripkeModel, StarredModel, model_key, models_isomorphic
+from qrtmodal.linalg import KrausChannel
+from qrtmodal.qrt import ChannelDecl, Qrt, node_name
 from qrtmodal.translate import conditions_key, iso_conditions, settled_conditions, to_model
 
 from helpers import reference_build_family
@@ -197,7 +201,7 @@ def test_report_paths_pinned(make_kwargs, status, digest):
 # each oracle the harness calls, replaced by one that always says "false"
 FALSE_ORACLES = {
     "s4": ("is_s4", lambda m: (False, "w")),
-    "functoriality": ("verify_functoriality", lambda q, rel, subs: {"ok": False}),
+    "functoriality": ("verify_functoriality", lambda cases: [{"ok": False} for _ in cases]),
     "iso_conditions": ("iso_conditions", lambda a, b, cap: {"i": False, "ii": False, "iii": False}),
     "image_conditions": ("image_conditions", lambda m: {"i": False, "ii": True}),
     "possibility": ("conversion_possibility_report", lambda rec: {"instances": [], "ok": False}),
@@ -262,3 +266,126 @@ def test_family_buckets_keep_the_same_sequence(seed, count, config):
     got = build_family(seed, count, config)
     assert [label for label, _ in got] == [label for label, _ in want]
     assert [to_model(q).model for _, q in got] == [to_model(q).model for _, q in want]
+
+
+# -- batched generation: the error raised and the indices drawn ----------------
+
+
+def plant_generation(monkeypatch, draw=(), close=(), invalid=()) -> list:
+    """Plant a failure in each phase of generation at the given indices:
+    a draw that raises GenerationError, a closure that raises
+    ResourceLimitError (StructuralError at an odd index), and a closed
+    theory with a channel that is not CPTP, which fails validation.
+    Returns the list that records each index drawn, in order."""
+    drawn = []
+    index_of = {}
+    real_draw, real_close = generate._declared_qrt, generate.complete_composition
+
+    def drawing(cfg, index):
+        drawn.append(index)
+        if index in draw:
+            raise GenerationError(f"planted draw failure at index {index}")
+        q = real_draw(cfg, index)
+        index_of[q] = index
+        return q
+
+    def closing(q):
+        index = index_of[q]
+        if index in close:
+            error = StructuralError if index % 2 else ResourceLimitError
+            raise error(f"planted closure failure at index {index}")
+        closed = real_close(q)
+        if index in invalid:
+            s = closed.systems[-1]
+            bad = ChannelDecl(f"planted_at_index_{index}", s.id, s.id, KrausChannel([2 * np.eye(s.dim)]))
+            closed = Qrt(closed.systems, [*closed.channels, bad], closed.trivial_id, closed.tol)
+        return closed
+
+    monkeypatch.setattr(generate, "_declared_qrt", drawing)
+    monkeypatch.setattr(generate, "complete_composition", closing)
+    return drawn
+
+
+def raised(build) -> tuple | None:
+    try:
+        build()
+    except QrtModalError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "plants, first",
+    [
+        ({}, None),
+        ({"draw": {5}}, 5),
+        ({"close": {3}, "draw": {7}}, 3),
+        ({"close": {4}}, 4),
+        ({"invalid": {9}, "close": {12}}, 9),
+        ({"draw": {2}, "invalid": {10}}, 2),
+        ({"invalid": {0, 1}}, 0),
+        ({"close": {38}, "invalid": {39}}, 38),
+        ({"invalid": {"last"}}, "last"),
+        ({"draw": {"last"}}, "last"),
+    ],
+)
+def test_batched_generation_raises_and_draws_as_the_sequential_loop(monkeypatch, plants, first):
+    seed, count = 1, 40
+    unplanted = plant_generation(monkeypatch)
+    reference_build_family(seed, count)
+    reach = sorted(unplanted)
+    # the family drops duplicates, so its draws run past the first batch
+    assert reach == list(range(len(reach))) and len(reach) > count - harness._N_RELABELED + 3
+    monkeypatch.undo()
+    # the last index the family draws, in its last batch
+    plants = {phase: {reach[-1] if i == "last" else i for i in idx} for phase, idx in plants.items()}
+    first = reach[-1] if first == "last" else first
+
+    want_drawn = plant_generation(monkeypatch, **plants)
+    want = raised(lambda: reference_build_family(seed, count))
+    monkeypatch.undo()
+    got_drawn = plant_generation(monkeypatch, **plants)
+    got = raised(lambda: build_family(seed, count))
+    assert got == want
+    assert (want is None) == (first is None)
+    if want is not None:
+        assert re.search(rf"index[ _]{first}\b", want[1]), want
+        assert max(want_drawn) == first
+    # each index drawn once, and none beyond the unplanted family's reach
+    assert len(set(got_drawn)) == len(got_drawn)
+    assert set(got_drawn) <= set(reach)
+    if not plants:
+        assert got_drawn == want_drawn
+    if plants.get("draw") and min(plants["draw"]) == first:
+        # a failed draw ends its batch's draws
+        assert max(got_drawn) == first
+
+
+# -- edge coverage of the possibility section -----------------------------------
+
+
+def test_a_dropped_function_edge_fails_only_possibility(monkeypatch):
+    # a planted translation defect: the first record built loses one edge
+    # of a representative channel between two systems
+    real = translate._translate
+    dropped = []
+
+    def planted(q):
+        rec = real(q)
+        if dropped:
+            return rec
+        reps = {(a, b, cid) for (a, b), fns in q.functions.items() for cid in fns.values()}
+        edge = min(e for e in rec.edges if (e[0][0], e[1][0], e[2]) in reps and e[0][0] != e[1][0])
+        dropped.append([node_name(edge[0]), node_name(edge[1]), edge[2]])
+        return translate.TranslationRecord(rec.edges - {edge}, rec.model, rec.order, rec.c_world)
+
+    monkeypatch.setattr(translate, "_translate", planted)
+    rep = run_theorems(seed=1, count=6)
+    assert rep["status"] == 1
+    assert [k for k in harness.SECTIONS if not rep[k]["ok"]] == ["possibility"]
+    assert rep["possibility"]["failures"] == ["gen0"]
+    assert rep["possibility"]["uncovered"] == [{"label": "gen0", "edge": dropped[0]}]
+
+
+def test_covering_records_add_no_uncovered_key():
+    assert "uncovered" not in run_theorems(seed=1, count=6)["possibility"]

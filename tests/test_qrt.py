@@ -7,6 +7,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qrtmodal.linalg as linalg_module
 import qrtmodal.qrt as qrt_module
@@ -33,6 +35,7 @@ from qrtmodal.linalg import (
     maximally_mixed,
     preparation_channel,
     scalar_one,
+    trace_channel,
     trace_distance,
     within_trace_distance,
 )
@@ -616,7 +619,7 @@ class TestDeriveOnce:
         monkeypatch.setattr(linalg_module, "_settle_group", counting)
         rng = np.random.default_rng(5)
         rel, sub = random_relabeling(q, rng), sub_qrt(q, [s.id for s in q.systems][:2])
-        assert verify_functoriality(q, [rel], [sub])["ok"]
+        assert verify_functoriality([(q, [rel], [sub])])[0]["ok"]
         assert checked == Counter({(id(d.channel), q.tol): 1 for d in q.channels})
 
     def test_functoriality_rederives_the_rebuilt_theory(self, monkeypatch):
@@ -626,7 +629,7 @@ class TestDeriveOnce:
         q = build_family(1, 5)[0][1]
         to_model(q)  # the theory's own record is kept; the rebuilt one is not
         applied = _count_applications(monkeypatch)
-        assert verify_functoriality(q)["ok"]
+        assert verify_functoriality([(q, (), ())])[0]["ok"]
         assert applied == Counter(
             (id(d.channel), id(dm))
             for d in q.channels
@@ -642,7 +645,7 @@ class TestDeriveOnce:
         rng = np.random.default_rng(5)
         rel, sub = random_relabeling(q, rng), sub_qrt(q, [s.id for s in q.systems][:2])
         applied = _count_applications(monkeypatch)
-        report = verify_functoriality(q, [rel], [sub])
+        (report,) = verify_functoriality([(q, [rel], [sub])])
         assert report["ok"] and report["nested"] is not None
         # the copies and the nested restriction carry q's outcomes: only
         # the rebuilt theory applies q's channels, each to each state once
@@ -1382,3 +1385,204 @@ class TestMissingCompositesAgainstReference:
             for variant in open_variants(q):
                 closure_outcome(complete_composition, variant)
         assert passes[True] > 50 and passes[False] > 50
+
+
+# -- many theories derived in one batch ------------------------------------------
+
+
+def fresh_copy(q: Qrt, tol: float | None = None) -> Qrt:
+    """A theory over q's systems and channel ids with new channel objects,
+    so that it shares no outcome and no CPTP verdict with q or another
+    copy."""
+    return Qrt(
+        q.systems,
+        [ChannelDecl(d.id, d.src, d.dst, KrausChannel(d.channel.kraus_ops)) for d in q.channels],
+        q.trivial_id,
+        q.tol if tol is None else tol,
+    )
+
+
+def settled_outcomes(q: Qrt) -> list:
+    """(channel id, outcome, CPTP verdict) of each channel in order, read
+    without deriving anything: the map's items in state order, None or
+    (error type, message), and the verdict kept at q's tolerance, or None
+    when there is none."""
+    out = []
+    for d in q.channels:
+        o = q._induced[d]
+        out.append((d.id, list(o.items()) if isinstance(o, dict) else o, d.channel._cptp.get(q.tol)))
+    return out
+
+
+def check_alone_and_batched(theories: list) -> int:
+    """Fresh copies of each theory at tolerance 1e-9 and at 1e-3, each
+    derived alone, against fresh copies of all of them derived in one
+    ``derive`` call beside a twin of each that shares its copy's system
+    and channel objects: every channel settles the same outcome and keeps
+    the same CPTP verdict. Returns the count of channels compared."""
+    cases = [(q, tol) for q in theories for tol in (DEFAULT_TOL, 1e-3)]
+    alone = []
+    for q, tol in cases:
+        copy = fresh_copy(q, tol)
+        qrt_module.derive([copy])
+        alone.append(settled_outcomes(copy))
+    batch = [fresh_copy(q, tol) for q, tol in cases]
+    twins = [Qrt(c.systems, c.channels, c.trivial_id, c.tol) for c in batch]
+    qrt_module.derive([x for pair in zip(batch, twins) for x in pair])
+    for want, copy, twin in zip(alone, batch, twins):
+        assert settled_outcomes(copy) == settled_outcomes(twin) == want
+    return sum(map(len, alone))
+
+
+_MENU = {
+    "c": SystemDecl("c", 1, {"one": scalar_one()}),
+    "A": SystemDecl("A", 2, {"a0": basis_state(2, 0), "a1": basis_state(2, 1)}),
+    "B": SystemDecl("B", 2, {"b0": basis_state(2, 0), "b1": basis_state(2, 1)}),
+    # |1> matches both of its states: an ambiguous match
+    "C": SystemDecl("C", 2, {"c1": basis_state(2, 1), "c1_near": DensityMatrix(np.diag([1e-10, 1 - 1e-10]).astype(complex))}),
+    # a state of another dim than the system's
+    "W": SystemDecl("W", 2, {"w0": basis_state(2, 0), "w3": basis_state(3, 0)}),
+    "Q": SystemDecl("Q", 3, {"q0": basis_state(3, 0), "q2": basis_state(3, 2)}),
+}
+_KINDS = {
+    "keep": lambda: function_channel([0, 1], 2, 2),
+    "swap": lambda: function_channel([1, 0], 2, 2),
+    "inflate": lambda: KrausChannel([np.diag([1.0, 1.1])]),  # not CPTP, and its images are no states
+    "shrink": lambda: KrausChannel([np.diag([1.0, 0.5])]),  # not CPTP; |1> leaves the named states
+    "mix": lambda: constant_channel(maximally_mixed(2), 2),  # a miss on A, B and C
+    "prepare": lambda: preparation_channel(basis_state(2, 1)),
+    "discard": lambda: trace_channel(2),
+    "widen": lambda: function_channel([0, 2], 2, 3),
+    "narrow": lambda: function_channel([0, 1, 1], 3, 2),
+}
+
+
+@st.composite
+def failing_theories(draw) -> Qrt:
+    """A theory over a few systems of ``_MENU`` whose channels, of the
+    kinds of ``_KINDS``, may fail CPTP, miss, match ambiguously, fit no
+    dims, meet a state of another dim, or name an undeclared system."""
+    names = draw(st.lists(st.sampled_from(sorted(_MENU)), min_size=1, max_size=4, unique=True))
+    ends = st.sampled_from([*names, "Z"])
+    specs = draw(st.lists(st.tuples(st.sampled_from(sorted(_KINDS)), ends, ends), max_size=6))
+    channels = [ChannelDecl(f"ch{i}", src, dst, _KINDS[kind]()) for i, (kind, src, dst) in enumerate(specs)]
+    return Qrt([_MENU[n] for n in names], channels)
+
+
+class TestBatchedDerivation:
+    def test_corpus_and_built_theories(self):
+        theories = corpus_theories() + list(built_theories().values())
+        assert check_alone_and_batched(theories) > 100
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_family(self, seed):
+        from qrtmodal.harness import build_family
+
+        assert check_alone_and_batched([q for _, q in build_family(seed, 40)]) > 300
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(failing_theories(), min_size=1, max_size=4))
+    def test_failing_channels(self, theories):
+        check_alone_and_batched(theories)
+
+    def test_the_drawn_theories_reach_every_failure(self):
+        # the kinds and systems the strategy draws from settle each failure
+        theories = [
+            Qrt([_MENU["A"], _MENU["B"], _MENU["C"], _MENU["W"], _MENU["Q"]], [
+                ChannelDecl("inflate", "A", "B", _KINDS["inflate"]()),
+                ChannelDecl("mix", "A", "B", _KINDS["mix"]()),
+                ChannelDecl("ambiguous", "A", "C", _KINDS["swap"]()),
+                ChannelDecl("away", "A", "Z", _KINDS["keep"]()),
+                ChannelDecl("other_dim", "W", "A", _KINDS["keep"]()),
+                ChannelDecl("misfit", "A", "Q", _KINDS["keep"]()),
+            ]),
+        ]
+        check_alone_and_batched(theories)
+        q = fresh_copy(theories[0])
+        qrt_module.derive([q])
+        outcomes = {d.id: q._induced[d] for d in q.channels}
+        assert outcomes["inflate"] == (ShapeError, "not a density matrix: trace is 1.210000, not 1")
+        assert outcomes["mix"] is None
+        assert outcomes["ambiguous"] == (StructuralError, "ambiguous match in system C: ['c1', 'c1_near']")
+        assert outcomes["away"] == (StructuralError, "channel away: endpoints A->Z undeclared")
+        assert outcomes["other_dim"] == (DimensionMismatchError, "state dim 3 does not match channel input dim 2")
+        assert outcomes["misfit"] == (DimensionMismatchError, "dims differ: 2 vs 3")
+        verdicts = {d.id: d.channel._cptp.get(q.tol) for d in q.channels}
+        assert verdicts["inflate"][0] is False and verdicts["mix"] == (True, None)
+        # no named state of W passes through a channel validation checks
+        assert verdicts["other_dim"] is None and verdicts["away"] is None
+
+    def test_one_pass_of_each_kernel_per_tolerance(self, monkeypatch):
+        from qrtmodal.harness import build_family
+
+        theories = [fresh_copy(q, tol) for _, q in build_family(1, 12) for tol in (DEFAULT_TOL, 1e-3)]
+        calls = Counter()
+        maps, cptp = qrt_module._induced_maps, qrt_module.settle_cptp
+
+        def counting_maps(derivations, tol):
+            calls["maps", tol] += 1
+            return maps(derivations, tol)
+
+        def counting_cptp(channels, tol):
+            calls["cptp", tol] += 1
+            return cptp(channels, tol)
+
+        monkeypatch.setattr(qrt_module, "_induced_maps", counting_maps)
+        monkeypatch.setattr(qrt_module, "settle_cptp", counting_cptp)
+        qrt_module.derive(theories)
+        assert calls == Counter({(kind, tol): 1 for kind in ("maps", "cptp") for tol in (DEFAULT_TOL, 1e-3)})
+        # validation finds everything settled: no theory derives again
+        calls.clear()
+        assert all(q.validate().ok for q in theories)
+        assert not any(n for (kind, _), n in calls.items() if kind == "maps")
+
+
+# -- the closed theory reuses its closure's last sweep ---------------------------
+
+
+def _chain_to_close() -> Qrt:
+    a0, a1 = basis_state(2, 0), basis_state(2, 1)
+    return Qrt(
+        [SystemDecl("A", 2, {"a0": a0, "a1": a1}), SystemDecl("B", 2, {"b0": a0, "b1": a1})],
+        [
+            ChannelDecl("f", "A", "B", function_channel([0, 0], 2, 2)),
+            ChannelDecl("g", "B", "A", function_channel([1, 0], 2, 2)),
+        ],
+    )
+
+
+class TestClosureHandsOverItsSweep:
+    def test_a_closed_theory_does_not_sweep_again(self, monkeypatch):
+        sweeps = Counter()
+        original = qrt_module._missing_composites
+
+        def counting(table):
+            sweeps["sweeps"] += 1
+            return original(table)
+
+        monkeypatch.setattr(qrt_module, "_missing_composites", counting)
+        closed = complete_composition(_chain_to_close())
+        before = sweeps["sweeps"]
+        assert closed.validate().ok
+        assert sweeps["sweeps"] == before
+        # a copy of the closed theory is not the closure's: it sweeps
+        assert Qrt(closed.systems, closed.channels, closed.trivial_id, closed.tol).validate().ok
+        assert sweeps["sweeps"] == before + 1
+
+    def test_a_composite_inducing_another_function_is_swept(self, monkeypatch):
+        # every composite realises the constant map onto the second state,
+        # so the closed table differs from the closure's own
+        real = qrt_module.compose
+
+        def planted(g, f):
+            real(g, f)
+            return function_channel([1] * f.in_dim, f.in_dim, g.out_dim)
+
+        monkeypatch.setattr(qrt_module, "compose", planted)
+        closed = complete_composition(_chain_to_close())
+        keys = {pair: set(fns) for pair, fns in closed.functions.items()}
+        assert keys != {pair: set(fns) for pair, fns in closed._closure_keys.items()}
+        direct = qrt_module._missing_composites(closed.functions)
+        assert direct
+        issues = [(i.code, i.subject) for i in closed.validate().issues]
+        assert issues == [("composition-closure", f"{a}->{b}->{c}") for a, b, _, c, _, _ in direct]

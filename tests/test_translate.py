@@ -117,7 +117,7 @@ class TestDeriveOnce:
         to_model(q)
         assert len(calls) == 1
         # the identity law compares two independent derivations
-        rep = verify_functoriality(q)
+        (rep,) = verify_functoriality([(q, (), ())])
         assert rep["identity"]
         assert len(calls) == 2
 
@@ -387,7 +387,7 @@ class TestVerifyFunctoriality:
         q = corpus.entanglement_qrt()
         rels = [random_relabeling(q, rng) for _ in range(2)]
         subs = [random_sub_qrt(q, rng) for _ in range(2)]
-        rep = verify_functoriality(q, rels, subs)
+        (rep,) = verify_functoriality([(q, rels, subs)])
         assert rep["ok"], rep
         assert rep["identity"]
         assert all(rep["relabelings"]) and all(rep["sub_models"])
@@ -401,9 +401,7 @@ class TestVerifyFunctoriality:
         assert is_sub_model(to_model(sub).model, to_model(q).model)
 
     def test_wrong_claimed_relabeling_flagged(self):
-        rep = verify_functoriality(
-            corpus.chain_qrt(), relabelings=[corpus.convex_closed_qrt()]
-        )
+        (rep,) = verify_functoriality([(corpus.chain_qrt(), [corpus.convex_closed_qrt()], ())])
         assert not rep["ok"]
         assert rep["relabelings"] == [False]
 
