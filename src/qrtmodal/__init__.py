@@ -48,14 +48,13 @@ from .linalg import (
 )
 from .qrt import (
     ChannelDecl,
+    LabeledTheory,
     Qrt,
     SystemDecl,
     complete_composition,
     derive,
-    is_sub_qrt,
     qrt_isomorphic,
     relabel_qrt,
-    sub_qrt,
 )
 from .smc import build_smc, free_objects, verify_smc_laws
 from .translate import (

@@ -40,14 +40,13 @@ from .linalg import (
 )
 from .qrt import (
     ChannelDecl,
+    LabeledTheory,
     Qrt,
     SystemDecl,
     _derive_maps,
     complete_composition,
     derive,
     induced_map,
-    relabel_qrt,
-    sub_qrt,
 )
 from .relations import Budget
 
@@ -125,9 +124,10 @@ def generate_qrts(cfg: GeneratorConfig, indices: Iterable[int]) -> list[Qrt]:
             break
     _derive_maps(declared)
     closed: list[Qrt] = []
-    for q in declared:
+    declared.reverse()  # popped in index order: a declared theory goes once closed
+    while declared:
         try:
-            closed.append(complete_composition(q))
+            closed.append(complete_composition(declared.pop()))
         except QrtModalError as exc:
             failure = exc
             break
@@ -246,7 +246,9 @@ def _template_channel(rng, src, dst, frames, basis_index, next_id) -> ChannelDec
 # -- random relabelings and restrictions ---------------------------------------
 
 
-def random_relabeling(q: Qrt, rng: np.random.Generator) -> Qrt:
+def random_relabeling(q: Qrt | LabeledTheory, rng: np.random.Generator) -> Qrt | LabeledTheory:
+    """q with systems and states renamed at random: a fresh ``Qrt`` of a
+    ``Qrt``, a label map of a ``LabeledTheory``."""
     sys_ids = [s.id for s in q.systems]
     new_sys = [f"X{i}" for i in rng.permutation(len(sys_ids))]
     sys_map = dict(zip(sys_ids, new_sys))
@@ -255,16 +257,17 @@ def random_relabeling(q: Qrt, rng: np.random.Generator) -> Qrt:
         names = sorted(s.states)
         perm = rng.permutation(len(names))
         state_maps[s.id] = {names[i]: f"t{int(perm[i])}" for i in range(len(names))}
-    return relabel_qrt(q, sys_map, state_maps)
+    return q.relabeled(sys_map, state_maps)
 
 
-def random_sub_qrt(q: Qrt, rng: np.random.Generator) -> Qrt:
+def random_sub_qrt(q: Qrt | LabeledTheory, rng: np.random.Generator) -> LabeledTheory:
+    """``q.labeled`` restricted to a random proper subset of its systems
+    (to all of them when it has one)."""
     sys_ids = sorted(s.id for s in q.systems)
     if len(sys_ids) == 1:
-        return sub_qrt(q, sys_ids)
+        return q.labeled.restricted(sys_ids)
     n_keep = int(rng.integers(1, len(sys_ids)))
-    keep = [sys_ids[i] for i in sorted(rng.permutation(len(sys_ids))[:n_keep])]
-    return sub_qrt(q, keep)
+    return q.labeled.restricted(sys_ids[i] for i in sorted(rng.permutation(len(sys_ids))[:n_keep]))
 
 
 # -- random formulas (for the logic kernel checks) -----------------------------

@@ -161,11 +161,11 @@ def run_theorems(
             s4_failures.append({"label": label, "witness": witness})
     report["s4"] = {"ok": not s4_failures, "failures": s4_failures}
 
-    # functor laws: relabelings and restrictions, drawn for every theory in
-    # family order before any is checked, so that the rebuilt theories
-    # derive in one batch; no list here holds the copies past their check
+    # functor laws: label copies, drawn for every theory in family order
+    # before any is checked, so that the rebuilt theories derive in one
+    # batch; no list here holds the copies past their check
     reports = verify_functoriality(
-        (q, [random_relabeling(q, rng)], [random_sub_qrt(q, rng)] if len(q.systems) > 1 else [])
+        (q, [random_relabeling(q.labeled, rng)], [random_sub_qrt(q, rng)] if len(q.systems) > 1 else [])
         for _, q in family
     )
     funct_entries = [{"label": label, "ok": rep["ok"]} for (label, _), rep in zip(family, reports)]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -226,8 +227,9 @@ def maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
+@cache
 def scalar_one() -> DensityMatrix:
-    """The single state on the trivial one-dimensional space."""
+    """The single state on the trivial one-dimensional space, shared."""
     return DensityMatrix([[1.0]])
 
 

@@ -21,12 +21,17 @@ failure is kept as its error, which every later use raises again.
 many theories at once: the theories of one tolerance share each group
 pass, so numpy's fixed cost per call is paid once per batch, not once
 per theory. A lone theory derives as the batch of one.
+
+All that is read after validation is labels, and ``Qrt.labeled``, the
+one validity gate, returns them as a ``LabeledTheory``: nothing numeric.
+Both types share the label rules (``_LabelRules``); relabeling and
+restricting a labeled theory are pure maps on its labels.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -203,12 +208,132 @@ def _induced_maps(derivations: Sequence[tuple], tol: float) -> list:
     return outcomes
 
 
-class Qrt:
+# a system as a LabeledTheory holds it: id, dim and state names in declaration order
+SystemLabels = namedtuple("SystemLabels", "id dim states")
+
+
+class _LabelRules:
+    """The label rules of a theory, read off its ``systems`` (each with an
+    ``id``, a ``dim`` and ``states`` that iterate as the state names), its
+    ``trivial_id`` and its ``rows``: (channel id, src, dst, function key)
+    per channel in declaration order, the key being the sorted item tuple
+    of the channel's induced function. Each is computed once."""
+
+    @cached_property
+    def _by_id(self) -> dict:
+        return {s.id: s for s in self.systems}
+
+    def system(self, sid: str):
+        return self._by_id[sid]
+
+    @cached_property
+    def nodes(self) -> tuple:
+        return tuple((s.id, st) for s in self.systems for st in sorted(s.states))
+
+    @cached_property
+    def functions(self) -> dict:
+        """{(src, dst): {function key: representative channel id}}: the
+        first channel of each key represents it."""
+        table: dict = {}
+        for cid, src, dst, key in self.rows:
+            table.setdefault((src, dst), {}).setdefault(key, cid)
+        return table
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The conversion edges: (source node, target node, channel id) for
+        every channel and named source state."""
+        return frozenset(((src, st), (dst, img), cid) for cid, src, dst, key in self.rows for st, img in key)
+
+    @cached_property
+    def trivial_node(self) -> Node | None:
+        if self.trivial_id is None:
+            return None
+        states = sorted(self._by_id[self.trivial_id].states)
+        return (self.trivial_id, states[0]) if len(states) == 1 else None
+
+    @cached_property
+    def preorder(self) -> frozenset:
+        """Convertibility: reflexive-transitive reachability over edges."""
+        return reflexive_transitive_closure(((a, b) for a, b, _ in self.edges), self.nodes)
+
+    @cached_property
+    def free_states(self) -> frozenset:
+        """Named states convertible from the trivial state: its up-set in
+        the preorder. The trivial state itself is excluded (it is neither
+        free nor a resource)."""
+        start = self.trivial_node
+        if start is None:
+            if any(self._by_id[src].dim == 1 for _, src, _, _ in self.rows):
+                raise StructuralError("preparations declared but no trivial system")
+            return frozenset()
+        return frozenset(b for a, b in self.preorder if a == start and b != start)
+
+
+@dataclass(frozen=True)
+class LabeledTheory(_LabelRules):
+    """A valid theory's labels (``_LabelRules``) and nothing numeric, as
+    ``Qrt.labeled`` makes them. Its copies are label maps: they validate
+    nothing and derive nothing."""
+
+    systems: tuple  # of SystemLabels
+    trivial_id: str | None
+    rows: tuple
+
+    @property
+    def labeled(self) -> LabeledTheory:
+        return self
+
+    def relabeled(self, sys_map: Mapping[str, str], state_maps: Mapping[str, Mapping[str, str]]) -> LabeledTheory:
+        """``relabel_qrt`` of the labels: the same names, and errors."""
+        new = _renaming(self.systems, sys_map, state_maps)
+        return LabeledTheory(
+            tuple(SystemLabels(new[s.id][0], s.dim, tuple(new[s.id][1].values())) for s in self.systems),
+            new[self.trivial_id][0] if self.trivial_id else None,
+            tuple(
+                (cid, new[a][0], new[b][0], tuple(sorted((new[a][1][x], new[b][1][y]) for x, y in key)))
+                for cid, a, b, key in self.rows
+            ),
+        )
+
+    def restricted(self, keep: Iterable[str]) -> LabeledTheory:
+        """The restriction to the given systems: rows with a dropped
+        endpoint go, and so does the trivial id when its system does."""
+        kept = set(keep)
+        systems = tuple(s for s in self.systems if s.id in kept)
+        if not systems:
+            raise StructuralError("a sub-theory needs at least one system")
+        rows = tuple(r for r in self.rows if r[1] in kept and r[2] in kept)
+        return LabeledTheory(systems, self.trivial_id if self.trivial_id in kept else None, rows)
+
+
+def _renaming(systems: Sequence, sys_map: Mapping[str, str], state_maps: Mapping[str, Mapping[str, str]]) -> dict:
+    """{system id: (new id, {state: new name})}; an id the maps leave out
+    keeps its name. Raises StructuralError when two systems, or two states
+    of one system, would share a name."""
+    names: dict = {}
+    for sid in dict.fromkeys(s.id for s in systems):
+        new = sys_map.get(sid, sid)
+        if names.setdefault(new, sid) != sid:
+            raise StructuralError(f"relabeling maps systems {names[new]} and {sid} both to {new}")
+    out: dict = {}
+    for s in systems:
+        smap, seen = state_maps.get(s.id, {}), set()
+        renamed = out.setdefault(s.id, (sys_map.get(s.id, s.id), {}))[1]
+        for st in s.states:
+            renamed[st] = new = smap.get(st, st)
+            if new in seen:
+                raise StructuralError(f"relabeling maps two states of system {s.id} to {new}")
+            seen.add(new)
+    return out
+
+
+class Qrt(_LabelRules):
     """An immutable finite theory.
 
     Every derived artifact (the induced function of each channel, the
-    validation report, the edges, the preorder and the free states) is
-    computed at most once per instance and memoised on it. Changing a
+    validation report, the label rules' artifacts and the labeled theory)
+    is computed at most once per instance and memoised on it. Changing a
     ``SystemDecl.states`` mapping after construction is therefore
     unsupported: the memos would go stale."""
 
@@ -220,15 +345,11 @@ class Qrt:
         tol: float = DEFAULT_TOL,
     ):
         self._systems = tuple(systems)
-        self._by_id = {s.id: s for s in self._systems}
         chans = list(channels)
         taken = {c.id for c in chans}
         # the identity channel on every system is mandatory; add it when absent
         for s in self._systems:
-            if any(
-                c.src == s.id and c.dst == s.id and _matrix_is_identity(c.channel)
-                for c in chans
-            ):
+            if any(c.src == s.id == c.dst and _matrix_is_identity(c.channel) for c in chans):
                 continue
             cid = f"id_{s.id}"
             while cid in taken:
@@ -260,13 +381,6 @@ class Qrt:
     def trivial_id(self) -> str | None:
         return self._trivial
 
-    def system(self, sid: str) -> SystemDecl:
-        return self._by_id[sid]
-
-    @cached_property
-    def nodes(self) -> tuple:
-        return tuple((s.id, st) for s in self._systems for st in sorted(s.states))
-
     def match_named(self, sid: str, dm: DensityMatrix) -> str | None:
         """The unique named state of system sid within trace distance tol,
         or None: ``_matches`` of the one state.
@@ -290,46 +404,39 @@ class Qrt:
         return _settled(self._outcome(decl))
 
     @cached_property
-    def _channel_functions(self) -> tuple:
-        """(channel, induced function) for every channel, in declaration
-        order. Raises StructuralError for the first channel whose function
-        leaves the named universe."""
-        pairs = []
+    def rows(self) -> tuple:
+        """(channel id, src, dst, function key) for every channel, in
+        declaration order. Raises StructuralError for the first channel
+        whose function leaves the named universe."""
+        rows = []
         for decl in self._channels:
             fn = self._function(decl)
             if fn is None:
                 raise StructuralError(f"channel {decl.id} does not preserve the named universe")
-            pairs.append((decl, fn))
-        return tuple(pairs)
+            rows.append((decl.id, decl.src, decl.dst, tuple(sorted(fn.items()))))
+        return tuple(rows)
 
     @cached_property
-    def functions(self) -> dict:
-        """{(src, dst): {function key: representative channel id}} with
-        extensional deduplication. Function keys are sorted item tuples."""
-        table: dict = {}
-        for decl, fn in self._channel_functions:
-            key = tuple(sorted(fn.items()))
-            table.setdefault((decl.src, decl.dst), {}).setdefault(key, decl.id)
-        return table
+    def labeled(self) -> LabeledTheory:
+        """The theory's labels: the one validity gate, which raises
+        StructuralError for an invalid theory."""
+        report = self.validate()
+        if not report.ok:
+            raise StructuralError(f"source theory is invalid: {report.text()}")
+        systems = tuple(SystemLabels(s.id, s.dim, tuple(s.states)) for s in self._systems)
+        return LabeledTheory(systems, self._trivial, self.rows)
 
-    @cached_property
-    def edges(self) -> frozenset:
-        """The conversion edges: (source node, target node, channel id) for
-        every channel and named source state."""
-        return frozenset(
-            ((decl.src, st), (decl.dst, img), decl.id)
-            for decl, fn in self._channel_functions
-            for st, img in fn.items()
-        )
-
-    @cached_property
-    def trivial_node(self) -> Node | None:
-        if self._trivial is None:
-            return None
-        states = sorted(self._by_id[self._trivial].states)
-        if len(states) != 1:
-            return None
-        return (self._trivial, states[0])
+    def relabeled(self, sys_map: Mapping[str, str], state_maps: Mapping[str, Mapping[str, str]]) -> Qrt:
+        """A fresh theory over this one's channel and state matrices with
+        systems and states renamed; an id the maps leave out keeps its
+        name. It derives its induced functions itself. Raises
+        StructuralError when two systems, or two states of one system,
+        would share a name."""
+        new = _renaming(self._systems, sys_map, state_maps)
+        systems = [SystemDecl(new[s.id][0], s.dim, {new[s.id][1][st]: dm for st, dm in s.states.items()}) for s in self._systems]
+        channels = [ChannelDecl(d.id, sys_map.get(d.src, d.src), sys_map.get(d.dst, d.dst), d.channel) for d in self._channels]
+        trivial = sys_map.get(self._trivial, self._trivial) if self._trivial else None
+        return Qrt(systems, channels, trivial, self.tol)
 
     # -- validation -----------------------------------------------------------
 
@@ -455,27 +562,6 @@ class Qrt:
             return []
         return _missing_composites(self.functions)
 
-    # -- derived structure ----------------------------------------------------
-
-    @cached_property
-    def free_states(self) -> frozenset:
-        """Named states convertible from the trivial state: its up-set in
-        the preorder. The trivial state itself is excluded (it is neither
-        free nor a resource)."""
-        start = self.trivial_node
-        if start is None:
-            if any(
-                self._by_id[d.src].dim == 1 for d in self._channels if d.src in self._by_id
-            ):
-                raise StructuralError("preparations declared but no trivial system")
-            return frozenset()
-        return frozenset(b for a, b in self.preorder if a == start and b != start)
-
-    @cached_property
-    def preorder(self) -> frozenset:
-        """Convertibility: reflexive-transitive reachability over edges."""
-        return reflexive_transitive_closure(((a, b) for a, b, _ in self.edges), self.nodes)
-
 
 def _derive_maps(theories: Iterable[Qrt]) -> None:
     """Settle the outcome of every channel of the theories that has none
@@ -547,8 +633,8 @@ def complete_composition(q: Qrt) -> Qrt:
     passes repeat until none is. Idempotent on already-closed theories.
     More than MAX_CHANNELS functions raise ResourceLimitError."""
     table: dict = {}
-    for d, fn in q._channel_functions:
-        table.setdefault((d.src, d.dst), {})[tuple(sorted(fn.items()))] = d
+    for d, (_, a, b, key) in zip(q.channels, q.rows):
+        table.setdefault((a, b), {})[key] = d
     size = sum(len(fns) for fns in table.values())
     taken = {d.id for fns in table.values() for d in fns.values()}
     counter = 0
@@ -571,62 +657,21 @@ def complete_composition(q: Qrt) -> Qrt:
         (d for fns in table.values() for d in fns.values()),
         key=lambda d: (order.get(d.id, len(order)), d.id),
     )
-    # same systems and tolerances: q's kept channels induce the same functions
-    closed = _inherit(Qrt(q.systems, out, q.trivial_id, q.tol), q, ((d, d) for d in out))
+    closed = Qrt(q.systems, out, q.trivial_id, q.tol)
+    # the same channel and system objects at the same tolerance: q's settled outcomes hold
+    closed._induced.update((d, q._induced[d]) for d in out if d in q._induced)
     closed._closure_keys = {pair: frozenset(fns) for pair, fns in table.items()}
     return closed
 
 
-def _inherit(
-    child: Qrt, parent: Qrt, copies: Iterable[tuple], state_maps: Mapping | None = None
-) -> Qrt:
-    """child, given the settled outcome of each of parent's channels that
-    a channel of child copies. ``copies`` pairs them, (parent's, child's);
-    each pair runs between the same systems, up to names, at the same
-    tolerance, so a fresh derivation would settle the same. With
-    ``state_maps``, {parent's system id: {state: new name}}, injective on
-    each system, a map's states are renamed, and an error is not carried,
-    since its message names parent's labels: child derives it again."""
-    for old, new in copies:
-        if old not in parent._induced:
-            continue
-        outcome = parent._induced[old]
-        if state_maps is not None and outcome is not None:
-            if isinstance(outcome, tuple):
-                continue
-            a, b = state_maps.get(old.src, {}), state_maps.get(old.dst, {})
-            outcome = {a.get(st, st): b.get(img, img) for st, img in outcome.items()}
-        child._induced[new] = outcome
-    return child
-
-
-def is_sub_qrt(x: Qrt, y: Qrt) -> bool:
-    """x's systems embed by id into y's, and x's induced-function set is
-    exactly y's restricted to those systems."""
-    for s in x.systems:
-        t = next((u for u in y.systems if u.id == s.id), None)
-        if t is None or t.dim != s.dim or set(t.states) != set(s.states):
-            return False
-        for st in s.states:
-            if not within_trace_distance(s.states[st], t.states[st], x.tol):
-                return False
-    kept = {s.id for s in x.systems}
-    restricted: dict = {}
-    for (a, b), fns in y.functions.items():
-        if a in kept and b in kept:
-            restricted[(a, b)] = set(fns)
-    mine = {pair: set(fns) for pair, fns in x.functions.items()}
-    return mine == restricted
-
-
-def _profiles(q: Qrt, marked: frozenset, match_dims: bool) -> dict:
+def _profiles(q: _LabelRules, marked: frozenset, match_dims: bool) -> dict:
     """{system id: (dim if match_dims else 0, state count, marked-state
     count)} for each of q's systems."""
     held = Counter(sid for sid, _ in marked)
     return {s.id: (s.dim if match_dims else 0, len(s.states), held[s.id]) for s in q.systems}
 
 
-def _profile_key(q: Qrt, marked: frozenset) -> tuple:
+def _profile_key(q: _LabelRules, marked: frozenset) -> tuple:
     """All that ``_labeled_bijections`` needs of one theory to know whether
     it can find anything: the sorted dims of q's systems and the sorted
     ``_profiles``, with the dim and without it. A per-theory key: two
@@ -645,7 +690,7 @@ def _profiles_agree(key_x: tuple, key_y: tuple, match_dims: bool) -> bool:
 
 
 def _labeled_bijections(
-    x: Qrt, y: Qrt, marked_x: frozenset, marked_y: frozenset, match_dims: bool,
+    x: _LabelRules, y: _LabelRules, marked_x: frozenset, marked_y: frozenset, match_dims: bool,
     pair_ok: Callable, budget: Budget,
 ) -> Iterator[dict]:
     """The bijections, each one map on the vertices (system,) and (system,
@@ -656,7 +701,7 @@ def _labeled_bijections(
     bijection exists otherwise."""
     profile_x, profile_y = _profiles(x, marked_x, match_dims), _profiles(y, marked_y, match_dims)
 
-    def structure(q: Qrt, profile: dict, marked: frozenset) -> tuple[dict, dict]:
+    def structure(q: _LabelRules, profile: dict, marked: frozenset) -> tuple[dict, dict]:
         colour, links = {}, {}
         for s in q.systems:
             colour[(s.id,)], links[(s.id,)] = profile[s.id], {}
@@ -679,7 +724,7 @@ def _labeled_bijections(
 
 
 def qrt_isomorphic(
-    x: Qrt, y: Qrt, max_nodes: int = MAX_ISO_NODES
+    x: _LabelRules, y: _LabelRules, max_nodes: int = MAX_ISO_NODES
 ) -> tuple[bool, tuple[dict, dict] | None]:
     """Labeled-structure isomorphism: a bijection of systems (matching
     dims) plus per-system bijections of named states that carry x's
@@ -705,43 +750,4 @@ def qrt_isomorphic(
     return False, None
 
 
-def relabel_qrt(q: Qrt, sys_map: Mapping[str, str], state_maps: Mapping[str, Mapping[str, str]]) -> Qrt:
-    """A copy of q with systems and states renamed; an id the maps leave
-    out keeps its name. Channel matrices and structure are untouched, and
-    the copy is given q's settled induced functions, renamed. Raises
-    StructuralError when two systems, or two states of one system, would
-    share a name."""
-    names: dict = {}
-    for sid in dict.fromkeys(s.id for s in q.systems):
-        new = sys_map.get(sid, sid)
-        if names.setdefault(new, sid) != sid:
-            raise StructuralError(f"relabeling maps systems {names[new]} and {sid} both to {new}")
-    systems = []
-    for s in q.systems:
-        smap, states = state_maps.get(s.id, {}), {}
-        for st, dm in s.states.items():
-            new = smap.get(st, st)
-            if new in states:
-                raise StructuralError(f"relabeling maps two states of system {s.id} to {new}")
-            states[new] = dm
-        systems.append(SystemDecl(sys_map.get(s.id, s.id), s.dim, states))
-    copies = [
-        (d, ChannelDecl(d.id, sys_map.get(d.src, d.src), sys_map.get(d.dst, d.dst), d.channel))
-        for d in q.channels
-    ]
-    trivial = sys_map.get(q.trivial_id, q.trivial_id) if q.trivial_id else None
-    return _inherit(Qrt(systems, [d for _, d in copies], trivial, q.tol), q, copies, state_maps)
-
-
-def sub_qrt(q: Qrt, keep: Iterable[str]) -> Qrt:
-    """The restriction of q to the given systems: channels with any
-    dropped endpoint are removed. The restriction is given q's settled
-    induced functions."""
-    kept = set(keep)
-    systems = [s for s in q.systems if s.id in kept]
-    if not systems:
-        raise StructuralError("a sub-theory needs at least one system")
-    channels = [d for d in q.channels if d.src in kept and d.dst in kept]
-    trivial = q.trivial_id if q.trivial_id in kept else None
-    # the same channel and system objects: q's settled outcomes hold as they are
-    return _inherit(Qrt(systems, channels, trivial, q.tol), q, ((d, d) for d in channels))
+relabel_qrt = Qrt.relabeled

@@ -6,8 +6,10 @@ free. The starred translation is the same model with the convertibility
 preorder carried onto the global domain. The unit axiom is enforced on every
 generated model: when a trivial system exists, its unique atom is true.
 
-All theorem-condition oracles in this module work at the labeled
-(named-state) level; reports should be read with that scope in mind.
+Translation reads only a theory's ``labeled`` form, so a ``Qrt`` validates
+there and a ``LabeledTheory`` copy translates as it is. All theorem-condition
+oracles in this module work at the labeled (named-state) level; reports
+should be read with that scope in mind.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .config import MAX_ISO_NODES
-from .errors import ResourceLimitError, StructuralError
+from .errors import ResourceLimitError
 from .kripke import (
     KripkeModel,
     StarredModel,
@@ -28,6 +30,7 @@ from .kripke import (
     starred_isomorphic,
 )
 from .qrt import (
+    LabeledTheory,
     Qrt,
     _labeled_bijections,
     _profile_key,
@@ -35,7 +38,6 @@ from .qrt import (
     derive,
     node_name,
     qrt_isomorphic,
-    sub_qrt,
 )
 from .relations import Budget
 
@@ -59,11 +61,11 @@ class TranslationRecord:
         return StarredModel(self.model, self.order)
 
 
-# theory -> its record; an entry goes when its theory is freed
+# theory (a Qrt by identity, a LabeledTheory by value) -> its record; an entry goes when its key is freed
 _records: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def to_model(q: Qrt) -> TranslationRecord:
+def to_model(q: Qrt | LabeledTheory) -> TranslationRecord:
     """The translation of a valid, composition-complete theory, with the
     preorder on atoms. The record is built once per theory and shared by
     later calls; a build that raises memoises nothing."""
@@ -74,35 +76,32 @@ def to_model(q: Qrt) -> TranslationRecord:
         return rec
 
 
-def to_starred_model(q: Qrt) -> TranslationRecord:
-    """to_model's record, whose ``starred`` is the starred model. An alias
-    kept for outside callers (the benchmark and several test files); the
-    library itself calls to_model."""
+def to_starred_model(q: Qrt | LabeledTheory) -> TranslationRecord:
+    """to_model's record, whose ``starred`` is the starred model: an alias
+    kept for the benchmark and the tests."""
     return to_model(q)
 
 
-def _true_nodes(q: Qrt) -> frozenset:
+def _true_nodes(q: Qrt | LabeledTheory) -> frozenset:
     """The states whose atoms are true: the free states, and the trivial
     state by the unit axiom."""
     return q.free_states | {q.trivial_node} if q.trivial_node else q.free_states
 
 
-def _translate(q: Qrt) -> TranslationRecord:
-    # ok proves the model S4: missing-identity gives reflexivity, composition-closure transitivity
-    report = q.validate()
-    if not report.ok:
-        raise StructuralError(f"source theory is invalid: {report.text()}")
-    true = _true_nodes(q)
+def _translate(q: Qrt | LabeledTheory) -> TranslationRecord:
+    # a valid theory's model is S4: missing-identity gives reflexivity, composition-closure transitivity
+    lab = q.labeled
+    true = _true_nodes(lab)
     model = KripkeModel(
-        {s.id for s in q.systems},
-        set(q.functions),
-        {node_name(n) for n in q.nodes},
-        {s.id: frozenset(node_name((s.id, st)) for st in s.states) for s in q.systems},
-        {node_name(n): int(n in true) for n in q.nodes},
+        {s.id for s in lab.systems},
+        set(lab.functions),
+        {node_name(n) for n in lab.nodes},
+        {s.id: frozenset(node_name((s.id, st)) for st in s.states) for s in lab.systems},
+        {node_name(n): int(n in true) for n in lab.nodes},
     )
-    order = frozenset((node_name(a), node_name(b)) for a, b in q.preorder)
-    c_world = q.trivial_id if q.trivial_node is not None else None
-    return TranslationRecord(q.edges, model, order, c_world)
+    order = frozenset((node_name(a), node_name(b)) for a, b in lab.preorder)
+    c_world = lab.trivial_id if lab.trivial_node is not None else None
+    return TranslationRecord(lab.edges, model, order, c_world)
 
 
 # -- conditions under which two translations are isomorphic -------------------
@@ -114,7 +113,7 @@ def _covered(targets: list, images: list) -> bool:
 
 
 def iso_conditions(
-    x: Qrt, y: Qrt, max_nodes: int = MAX_ISO_NODES
+    x: Qrt | LabeledTheory, y: Qrt | LabeledTheory, max_nodes: int = MAX_ISO_NODES
 ) -> dict:
     """Evaluate, at the labeled level, the three conditions that govern
     when two theories have isomorphic translations:
@@ -150,7 +149,7 @@ def iso_conditions(
     return {"i": dims, "ii": True, "iii": next(found, None) is not None}
 
 
-def conditions_key(q: Qrt) -> tuple:
+def conditions_key(q: Qrt | LabeledTheory) -> tuple:
     """The theory side's per-theory key: what ``iso_conditions`` reads of
     q before its search, the system dims and profiles over the true atoms
     (``qrt._profile_key``)."""
@@ -227,20 +226,19 @@ def monotone_violations(rec: TranslationRecord) -> list:
 # -- functor laws --------------------------------------------------------------
 
 
-def verify_functoriality(cases: Iterable[tuple[Qrt, Sequence[Qrt], Sequence[Qrt]]]) -> list[dict]:
-    """For each case (x, relabelings, sub_qrts), check that translation
-    respects identity, isomorphism, and inclusion: relabeled sources give
-    isomorphic models, restrictions give sub-models, and the identity
-    inclusion is preserved. One report per case, in order.
+def verify_functoriality(cases: Iterable[tuple[Qrt, Sequence, Sequence]]) -> list[dict]:
+    """For each case (x, relabelings, sub-theories), check that
+    translation respects identity, isomorphism, and inclusion: relabeled
+    sources give isomorphic models, restrictions give sub-models, and the
+    identity inclusion is preserved. One report per case, in order.
 
-    Copies made by ``relabel_qrt`` and ``sub_qrt`` (the nested restriction
-    included) hold x's channel and state objects and are given x's settled
-    induced functions, so they translate without deriving them again; the
+    Copies of ``x.labeled`` (``relabeled``, ``restricted``; the nested
+    restriction is one) translate without validating or deriving: the
     check is of the translation, not of the numerics. Each case's
-    ``rebuilt``, a fresh theory over x's declarations, is the one
-    independent derivation, and the identity law compares its model with
-    x's. The rebuilt theories of all cases are made first and derived in
-    one batch (``derive``); none shares an outcome with its x."""
+    ``rebuilt``, a fresh theory over x's declarations derived with those
+    of the other cases in one batch (``derive``), is the one independent
+    derivation: it shares no outcome and no record with x, and the
+    identity law compares its model and its order with x's."""
     pending = deque((x, Qrt(x.systems, x.channels, x.trivial_id, x.tol), rels, subs) for x, rels, subs in cases)
     derive(rebuilt for _, rebuilt, _, _ in pending)
     reports = []
@@ -249,37 +247,29 @@ def verify_functoriality(cases: Iterable[tuple[Qrt, Sequence[Qrt], Sequence[Qrt]
     return reports
 
 
-def _functor_laws(x: Qrt, rebuilt: Qrt, relabelings: Sequence[Qrt], sub_qrts: Sequence[Qrt]) -> dict:
+def _functor_laws(x: Qrt, rebuilt: Qrt, relabelings: Sequence, sub_qrts: Sequence) -> dict:
     """``verify_functoriality``'s report of one case, with its rebuilt
     theory."""
-    base = to_model(x)
-    report: dict = {"identity": False, "relabelings": [], "sub_models": [], "nested": None}
-    # two independent derivations are compared
-    report["identity"] = to_model(rebuilt).model == base.model and is_sub_model(base.model, base.model)
-    for r in relabelings:
-        ok, _ = models_isomorphic(base.model, to_model(r).model)
-        report["relabelings"].append(bool(ok))
+    base, again = to_model(x), to_model(rebuilt)
     subs = list(sub_qrts)
-    for s in subs:
-        report["sub_models"].append(bool(is_sub_model(to_model(s).model, base.model)))
+    report: dict = {
+        # two independent derivations are compared
+        "identity": again.model == base.model and again.order == base.order and is_sub_model(base.model, base.model),
+        "relabelings": [bool(models_isomorphic(base.model, to_model(r).model)[0]) for r in relabelings],
+        "sub_models": [bool(is_sub_model(to_model(s).model, base.model)) for s in subs],
+        "nested": None,
+    }
     # a composite of two inclusions is itself an inclusion
-    for s in subs:
-        if len(s.systems) > 1:
-            inner = sub_qrt(s, [t.id for t in s.systems][:-1])
-            report["nested"] = bool(
-                is_sub_model(to_model(inner).model, to_model(s).model)
-                and is_sub_model(to_model(inner).model, base.model)
-            )
-            break
-    oks = [report["identity"], *report["relabelings"], *report["sub_models"]]
-    if report["nested"] is not None:
-        oks.append(report["nested"])
-    report["ok"] = all(oks)
+    s = next((s for s in subs if len(s.systems) > 1), None)
+    if s is not None:
+        inner = to_model(s.labeled.restricted([t.id for t in s.systems][:-1])).model
+        report["nested"] = bool(is_sub_model(inner, to_model(s).model) and is_sub_model(inner, base.model))
+    report["ok"] = all([report["identity"], *report["relabelings"], *report["sub_models"]]) and report["nested"] is not False
     return report
 
 
 def verify_starred_injectivity(
-    pairs: Iterable[tuple[Qrt, Qrt]],
+    pairs: Iterable[tuple],
     max_nodes: int = MAX_ISO_NODES,
     labels: Sequence[str] | None = None,
 ) -> dict:

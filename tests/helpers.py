@@ -2,17 +2,26 @@
 channel, random Kripke models, the convexity weights the acceptance
 criteria name, derived facts of theories and categories that only the
 tests ask for, the reference formula parser, the reference family
-builder, the per-operator channel kernels and the reference composite
-sweep."""
+builder, the per-operator channel kernels, the reference composite
+sweep, and the numeric restriction and sub-theory test that the label
+restriction (``LabeledTheory.restricted``) is checked against."""
 
 import numpy as np
 
 from qrtmodal import harness
-from qrtmodal.errors import FormulaSyntaxError, ShapeError
+from qrtmodal.errors import FormulaSyntaxError, ShapeError, StructuralError
 from qrtmodal.formulas import Atom, Box, Diamond, Formula, Implies, Not, conj, disj, iff
 from qrtmodal.generate import generate_qrt, random_relabeling
 from qrtmodal.kripke import KripkeModel, models_isomorphic
-from qrtmodal.linalg import _KRAUS_CUTOFF, KrausChannel, _check_dim_cap, _eigh, as_matrix, hermitian_part
+from qrtmodal.linalg import (
+    _KRAUS_CUTOFF,
+    KrausChannel,
+    _check_dim_cap,
+    _eigh,
+    as_matrix,
+    hermitian_part,
+    within_trace_distance,
+)
 from qrtmodal.qrt import Qrt, _missing_composites
 from qrtmodal.relations import reflexive_transitive_closure
 from qrtmodal.smc import SmcCategory
@@ -58,6 +67,33 @@ def random_model(
 def is_composition_complete(q: Qrt) -> bool:
     """Every composite of two of q's induced functions is induced."""
     return not _missing_composites(q.functions)
+
+
+def sub_qrt(q: Qrt, keep) -> Qrt:
+    """The restriction of q to the given systems, a fresh theory that
+    derives its induced functions itself: channels with any dropped
+    endpoint are removed."""
+    kept = set(keep)
+    systems = [s for s in q.systems if s.id in kept]
+    if not systems:
+        raise StructuralError("a sub-theory needs at least one system")
+    channels = [d for d in q.channels if d.src in kept and d.dst in kept]
+    return Qrt(systems, channels, q.trivial_id if q.trivial_id in kept else None, q.tol)
+
+
+def is_sub_qrt(x: Qrt, y: Qrt) -> bool:
+    """x's systems embed by id into y's, and x's induced-function set is
+    exactly y's restricted to those systems."""
+    for s in x.systems:
+        t = next((u for u in y.systems if u.id == s.id), None)
+        if t is None or t.dim != s.dim or set(t.states) != set(s.states):
+            return False
+        for st in s.states:
+            if not within_trace_distance(s.states[st], t.states[st], x.tol):
+                return False
+    kept = {s.id for s in x.systems}
+    restricted = {(a, b): set(fns) for (a, b), fns in y.functions.items() if a in kept and b in kept}
+    return {pair: set(fns) for pair, fns in x.functions.items()} == restricted
 
 
 def resource_states(q: Qrt) -> frozenset:

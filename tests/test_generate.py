@@ -15,9 +15,7 @@ from qrtmodal.generate import (
 )
 from qrtmodal.io import dumps, qrt_to_dict
 from qrtmodal.kripke import is_s4
-from qrtmodal.qrt import is_sub_qrt
-
-from helpers import is_composition_complete, random_model
+from helpers import is_composition_complete, is_sub_qrt, random_model, sub_qrt
 
 
 class TestConfig:
@@ -93,7 +91,8 @@ class TestStructure:
         for i in range(5):
             q = generate_qrt(cfg, index=i)
             sub = random_sub_qrt(q, rng)
-            assert is_sub_qrt(sub, q)
+            fresh = sub_qrt(q, [s.id for s in sub.systems])
+            assert is_sub_qrt(fresh, q) and fresh.labeled == sub
 
 
 class TestRandomModels:

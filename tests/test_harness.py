@@ -389,3 +389,60 @@ def test_a_dropped_function_edge_fails_only_possibility(monkeypatch):
 
 def test_covering_records_add_no_uncovered_key():
     assert "uncovered" not in run_theorems(seed=1, count=6)["possibility"]
+
+
+# -- defects planted in one translation record ---------------------------------
+
+
+def _reversed_order(rec):
+    return rec.model, frozenset((b, a) for a, b in rec.order)
+
+
+def _dropped_strict_pair(rec):
+    """The order without a strict pair that no third atom lies between, so
+    that what is left stays transitive."""
+    order = rec.order
+    pair = next(
+        (a, b)
+        for a, b in sorted(order)
+        if a != b and not any((a, c) in order and (c, b) in order for c in rec.model.domain if c not in (a, b))
+    )
+    return rec.model, order - {pair}
+
+
+def _true_resource_atom(rec):
+    m = rec.model
+    atom = min(a for a, v in m.interp.items() if v == 0)
+    return KripkeModel(m.worlds, m.access, m.domain, m.domains, {**m.interp, atom: 1}), rec.order
+
+
+def _dropped_access_pair(rec):
+    m = rec.model
+    pair = min((w, u) for w, u in m.access if w != u)
+    return KripkeModel(m.worlds, m.access - {pair}, m.domain, m.domains, m.interp), rec.order
+
+
+@pytest.mark.parametrize(
+    "plant", [_reversed_order, _dropped_strict_pair, _true_resource_atom, _dropped_access_pair]
+)
+def test_a_defect_planted_in_one_record_fails_functoriality(plant, monkeypatch):
+    family = build_family(1, 12)
+    label, target = next(
+        (label, q)
+        for label, q in family
+        if any(a != b for a, b in to_model(q).order) and 0 in to_model(q).model.interp.values()
+    )
+    translate_one = translate._translate
+
+    def planted(q):
+        rec = translate_one(q)
+        if q is not target:
+            return rec
+        model, order = plant(rec)
+        return translate.TranslationRecord(rec.edges, model, order, rec.c_world)
+
+    monkeypatch.setattr(translate, "_translate", planted)
+    monkeypatch.setattr(translate, "_records", type(translate._records)())
+    report = run_theorems(family=family, seed=1, include_corpus=False)
+    assert report["status"] == 1
+    assert [e["label"] for e in report["functoriality"]["entries"] if not e["ok"]] == [label]

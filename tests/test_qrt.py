@@ -3,7 +3,7 @@ states, convertibility, sub-theories, labeled isomorphism."""
 
 import itertools
 from collections import Counter
-from functools import partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 import pytest
@@ -45,19 +45,20 @@ from qrtmodal.qrt import (
     SystemDecl,
     complete_composition,
     induced_map,
-    is_sub_qrt,
     qrt_isomorphic,
     relabel_qrt,
-    sub_qrt,
 )
+from qrtmodal.translate import conditions_key, to_model, verify_functoriality
 
 from helpers import (
     is_composition_complete,
+    is_sub_qrt,
     reference_choi_matrix,
     reference_compose,
     reference_cptp_verdict,
     reference_missing_composites,
     resource_states,
+    sub_qrt,
 )
 
 
@@ -599,7 +600,6 @@ class TestDeriveOnce:
 
     def test_functoriality_checks_each_channel_once(self, monkeypatch):
         from qrtmodal.harness import build_family
-        from qrtmodal.translate import verify_functoriality
 
         made = build_family(1, 5)[0][1]
         # fresh channel objects: no verdict is kept on them yet
@@ -624,7 +624,6 @@ class TestDeriveOnce:
 
     def test_functoriality_rederives_the_rebuilt_theory(self, monkeypatch):
         from qrtmodal.harness import build_family
-        from qrtmodal.translate import to_model, verify_functoriality
 
         q = build_family(1, 5)[0][1]
         to_model(q)  # the theory's own record is kept; the rebuilt one is not
@@ -638,16 +637,15 @@ class TestDeriveOnce:
 
     def test_functoriality_derives_only_the_rebuilt_theory(self, monkeypatch):
         from qrtmodal.harness import build_family
-        from qrtmodal.translate import to_model, verify_functoriality
 
         q = build_family(1, 5)[0][1]
         to_model(q)
         rng = np.random.default_rng(5)
-        rel, sub = random_relabeling(q, rng), sub_qrt(q, [s.id for s in q.systems][:2])
+        rel, sub = random_relabeling(q.labeled, rng), q.labeled.restricted([s.id for s in q.systems][:2])
         applied = _count_applications(monkeypatch)
         (report,) = verify_functoriality([(q, [rel], [sub])])
         assert report["ok"] and report["nested"] is not None
-        # the copies and the nested restriction carry q's outcomes: only
+        # the label copies and the nested restriction derive nothing: only
         # the rebuilt theory applies q's channels, each to each state once
         assert applied == Counter(
             (id(d.channel), id(dm))
@@ -1196,73 +1194,117 @@ class TestGroupedDerivation:
         }
 
 
-# -- copies carry their parent's settled outcomes -------------------------------
+# -- label copies against fresh numeric copies ---------------------------------
 
 
-def carried_outcomes(copy: Qrt) -> dict:
-    """The outcomes copy holds before any derivation of its own, checked
-    against a fresh theory over its declarations, which derives every
-    channel itself."""
-    carried = dict(copy._induced)
-    fresh = Qrt(copy.systems, copy.channels, copy.trivial_id, copy.tol)
-    assert carried == {d: fresh._outcome(d) for d in carried}
-    return carried
+@cache
+def copy_sources() -> tuple:
+    """The valid corpus theories and the families of seeds 1 to 3 at
+    count 20."""
+    from qrtmodal.harness import build_family
+
+    theories = [q for q in corpus_theories() if q.validate().ok]
+    return tuple(theories + [q for seed in (1, 2, 3) for _, q in build_family(seed, 20)])
 
 
-def settled(q: Qrt) -> Qrt:
-    for d in q.channels:
-        q._outcome(d)
-    return q
+def check_label_copy(fresh: Qrt, copy) -> None:
+    """A numeric copy, derived fresh, has the label copy as its labels,
+    and both translate to one model and order."""
+    assert fresh.labeled == copy
+    a, b = to_model(fresh), to_model(copy)
+    assert a.model == b.model and a.order == b.order
 
 
-class TestCarriedOutcomes:
-    def test_copies_carry_what_a_fresh_derivation_settles(self):
+def renaming(draw, names: list, fresh: str) -> dict:
+    """An injective renaming of names, drawn as a permutation of them and
+    as many other names: some keep their name, some swap, some are new."""
+    pool = draw(st.permutations(list(dict.fromkeys(names + [f"{fresh}{i}" for i in range(2 * len(names))]))))
+    return dict(zip(names, pool))
+
+
+RELABELINGS = {"numeric": relabel_qrt, "labeled": lambda q, sys_map, state_maps: q.labeled.relabeled(sys_map, state_maps)}
+
+
+class TestLabelCopies:
+    def test_seeded_copies_are_the_labels_of_fresh_copies(self):
+        for q in copy_sources():
+            seed = len(q.channels)
+            fresh, copy = random_relabeling(q, np.random.default_rng(seed)), random_relabeling(q.labeled, np.random.default_rng(seed))
+            check_label_copy(fresh, copy)
+            # the label readers take either type, and read the same of both
+            assert qrt_isomorphic(q, copy)[0] and conditions_key(copy) == conditions_key(fresh)
+            sub = random_sub_qrt(q, np.random.default_rng(seed))
+            check_label_copy(sub_qrt(q, [s.id for s in sub.systems]), sub)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_drawn_copies_are_the_labels_of_fresh_copies(self, data):
+        q = data.draw(st.sampled_from(copy_sources()))
+        sys_map = renaming(data.draw, [s.id for s in q.systems], "X")
+        state_maps = {s.id: renaming(data.draw, list(s.states), "t") for s in q.systems}
+        keep = data.draw(st.lists(st.sampled_from([s.id for s in q.systems]), min_size=1, unique=True))
+        rel = q.labeled.relabeled(sys_map, state_maps)
+        check_label_copy(relabel_qrt(q, sys_map, state_maps), rel)
+        check_label_copy(sub_qrt(q, keep), q.labeled.restricted(keep))
+        # a restriction of a relabeling, and a relabeling of a restriction
+        moved = [sys_map[sid] for sid in keep]
+        check_label_copy(sub_qrt(relabel_qrt(q, sys_map, state_maps), moved), rel.restricted(moved))
+        check_label_copy(relabel_qrt(sub_qrt(q, keep), sys_map, state_maps), q.labeled.restricted(keep).relabeled(sys_map, state_maps))
+
+    def test_a_restriction_to_no_system_raises(self):
+        with pytest.raises(StructuralError, match=r"^a sub-theory needs at least one system$"):
+            corpus.chain_qrt().labeled.restricted([])
+
+    @pytest.mark.parametrize("kind", sorted(RELABELINGS))
+    def test_relabeling_two_states_onto_one_name_raises(self, kind):
         from qrtmodal.harness import build_family
 
-        rng = np.random.default_rng(20)
-        theories = corpus_theories() + list(built_theories().values())
-        theories += [q for seed in (1, 2, 3) for _, q in build_family(seed, 20)]
-        counts = Counter()
-        for q in map(settled, theories):
-            rel, sub = random_relabeling(q, rng), random_sub_qrt(q, rng)
-            # a relabeled copy carries every outcome but the errors, whose
-            # messages name the old labels
-            assert set(carried_outcomes(rel)) == {
-                new for old, new in zip(q.channels, rel.channels) if not isinstance(q._induced[old], tuple)
-            }
-            assert set(carried_outcomes(sub)) == set(sub.channels)
-            nested = [random_sub_qrt(rel, rng), random_relabeling(sub, rng)]
-            if len(sub.systems) > 1:
-                nested.append(sub_qrt(sub, [s.id for s in sub.systems][:-1]))
-            for copy in (rel, sub, *nested):
-                outcomes = carried_outcomes(copy).values()
-                counts["maps"] += sum(isinstance(o, dict) for o in outcomes)
-                counts["misses"] += sum(o is None for o in outcomes)
-                counts["errors"] += sum(isinstance(o, tuple) for o in outcomes)
-        assert min(counts.values()) > 0, counts
-
-    def test_an_unsettled_parent_carries_nothing(self):
-        q = two_qubit_shell()
-        assert not random_relabeling(q, np.random.default_rng(1))._induced
-        assert not sub_qrt(q, ["A", "B"])._induced
-
-    def test_relabeling_two_states_onto_one_name_raises(self):
-        from qrtmodal.harness import build_family
-
+        relabel = RELABELINGS[kind]
         q = next(q for _, q in build_family(1, 10) if len(q.system("A").states) == 2)
         with pytest.raises(StructuralError, match=r"^relabeling maps two states of system A to s1$"):
-            relabel_qrt(q, {}, {"A": {"s0": "s1"}})
+            relabel(q, {}, {"A": {"s0": "s1"}})
         # a swap is injective, and keeps every state
-        swapped = relabel_qrt(q, {}, {"A": {"s0": "s1", "s1": "s0"}})
+        swapped = relabel(q, {}, {"A": {"s0": "s1", "s1": "s0"}})
         assert set(swapped.nodes) == set(q.nodes)
 
-    def test_relabeling_two_systems_onto_one_name_raises(self):
+    @pytest.mark.parametrize("kind", sorted(RELABELINGS))
+    def test_relabeling_two_systems_onto_one_name_raises(self, kind):
+        relabel = RELABELINGS[kind]
         q = corpus.chain_qrt()
         a, b = (s.id for s in q.systems[:2])
         with pytest.raises(StructuralError, match=rf"^relabeling maps systems {a} and {b} both to {b}$"):
-            relabel_qrt(q, {a: b}, {})
+            relabel(q, {a: b}, {})
         with pytest.raises(StructuralError, match=rf"^relabeling maps systems {a} and {b} both to Z$"):
-            relabel_qrt(q, {a: "Z", b: "Z"}, {})
+            relabel(q, {a: "Z", b: "Z"}, {})
+
+    def test_only_the_rebuilt_theories_validate(self, monkeypatch):
+        from qrtmodal.harness import build_family
+
+        family = [q for _, q in build_family(1, 20)]
+        for q in family:
+            q.labeled
+        ran = []
+        original = Qrt._report.func
+
+        def counting(q):
+            ran.append(q)
+            return original(q)
+
+        prop = cached_property(counting)
+        prop.__set_name__(Qrt, "_report")
+        monkeypatch.setattr(Qrt, "_report", prop)
+        rng = np.random.default_rng(7)
+        cases = [
+            (q, [random_relabeling(q.labeled, rng)], [random_sub_qrt(q, rng)] if len(q.systems) > 1 else [])
+            for q in family
+        ]
+        assert all(report["ok"] for report in verify_functoriality(cases))
+        assert len(ran) == len(family)
+        assert not {id(q) for q in ran} & {id(q) for q in family}
+        # a label copy translates without validating anything
+        ran.clear()
+        to_model(random_relabeling(family[0].labeled, rng))
+        assert ran == []
 
 
 def test_a_zero_output_dim_is_its_own_dim_mismatch():

@@ -395,9 +395,7 @@ class TestVerifyFunctoriality:
 
     def test_sub_model_follows_restriction(self):
         q = corpus.chain_qrt()
-        from qrtmodal.qrt import sub_qrt
-
-        sub = sub_qrt(q, ["c", "A"])
+        sub = q.labeled.restricted(["c", "A"])
         assert is_sub_model(to_model(sub).model, to_model(q).model)
 
     def test_wrong_claimed_relabeling_flagged(self):
