@@ -54,7 +54,6 @@ from .qrt import (
     complete_composition,
     derive,
     qrt_isomorphic,
-    relabel_qrt,
 )
 from .smc import build_smc, free_objects, verify_smc_laws
 from .translate import (

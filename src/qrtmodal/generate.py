@@ -29,6 +29,7 @@ from .formulas import _UNARY, Atom, Formula, Implies
 from .linalg import (
     DensityMatrix,
     constant_channel,
+    density_matrices,
     function_channel,
     preparation_channel,
     random_cptp_channel,
@@ -165,12 +166,8 @@ def _declared_qrt(cfg: GeneratorConfig, index: int) -> Qrt:
             n_states = int(rng.integers(1, min(cfg.states_per_system, dim) + 1))
             frame = random_isometry(rng, dim, dim)
             idx = list(rng.permutation(dim)[:n_states])
-            states = {
-                f"s{i}": DensityMatrix(
-                    np.outer(frame[:, j], frame[:, j].conj())
-                )
-                for i, j in enumerate(idx)
-            }
+            basis = density_matrices([np.outer(frame[:, j], frame[:, j].conj()) for j in idx])
+            states = {f"s{i}": dm for i, dm in enumerate(basis)}
             frames[sid] = frame
             basis_index[sid] = [int(j) for j in idx]
         else:

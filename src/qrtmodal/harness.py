@@ -25,11 +25,9 @@ from .kripke import KripkeModel, StarredModel, is_s4, model_key, models_isomorph
 from .qrt import Qrt, node_name
 from .smc import build_smc, check_object_cap, free_objects, verify_smc_laws
 from .translate import (
-    conditions_key,
     image_conditions,
     iso_conditions,
     monotone_violations,
-    settled_conditions,
     to_model,
     verify_functoriality,
     verify_starred_injectivity,
@@ -172,19 +170,15 @@ def run_theorems(
     report["functoriality"] = {"ok": all(e["ok"] for e in funct_entries), "entries": funct_entries}
 
     # equivalence of the isomorphism conditions with the model oracle; each
-    # side searches only where its own per-theory keys leave the pair open
-    theory_keys = {label: conditions_key(q) for label, q in family}
-    model_keys = {label: model_key(records[label].model) for label, _ in family}
+    # side compares the keys its operands cache before it searches
     mismatches = []
     iso_inconclusive = []
     for la, qa in family:
         for lb, qb in family:
             try:
-                cond = settled_conditions(theory_keys[la], theory_keys[lb]) or iso_conditions(qa, qb, iso_cap)
+                cond = iso_conditions(qa.labeled, qb.labeled, iso_cap)
                 conj = cond["i"] and cond["ii"] and cond["iii"]
-                oracle = model_keys[la] == model_keys[lb] and models_isomorphic(
-                    records[la].model, records[lb].model, iso_cap
-                )[0]
+                oracle = models_isomorphic(records[la].model, records[lb].model, iso_cap)[0]
             except ResourceLimitError as exc:
                 iso_inconclusive.append({"pair": [la, lb], "reason": str(exc)})
                 continue

@@ -3,7 +3,8 @@
 A model is the 5-tuple (worlds W, accessibility R, global atom domain D,
 per-world domains Q, global truth interpretation I). The starred variant
 adds a preorder on D. World and atom ids are opaque strings; isomorphism
-never depends on labels.
+never depends on labels. Each model, and each starred model, builds the
+search's view of itself (sizes, vertex colours, links) once, on first use.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .relations import Budget, bijections, find_nonreflexive, find_nontransitive
 
 
 class KripkeModel:
-    __slots__ = ("worlds", "access", "domain", "domains", "interp")
+    __slots__ = ("worlds", "access", "domain", "domains", "interp", "_search")
 
     def __init__(
         self,
@@ -56,6 +57,7 @@ class KripkeModel:
         object.__setattr__(self, "domain", d)
         object.__setattr__(self, "domains", q)
         object.__setattr__(self, "interp", i)
+        object.__setattr__(self, "_search", {})  # the search's view, filled by _part
 
     def __setattr__(self, name, value):
         raise AttributeError("KripkeModel is immutable")
@@ -80,7 +82,7 @@ class KripkeModel:
 class StarredModel:
     """A Kripke model together with a preorder on its global domain."""
 
-    __slots__ = ("model", "order")
+    __slots__ = ("model", "order", "_search")
 
     def __init__(self, model: KripkeModel, order: Iterable[tuple[str, str]]):
         rel = frozenset(map(tuple, order))
@@ -95,6 +97,7 @@ class StarredModel:
             raise StructuralError(f"order is not transitive, witness {triple}")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "order", rel)
+        object.__setattr__(self, "_search", {})  # the search's view under the order, filled by _part
 
     def __setattr__(self, name, value):
         raise AttributeError("StarredModel is immutable")
@@ -180,28 +183,40 @@ def _links(m: KripkeModel, order: frozenset) -> dict:
     return links
 
 
-def _sizes(m: KripkeModel, order: frozenset) -> tuple:
-    return len(m.worlds), len(m.domain), len(m.access), len(order)
+def _part(s: KripkeModel | StarredModel, name: str):
+    """One part of the search's view of s, a model under the empty order
+    or a starred model under its order: its "sizes", its "colours" (each
+    vertex's colour, and their sorted tuple) or its "links", built on
+    first use and cached on s."""
+    parts = s._search
+    if name not in parts:
+        m, order = (s.model, s.order) if isinstance(s, StarredModel) else (s, frozenset())
+        if name == "sizes":
+            parts[name] = len(m.worlds), len(m.domain), len(m.access), len(order)
+        elif name == "colours":
+            colour = _colours(m, order)
+            parts[name] = colour, tuple(sorted(colour.values()))
+        else:
+            parts[name] = _links(m, order)
+    return parts[name]
 
 
 def model_key(m: KripkeModel) -> tuple:
     """The model side's per-model key: what ``models_isomorphic`` compares
     before it searches, the sizes and the sorted vertex colours. Two
     models are isomorphic only when their keys are equal."""
-    return _sizes(m, frozenset()), tuple(sorted(_colours(m, frozenset()).values()))
+    return _part(m, "sizes"), _part(m, "colours")[1]
 
 
-def _isomorphic(
-    a: KripkeModel, b: KripkeModel, order_a: frozenset, order_b: frozenset, max_nodes: int
-) -> tuple[bool, tuple[dict, dict] | None]:
-    # model_key's two parts, the sizes first: they skip the colours
-    if _sizes(a, order_a) != _sizes(b, order_b):
+def _isomorphic(a, b, max_nodes: int) -> tuple[bool, tuple[dict, dict] | None]:
+    # two models or two starred models; the key's two parts, the sizes
+    # first, so that a pair whose sizes differ builds no colours
+    if _part(a, "sizes") != _part(b, "sizes"):
         return False, None
-    colour_a, colour_b = _colours(a, order_a), _colours(b, order_b)
-    if sorted(colour_a.values()) != sorted(colour_b.values()):
+    (colour_a, key_a), (colour_b, key_b) = _part(a, "colours"), _part(b, "colours")
+    if key_a != key_b:
         return False, None
-    links_a, links_b = _links(a, order_a), _links(b, order_b)
-    for m in bijections(colour_a, colour_b, links_a, links_b, None, Budget(max_nodes)):
+    for m in bijections(colour_a, colour_b, _part(a, "links"), _part(b, "links"), None, Budget(max_nodes)):
         maps: tuple[dict, dict] = ({}, {})
         for (kind, u), (_, v) in m.items():
             maps[kind][u] = v
@@ -214,7 +229,7 @@ def models_isomorphic(
 ) -> tuple[bool, tuple[dict, dict] | None]:
     """Search for bijections (phi_W, phi_D) preserving R, per-world
     domains, and I. Returns the witness pair when found."""
-    return _isomorphic(a, b, frozenset(), frozenset(), max_nodes)
+    return _isomorphic(a, b, max_nodes)
 
 
 def starred_isomorphic(
@@ -222,4 +237,4 @@ def starred_isomorphic(
 ) -> tuple[bool, tuple[dict, dict] | None]:
     """As models_isomorphic with the extra clause that the domain
     preorders correspond: x <= y iff phi_D(x) <=' phi_D(y)."""
-    return _isomorphic(a.model, b.model, a.order, b.order, max_nodes)
+    return _isomorphic(a, b, max_nodes)

@@ -249,6 +249,8 @@ class _LabelRules:
     def trivial_node(self) -> Node | None:
         if self.trivial_id is None:
             return None
+        if self.trivial_id not in self._by_id:
+            raise StructuralError(f"trivial system {self.trivial_id} not declared")
         states = sorted(self._by_id[self.trivial_id].states)
         return (self.trivial_id, states[0]) if len(states) == 1 else None
 
@@ -269,6 +271,20 @@ class _LabelRules:
             return frozenset()
         return frozenset(b for a, b in self.preorder if a == start and b != start)
 
+    @cached_property
+    def true_nodes(self) -> frozenset:
+        """The states whose atoms are true in the translation: the free
+        states, and the trivial state by the unit axiom."""
+        return self.free_states | {self.trivial_node} if self.trivial_node else self.free_states
+
+    @cached_property
+    def _free_key(self) -> tuple:  # what qrt_isomorphic compares before it searches
+        return _profile_key(self, self.free_states)
+
+    @cached_property
+    def _true_key(self) -> tuple:  # what translate.iso_conditions compares before it searches
+        return _profile_key(self, self.true_nodes)
+
 
 @dataclass(frozen=True)
 class LabeledTheory(_LabelRules):
@@ -285,7 +301,7 @@ class LabeledTheory(_LabelRules):
         return self
 
     def relabeled(self, sys_map: Mapping[str, str], state_maps: Mapping[str, Mapping[str, str]]) -> LabeledTheory:
-        """``relabel_qrt`` of the labels: the same names, and errors."""
+        """``Qrt.relabeled`` of the labels: the same names, and errors."""
         new = _renaming(self.systems, sys_map, state_maps)
         return LabeledTheory(
             tuple(SystemLabels(new[s.id][0], s.dim, tuple(new[s.id][1].values())) for s in self.systems),
@@ -674,7 +690,8 @@ def _profiles(q: _LabelRules, marked: frozenset, match_dims: bool) -> dict:
 def _profile_key(q: _LabelRules, marked: frozenset) -> tuple:
     """All that ``_labeled_bijections`` needs of one theory to know whether
     it can find anything: the sorted dims of q's systems and the sorted
-    ``_profiles``, with the dim and without it. A per-theory key: two
+    ``_profiles``, with the dim and without it. A per-theory key, cached
+    on the theory (``_LabelRules._free_key`` and ``_true_key``): two
     theories' keys are compared by ``_profiles_agree``."""
     return (
         tuple(sorted(s.dim for s in q.systems)),
@@ -741,13 +758,10 @@ def qrt_isomorphic(
             tuple(sorted((m[(a, s)][1], m[(b, i)][1]) for s, i in key)) for key in fx
         } == fy.keys()
 
-    free_x, free_y = x.free_states, y.free_states
-    if not _profiles_agree(_profile_key(x, free_x), _profile_key(y, free_y), True):
+    if not _profiles_agree(x._free_key, y._free_key, True):
         return False, None
-    for m in _labeled_bijections(x, y, free_x, free_y, True, transported, Budget(max_nodes)):
+    for m in _labeled_bijections(x, y, x.free_states, y.free_states, True, transported, Budget(max_nodes)):
         sys_map = {v[0]: w[0] for v, w in m.items() if len(v) == 1}
         return True, (sys_map, {v: w for v, w in m.items() if len(v) == 2})
     return False, None
 
-
-relabel_qrt = Qrt.relabeled

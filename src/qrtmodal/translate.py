@@ -7,9 +7,11 @@ preorder carried onto the global domain. The unit axiom is enforced on every
 generated model: when a trivial system exists, its unique atom is true.
 
 Translation reads only a theory's ``labeled`` form, so a ``Qrt`` validates
-there and a ``LabeledTheory`` copy translates as it is. All theorem-condition
-oracles in this module work at the labeled (named-state) level; reports
-should be read with that scope in mind.
+there and a ``LabeledTheory`` copy translates as it is. The isomorphism
+conditions validate nothing: they compare a key each theory caches
+(``_true_key``) before they search. All theorem-condition oracles in this
+module work at the labeled (named-state) level; reports should be read
+with that scope in mind.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .qrt import (
     LabeledTheory,
     Qrt,
     _labeled_bijections,
-    _profile_key,
     _profiles_agree,
     derive,
     node_name,
@@ -82,16 +83,10 @@ def to_starred_model(q: Qrt | LabeledTheory) -> TranslationRecord:
     return to_model(q)
 
 
-def _true_nodes(q: Qrt | LabeledTheory) -> frozenset:
-    """The states whose atoms are true: the free states, and the trivial
-    state by the unit axiom."""
-    return q.free_states | {q.trivial_node} if q.trivial_node else q.free_states
-
-
 def _translate(q: Qrt | LabeledTheory) -> TranslationRecord:
     # a valid theory's model is S4: missing-identity gives reflexivity, composition-closure transitivity
     lab = q.labeled
-    true = _true_nodes(lab)
+    true = lab.true_nodes
     model = KripkeModel(
         {s.id for s in lab.systems},
         set(lab.functions),
@@ -127,9 +122,9 @@ def iso_conditions(
           if at least one candidate bijection works).
 
     (i) and (ii) are multiset tests: of dims, and of (dim, state count,
-    true-atom count) per system, read off each theory's ``conditions_key``
-    (``settled_conditions``). When (i) fails, (ii) and (iii) range over
-    all system bijections and (ii) drops the dim. Only (iii) searches."""
+    true-atom count) per system, read off the key each theory caches
+    (``_true_key``). When (i) fails, (ii) and (iii) range over all system
+    bijections and (ii) drops the dim. Only (iii) searches."""
 
     def image_cover(a: str, b: str, m: dict) -> bool:
         fx = x.functions.get((a, b), {})
@@ -138,31 +133,12 @@ def iso_conditions(
         images_y = [frozenset(img for _, img in key) for key in fy]
         return _covered(images_x, images_y) and _covered(images_y, images_x)
 
-    key_x, key_y = conditions_key(x), conditions_key(y)
-    settled = settled_conditions(key_x, key_y)
-    if settled is not None:
-        return settled
+    key_x, key_y = x._true_key, y._true_key
     dims = key_x[0] == key_y[0]
-    found = _labeled_bijections(
-        x, y, _true_nodes(x), _true_nodes(y), dims, image_cover, Budget(max_nodes)
-    )
+    if not _profiles_agree(key_x, key_y, dims):
+        return {"i": dims, "ii": False, "iii": False}
+    found = _labeled_bijections(x, y, x.true_nodes, y.true_nodes, dims, image_cover, Budget(max_nodes))
     return {"i": dims, "ii": True, "iii": next(found, None) is not None}
-
-
-def conditions_key(q: Qrt | LabeledTheory) -> tuple:
-    """The theory side's per-theory key: what ``iso_conditions`` reads of
-    q before its search, the system dims and profiles over the true atoms
-    (``qrt._profile_key``)."""
-    return _profile_key(q, _true_nodes(q))
-
-
-def settled_conditions(key_x: tuple, key_y: tuple) -> dict | None:
-    """``iso_conditions`` of two theories with these ``conditions_key``s
-    when the keys settle it: (i) from the dims, and (ii) and (iii) false
-    when the profiles allow no bijection. None when (ii) holds, so that
-    only the search of (iii) can settle the rest."""
-    dims = key_x[0] == key_y[0]
-    return None if _profiles_agree(key_x, key_y, dims) else {"i": dims, "ii": False, "iii": False}
 
 
 # -- conditions a model must satisfy to be a translation image ----------------
@@ -274,7 +250,8 @@ def verify_starred_injectivity(
     labels: Sequence[str] | None = None,
 ) -> dict:
     """For each pair: starred-isomorphic translations must come from
-    labeled-isomorphic sources. Reports every violation as a falsification
+    labeled-isomorphic sources, decided on their ``labeled`` forms, which
+    translating them has made. Reports every violation as a falsification
     candidate; search-cap overruns are recorded as inconclusive."""
     entries = []
     falsifications = 0
@@ -288,7 +265,7 @@ def verify_starred_injectivity(
             star_ok, star_wit = starred_isomorphic(star_a, star_b, max_nodes)
             entry["starred_isomorphic"] = bool(star_ok)
             if star_ok:
-                src_ok, src_wit = qrt_isomorphic(a, b, max_nodes)
+                src_ok, src_wit = qrt_isomorphic(a.labeled, b.labeled, max_nodes)
                 entry["sources_isomorphic"] = bool(src_ok)
                 if not src_ok:
                     entry["verdict"] = "falsification-candidate"

@@ -6,11 +6,14 @@ makes binds to the callee's signature."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
+
+from qrtmodal import corpus
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -152,3 +155,17 @@ def test_traced_layers_exist():
         and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
     )
     assert [layer for layer in layers if not resolves(f"qrtmodal.{layer}")] == []
+
+
+def test_the_attributes_the_benchmark_reads_off_a_theory_exist():
+    # the scans above see dotted names only: the exhaustive oracle reads
+    # functions, free_states and system() off a theory, and the ingest
+    # workload reads nodes
+    bench_tree("oracles.py")
+    spec = importlib.util.spec_from_file_location("bench_oracles", BENCH / "oracles.py")
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    q = corpus.chain_qrt()
+    copy = q.relabeled({s.id: f"{s.id}_r" for s in q.systems}, {s.id: {st: f"{st}_r" for st in s.states} for s in q.systems})
+    assert oracles.labeled_isomorphic(q, copy)
+    assert len(copy.nodes) == len(q.nodes) > 0

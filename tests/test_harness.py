@@ -7,6 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import qrtmodal.kripke as kripke
+import qrtmodal.qrt as qrt_module
 from qrtmodal import corpus, generate, harness, io, translate
 from qrtmodal.cli import main
 from qrtmodal.corpus import (
@@ -20,10 +22,10 @@ from qrtmodal.corpus import (
 from qrtmodal.errors import GenerationError, QrtModalError, ResourceLimitError, StructuralError
 from qrtmodal.generate import GeneratorConfig
 from qrtmodal.harness import build_family, run_theorems
-from qrtmodal.kripke import KripkeModel, StarredModel, model_key, models_isomorphic
+from qrtmodal.kripke import KripkeModel, StarredModel, models_isomorphic, starred_isomorphic
 from qrtmodal.linalg import KrausChannel
-from qrtmodal.qrt import ChannelDecl, Qrt, node_name
-from qrtmodal.translate import conditions_key, iso_conditions, settled_conditions, to_model
+from qrtmodal.qrt import ChannelDecl, LabeledTheory, Qrt, node_name, qrt_isomorphic
+from qrtmodal.translate import iso_conditions, to_model
 
 from helpers import reference_build_family
 
@@ -226,29 +228,75 @@ def test_false_oracle_falsifies_exactly_its_section(section, monkeypatch, capsys
     assert out.endswith("status: 1\n")
 
 
-# -- per-theory keys and key buckets against the calls they replace ------------
+# -- keys cached on the operands against fresh operands -----------------------
 
 
-def test_keyed_sweep_agrees_with_the_calls(theory_pairs):
-    """On each pair, the sweep's keyed (conditions, oracle) equals the
-    unkeyed calls; a pair whose keys differ on one side is one that side
-    answers without a search."""
-    theory_keys, model_keys = {}, {}
+def fresh_model(m: KripkeModel) -> KripkeModel:
+    return KripkeModel(m.worlds, m.access, m.domain, m.domains, m.interp)
+
+
+def fresh_theory(q) -> LabeledTheory:
+    lab = q.labeled
+    return LabeledTheory(lab.systems, lab.trivial_id, lab.rows)
+
+
+# each decider with the operands it takes of a theory: (cached, fresh)
+DECIDERS = {
+    "iso_conditions": (iso_conditions, lambda q: q.labeled, fresh_theory),
+    "qrt_isomorphic": (qrt_isomorphic, lambda q: q.labeled, fresh_theory),
+    "models_isomorphic": (models_isomorphic, lambda q: to_model(q).model, lambda q: fresh_model(to_model(q).model)),
+    "starred_isomorphic": (
+        starred_isomorphic,
+        lambda q: to_model(q).starred,
+        lambda q: StarredModel(fresh_model(to_model(q).model), to_model(q).order),
+    ),
+}
+
+
+def test_cached_keys_give_the_verdicts_of_fresh_operands(theory_pairs, monkeypatch):
+    """On each pair, each decider's verdict and witness from operands
+    whose caches earlier calls filled equal those from fresh operands. The
+    keys settle most pairs, and leave some to each search."""
+    calls = []  # one per search: each decider calls bijections once to search
+
+    def counting(search):
+        def counted(*args):
+            calls.append(1)
+            return search(*args)
+        return counted
+
+    for module in (kripke, qrt_module):
+        monkeypatch.setattr(module, "bijections", counting(module.bijections))
     searched = Counter()
     for label, x, y in theory_pairs:
-        for q in (x, y):
-            theory_keys.setdefault(q, conditions_key(q))
-            model_keys.setdefault(q, model_key(to_model(q).model))
-        mx, my = to_model(x).model, to_model(y).model
-        cond = settled_conditions(theory_keys[x], theory_keys[y])
-        searched["conditions"] += cond is None
-        cond = cond or iso_conditions(x, y)
-        searched["models"] += model_keys[x] == model_keys[y]
-        oracle = model_keys[x] == model_keys[y] and models_isomorphic(mx, my)[0]
-        assert (cond, oracle) == (iso_conditions(x, y), models_isomorphic(mx, my)[0]), label
-    # the keys settle most pairs, and leave some to each search
-    assert 0 < searched["conditions"] < len(theory_pairs) / 2, searched
-    assert 0 < searched["models"] < len(theory_pairs) / 2, searched
+        for name, (decide, cached, fresh) in DECIDERS.items():
+            before = len(calls)
+            verdict = decide(cached(x), cached(y))
+            searched[name] += len(calls) > before
+            assert verdict == decide(fresh(x), fresh(y)), (name, label)
+    for name in DECIDERS:
+        assert 0 < searched[name] < len(theory_pairs) / 2, searched
+
+
+def test_each_operand_builds_its_keys_once(monkeypatch):
+    """Over a run, each model object builds its colours and links at most
+    once per order, and each theory object each profile key at most once."""
+    family = build_family(1, 20)
+    built, operands = Counter(), []  # the operands stay alive, so no id is reused
+
+    def counting(part, build):
+        def counted(operand, marked):
+            operands.append(operand)
+            built[(part, id(operand), marked)] += 1
+            return build(operand, marked)
+        return counted
+
+    monkeypatch.setattr(kripke, "_colours", counting("colours", kripke._colours))
+    monkeypatch.setattr(kripke, "_links", counting("links", kripke._links))
+    monkeypatch.setattr(qrt_module, "_profile_key", counting("profile key", qrt_module._profile_key))
+    assert run_theorems(family=family)["status"] == 0
+    assert {part for part, _, _ in built} == {"colours", "links", "profile key"}
+    assert [key for key, n in built.items() if n > 1] == []
 
 
 @pytest.mark.parametrize(

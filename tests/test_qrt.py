@@ -24,6 +24,7 @@ from qrtmodal.errors import (
     StructuralError,
 )
 from qrtmodal.generate import GeneratorConfig, generate_qrt, random_relabeling, random_sub_qrt
+from qrtmodal.harness import run_theorems
 from qrtmodal.linalg import (
     DensityMatrix,
     KrausChannel,
@@ -46,9 +47,8 @@ from qrtmodal.qrt import (
     complete_composition,
     induced_map,
     qrt_isomorphic,
-    relabel_qrt,
 )
-from qrtmodal.translate import conditions_key, to_model, verify_functoriality
+from qrtmodal.translate import iso_conditions, to_model, verify_functoriality
 
 from helpers import (
     is_composition_complete,
@@ -72,6 +72,16 @@ def two_qubit_shell():
             SystemDecl("AB", 4, {"p00": DensityMatrix(np.diag([1, 0, 0, 0.0]))}),
         ]
     )
+
+
+# what reads the trivial node of a theory, directly or through its free states
+UNDECLARED_TRIVIAL_READS = {
+    "trivial_node": lambda q: q.trivial_node,
+    "free_states": lambda q: q.free_states,
+    "qrt_isomorphic": lambda q: qrt_isomorphic(q, q),
+    "iso_conditions": lambda q: iso_conditions(q, q),
+    "run_theorems": lambda q: run_theorems(family=[("x", q)]),
+}
 
 
 class TestValidate:
@@ -147,6 +157,13 @@ class TestValidate:
         assert [(i.code, i.message) for i in q.validate().issues] == [
             ("unknown-system", "endpoints A->Z undeclared")
         ]
+
+    @pytest.mark.parametrize("read", sorted(UNDECLARED_TRIVIAL_READS))
+    def test_an_undeclared_trivial_id_is_a_structural_error(self, read):
+        q = Qrt([SystemDecl("A", 2, {"a0": basis_state(2, 0)})], trivial="c")
+        assert q.validate().text() == "[bad-trivial] c: trivial system not declared"
+        with pytest.raises(StructuralError, match=r"^trivial system c not declared$"):
+            UNDECLARED_TRIVIAL_READS[read](q)
 
     def test_two_trivial_systems_rejected(self):
         q = Qrt(
@@ -498,9 +515,7 @@ class TestGeneratedFamilyProperties:
 
     def test_relabel_round_trip(self):
         q = corpus.chain_qrt()
-        renamed = relabel_qrt(
-            q, {"A": "Z"}, {"A": {"rho": "zeta"}}
-        )
+        renamed = q.relabeled({"A": "Z"}, {"A": {"rho": "zeta"}})
         assert ("Z", "zeta") in renamed.nodes
         ok, _ = qrt_isomorphic(q, renamed)
         assert ok
@@ -1222,7 +1237,7 @@ def renaming(draw, names: list, fresh: str) -> dict:
     return dict(zip(names, pool))
 
 
-RELABELINGS = {"numeric": relabel_qrt, "labeled": lambda q, sys_map, state_maps: q.labeled.relabeled(sys_map, state_maps)}
+RELABELINGS = {"numeric": Qrt.relabeled, "labeled": lambda q, sys_map, state_maps: q.labeled.relabeled(sys_map, state_maps)}
 
 
 class TestLabelCopies:
@@ -1232,7 +1247,7 @@ class TestLabelCopies:
             fresh, copy = random_relabeling(q, np.random.default_rng(seed)), random_relabeling(q.labeled, np.random.default_rng(seed))
             check_label_copy(fresh, copy)
             # the label readers take either type, and read the same of both
-            assert qrt_isomorphic(q, copy)[0] and conditions_key(copy) == conditions_key(fresh)
+            assert qrt_isomorphic(q, copy)[0] and copy._true_key == fresh._true_key
             sub = random_sub_qrt(q, np.random.default_rng(seed))
             check_label_copy(sub_qrt(q, [s.id for s in sub.systems]), sub)
 
@@ -1244,12 +1259,12 @@ class TestLabelCopies:
         state_maps = {s.id: renaming(data.draw, list(s.states), "t") for s in q.systems}
         keep = data.draw(st.lists(st.sampled_from([s.id for s in q.systems]), min_size=1, unique=True))
         rel = q.labeled.relabeled(sys_map, state_maps)
-        check_label_copy(relabel_qrt(q, sys_map, state_maps), rel)
+        check_label_copy(q.relabeled(sys_map, state_maps), rel)
         check_label_copy(sub_qrt(q, keep), q.labeled.restricted(keep))
         # a restriction of a relabeling, and a relabeling of a restriction
         moved = [sys_map[sid] for sid in keep]
-        check_label_copy(sub_qrt(relabel_qrt(q, sys_map, state_maps), moved), rel.restricted(moved))
-        check_label_copy(relabel_qrt(sub_qrt(q, keep), sys_map, state_maps), q.labeled.restricted(keep).relabeled(sys_map, state_maps))
+        check_label_copy(sub_qrt(q.relabeled(sys_map, state_maps), moved), rel.restricted(moved))
+        check_label_copy(sub_qrt(q, keep).relabeled(sys_map, state_maps), q.labeled.restricted(keep).relabeled(sys_map, state_maps))
 
     def test_a_restriction_to_no_system_raises(self):
         with pytest.raises(StructuralError, match=r"^a sub-theory needs at least one system$"):
