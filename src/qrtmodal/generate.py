@@ -37,7 +37,7 @@ from .linalg import (
     random_isometry,
     scalar_one,
     trace_channel,
-    within_trace_distance,
+    within_trace_distances,
 )
 from .qrt import (
     ChannelDecl,
@@ -89,10 +89,11 @@ def _distinct_states(
     out: list[DensityMatrix] = []
     while len(out) < count:
         cand = random_density(rng, dim, pure=bool(rng.integers(2)))
-        if not any(within_trace_distance(cand, prev, _MIN_STATE_GAP) for prev in out):
-            out.append(cand)
-        else:
+        kept = [prev.mat for prev in out]
+        if kept and within_trace_distances(cand.mat[None], np.array(kept), _MIN_STATE_GAP).any():
             budget.spend()
+        else:
+            out.append(cand)
     return out
 
 

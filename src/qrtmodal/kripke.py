@@ -4,7 +4,7 @@ A model is the 5-tuple (worlds W, accessibility R, global atom domain D,
 per-world domains Q, global truth interpretation I). The starred variant
 adds a preorder on D. World and atom ids are opaque strings; isomorphism
 never depends on labels. Each model, and each starred model, builds the
-search's view of itself (sizes, vertex colours, links) once, on first use.
+search's view of itself (key, vertex colours, links) once, on first use.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ class KripkeModel:
         for a, b in r:
             if a not in w or b not in w:
                 raise StructuralError(f"accessibility pair ({a}, {b}) leaves the world set")
+        for wid in domains:
+            if wid not in w:
+                raise StructuralError(f"domain given for world {wid}, which is not in the world set")
         for wid, sub in q.items():
             if not sub <= d:
                 raise StructuralError(f"domain of world {wid} is not a subset of the global domain")
@@ -57,7 +60,7 @@ class KripkeModel:
         object.__setattr__(self, "domain", d)
         object.__setattr__(self, "domains", q)
         object.__setattr__(self, "interp", i)
-        object.__setattr__(self, "_search", {})  # the search's view, filled by _part
+        object.__setattr__(self, "_search", None)  # the search's view, built by _view
 
     def __setattr__(self, name, value):
         raise AttributeError("KripkeModel is immutable")
@@ -97,7 +100,7 @@ class StarredModel:
             raise StructuralError(f"order is not transitive, witness {triple}")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "order", rel)
-        object.__setattr__(self, "_search", {})  # the search's view under the order, filled by _part
+        object.__setattr__(self, "_search", None)  # the search's view under the order, built by _view
 
     def __setattr__(self, name, value):
         raise AttributeError("StarredModel is immutable")
@@ -183,40 +186,29 @@ def _links(m: KripkeModel, order: frozenset) -> dict:
     return links
 
 
-def _part(s: KripkeModel | StarredModel, name: str):
-    """One part of the search's view of s, a model under the empty order
-    or a starred model under its order: its "sizes", its "colours" (each
-    vertex's colour, and their sorted tuple) or its "links", built on
-    first use and cached on s."""
-    parts = s._search
-    if name not in parts:
+def _view(s: KripkeModel | StarredModel) -> tuple:
+    """The search's view of s, a model under the empty order or a starred
+    model under its order: (key, colour, links), built on first use and
+    cached on s. The key, the sorted vertex colours, fixes the sizes too:
+    |W| and |D| count the vertex kinds, |R| sums the out-degrees and the
+    order's size the ``below`` counts."""
+    if s._search is None:
         m, order = (s.model, s.order) if isinstance(s, StarredModel) else (s, frozenset())
-        if name == "sizes":
-            parts[name] = len(m.worlds), len(m.domain), len(m.access), len(order)
-        elif name == "colours":
-            colour = _colours(m, order)
-            parts[name] = colour, tuple(sorted(colour.values()))
-        else:
-            parts[name] = _links(m, order)
-    return parts[name]
+        colour = _colours(m, order)
+        object.__setattr__(s, "_search", (tuple(sorted(colour.values())), colour, _links(m, order)))
+    return s._search
 
 
 def model_key(m: KripkeModel) -> tuple:
-    """The model side's per-model key: what ``models_isomorphic`` compares
-    before it searches, the sizes and the sorted vertex colours. Two
-    models are isomorphic only when their keys are equal."""
-    return _part(m, "sizes"), _part(m, "colours")[1]
+    """The model side's per-model key: the sorted vertex colours that
+    ``models_isomorphic`` compares before it searches. Two models are
+    isomorphic only when their keys are equal."""
+    return _view(m)[0]
 
 
 def _isomorphic(a, b, max_nodes: int) -> tuple[bool, tuple[dict, dict] | None]:
-    # two models or two starred models; the key's two parts, the sizes
-    # first, so that a pair whose sizes differ builds no colours
-    if _part(a, "sizes") != _part(b, "sizes"):
-        return False, None
-    (colour_a, key_a), (colour_b, key_b) = _part(a, "colours"), _part(b, "colours")
-    if key_a != key_b:
-        return False, None
-    for m in bijections(colour_a, colour_b, _part(a, "links"), _part(b, "links"), None, Budget(max_nodes)):
+    # two models or two starred models
+    for m in bijections(_view(a), _view(b), None, Budget(max_nodes)):
         maps: tuple[dict, dict] = ({}, {})
         for (kind, u), (_, v) in m.items():
             maps[kind][u] = v

@@ -16,14 +16,13 @@ the bounds leave open; ``settle_cptp`` decides whether each channel of a
 group is CPTP, with one Kraus sum for every trace-preservation defect and
 one eigensolve over the Choi matrices, and keeps the verdict on the
 immutable channel, per tolerance; ``compose`` forms every Kraus product
-of two channels in one broadcast product. ``apply_channel``,
-``within_trace_distance`` and ``is_cptp`` are the one-state, one-pair and
-one-channel cases of the first three. A sum over Kraus terms runs in term
-order, one stacked term at a time, so a zero-padded term adds exact zeros
-and every result has the bits of its channel's own sum; the stacks are
-cut into blocks of bounded size, so memory stays linear. The tolerance
-semantics are those of the plain rules: a bound only skips an eigensolve
-whose outcome it proves.
+of two channels in one broadcast product. ``apply_channel`` and
+``is_cptp`` are the one-state and one-channel cases of the first and
+third. A sum over Kraus terms runs in term order, one stacked term at a
+time, so a zero-padded term adds exact zeros and every result has the
+bits of its channel's own sum; the stacks are cut into blocks of bounded
+size, so memory stays linear. The tolerance semantics are those of the
+plain rules: a bound only skips an eigensolve whose outcome it proves.
 """
 
 from __future__ import annotations
@@ -499,14 +498,6 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 # Rounding slack of the Frobenius bounds: a distance whose bounds come
 # within this of the radius is computed by eigensolve instead
 _GUARD = 1e-12
-
-
-def within_trace_distance(a: DensityMatrix, b: DensityMatrix, eps: float) -> bool:
-    """Whether trace_distance(a, b) <= eps: ``within_trace_distances`` of
-    the one pair."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    return bool(within_trace_distances(a.mat[None], b.mat[None], eps)[0, 0])
 
 
 def within_trace_distances(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:

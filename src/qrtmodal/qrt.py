@@ -25,7 +25,9 @@ per theory. A lone theory derives as the batch of one.
 All that is read after validation is labels, and ``Qrt.labeled``, the
 one validity gate, returns them as a ``LabeledTheory``: nothing numeric.
 Both types share the label rules (``_LabelRules``); relabeling and
-restricting a labeled theory are pure maps on its labels.
+restricting a labeled theory are pure maps on its labels. The label
+rules include the isomorphism search's view of the theory (``_view``),
+cached per marked set and dim rule.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .linalg import (
     is_cptp,
     settle_cptp,
     trace_distance,
-    within_trace_distance,
     within_trace_distances,
 )
 from .relations import Budget, bijections, reflexive_transitive_closure
@@ -129,8 +130,7 @@ def _matches(dst: SystemDecl, images: np.ndarray, tol: float) -> list:
     named states of dst, in order: the one named state within trace
     distance tol, None when there is none, or (StructuralError, message)
     when there are several. Every outcome is (DimensionMismatchError,
-    message) when dst names a state of another dim than the images, as
-    ``within_trace_distance`` raises it."""
+    message) when dst names a state of another dim than the images."""
     dim = images.shape[-1]
     odd = next((dm.dim for dm in dst.states.values() if dm.dim != dim), None)
     if odd is not None:
@@ -277,13 +277,13 @@ class _LabelRules:
         states, and the trivial state by the unit axiom."""
         return self.free_states | {self.trivial_node} if self.trivial_node else self.free_states
 
-    @cached_property
-    def _free_key(self) -> tuple:  # what qrt_isomorphic compares before it searches
-        return _profile_key(self, self.free_states)
-
-    @cached_property
-    def _true_key(self) -> tuple:  # what translate.iso_conditions compares before it searches
-        return _profile_key(self, self.true_nodes)
+    def _view(self, marked: str, match_dims: bool) -> tuple:
+        """``_search_view``, built once per (marked, match_dims) and cached
+        on the theory."""
+        views = self.__dict__.setdefault("_views", {})
+        if (marked, match_dims) not in views:
+            views[marked, match_dims] = _search_view(self, marked, match_dims)
+        return views[marked, match_dims]
 
 
 @dataclass(frozen=True)
@@ -476,16 +476,20 @@ class Qrt(_LabelRules):
                 if dm.dim != s.dim:
                     why = f"state dim {dm.dim} != system dim {s.dim}"
                     issues.append(Issue("dim-mismatch", f"{s.id}.{st}", why))
-            # ambiguity: two named states closer than the matching radius allows
-            names = sorted(s.states)
-            for i, st1 in enumerate(names):
-                for st2 in names[i + 1:]:
-                    a, b = s.states[st1], s.states[st2]
-                    if a.dim != b.dim:
-                        continue
-                    if within_trace_distance(a, b, 2 * self.tol):
-                        why = f"named states only {trace_distance(a, b):.3e} apart"
-                        issues.append(Issue("ambiguous-states", f"{s.id}.{st1}/{st2}", why))
+            # ambiguity: two named states of one dim closer than the matching radius allows
+            by_dim: dict = {}
+            for st in sorted(s.states):
+                by_dim.setdefault(s.states[st].dim, []).append(st)
+            near = []
+            for names in by_dim.values():
+                if len(names) > 1:
+                    stack = np.array([s.states[st].mat for st in names])
+                    rows = within_trace_distances(stack, stack, 2 * self.tol).tolist()
+                    for i, st1 in enumerate(names):
+                        near += ((st1, st2) for st2, hit in zip(names[i + 1:], rows[i][i + 1:]) if hit)
+            for st1, st2 in sorted(near):
+                why = f"named states only {trace_distance(s.states[st1], s.states[st2]):.3e} apart"
+                issues.append(Issue("ambiguous-states", f"{s.id}.{st1}/{st2}", why))
 
         ones = [s for s in self._systems if s.dim == 1]
         if len(ones) > 1:
@@ -680,64 +684,40 @@ def complete_composition(q: Qrt) -> Qrt:
     return closed
 
 
-def _profiles(q: _LabelRules, marked: frozenset, match_dims: bool) -> dict:
-    """{system id: (dim if match_dims else 0, state count, marked-state
-    count)} for each of q's systems."""
-    held = Counter(sid for sid, _ in marked)
-    return {s.id: (s.dim if match_dims else 0, len(s.states), held[s.id]) for s in q.systems}
+def _search_view(q: _LabelRules, marked: str, match_dims: bool) -> tuple:
+    """The (key, colour, links) view of q that ``bijections`` searches,
+    with the states of q's ``marked`` ("free_states" or "true_nodes")
+    marked, over the vertices (system,) and (system, state), each state
+    linked to its system. A system's colour is (profile, -1), its profile
+    being (dim if match_dims else 0, state count, marked-state count); a
+    state's is (its system's profile, 1 if marked else 0)."""
+    nodes = getattr(q, marked)
+    held = Counter(sid for sid, _ in nodes)
+    colour, links = {}, {}
+    for s in q.systems:
+        profile = (s.dim if match_dims else 0, len(s.states), held[s.id])
+        colour[(s.id,)], links[(s.id,)] = (profile, -1), {}
+        for st in sorted(s.states):
+            colour[(s.id, st)] = (profile, int((s.id, st) in nodes))
+            links[(s.id,)][(s.id, st)] = 1
+            links[(s.id, st)] = {(s.id,): 1}
+    return tuple(sorted(colour.values())), colour, links
 
 
-def _profile_key(q: _LabelRules, marked: frozenset) -> tuple:
-    """All that ``_labeled_bijections`` needs of one theory to know whether
-    it can find anything: the sorted dims of q's systems and the sorted
-    ``_profiles``, with the dim and without it. A per-theory key, cached
-    on the theory (``_LabelRules._free_key`` and ``_true_key``): two
-    theories' keys are compared by ``_profiles_agree``."""
-    return (
-        tuple(sorted(s.dim for s in q.systems)),
-        tuple(sorted(_profiles(q, marked, True).values())),
-        tuple(sorted(_profiles(q, marked, False).values())),
-    )
-
-
-def _profiles_agree(key_x: tuple, key_y: tuple, match_dims: bool) -> bool:
-    """Two ``_profile_key``s have equal profile multisets, with the dim if
-    ``match_dims``: the pre-check a ``_labeled_bijections`` search needs."""
-    return key_x[1] == key_y[1] if match_dims else key_x[2] == key_y[2]
-
-
-def _labeled_bijections(
-    x: _LabelRules, y: _LabelRules, marked_x: frozenset, marked_y: frozenset, match_dims: bool,
-    pair_ok: Callable, budget: Budget,
-) -> Iterator[dict]:
-    """The bijections, each one map on the vertices (system,) and (system,
-    state), that keep each system's profile (``_profiles``), send each
-    state into its system's image and marked states onto marked ones, and
-    satisfy ``pair_ok(a, b, m)`` on every ordered pair of x's systems once
-    both are complete. Callers search only where ``_profiles_agree``: no
-    bijection exists otherwise."""
-    profile_x, profile_y = _profiles(x, marked_x, match_dims), _profiles(y, marked_y, match_dims)
-
-    def structure(q: _LabelRules, profile: dict, marked: frozenset) -> tuple[dict, dict]:
-        colour, links = {}, {}
-        for s in q.systems:
-            colour[(s.id,)], links[(s.id,)] = profile[s.id], {}
-            for st in sorted(s.states):
-                colour[(s.id, st)] = (profile[s.id], (s.id, st) in marked)
-                links[(s.id,)][(s.id, st)] = 1
-                links[(s.id, st)] = {(s.id,): 1}
-        return colour, links
-
-    members = {s.id: [(s.id,), *((s.id, st) for st in s.states)] for s in x.systems}
+def _labeled_bijections(view_x: tuple, view_y: tuple, pair_ok: Callable, budget: Budget) -> Iterator[dict]:
+    """The bijections of two ``_search_view``s, each one map on the
+    vertices, that keep each system's profile, send each state into its
+    system's image and marked states onto marked ones, and satisfy
+    ``pair_ok(a, b, m)`` on every ordered pair of x's systems once both
+    are complete."""
+    members = {v[0]: (v, *states) for v, states in view_x[2].items() if len(v) == 1}
 
     def fits(v, w, m) -> bool:
         done = [b for b, vs in members.items() if all(u in m for u in vs)]
         a = v[0]
         return a not in done or all(pair_ok(a, b, m) and pair_ok(b, a, m) for b in done)
 
-    colour_x, links_x = structure(x, profile_x, marked_x)
-    colour_y, links_y = structure(y, profile_y, marked_y)
-    return bijections(colour_x, colour_y, links_x, links_y, fits, budget)
+    return bijections(view_x, view_y, fits, budget)
 
 
 def qrt_isomorphic(
@@ -758,9 +738,8 @@ def qrt_isomorphic(
             tuple(sorted((m[(a, s)][1], m[(b, i)][1]) for s, i in key)) for key in fx
         } == fy.keys()
 
-    if not _profiles_agree(x._free_key, y._free_key, True):
-        return False, None
-    for m in _labeled_bijections(x, y, x.free_states, y.free_states, True, transported, Budget(max_nodes)):
+    views = x._view("free_states", True), y._view("free_states", True)
+    for m in _labeled_bijections(*views, transported, Budget(max_nodes)):
         sys_map = {v[0]: w[0] for v, w in m.items() if len(v) == 1}
         return True, (sys_map, {v: w for v, w in m.items() if len(v) == 2})
     return False, None

@@ -3,7 +3,7 @@ and the one isomorphism search engine shared by models and theories."""
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import ResourceLimitError
 
@@ -71,25 +71,28 @@ class Budget:
             raise self.error(self.message.format(cap=self.cap))
 
 
-def bijections(
-    colour_x: Mapping, colour_y: Mapping, links_x: Mapping, links_y: Mapping,
-    fits: Callable | None, budget: Budget,
-) -> Iterator[dict]:
+def bijections(view_x: tuple, view_y: tuple, fits: Callable | None, budget: Budget) -> Iterator[dict]:
     """Yield, each as a fresh dict, every colour-preserving bijection from
     x's vertices onto y's that carries the labelled links among placed
     vertices onto equal links, and for which ``fits(x, y, m)`` holds at
     every placement (``m`` is the live partial map, x already on y).
 
-    ``links[u]`` is {v: label}, kept at both ends of each link and never
-    for u itself (a vertex's relations with itself belong in its colour).
+    Each view is (key, colour, links): ``colour`` maps each vertex to its
+    colour, ``key`` is the sorted tuple of the colours, and ``links[u]`` is
+    {v: label}, kept at both ends of each link and never for u itself (a
+    vertex's relations with itself belong in its colour). Only views with
+    equal keys are searched: no bijection exists otherwise.
     Vertex ids must be mutually comparable. The placement order is fixed
     up front: the vertex with the most links to placed ones first, then
     the one in the smaller colour class, then the smaller id. A vertex with
     a placed neighbour draws its candidates from the links of that
-    neighbour's image, in ``links_y`` order, any other from its colour
+    neighbour's image, in y's links order, any other from its colour
     class in id order. Each candidate tried costs one ``budget`` node.
     Witnesses are thus deterministic; a report carries one only for a
     falsification candidate."""
+    (key_x, colour_x, links_x), (key_y, colour_y, links_y) = view_x, view_y
+    if key_x != key_y:
+        return
     classes: dict = {}
     for v in sorted(colour_y):
         classes.setdefault(colour_y[v], []).append(v)
@@ -128,5 +131,4 @@ def bijections(
                 used.discard(y)
             del m[x]
 
-    if len(colour_x) == len(colour_y):
-        yield from place(0)
+    yield from place(0)

@@ -8,10 +8,10 @@ generated model: when a trivial system exists, its unique atom is true.
 
 Translation reads only a theory's ``labeled`` form, so a ``Qrt`` validates
 there and a ``LabeledTheory`` copy translates as it is. The isomorphism
-conditions validate nothing: they compare a key each theory caches
-(``_true_key``) before they search. All theorem-condition oracles in this
-module work at the labeled (named-state) level; reports should be read
-with that scope in mind.
+conditions validate nothing: they read the search view each theory
+caches (``_view``), whose keys settle (ii) before (iii) searches. All
+theorem-condition oracles in this module work at the labeled
+(named-state) level; reports should be read with that scope in mind.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .qrt import (
     LabeledTheory,
     Qrt,
     _labeled_bijections,
-    _profiles_agree,
     derive,
     node_name,
     qrt_isomorphic,
@@ -122,8 +121,8 @@ def iso_conditions(
           if at least one candidate bijection works).
 
     (i) and (ii) are multiset tests: of dims, and of (dim, state count,
-    true-atom count) per system, read off the key each theory caches
-    (``_true_key``). When (i) fails, (ii) and (iii) range over all system
+    true-atom count) per system, the key of the view each theory caches
+    (``_view``). When (i) fails, (ii) and (iii) range over all system
     bijections and (ii) drops the dim. Only (iii) searches."""
 
     def image_cover(a: str, b: str, m: dict) -> bool:
@@ -133,11 +132,11 @@ def iso_conditions(
         images_y = [frozenset(img for _, img in key) for key in fy]
         return _covered(images_x, images_y) and _covered(images_y, images_x)
 
-    key_x, key_y = x._true_key, y._true_key
-    dims = key_x[0] == key_y[0]
-    if not _profiles_agree(key_x, key_y, dims):
+    dims = sorted(s.dim for s in x.systems) == sorted(s.dim for s in y.systems)
+    view_x, view_y = x._view("true_nodes", dims), y._view("true_nodes", dims)
+    if view_x[0] != view_y[0]:
         return {"i": dims, "ii": False, "iii": False}
-    found = _labeled_bijections(x, y, x.true_nodes, y.true_nodes, dims, image_cover, Budget(max_nodes))
+    found = _labeled_bijections(view_x, view_y, image_cover, Budget(max_nodes))
     return {"i": dims, "ii": True, "iii": next(found, None) is not None}
 
 

@@ -3,8 +3,9 @@ channel, random Kripke models, the convexity weights the acceptance
 criteria name, derived facts of theories and categories that only the
 tests ask for, the reference formula parser, the reference family
 builder, the per-operator channel kernels, the reference composite
-sweep, and the numeric restriction and sub-theory test that the label
-restriction (``LabeledTheory.restricted``) is checked against."""
+sweep, the one-pair trace-distance test over the stacked kernel, and the
+numeric restriction and sub-theory test that the label restriction
+(``LabeledTheory.restricted``) is checked against."""
 
 import numpy as np
 
@@ -15,12 +16,13 @@ from qrtmodal.generate import generate_qrt, random_relabeling
 from qrtmodal.kripke import KripkeModel, models_isomorphic
 from qrtmodal.linalg import (
     _KRAUS_CUTOFF,
+    DensityMatrix,
     KrausChannel,
     _check_dim_cap,
     _eigh,
     as_matrix,
     hermitian_part,
-    within_trace_distance,
+    within_trace_distances,
 )
 from qrtmodal.qrt import Qrt, _missing_composites
 from qrtmodal.relations import reflexive_transitive_closure
@@ -79,6 +81,12 @@ def sub_qrt(q: Qrt, keep) -> Qrt:
         raise StructuralError("a sub-theory needs at least one system")
     channels = [d for d in q.channels if d.src in kept and d.dst in kept]
     return Qrt(systems, channels, q.trivial_id if q.trivial_id in kept else None, q.tol)
+
+
+def within_trace_distance(a: DensityMatrix, b: DensityMatrix, eps: float) -> bool:
+    """Whether trace_distance(a, b) <= eps, for two states of one dim:
+    ``within_trace_distances`` of the one pair."""
+    return bool(within_trace_distances(a.mat[None], b.mat[None], eps)[0, 0])
 
 
 def is_sub_qrt(x: Qrt, y: Qrt) -> bool:

@@ -17,7 +17,10 @@ from qrtmodal.corpus import (
     broken_smc_model,
     chain_qrt,
     entanglement_qrt,
+    injectivity_gap_pair,
+    iso_gap_pair,
     resource_destroying_qrt,
+    xi_sweep,
 )
 from qrtmodal.errors import GenerationError, QrtModalError, ResourceLimitError, StructuralError
 from qrtmodal.generate import GeneratorConfig
@@ -257,12 +260,12 @@ def test_cached_keys_give_the_verdicts_of_fresh_operands(theory_pairs, monkeypat
     """On each pair, each decider's verdict and witness from operands
     whose caches earlier calls filled equal those from fresh operands. The
     keys settle most pairs, and leave some to each search."""
-    calls = []  # one per search: each decider calls bijections once to search
+    calls = []  # one per bijections call: whether its two view keys agree, so that it searches
 
     def counting(search):
-        def counted(*args):
-            calls.append(1)
-            return search(*args)
+        def counted(view_x, view_y, *args):
+            calls.append(view_x[0] == view_y[0])
+            return search(view_x, view_y, *args)
         return counted
 
     for module in (kripke, qrt_module):
@@ -272,7 +275,7 @@ def test_cached_keys_give_the_verdicts_of_fresh_operands(theory_pairs, monkeypat
         for name, (decide, cached, fresh) in DECIDERS.items():
             before = len(calls)
             verdict = decide(cached(x), cached(y))
-            searched[name] += len(calls) > before
+            searched[name] += any(calls[before:])
             assert verdict == decide(fresh(x), fresh(y)), (name, label)
     for name in DECIDERS:
         assert 0 < searched[name] < len(theory_pairs) / 2, searched
@@ -280,23 +283,55 @@ def test_cached_keys_give_the_verdicts_of_fresh_operands(theory_pairs, monkeypat
 
 def test_each_operand_builds_its_keys_once(monkeypatch):
     """Over a run, each model object builds its colours and links at most
-    once per order, and each theory object each profile key at most once."""
+    once per order, and each theory object its search view at most once
+    per (marked set, match_dims)."""
     family = build_family(1, 20)
     built, operands = Counter(), []  # the operands stay alive, so no id is reused
 
     def counting(part, build):
-        def counted(operand, marked):
+        def counted(operand, *marked):
             operands.append(operand)
             built[(part, id(operand), marked)] += 1
-            return build(operand, marked)
+            return build(operand, *marked)
         return counted
 
     monkeypatch.setattr(kripke, "_colours", counting("colours", kripke._colours))
     monkeypatch.setattr(kripke, "_links", counting("links", kripke._links))
-    monkeypatch.setattr(qrt_module, "_profile_key", counting("profile key", qrt_module._profile_key))
+    monkeypatch.setattr(qrt_module, "_search_view", counting("theory view", qrt_module._search_view))
     assert run_theorems(family=family)["status"] == 0
-    assert {part for part, _, _ in built} == {"colours", "links", "profile key"}
+    assert {part for part, _, _ in built} == {"colours", "links", "theory view"}
     assert [key for key, n in built.items() if n > 1] == []
+
+
+# the least max_nodes at which each theory decider answers on the labeled
+# forms, (qrt_isomorphic, iso_conditions): a change of search order shows here
+LEAST_CAPS = {
+    "xi identity": (8, 8),
+    "xi flip": (10, 8),
+    "xi flip-collapse": (15, 8),
+    "iso_gap_pair": (3, 3),
+    "injectivity_gap_pair": (16, 4),
+}
+
+
+def least_cap(decide, x, y) -> int | None:
+    for cap in range(1, 100):
+        try:
+            decide(x, y, cap)
+            return cap
+        except ResourceLimitError:
+            pass
+    return None
+
+
+def test_theory_deciders_answer_at_pinned_least_caps():
+    pairs = {f"xi {name}": (a, b) for name, a, b in xi_sweep()}
+    pairs |= {"iso_gap_pair": iso_gap_pair(), "injectivity_gap_pair": injectivity_gap_pair()}
+    got = {
+        label: tuple(least_cap(decide, a.labeled, b.labeled) for decide in (qrt_isomorphic, iso_conditions))
+        for label, (a, b) in pairs.items()
+    }
+    assert got == LEAST_CAPS
 
 
 @pytest.mark.parametrize(

@@ -796,6 +796,13 @@ def test_image_failing_the_state_check_is_a_state_closure_issue(tmp_path, capsys
     assert capsys.readouterr().err.startswith("[state-closure] k: ")
 
 
+def test_check_rejects_a_domain_of_an_unknown_world(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(small_model_dict() | {"domains": {"w": ["p"], "u": ["q"], "ghost": ["p"]}}))
+    assert main(["check", str(path), "p"]) == 2
+    assert "domain given for world ghost, which is not in the world set" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("formula", ["(p -> zz)", "(zz -> p)", "[] (p -> zz)"])
 def test_check_rejects_unknown_atom_anywhere(formula, tmp_path, capsys):
     path = tmp_path / "m.json"

@@ -74,6 +74,10 @@ class TestWellFormedness:
         with pytest.raises(StructuralError):
             small_model(domains={"w": {"zzz"}, "u": set()})
 
+    def test_domain_of_an_unknown_world(self):
+        with pytest.raises(StructuralError, match="^domain given for world ghost, which is not in the world set$"):
+            small_model(domains={"w": {"p"}, "u": {"q"}, "ghost": {"p"}})
+
     def test_interp_not_total(self):
         with pytest.raises(StructuralError):
             small_model(interp={"p": 1})

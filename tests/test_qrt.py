@@ -38,7 +38,6 @@ from qrtmodal.linalg import (
     scalar_one,
     trace_channel,
     trace_distance,
-    within_trace_distance,
 )
 from qrtmodal.qrt import (
     ChannelDecl,
@@ -59,6 +58,7 @@ from helpers import (
     reference_missing_composites,
     resource_states,
     sub_qrt,
+    within_trace_distance,
 )
 
 
@@ -143,6 +143,14 @@ class TestValidate:
         q = Qrt([SystemDecl("A", 2, {"a0": basis_state(2, 0), "a1": near})])
         report = q.validate()
         assert any(i.code == "ambiguous-states" for i in report.issues)
+
+    def test_ambiguous_pairs_are_reported_in_name_order_across_dims(self):
+        eps = 1e-10
+        near = DensityMatrix(np.diag([1 - eps, eps]).astype(complex))
+        states = {"d": maximally_mixed(3), "a": basis_state(2, 0), "c": near, "b": maximally_mixed(3), "e": basis_state(2, 0)}
+        report = Qrt([SystemDecl("A", 2, states)]).validate()
+        got = [i.subject for i in report.issues if i.code == "ambiguous-states"]
+        assert got == ["A.a/c", "A.a/e", "A.b/d", "A.c/e"]
 
     @pytest.mark.parametrize("read", ["functions", "edges", "preorder", "complete_composition"])
     def test_an_undeclared_endpoint_is_a_structural_error(self, read):
@@ -1247,7 +1255,7 @@ class TestLabelCopies:
             fresh, copy = random_relabeling(q, np.random.default_rng(seed)), random_relabeling(q.labeled, np.random.default_rng(seed))
             check_label_copy(fresh, copy)
             # the label readers take either type, and read the same of both
-            assert qrt_isomorphic(q, copy)[0] and copy._true_key == fresh._true_key
+            assert qrt_isomorphic(q, copy)[0] and copy._view("true_nodes", True)[0] == fresh._view("true_nodes", True)[0]
             sub = random_sub_qrt(q, np.random.default_rng(seed))
             check_label_copy(sub_qrt(q, [s.id for s in sub.systems]), sub)
 
