@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError, UnknownSymbolError
-from .kripke import KripkeModel
+from .kripke import KripkeModel, _index
 from .linalg import DensityMatrix
 from .qrt import node_name
 from .translate import TranslationRecord
@@ -184,16 +184,12 @@ def _value(m: KripkeModel, f: Formula, w: str, warn_domains: bool) -> int:
         if _value(m, f.left, w, warn_domains) == 0:
             return 1
         return _value(m, f.right, w, warn_domains)
-    if isinstance(f, Box):
-        for u in sorted(m.worlds):
-            if (w, u) in m.access and _value(m, f.sub, u, warn_domains) == 0:
-                return 0
-        return 1
-    if isinstance(f, Diamond):
-        for u in sorted(m.worlds):
-            if (w, u) in m.access and _value(m, f.sub, u, warn_domains) == 1:
-                return 1
-        return 0
+    if isinstance(f, (Box, Diamond)):
+        settles = int(isinstance(f, Diamond))  # a false successor settles a box, a true one a diamond
+        for u in _index(m)[0][w]:  # in sorted order
+            if _value(m, f.sub, u, warn_domains) == settles:
+                return settles
+        return 1 - settles
     raise TypeError(f"not a formula node: {f!r}")
 
 

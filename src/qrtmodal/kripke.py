@@ -4,7 +4,9 @@ A model is the 5-tuple (worlds W, accessibility R, global atom domain D,
 per-world domains Q, global truth interpretation I). The starred variant
 adds a preorder on D. World and atom ids are opaque strings; isomorphism
 never depends on labels. Each model, and each starred model, builds the
-search's view of itself (key, vertex colours, links) once, on first use.
+search's view of itself (key, vertex colours, links) once, on first use;
+each model builds its index for the model-side checks (each world's
+successors and true atoms) the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .relations import Budget, bijections, find_nonreflexive, find_nontransitive
 
 
 class KripkeModel:
-    __slots__ = ("worlds", "access", "domain", "domains", "interp", "_search")
+    __slots__ = ("worlds", "access", "domain", "domains", "interp", "_search", "_rows")
 
     def __init__(
         self,
@@ -61,6 +63,7 @@ class KripkeModel:
         object.__setattr__(self, "domains", q)
         object.__setattr__(self, "interp", i)
         object.__setattr__(self, "_search", None)  # the search's view, built by _view
+        object.__setattr__(self, "_rows", None)  # the model-side checks' index, built by _index
 
     def __setattr__(self, name, value):
         raise AttributeError("KripkeModel is immutable")
@@ -128,15 +131,25 @@ def is_s4(m: KripkeModel) -> tuple[bool, object]:
     return True, None
 
 
+def _index(m: KripkeModel) -> tuple[dict, dict]:
+    """The model-side checks' index of m, built on first use and cached on
+    m: (successors, true atoms) by world, both in sorted world order."""
+    if m._rows is None:
+        succ: dict = {w: [] for w in sorted(m.worlds)}
+        for w, u in sorted(m.access):
+            succ[w].append(u)
+        true = {w: frozenset(p for p in m.domains[w] if m.interp[p] == 1) for w in succ}
+        object.__setattr__(m, "_rows", ({w: tuple(row) for w, row in succ.items()}, true))
+    return m._rows
+
+
 def is_sub_model(sub: KripkeModel, sup: KripkeModel) -> bool:
     """W' in W, R' the restriction of R, domains agreeing on W', and
     truth only lost, never gained: I'(a)=1 implies I(a)=1 on D'."""
     if not sub.worlds <= sup.worlds:
         return False
-    restricted = frozenset(
-        (a, b) for a, b in sup.access if a in sub.worlds and b in sub.worlds
-    )
-    if sub.access != restricted:
+    rows = _index(sup)[0]
+    if any(row != tuple(u for u in rows[w] if u in sub.worlds) for w, row in _index(sub)[0].items()):
         return False
     if not sub.domain <= sup.domain:
         return False

@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import OBJECT_CAP
 from .errors import StructuralError
-from .kripke import StarredModel
+from .kripke import StarredModel, _index
 from .translate import unit_world_candidates
 
 
@@ -60,10 +60,8 @@ def _arrow_rows(sm: StarredModel, index: dict) -> tuple:
     for w in m.worlds:
         for a in m.domains[w]:
             hosts[a].add(w)
-    reach: dict = {}
-    for w, u in m.access:
-        reach.setdefault(w, set()).add(u)
-    onward = {a: set().union(*(reach.get(w, ()) for w in ws)) for a, ws in hosts.items()}
+    succ = _index(m)[0]
+    onward = {a: set().union(*(succ[w] for w in ws)) for a, ws in hosts.items()}
     out, into = [0] * len(index), [0] * len(index)
     for a, b in sm.order:
         if not onward[a].isdisjoint(hosts[b]):

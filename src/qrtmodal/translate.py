@@ -17,7 +17,7 @@ theorem-condition oracles in this module work at the labeled
 from __future__ import annotations
 
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -27,6 +27,7 @@ from .errors import ResourceLimitError
 from .kripke import (
     KripkeModel,
     StarredModel,
+    _index,
     is_sub_model,
     models_isomorphic,
     starred_isomorphic,
@@ -143,24 +144,17 @@ def iso_conditions(
 # -- conditions a model must satisfy to be a translation image ----------------
 
 
-def true_atoms(m: KripkeModel, w: str) -> frozenset:
-    return frozenset(p for p in m.domains[w] if m.interp[p] == 1)
-
-
 def unit_world_candidates(m: KripkeModel) -> list:
     """Worlds that can play the unit role: singleton domain, disjoint
     from every other domain, with an edge to every world carrying a true
     atom. Sorted; possibly empty."""
-    needy = [w for w in m.worlds if true_atoms(m, w)]
-    out = []
-    for c in sorted(m.worlds):
-        if len(m.domains[c]) != 1:
-            continue
-        if any(m.domains[c] & m.domains[w] for w in m.worlds if w != c):
-            continue
-        if all((c, w) in m.access for w in needy):
-            out.append(c)
-    return out
+    succ, true = _index(m)
+    needy = {w for w, atoms in true.items() if atoms}
+    held = Counter(p for dom in m.domains.values() for p in dom)
+    return [
+        c for c, row in succ.items()
+        if len(m.domains[c]) == 1 and held[min(m.domains[c])] == 1 and needy.issubset(row)
+    ]
 
 
 def image_conditions(m: KripkeModel) -> dict:
@@ -174,16 +168,11 @@ def image_conditions(m: KripkeModel) -> dict:
 
     Returns {"i": bool, "ii": bool, "c_world": world or None, "witness_i": ...}.
     """
-    witness = None
-    ok_i = True
-    for (w, u) in sorted(m.access):
-        if not true_atoms(m, u) and true_atoms(m, w):
-            ok_i = False
-            witness = (w, u)
-            break
+    succ, true = _index(m)
+    witness = next(((w, u) for w, row in succ.items() for u in row if true[w] and not true[u]), None)
     candidates = unit_world_candidates(m)
     c_world = candidates[0] if candidates else None
-    return {"i": ok_i, "ii": c_world is not None, "c_world": c_world, "witness_i": witness}
+    return {"i": witness is None, "ii": c_world is not None, "c_world": c_world, "witness_i": witness}
 
 
 def monotone_violations(rec: TranslationRecord) -> list:

@@ -3,17 +3,21 @@ channel, random Kripke models, the convexity weights the acceptance
 criteria name, derived facts of theories and categories that only the
 tests ask for, the reference formula parser, the reference family
 builder, the per-operator channel kernels, the reference composite
-sweep, the one-pair trace-distance test over the stacked kernel, and the
+sweep, the one-pair trace-distance test over the stacked kernel, the
 numeric restriction and sub-theory test that the label restriction
-(``LabeledTheory.restricted``) is checked against."""
+(``LabeledTheory.restricted``) is checked against, and the per-call
+model-side checks that read no model index."""
+
+import warnings
 
 import numpy as np
 
 from qrtmodal import harness
 from qrtmodal.errors import FormulaSyntaxError, ShapeError, StructuralError
-from qrtmodal.formulas import Atom, Box, Diamond, Formula, Implies, Not, conj, disj, iff
+from qrtmodal.errors import UnknownSymbolError
+from qrtmodal.formulas import Atom, Box, Diamond, DomainWarning, Formula, Implies, Not, _require_atoms, conj, disj, iff
 from qrtmodal.generate import generate_qrt, random_relabeling
-from qrtmodal.kripke import KripkeModel, models_isomorphic
+from qrtmodal.kripke import KripkeModel, StarredModel, models_isomorphic
 from qrtmodal.linalg import (
     _KRAUS_CUTOFF,
     DensityMatrix,
@@ -305,3 +309,110 @@ def reference_missing_composites(table) -> list:
                     if comp not in have:
                         missing.append((a, b, fns[fkey], c, gns[gkey], comp))
     return missing
+
+
+# -- the model-side checks as they were before each model kept an index ---------
+
+
+def reference_value(m: KripkeModel, f: Formula, w: str, warn_domains: bool) -> int:
+    """``formulas._value`` that sorts every world and tests each pair's
+    membership in the access set at each box and diamond step."""
+    if isinstance(f, Atom):
+        if warn_domains and f.name not in m.domains[w]:
+            warnings.warn(f"atom {f.name} evaluated at world {w} outside its domain", DomainWarning, stacklevel=2)
+        return m.interp[f.name]
+    if isinstance(f, Not):
+        return 1 - reference_value(m, f.sub, w, warn_domains)
+    if isinstance(f, Implies):
+        if reference_value(m, f.left, w, warn_domains) == 0:
+            return 1
+        return reference_value(m, f.right, w, warn_domains)
+    if isinstance(f, Box):
+        for u in sorted(m.worlds):
+            if (w, u) in m.access and reference_value(m, f.sub, u, warn_domains) == 0:
+                return 0
+        return 1
+    if isinstance(f, Diamond):
+        for u in sorted(m.worlds):
+            if (w, u) in m.access and reference_value(m, f.sub, u, warn_domains) == 1:
+                return 1
+        return 0
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def reference_evaluate(m: KripkeModel, f: Formula, w: str, warn_domains: bool = True) -> int:
+    """``formulas.evaluate`` over ``reference_value``."""
+    if w not in m.worlds:
+        raise UnknownSymbolError(f"unknown world {w!r}")
+    _require_atoms(m, f)
+    return reference_value(m, f, w, warn_domains)
+
+
+def reference_is_valid(m: KripkeModel, f: Formula, warn_domains: bool = True) -> tuple:
+    """``formulas.is_valid`` over ``reference_value``."""
+    _require_atoms(m, f)
+    for w in sorted(m.worlds):
+        if reference_value(m, f, w, warn_domains) == 0:
+            return False, w
+    return True, None
+
+
+def reference_is_sub_model(sub: KripkeModel, sup: KripkeModel) -> bool:
+    """``kripke.is_sub_model`` that compares sub's access set with sup's
+    access restricted to sub's worlds."""
+    if not sub.worlds <= sup.worlds:
+        return False
+    restricted = frozenset((a, b) for a, b in sup.access if a in sub.worlds and b in sub.worlds)
+    if sub.access != restricted or not sub.domain <= sup.domain:
+        return False
+    if any(sub.domains[w] != sup.domains[w] for w in sub.worlds):
+        return False
+    return all(sup.interp[atom] == 1 for atom in sub.domain if sub.interp[atom] == 1)
+
+
+def reference_true_atoms(m: KripkeModel, w: str) -> frozenset:
+    return frozenset(p for p in m.domains[w] if m.interp[p] == 1)
+
+
+def reference_unit_world_candidates(m: KripkeModel) -> list:
+    """``translate.unit_world_candidates`` with each world's true atoms
+    rebuilt per test and every pair of domains intersected."""
+    needy = [w for w in m.worlds if reference_true_atoms(m, w)]
+    out = []
+    for c in sorted(m.worlds):
+        if len(m.domains[c]) != 1:
+            continue
+        if any(m.domains[c] & m.domains[w] for w in m.worlds if w != c):
+            continue
+        if all((c, w) in m.access for w in needy):
+            out.append(c)
+    return out
+
+
+def reference_image_conditions(m: KripkeModel) -> dict:
+    """``translate.image_conditions`` over the sorted access pairs."""
+    witness = None
+    for w, u in sorted(m.access):
+        if not reference_true_atoms(m, u) and reference_true_atoms(m, w):
+            witness = (w, u)
+            break
+    candidates = reference_unit_world_candidates(m)
+    c_world = candidates[0] if candidates else None
+    return {"i": witness is None, "ii": c_world is not None, "c_world": c_world, "witness_i": witness}
+
+
+def reference_arrow_rows(sm: StarredModel, index: dict) -> tuple:
+    """``smc._arrow_rows`` with each world's onward reach rebuilt from the
+    access pairs."""
+    m = sm.model
+    hosts: dict = {a: {w for w in m.worlds if a in m.domains[w]} for a in m.domain}
+    reach: dict = {}
+    for w, u in m.access:
+        reach.setdefault(w, set()).add(u)
+    onward = {a: set().union(*(reach.get(w, ()) for w in ws)) for a, ws in hosts.items()}
+    out, into = [0] * len(index), [0] * len(index)
+    for a, b in sm.order:
+        if not onward[a].isdisjoint(hosts[b]):
+            out[index[a]] |= 1 << index[b]
+            into[index[b]] |= 1 << index[a]
+    return tuple(out), tuple(into)
