@@ -7,12 +7,16 @@ trace-distance radius for matching a matrix to a named state, with two
 named states within 2 tol of each other an ambiguity. It defaults to
 1e-9: double-precision eigensolves on the matrix sizes this package
 allows (dim <= MAX_DIM) stay several orders of magnitude below that.
-MAX_DIM and MAX_CHANNELS are fixed limits; MAX_ISO_NODES and OBJECT_CAP
-are the defaults of per-call caps.
+MAX_DIM, MAX_CHANNELS and MAX_FORMULA_DEPTH are fixed limits; MAX_ISO_NODES
+and OBJECT_CAP are the defaults of per-call caps. MAX_FORMULA_DEPTH bounds
+how many connectives and parentheses may enclose one atom of a formula:
+desugaring at most quadruples that depth, so the recursive valuation and
+printer stay well inside Python's default recursion limit of 1000.
 """
 
 MAX_DIM = 64
 MAX_CHANNELS = 10_000
+MAX_FORMULA_DEPTH = 200
 MAX_ISO_NODES = 10_000_000
 OBJECT_CAP = 5
 DEFAULT_TOL = 1e-9

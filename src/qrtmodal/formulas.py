@@ -13,9 +13,15 @@ first-class node but is definitionally ~[]~; evaluation of both forms must
 agree (and is property-tested).
 
 Atom truth is global: the valuation reads the interpretation regardless of
-the world, per the variable-domain semantics used here. Evaluating an atom
-at a world whose domain does not contain it emits DomainWarning, never an
-error.
+the world, per the variable-domain semantics used here. The valuation
+walks a formula left to right, an implication's antecedent first; box and
+diamond walk a world's successors in sorted world order, read off the
+model's index, and stop at the first that settles them; ``is_valid`` walks
+the worlds in sorted order and stops at the first that fails. With
+``warn_domains``, each evaluation of an atom at a world whose domain does
+not contain it emits one DomainWarning, never an error: an atom at a world
+the walk does not reach never warns, and one it evaluates twice there
+warns twice (Python's default filter shows a repeated message once).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import re
 import warnings
 from dataclasses import dataclass
 
+from .config import MAX_FORMULA_DEPTH
 from .errors import FormulaSyntaxError, UnknownSymbolError
 from .kripke import KripkeModel, _index
 from .linalg import DensityMatrix
@@ -109,34 +116,38 @@ def _tokens(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text; raises FormulaSyntaxError with a position."""
+    """Parse formula text; raises FormulaSyntaxError with a position, also
+    at the connective or parenthesis that nests an atom deeper than
+    MAX_FORMULA_DEPTH."""
     toks = _tokens(text)
 
     def peek(idx: int):
         return toks[idx] if idx < len(toks) else (None, None, len(text))
 
-    def formula(idx: int) -> tuple[Formula, int]:
+    def formula(idx: int, depth: int) -> tuple[Formula, int]:
         kind, value, pos = peek(idx)
         if kind is None:
             raise FormulaSyntaxError("unexpected end of input", pos)
         if kind == "IDENT":
             return Atom(value), idx + 1
+        if depth == MAX_FORMULA_DEPTH and (kind in _UNARY or kind == "("):
+            raise FormulaSyntaxError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", pos)
         if kind in _UNARY:
-            sub, nxt = formula(idx + 1)
+            sub, nxt = formula(idx + 1, depth + 1)
             return _UNARY[kind](sub), nxt
         if kind == "(":
-            left, nxt = formula(idx + 1)
+            left, nxt = formula(idx + 1, depth + 1)
             op, _, op_pos = peek(nxt)
             if op not in _BINARY:
                 raise FormulaSyntaxError("expected a binary connective", op_pos)
-            right, nxt = formula(nxt + 1)
+            right, nxt = formula(nxt + 1, depth + 1)
             close, _, close_pos = peek(nxt)
             if close != ")":
                 raise FormulaSyntaxError("expected ')'", close_pos)
             return _BINARY[op](left, right), nxt + 1
         raise FormulaSyntaxError(f"unexpected token {value!r}", pos)
 
-    tree, end = formula(0)
+    tree, end = formula(0, 0)
     if end != len(toks):
         raise FormulaSyntaxError("unexpected trailing input", toks[end][2])
     return tree

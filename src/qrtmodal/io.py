@@ -206,7 +206,10 @@ def dumps(obj) -> str:
 
 def load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise FormatError(f"{path}: the JSON is nested too deeply to read") from None
 
 
 def save_json(path, obj) -> None:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrtmodal import corpus
+from qrtmodal.config import MAX_FORMULA_DEPTH
 from qrtmodal.errors import FormulaSyntaxError, UnknownSymbolError
 from qrtmodal.formulas import (
     Atom,
@@ -155,6 +156,50 @@ def test_random_formula_draws_are_pinned():
     rng = np.random.default_rng(2)
     texts = [print_formula(random_formula(rng, ["p", "q", "A.rho"], max_depth=8)) for _ in range(200)]
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16] == "e8df5f210ef795ed"
+
+
+def nested(opener: str, depth: int, atom: str = "p") -> str:
+    """atom inside depth openers: unary connectives, or parentheses that
+    each join the formula so far with atom on the right."""
+    if opener in ("~", "[]", "<>"):
+        return opener * depth + atom
+    return "(" * depth + atom + f" {opener} {atom})" * depth
+
+
+class TestNestingLimit:
+    """parse rejects an atom nested deeper than MAX_FORMULA_DEPTH at the
+    connective or parenthesis that opens the level one too many; at the
+    limit, formulas evaluate and print."""
+
+    @pytest.mark.parametrize("opener", ["~", "[]", "<>", "&"])
+    def test_one_level_too_many_is_a_syntax_error_at_its_opener(self, opener):
+        for depth in (MAX_FORMULA_DEPTH + 1, 5000):
+            with pytest.raises(FormulaSyntaxError, match=f"nested deeper than {MAX_FORMULA_DEPTH} levels") as err:
+                parse(nested(opener, depth))
+            assert err.value.position == MAX_FORMULA_DEPTH * (2 if opener in ("[]", "<>") else 1)
+
+    def test_an_error_before_the_limit_is_reported_first(self):
+        with pytest.raises(FormulaSyntaxError, match="unexpected character") as err:
+            parse("~" * 10 + "3" + "~" * 5000 + "p")
+        assert err.value.position == 10
+
+    @pytest.mark.parametrize(
+        "opener, truth, want",
+        [("~", 0, 0), ("[]", 0, 0), ("<>", 1, 1), ("&", 1, 1), ("|", 0, 0), ("->", 1, 1), ("<->", 1, 1)],
+    )
+    def test_the_deepest_accepted_formula_gets_its_verdict(self, opener, truth, want):
+        # every world has one successor, so each modal step goes on
+        m = KripkeModel(["w", "u"], [("w", "u"), ("u", "w")], ["p"], {"w": {"p"}, "u": {"p"}}, {"p": truth})
+        depth = MAX_FORMULA_DEPTH if opener != "<->" else 12  # each <-> holds its operand twice
+        f = parse(nested(opener, depth))
+        assert evaluate(m, f, "w") == want
+        assert is_valid(m, f) == ((True, None) if want else (False, "u"))
+        assert len(print_formula(f)) > depth
+
+    @pytest.mark.parametrize("opener", ["~", "[]", "<>", "->"])
+    def test_text_at_the_limit_round_trips(self, opener):
+        f = parse(nested(opener, MAX_FORMULA_DEPTH))
+        assert parse(print_formula(f)) == f
 
 
 class TestEvaluate:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qrtmodal import corpus
 from qrtmodal.cli import main
-from qrtmodal.config import MAX_DIM
+from qrtmodal.config import MAX_DIM, MAX_FORMULA_DEPTH
 from qrtmodal.io import (
     FormatError,
     decode_matrix,
@@ -809,3 +809,33 @@ def test_check_rejects_unknown_atom_anywhere(formula, tmp_path, capsys):
     path.write_text(json.dumps(small_model_dict() | {"interp": {"p": 0, "q": 0}}))
     assert main(["check", str(path), formula]) == 2
     assert capsys.readouterr().err == "error: unknown atom 'zz'\n"
+
+
+@pytest.mark.parametrize("depth, code, out", [(5000, 2, ""), (MAX_FORMULA_DEPTH + 1, 2, ""), (MAX_FORMULA_DEPTH, 1, "invalid at world u\n")])
+def test_check_takes_formulas_nested_up_to_the_limit(depth, code, out, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(small_model_dict()))
+    assert main(["check", str(path), "[]" * depth + "q"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    if code == 2:
+        message = f"error: formula nested deeper than {MAX_FORMULA_DEPTH} levels (at position {2 * MAX_FORMULA_DEPTH})\n"
+        assert captured.err == message
+
+
+# every command that reads a file, with the file
+DEEP_JSON_COMMANDS = {
+    "validate": lambda path: ["validate", path],
+    "translate": lambda path: ["translate", path],
+    "check": lambda path: ["check", path, "p"],
+    "theorems": lambda path: ["theorems", path],
+    "theorems --models": lambda path: ["theorems", "--models", path, "--count", "4", "--no-corpus"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEEP_JSON_COMMANDS))
+def test_deeply_nested_json_is_an_input_error(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(DEEP_JSON_COMMANDS[command](str(path))) == 2
+    assert capsys.readouterr().err == f"error: {path}: the JSON is nested too deeply to read\n"
