@@ -145,11 +145,19 @@ def run_theorems(
         ],
     }
 
-    records = {label: to_model(q) for label, q in family}
-    # the family's starred images, then the injected models as negative controls
-    subjects = [(label, records[label].starred, {}) for label, _ in family] + [
-        (label, m, {"injected": True}) for label, m in injected_models or []
-    ]
+    # the family's records and starred images, then the injected models as
+    # negative controls; a theory whose record or starred model does not
+    # build fails every section, which the other theories go on to
+    records, subjects, build_errors = {}, [], []
+    for label, q in family:
+        try:
+            rec = to_model(q)
+            subjects.append((label, rec.starred, {}))
+            records[label] = rec
+        except QrtModalError as exc:
+            build_errors.append({"label": label, "error": str(exc)})
+    family = [(label, q) for label, q in family if label in records]
+    subjects += [(label, m, {"injected": True}) for label, m in injected_models or []]
 
     # S4 form of every translated model
     s4_failures = []
@@ -275,6 +283,10 @@ def run_theorems(
         "ok": all(e["laws_ok"] and e.get("free_atoms_match", True) for e in smc_entries),
         "entries": smc_entries,
     }
+
+    # only when non-empty, so that reports of theories that translate keep their bytes
+    for key in SECTIONS if build_errors else ():
+        report[key].update(ok=False, errors=build_errors)
 
     report["inconclusive"] = len(iso_inconclusive) + report["starred_injectivity"]["inconclusive"]
     all_ok = all(report[k]["ok"] for k in SECTIONS)

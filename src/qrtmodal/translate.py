@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .config import MAX_ISO_NODES
-from .errors import ResourceLimitError
+from .errors import QrtModalError, ResourceLimitError
 from .kripke import (
     KripkeModel,
     StarredModel,
@@ -240,7 +240,9 @@ def verify_starred_injectivity(
     """For each pair: starred-isomorphic translations must come from
     labeled-isomorphic sources, decided on their ``labeled`` forms, which
     translating them has made. Reports every violation as a falsification
-    candidate; search-cap overruns are recorded as inconclusive."""
+    candidate; search-cap overruns are recorded as inconclusive, and a
+    pair whose translation or starred model does not build as an error,
+    which fails the sweep."""
     entries = []
     falsifications = 0
     inconclusive = 0
@@ -270,10 +272,12 @@ def verify_starred_injectivity(
             entry["verdict"] = "inconclusive"
             entry["reason"] = str(exc)
             inconclusive += 1
+        except QrtModalError as exc:
+            entry.update(verdict="error", error=str(exc))
         entries.append(entry)
     return {
         "entries": entries,
         "falsifications": falsifications,
         "inconclusive": inconclusive,
-        "ok": falsifications == 0,
+        "ok": falsifications == 0 and all(e["verdict"] != "error" for e in entries),
     }

@@ -1,6 +1,7 @@
 """Harness tests: family assembly, consolidated report, status codes."""
 
 import hashlib
+import json
 import re
 from collections import Counter
 
@@ -505,16 +506,19 @@ def _dropped_access_pair(rec):
     return KripkeModel(m.worlds, m.access - {pair}, m.domain, m.domains, m.interp), rec.order
 
 
-@pytest.mark.parametrize(
-    "plant", [_reversed_order, _dropped_strict_pair, _true_resource_atom, _dropped_access_pair]
-)
-def test_a_defect_planted_in_one_record_fails_functoriality(plant, monkeypatch):
-    family = build_family(1, 12)
-    label, target = next(
-        (label, q)
-        for label, q in family
-        if any(a != b for a, b in to_model(q).order) and 0 in to_model(q).model.interp.values()
+def _dropped_implied_pair(rec):
+    """The order without its least strict pair that transitivity implies,
+    so that the starred model does not build."""
+    order = rec.order
+    pair = min(
+        (a, b)
+        for a, b in order
+        if a != b and any((a, c) in order and (c, b) in order for c in rec.model.domain if c not in (a, b))
     )
+    return rec.model, order - {pair}
+
+
+def plant_in_one_record(monkeypatch, target, plant):
     translate_one = translate._translate
 
     def planted(q):
@@ -526,6 +530,72 @@ def test_a_defect_planted_in_one_record_fails_functoriality(plant, monkeypatch):
 
     monkeypatch.setattr(translate, "_translate", planted)
     monkeypatch.setattr(translate, "_records", type(translate._records)())
+
+
+# each plant, the theory of build_family(1, 12) it is planted in, and every section it fails
+PLANTED_RECORDS = [
+    (_reversed_order, "gen0", ["functoriality"]),
+    (_dropped_strict_pair, "gen0", ["functoriality"]),
+    (_true_resource_atom, "gen0", ["functoriality", "iso_conditions", "image_conditions", "smc"]),
+    (_dropped_access_pair, "gen0", ["functoriality", "iso_conditions"]),
+]
+
+
+@pytest.mark.parametrize("plant, label, failing", PLANTED_RECORDS, ids=[p.__name__ for p, _, _ in PLANTED_RECORDS])
+def test_a_defect_planted_in_one_record_fails_functoriality(plant, label, failing, monkeypatch):
+    family = build_family(1, 12)
+    plant_in_one_record(monkeypatch, dict(family)[label], plant)
     report = run_theorems(family=family, seed=1, include_corpus=False)
     assert report["status"] == 1
+    assert [k for k in harness.SECTIONS if not report[k]["ok"]] == failing
     assert [e["label"] for e in report["functoriality"]["entries"] if not e["ok"]] == [label]
+
+
+def test_a_record_whose_starred_model_does_not_build_fails_every_section(monkeypatch):
+    family = build_family(1, 12)
+    plant_in_one_record(monkeypatch, dict(family)["gen1"], _dropped_implied_pair)
+    report = run_theorems(family=family, seed=1, include_corpus=False)
+    assert report["status"] == 1
+    error = {"label": "gen1", "error": "order is not transitive, witness ('A.s0', 'c.one', 'B.s1')"}
+    assert [k for k in harness.SECTIONS if not report[k]["ok"]] == list(harness.SECTIONS)
+    assert all(report[k]["errors"] == [error] for k in harness.SECTIONS)
+    # the other theories are checked as before
+    assert len(report["functoriality"]["entries"]) == len(family) - 1
+    assert report["iso_conditions"]["pairs_checked"] == (len(family) - 1) ** 2
+    assert all(e["ok"] for e in report["functoriality"]["entries"])
+
+
+def test_a_translation_that_does_not_build_is_a_failing_entry_not_an_input_error(monkeypatch, tmp_path, capsys):
+    # every record loses its least strict order pair that transitivity implies
+    real = translate._translate
+
+    def planted(q):
+        rec = real(q)
+        try:
+            model, order = _dropped_implied_pair(rec)
+        except ValueError:  # no such pair
+            return rec
+        return translate.TranslationRecord(rec.edges, model, order, rec.c_world)
+
+    monkeypatch.setattr(translate, "_translate", planted)
+    monkeypatch.setattr(translate, "_records", type(translate._records)())
+    path = tmp_path / "chain.qrt.json"
+    io.save_json(path, io.qrt_to_dict(chain_qrt()))
+    assert main(["theorems", str(path), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    message = "order is not transitive, witness ('c.one', 'A.rho', 'B.sigma')"
+    assert all(report[k]["errors"] == [{"label": str(path), "error": message}] for k in harness.SECTIONS)
+    # the corpus pairs translate under the same plant, and fail as entries too
+    errors = [e for e in report["starred_injectivity"]["entries"] if e["verdict"] == "error"]
+    assert [e["pair"] for e in errors] == [f"xi:{name}" for name, _, _ in xi_sweep()]
+    assert all(e["error"].startswith("order is not transitive") for e in errors)
+
+
+def test_an_error_that_is_not_a_qrtmodal_error_propagates_from_a_record(monkeypatch):
+    def planted(q):
+        raise TypeError("a bug, not a verdict")
+
+    monkeypatch.setattr(translate, "_translate", planted)
+    monkeypatch.setattr(translate, "_records", type(translate._records)())
+    with pytest.raises(TypeError, match="a bug"):
+        run_theorems(family=[("chain", chain_qrt())], include_corpus=False)
