@@ -10,8 +10,9 @@ allows (dim <= MAX_DIM) stay several orders of magnitude below that.
 MAX_DIM, MAX_CHANNELS and MAX_FORMULA_DEPTH are fixed limits; MAX_ISO_NODES
 and OBJECT_CAP are the defaults of per-call caps. MAX_FORMULA_DEPTH bounds
 how many connectives and parentheses may enclose one atom of a formula:
-desugaring at most quadruples that depth, so the recursive valuation and
-printer stay well inside Python's default recursion limit of 1000.
+desugaring at most quadruples that depth (``<->``; ``&`` and ``|`` double
+it), so the recursive valuation and printer stay inside Python's default
+recursion limit of 1000 frames.
 """
 
 MAX_DIM = 64

@@ -21,7 +21,8 @@ the worlds in sorted order and stops at the first that fails. With
 ``warn_domains``, each evaluation of an atom at a world whose domain does
 not contain it emits one DomainWarning, never an error: an atom at a world
 the walk does not reach never warns, and one it evaluates twice there
-warns twice (Python's default filter shows a repeated message once).
+warns twice (Python's default filter shows a message repeated from one
+line once).
 """
 
 from __future__ import annotations

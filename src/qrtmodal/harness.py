@@ -147,7 +147,7 @@ def run_theorems(
 
     # the family's records and starred images, then the injected models as
     # negative controls; a theory whose record or starred model does not
-    # build fails every section, which the other theories go on to
+    # build is left out of the sections and fails each of them (below)
     records, subjects, build_errors = {}, [], []
     for label, q in family:
         try:
