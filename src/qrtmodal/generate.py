@@ -24,7 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GenerationError, QrtModalError, StructuralError
+from .config import DEFAULT_TOL
+from .errors import GenerationError, QrtModalError
 from .formulas import _UNARY, Atom, Formula, Implies
 from .linalg import (
     DensityMatrix,
@@ -45,9 +46,9 @@ from .qrt import (
     Qrt,
     SystemDecl,
     _derive_maps,
+    _induced_maps,
     complete_composition,
     derive,
-    induced_map,
 )
 from .relations import Budget
 
@@ -197,14 +198,10 @@ def _declared_qrt(cfg: GeneratorConfig, index: int) -> Qrt:
             if rng.random() >= cfg.channel_density:
                 continue
             # an occasional raw isometry channel, kept only if it happens
-            # to respect the named universe
+            # to induce a map on the named universe
             if src.dim > 1 and dst.dim > 1 and rng.random() < _RAW_PROBABILITY:
                 raw = random_cptp_channel(rng, src.dim, dst.dim)
-                try:
-                    fits = induced_map(raw, src, dst) is not None
-                except StructuralError:  # an ambiguous match
-                    fits = False
-                if fits:
+                if isinstance(_induced_maps([(raw, src, dst)], DEFAULT_TOL)[0], dict):
                     channels.append(ChannelDecl(next_id(), src.id, dst.id, raw))
                     continue
                 budget.spend()

@@ -12,10 +12,14 @@ unique-within-tol rule, with ambiguity treated as a validation error.
 A theory derives those functions once, in one stacked pass per
 (in_dim, out_dim) group of its channels (``_induced_maps``): one Kraus
 sum and one state check over every (channel, source state) pair, and one
-array of Frobenius bounds per destination system. The pass settles every
-channel, failures included: the first state in order whose image fails,
-misses or matches ambiguously decides the channel's outcome, and a
-failure is kept as its error, which every later use raises again.
+array of Frobenius bounds per destination system. Only a channel that
+fits its systems is applied: both endpoints declared, its Kraus shape
+their dims, and no state of another dim in either. Every other channel
+induces nothing, and settles unapplied as a StructuralError that says
+why. The pass settles every channel it applies, failures included: the
+first state in order whose image fails, misses or matches ambiguously
+decides the channel's outcome, and a failure is kept as its error, which
+every later use raises again.
 
 ``derive`` runs that pass, and the CPTP verdicts validation reads, for
 many theories at once: the theories of one tolerance share each group
@@ -127,14 +131,10 @@ def _settled(outcome):
 
 def _matches(dst: SystemDecl, images: np.ndarray, tol: float) -> list:
     """The outcome of matching each image of the (n, d, d) stack to the
-    named states of dst, in order: the one named state within trace
-    distance tol, None when there is none, or (StructuralError, message)
-    when there are several. Every outcome is (DimensionMismatchError,
-    message) when dst names a state of another dim than the images."""
+    named states of dst, each of dim d, in order: the one named state
+    within trace distance tol, None when there is none, or
+    (StructuralError, message) when there are several."""
     dim = images.shape[-1]
-    odd = next((dm.dim for dm in dst.states.values() if dm.dim != dim), None)
-    if odd is not None:
-        return [(DimensionMismatchError, f"dims differ: {dim} vs {odd}")] * len(images)
     names = list(dst.states)
     named = np.array([dm.mat for dm in dst.states.values()]).reshape(len(names), dim, dim)
     hit = within_trace_distances(images, named, tol)
@@ -148,41 +148,26 @@ def _matches(dst: SystemDecl, images: np.ndarray, tol: float) -> list:
     return [names[f] if n == 1 else several(i) if n else None for i, (n, f) in enumerate(zip(counts, first))]
 
 
-def induced_map(
-    channel: KrausChannel, src: SystemDecl, dst: SystemDecl, tol: float = DEFAULT_TOL
-) -> dict | None:
-    """The map named state -> named state that channel realizes from src to
-    dst: each image goes to the unique named state of dst within trace
-    distance tol. ``_induced_maps`` of the one triple: None when an image
-    matches no named state, StructuralError when one matches several, or
-    what applying the channel to a state raises, whichever comes first in
-    state order."""
-    (outcome,) = _induced_maps([(channel, src, dst)], tol)
-    return _settled(outcome)
-
-
 def _induced_maps(derivations: Sequence[tuple], tol: float) -> list:
     """The outcome of each (channel, src, dst) triple, in order: the
     induced map, None, or (error type, message) for what deriving it one
-    state at a time raises first.
+    state at a time raises first. Every named state of src has the
+    channel's input dim, and every named state of dst its output dim.
 
     The triples are derived in one pass per (in_dim, out_dim) group: one
-    ``apply_channels`` over each channel's states up to the first of
-    another dim, with the channels of one destination system side by side,
-    then one ``_matches`` per destination over their images. A channel's
-    outcome is read in state order: a failing image, a miss, an ambiguity
-    or a destination that names a state of another dim, whichever comes
-    first, then a state of another dim; else its map."""
+    ``apply_channels`` over the channels' states, with the channels of one
+    destination system side by side, then one ``_matches`` per destination
+    over their images. A channel's outcome is read in state order: a
+    failing image, a miss or an ambiguity, whichever comes first; else its
+    map."""
     outcomes: list = [None] * len(derivations)
     groups: dict = {}
     for k, (c, src, dst) in enumerate(derivations):
-        states = tuple(src.states.values())
-        n = next((i for i, rho in enumerate(states) if rho.dim != c.in_dim), len(states))
-        groups.setdefault((c.in_dim, c.out_dim), {}).setdefault(dst, []).append((k, states, n))
+        groups.setdefault((c.in_dim, c.out_dim), {}).setdefault(dst, []).append((k, src.states))
     for by_dst in groups.values():
         members = [m for mine in by_dst.values() for m in mine]
         images, errors = apply_channels(
-            [derivations[k][0] for k, _, _ in members], [states[:n] for _, states, n in members], tol
+            [derivations[k][0] for k, _ in members], [tuple(states.values()) for _, states in members], tol
         )
         if errors:  # a failing image is matched as a zero matrix, and never read
             images = images.copy()
@@ -190,21 +175,17 @@ def _induced_maps(derivations: Sequence[tuple], tol: float) -> list:
         row = 0
         for dst, mine in by_dst.items():
             base = row
-            matched = _matches(dst, images[base:base + sum(n for _, _, n in mine)], tol)
-            for k, states, n in mine:
+            matched = _matches(dst, images[base:base + sum(len(states) for _, states in mine)], tol)
+            for k, states in mine:
                 fn: dict | tuple | None = {}
-                for st, r in zip(derivations[k][1].states, range(row, row + n)):
+                for st, r in zip(states, range(row, row + len(states))):
                     m = (type(errors[r]), str(errors[r])) if r in errors else matched[r - base]
                     if not isinstance(m, str):  # a failure or a miss settles the channel
                         fn = m
                         break
                     fn[st] = m
-                else:
-                    if n < len(states):
-                        c = derivations[k][0]
-                        fn = DimensionMismatchError, f"state dim {states[n].dim} does not match channel input dim {c.in_dim}"
                 outcomes[k] = fn
-                row += n
+                row += len(states)
     return outcomes
 
 
@@ -401,8 +382,13 @@ class Qrt(_LabelRules):
         """The unique named state of system sid within trace distance tol,
         or None: ``_matches`` of the one state.
 
-        Raises StructuralError when more than one named state matches."""
-        (outcome,) = _matches(self._by_id[sid], dm.mat[None], self.tol)
+        Raises StructuralError when more than one named state matches, and
+        DimensionMismatchError when a named state has another dim than dm."""
+        dst = self._by_id[sid]
+        odd = next((s.dim for s in dst.states.values() if s.dim != dm.dim), None)
+        if odd is not None:
+            raise DimensionMismatchError(f"dims differ: {dm.dim} vs {odd}")
+        (outcome,) = _matches(dst, dm.mat[None], self.tol)
         return _settled(outcome)
 
     def _outcome(self, decl: ChannelDecl):
@@ -415,8 +401,8 @@ class Qrt(_LabelRules):
         return self._induced[decl]
 
     def _function(self, decl: ChannelDecl) -> dict | None:
-        """The channel's ``induced_map``; a failure raises its error again
-        on every call."""
+        """The channel's induced map, or None; a failure raises its error
+        again on every call."""
         return _settled(self._outcome(decl))
 
     @cached_property
@@ -509,10 +495,10 @@ class Qrt(_LabelRules):
                 issues.append(Issue("bad-trivial", self._trivial, "trivial system must have dim 1"))
 
         derive((self,))
-        closure_ok = all(reaches for _, _, reaches in self._checked)
-        for decl, found, reaches in self._checked:
+        closure_ok = all(misfit is None for _, _, misfit in self._checked)
+        for decl, found, misfit in self._checked:
             issues += found
-            if not reaches:
+            if misfit is not None:
                 continue
             ok, why = is_cptp(decl.channel, self.tol)
             if not ok:
@@ -546,8 +532,9 @@ class Qrt(_LabelRules):
 
     @cached_property
     def _checked(self) -> tuple:
-        """(channel, its issues before the CPTP check, whether it reaches
-        the check) for every channel, in declaration order."""
+        """(channel, its issues before the CPTP check, why it does not fit
+        its systems or None) for every channel, in declaration order. Only
+        a channel that fits reaches the CPTP check, and only it is applied."""
         # its named states cannot pass through a system with a state of
         # another dim; the validation report names that state
         misdimensioned = {s.id for s in self._systems if any(dm.dim != s.dim for dm in s.states.values())}
@@ -559,15 +546,16 @@ class Qrt(_LabelRules):
                 found.append(Issue("duplicate-id", decl.id, "duplicate channel id"))
             seen.add(decl.id)
             src, dst = self._by_id.get(decl.src), self._by_id.get(decl.dst)
-            reaches = False
             if src is None or dst is None:
-                found.append(Issue("unknown-system", decl.id, f"endpoints {decl.src}->{decl.dst} undeclared"))
+                misfit = f"endpoints {decl.src}->{decl.dst} undeclared"
+                found.append(Issue("unknown-system", decl.id, misfit))
             elif decl.channel.in_dim != src.dim or decl.channel.out_dim != dst.dim:
-                shape = f"{decl.channel.out_dim}x{decl.channel.in_dim} != {dst.dim}x{src.dim}"
-                found.append(Issue("dim-mismatch", decl.id, f"kraus shape {shape}"))
+                misfit = f"kraus shape {decl.channel.out_dim}x{decl.channel.in_dim} != {dst.dim}x{src.dim}"
+                found.append(Issue("dim-mismatch", decl.id, misfit))
             else:
-                reaches = decl.src not in misdimensioned and decl.dst not in misdimensioned
-            checked.append((decl, found, reaches))
+                odd = next((sid for sid in (decl.src, decl.dst) if sid in misdimensioned), None)
+                misfit = None if odd is None else f"system {odd} holds a state of another dim"
+            checked.append((decl, found, misfit))
         return tuple(checked)
 
     @cached_property
@@ -586,17 +574,18 @@ class Qrt(_LabelRules):
 def _derive_maps(theories: Iterable[Qrt]) -> None:
     """Settle the outcome of every channel of the theories that has none
     yet, with one ``_induced_maps`` call per tolerance: theories of one
-    tolerance share its group passes. A channel with an undeclared
-    endpoint settles as a StructuralError."""
+    tolerance share its group passes. Only the channels that fit their
+    systems (``Qrt._checked``) are applied; every other one settles,
+    unapplied, as a StructuralError naming it and why it does not fit."""
     todo: dict = {}  # tol -> [(theory, channel)]
     for q in theories:
-        for d in q._channels:
+        for d, _, misfit in q._checked:
             if d in q._induced:
                 continue
-            if d.src in q._by_id and d.dst in q._by_id:
+            if misfit is None:
                 todo.setdefault(q.tol, []).append((q, d))
             else:
-                q._induced[d] = (StructuralError, f"channel {d.id}: endpoints {d.src}->{d.dst} undeclared")
+                q._induced[d] = (StructuralError, f"channel {d.id}: {misfit}")
     for tol, pending in todo.items():
         outcomes = _induced_maps([(d.channel, q._by_id[d.src], q._by_id[d.dst]) for q, d in pending], tol)
         for (q, d), outcome in zip(pending, outcomes):
@@ -616,7 +605,7 @@ def derive(theories: Iterable[Qrt]) -> None:
     _derive_maps(theories)
     checked: dict = {}  # tol -> the channels validation checks
     for q in theories:
-        checked.setdefault(q.tol, []).extend(d.channel for d, _, reaches in q._checked if reaches)
+        checked.setdefault(q.tol, []).extend(d.channel for d, _, misfit in q._checked if misfit is None)
     for tol, channels in checked.items():
         settle_cptp(channels, tol)
 

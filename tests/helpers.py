@@ -4,7 +4,8 @@ criteria name, derived facts of theories and categories that only the
 tests ask for, the reference formula parser, the reference family
 builder, the per-operator channel kernels, the reference composite
 sweep, the one-pair trace-distance test over the stacked kernel, the
-numeric restriction and sub-theory test that the label restriction
+one-channel induced map over the grouped derivation kernel, the numeric
+restriction and sub-theory test that the label restriction
 (``LabeledTheory.restricted``) is checked against, and the per-call
 model-side checks that read no model index."""
 
@@ -13,6 +14,7 @@ import warnings
 import numpy as np
 
 from qrtmodal import harness
+from qrtmodal.config import DEFAULT_TOL
 from qrtmodal.errors import FormulaSyntaxError, ShapeError, StructuralError
 from qrtmodal.errors import UnknownSymbolError
 from qrtmodal.formulas import Atom, Box, Diamond, DomainWarning, Formula, Implies, Not, _require_atoms, conj, disj, iff
@@ -28,7 +30,7 @@ from qrtmodal.linalg import (
     hermitian_part,
     within_trace_distances,
 )
-from qrtmodal.qrt import Qrt, _missing_composites
+from qrtmodal.qrt import Qrt, SystemDecl, _induced_maps, _missing_composites, _settled
 from qrtmodal.relations import reflexive_transitive_closure
 from qrtmodal.smc import SmcCategory
 from qrtmodal.translate import to_model
@@ -91,6 +93,17 @@ def within_trace_distance(a: DensityMatrix, b: DensityMatrix, eps: float) -> boo
     """Whether trace_distance(a, b) <= eps, for two states of one dim:
     ``within_trace_distances`` of the one pair."""
     return bool(within_trace_distances(a.mat[None], b.mat[None], eps)[0, 0])
+
+
+def induced_map(channel: KrausChannel, src: SystemDecl, dst: SystemDecl, tol: float = DEFAULT_TOL) -> dict | None:
+    """The map named state -> named state that channel realizes from src to
+    dst, whose named states have the channel's dims: ``_induced_maps`` of
+    the one triple. None when an image matches no named state,
+    StructuralError when one matches several, or what applying the channel
+    to a state raises, whichever comes first in state order. The
+    per-channel reference for the grouped pass."""
+    (outcome,) = _induced_maps([(channel, src, dst)], tol)
+    return _settled(outcome)
 
 
 def is_sub_qrt(x: Qrt, y: Qrt) -> bool:

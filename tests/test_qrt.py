@@ -44,12 +44,12 @@ from qrtmodal.qrt import (
     Qrt,
     SystemDecl,
     complete_composition,
-    induced_map,
     qrt_isomorphic,
 )
 from qrtmodal.translate import iso_conditions, to_model, verify_functoriality
 
 from helpers import (
+    induced_map,
     is_composition_complete,
     is_sub_qrt,
     reference_choi_matrix,
@@ -948,6 +948,17 @@ def test_induced_map_miss_and_ambiguity():
         induced_map(swap, src, crowded)
 
 
+def test_match_named_raises_for_a_state_of_another_dim():
+    a0 = basis_state(2, 0)
+    wide = Qrt([SystemDecl("W", 2, {"w0": a0, "w3": basis_state(3, 0)})])
+    with pytest.raises(DimensionMismatchError, match=r"^dims differ: 2 vs 3$"):
+        wide.match_named("W", a0)
+    plain = Qrt([SystemDecl("A", 2, {"a0": a0})])
+    with pytest.raises(DimensionMismatchError, match=r"^dims differ: 3 vs 2$"):
+        plain.match_named("A", basis_state(3, 0))
+    assert plain.match_named("A", a0) == "a0"
+
+
 def test_induced_map_outcome_is_that_of_the_first_unmatched_state():
     # |0> passes diag(1, 1.1) to itself, which B does not name; |1> comes
     # out with trace 1.21, which is no state
@@ -977,20 +988,27 @@ def outcome(call):
     return "map", None if fn is None else list(fn.items())
 
 
+def fits(q: Qrt) -> list:
+    """(channel, whether it fits its systems) for every channel in order:
+    the theory applies only the channels that fit, and a per-channel
+    reference is called only on them."""
+    return [(d, misfit is None) for d, _, misfit in q._checked]
+
+
 def derivation_pairs(q: Qrt):
     """(grouped, one-channel) outcome of every channel of a fresh copy of
     q: the theory's own derivation, and ``induced_map`` of the channel
-    alone. Also the count of channels that the first derivation's pass
-    settled."""
+    alone, or None for a channel that does not fit its systems. Also the
+    count of channels that the first derivation's pass settled."""
     fresh = Qrt(q.systems, q.channels, q.trivial_id, q.tol)
     outcome(partial(fresh._function, fresh.channels[0]))
     settled = len(fresh._induced)
     pairs = [
         (
             outcome(partial(fresh._function, d)),
-            outcome(partial(induced_map, d.channel, fresh.system(d.src), fresh.system(d.dst), fresh.tol)),
+            outcome(partial(induced_map, d.channel, fresh.system(d.src), fresh.system(d.dst), fresh.tol)) if fit else None,
         )
-        for d in fresh.channels
+        for d, fit in fits(fresh)
     ]
     return pairs, settled
 
@@ -1107,19 +1125,39 @@ def built_theories() -> dict:
 
 
 def check_grouped_against_per_channel(q: Qrt) -> tuple[list, int, int]:
-    """The grouped outcome of each channel of q equals induced_map's and
-    the plain rules', and each grouped image equals its one-channel image
+    """The grouped outcome of each channel of q that fits its systems
+    equals induced_map's and the plain rules', any other channel's is a
+    StructuralError, and each grouped image equals its one-channel image
     or gets the same verdicts. Returns the (grouped, per-channel) outcome
     pairs, the count of channels the grouped pass settled itself and the
     count of images compared."""
     pairs, settled = derivation_pairs(q)
-    plain = [
-        outcome(partial(scalar_map, d.channel, q.system(d.src), q.system(d.dst), q.tol))
-        for d in q.channels
-    ]
-    for d, (grouped, single), rule in zip(q.channels, pairs, plain):
-        assert grouped == single == rule, d.id
+    for (d, fit), (grouped, single) in zip(fits(q), pairs):
+        if fit:
+            rule = outcome(partial(scalar_map, d.channel, q.system(d.src), q.system(d.dst), q.tol))
+            assert grouped == single == rule, d.id
+        else:
+            assert grouped[0] is StructuralError and grouped[1].startswith(f"channel {d.id}: "), d.id
     return pairs, settled, image_bits_and_verdicts(q)
+
+
+def applied_rows(applied: Counter, decl: ChannelDecl) -> int:
+    """The (channel, state) rows of decl's channel among the applications
+    ``_count_applications`` counted."""
+    return sum(n for (c, _), n in applied.items() if c == id(decl.channel))
+
+
+def check_as_without(q: Qrt, bad: set) -> None:
+    """The channels of q but those with an id in bad settle the outcomes
+    they settle in a copy of q without them, and q's validation issues are
+    that copy's beside the bad channels' own."""
+    without = Qrt(q.systems, [d for d in q.channels if d.id not in bad], q.trivial_id, q.tol)
+    mine, _ = derivation_pairs(q)
+    alone, _ = derivation_pairs(without)
+    assert {d.id: grouped for d, (grouped, _) in zip(without.channels, alone)} == {
+        d.id: grouped for d, (grouped, _) in zip(q.channels, mine) if d.id not in bad
+    }
+    assert [i for i in q.validate().issues if i.subject not in bad] == list(without.validate().issues)
 
 
 def check_settles_every_channel(theories: list) -> None:
@@ -1180,17 +1218,22 @@ class TestGroupedDerivation:
             StructuralError, "ambiguous match in system C: ['c1', 'c1_near']"
         )
 
-    def test_a_state_of_another_dim_is_read_in_state_order(self):
-        # a miss before the misfit state settles the channel; the misfit
-        # state first raises, as applying the channel to it alone does
+    def test_a_state_of_another_dim_is_read_in_state_order(self, monkeypatch):
+        # a channel from a system that holds a state of another dim fits no
+        # systems: whichever state comes first, it is never applied and
+        # settles as the StructuralError that names the system
         mixed, qutrit = maximally_mixed(2), basis_state(3, 0)
         dst = SystemDecl("B", 2, {"b0": basis_state(2, 0), "b1": basis_state(2, 1)})
-        misfit = (DimensionMismatchError, "state dim 3 does not match channel input dim 2")
-        for states, want in (({"m": mixed, "q": qutrit}, ("map", None)), ({"q": qutrit, "m": mixed}, misfit)):
-            q = Qrt([SystemDecl("W", 2, states), dst], [ChannelDecl("from_w", "W", "B", identity_channel(2))])
+        swap = ChannelDecl("swap", "B", "B", function_channel([1, 0], 2, 2))  # a group-mate in (2, 2)
+        applied = _count_applications(monkeypatch)
+        for states in ({"m": mixed, "q": qutrit}, {"q": qutrit, "m": mixed}):
+            from_w = ChannelDecl("from_w", "W", "B", identity_channel(2))
+            q = Qrt([SystemDecl("W", 2, states), dst], [from_w, swap])
             pairs, settled, _ = check_grouped_against_per_channel(q)
             assert settled == len(q.channels)
-            assert pairs[0][0] == want
+            assert pairs[0][0] == (StructuralError, "channel from_w: system W holds a state of another dim")
+            assert applied_rows(applied, from_w) == 0 and applied_rows(applied, swap) > 0
+            check_as_without(q, {"from_w"})
 
     @pytest.mark.parametrize(
         "name, bad, error",
@@ -1198,11 +1241,12 @@ class TestGroupedDerivation:
             ("non_cptp", "inflate", (ShapeError, "not a density matrix: trace is 1.210000, not 1")),
             ("non_finite", "huge", (ShapeError, "matrix has a non-finite (NaN or infinite) entry")),
             ("overflowing", "large", (ShapeError, f"not a density matrix: trace is {1e80 ** 2:.6f}, not 1")),
-            ("misdimensioned", "to_wide", (DimensionMismatchError, "dims differ: 2 vs 3")),
+            ("misdimensioned", "to_wide", (StructuralError, "channel to_wide: system W holds a state of another dim")),
         ],
     )
-    def test_a_failing_channel_settles_in_its_group_beside_unchanged_group_mates(self, name, bad, error):
+    def test_a_failing_channel_settles_in_its_group_beside_unchanged_group_mates(self, monkeypatch, name, bad, error):
         q = built_theories()[name]
+        applied = _count_applications(monkeypatch)
         pairs, settled, _ = check_grouped_against_per_channel(q)
         assert settled == len(q.channels)
         outcomes = {d.id: grouped for d, (grouped, _) in zip(q.channels, pairs)}
@@ -1215,6 +1259,12 @@ class TestGroupedDerivation:
         assert {d.id: grouped for d, (grouped, _) in zip(without.channels, alone)} == {
             k: v for k, v in outcomes.items() if k != bad
         }
+        # only a channel that fits its systems is applied; the one into a
+        # system holding a state of another dim adds no validation issue
+        decl = next(d for d in q.channels if d.id == bad)
+        assert (applied_rows(applied, decl) == 0) == (name == "misdimensioned")
+        if name == "misdimensioned":
+            check_as_without(q, {bad})
 
 
 # -- label copies against fresh numeric copies ---------------------------------
@@ -1330,21 +1380,27 @@ class TestLabelCopies:
         assert ran == []
 
 
-def test_a_zero_output_dim_is_its_own_dim_mismatch():
-    # KrausChannel accepts an output dim of 0; no image of it is a state
+def test_a_zero_output_dim_is_its_own_dim_mismatch(monkeypatch):
+    # KrausChannel accepts an output dim of 0; no image of it is a state,
+    # and no system has that dim, so the channel fits none
     a = SystemDecl("A", 2, {"a0": basis_state(2, 0)})
     empty = SystemDecl("E", 2, {})
     zero = KrausChannel([np.zeros((0, 2))])
+    z = ChannelDecl("z", "A", "A", zero)
     mates = [ChannelDecl("from_e", "E", "A", zero), ChannelDecl("keep", "A", "A", identity_channel(2))]
-    q = Qrt([a, empty], [ChannelDecl("z", "A", "A", zero), *mates])
+    q = Qrt([a, empty], [z, *mates])
+    applied = _count_applications(monkeypatch)
     assert [(i.code, i.subject) for i in q.validate().issues] == [("dim-mismatch", "z"), ("dim-mismatch", "from_e")]
     outcomes = {d.id: q._outcome(d) for d in q.channels}
-    assert outcomes["z"] == (ShapeError, "density matrix must have dim at least 1, got 0")
-    # the group-mate in (2, 0), and the rest, read as they do without it
+    assert outcomes["z"] == (StructuralError, "channel z: kraus shape 0x2 != 2x2")
+    assert applied_rows(applied, z) == 0 and applied_rows(applied, mates[1]) == 1
+    # the group-mate in (2, 0), the rest and the validation issues read as
+    # they do without it
     without = Qrt([a, empty], mates)
     assert {d.id: without._outcome(d) for d in without.channels} == {
         k: v for k, v in outcomes.items() if k != "z"
     }
+    check_as_without(q, {"z"})
     with pytest.raises(ShapeError, match="dim at least 1, got 0"):
         apply_channel(zero, basis_state(2, 0))
 
@@ -1550,7 +1606,7 @@ class TestBatchedDerivation:
     def test_failing_channels(self, theories):
         check_alone_and_batched(theories)
 
-    def test_the_drawn_theories_reach_every_failure(self):
+    def test_the_drawn_theories_reach_every_failure(self, monkeypatch):
         # the kinds and systems the strategy draws from settle each failure
         theories = [
             Qrt([_MENU["A"], _MENU["B"], _MENU["C"], _MENU["W"], _MENU["Q"]], [
@@ -1564,18 +1620,22 @@ class TestBatchedDerivation:
         ]
         check_alone_and_batched(theories)
         q = fresh_copy(theories[0])
+        applied = _count_applications(monkeypatch)
         qrt_module.derive([q])
         outcomes = {d.id: q._induced[d] for d in q.channels}
         assert outcomes["inflate"] == (ShapeError, "not a density matrix: trace is 1.210000, not 1")
         assert outcomes["mix"] is None
         assert outcomes["ambiguous"] == (StructuralError, "ambiguous match in system C: ['c1', 'c1_near']")
         assert outcomes["away"] == (StructuralError, "channel away: endpoints A->Z undeclared")
-        assert outcomes["other_dim"] == (DimensionMismatchError, "state dim 3 does not match channel input dim 2")
-        assert outcomes["misfit"] == (DimensionMismatchError, "dims differ: 2 vs 3")
+        assert outcomes["other_dim"] == (StructuralError, "channel other_dim: system W holds a state of another dim")
+        assert outcomes["misfit"] == (StructuralError, "channel misfit: kraus shape 2x2 != 3x2")
         verdicts = {d.id: d.channel._cptp.get(q.tol) for d in q.channels}
         assert verdicts["inflate"][0] is False and verdicts["mix"] == (True, None)
-        # no named state of W passes through a channel validation checks
-        assert verdicts["other_dim"] is None and verdicts["away"] is None
+        # a channel that fits no systems is neither checked nor applied
+        misfits = {"away", "other_dim", "misfit"}
+        for d in q.channels:
+            assert (verdicts[d.id] is None) == (applied_rows(applied, d) == 0) == (d.id in misfits or d.id == "id_W"), d.id
+        check_as_without(q, misfits)
 
     def test_one_pass_of_each_kernel_per_tolerance(self, monkeypatch):
         from qrtmodal.harness import build_family
