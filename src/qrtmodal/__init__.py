@@ -18,6 +18,7 @@ from .formulas import (
     Box,
     Diamond,
     DomainWarning,
+    Iff,
     Implies,
     Not,
     convexity_report,

@@ -7,14 +7,15 @@ Grammar, with U a prefix connective of ``_UNARY`` and B a binary one of
     phi   :=  atom | U phi | "(" phi B phi ")"
 
 A NAME is a letter or "_", then letters, digits or "_", as str.isalpha
-and str.isalnum judge them. Every binary connective but implication is
-sugar, desugared at parse time into {Not, Implies}. Diamond is a
-first-class node but is definitionally ~[]~; evaluation of both forms must
-agree (and is property-tested).
+and str.isalnum judge them. Implication and the biconditional are nodes;
+"&" and "|" are sugar, desugared at parse time into {Not, Implies}.
+Diamond is a first-class node but is definitionally ~[]~; evaluation of
+both forms must agree (and is property-tested).
 
 Atom truth is global: the valuation reads the interpretation regardless of
 the world, per the variable-domain semantics used here. The valuation
-walks a formula left to right, an implication's antecedent first; box and
+walks a formula left to right, an implication's antecedent first and a
+biconditional's two sides each once, left first; box and
 diamond walk a world's successors in sorted world order, read off the
 model's index, and stop at the first that settles them; ``is_valid`` walks
 the worlds in sorted order and stops at the first that fails. With
@@ -63,6 +64,12 @@ class Implies:
 
 
 @dataclass(frozen=True)
+class Iff:
+    left: "Formula"
+    right: "Formula"
+
+
+@dataclass(frozen=True)
 class Box:
     sub: "Formula"
 
@@ -72,7 +79,7 @@ class Diamond:
     sub: "Formula"
 
 
-Formula = Atom | Not | Implies | Box | Diamond
+Formula = Atom | Not | Implies | Iff | Box | Diamond
 
 
 def conj(a: Formula, b: Formula) -> Formula:
@@ -83,15 +90,11 @@ def disj(a: Formula, b: Formula) -> Formula:
     return Implies(Not(a), b)
 
 
-def iff(a: Formula, b: Formula) -> Formula:
-    return conj(Implies(a, b), Implies(b, a))
-
-
 # -- concrete syntax -----------------------------------------------------------
 
 # read by the tokenizer, the parser, the printer and generate.random_formula
 _UNARY = {"~": Not, "[]": Box, "<>": Diamond}
-_BINARY = {"->": Implies, "&": conj, "|": disj, "<->": iff}
+_BINARY = {"->": Implies, "&": conj, "|": disj, "<->": Iff}
 _SYMBOL = {node: sym for sym, node in (*_UNARY.items(), *_BINARY.items())}
 # a connective or parenthesis (none is a prefix of another, so their order
 # is free); a name and its qualifier; or any other character but a space,
@@ -158,8 +161,8 @@ def print_formula(f: Formula) -> str:
     """Concrete syntax that parses back to an identical AST."""
     if isinstance(f, Atom):
         return f.name
-    if isinstance(f, Implies):
-        return f"({print_formula(f.left)} {_SYMBOL[Implies]} {print_formula(f.right)})"
+    if isinstance(f, (Implies, Iff)):
+        return f"({print_formula(f.left)} {_SYMBOL[type(f)]} {print_formula(f.right)})"
     if type(f) not in _UNARY.values():
         raise TypeError(f"not a formula node: {f!r}")
     return f"{_SYMBOL[type(f)]} {print_formula(f.sub)}"
@@ -174,7 +177,7 @@ def _require_atoms(m: KripkeModel, f: Formula) -> None:
     if isinstance(f, Atom):
         if f.name not in m.domain:
             raise UnknownSymbolError(f"unknown atom {f.name!r}")
-    elif isinstance(f, Implies):
+    elif isinstance(f, (Implies, Iff)):
         _require_atoms(m, f.left)
         _require_atoms(m, f.right)
     elif isinstance(f, (Not, Box, Diamond)):
@@ -196,6 +199,8 @@ def _value(m: KripkeModel, f: Formula, w: str, warn_domains: bool) -> int:
         if _value(m, f.left, w, warn_domains) == 0:
             return 1
         return _value(m, f.right, w, warn_domains)
+    if isinstance(f, Iff):
+        return int(_value(m, f.left, w, warn_domains) == _value(m, f.right, w, warn_domains))
     if isinstance(f, (Box, Diamond)):
         settles = int(isinstance(f, Diamond))  # a false successor settles a box, a true one a diamond
         for u in _index(m)[0][w]:  # in sorted order
@@ -207,7 +212,7 @@ def _value(m: KripkeModel, f: Formula, w: str, warn_domains: bool) -> int:
 
 def evaluate(m: KripkeModel, f: Formula, w: str, warn_domains: bool = True) -> int:
     """The inductive valuation: atoms read the global interpretation,
-    negation and implication are classical, box quantifies over all
+    negation, implication and the biconditional are classical, box quantifies over all
     accessible worlds and diamond over some accessible world.
 
     An unknown world or an atom the model does not declare, anywhere in f,

@@ -17,7 +17,7 @@ from qrtmodal import harness
 from qrtmodal.config import DEFAULT_TOL
 from qrtmodal.errors import FormulaSyntaxError, ShapeError, StructuralError
 from qrtmodal.errors import UnknownSymbolError
-from qrtmodal.formulas import Atom, Box, Diamond, DomainWarning, Formula, Implies, Not, _require_atoms, conj, disj, iff
+from qrtmodal.formulas import Atom, Box, Diamond, DomainWarning, Formula, Iff, Implies, Not, _require_atoms, conj, disj
 from qrtmodal.generate import generate_qrt, random_relabeling
 from qrtmodal.kripke import KripkeModel, StarredModel, models_isomorphic
 from qrtmodal.linalg import (
@@ -211,7 +211,7 @@ def reference_parse(text: str) -> Formula:
                 "->": Implies,
                 "&": conj,
                 "|": disj,
-                "<->": iff,
+                "<->": Iff,
             }[op_kind](left, right)
             return built, nxt2 + 1
         raise FormulaSyntaxError(f"unexpected token {value!r}", pos)
@@ -340,6 +340,9 @@ def reference_value(m: KripkeModel, f: Formula, w: str, warn_domains: bool) -> i
         if reference_value(m, f.left, w, warn_domains) == 0:
             return 1
         return reference_value(m, f.right, w, warn_domains)
+    if isinstance(f, Iff):
+        left = reference_value(m, f.left, w, warn_domains)
+        return 1 if left == reference_value(m, f.right, w, warn_domains) else 0
     if isinstance(f, Box):
         for u in sorted(m.worlds):
             if (w, u) in m.access and reference_value(m, f.sub, u, warn_domains) == 0:

@@ -17,6 +17,7 @@ from qrtmodal.formulas import (
     Box,
     Diamond,
     DomainWarning,
+    Iff,
     Implies,
     Not,
     conversion_possibility_report,
@@ -65,9 +66,8 @@ class TestParse:
         p, q = Atom("p"), Atom("q")
         assert parse("(p & q)") == Not(Implies(p, Not(q)))
         assert parse("(p | q)") == Implies(Not(p), q)
-        assert parse("(p <-> q)") == Not(
-            Implies(Implies(p, q), Not(Implies(q, p)))
-        )
+        # the biconditional is its own node, not sugar
+        assert parse("(p <-> q)") == Iff(p, q)
 
     def test_qualified_atom_names(self):
         assert parse("AB.bell") == Atom("AB.bell")
@@ -97,6 +97,7 @@ _formulas = st.recursive(
         children.map(Box),
         children.map(Diamond),
         st.tuples(children, children).map(lambda t: Implies(*t)),
+        st.tuples(children, children).map(lambda t: Iff(*t)),
     ),
     max_leaves=30,
 )
@@ -190,13 +191,12 @@ class TestNestingLimit:
     def test_the_deepest_accepted_formula_gets_its_verdict(self, opener, truth, want):
         # every world has one successor, so each modal step goes on
         m = KripkeModel(["w", "u"], [("w", "u"), ("u", "w")], ["p"], {"w": {"p"}, "u": {"p"}}, {"p": truth})
-        depth = MAX_FORMULA_DEPTH if opener != "<->" else 12  # each <-> holds its operand twice
-        f = parse(nested(opener, depth))
+        f = parse(nested(opener, MAX_FORMULA_DEPTH))
         assert evaluate(m, f, "w") == want
         assert is_valid(m, f) == ((True, None) if want else (False, "u"))
-        assert len(print_formula(f)) > depth
+        assert len(print_formula(f)) > MAX_FORMULA_DEPTH
 
-    @pytest.mark.parametrize("opener", ["~", "[]", "<>", "->"])
+    @pytest.mark.parametrize("opener", ["~", "[]", "<>", "->", "<->"])
     def test_text_at_the_limit_round_trips(self, opener):
         f = parse(nested(opener, MAX_FORMULA_DEPTH))
         assert parse(print_formula(f)) == f

@@ -3,6 +3,7 @@ report determinism."""
 
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -821,6 +822,16 @@ def test_check_takes_formulas_nested_up_to_the_limit(depth, code, out, tmp_path,
     if code == 2:
         message = f"error: formula nested deeper than {MAX_FORMULA_DEPTH} levels (at position {2 * MAX_FORMULA_DEPTH})\n"
         assert captured.err == message
+
+
+def test_check_takes_nested_biconditionals_in_linear_time(corpus_dir, tmp_path):
+    # each <-> evaluates each side once: 24 levels are 48 steps, not 2^24
+    model = tmp_path / "chain.model.json"
+    assert main(["translate", str(corpus_dir / "chain.qrt.json"), "--out", str(model)]) == 0
+    formula = "(" * 24 + "A.rho" + " <-> A.rho)" * 24
+    start = time.perf_counter()
+    assert main(["check", str(model), formula]) == 0
+    assert time.perf_counter() - start < 2
 
 
 # every command that reads a file, with the file

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qrtmodal import corpus, kripke, smc
-from qrtmodal.formulas import Atom, Box, Diamond, DomainWarning, Implies, evaluate, is_valid
+from qrtmodal.formulas import Atom, Box, Diamond, DomainWarning, Iff, Implies, Not, conj, evaluate, is_valid
 from qrtmodal.generate import random_formula
 from qrtmodal.harness import build_family, run_theorems
 from qrtmodal.kripke import KripkeModel, StarredModel, is_sub_model
@@ -89,6 +89,54 @@ def test_valuation_matches_the_reference(inputs):
                 for w in sorted(m.worlds):
                     got = recorded(lambda: evaluate(m, f, w, warn))
                     assert got == recorded(lambda: reference_evaluate(m, f, w, warn))
+
+
+def drawn_biconditional(rng, atoms: list, levels: int):
+    """A draw of ``random_formula`` joined by <-> with a fresh draw, on
+    either side, at each of the levels, some levels under a box or a
+    diamond."""
+    f = random_formula(rng, atoms, max_depth=3)
+    for _ in range(levels):
+        g = random_formula(rng, atoms, max_depth=3)
+        f = Iff(f, g) if rng.random() < 0.5 else Iff(g, f)
+        if rng.random() < 0.3:
+            f = (Box if rng.random() < 0.5 else Diamond)(f)
+    return f
+
+
+def desugared(f):
+    """f with each biconditional (a <-> b) written as ((a -> b) & (b -> a))."""
+    if isinstance(f, Iff):
+        a, b = desugared(f.left), desugared(f.right)
+        return conj(Implies(a, b), Implies(b, a))
+    if isinstance(f, Implies):
+        return Implies(desugared(f.left), desugared(f.right))
+    if isinstance(f, (Not, Box, Diamond)):
+        return type(f)(desugared(f.sub))
+    return f
+
+
+@pytest.mark.parametrize("inputs", sorted(INPUT_SETS))
+def test_biconditionals_match_the_reference_and_their_desugared_truth(inputs):
+    rng = np.random.default_rng(9)
+    for _, sm in INPUT_SETS[inputs]():
+        m = sm.model
+        atoms = sorted(m.domain)
+        for _ in range(6):
+            f = drawn_biconditional(rng, atoms, 3)
+            assert recorded(lambda: is_valid(m, f)) == recorded(lambda: reference_is_valid(m, f))
+            for w in sorted(m.worlds):
+                got = recorded(lambda: evaluate(m, f, w))
+                assert got == recorded(lambda: reference_evaluate(m, f, w))
+                assert got[0] == evaluate(m, desugared(f), w, warn_domains=False)
+
+
+def test_a_biconditional_walks_each_side_once_left_first():
+    # both atoms are outside w's domain; the desugared form walked p, q, p
+    m = KripkeModel(["w"], [("w", "w")], ["p", "q"], {"w": set()}, {"p": 0, "q": 1})
+    messages = [f"atom {a} evaluated at world w outside its domain" for a in ("p", "q")]
+    assert recorded(lambda: evaluate(m, Iff(Atom("p"), Atom("q")), "w")) == (0, messages)
+    assert recorded(lambda: is_valid(m, Iff(Atom("q"), Atom("p")))) == ((False, "w"), messages[::-1])
 
 
 @pytest.mark.parametrize("inputs", sorted(INPUT_SETS))
