@@ -174,7 +174,11 @@ def run_theorems(
         (q, [random_relabeling(q.labeled, rng)], [random_sub_qrt(q, rng)] if len(q.systems) > 1 else [])
         for _, q in family
     )
-    funct_entries = [{"label": label, "ok": rep["ok"]} for (label, _), rep in zip(family, reports)]
+    # the error key only where a case's theories did not translate, so that other reports keep their bytes
+    funct_entries = [
+        {"label": label, "ok": rep["ok"], **({"error": rep["error"]} if "error" in rep else {})}
+        for (label, _), rep in zip(family, reports)
+    ]
     report["functoriality"] = {"ok": all(e["ok"] for e in funct_entries), "entries": funct_entries}
 
     # equivalence of the isomorphism conditions with the model oracle; each

@@ -202,7 +202,11 @@ def verify_functoriality(cases: Iterable[tuple[Qrt, Sequence, Sequence]]) -> lis
     ``rebuilt``, a fresh theory over x's declarations derived with those
     of the other cases in one batch (``derive``), is the one independent
     derivation: it shares no outcome and no record with x, and the
-    identity law compares its model and its order with x's."""
+    identity law compares its model and its order with x's.
+
+    A case whose theories do not all translate reports ``ok`` false and
+    the ``error`` that translating raised (a QrtModalError); any other
+    exception propagates."""
     pending = deque((x, Qrt(x.systems, x.channels, x.trivial_id, x.tol), rels, subs) for x, rels, subs in cases)
     derive(rebuilt for _, rebuilt, _, _ in pending)
     reports = []
@@ -214,19 +218,24 @@ def verify_functoriality(cases: Iterable[tuple[Qrt, Sequence, Sequence]]) -> lis
 def _functor_laws(x: Qrt, rebuilt: Qrt, relabelings: Sequence, sub_qrts: Sequence) -> dict:
     """``verify_functoriality``'s report of one case, with its rebuilt
     theory."""
-    base, again = to_model(x), to_model(rebuilt)
     subs = list(sub_qrts)
+    # a composite of two inclusions is itself an inclusion
+    s = next((s for s in subs if len(s.systems) > 1), None)
+    try:
+        base, again = to_model(x), to_model(rebuilt)
+        relabeled = [to_model(r).model for r in relabelings]
+        restricted = [to_model(t).model for t in subs]
+        inner = None if s is None else to_model(s.labeled.restricted([t.id for t in s.systems][:-1])).model
+    except QrtModalError as exc:
+        return {"ok": False, "error": str(exc)}
     report: dict = {
         # two independent derivations are compared
         "identity": again.model == base.model and again.order == base.order and is_sub_model(base.model, base.model),
-        "relabelings": [bool(models_isomorphic(base.model, to_model(r).model)[0]) for r in relabelings],
-        "sub_models": [bool(is_sub_model(to_model(s).model, base.model)) for s in subs],
+        "relabelings": [bool(models_isomorphic(base.model, m)[0]) for m in relabeled],
+        "sub_models": [bool(is_sub_model(m, base.model)) for m in restricted],
         "nested": None,
     }
-    # a composite of two inclusions is itself an inclusion
-    s = next((s for s in subs if len(s.systems) > 1), None)
     if s is not None:
-        inner = to_model(s.labeled.restricted([t.id for t in s.systems][:-1])).model
         report["nested"] = bool(is_sub_model(inner, to_model(s).model) and is_sub_model(inner, base.model))
     report["ok"] = all([report["identity"], *report["relabelings"], *report["sub_models"]]) and report["nested"] is not False
     return report

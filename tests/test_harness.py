@@ -599,3 +599,42 @@ def test_an_error_that_is_not_a_qrtmodal_error_propagates_from_a_record(monkeypa
     monkeypatch.setattr(translate, "_records", type(translate._records)())
     with pytest.raises(TypeError, match="a bug"):
         run_theorems(family=[("chain", chain_qrt())], include_corpus=False)
+
+
+def plant_in_label_copies(monkeypatch, error: Exception) -> None:
+    """Make every translation of a LabeledTheory raise error; a Qrt
+    translates as before."""
+    real = translate._translate
+
+    def planted(q):
+        if isinstance(q, LabeledTheory):
+            raise error
+        return real(q)
+
+    monkeypatch.setattr(translate, "_translate", planted)
+    monkeypatch.setattr(translate, "_records", type(translate._records)())
+
+
+def test_a_case_whose_copies_do_not_translate_fails_functoriality(monkeypatch, tmp_path, capsys):
+    plant_in_label_copies(monkeypatch, StructuralError("planted: a label copy does not translate"))
+    report = run_theorems(family=[("chain", chain_qrt())], include_corpus=False)
+    assert report["functoriality"] == {
+        "ok": False,
+        "entries": [{"label": "chain", "ok": False, "error": "planted: a label copy does not translate"}],
+    }
+    assert [k for k in harness.SECTIONS if not report[k]["ok"]] == ["functoriality"]
+    assert report["status"] == 1
+    # the command reports it and exits 1, not 2
+    path = tmp_path / "chain.qrt.json"
+    io.save_json(path, io.qrt_to_dict(chain_qrt()))
+    assert main(["theorems", str(path), "--json"]) == 1
+    entries = json.loads(capsys.readouterr().out)["functoriality"]["entries"]
+    assert entries == [{"label": str(path), "ok": False, "error": "planted: a label copy does not translate"}]
+
+
+def test_an_error_that_is_not_a_qrtmodal_error_propagates_from_a_functoriality_case(monkeypatch):
+    plant_in_label_copies(monkeypatch, TypeError("a bug, not a verdict"))
+    with pytest.raises(TypeError, match="a bug"):
+        run_theorems(family=[("chain", chain_qrt())], include_corpus=False)
+    with pytest.raises(TypeError, match="a bug"):
+        translate.verify_functoriality([(chain_qrt(), [chain_qrt().labeled], [])])
