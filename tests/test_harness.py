@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +203,21 @@ def test_report_paths_pinned(make_kwargs, status, digest):
     report = run_theorems(**make_kwargs())
     assert report["status"] == status
     assert hashlib.sha256(io.dumps(report).encode()).hexdigest()[:16] == digest
+
+
+# {"<count>:<seed>": SHA-256 of io.dumps(run_theorems(seed, count))}, the
+# reports the benchmark's theorems workload checks; read, never written
+PINS_FILE = Path(__file__).resolve().parent.parent / "bench" / "theorems_sha256.json"
+PINS = json.loads(PINS_FILE.read_text()) if PINS_FILE.exists() else {}
+
+
+@pytest.mark.parametrize(
+    "pin", list(PINS) or [pytest.param(None, marks=pytest.mark.skip(reason="no bench/theorems_sha256.json in this checkout"))]
+)
+def test_every_pinned_report(pin):
+    count, seed = map(int, pin.split(":"))
+    report = run_theorems(seed=seed, count=count)
+    assert hashlib.sha256(io.dumps(report).encode()).hexdigest() == PINS[pin]
 
 
 # each oracle the harness calls, replaced by one that always says "false"
