@@ -212,8 +212,9 @@ def _value(m: KripkeModel, f: Formula, w: str, warn_domains: bool) -> int:
 
 def evaluate(m: KripkeModel, f: Formula, w: str, warn_domains: bool = True) -> int:
     """The inductive valuation: atoms read the global interpretation,
-    negation, implication and the biconditional are classical, box quantifies over all
-    accessible worlds and diamond over some accessible world.
+    negation, implication and the biconditional are classical, box
+    quantifies over all accessible worlds and diamond over some
+    accessible world.
 
     An unknown world or an atom the model does not declare, anywhere in f,
     raises UnknownSymbolError before anything is evaluated."""
