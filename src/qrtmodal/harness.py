@@ -239,7 +239,10 @@ def run_theorems(
     if uncovered:
         report["possibility"]["uncovered"] = uncovered
 
-    # truth is monotone along edges: free never maps to resource
+    # truth is monotone along edges: free never maps to resource. A record
+    # the library translates satisfies it by construction (an edge out of
+    # a free or unit state lands on a free or unit state), so only a
+    # defective record fails it
     violations = []
     destroying = []
     for label, _ in family:

@@ -6,23 +6,24 @@ Kraus form only, as one read-only (n_ops, out_dim, in_dim) array; the
 Choi matrix is derived on demand.
 
 The theory layer asks four questions of its channels, and each costs one
-pass: ``apply_channels`` applies a group of channels of one shape, each to
-its own stack of states, with one Kraus sum over their zero-padded Kraus
-lists, checks all the images with one eigensolve call and returns the
-error of each image that fails; ``within_trace_distances`` decides, for
-every (image, named state) pair at once, whether the two lie within a
-radius, from one array of Frobenius bounds, and diagonalises only a pair
-the bounds leave open; ``settle_cptp`` decides whether each channel of a
-group is CPTP, with one Kraus sum for every trace-preservation defect and
-one eigensolve over the Choi matrices, and keeps the verdict on the
-immutable channel, per tolerance; ``compose`` forms every Kraus product
-of two channels in one broadcast product. ``apply_channel`` and
-``is_cptp`` are the one-state and one-channel cases of the first and
-third. A sum over Kraus terms runs in term order, one stacked term at a
-time, so a zero-padded term adds exact zeros and every result has the
-bits of its channel's own sum; the stacks are cut into blocks of bounded
-size, so memory stays linear. The tolerance semantics are those of the
-plain rules: a bound only skips an eigensolve whose outcome it proves.
+pass: ``apply_channels`` applies a group of channels of one output dim,
+each to its own stack of states, with one Kraus sum per input dim over
+their zero-padded Kraus lists, checks all the images with one eigensolve
+call and returns the error of each image that fails;
+``within_trace_distances`` decides, for every (image, named state) pair
+at once, whether the two lie within a radius, from one array of
+Frobenius bounds, and diagonalises only a pair the bounds leave open;
+``settle_cptp`` decides whether each channel of a group is CPTP, with
+one Kraus sum for every trace-preservation defect and one eigensolve
+over the Choi matrices, and keeps the verdict on the immutable channel,
+per tolerance; ``compose`` forms every Kraus product of two channels in
+one broadcast product. ``apply_channel`` and ``is_cptp`` are the
+one-state and one-channel cases of the first and third. A sum over Kraus
+terms runs in term order, one stacked term at a time, so a zero-padded
+term adds exact zeros and every result has the bits of its channel's own
+sum; the stacks are cut into blocks of bounded size, so memory stays
+linear. The tolerance semantics are those of the plain rules: a bound
+only skips an eigensolve whose outcome it proves.
 """
 
 from __future__ import annotations
@@ -432,24 +433,35 @@ def apply_channels(
     under ``channels[j]``, in that order, as one read-only (n, out, out)
     array, and {row: error} for every image that is not a density matrix:
     the ShapeError, or the NumericalError of a failed eigensolve, that the
-    image raises as a state. The channels share one (in_dim, out_dim) and
-    the states have the in dim.
+    image raises as a state. The channels share one out_dim; their in dims
+    may differ, and the states of ``stacks[j]`` have ``channels[j]``'s.
 
-    One Kraus sum runs over the stack of every (channel, state) pair, with
-    each Kraus list zero-padded to the longest and its terms kept in
-    order: a padded term adds exact zeros, so each image has the bits of
-    its channel's own sum. One state check covers all the images."""
-    c0 = channels[0]
-    pair_channel = np.repeat(np.arange(len(channels)), [len(states) for states in stacks])
-    rhos = np.array([rho.mat for states in stacks for rho in states]).reshape(len(pair_channel), c0.in_dim, c0.in_dim)
-    out = np.zeros((len(rhos), c0.out_dim, c0.out_dim), dtype=complex)
-    zero = np.zeros((c0.out_dim, c0.in_dim), dtype=complex)
+    One Kraus sum runs per in dim, over the stack of every (channel, state)
+    pair of that in dim, with each Kraus list zero-padded to the longest of
+    that in dim and its terms kept in order: a padded term adds exact
+    zeros, so each image has the bits of its channel's own sum, and the
+    bits the call over that in dim's channels alone gives. One state check
+    covers all the images."""
+    out_dim = channels[0].out_dim
+    ends = np.cumsum([len(states) for states in stacks])
+    out = np.empty((int(ends[-1]), out_dim, out_dim), dtype=complex)
+    by_in: dict = {}
+    for j, c in enumerate(channels):
+        by_in.setdefault(c.in_dim, []).append(j)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite image fails the check
-        # term k of every pair's Kraus list, built one term at a time so that
-        # the padding never holds more than one term per channel
-        for k in range(max(len(c.kraus_ops) for c in channels)):
-            op = np.array([c.kraus_ops[k] if k < len(c.kraus_ops) else zero for c in channels])[pair_channel]
-            out += op @ rhos @ op.conj().swapaxes(1, 2)
+        for in_dim, mine in by_in.items():
+            group = [channels[j] for j in mine]
+            rows = np.concatenate([np.arange(ends[j] - len(stacks[j]), ends[j]) for j in mine])
+            pair_channel = np.repeat(np.arange(len(mine)), [len(stacks[j]) for j in mine])
+            rhos = np.array([rho.mat for j in mine for rho in stacks[j]]).reshape(len(rows), in_dim, in_dim)
+            acc = np.zeros((len(rows), out_dim, out_dim), dtype=complex)
+            zero = np.zeros((out_dim, in_dim), dtype=complex)
+            # term k of every pair's Kraus list, built one term at a time so
+            # that the padding never holds more than one term per channel
+            for k in range(max(len(c.kraus_ops) for c in group)):
+                op = np.array([c.kraus_ops[k] if k < len(c.kraus_ops) else zero for c in group])[pair_channel]
+                acc += op @ rhos @ op.conj().swapaxes(1, 2)
+            out[rows] = acc
     out.flags.writeable = False
     return out, _state_errors(out, tol)
 

@@ -9,22 +9,24 @@ Channels are identified extensionally by the function they induce on the
 named universe; matching an output matrix to a named state uses the
 unique-within-tol rule, with ambiguity treated as a validation error.
 
-A theory derives those functions once, in one stacked pass per
-(in_dim, out_dim) group of its channels (``_induced_maps``): one Kraus
-sum and one state check over every (channel, source state) pair, and one
-array of Frobenius bounds per destination system. Only a channel that
-fits its systems is applied: both endpoints declared, its Kraus shape
-their dims, and no state of another dim in either. Every other channel
-induces nothing, and settles unapplied as a StructuralError that says
-why. The pass settles every channel it applies, failures included: the
-first state in order whose image fails, misses or matches ambiguously
-decides the channel's outcome, and a failure is kept as its error, which
-every later use raises again.
+A theory derives those functions once, in one stacked pass per output
+dim of its channels (``_induced_maps``): one Kraus sum per input dim,
+one state check over all the images, and one array of Frobenius bounds
+per destination system. Only a channel that fits its systems is applied:
+both endpoints declared, its Kraus shape their dims, and no state of
+another dim in either. Every other channel induces nothing, and settles
+unapplied as a StructuralError that says why. The pass settles every
+channel it applies, failures included: the first state in order whose
+image fails, misses or matches ambiguously decides the channel's
+outcome, and a failure is kept as its error, which every later use
+raises again.
 
 ``derive`` runs that pass, and the CPTP verdicts validation reads, for
-many theories at once: the theories of one tolerance share each group
-pass, so numpy's fixed cost per call is paid once per batch, not once
-per theory. A lone theory derives as the batch of one.
+many theories at once: the theories of one tolerance share each pass, so
+numpy's fixed cost per call is paid once per batch, not once per theory.
+A lone theory derives as the batch of one, and the operands of an
+isomorphism decision (``qrt_isomorphic``, ``translate.iso_conditions``)
+as one batch.
 
 All that is read after validation is labels, and ``Qrt.labeled``, the
 one validity gate, returns them as a ``LabeledTheory``: nothing numeric.
@@ -154,16 +156,16 @@ def _induced_maps(derivations: Sequence[tuple], tol: float) -> list:
     state at a time raises first. Every named state of src has the
     channel's input dim, and every named state of dst its output dim.
 
-    The triples are derived in one pass per (in_dim, out_dim) group: one
-    ``apply_channels`` over the channels' states, with the channels of one
-    destination system side by side, then one ``_matches`` per destination
-    over their images. A channel's outcome is read in state order: a
-    failing image, a miss or an ambiguity, whichever comes first; else its
-    map."""
+    The triples are derived in one pass per output dim: one
+    ``apply_channels`` over the channels' states, whatever their input
+    dims, with the channels of one destination system side by side, then
+    one ``_matches`` per destination system over all of its images. A
+    channel's outcome is read in state order: a failing image, a miss or
+    an ambiguity, whichever comes first; else its map."""
     outcomes: list = [None] * len(derivations)
     groups: dict = {}
     for k, (c, src, dst) in enumerate(derivations):
-        groups.setdefault((c.in_dim, c.out_dim), {}).setdefault(dst, []).append((k, src.states))
+        groups.setdefault(c.out_dim, {}).setdefault(dst, []).append((k, src.states))
     for by_dst in groups.values():
         members = [m for mine in by_dst.values() for m in mine]
         images, errors = apply_channels(
@@ -574,11 +576,12 @@ class Qrt(_LabelRules):
 def _derive_maps(theories: Iterable[Qrt]) -> None:
     """Settle the outcome of every channel of the theories that has none
     yet, with one ``_induced_maps`` call per tolerance: theories of one
-    tolerance share its group passes. Only the channels that fit their
-    systems (``Qrt._checked``) are applied; every other one settles,
-    unapplied, as a StructuralError naming it and why it does not fit."""
+    tolerance share its passes. A theory given twice is taken once, by
+    identity. Only the channels that fit their systems (``Qrt._checked``)
+    are applied; every other one settles, unapplied, as a StructuralError
+    naming it and why it does not fit."""
     todo: dict = {}  # tol -> [(theory, channel)]
-    for q in theories:
+    for q in dict.fromkeys(theories):
         for d, _, misfit in q._checked:
             if d in q._induced:
                 continue
@@ -594,13 +597,14 @@ def _derive_maps(theories: Iterable[Qrt]) -> None:
 
 def derive(theories: Iterable[Qrt]) -> None:
     """Settle what validating each theory derives, for all of them at
-    once: the outcome of every channel not yet derived (``_derive_maps``)
+    once: the outcome of every channel not yet derived (``_derive_maps``,
+    one state check per output dim and one match per destination system)
     and the CPTP verdict of every channel validation checks, with one
-    ``settle_cptp`` call per tolerance. A batch only adds rows to the
-    one-theory passes, and every sum runs in Kraus-term order, so each
-    outcome and verdict is the one the theory would settle alone. An
-    eigensolve that fails leaves its channel unsettled, and validating
-    its theory raises the error."""
+    ``settle_cptp`` call per tolerance. A theory given twice is taken
+    once. A batch only adds rows to the one-theory passes, and every sum
+    runs in Kraus-term order, so each outcome and verdict is the one the
+    theory would settle alone. An eigensolve that fails leaves its
+    channel unsettled, and validating its theory raises the error."""
     theories = list(theories)
     _derive_maps(theories)
     checked: dict = {}  # tol -> the channels validation checks
@@ -718,7 +722,10 @@ def qrt_isomorphic(
 
     A positive answer certifies isomorphism of the induced labeled
     structures only; whether the bijection lifts to Hilbert-space
-    isomorphisms intertwining the channel matrices is not decided here."""
+    isomorphisms intertwining the channel matrices is not decided here.
+
+    The operands that are ``Qrt``s derive in one pass before either is
+    read; a ``LabeledTheory`` has nothing to derive. Nothing is validated."""
 
     def transported(a: str, b: str, m: dict) -> bool:
         fx = x.functions.get((a, b), {})
@@ -727,6 +734,7 @@ def qrt_isomorphic(
             tuple(sorted((m[(a, s)][1], m[(b, i)][1]) for s, i in key)) for key in fx
         } == fy.keys()
 
+    _derive_maps(t for t in (x, y) if isinstance(t, Qrt))
     views = x._view("free_states", True), y._view("free_states", True)
     for m in _labeled_bijections(*views, transported, Budget(max_nodes)):
         sys_map = {v[0]: w[0] for v, w in m.items() if len(v) == 1}

@@ -35,6 +35,7 @@ from .kripke import (
 from .qrt import (
     LabeledTheory,
     Qrt,
+    _derive_maps,
     _labeled_bijections,
     derive,
     node_name,
@@ -124,7 +125,9 @@ def iso_conditions(
     (i) and (ii) are multiset tests: of dims, and of (dim, state count,
     true-atom count) per system, the key of the view each theory caches
     (``_view``). When (i) fails, (ii) and (iii) range over all system
-    bijections and (ii) drops the dim. Only (iii) searches."""
+    bijections and (ii) drops the dim. Only (iii) searches. The operands
+    that are ``Qrt``s derive in one pass before either is read; nothing is
+    validated."""
 
     def image_cover(a: str, b: str, m: dict) -> bool:
         fx = x.functions.get((a, b), {})
@@ -133,6 +136,7 @@ def iso_conditions(
         images_y = [frozenset(img for _, img in key) for key in fy]
         return _covered(images_x, images_y) and _covered(images_y, images_x)
 
+    _derive_maps(t for t in (x, y) if isinstance(t, Qrt))
     dims = sorted(s.dim for s in x.systems) == sorted(s.dim for s in y.systems)
     view_x, view_y = x._view("true_nodes", dims), y._view("true_nodes", dims)
     if view_x[0] != view_y[0]:

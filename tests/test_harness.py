@@ -522,6 +522,18 @@ def _dropped_access_pair(rec):
     return KripkeModel(m.worlds, m.access - {pair}, m.domain, m.domains, m.interp), rec.order
 
 
+def _false_converted_atom(rec):
+    """The model with the target of the least conversion edge from a true
+    atom onto another true atom, not the unit atom, made false."""
+    m = rec.model
+    true = {a for a, v in m.interp.items() if v == 1}
+    atom = min(
+        node_name(b) for a, b, _ in rec.edges
+        if a != b and b[0] != rec.c_world and node_name(a) in true and node_name(b) in true
+    )
+    return KripkeModel(m.worlds, m.access, m.domain, m.domains, {**m.interp, atom: 0}), rec.order
+
+
 def _dropped_implied_pair(rec):
     """The order without its least strict pair that transitivity implies,
     so that the starred model does not build."""
@@ -554,6 +566,7 @@ PLANTED_RECORDS = [
     (_dropped_strict_pair, "gen0", ["functoriality"]),
     (_true_resource_atom, "gen0", ["functoriality", "iso_conditions", "image_conditions", "smc"]),
     (_dropped_access_pair, "gen0", ["functoriality", "iso_conditions"]),
+    (_false_converted_atom, "gen3", ["functoriality", "image_conditions", "possibility", "monotonicity", "smc"]),
 ]
 
 
@@ -565,6 +578,8 @@ def test_a_defect_planted_in_one_record_fails_functoriality(plant, label, failin
     assert report["status"] == 1
     assert [k for k in harness.SECTIONS if not report[k]["ok"]] == failing
     assert [e["label"] for e in report["functoriality"]["entries"] if not e["ok"]] == [label]
+    violating = {v["label"] for v in report["monotonicity"]["violations"]}
+    assert violating == ({label} if "monotonicity" in failing else set())
 
 
 def test_a_record_whose_starred_model_does_not_build_fails_every_section(monkeypatch):

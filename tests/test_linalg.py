@@ -453,6 +453,18 @@ CHANNELS = {
     "overflow": KrausChannel([np.diag([1.0, 1e200])]),  # inf on |1><1|
 }
 
+# channels into dim 2 from dims 1, 2 and 3, each with its states, of
+# Kraus lists of one to four terms
+MIXED_POOL = {
+    "prepare": (preparation_channel(maximally_mixed(2)), (scalar_one(),)),
+    "identity": (identity_channel(2), (basis_state(2, 0), STATE_POOL["skewed"])),
+    "depolarize": (depolarizing_channel(), (basis_state(2, 1), maximally_mixed(2))),
+    "inflate": (CHANNELS["inflate"], (basis_state(2, 0), basis_state(2, 1))),  # not CPTP: |1>'s image fails
+    "overflow": (CHANNELS["overflow"], (basis_state(2, 1),)),  # a non-finite image
+    "narrow": (random_cptp_channel(np.random.default_rng(47), 3, 2, 3), (basis_state(3, 2), maximally_mixed(3))),
+    "idle": (random_cptp_channel(np.random.default_rng(48), 3, 2), ()),  # no states
+}
+
 
 class TestApplyChannelStack:
     """``apply_channels``' image and error of every state, against the
@@ -523,6 +535,24 @@ class TestApplyChannelStack:
         assert np.array_equal(apply_channel(dep, rho).mat, images[0])
         images, errors = apply_channels([dep], [[]])
         assert images.shape == (0, 2, 2) and errors == {}
+
+    def test_mixed_in_dims_give_the_bits_of_each_in_dim_alone(self):
+        # every row's image and error, against the call over the channels
+        # of its (in_dim, out_dim) alone, in input order
+        seen = set()
+        for names in itertools.permutations(MIXED_POOL, 4):
+            channels, stacks = zip(*(MIXED_POOL[n] for n in names))
+            images, errors = apply_channels(channels, stacks)
+            ends = list(itertools.accumulate(map(len, stacks), initial=0))
+            for in_dim in {c.in_dim for c in channels}:
+                mine = [j for j, c in enumerate(channels) if c.in_dim == in_dim]
+                alone, alone_errors = apply_channels([channels[j] for j in mine], [stacks[j] for j in mine])
+                rows = [r for j in mine for r in range(ends[j], ends[j + 1])]
+                assert images[rows].tobytes() == alone.tobytes(), names
+                got = {i: (type(errors[r]), str(errors[r])) for i, r in enumerate(rows) if r in errors}
+                assert got == {i: (type(e), str(e)) for i, e in alone_errors.items()}, names
+                seen.update(text for _, text in got.values())
+        assert seen == {"not a density matrix: trace is 1.210000, not 1", "matrix has a non-finite (NaN or infinite) entry"}
 
     def test_images_are_read_only(self):
         images, _ = apply_channels([identity_channel(2)], [[basis_state(2, 0)]])

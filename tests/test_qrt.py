@@ -1014,18 +1014,19 @@ def derivation_pairs(q: Qrt):
 
 
 def image_bits_and_verdicts(q: Qrt) -> int:
-    """Apply each (in_dim, out_dim) group of q's channels with one
-    ``apply_channels`` and compare every image with the state's own
-    ``apply_channel``: a failing image must raise the same error alone,
-    and where the bits of a passing one differ, its verdicts against the
-    named states must not. Returns the count of images compared."""
+    """Apply the channels of q into each output dim with one
+    ``apply_channels``, as the theory does, and compare every image with
+    the state's own ``apply_channel``: a failing image must raise the same
+    error alone, and where the bits of a passing one differ, its verdicts
+    against the named states must not. Returns the count of images
+    compared."""
     groups: dict = {}
     for d in q.channels:
         src, dst = q.system(d.src), q.system(d.dst)
         if all(r.dim == d.channel.in_dim for r in src.states.values()) and all(
             r.dim == d.channel.out_dim for r in dst.states.values()
         ):
-            groups.setdefault((d.channel.in_dim, d.channel.out_dim), []).append(d)
+            groups.setdefault(d.channel.out_dim, []).append(d)
     compared = 0
     for decls in groups.values():
         stacks = [tuple(q.system(d.src).states.values()) for d in decls]
@@ -1050,14 +1051,18 @@ def image_bits_and_verdicts(q: Qrt) -> int:
     return compared
 
 
+# the theories the iso benchmark decides: four systems of dims 1 and 2,
+# four states each
+ISO_CONFIG = GeneratorConfig(seed=1, n_systems=4, dims=(1, 2), states_per_system=4)
+
+
 def iso_pool() -> list:
-    """The theories the iso benchmark decides: generator seed 1, four
-    systems of dims 1 and 2, four states each."""
-    cfg = GeneratorConfig(seed=1, n_systems=4, dims=(1, 2), states_per_system=4)
+    """The theories of ``ISO_CONFIG`` at indices 0 to 47, skipping an
+    index that generates none."""
     pool = []
     for index in range(48):
         try:
-            pool.append(generate_qrt(cfg, index=index))
+            pool.append(generate_qrt(ISO_CONFIG, index=index))
         except GenerationError:
             continue
     return pool
@@ -1660,6 +1665,88 @@ class TestBatchedDerivation:
         calls.clear()
         assert all(q.validate().ok for q in theories)
         assert not any(n for (kind, _), n in calls.items() if kind == "maps")
+
+
+# -- one pass per output dim, and one per decision -------------------------------
+
+
+def _count_calls(monkeypatch, *names: str) -> Counter:
+    """Patch each named kernel the theory layer calls to count its calls."""
+    calls = Counter()
+    for name in names:
+        original = getattr(qrt_module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(qrt_module, name, counting)
+    return calls
+
+
+def three_dim_theory() -> Qrt:
+    """Systems of dims 1, 2 and 3, with a channel from each into each."""
+    return Qrt(
+        [
+            SystemDecl("t", 1, {"one": scalar_one()}),
+            SystemDecl("A", 2, {"a0": basis_state(2, 0), "a1": basis_state(2, 1)}),
+            SystemDecl("B", 3, {"b0": basis_state(3, 0), "b2": basis_state(3, 2)}),
+        ],
+        [
+            ChannelDecl("prep_a", "t", "A", preparation_channel(basis_state(2, 0))),
+            ChannelDecl("prep_b", "t", "B", preparation_channel(basis_state(3, 0))),
+            ChannelDecl("widen", "A", "B", function_channel([0, 2], 2, 3)),
+            ChannelDecl("narrow", "B", "A", function_channel([0, 1, 1], 3, 2)),
+            ChannelDecl("drop_a", "A", "t", trace_channel(2)),
+            ChannelDecl("drop_b", "B", "t", trace_channel(3)),
+        ],
+    )
+
+
+class TestOnePassPerOutputDim:
+    def test_a_lone_theory_applies_once_per_out_dim_and_matches_once_per_destination(self, monkeypatch):
+        q = fresh_copy(complete_composition(three_dim_theory()))
+        assert {(d.channel.in_dim, d.channel.out_dim) for d in q.channels} == set(itertools.product((1, 2, 3), repeat=2))
+        calls = _count_calls(monkeypatch, "apply_channels", "_matches")
+        assert q.validate().ok
+        assert calls == Counter({"apply_channels": 3, "_matches": 3})
+        monkeypatch.undo()
+        check_settles_every_channel([q])
+
+    @pytest.mark.parametrize("decide", [qrt_isomorphic, iso_conditions])
+    def test_a_decision_derives_both_fresh_operands_in_one_pass(self, monkeypatch, decide):
+        q = generate_qrt(ISO_CONFIG, index=0)
+        x, y = fresh_copy(q), random_relabeling(fresh_copy(q), np.random.default_rng(7))
+        calls = _count_calls(monkeypatch, "_induced_maps")
+        decide(x, y)
+        assert calls == Counter({"_induced_maps": 1})
+        assert all(d in t._induced for t in (x, y) for d in t.channels)
+        # a decision validates neither operand
+        assert "_report" not in vars(x) and "_report" not in vars(y)
+
+    @pytest.mark.parametrize(
+        "decide", [lambda q: qrt_module.derive([q, q]), lambda q: qrt_isomorphic(q, q), lambda q: iso_conditions(q, q)]
+    )
+    def test_a_theory_given_twice_applies_each_pair_once(self, monkeypatch, decide):
+        q = fresh_copy(generate_qrt(ISO_CONFIG, index=0))
+        applied = _count_applications(monkeypatch)
+        decide(q)
+        assert applied == Counter((id(d.channel), id(dm)) for d in q.channels for dm in q.system(d.src).states.values())
+
+    @pytest.mark.parametrize("decide", [qrt_isomorphic, iso_conditions])
+    def test_labeled_operands_derive_nothing(self, monkeypatch, decide):
+        q = generate_qrt(ISO_CONFIG, index=0)
+        x = fresh_copy(q).labeled
+        y = random_relabeling(x, np.random.default_rng(7))
+        calls = _count_calls(monkeypatch, "_induced_maps")
+        decide(x, y)
+        assert not calls
+        # beside a labeled operand, a fresh theory derives alone
+        z = fresh_copy(q)
+        applied = _count_applications(monkeypatch)
+        decide(z, y)
+        assert calls == Counter({"_induced_maps": 1})
+        assert applied == Counter((id(d.channel), id(dm)) for d in z.channels for dm in z.system(d.src).states.values())
 
 
 # -- the closed theory reuses its closure's last sweep ---------------------------
