@@ -138,6 +138,10 @@ class TestCli:
         assert main(["check", str(model), k]) == 0
         assert main(["check", str(model), "~ A.rho"]) == 1
         assert "invalid at world" in capsys.readouterr().out
+        assert main(["check", "--json", str(model), "(A.rho -> <> B.sigma)"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"valid": True, "witness": None}
+        assert main(["check", "--json", str(model), "~ A.rho"]) == 1
+        assert json.loads(capsys.readouterr().out) == {"valid": False, "witness": "A"}
 
     def test_check_syntax_error(self, corpus_dir, tmp_path, capsys):
         model = tmp_path / "m.json"
@@ -156,6 +160,15 @@ class TestCli:
     def test_theorems_cap_below_one_is_input_error(self, cap, capsys):
         assert main(["theorems", "--count", "6", "--cap", cap]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_theorems_cap_past_every_atom_count_is_the_full_cap(self, capsys):
+        # no object has more atoms than its category, so any larger cap
+        # lists the same objects, and must not spend time per unit of cap
+        reports = []
+        for cap in ("100", "100000000000"):
+            assert main(["theorems", "--count", "6", "--cap", cap, "--json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
     def test_theorems_cap_checked_before_the_family_is_built(self, monkeypatch, capsys):
         from qrtmodal import harness
@@ -342,6 +355,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"argument --count: must be an integer >= 1, got '{count}'" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--systems", "5", "n_systems must be between 1 and 4"),
+            ("--density", "2", "channel_density must lie in [0, 1]"),
+            ("--dims", "1,x", "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_generate_bad_config_is_input_error(self, option, value, message, tmp_path, capsys):
+        out = tmp_path / "gen"
+        assert main(["generate", "--seed", "1", option, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -627,6 +654,14 @@ class TestTheoryInput:
             assert main([command, str(path)]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_theory_file_not_an_object(self, tmp_path, capsys):
+        with pytest.raises(FormatError, match="^malformed theory file: not a JSON object$"):
+            qrt_from_dict([])
+        path = tmp_path / "t.json"
+        path.write_text("[]")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: malformed theory file: not a JSON object\n"
+
     def test_well_formed_theory_accepted(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(chain_dict()))
@@ -750,6 +785,9 @@ ISSUE_FILES = {
     ),
     "unknown-system": (set_channel("to", "Z"), [("unknown-system", "fwd")]),
     "undeclared-trivial": (lambda data: data.update(trivial="Z"), [("bad-trivial", "Z")]),
+    "trivial-without-states": (
+        lambda data: data["systems"][0].update(states={}), [("bad-trivial", "c")]
+    ),
 }
 
 
@@ -802,6 +840,20 @@ def test_check_rejects_a_domain_of_an_unknown_world(tmp_path, capsys):
     path.write_text(json.dumps(small_model_dict() | {"domains": {"w": ["p"], "u": ["q"], "ghost": ["p"]}}))
     assert main(["check", str(path), "p"]) == 2
     assert "domain given for world ghost, which is not in the world set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"domain": [], "domains": {}, "interp": {}}, "the global domain is empty"),
+        ({"interp": {"p": 1, "q": 0, "zz": 0}}, "interpretation mentions unknown atoms: ['zz']"),
+    ],
+)
+def test_check_rejects_a_model_the_kripke_model_refuses(edit, message, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(small_model_dict() | edit))
+    assert main(["check", str(path), "p"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("formula", ["(p -> zz)", "(zz -> p)", "[] (p -> zz)"])

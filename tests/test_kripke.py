@@ -145,6 +145,16 @@ class TestSubModel:
         )
         assert not is_sub_model(sub, m)  # the (w, u) edge vanished
 
+    def test_global_domain_may_not_grow(self):
+        m = small_model()
+        sub = small_model(domain=["p", "q", "r"], interp={"p": 1, "q": 0, "r": 0})
+        assert not is_sub_model(sub, m)
+
+    def test_world_domains_must_agree(self):
+        m = small_model()
+        sub = small_model(domains={"w": {"p"}, "u": {"p", "q"}})
+        assert not is_sub_model(sub, m)
+
     def test_mutual_sub_models_with_same_carrier_are_isomorphic(self):
         a = small_model()
         b = small_model()

@@ -182,6 +182,10 @@ class TestValidate:
         )
         assert any(i.code == "bad-trivial" for i in q.validate().issues)
 
+    def test_trivial_system_without_states_rejected(self):
+        q = Qrt([SystemDecl("c", 1, {})])
+        assert q.validate().text() == "[bad-trivial] c: the trivial system must have exactly one state"
+
 
 class TestCompleteComposition:
     def test_two_step_chain_gains_composite(self):
@@ -212,6 +216,14 @@ class TestCompleteComposition:
         assert {k: set(v) for k, v in q.functions.items()} == {
             k: set(v) for k, v in again.functions.items()
         }
+
+    def test_a_channel_leaving_the_named_universe_is_a_structural_error(self):
+        q = Qrt(
+            [SystemDecl("A", 2, {"a0": basis_state(2, 0)})],
+            [ChannelDecl("mix", "A", "A", constant_channel(maximally_mixed(2), 2))],
+        )
+        with pytest.raises(StructuralError, match=r"^channel mix does not preserve the named universe$"):
+            complete_composition(q)
 
     def test_cap_enforced(self, monkeypatch):
         a0, a1 = basis_state(2, 0), basis_state(2, 1)
