@@ -58,6 +58,14 @@ def _at_least(low: int):
     return parse
 
 
+def _dims(text: str) -> tuple:
+    """The type of --dims; the generator's config checks the values."""
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a comma-separated list of integers, got {text!r}") from None
+
+
 def _tolerances(args) -> float:
     return DEFAULT_TOL if args.tolerance is None else args.tolerance
 
@@ -147,7 +155,7 @@ def cmd_generate(args) -> int:
         cfg = GeneratorConfig(
             seed=args.seed,
             n_systems=args.systems,
-            dims=tuple(int(d) for d in args.dims.split(",")),
+            dims=args.dims,
             states_per_system=args.states,
             channel_density=args.density,
             ensure_trivial=not args.no_trivial,
@@ -214,7 +222,7 @@ def main(argv=None) -> int:
     p.add_argument("--count", type=_at_least(1), default=5)
     p.add_argument("--out", required=True)
     p.add_argument("--systems", type=int, default=3)
-    p.add_argument("--dims", default="1,2,3")
+    p.add_argument("--dims", type=_dims, default="1,2,3")
     p.add_argument("--states", type=int, default=3)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--no-trivial", action="store_true")

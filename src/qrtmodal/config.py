@@ -7,8 +7,10 @@ trace-distance radius for matching a matrix to a named state, with two
 named states within 2 tol of each other an ambiguity. It defaults to
 1e-9: double-precision eigensolves on the matrix sizes this package
 allows (dim <= MAX_DIM) stay several orders of magnitude below that.
-MAX_DIM, MAX_CHANNELS and MAX_FORMULA_DEPTH are fixed limits; MAX_ISO_NODES
-and OBJECT_CAP are the defaults of per-call caps. MAX_FORMULA_DEPTH bounds
+MAX_DIM, MAX_CHANNELS, MAX_ISO_NODES and MAX_FORMULA_DEPTH are fixed
+limits; OBJECT_CAP is the default of a per-call cap. MAX_ISO_NODES bounds
+every isomorphism search (``relations.bijections``, which reads it when a
+search starts), one node per candidate image tried. MAX_FORMULA_DEPTH bounds
 how many connectives and parentheses may enclose one atom of a formula:
 desugaring at most triples that depth (``&``; ``|`` doubles it, and
 ``->`` and ``<->``, which are nodes, keep it), so the recursive valuation

@@ -20,7 +20,8 @@ batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import count
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .qrt import (
     complete_composition,
     derive,
 )
-from .relations import Budget
 
 _SYSTEM_NAMES = ("A", "B", "G", "H")
 _MIN_STATE_GAP = 1e-2  # named states must be clearly separated
@@ -80,19 +80,22 @@ class GeneratorConfig:
             raise ValueError("seed must be at least 0")
 
 
-class _Budget(Budget):
-    error, message = GenerationError, "resampling budget of {cap} rejections exhausted"
+def _reject(rejections: Iterator[int]) -> None:
+    """Count one rejected sample of a theory, whose ``rejections`` is
+    ``count(1)``; the one past _MAX_RESAMPLES raises GenerationError."""
+    if next(rejections) > _MAX_RESAMPLES:
+        raise GenerationError(f"resampling budget of {_MAX_RESAMPLES} rejections exhausted")
 
 
 def _distinct_states(
-    rng: np.random.Generator, dim: int, count: int, budget: _Budget
+    rng: np.random.Generator, dim: int, n: int, rejections: Iterator[int]
 ) -> list[DensityMatrix]:
     out: list[DensityMatrix] = []
-    while len(out) < count:
+    while len(out) < n:
         cand = random_density(rng, dim, pure=bool(rng.integers(2)))
         kept = [prev.mat for prev in out]
         if kept and within_trace_distances(cand.mat[None], np.array(kept), _MIN_STATE_GAP).any():
-            budget.spend()
+            _reject(rejections)
         else:
             out.append(cand)
     return out
@@ -148,7 +151,7 @@ def _declared_qrt(cfg: GeneratorConfig, index: int) -> Qrt:
     """The theory of (seed, index) as drawn, before its closure: its
     systems and the channels drawn between them."""
     rng = np.random.default_rng([cfg.seed, index])
-    budget = _Budget(_MAX_RESAMPLES)
+    rejections = count(1)
 
     nontrivial_dims = [d for d in cfg.dims if d > 1] or [2]
     systems: list[SystemDecl] = []
@@ -176,7 +179,7 @@ def _declared_qrt(cfg: GeneratorConfig, index: int) -> Qrt:
             n_states = int(rng.integers(1, cfg.states_per_system + 1))
             states = {
                 f"s{i}": dm
-                for i, dm in enumerate(_distinct_states(rng, dim, n_states, budget))
+                for i, dm in enumerate(_distinct_states(rng, dim, n_states, rejections))
             }
             frames[sid] = None
             basis_index[sid] = []
@@ -204,7 +207,7 @@ def _declared_qrt(cfg: GeneratorConfig, index: int) -> Qrt:
                 if isinstance(_induced_maps([(raw, src, dst)], DEFAULT_TOL)[0], dict):
                     channels.append(ChannelDecl(next_id(), src.id, dst.id, raw))
                     continue
-                budget.spend()
+                _reject(rejections)
             channels.append(_template_channel(rng, src, dst, frames, basis_index, next_id))
     return Qrt(systems, channels)
 

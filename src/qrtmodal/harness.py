@@ -4,15 +4,16 @@ aggregates one consolidated, deterministic report.
 
 Exit status contract, read off the sections named in SECTIONS: 1 if any
 section's "ok" is false, else 3 if an isomorphism search hit its cap (the
-iso-conditions or injectivity section counted an inconclusive entry),
-else 0. 2 is reserved for input errors and raised by the CLI layer.
+functoriality, iso-conditions or injectivity section counted an
+inconclusive entry), else 0. 2 is reserved for input errors and raised
+by the CLI layer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import MAX_ISO_NODES, OBJECT_CAP
+from .config import OBJECT_CAP
 from .errors import QrtModalError, ResourceLimitError, StructuralError
 from .formulas import conversion_possibility_report, is_resource_preserving
 from .generate import (
@@ -23,7 +24,7 @@ from .generate import (
 )
 from .kripke import KripkeModel, StarredModel, is_s4, model_key, models_isomorphic
 from .qrt import Qrt, node_name
-from .smc import build_smc, check_object_cap, free_objects, verify_smc_laws
+from .smc import SmcCategory, check_object_cap, verify_smc_laws
 from .translate import (
     image_conditions,
     iso_conditions,
@@ -116,7 +117,6 @@ def run_theorems(
     count: int = 20,
     include_corpus: bool = True,
     smc_cap: int = OBJECT_CAP,
-    iso_cap: int = MAX_ISO_NODES,
 ) -> dict:
     """Run every oracle; returns the consolidated report with a 'status'
     field following the exit-code contract."""
@@ -145,24 +145,24 @@ def run_theorems(
         ],
     }
 
-    # the family's records and starred images, then the injected models as
+    # (label, theory, record) of each family theory that translates, in
+    # family order, and the starred images, then the injected models as
     # negative controls; a theory whose record or starred model does not
     # build is left out of the sections and fails each of them (below)
-    records, subjects, build_errors = {}, [], []
+    translated, subjects, build_errors = [], [], []
     for label, q in family:
         try:
             rec = to_model(q)
             subjects.append((label, rec.starred, {}))
-            records[label] = rec
+            translated.append((label, q, rec))
         except QrtModalError as exc:
             build_errors.append({"label": label, "error": str(exc)})
-    family = [(label, q) for label, q in family if label in records]
     subjects += [(label, m, {"injected": True}) for label, m in injected_models or []]
 
     # S4 form of every translated model
     s4_failures = []
-    for label, _ in family:
-        ok, witness = is_s4(records[label].model)
+    for label, _, rec in translated:
+        ok, witness = is_s4(rec.model)
         if not ok:
             s4_failures.append({"label": label, "witness": witness})
     report["s4"] = {"ok": not s4_failures, "failures": s4_failures}
@@ -172,12 +172,12 @@ def run_theorems(
     # batch; no list here holds the copies past their check
     reports = verify_functoriality(
         (q, [random_relabeling(q.labeled, rng)], [random_sub_qrt(q, rng)] if len(q.systems) > 1 else [])
-        for _, q in family
+        for _, q, _ in translated
     )
-    # the error key only where a case's theories did not translate, so that other reports keep their bytes
+    # the error and inconclusive keys only where a case has them, so that other reports keep their bytes
     funct_entries = [
-        {"label": label, "ok": rep["ok"], **({"error": rep["error"]} if "error" in rep else {})}
-        for (label, _), rep in zip(family, reports)
+        {"label": label, "ok": rep["ok"], **{k: rep[k] for k in ("error", "inconclusive") if k in rep}}
+        for (label, _, _), rep in zip(translated, reports)
     ]
     report["functoriality"] = {"ok": all(e["ok"] for e in funct_entries), "entries": funct_entries}
 
@@ -185,12 +185,12 @@ def run_theorems(
     # side compares the keys its operands cache before it searches
     mismatches = []
     iso_inconclusive = []
-    for la, qa in family:
-        for lb, qb in family:
+    for la, qa, ra in translated:
+        for lb, qb, rb in translated:
             try:
-                cond = iso_conditions(qa.labeled, qb.labeled, iso_cap)
+                cond = iso_conditions(qa.labeled, qb.labeled)
                 conj = cond["i"] and cond["ii"] and cond["iii"]
-                oracle = models_isomorphic(records[la].model, records[lb].model, iso_cap)[0]
+                oracle = models_isomorphic(ra.model, rb.model)[0]
             except ResourceLimitError as exc:
                 iso_inconclusive.append({"pair": [la, lb], "reason": str(exc)})
                 continue
@@ -200,7 +200,7 @@ def run_theorems(
                 )
     report["iso_conditions"] = {
         "ok": not mismatches,
-        "pairs_checked": len(family) ** 2,
+        "pairs_checked": len(translated) ** 2,
         "mismatches": mismatches,
     }
     # only when non-empty, so that reports without cap hits keep their bytes
@@ -222,8 +222,8 @@ def run_theorems(
     possibility_failures = []
     uncovered = []
     n_instances = 0
-    for label, q in family:
-        rep = conversion_possibility_report(records[label])
+    for label, q, rec in translated:
+        rep = conversion_possibility_report(rec)
         n_instances += len(rep["instances"])
         covered = {tuple(inst["edge"]) for inst in rep["instances"]}
         missed = sorted(_function_edges(q) - covered)
@@ -245,8 +245,7 @@ def run_theorems(
     # defective record fails it
     violations = []
     destroying = []
-    for label, _ in family:
-        rec = records[label]
+    for label, _, rec in translated:
         violations += ({"label": label, "edge": list(edge)} for edge in monotone_violations(rec))
         preserving, witnesses = is_resource_preserving(rec)
         if not preserving:
@@ -255,19 +254,12 @@ def run_theorems(
     report["resource_preservation"] = {"destroying": destroying}
 
     # starred injectivity over family pairs (and the twisted-pair corpus)
-    pairs = []
-    labels = []
-    for i, (la, qa) in enumerate(family):
-        for lb, qb in family[i:]:
-            pairs.append((qa, qb))
-            labels.append(f"{la}|{lb}")
+    pairs = [(f"{la}|{lb}", qa, qb) for i, (la, qa, _) in enumerate(translated) for lb, qb, _ in translated[i:]]
     if include_corpus:
         from .corpus import xi_sweep
 
-        for name, qa, qb in xi_sweep():
-            pairs.append((qa, qb))
-            labels.append(f"xi:{name}")
-    report["starred_injectivity"] = verify_starred_injectivity(pairs, iso_cap, labels)
+        pairs += ((f"xi:{name}", qa, qb) for name, qa, qb in xi_sweep())
+    report["starred_injectivity"] = verify_starred_injectivity(pairs)
 
     # monoidal category laws on every starred model; a plain injected model has none
     smc_entries = []
@@ -276,13 +268,13 @@ def run_theorems(
             continue
         entry = {"label": label, **mark}
         try:
-            cat = build_smc(m, smc_cap)
+            cat = SmcCategory(m, smc_cap)
             entry["laws_ok"] = verify_smc_laws(cat)["ok"]
         except QrtModalError as exc:  # fails the laws, for any subject
             entry.update(laws_ok=False, error=str(exc))
         else:
             if not mark:  # the singleton free objects are the true atoms but the unit
-                singles = {a for x in free_objects(cat) if len(x) == 1 for a in x}
+                singles = {a for x in cat.free_objects() if len(x) == 1 for a in x}
                 true = {a for a, v in m.model.interp.items() if v == 1}
                 entry["free_atoms_match"] = singles == true - {cat.unit_atom}
         smc_entries.append(entry)
@@ -295,7 +287,8 @@ def run_theorems(
     for key in SECTIONS if build_errors else ():
         report[key].update(ok=False, errors=build_errors)
 
-    report["inconclusive"] = len(iso_inconclusive) + report["starred_injectivity"]["inconclusive"]
+    n_funct = sum("inconclusive" in e for e in funct_entries)
+    report["inconclusive"] = n_funct + len(iso_inconclusive) + report["starred_injectivity"]["inconclusive"]
     all_ok = all(report[k]["ok"] for k in SECTIONS)
     report["status"] = (3 if report["inconclusive"] else 0) if all_ok else 1
     return report

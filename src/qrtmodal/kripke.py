@@ -14,9 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping
 
-from .config import MAX_ISO_NODES
 from .errors import StructuralError
-from .relations import Budget, bijections, find_nonreflexive, find_nontransitive
+from .relations import bijections, find_nonreflexive, find_nontransitive
 
 
 class KripkeModel:
@@ -219,9 +218,9 @@ def model_key(m: KripkeModel) -> tuple:
     return _view(m)[0]
 
 
-def _isomorphic(a, b, max_nodes: int) -> tuple[bool, tuple[dict, dict] | None]:
+def _isomorphic(a, b) -> tuple[bool, tuple[dict, dict] | None]:
     # two models or two starred models
-    for m in bijections(_view(a), _view(b), None, Budget(max_nodes)):
+    for m in bijections(_view(a), _view(b), None):
         maps: tuple[dict, dict] = ({}, {})
         for (kind, u), (_, v) in m.items():
             maps[kind][u] = v
@@ -229,17 +228,13 @@ def _isomorphic(a, b, max_nodes: int) -> tuple[bool, tuple[dict, dict] | None]:
     return False, None
 
 
-def models_isomorphic(
-    a: KripkeModel, b: KripkeModel, max_nodes: int = MAX_ISO_NODES
-) -> tuple[bool, tuple[dict, dict] | None]:
+def models_isomorphic(a: KripkeModel, b: KripkeModel) -> tuple[bool, tuple[dict, dict] | None]:
     """Search for bijections (phi_W, phi_D) preserving R, per-world
     domains, and I. Returns the witness pair when found."""
-    return _isomorphic(a, b, max_nodes)
+    return _isomorphic(a, b)
 
 
-def starred_isomorphic(
-    a: StarredModel, b: StarredModel, max_nodes: int = MAX_ISO_NODES
-) -> tuple[bool, tuple[dict, dict] | None]:
+def starred_isomorphic(a: StarredModel, b: StarredModel) -> tuple[bool, tuple[dict, dict] | None]:
     """As models_isomorphic with the extra clause that the domain
     preorders correspond: x <= y iff phi_D(x) <=' phi_D(y)."""
-    return _isomorphic(a, b, max_nodes)
+    return _isomorphic(a, b)

@@ -33,7 +33,7 @@ one validity gate, returns them as a ``LabeledTheory``: nothing numeric.
 Both types share the label rules (``_LabelRules``); relabeling and
 restricting a labeled theory are pure maps on its labels. The label
 rules include the isomorphism search's view of the theory (``_view``),
-cached per marked set and dim rule.
+cached per dim rule.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, MAX_CHANNELS, MAX_ISO_NODES
+from .config import DEFAULT_TOL, MAX_CHANNELS
 from .errors import DimensionMismatchError, ResourceLimitError, StructuralError
 from .linalg import (
     DensityMatrix,
@@ -59,7 +59,7 @@ from .linalg import (
     trace_distance,
     within_trace_distances,
 )
-from .relations import Budget, bijections, reflexive_transitive_closure
+from .relations import bijections, reflexive_transitive_closure
 
 ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -260,13 +260,13 @@ class _LabelRules:
         states, and the trivial state by the unit axiom."""
         return self.free_states | {self.trivial_node} if self.trivial_node else self.free_states
 
-    def _view(self, marked: str, match_dims: bool) -> tuple:
-        """``_search_view``, built once per (marked, match_dims) and cached
-        on the theory."""
+    def _view(self, match_dims: bool) -> tuple:
+        """``_search_view``, built once per dim rule and cached on the
+        theory."""
         views = self.__dict__.setdefault("_views", {})
-        if (marked, match_dims) not in views:
-            views[marked, match_dims] = _search_view(self, marked, match_dims)
-        return views[marked, match_dims]
+        if match_dims not in views:
+            views[match_dims] = _search_view(self, match_dims)
+        return views[match_dims]
 
 
 @dataclass(frozen=True)
@@ -677,14 +677,21 @@ def complete_composition(q: Qrt) -> Qrt:
     return closed
 
 
-def _search_view(q: _LabelRules, marked: str, match_dims: bool) -> tuple:
+def _search_view(q: _LabelRules, match_dims: bool) -> tuple:
     """The (key, colour, links) view of q that ``bijections`` searches,
-    with the states of q's ``marked`` ("free_states" or "true_nodes")
-    marked, over the vertices (system,) and (system, state), each state
-    linked to its system. A system's colour is (profile, -1), its profile
-    being (dim if match_dims else 0, state count, marked-state count); a
-    state's is (its system's profile, 1 if marked else 0)."""
-    nodes = getattr(q, marked)
+    with q's ``true_nodes`` marked, over the vertices (system,) and
+    (system, state), each state linked to its system. A system's colour
+    is (profile, -1), its profile being (dim if match_dims else 0, state
+    count, marked-state count); a state's is (its system's profile, 1 if
+    marked else 0).
+
+    Under matched dims, marking the trivial state besides the free ones
+    changes no decision: a valid theory's one dim-1 system is its trivial
+    system, so a bijection that keeps dims sends it, and its one state,
+    onto the other theory's, and a theory without a trivial state has
+    ``true_nodes == free_states``. There each is alone in its colour
+    class under either mark, so the search order is the same too."""
+    nodes = q.true_nodes
     held = Counter(sid for sid, _ in nodes)
     colour, links = {}, {}
     for s in q.systems:
@@ -697,7 +704,7 @@ def _search_view(q: _LabelRules, marked: str, match_dims: bool) -> tuple:
     return tuple(sorted(colour.values())), colour, links
 
 
-def _labeled_bijections(view_x: tuple, view_y: tuple, pair_ok: Callable, budget: Budget) -> Iterator[dict]:
+def _labeled_bijections(view_x: tuple, view_y: tuple, pair_ok: Callable) -> Iterator[dict]:
     """The bijections of two ``_search_view``s, each one map on the
     vertices, that keep each system's profile, send each state into its
     system's image and marked states onto marked ones, and satisfy
@@ -710,12 +717,10 @@ def _labeled_bijections(view_x: tuple, view_y: tuple, pair_ok: Callable, budget:
         a = v[0]
         return a not in done or all(pair_ok(a, b, m) and pair_ok(b, a, m) for b in done)
 
-    return bijections(view_x, view_y, fits, budget)
+    return bijections(view_x, view_y, fits)
 
 
-def qrt_isomorphic(
-    x: _LabelRules, y: _LabelRules, max_nodes: int = MAX_ISO_NODES
-) -> tuple[bool, tuple[dict, dict] | None]:
+def qrt_isomorphic(x: _LabelRules, y: _LabelRules) -> tuple[bool, tuple[dict, dict] | None]:
     """Labeled-structure isomorphism: a bijection of systems (matching
     dims) plus per-system bijections of named states that carry x's
     induced state functions and free set onto y's.
@@ -735,8 +740,7 @@ def qrt_isomorphic(
         } == fy.keys()
 
     _derive_maps(t for t in (x, y) if isinstance(t, Qrt))
-    views = x._view("free_states", True), y._view("free_states", True)
-    for m in _labeled_bijections(*views, transported, Budget(max_nodes)):
+    for m in _labeled_bijections(x._view(True), y._view(True), transported):
         sys_map = {v[0]: w[0] for v, w in m.items() if len(v) == 1}
         return True, (sys_map, {v: w for v, w in m.items() if len(v) == 2})
     return False, None

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
+from . import config
 from .errors import ResourceLimitError
 
 T = TypeVar("T", bound=Hashable)
@@ -55,23 +56,7 @@ def find_nontransitive(pairs: frozenset):
 # -- isomorphism search --------------------------------------------------------
 
 
-class Budget:
-    """Steps spent by one bounded search: each candidate tried costs one,
-    and the step past the cap raises ``error`` with ``message`` naming the
-    cap. A search with an error of its own sets both in a subclass."""
-
-    error, message = ResourceLimitError, "isomorphism search exceeded {cap} nodes"
-
-    def __init__(self, cap: int):
-        self.cap, self.used = cap, 0
-
-    def spend(self) -> None:
-        self.used += 1
-        if self.used > self.cap:
-            raise self.error(self.message.format(cap=self.cap))
-
-
-def bijections(view_x: tuple, view_y: tuple, fits: Callable | None, budget: Budget) -> Iterator[dict]:
+def bijections(view_x: tuple, view_y: tuple, fits: Callable | None) -> Iterator[dict]:
     """Yield, each as a fresh dict, every colour-preserving bijection from
     x's vertices onto y's that carries the labelled links among placed
     vertices onto equal links, and for which ``fits(x, y, m)`` holds at
@@ -87,9 +72,10 @@ def bijections(view_x: tuple, view_y: tuple, fits: Callable | None, budget: Budg
     the one in the smaller colour class, then the smaller id. A vertex with
     a placed neighbour draws its candidates from the links of that
     neighbour's image, in y's links order, any other from its colour
-    class in id order. Each candidate tried costs one ``budget`` node.
-    Witnesses are thus deterministic; a report carries one only for a
-    falsification candidate."""
+    class in id order. Each candidate tried costs one node, and the node
+    past ``config.MAX_ISO_NODES``, read when the search starts, raises
+    ResourceLimitError naming that cap. Witnesses are thus deterministic;
+    a report carries one only for a falsification candidate."""
     (key_x, colour_x, links_x), (key_y, colour_y, links_y) = view_x, view_y
     if key_x != key_y:
         return
@@ -110,8 +96,10 @@ def bijections(view_x: tuple, view_y: tuple, fits: Callable | None, budget: Budg
             placed_links[v] += 1
     m: dict = {}
     used: set = set()
+    cap, spent = config.MAX_ISO_NODES, 0
 
     def place(k: int):
+        nonlocal spent
         if k == len(order):
             yield dict(m)
             return
@@ -121,7 +109,9 @@ def bijections(view_x: tuple, view_y: tuple, fits: Callable | None, budget: Budg
         for y in pool:
             if y in used or colour_y[y] != colour_x[x]:
                 continue
-            budget.spend()
+            spent += 1
+            if spent > cap:
+                raise ResourceLimitError(f"isomorphism search exceeded {cap} nodes")
             if {w: label for w, label in links_y.get(y, {}).items() if w in used} != want:
                 continue
             m[x] = y

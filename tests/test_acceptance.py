@@ -169,16 +169,10 @@ def test_resource_monotonicity_and_destroying_negative(family20):
 
 
 def test_starred_injectivity_consistency(family20):
-    pairs, labels = [], []
     items = list(family20)
-    for i, (la, qa) in enumerate(items):
-        for lb, qb in items[i:]:
-            pairs.append((qa, qb))
-            labels.append(f"{la}|{lb}")
-    for name, qa, qb in corpus.xi_sweep():
-        pairs.append((qa, qb))
-        labels.append(f"xi:{name}")
-    rep = verify_starred_injectivity(pairs, labels=labels)
+    pairs = [(f"{la}|{lb}", qa, qb) for i, (la, qa) in enumerate(items) for lb, qb in items[i:]]
+    pairs += ((f"xi:{name}", qa, qb) for name, qa, qb in corpus.xi_sweep())
+    rep = verify_starred_injectivity(pairs)
     assert rep["falsifications"] == 0, rep
     assert rep["inconclusive"] == 0
     _report(

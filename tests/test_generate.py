@@ -14,6 +14,7 @@ from qrtmodal.generate import (
     random_sub_qrt,
 )
 from qrtmodal.io import dumps, qrt_to_dict
+from qrtmodal.linalg import identity_channel
 from qrtmodal.kripke import is_s4
 from helpers import is_composition_complete, is_sub_qrt, random_model, sub_qrt
 
@@ -84,6 +85,19 @@ class TestStructure:
         monkeypatch.setattr(generate, "_RAW_PROBABILITY", 1.0)
         with pytest.raises(GenerationError, match=r"^resampling budget of 0 rejections exhausted$"):
             generate_qrt(cfg)
+
+    def test_a_raw_draw_that_induces_a_map_is_kept(self, monkeypatch):
+        real = generate.random_cptp_channel
+        monkeypatch.setattr(generate, "_RAW_PROBABILITY", 1.0)
+        monkeypatch.setattr(
+            generate, "random_cptp_channel", lambda rng, i, o: identity_channel(i) if i == o else real(rng, i, o)
+        )
+        q = generate_qrt(GeneratorConfig(seed=3, dims=(1, 2), channel_density=1.0))
+        kept = {d.id: (d.src, d.dst) for d in q.channels if d.src == d.dst != "c" and d.id.startswith("ch")}
+        assert kept == {"ch4": ("A", "A"), "ch8": ("B", "B")}
+        # the kept draws are the identities, so none is added beside them
+        assert not {"id_A", "id_B"} & {d.id for d in q.channels}
+        assert q.validate().ok
 
     def test_random_sub_is_sub(self):
         rng = np.random.default_rng(8)

@@ -11,7 +11,7 @@ import pytest
 
 import qrtmodal.kripke as kripke
 import qrtmodal.qrt as qrt_module
-from qrtmodal import corpus, generate, harness, io, translate
+from qrtmodal import config, corpus, generate, harness, io, translate
 from qrtmodal.cli import main
 from qrtmodal.corpus import (
     broken_monotone_model,
@@ -28,8 +28,16 @@ from qrtmodal.errors import GenerationError, QrtModalError, ResourceLimitError, 
 from qrtmodal.generate import GeneratorConfig
 from qrtmodal.harness import build_family, run_theorems
 from qrtmodal.kripke import KripkeModel, StarredModel, models_isomorphic, starred_isomorphic
-from qrtmodal.linalg import KrausChannel
-from qrtmodal.qrt import ChannelDecl, LabeledTheory, Qrt, node_name, qrt_isomorphic
+from qrtmodal.linalg import KrausChannel, scalar_one
+from qrtmodal.qrt import (
+    ChannelDecl,
+    LabeledTheory,
+    Qrt,
+    SystemDecl,
+    complete_composition,
+    node_name,
+    qrt_isomorphic,
+)
 from qrtmodal.translate import iso_conditions, to_model
 
 from helpers import reference_build_family
@@ -85,8 +93,10 @@ def test_injected_broken_models_falsify():
     assert smc_flagged and not smc_flagged[0]["laws_ok"]
 
 
-def test_tiny_search_cap_is_inconclusive_not_falsified():
-    rep = run_theorems(seed=5, count=4, include_corpus=False, iso_cap=1)
+def test_tiny_search_cap_is_inconclusive_not_falsified(monkeypatch):
+    family = build_family(5, 4)  # the family dedup would overrun the lowered cap
+    monkeypatch.setattr(config, "MAX_ISO_NODES", 1)
+    rep = run_theorems(family=family, seed=5, include_corpus=False)
     assert rep["inconclusive"] > 0
     assert rep["status"] == 3
 
@@ -101,12 +111,40 @@ def test_report_bytes_pinned():
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "46e47d01c4e9c78a"
 
 
-def test_inconclusive_iso_conditions_pairs_named():
-    rep = run_theorems(seed=1, count=4, iso_cap=3)
+def test_inconclusive_iso_conditions_pairs_named(monkeypatch):
+    family = build_family(1, 4)
+    monkeypatch.setattr(config, "MAX_ISO_NODES", 3)
+    rep = run_theorems(family=family, seed=1)
     named = rep["iso_conditions"]["inconclusive"]
     assert len(named) == 4
     assert all(len(e["pair"]) == 2 and "exceeded 3" in e["reason"] for e in named)
+    # the functoriality relabelings overrun the same cap, and count alike
+    entries = rep["functoriality"]["entries"]
+    assert [e["inconclusive"] for e in entries] == ["isomorphism search exceeded 3 nodes"] * len(family)
+    assert rep["functoriality"]["ok"]
+    assert rep["inconclusive"] == 12  # 2 functoriality, 4 iso-condition and 6 injectivity entries
     assert rep["status"] == 3
+
+
+def test_duplicate_family_labels_keep_their_own_records():
+    rep = run_theorems(family=[("x", chain_qrt()), ("x", entanglement_qrt())], include_corpus=False)
+    assert rep["iso_conditions"]["mismatches"] == []
+    assert "uncovered" not in rep["possibility"]
+    assert rep["status"] == 0
+
+
+def with_trivial_system(q: Qrt) -> Qrt:
+    """q with a trivial system c prepended, closed under composition again."""
+    return complete_composition(Qrt([SystemDecl("c", 1, {"one": scalar_one()}), *q.systems], q.channels))
+
+
+def test_injectivity_gap_fails_only_the_injectivity_section():
+    x, y = map(with_trivial_system, injectivity_gap_pair())
+    assert x.validate().ok and y.validate().ok
+    rep = run_theorems(family=[("x", x), ("y", y)], include_corpus=False)
+    assert rep["starred_injectivity"]["falsifications"] == 1
+    assert [k for k in harness.SECTIONS if not rep[k]["ok"]] == ["starred_injectivity"]
+    assert rep["status"] == 1
 
 
 def no_unit_starred_model():
@@ -127,14 +165,14 @@ def test_injected_model_without_unit_is_flagged():
 
 def test_programming_error_in_injected_law_sweep_propagates(monkeypatch):
     injected = broken_smc_model()
-    real = harness.build_smc
+    real = harness.SmcCategory
 
     def failing(m, cap):
         if m is injected:
             raise TypeError("a bug, not a verdict")
         return real(m, cap)
 
-    monkeypatch.setattr(harness, "build_smc", failing)
+    monkeypatch.setattr(harness, "SmcCategory", failing)
     with pytest.raises(TypeError, match="a bug"):
         run_theorems(
             family=[("chain", corpus.chain_qrt())],
@@ -184,23 +222,27 @@ def corpus_family():
 # first 16 hex digits of the SHA-256 of io.dumps(report); the 6:n digests
 # are the same as in bench/theorems_sha256.json
 @pytest.mark.parametrize(
-    "make_kwargs, status, digest",
+    "make_kwargs, cap, status, digest",
     [
-        (lambda: dict(seed=2, count=6), 0, "5def05f679a06bf7"),
-        (lambda: dict(seed=3, count=6), 0, "8e045db3de012d07"),
-        (lambda: dict(seed=4, count=6), 0, "286740c23c3327cb"),
-        (lambda: dict(seed=1, count=6, injected_models=injected()), 1, "50ed7e2d8ab2e593"),
-        (lambda: dict(seed=1, count=4, iso_cap=3), 3, "ba0f83f5c749558a"),
+        (lambda: dict(seed=2, count=6), None, 0, "5def05f679a06bf7"),
+        (lambda: dict(seed=3, count=6), None, 0, "8e045db3de012d07"),
+        (lambda: dict(seed=4, count=6), None, 0, "286740c23c3327cb"),
+        (lambda: dict(seed=1, count=6, injected_models=injected()), None, 1, "50ed7e2d8ab2e593"),
+        (lambda: dict(family=build_family(1, 4), seed=1), 3, 3, "28755dfeae63a884"),
         (
             lambda: dict(family=corpus_family(), injected_models=injected(), include_corpus=False),
+            None,
             1,
             "1265050570c77010",
         ),
     ],
     ids=["6:2", "6:3", "6:4", "status1", "status3", "file-family"],
 )
-def test_report_paths_pinned(make_kwargs, status, digest):
-    report = run_theorems(**make_kwargs())
+def test_report_paths_pinned(make_kwargs, cap, status, digest, monkeypatch):
+    kwargs = make_kwargs()  # any family is built before the search cap is lowered
+    if cap is not None:
+        monkeypatch.setattr(config, "MAX_ISO_NODES", cap)
+    report = run_theorems(**kwargs)
     assert report["status"] == status
     assert hashlib.sha256(io.dumps(report).encode()).hexdigest()[:16] == digest
 
@@ -224,13 +266,13 @@ def test_every_pinned_report(pin):
 FALSE_ORACLES = {
     "s4": ("is_s4", lambda m: (False, "w")),
     "functoriality": ("verify_functoriality", lambda cases: [{"ok": False} for _ in cases]),
-    "iso_conditions": ("iso_conditions", lambda a, b, cap: {"i": False, "ii": False, "iii": False}),
+    "iso_conditions": ("iso_conditions", lambda a, b: {"i": False, "ii": False, "iii": False}),
     "image_conditions": ("image_conditions", lambda m: {"i": False, "ii": True}),
     "possibility": ("conversion_possibility_report", lambda rec: {"instances": [], "ok": False}),
     "monotonicity": ("monotone_violations", lambda rec: [(("A", "a0"), ("B", "b0"), "f")]),
     "starred_injectivity": (
         "verify_starred_injectivity",
-        lambda pairs, cap, labels: {
+        lambda pairs: {
             "entries": [], "falsifications": 1, "inconclusive": 0, "ok": False
         },
     ),
@@ -301,15 +343,15 @@ def test_cached_keys_give_the_verdicts_of_fresh_operands(theory_pairs, monkeypat
 def test_each_operand_builds_its_keys_once(monkeypatch):
     """Over a run, each model object builds its colours and links at most
     once per order, and each theory object its search view at most once
-    per (marked set, match_dims)."""
+    per dim rule."""
     family = build_family(1, 20)
     built, operands = Counter(), []  # the operands stay alive, so no id is reused
 
     def counting(part, build):
-        def counted(operand, *marked):
+        def counted(operand, *rule):
             operands.append(operand)
-            built[(part, id(operand), marked)] += 1
-            return build(operand, *marked)
+            built[(part, id(operand), rule)] += 1
+            return build(operand, *rule)
         return counted
 
     monkeypatch.setattr(kripke, "_colours", counting("colours", kripke._colours))
@@ -320,7 +362,7 @@ def test_each_operand_builds_its_keys_once(monkeypatch):
     assert [key for key, n in built.items() if n > 1] == []
 
 
-# the least max_nodes at which each theory decider answers on the labeled
+# the least MAX_ISO_NODES at which each theory decider answers on the labeled
 # forms, (qrt_isomorphic, iso_conditions): a change of search order shows here
 LEAST_CAPS = {
     "xi identity": (8, 8),
@@ -331,21 +373,22 @@ LEAST_CAPS = {
 }
 
 
-def least_cap(decide, x, y) -> int | None:
+def least_cap(decide, x, y, monkeypatch) -> int | None:
     for cap in range(1, 100):
+        monkeypatch.setattr(config, "MAX_ISO_NODES", cap)
         try:
-            decide(x, y, cap)
+            decide(x, y)
             return cap
         except ResourceLimitError:
             pass
     return None
 
 
-def test_theory_deciders_answer_at_pinned_least_caps():
+def test_theory_deciders_answer_at_pinned_least_caps(monkeypatch):
     pairs = {f"xi {name}": (a, b) for name, a, b in xi_sweep()}
     pairs |= {"iso_gap_pair": iso_gap_pair(), "injectivity_gap_pair": injectivity_gap_pair()}
     got = {
-        label: tuple(least_cap(decide, a.labeled, b.labeled) for decide in (qrt_isomorphic, iso_conditions))
+        label: tuple(least_cap(d, a.labeled, b.labeled, monkeypatch) for d in (qrt_isomorphic, iso_conditions))
         for label, (a, b) in pairs.items()
     }
     assert got == LEAST_CAPS

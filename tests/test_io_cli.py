@@ -362,13 +362,21 @@ class TestCli:
         [
             ("--systems", "5", "n_systems must be between 1 and 4"),
             ("--density", "2", "channel_density must lie in [0, 1]"),
-            ("--dims", "1,x", "invalid literal for int() with base 10: 'x'"),
+            ("--dims", "1,two", "argument --dims: must be a comma-separated list of integers, got '1,two'"),
+            ("--dims", "1,4", "dims must be a non-empty subset of {1, 2, 3}"),
         ],
     )
     def test_generate_bad_config_is_input_error(self, option, value, message, tmp_path, capsys):
         out = tmp_path / "gen"
-        assert main(["generate", "--seed", "1", option, value, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        argv = ["generate", "--seed", "1", option, value, "--out", str(out)]
+        if message.startswith("argument "):  # argparse rejects the text: usage, then the error
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1] == f"qrtmodal generate: error: {message}"
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -847,6 +855,7 @@ def test_check_rejects_a_domain_of_an_unknown_world(tmp_path, capsys):
     [
         ({"domain": [], "domains": {}, "interp": {}}, "the global domain is empty"),
         ({"interp": {"p": 1, "q": 0, "zz": 0}}, "interpretation mentions unknown atoms: ['zz']"),
+        ({"order": [["p", "p"], ["q", "q"], ["p", "z"]]}, "order pair (p, z) leaves the domain"),
     ],
 )
 def test_check_rejects_a_model_the_kripke_model_refuses(edit, message, tmp_path, capsys):

@@ -3,12 +3,14 @@ search (including oracle equivalence for the pruned search)."""
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrtmodal import config
 from qrtmodal.errors import ResourceLimitError, StructuralError
 from qrtmodal.relations import reflexive_transitive_closure
 from qrtmodal.translate import to_starred_model
@@ -81,6 +83,17 @@ class TestWellFormedness:
     def test_interp_not_total(self):
         with pytest.raises(StructuralError):
             small_model(interp={"p": 1})
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_truth_value_must_be_the_int_0_or_1(self, value):
+        message = f"truth value of atom p is {value!r}, not 0 or 1"
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            small_model(interp={"p": value, "q": 0})
+
+    @pytest.mark.parametrize("pair", [("p", "z"), ("z", "p")])
+    def test_order_pair_with_one_end_outside_the_domain(self, pair):
+        with pytest.raises(StructuralError, match=rf"^order pair \({pair[0]}, {pair[1]}\) leaves the domain$"):
+            StarredModel(small_model(), [("p", "p"), ("q", "q"), pair])
 
     def test_order_must_be_preorder(self):
         m = small_model()
@@ -190,10 +203,11 @@ class TestModelsIsomorphic:
         ok, _ = models_isomorphic(a, b)
         assert not ok
 
-    def test_search_cap(self):
+    def test_search_cap(self, monkeypatch):
         a = small_model()
+        monkeypatch.setattr(config, "MAX_ISO_NODES", 1)
         with pytest.raises(ResourceLimitError):
-            models_isomorphic(a, a, max_nodes=1)
+            models_isomorphic(a, a)
 
 
 class TestStarredIsomorphic:
@@ -400,26 +414,31 @@ class TestCycleSearch:
     """One 8-cycle against a 3-cycle and a 5-cycle: a search over worlds
     alone lists all 8! world maps before it looks at an atom."""
 
+    @pytest.fixture(autouse=True)
+    def node_guard(self, monkeypatch):
+        monkeypatch.setattr(config, "MAX_ISO_NODES", 10_000)
+
     def test_long_cycle_against_two_short_ones(self):
         one, two = cycles_model([8], 1), cycles_model([3, 5], 1)
-        assert models_isomorphic(one.model, two.model, max_nodes=10_000) == (False, None)
-        assert starred_isomorphic(one, two, max_nodes=10_000) == (False, None)
+        assert models_isomorphic(one.model, two.model) == (False, None)
+        assert starred_isomorphic(one, two) == (False, None)
 
     def test_relabelled_long_cycle(self):
         one = cycles_model([8], 0)
         other = relabel(one, random.Random(8))
-        ok, witness = models_isomorphic(one.model, other.model, max_nodes=10_000)
+        ok, witness = models_isomorphic(one.model, other.model)
         assert ok and maps_structure(one, other, witness, False)
-        ok, witness = starred_isomorphic(one, other, max_nodes=10_000)
+        ok, witness = starred_isomorphic(one, other)
         assert ok and maps_structure(one, other, witness, True)
 
 
 class TestBudget:
-    def test_one_node_is_not_enough(self):
+    def test_one_node_is_not_enough(self, monkeypatch):
         a = small_model()
         sa = StarredModel(a, [("p", "p"), ("q", "q")])
         message = r"^isomorphism search exceeded 1 nodes$"
+        monkeypatch.setattr(config, "MAX_ISO_NODES", 1)
         with pytest.raises(ResourceLimitError, match=message):
-            models_isomorphic(a, a, max_nodes=1)
+            models_isomorphic(a, a)
         with pytest.raises(ResourceLimitError, match=message):
-            starred_isomorphic(sa, sa, max_nodes=1)
+            starred_isomorphic(sa, sa)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qrtmodal.linalg as linalg_module
 import qrtmodal.qrt as qrt_module
-from qrtmodal import corpus
+from qrtmodal import config, corpus
 from qrtmodal.config import DEFAULT_TOL
 from qrtmodal.errors import (
     DimensionMismatchError,
@@ -118,6 +118,15 @@ class TestValidate:
             any(d.src == s.id and d.dst == s.id for d in q.channels)
             for s in q.systems
         )
+
+    def test_added_identity_takes_a_free_name(self):
+        a = {"a0": basis_state(2, 0), "a1": basis_state(2, 1)}
+        q = Qrt([SystemDecl("A", 2, a)], [ChannelDecl("id_A", "A", "A", constant_channel(a["a0"], 2))])
+        assert [(d.id, qrt_module._matrix_is_identity(d.channel)) for d in q.channels] == [
+            ("id_A", False),
+            ("id_A_", True),
+        ]
+        assert q.validate().ok
 
     def test_composition_closure_reported(self):
         a0 = basis_state(2, 0)
@@ -415,10 +424,11 @@ class TestQrtIsomorphic:
         ok, _ = qrt_isomorphic(x, y)
         assert not ok
 
-    def test_search_cap(self):
+    def test_search_cap(self, monkeypatch):
         q = corpus.chain_qrt()
+        monkeypatch.setattr(config, "MAX_ISO_NODES", 1)
         with pytest.raises(ResourceLimitError):
-            qrt_isomorphic(q, q, max_nodes=1)
+            qrt_isomorphic(q, q)
 
 
 def carries(x: Qrt, y: Qrt, sys_map: dict, node_map: dict) -> bool:
@@ -487,10 +497,11 @@ class TestQrtIsomorphicAgainstReference:
             ok, witness = qrt_isomorphic(q, r)
             assert ok and carries(q, r, *witness)
 
-    def test_one_node_is_not_enough(self):
+    def test_one_node_is_not_enough(self, monkeypatch):
         q = corpus.chain_qrt()
+        monkeypatch.setattr(config, "MAX_ISO_NODES", 1)
         with pytest.raises(ResourceLimitError, match=r"^isomorphism search exceeded 1 nodes$"):
-            qrt_isomorphic(q, q, max_nodes=1)
+            qrt_isomorphic(q, q)
 
 
 class TestGeneratedFamilyProperties:
@@ -1322,7 +1333,7 @@ class TestLabelCopies:
             fresh, copy = random_relabeling(q, np.random.default_rng(seed)), random_relabeling(q.labeled, np.random.default_rng(seed))
             check_label_copy(fresh, copy)
             # the label readers take either type, and read the same of both
-            assert qrt_isomorphic(q, copy)[0] and copy._view("true_nodes", True)[0] == fresh._view("true_nodes", True)[0]
+            assert qrt_isomorphic(q, copy)[0] and copy._view(True)[0] == fresh._view(True)[0]
             sub = random_sub_qrt(q, np.random.default_rng(seed))
             check_label_copy(sub_qrt(q, [s.id for s in sub.systems]), sub)
 

@@ -733,7 +733,7 @@ class TestEncodingMutants:
 
     @pytest.mark.parametrize("mutant, caught_by", MUTANTS)
     def test_falsifies_the_theorems_report(self, mutant, caught_by, monkeypatch):
-        monkeypatch.setattr(harness, "build_smc", mutant)
+        monkeypatch.setattr(harness, "SmcCategory", mutant)
         rep = run_theorems(family=[("chain", corpus.chain_qrt())], include_corpus=False)
         assert [e["laws_ok"] for e in rep["smc"]["entries"]] == [False]
         assert rep["status"] == 1

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qrtmodal import corpus
+from qrtmodal import config, corpus
 from qrtmodal.errors import ResourceLimitError, StructuralError
 from qrtmodal.generate import (
     GeneratorConfig,
@@ -356,10 +356,11 @@ class TestIsoConditionsAgainstReference:
         assert {(True, False, False), (True, True, False), (True, True, True)} <= seen
         assert any(not i for i, _, _ in seen)
 
-    def test_one_node_is_not_enough(self):
+    def test_one_node_is_not_enough(self, monkeypatch):
         q = corpus.chain_qrt()
+        monkeypatch.setattr(config, "MAX_ISO_NODES", 1)
         with pytest.raises(ResourceLimitError, match=r"^isomorphism search exceeded 1 nodes$"):
-            iso_conditions(q, q, max_nodes=1)
+            iso_conditions(q, q)
 
 
 class TestImageConditions:
@@ -404,11 +405,21 @@ class TestVerifyFunctoriality:
         assert rep["relabelings"] == [False]
 
 
+    def test_overrun_relabeling_is_undecided(self, monkeypatch):
+        q = corpus.chain_qrt()
+        copy = random_relabeling(q.labeled, np.random.default_rng(3))
+        monkeypatch.setattr(config, "MAX_ISO_NODES", 1)
+        (rep,) = verify_functoriality([(q, [copy], ())])
+        assert rep["relabelings"] == [None]
+        assert rep["inconclusive"] == "isomorphism search exceeded 1 nodes"
+        assert rep["ok"]
+
+
 class TestStarredInjectivity:
     def test_relabeled_pair_consistent(self):
         rng = np.random.default_rng(29)
         q = corpus.chain_qrt()
-        rep = verify_starred_injectivity([(q, random_relabeling(q, rng))])
+        rep = verify_starred_injectivity([("chain", q, random_relabeling(q, rng))])
         assert rep["falsifications"] == 0
         assert rep["entries"][0]["verdict"] == "consistent"
         assert rep["entries"][0]["starred_isomorphic"]
@@ -416,21 +427,20 @@ class TestStarredInjectivity:
     def test_different_free_sizes_non_isomorphic(self):
         x = corpus.chain_qrt()
         y = corpus.convex_closed_qrt()
-        rep = verify_starred_injectivity([(x, y)])
+        rep = verify_starred_injectivity([("chain|convex", x, y)])
         assert rep["entries"][0]["verdict"] == "consistent"
         assert not rep["entries"][0]["starred_isomorphic"]
 
     def test_twisted_sweep_tabulated(self):
-        pairs = [(a, b) for _, a, b in corpus.xi_sweep()]
-        labels = [name for name, _, _ in corpus.xi_sweep()]
-        rep = verify_starred_injectivity(pairs, labels=labels)
+        rep = verify_starred_injectivity(corpus.xi_sweep())
         assert rep["falsifications"] == 0
         assert len(rep["entries"]) == 3
         assert all(e["verdict"] == "consistent" for e in rep["entries"])
 
     def test_gap_pair_flagged(self):
-        rep = verify_starred_injectivity([corpus.injectivity_gap_pair()])
+        rep = verify_starred_injectivity([("gap", *corpus.injectivity_gap_pair())])
         assert rep["falsifications"] == 1
+        assert rep["ok"] is False
         entry = rep["entries"][0]
         assert entry["verdict"] == "falsification-candidate"
         assert entry["starred_isomorphic"] and not entry["sources_isomorphic"]
