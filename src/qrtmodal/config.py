@@ -9,12 +9,14 @@ named states within 2 tol of each other an ambiguity. It defaults to
 allows (dim <= MAX_DIM) stay several orders of magnitude below that.
 MAX_DIM, MAX_CHANNELS, MAX_ISO_NODES and MAX_FORMULA_DEPTH are fixed
 limits; OBJECT_CAP is the default of a per-call cap. MAX_ISO_NODES bounds
-every isomorphism search (``relations.bijections``, which reads it when a
-search starts), one node per candidate image tried. MAX_FORMULA_DEPTH bounds
-how many connectives and parentheses may enclose one atom of a formula:
-desugaring at most triples that depth (``&``; ``|`` doubles it, and
-``->`` and ``<->``, which are nodes, keep it), so the recursive valuation
-and printer stay inside Python's default recursion limit of 1000 frames.
+every isomorphism search (``relations.bijection``, which reads it when a
+search starts; models_isomorphic, starred_isomorphic, qrt_isomorphic and
+iso_conditions run it), one node per candidate image tried.
+MAX_FORMULA_DEPTH bounds how many connectives and parentheses may enclose
+one atom of a formula: desugaring at most triples that depth (``&``;
+``|`` doubles it, and ``->`` and ``<->``, which are nodes, keep it), so
+the recursive valuation and printer stay inside Python's default
+recursion limit of 1000 frames.
 """
 
 MAX_DIM = 64

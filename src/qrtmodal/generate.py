@@ -244,9 +244,9 @@ def _template_channel(rng, src, dst, frames, basis_index, next_id) -> ChannelDec
 # -- random relabelings and restrictions ---------------------------------------
 
 
-def random_relabeling(q: Qrt | LabeledTheory, rng: np.random.Generator) -> Qrt | LabeledTheory:
-    """q with systems and states renamed at random: a fresh ``Qrt`` of a
-    ``Qrt``, a label map of a ``LabeledTheory``."""
+def random_renaming(q: Qrt | LabeledTheory, rng: np.random.Generator) -> tuple[dict, dict]:
+    """A random renaming of q's systems and states, as the (sys_map,
+    state_maps) pair that ``relabeled`` takes."""
     sys_ids = [s.id for s in q.systems]
     new_sys = [f"X{i}" for i in rng.permutation(len(sys_ids))]
     sys_map = dict(zip(sys_ids, new_sys))
@@ -255,7 +255,13 @@ def random_relabeling(q: Qrt | LabeledTheory, rng: np.random.Generator) -> Qrt |
         names = sorted(s.states)
         perm = rng.permutation(len(names))
         state_maps[s.id] = {names[i]: f"t{int(perm[i])}" for i in range(len(names))}
-    return q.relabeled(sys_map, state_maps)
+    return sys_map, state_maps
+
+
+def random_relabeling(q: Qrt | LabeledTheory, rng: np.random.Generator) -> Qrt | LabeledTheory:
+    """q with systems and states renamed at random (``random_renaming``): a
+    fresh ``Qrt`` of a ``Qrt``, a label map of a ``LabeledTheory``."""
+    return q.relabeled(*random_renaming(q, rng))
 
 
 def random_sub_qrt(q: Qrt | LabeledTheory, rng: np.random.Generator) -> LabeledTheory:

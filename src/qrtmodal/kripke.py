@@ -15,7 +15,7 @@ from collections import Counter
 from typing import Iterable, Mapping
 
 from .errors import StructuralError
-from .relations import bijections, find_nonreflexive, find_nontransitive
+from .relations import bijection, find_nonreflexive, find_nontransitive
 
 
 class KripkeModel:
@@ -220,12 +220,13 @@ def model_key(m: KripkeModel) -> tuple:
 
 def _isomorphic(a, b) -> tuple[bool, tuple[dict, dict] | None]:
     # two models or two starred models
-    for m in bijections(_view(a), _view(b), None):
-        maps: tuple[dict, dict] = ({}, {})
-        for (kind, u), (_, v) in m.items():
-            maps[kind][u] = v
-        return True, maps
-    return False, None
+    m = bijection(_view(a), _view(b), None)
+    if m is None:
+        return False, None
+    maps: tuple[dict, dict] = ({}, {})
+    for (kind, u), (_, v) in m.items():
+        maps[kind][u] = v
+    return True, maps
 
 
 def models_isomorphic(a: KripkeModel, b: KripkeModel) -> tuple[bool, tuple[dict, dict] | None]:

@@ -42,7 +42,7 @@ import re
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from .linalg import (
     trace_distance,
     within_trace_distances,
 )
-from .relations import bijections, reflexive_transitive_closure
+from .relations import bijection, reflexive_transitive_closure
 
 ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -678,7 +678,7 @@ def complete_composition(q: Qrt) -> Qrt:
 
 
 def _search_view(q: _LabelRules, match_dims: bool) -> tuple:
-    """The (key, colour, links) view of q that ``bijections`` searches,
+    """The (key, colour, links) view of q that ``bijection`` searches,
     with q's ``true_nodes`` marked, over the vertices (system,) and
     (system, state), each state linked to its system. A system's colour
     is (profile, -1), its profile being (dim if match_dims else 0, state
@@ -704,12 +704,12 @@ def _search_view(q: _LabelRules, match_dims: bool) -> tuple:
     return tuple(sorted(colour.values())), colour, links
 
 
-def _labeled_bijections(view_x: tuple, view_y: tuple, pair_ok: Callable) -> Iterator[dict]:
-    """The bijections of two ``_search_view``s, each one map on the
-    vertices, that keep each system's profile, send each state into its
-    system's image and marked states onto marked ones, and satisfy
+def _labeled_bijection(view_x: tuple, view_y: tuple, pair_ok: Callable) -> dict | None:
+    """The first bijection of two ``_search_view``s, one map on the
+    vertices, that keeps each system's profile, sends each state into its
+    system's image and marked states onto marked ones, and satisfies
     ``pair_ok(a, b, m)`` on every ordered pair of x's systems once both
-    are complete."""
+    are complete; None when there is none."""
     members = {v[0]: (v, *states) for v, states in view_x[2].items() if len(v) == 1}
 
     def fits(v, w, m) -> bool:
@@ -717,7 +717,7 @@ def _labeled_bijections(view_x: tuple, view_y: tuple, pair_ok: Callable) -> Iter
         a = v[0]
         return a not in done or all(pair_ok(a, b, m) and pair_ok(b, a, m) for b in done)
 
-    return bijections(view_x, view_y, fits)
+    return bijection(view_x, view_y, fits)
 
 
 def qrt_isomorphic(x: _LabelRules, y: _LabelRules) -> tuple[bool, tuple[dict, dict] | None]:
@@ -740,8 +740,9 @@ def qrt_isomorphic(x: _LabelRules, y: _LabelRules) -> tuple[bool, tuple[dict, di
         } == fy.keys()
 
     _derive_maps(t for t in (x, y) if isinstance(t, Qrt))
-    for m in _labeled_bijections(x._view(True), y._view(True), transported):
-        sys_map = {v[0]: w[0] for v, w in m.items() if len(v) == 1}
-        return True, (sys_map, {v: w for v, w in m.items() if len(v) == 2})
-    return False, None
+    m = _labeled_bijection(x._view(True), y._view(True), transported)
+    if m is None:
+        return False, None
+    sys_map = {v[0]: w[0] for v, w in m.items() if len(v) == 1}
+    return True, (sys_map, {v: w for v, w in m.items() if len(v) == 2})
 

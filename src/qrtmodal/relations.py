@@ -1,9 +1,11 @@
 """Small helpers for binary relations stored as sets of ordered pairs,
-and the one isomorphism search engine shared by models and theories."""
+and the one isomorphism search engine, ``bijection``, shared by models
+(``models_isomorphic``, ``starred_isomorphic``) and theories
+(``qrt_isomorphic``, ``iso_conditions``)."""
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, TypeVar
 
 from . import config
 from .errors import ResourceLimitError
@@ -56,11 +58,11 @@ def find_nontransitive(pairs: frozenset):
 # -- isomorphism search --------------------------------------------------------
 
 
-def bijections(view_x: tuple, view_y: tuple, fits: Callable | None) -> Iterator[dict]:
-    """Yield, each as a fresh dict, every colour-preserving bijection from
-    x's vertices onto y's that carries the labelled links among placed
-    vertices onto equal links, and for which ``fits(x, y, m)`` holds at
-    every placement (``m`` is the live partial map, x already on y).
+def bijection(view_x: tuple, view_y: tuple, fits: Callable | None) -> dict | None:
+    """The first colour-preserving bijection from x's vertices onto y's
+    that carries the labelled links among placed vertices onto equal
+    links, and for which ``fits(x, y, m)`` holds at every placement (``m``
+    is the live partial map, x already on y); None when there is none.
 
     Each view is (key, colour, links): ``colour`` maps each vertex to its
     colour, ``key`` is the sorted tuple of the colours, and ``links[u]`` is
@@ -78,7 +80,7 @@ def bijections(view_x: tuple, view_y: tuple, fits: Callable | None) -> Iterator[
     a report carries one only for a falsification candidate."""
     (key_x, colour_x, links_x), (key_y, colour_y, links_y) = view_x, view_y
     if key_x != key_y:
-        return
+        return None
     classes: dict = {}
     for v in sorted(colour_y):
         classes.setdefault(colour_y[v], []).append(v)
@@ -98,11 +100,11 @@ def bijections(view_x: tuple, view_y: tuple, fits: Callable | None) -> Iterator[
     used: set = set()
     cap, spent = config.MAX_ISO_NODES, 0
 
-    def place(k: int):
+    def place(k: int) -> bool:
+        # m holds the whole bijection once this returns True
         nonlocal spent
         if k == len(order):
-            yield dict(m)
-            return
+            return True
         x, bx = order[k], back[k]
         want = {m[v]: label for v, label in bx}
         pool = links_y.get(m[bx[0][0]], {}) if bx else classes.get(colour_x[x], ())
@@ -117,8 +119,10 @@ def bijections(view_x: tuple, view_y: tuple, fits: Callable | None) -> Iterator[
             m[x] = y
             if fits is None or fits(x, y, m):
                 used.add(y)
-                yield from place(k + 1)
+                if place(k + 1):
+                    return True
                 used.discard(y)
             del m[x]
+        return False
 
-    yield from place(0)
+    return m if place(0) else None

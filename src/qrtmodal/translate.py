@@ -28,14 +28,14 @@ from .kripke import (
     StarredModel,
     _index,
     is_sub_model,
-    models_isomorphic,
     starred_isomorphic,
 )
 from .qrt import (
     LabeledTheory,
     Qrt,
     _derive_maps,
-    _labeled_bijections,
+    _labeled_bijection,
+    _renaming,
     derive,
     node_name,
     qrt_isomorphic,
@@ -137,8 +137,7 @@ def iso_conditions(x: Qrt | LabeledTheory, y: Qrt | LabeledTheory) -> dict:
     view_x, view_y = x._view(dims), y._view(dims)
     if view_x[0] != view_y[0]:
         return {"i": dims, "ii": False, "iii": False}
-    found = _labeled_bijections(view_x, view_y, image_cover)
-    return {"i": dims, "ii": True, "iii": next(found, None) is not None}
+    return {"i": dims, "ii": True, "iii": _labeled_bijection(view_x, view_y, image_cover) is not None}
 
 
 # -- conditions a model must satisfy to be a translation image ----------------
@@ -191,10 +190,16 @@ def monotone_violations(rec: TranslationRecord) -> list:
 
 
 def verify_functoriality(cases: Iterable[tuple[Qrt, Sequence, Sequence]]) -> list[dict]:
-    """For each case (x, relabelings, sub-theories), check that
-    translation respects identity, isomorphism, and inclusion: relabeled
-    sources give isomorphic models, restrictions give sub-models, and the
-    identity inclusion is preserved. One report per case, in order.
+    """For each case (x, renamings, sub-theories), check that translation
+    respects identity, relabeling and inclusion. One report per case, in
+    order.
+
+    A renaming is the (sys_map, state_maps) pair that ``relabeled`` takes.
+    The copy ``x.labeled.relabeled(*renaming)`` must translate to x's
+    model and order with each world and atom renamed as the renaming says:
+    a functor sends the relabeling to that one map, so the law is an
+    equation, decided without a search. Restrictions must give sub-models,
+    and the nested restriction an inclusion into both.
 
     Copies of ``x.labeled`` (``relabeled``, ``restricted``; the nested
     restriction is one) translate without validating or deriving: the
@@ -204,13 +209,11 @@ def verify_functoriality(cases: Iterable[tuple[Qrt, Sequence, Sequence]]) -> lis
     derivation: it shares no outcome and no record with x, and the
     identity law compares its model and its order with x's.
 
-    A relabeling whose isomorphism search overruns its cap is undecided:
-    its entry in ``relabelings`` is None, and the report's
-    ``inconclusive`` names the cap; ``ok`` reads the laws decided. A case
-    whose theories do not all translate reports ``ok`` false and the
-    ``error`` that translating raised (a QrtModalError); any other
-    exception propagates."""
-    pending = deque((x, Qrt(x.systems, x.channels, x.trivial_id, x.tol), rels, subs) for x, rels, subs in cases)
+    A case whose theories do not all translate, or whose renaming gives
+    two systems or two states of one system one name, reports ``ok``
+    false and the ``error`` raised (a QrtModalError); any other exception
+    propagates."""
+    pending = deque((x, Qrt(x.systems, x.channels, x.trivial_id, x.tol), rns, subs) for x, rns, subs in cases)
     derive(rebuilt for _, rebuilt, _, _ in pending)
     reports = []
     while pending:  # a case goes once reported, so the records of its theories do not pile up
@@ -218,15 +221,33 @@ def verify_functoriality(cases: Iterable[tuple[Qrt, Sequence, Sequence]]) -> lis
     return reports
 
 
-def _functor_laws(x: Qrt, rebuilt: Qrt, relabelings: Sequence, sub_qrts: Sequence) -> dict:
+def _transported(rec: TranslationRecord, new: dict) -> tuple[KripkeModel, frozenset]:
+    """rec's model and order with each world and atom renamed as ``new``,
+    a ``_renaming`` map, renames its system and state."""
+    world = {sid: w for sid, (w, _) in new.items()}
+    atom = {
+        node_name((sid, st)): node_name((w, t)) for sid, (w, states) in new.items() for st, t in states.items()
+    }
+    m = rec.model
+    model = KripkeModel(
+        (world[w] for w in m.worlds),
+        ((world[u], world[v]) for u, v in m.access),
+        (atom[p] for p in m.domain),
+        {world[w]: [atom[p] for p in dom] for w, dom in m.domains.items()},
+        {atom[p]: v for p, v in m.interp.items()},
+    )
+    return model, frozenset((atom[a], atom[b]) for a, b in rec.order)
+
+
+def _functor_laws(x: Qrt, rebuilt: Qrt, renamings: Sequence, sub_qrts: Sequence) -> dict:
     """``verify_functoriality``'s report of one case, with its rebuilt
     theory."""
     subs = list(sub_qrts)
     # a composite of two inclusions is itself an inclusion
     s = next((s for s in subs if len(s.systems) > 1), None)
     try:
-        base, again = to_model(x), to_model(rebuilt)
-        relabeled = [to_model(r).model for r in relabelings]
+        base, again, lab = to_model(x), to_model(rebuilt), x.labeled
+        relabeled = [(to_model(lab.relabeled(*rn)), _transported(base, _renaming(lab.systems, *rn))) for rn in renamings]
         restricted = [to_model(t).model for t in subs]
         inner = None if s is None else to_model(s.labeled.restricted([t.id for t in s.systems][:-1])).model
     except QrtModalError as exc:
@@ -234,19 +255,13 @@ def _functor_laws(x: Qrt, rebuilt: Qrt, relabelings: Sequence, sub_qrts: Sequenc
     report: dict = {
         # two independent derivations are compared
         "identity": again.model == base.model and again.order == base.order and is_sub_model(base.model, base.model),
-        "relabelings": [],
+        "relabelings": [(rec.model, rec.order) == want for rec, want in relabeled],
         "sub_models": [bool(is_sub_model(m, base.model)) for m in restricted],
         "nested": None,
     }
-    for m in relabeled:
-        try:
-            report["relabelings"].append(bool(models_isomorphic(base.model, m)[0]))
-        except ResourceLimitError as exc:
-            report["relabelings"].append(None)
-            report["inconclusive"] = str(exc)
     if s is not None:
         report["nested"] = bool(is_sub_model(inner, to_model(s).model) and is_sub_model(inner, base.model))
-    # None, an undecided relabeling or no nested inclusion, fails no law
+    # a nested None, no nested inclusion, fails no law
     report["ok"] = False not in [report["identity"], *report["sub_models"], *report["relabelings"], report["nested"]]
     return report
 

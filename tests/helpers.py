@@ -6,14 +6,15 @@ builder, the per-operator channel kernels, the reference composite
 sweep, the one-pair trace-distance test over the stacked kernel, the
 one-channel induced map over the grouped derivation kernel, the numeric
 restriction and sub-theory test that the label restriction
-(``LabeledTheory.restricted``) is checked against, and the per-call
-model-side checks that read no model index."""
+(``LabeledTheory.restricted``) is checked against, the per-call
+model-side checks that read no model index, and a translation defect
+that only the transported functoriality check sees."""
 
 import warnings
 
 import numpy as np
 
-from qrtmodal import harness
+from qrtmodal import harness, translate
 from qrtmodal.config import DEFAULT_TOL
 from qrtmodal.errors import FormulaSyntaxError, ShapeError, StructuralError
 from qrtmodal.errors import UnknownSymbolError
@@ -432,3 +433,25 @@ def reference_arrow_rows(sm: StarredModel, index: dict) -> tuple:
             out[index[a]] |= 1 << index[b]
             into[index[b]] |= 1 << index[a]
     return tuple(out), tuple(into)
+
+
+def plant_mirrored_truth(monkeypatch) -> None:
+    """Plant a defect in every translation record: each atom reads the
+    truth of its mirror among its world's atoms in sorted order (the first
+    that of the last, and so on). A relabeling that keeps or reverses the
+    order of each system's states commutes with the mirror, and any other
+    may not; the planted model is often still isomorphic to the copy's."""
+    real = translate._translate
+
+    def planted(q):
+        rec = real(q)
+        m = rec.model
+        interp = dict(m.interp)
+        for dom in m.domains.values():
+            atoms = sorted(dom)
+            interp.update(zip(atoms, (m.interp[a] for a in reversed(atoms))))
+        model = KripkeModel(m.worlds, m.access, m.domain, m.domains, interp)
+        return translate.TranslationRecord(rec.edges, model, rec.order, rec.c_world)
+
+    monkeypatch.setattr(translate, "_translate", planted)
+    monkeypatch.setattr(translate, "_records", type(translate._records)())

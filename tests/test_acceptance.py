@@ -29,6 +29,7 @@ from qrtmodal.generate import (
     generate_qrt,
     random_formula,
     random_relabeling,
+    random_renaming,
     random_sub_qrt,
 )
 from qrtmodal.harness import build_family
@@ -103,7 +104,7 @@ def test_functoriality_relabelings_and_restrictions():
             channel_density=0.5,
         )
         q = generate_qrt(cfg)
-        rels = [random_relabeling(q, rng) for _ in range(3)]
+        rels = [random_renaming(q, rng) for _ in range(3)]
         subs = [random_sub_qrt(q, rng) for _ in range(2)] if len(q.systems) > 1 else []
         (rep,) = verify_functoriality([(q, rels, subs)])
         assert rep["ok"], (k, rep)

@@ -212,6 +212,12 @@ class TestEvaluate:
             {"p": 1, "q": 0},
         )
 
+    def test_a_node_that_is_not_a_formula_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^not a formula node: 'p'$"):
+            print_formula(Not("p"))
+        with pytest.raises(TypeError, match="^not a formula node: 'p'$"):
+            evaluate(self.small(), Not("p"), "w")
+
     def test_atom_reads_global_interp(self):
         m = self.small()
         assert evaluate(m, Atom("p"), "w") == 1

@@ -11,6 +11,8 @@ from qrtmodal.errors import GenerationError
 from qrtmodal.generate import (
     GeneratorConfig,
     generate_qrt,
+    random_relabeling,
+    random_renaming,
     random_sub_qrt,
 )
 from qrtmodal.io import dumps, qrt_to_dict
@@ -49,6 +51,17 @@ class TestDeterminism:
         a = generate_qrt(GeneratorConfig(seed=1))
         b = generate_qrt(GeneratorConfig(seed=2))
         assert dumps(qrt_to_dict(a)) != dumps(qrt_to_dict(b))
+
+    @pytest.mark.parametrize("labeled", [False, True], ids=["qrt", "labeled"])
+    def test_a_relabeling_is_the_copy_of_its_drawn_renaming(self, labeled):
+        q = generate_qrt(GeneratorConfig(seed=3, states_per_system=4))
+        q = q.labeled if labeled else q
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        copy, again = random_relabeling(q, rng_a), q.relabeled(*random_renaming(q, rng_b))
+        assert type(copy) is type(again) is type(q)
+        assert copy.labeled == again.labeled != q.labeled
+        # the same draws in the same order: both generators are left alike
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestStructure:

@@ -40,7 +40,7 @@ from qrtmodal.qrt import (
 )
 from qrtmodal.translate import iso_conditions, to_model
 
-from helpers import reference_build_family
+from helpers import plant_mirrored_truth, reference_build_family
 
 
 def test_family_members_are_pairwise_fresh(monkeypatch):
@@ -118,11 +118,10 @@ def test_inconclusive_iso_conditions_pairs_named(monkeypatch):
     named = rep["iso_conditions"]["inconclusive"]
     assert len(named) == 4
     assert all(len(e["pair"]) == 2 and "exceeded 3" in e["reason"] for e in named)
-    # the functoriality relabelings overrun the same cap, and count alike
+    # functoriality runs no search, so the cap leaves every entry decided
     entries = rep["functoriality"]["entries"]
-    assert [e["inconclusive"] for e in entries] == ["isomorphism search exceeded 3 nodes"] * len(family)
-    assert rep["functoriality"]["ok"]
-    assert rep["inconclusive"] == 12  # 2 functoriality, 4 iso-condition and 6 injectivity entries
+    assert entries == [{"label": label, "ok": True} for label, _ in family]
+    assert rep["inconclusive"] == 10  # 4 iso-condition and 6 injectivity entries
     assert rep["status"] == 3
 
 
@@ -228,7 +227,7 @@ def corpus_family():
         (lambda: dict(seed=3, count=6), None, 0, "8e045db3de012d07"),
         (lambda: dict(seed=4, count=6), None, 0, "286740c23c3327cb"),
         (lambda: dict(seed=1, count=6, injected_models=injected()), None, 1, "50ed7e2d8ab2e593"),
-        (lambda: dict(family=build_family(1, 4), seed=1), 3, 3, "28755dfeae63a884"),
+        (lambda: dict(family=build_family(1, 4), seed=1), 3, 3, "ba0f83f5c749558a"),
         (
             lambda: dict(family=corpus_family(), injected_models=injected(), include_corpus=False),
             None,
@@ -319,7 +318,7 @@ def test_cached_keys_give_the_verdicts_of_fresh_operands(theory_pairs, monkeypat
     """On each pair, each decider's verdict and witness from operands
     whose caches earlier calls filled equal those from fresh operands. The
     keys settle most pairs, and leave some to each search."""
-    calls = []  # one per bijections call: whether its two view keys agree, so that it searches
+    calls = []  # one per bijection call: whether its two view keys agree, so that it searches
 
     def counting(search):
         def counted(view_x, view_y, *args):
@@ -328,7 +327,7 @@ def test_cached_keys_give_the_verdicts_of_fresh_operands(theory_pairs, monkeypat
         return counted
 
     for module in (kripke, qrt_module):
-        monkeypatch.setattr(module, "bijections", counting(module.bijections))
+        monkeypatch.setattr(module, "bijection", counting(module.bijection))
     searched = Counter()
     for label, x, y in theory_pairs:
         for name, (decide, cached, fresh) in DECIDERS.items():
@@ -625,6 +624,17 @@ def test_a_defect_planted_in_one_record_fails_functoriality(plant, label, failin
     assert violating == ({label} if "monotonicity" in failing else set())
 
 
+def test_mirrored_truth_fails_functoriality_where_the_drawn_renaming_moves_the_mirror(monkeypatch):
+    """Each relabeled copy's planted model is compared with the source's
+    renamed by the drawn renaming, so the defect shows wherever that
+    renaming reorders a system's states and moves a true atom."""
+    family = build_family(1, 20)  # built, and deduplicated, before the plant
+    plant_mirrored_truth(monkeypatch)
+    report = run_theorems(family=family, seed=1, include_corpus=False)
+    assert report["status"] == 1
+    assert [e["label"] for e in report["functoriality"]["entries"] if not e["ok"]] == ["gen10", "gen12", "gen14", "gen16"]
+
+
 def test_a_record_whose_starred_model_does_not_build_fails_every_section(monkeypatch):
     family = build_family(1, 12)
     plant_in_one_record(monkeypatch, dict(family)["gen1"], _dropped_implied_pair)
@@ -711,4 +721,4 @@ def test_an_error_that_is_not_a_qrtmodal_error_propagates_from_a_functoriality_c
     with pytest.raises(TypeError, match="a bug"):
         run_theorems(family=[("chain", chain_qrt())], include_corpus=False)
     with pytest.raises(TypeError, match="a bug"):
-        translate.verify_functoriality([(chain_qrt(), [chain_qrt().labeled], [])])
+        translate.verify_functoriality([(chain_qrt(), [({}, {})], [])])

@@ -95,6 +95,18 @@ class TestWellFormedness:
         with pytest.raises(StructuralError, match=rf"^order pair \({pair[0]}, {pair[1]}\) leaves the domain$"):
             StarredModel(small_model(), [("p", "p"), ("q", "q"), pair])
 
+    def test_models_are_immutable(self):
+        m = small_model()
+        for obj in (m, StarredModel(m, [("p", "p"), ("q", "q")])):
+            with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
+                obj.model = m
+
+    def test_starred_models_built_apart_are_equal_and_hash_alike(self):
+        order = [("p", "p"), ("q", "q"), ("p", "q")]
+        a, b = StarredModel(small_model(), order), StarredModel(small_model(), reversed(order))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != StarredModel(small_model(), order[:2]) and a != a.model
+
     def test_order_must_be_preorder(self):
         m = small_model()
         with pytest.raises(StructuralError):

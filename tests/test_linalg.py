@@ -26,13 +26,16 @@ from qrtmodal.linalg import (
     compose,
     constant_channel,
     density_matrices,
+    function_channel,
     identity_channel,
     is_cptp,
     is_density_matrix,
+    isometry_channel,
     maximally_mixed,
     preparation_channel,
     random_cptp_channel,
     random_density,
+    random_isometry,
     reduce_kraus,
     scalar_one,
     settle_cptp,
@@ -121,6 +124,34 @@ class TestIsDensityMatrix:
         with pytest.raises(FormatError, match=f"not an integer from 1 to {MAX_DIM}$"):
             qrt_from_dict(data)
         assert DensityMatrix(np.eye(MAX_DIM) / MAX_DIM).dim == MAX_DIM
+
+    def test_a_failed_eigensolve_is_raised(self, monkeypatch):
+        def failing(m, vectors=False):
+            raise NumericalError("eigenvalue solve failed: planted")
+
+        monkeypatch.setattr(linalg_module, "_eigh", failing)
+        with pytest.raises(NumericalError, match="^eigenvalue solve failed: planted$"):
+            is_density_matrix(np.eye(2) / 2)
+
+
+class TestBuilders:
+    def test_states_and_channels_are_immutable(self):
+        for obj in (maximally_mixed(2), identity_channel(2)):
+            with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
+                obj.dim = 3
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: function_channel([0], 2, 2), "need 2 function values, got 1"),
+            (lambda: isometry_channel(np.eye(3), 2), "isometry rows 3 not divisible by out dim 2"),
+            (lambda: random_isometry(np.random.default_rng(0), 1, 2), "an isometry needs rows >= cols"),
+        ],
+        ids=["function_channel", "isometry_channel", "random_isometry"],
+    )
+    def test_a_mismatched_shape_is_a_shape_error(self, build, message):
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            build()
 
 
 class TestChoi:
@@ -280,6 +311,12 @@ class TestCompose:
     def test_inner_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             compose(identity_channel(2), identity_channel(3))
+
+    def test_an_all_zero_composite_reduces_to_one_zero_operator(self):
+        # five operators exceed in_dim * out_dim, so the composite is reduced
+        c = compose(identity_channel(2), KrausChannel([np.zeros((2, 2))] * 5))
+        ops = np.asarray(c.kraus_ops)
+        assert ops.shape == (1, 2, 2) and not ops.any()
 
 
 class TestTraceDistance:

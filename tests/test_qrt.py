@@ -23,7 +23,7 @@ from qrtmodal.errors import (
     ShapeError,
     StructuralError,
 )
-from qrtmodal.generate import GeneratorConfig, generate_qrt, random_relabeling, random_sub_qrt
+from qrtmodal.generate import GeneratorConfig, generate_qrt, random_relabeling, random_renaming, random_sub_qrt
 from qrtmodal.harness import run_theorems
 from qrtmodal.linalg import (
     DensityMatrix,
@@ -664,7 +664,7 @@ class TestDeriveOnce:
 
         monkeypatch.setattr(linalg_module, "_settle_group", counting)
         rng = np.random.default_rng(5)
-        rel, sub = random_relabeling(q, rng), sub_qrt(q, [s.id for s in q.systems][:2])
+        rel, sub = random_renaming(q, rng), sub_qrt(q, [s.id for s in q.systems][:2])
         assert verify_functoriality([(q, [rel], [sub])])[0]["ok"]
         assert checked == Counter({(id(d.channel), q.tol): 1 for d in q.channels})
 
@@ -687,7 +687,7 @@ class TestDeriveOnce:
         q = build_family(1, 5)[0][1]
         to_model(q)
         rng = np.random.default_rng(5)
-        rel, sub = random_relabeling(q.labeled, rng), q.labeled.restricted([s.id for s in q.systems][:2])
+        rel, sub = random_renaming(q, rng), q.labeled.restricted([s.id for s in q.systems][:2])
         applied = _count_applications(monkeypatch)
         (report,) = verify_functoriality([(q, [rel], [sub])])
         assert report["ok"] and report["nested"] is not None
@@ -1396,7 +1396,7 @@ class TestLabelCopies:
         monkeypatch.setattr(Qrt, "_report", prop)
         rng = np.random.default_rng(7)
         cases = [
-            (q, [random_relabeling(q.labeled, rng)], [random_sub_qrt(q, rng)] if len(q.systems) > 1 else [])
+            (q, [random_renaming(q, rng)], [random_sub_qrt(q, rng)] if len(q.systems) > 1 else [])
             for q in family
         ]
         assert all(report["ok"] for report in verify_functoriality(cases))

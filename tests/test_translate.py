@@ -7,15 +7,19 @@ import itertools
 import numpy as np
 import pytest
 
+import qrtmodal.kripke as kripke_module
+import qrtmodal.qrt as qrt_module
 from qrtmodal import config, corpus
 from qrtmodal.errors import ResourceLimitError, StructuralError
 from qrtmodal.generate import (
     GeneratorConfig,
     generate_qrt,
     random_relabeling,
+    random_renaming,
     random_sub_qrt,
 )
-from qrtmodal.kripke import is_s4, is_sub_model, models_isomorphic
+from qrtmodal.harness import build_family, default_family_config
+from qrtmodal.kripke import is_s4, is_sub_model, models_isomorphic, starred_isomorphic
 from qrtmodal.linalg import basis_state, preparation_channel, scalar_one
 from qrtmodal.qrt import ChannelDecl, Qrt, SystemDecl, complete_composition, node_name
 from qrtmodal.translate import (
@@ -26,6 +30,8 @@ from qrtmodal.translate import (
     verify_functoriality,
     verify_starred_injectivity,
 )
+
+from helpers import plant_mirrored_truth
 
 
 class TestToModel:
@@ -386,7 +392,7 @@ class TestVerifyFunctoriality:
     def test_relabelings_and_subs(self):
         rng = np.random.default_rng(23)
         q = corpus.entanglement_qrt()
-        rels = [random_relabeling(q, rng) for _ in range(2)]
+        rels = [random_renaming(q, rng) for _ in range(2)]
         subs = [random_sub_qrt(q, rng) for _ in range(2)]
         (rep,) = verify_functoriality([(q, rels, subs)])
         assert rep["ok"], rep
@@ -399,20 +405,52 @@ class TestVerifyFunctoriality:
         sub = q.labeled.restricted(["c", "A"])
         assert is_sub_model(to_model(sub).model, to_model(q).model)
 
-    def test_wrong_claimed_relabeling_flagged(self):
-        (rep,) = verify_functoriality([(corpus.chain_qrt(), [corpus.convex_closed_qrt()], ())])
+    def test_a_renaming_that_moves_the_mirror_fails_the_mirrored_truth(self, monkeypatch):
+        q = generate_qrt(default_family_config(1), 10)  # gen10 of build_family(1, 20)
+        assert sorted(st for sid, st in q.true_nodes if sid == "B") == ["s1"]
+        plant_mirrored_truth(monkeypatch)
+        # a swap of B's two least states moves its one true atom off the
+        # mirror's centre; the identity and a reversal commute with it
+        swap, reversal = ({}, {"B": {"s0": "s1", "s1": "s0"}}), ({}, {"B": {"s0": "s2", "s2": "s0"}})
+        (rep,) = verify_functoriality([(q, [({}, {}), swap, reversal], ())])
+        assert rep["identity"] and rep["relabelings"] == [True, False, True]
         assert not rep["ok"]
-        assert rep["relabelings"] == [False]
+        # the swapped copy is still isomorphic to the planted model: a search finds no defect
+        copy = to_model(q.labeled.relabeled(*swap))
+        assert models_isomorphic(to_model(q).model, copy.model)[0]
 
-
-    def test_overrun_relabeling_is_undecided(self, monkeypatch):
+    def test_a_renaming_that_merges_names_is_an_error(self):
         q = corpus.chain_qrt()
-        copy = random_relabeling(q.labeled, np.random.default_rng(3))
+        (rep,) = verify_functoriality([(q, [({"A": "B"}, {})], ())])
+        assert rep == {"ok": False, "error": "relabeling maps systems A and B both to B"}
+
+    def test_decided_without_a_search(self, monkeypatch):
+        family = build_family(1, 12)
+        searched = []
+        for module in (kripke_module, qrt_module):
+            monkeypatch.setattr(module, "bijection", lambda *args: searched.append(args))
         monkeypatch.setattr(config, "MAX_ISO_NODES", 1)
-        (rep,) = verify_functoriality([(q, [copy], ())])
-        assert rep["relabelings"] == [None]
-        assert rep["inconclusive"] == "isomorphism search exceeded 1 nodes"
-        assert rep["ok"]
+        rng = np.random.default_rng(3)
+        reports = verify_functoriality(
+            (q, [random_renaming(q, rng) for _ in range(2)], [random_sub_qrt(q, rng)]) for _, q in family
+        )
+        assert searched == []
+        assert all(rep["ok"] and rep["relabelings"] == [True, True] for rep in reports)
+        assert all("inconclusive" not in rep for rep in reports)
+
+    def test_every_transported_pass_is_an_isomorphism(self, theory_families):
+        """models_isomorphic, kept as an oracle: a copy whose translation is
+        the transported one is isomorphic to the source's, starred too."""
+        rng = np.random.default_rng(31)
+        for name, family in theory_families:
+            renamings = [[random_renaming(q, rng) for _ in range(2)] for _, q in family]
+            reports = verify_functoriality((q, rns, ()) for (_, q), rns in zip(family, renamings))
+            for (label, q), rns, rep in zip(family, renamings, reports):
+                assert rep["ok"] and rep["relabelings"] == [True, True], (name, label, rep)
+                for rn in rns:
+                    copy = to_model(q.labeled.relabeled(*rn))
+                    assert models_isomorphic(to_model(q).model, copy.model)[0], (name, label)
+                    assert starred_isomorphic(to_model(q).starred, copy.starred)[0], (name, label)
 
 
 class TestStarredInjectivity:
