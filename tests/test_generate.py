@@ -149,3 +149,30 @@ def test_generated_theory_files_pinned():
                 for index in range(8):
                     h.update(dumps(qrt_to_dict(generate_qrt(cfg, index=index))).encode())
     assert h.hexdigest() == pinned
+
+
+def test_draws_pinned_across_configs():
+    # every config knob, then every index the benchmark's ingest pool (seed
+    # 2, warm-up seed 3) and iso pool (seed 1) read; each index is hashed as
+    # drawn and as closed, so a changed rng call anywhere moves the digest
+    pinned = "155334f97a976871074e5432baa62f11520a6d11376d7e31d28d9739595bcdef"
+    grid = [
+        (GeneratorConfig(seed, n, dims, states, density, trivial), 0)
+        for seed in (1, 2, 3)
+        for trivial in (True, False)
+        for n in (1, 2, 4)
+        for states in (1, 4)
+        for density in (0.0, 0.5, 1.0)
+        for dims in ((1,), (2, 3), (1, 2, 3))
+    ]
+    pools = [
+        (GeneratorConfig(seed=2, n_systems=4, dims=(1, 2, 3), states_per_system=4), 98),
+        (GeneratorConfig(seed=3, n_systems=4, dims=(1, 2, 3), states_per_system=4), 7),
+        (GeneratorConfig(seed=1, n_systems=4, dims=(1, 2), states_per_system=4), 32),
+    ]
+    grid += [(cfg, index) for cfg, n in pools for index in range(n)]
+    h = hashlib.sha256()
+    for cfg, index in grid:
+        for draw in (generate._declared_qrt, generate_qrt):
+            h.update(dumps(qrt_to_dict(draw(cfg, index))).encode())
+    assert h.hexdigest() == pinned
