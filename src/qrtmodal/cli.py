@@ -11,7 +11,7 @@ import json
 import math
 import sys
 
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, OBJECT_CAP
 from .errors import QrtModalError
 from .formulas import is_valid, parse
 from .generate import GeneratorConfig, generate_qrt
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     p.add_argument("--models", nargs="*", help="model files injected into the image checks")
     p.add_argument("--seed", type=_at_least(0), default=1)
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--cap", type=int, default=5, help="object size cap for category checks")
+    p.add_argument("--cap", type=int, default=OBJECT_CAP, help="object size cap for category checks")
     p.add_argument("--no-corpus", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--tolerance", type=_tolerance)

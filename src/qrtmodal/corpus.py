@@ -6,9 +6,10 @@ demonstration pair, and the automorphism-twisted pair family that makes
 the plain translation non-injective.
 
 Negative controls: a non-trace-preserving channel, models violating the
-image conditions, a starred model whose category breaks hom-transitivity,
-a theory pair on which the isomorphism conditions and the model oracle
-disagree, and a pair that the starred-injectivity checker must flag.
+image conditions, a starred model whose category is not closed under
+composition, a theory pair on which the isomorphism conditions and the
+model oracle disagree, and a pair that the starred-injectivity checker
+must flag.
 """
 
 from __future__ import annotations
@@ -272,7 +273,8 @@ def broken_no_unit_model() -> KripkeModel:
 
 def broken_smc_model() -> StarredModel:
     """An atom shared by two worlds splices two accessibility hops that do
-    not compose, so hom-transitivity fails in the category."""
+    not compose: the arrows a -> b -> d have no composite, so the law
+    sweep finds the category not closed under composition."""
     worlds = ["c0", "x", "y1", "y2", "z"]
     access = [(w, w) for w in worlds] + [("x", "y1"), ("y2", "z")]
     domains = {"c0": {"p"}, "x": {"a"}, "y1": {"b"}, "y2": {"b"}, "z": {"d"}}

@@ -30,6 +30,7 @@ from .errors import GenerationError, QrtModalError
 from .formulas import _UNARY, Atom, Formula, Implies
 from .linalg import (
     DensityMatrix,
+    KrausChannel,
     constant_channel,
     density_matrices,
     function_channel,
@@ -155,90 +156,64 @@ def _declared_qrt(cfg: GeneratorConfig, index: int) -> Qrt:
 
     nontrivial_dims = [d for d in cfg.dims if d > 1] or [2]
     systems: list[SystemDecl] = []
-    frames: dict[str, np.ndarray | None] = {}
-    basis_index: dict[str, list[int]] = {}
-
-    n_regular = cfg.n_systems - (1 if cfg.ensure_trivial else 0)
+    # each classical system's frame and the frame indices of its named states
+    classical: dict[str, tuple[np.ndarray, list[int]]] = {}
     if cfg.ensure_trivial:
         systems.append(SystemDecl("c", 1, {"one": scalar_one()}))
-        frames["c"] = None
-        basis_index["c"] = []
-    for k in range(n_regular):
-        sid = _SYSTEM_NAMES[k]
+    for sid in _SYSTEM_NAMES[: cfg.n_systems - len(systems)]:
         dim = int(rng.choice(nontrivial_dims))
-        classical = rng.random() < 0.6
-        if classical:
+        if rng.random() < 0.6:
             n_states = int(rng.integers(1, min(cfg.states_per_system, dim) + 1))
             frame = random_isometry(rng, dim, dim)
-            idx = list(rng.permutation(dim)[:n_states])
-            basis = density_matrices([np.outer(frame[:, j], frame[:, j].conj()) for j in idx])
-            states = {f"s{i}": dm for i, dm in enumerate(basis)}
-            frames[sid] = frame
-            basis_index[sid] = [int(j) for j in idx]
+            idx = [int(j) for j in rng.permutation(dim)[:n_states]]
+            classical[sid] = frame, idx
+            named = density_matrices([np.outer(frame[:, j], frame[:, j].conj()) for j in idx])
         else:
             n_states = int(rng.integers(1, cfg.states_per_system + 1))
-            states = {
-                f"s{i}": dm
-                for i, dm in enumerate(_distinct_states(rng, dim, n_states, rejections))
-            }
-            frames[sid] = None
-            basis_index[sid] = []
-        systems.append(SystemDecl(sid, dim, states))
+            named = _distinct_states(rng, dim, n_states, rejections)
+        systems.append(SystemDecl(sid, dim, {f"s{i}": dm for i, dm in enumerate(named)}))
 
-    by_id = {s.id: s for s in systems}
     channels: list[ChannelDecl] = []
-    counter = 0
-
-    def next_id() -> str:
-        nonlocal counter
-        counter += 1
-        return f"ch{counter}"
-
     for src in systems:
         for dst in systems:
             if src.dim == 1 and dst.dim == 1:
                 continue  # only the identity lives there
             if rng.random() >= cfg.channel_density:
                 continue
+            channel = None
             # an occasional raw isometry channel, kept only if it happens
             # to induce a map on the named universe
             if src.dim > 1 and dst.dim > 1 and rng.random() < _RAW_PROBABILITY:
                 raw = random_cptp_channel(rng, src.dim, dst.dim)
                 if isinstance(_induced_maps([(raw, src, dst)], DEFAULT_TOL)[0], dict):
-                    channels.append(ChannelDecl(next_id(), src.id, dst.id, raw))
-                    continue
-                _reject(rejections)
-            channels.append(_template_channel(rng, src, dst, frames, basis_index, next_id))
+                    channel = raw
+                else:
+                    _reject(rejections)
+            if channel is None:
+                channel = _template_channel(rng, src, dst, classical)
+            channels.append(ChannelDecl(f"ch{len(channels) + 1}", src.id, dst.id, channel))
     return Qrt(systems, channels)
 
 
-def _template_channel(rng, src, dst, frames, basis_index, next_id) -> ChannelDecl:
+def _template_channel(rng, src: SystemDecl, dst: SystemDecl, classical: dict) -> KrausChannel:
+    """A channel from src to dst that acts exactly on the named states: a
+    preparation out of the trivial system, the trace into it, a
+    deterministic function of basis indices between two classical
+    systems, and a constant channel otherwise."""
     dst_names = sorted(dst.states)
     if src.dim == 1:
-        target = dst_names[int(rng.integers(len(dst_names)))]
-        return ChannelDecl(
-            next_id(), src.id, dst.id, preparation_channel(dst.states[target])
-        )
+        return preparation_channel(dst.states[dst_names[int(rng.integers(len(dst_names)))]])
     if dst.dim == 1:
-        return ChannelDecl(next_id(), src.id, dst.id, trace_channel(src.dim))
-    if frames.get(src.id) is not None and frames.get(dst.id) is not None:
-        # deterministic function on basis indices; named states map to
-        # named states exactly, unnamed basis vectors go to a named target
-        src_named = basis_index[src.id]
-        dst_named = basis_index[dst.id]
+        return trace_channel(src.dim)
+    if src.id in classical and dst.id in classical:
+        # named states map to named states exactly, unnamed basis vectors
+        # go to a named target
+        (src_frame, src_named), (dst_frame, dst_named) = classical[src.id], classical[dst.id]
         f = [dst_named[int(rng.integers(len(dst_named)))] for _ in range(src.dim)]
         for k in src_named:
             f[k] = dst_named[int(rng.integers(len(dst_named)))]
-        return ChannelDecl(
-            next_id(),
-            src.id,
-            dst.id,
-            function_channel(f, src.dim, dst.dim, frames[src.id], frames[dst.id]),
-        )
-    target = dst_names[int(rng.integers(len(dst_names)))]
-    return ChannelDecl(
-        next_id(), src.id, dst.id, constant_channel(dst.states[target], src.dim)
-    )
+        return function_channel(f, src.dim, dst.dim, src_frame, dst_frame)
+    return constant_channel(dst.states[dst_names[int(rng.integers(len(dst_names)))]], src.dim)
 
 
 # -- random relabelings and restrictions ---------------------------------------

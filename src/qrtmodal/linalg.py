@@ -607,11 +607,9 @@ def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_cptp_channel(
-    rng: np.random.Generator, in_dim: int, out_dim: int, env_dim: int = 2
-) -> KrausChannel:
+def random_cptp_channel(rng: np.random.Generator, in_dim: int, out_dim: int) -> KrausChannel:
     # the Stinespring isometry needs out_dim * env >= in_dim
-    env = max(env_dim, -(-in_dim // out_dim))
+    env = max(2, -(-in_dim // out_dim))
     v = random_isometry(rng, out_dim * env, in_dim)
     return isometry_channel(v, out_dim)
 

@@ -249,7 +249,8 @@ def verify_smc_laws(cat: SmcCategory) -> dict:
     Cost for n objects over k atoms: the encoding checks are O(n k) numpy
     work plus O(n + k) Python calls in the narrowest unsigned mask dtype,
     identities O(n) and closure O(k^2) row operations."""
-    objs = np.array(cat.objects, dtype=_mask_dtype(len(cat.atoms)))
+    dtype = _mask_dtype(len(cat.atoms))  # raises before any object is built
+    objs = np.array(cat.objects, dtype=dtype)
     report: dict = {
         "n_objects": len(objs),
         "objects_canonical": _objects_canonical(cat, objs),

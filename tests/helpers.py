@@ -29,6 +29,8 @@ from qrtmodal.linalg import (
     _eigh,
     as_matrix,
     hermitian_part,
+    isometry_channel,
+    random_isometry,
     within_trace_distances,
 )
 from qrtmodal.qrt import Qrt, SystemDecl, _induced_maps, _missing_composites, _settled
@@ -47,6 +49,15 @@ def depolarizing_channel() -> KrausChannel:
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     return KrausChannel([0.5 * i2, 0.5 * x, 0.5 * y, 0.5 * z])
+
+
+def random_kraus_channel(rng: np.random.Generator, in_dim: int, out_dim: int, n_ops: int) -> KrausChannel:
+    """A random CPTP channel of n_ops Kraus operators, or of the fewest
+    that a channel between the dims has if that is more: the Stinespring
+    channel of a random isometry, drawn as ``random_cptp_channel`` draws
+    its own two-operator one."""
+    env = max(n_ops, -(-in_dim // out_dim))
+    return isometry_channel(random_isometry(rng, out_dim * env, in_dim), out_dim)
 
 
 def random_model(
@@ -71,6 +82,17 @@ def random_model(
     }
     interp = {a: int(rng.integers(2)) for a in atoms}
     return KripkeModel(worlds, access, atoms, domains, interp)
+
+
+def wide_starred_model(k: int) -> StarredModel:
+    """A starred model of k non-unit atoms, all held at one world beside
+    the unit world, ordered only by identity."""
+    atoms = [f"a{i:03d}" for i in range(k)]
+    model = KripkeModel(
+        ["c0", "w"], [("c0", "c0"), ("w", "w"), ("c0", "w")], [*atoms, "p"],
+        {"c0": ["p"], "w": atoms}, {**dict.fromkeys(atoms, 0), "p": 1},
+    )
+    return StarredModel(model, [(a, a) for a in model.domain])
 
 
 def is_composition_complete(q: Qrt) -> bool:

@@ -39,7 +39,6 @@ from qrtmodal.linalg import (
     choi_matrix,
     identity_channel,
     is_cptp,
-    random_cptp_channel,
 )
 from qrtmodal.qrt import node_name
 from qrtmodal.smc import build_smc, free_objects, verify_smc_laws
@@ -52,7 +51,7 @@ from qrtmodal.translate import (
     verify_starred_injectivity,
 )
 
-from helpers import P_SAMPLES, depolarizing_channel, random_model
+from helpers import P_SAMPLES, depolarizing_channel, random_kraus_channel, random_model
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +208,7 @@ def test_cptp_numerics():
     for _ in range(100):
         din = int(rng.integers(2, 5))
         dout = int(rng.integers(2, 5))
-        c = random_cptp_channel(rng, din, dout, env_dim=int(rng.integers(1, 4)))
+        c = random_kraus_channel(rng, din, dout, int(rng.integers(1, 4)))
         j = choi_matrix(c)
         eigs = np.linalg.eigvalsh((j + j.conj().T) / 2)
         floor = min(floor, float(eigs.min()))

@@ -27,6 +27,8 @@ from qrtmodal.io import (
 from qrtmodal.kripke import StarredModel, models_isomorphic
 from qrtmodal.translate import to_model, to_starred_model
 
+from helpers import wide_starred_model
+
 
 class TestCodecs:
     def test_matrix_round_trip(self):
@@ -280,6 +282,20 @@ class TestCli:
             ]
         )
         assert code == 1
+
+    def test_theorems_fails_a_model_too_wide_for_the_law_sweep(self, tmp_path, capsys):
+        sm = wide_starred_model(65)
+        path = tmp_path / "wide.model.json"
+        path.write_text(dumps(model_to_dict(sm.model, sm.order)))
+        assert main(["theorems", "--count", "4", "--no-corpus", "--json", "--models", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["smc"]["entries"][-1] == {
+            "label": str(path),
+            "injected": True,
+            "laws_ok": False,
+            "error": "65 non-unit atoms do not fit a 64-bit object mask",
+        }
+        assert report["status"] == 1
 
     def test_theorems_json_deterministic(self, capsys):
         assert main(["theorems", "--seed", "3", "--count", "4", "--json"]) == 0

@@ -46,6 +46,7 @@ from qrtmodal.linalg import (
 
 from helpers import (
     depolarizing_channel,
+    random_kraus_channel,
     reference_choi_matrix,
     reference_compose,
     reference_cptp_verdict,
@@ -498,7 +499,7 @@ MIXED_POOL = {
     "depolarize": (depolarizing_channel(), (basis_state(2, 1), maximally_mixed(2))),
     "inflate": (CHANNELS["inflate"], (basis_state(2, 0), basis_state(2, 1))),  # not CPTP: |1>'s image fails
     "overflow": (CHANNELS["overflow"], (basis_state(2, 1),)),  # a non-finite image
-    "narrow": (random_cptp_channel(np.random.default_rng(47), 3, 2, 3), (basis_state(3, 2), maximally_mixed(3))),
+    "narrow": (random_kraus_channel(np.random.default_rng(47), 3, 2, 3), (basis_state(3, 2), maximally_mixed(3))),
     "idle": (random_cptp_channel(np.random.default_rng(48), 3, 2), ()),  # no states
 }
 
@@ -795,7 +796,7 @@ def drawn_channel(rng: np.random.Generator, in_dim: int, out_dim: int, n_ops: in
     tolerance; "raw" has Gaussian entries."""
     if kind == "raw":
         return KrausChannel(rng.normal(size=(n_ops, out_dim, in_dim)) + 1j * rng.normal(size=(n_ops, out_dim, in_dim)))
-    ops = random_cptp_channel(rng, in_dim, out_dim, n_ops).kraus_ops
+    ops = random_kraus_channel(rng, in_dim, out_dim, n_ops).kraus_ops
     if kind == "leaky":
         ops = ops * np.sqrt(1 + DEFAULT_TOL + float(rng.uniform(-1e-12, 1e-12)))
     return KrausChannel(ops)
@@ -911,7 +912,7 @@ class TestKrausArray:
 
     def test_a_failed_choi_eigensolve_fails_its_channel_only(self, monkeypatch):
         rng = np.random.default_rng(89)
-        channels = [random_cptp_channel(rng, 2, 2, k) for k in (1, 2, 3, 4)]
+        channels = [random_kraus_channel(rng, 2, 2, k) for k in (1, 2, 3, 4)]
         bad = channels[2]
         target = hermitian_choi(bad)
         original = linalg_module._eigh
@@ -976,8 +977,8 @@ class TestKrausArray:
         # every outer product of a sum at once would hold 256 MiB for the
         # composite's 4096 terms and 264 MiB for the group
         rng = np.random.default_rng(97)
-        g, f = (random_cptp_channel(rng, 8, 8, 64) for _ in range(2))
-        group = [random_cptp_channel(rng, 8, 8, n) for n in (1024, 16, 4, 1)]
+        g, f = (random_kraus_channel(rng, 8, 8, 64) for _ in range(2))
+        group = [random_kraus_channel(rng, 8, 8, n) for n in (1024, 16, 4, 1)]
         composite, peak = traced(compose, g, f)
         assert peak < 48 * 2 ** 20
         assert same_bits(composite.kraus_ops, np.array(reference_compose(g, f)))

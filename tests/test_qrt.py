@@ -1486,7 +1486,7 @@ def test_validation_settles_each_reached_channel_in_one_group_pass(monkeypatch):
 def test_a_failed_choi_eigensolve_raises_out_of_validation_for_its_channel(monkeypatch):
     rng = np.random.default_rng(101)
     a = {"a0": basis_state(2, 0), "a1": basis_state(2, 1)}
-    bad = linalg_module.random_cptp_channel(rng, 2, 2, 2)
+    bad = linalg_module.random_cptp_channel(rng, 2, 2)
     q = Qrt(
         [SystemDecl("A", 2, a)],
         [ChannelDecl("flip", "A", "A", function_channel([1, 0], 2, 2)), ChannelDecl("bad", "A", "A", bad)],

@@ -27,7 +27,7 @@ from qrtmodal.relations import reflexive_transitive_closure
 from qrtmodal.smc import SmcCategory, build_smc, free_objects, verify_smc_laws
 from qrtmodal.translate import to_starred_model
 
-from helpers import arrow
+from helpers import arrow, wide_starred_model
 
 
 def entanglement_category(cap=5):
@@ -148,8 +148,16 @@ class TestLaws:
     def test_broken_model_fails_hom_transitivity(self):
         cat = build_smc(corpus.broken_smc_model())
         report = verify_smc_laws(cat)
-        assert not report["ok"]
-        assert not report["compose_closed"]
+        # closure is the one law the sweep finds broken
+        assert report == {
+            "n_objects": 8,
+            "objects_canonical": True,
+            "tensor_is_union": True,
+            "identities": True,
+            "compose_closed": False,
+            "compose_counterexample": ["a", "b", "d"],
+            "ok": False,
+        }
         ref = ReferenceCategory(cat)
         assert first_intransitive_triple(ref, ref.hom_matrix()) == [["a"], ["b"], ["d"]]
 
@@ -749,6 +757,13 @@ class TestSweepCost:
         assert smc._mask_dtype(64) is np.uint64
         with pytest.raises(StructuralError):
             smc._mask_dtype(65)
+
+    def test_a_mask_too_wide_raises_before_any_object_is_built(self):
+        # 65 atoms under the default cap make about 9.0 M objects
+        cat = build_smc(wide_starred_model(65))
+        with pytest.raises(StructuralError, match=r"^65 non-unit atoms do not fit a 64-bit object mask$"):
+            verify_smc_laws(cat)
+        assert "objects" not in cat.__dict__
 
     def test_objects_canonical_bit_range(self):
         # eight atoms fill uint8, so no bit lies at or above k

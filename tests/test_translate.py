@@ -419,6 +419,16 @@ class TestVerifyFunctoriality:
         copy = to_model(q.labeled.relabeled(*swap))
         assert models_isomorphic(to_model(q).model, copy.model)[0]
 
+    def test_an_inherited_outcome_fails_the_identity_law(self):
+        s0, s1 = basis_state(2, 0), basis_state(2, 1)
+        prep = ChannelDecl("prep", "c", "A", preparation_channel(s0))
+        q = Qrt([SystemDecl("c", 1, {"one": scalar_one()}), SystemDecl("A", 2, {"s0": s0, "s1": s1})], [prep])
+        q._induced[prep] = {"one": "s1"}  # stale: prep prepares s0
+        assert q.validate().ok
+        # the rebuilt theory derives prep afresh, so its model differs
+        (rep,) = verify_functoriality([(q, [({}, {})], [])])
+        assert rep == {"identity": False, "relabelings": [True], "sub_models": [], "nested": None, "ok": False}
+
     def test_a_renaming_that_merges_names_is_an_error(self):
         q = corpus.chain_qrt()
         (rep,) = verify_functoriality([(q, [({"A": "B"}, {})], ())])
