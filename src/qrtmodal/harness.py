@@ -7,6 +7,14 @@ section's "ok" is false, else 3 if an isomorphism search hit its cap (the
 iso-conditions or injectivity section counted an inconclusive entry),
 else 0. 2 is reserved for input errors and raised by the CLI layer.
 Functoriality runs no search: it checks each relabeling by transport.
+
+The iso-conditions section counts every ordered pair of translated
+theories in ``pairs_checked``, but calls ``iso_conditions`` and
+``models_isomorphic`` only on a pair whose theories share a dims-free
+``flow_key`` or whose models share a ``model_key``: on any other pair
+both deciders are false without a search. Starred injectivity calls
+``starred_isomorphic`` only on a pair whose starred models share a
+``model_key``.
 """
 
 from __future__ import annotations
@@ -111,6 +119,44 @@ def _function_edges(q: Qrt) -> set:
     }
 
 
+def _buckets(keys: list) -> list:
+    """The ordered pairs (i, j) of positions whose keys are equal."""
+    groups: dict = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+    return [(i, j) for g in groups.values() for i in g for j in g]
+
+
+def _iso_sweep(translated: list) -> tuple[list, list]:
+    """The iso-conditions section's mismatches and inconclusive entries
+    over every ordered pair of the translated theories, in family order.
+    Each side buckets its own operands by a key it caches: the theories
+    by their dims-free ``flow_key``, the models by ``model_key``. Only a
+    pair that shares a bucket on some side calls the two deciders. On any
+    other pair both are false without a search, so the pair agrees and
+    adds no entry: unequal model keys leave no model isomorphism, and
+    unequal dims-free flow keys leave unequal the flow keys that
+    ``iso_conditions`` compares under either dim rule, so (iii) is false
+    before any search."""
+    pairs = sorted(
+        set(_buckets([q.labeled.flow_key(False) for _, q, _ in translated]))
+        | set(_buckets([model_key(rec.model) for _, _, rec in translated]))
+    )
+    mismatches, inconclusive = [], []
+    for i, j in pairs:
+        (la, qa, ra), (lb, qb, rb) = translated[i], translated[j]
+        try:
+            cond = iso_conditions(qa.labeled, qb.labeled)
+            conj = cond["i"] and cond["ii"] and cond["iii"]
+            oracle = models_isomorphic(ra.model, rb.model)[0]
+        except ResourceLimitError as exc:
+            inconclusive.append({"pair": [la, lb], "reason": str(exc)})
+            continue
+        if conj != oracle:
+            mismatches.append({"pair": [la, lb], "conditions": cond, "models_isomorphic": oracle})
+    return mismatches, inconclusive
+
+
 def run_theorems(
     family: list[tuple[str, Qrt]] | None = None,
     injected_models: list[tuple[str, KripkeModel | StarredModel]] | None = None,
@@ -182,23 +228,8 @@ def run_theorems(
     ]
     report["functoriality"] = {"ok": all(e["ok"] for e in funct_entries), "entries": funct_entries}
 
-    # equivalence of the isomorphism conditions with the model oracle; each
-    # side compares the keys its operands cache before it searches
-    mismatches = []
-    iso_inconclusive = []
-    for la, qa, ra in translated:
-        for lb, qb, rb in translated:
-            try:
-                cond = iso_conditions(qa.labeled, qb.labeled)
-                conj = cond["i"] and cond["ii"] and cond["iii"]
-                oracle = models_isomorphic(ra.model, rb.model)[0]
-            except ResourceLimitError as exc:
-                iso_inconclusive.append({"pair": [la, lb], "reason": str(exc)})
-                continue
-            if conj != oracle:
-                mismatches.append(
-                    {"pair": [la, lb], "conditions": cond, "models_isomorphic": oracle}
-                )
+    # equivalence of the isomorphism conditions with the model oracle
+    mismatches, iso_inconclusive = _iso_sweep(translated)
     report["iso_conditions"] = {
         "ok": not mismatches,
         "pairs_checked": len(translated) ** 2,

@@ -211,9 +211,10 @@ def _view(s: KripkeModel | StarredModel) -> tuple:
     return s._search
 
 
-def model_key(m: KripkeModel) -> tuple:
+def model_key(m: KripkeModel | StarredModel) -> tuple:
     """The model side's per-model key: the sorted vertex colours that
-    ``models_isomorphic`` compares before it searches. Two models are
+    ``models_isomorphic``, or for a starred model ``starred_isomorphic``,
+    compares before it searches. Two models, or two starred models, are
     isomorphic only when their keys are equal."""
     return _view(m)[0]
 

@@ -32,8 +32,9 @@ All that is read after validation is labels, and ``Qrt.labeled``, the
 one validity gate, returns them as a ``LabeledTheory``: nothing numeric.
 Both types share the label rules (``_LabelRules``); relabeling and
 restricting a labeled theory are pure maps on its labels. The label
-rules include the isomorphism search's view of the theory (``_view``),
-cached per dim rule.
+rules include the isomorphism search's view of the theory (``_view``)
+and the flow key compared before a search of condition (iii)
+(``flow_key``), each cached per dim rule.
 """
 
 from __future__ import annotations
@@ -267,6 +268,31 @@ class _LabelRules:
         if match_dims not in views:
             views[match_dims] = _search_view(self, match_dims)
         return views[match_dims]
+
+    @cached_property
+    def _flow(self) -> dict:
+        """{system id: (out, in, hit)}: its out- and in-degree in the
+        relation "some function runs a -> b, with a != b and a holding a
+        named state", and how many of its states functions from other
+        systems hit."""
+        runs = [(a, b) for a, b in self.functions if a != b and self._by_id[a].states]
+        hit = {s.id: set() for s in self.systems}
+        for (a, b), fns in self.functions.items():
+            if a != b:
+                hit[b].update(img for key in fns for _, img in key)
+        outs, ins = Counter(a for a, _ in runs), Counter(b for _, b in runs)
+        return {sid: (outs[sid], ins[sid], len(states)) for sid, states in hit.items()}
+
+    def flow_key(self, match_dims: bool) -> tuple:
+        """The sorted (system colour in ``_view(match_dims)``, flow) pairs,
+        one per system: the key ``translate.iso_conditions`` compares
+        before (iii) searches, and the harness buckets theories by. Built
+        once per dim rule and cached on the theory."""
+        keys = self.__dict__.setdefault("_flow_keys", {})
+        if match_dims not in keys:
+            colour = self._view(match_dims)[1]
+            keys[match_dims] = tuple(sorted((colour[(sid,)], flow) for sid, flow in self._flow.items()))
+        return keys[match_dims]
 
 
 @dataclass(frozen=True)
@@ -713,9 +739,12 @@ def _labeled_bijection(view_x: tuple, view_y: tuple, pair_ok: Callable) -> dict 
     members = {v[0]: (v, *states) for v, states in view_x[2].items() if len(v) == 1}
 
     def fits(v, w, m) -> bool:
-        done = [b for b, vs in members.items() if all(u in m for u in vs)]
+        # only a placement that completes its system brings new pairs to check
         a = v[0]
-        return a not in done or all(pair_ok(a, b, m) and pair_ok(b, a, m) for b in done)
+        if not all(u in m for u in members[a]):
+            return True
+        done = [b for b, vs in members.items() if all(u in m for u in vs)]
+        return all(pair_ok(a, b, m) and pair_ok(b, a, m) for b in done)
 
     return bijection(view_x, view_y, fits)
 

@@ -8,8 +8,9 @@ generated model: when a trivial system exists, its unique atom is true.
 
 Translation reads only a theory's ``labeled`` form, so a ``Qrt`` validates
 there and a ``LabeledTheory`` copy translates as it is. The isomorphism
-conditions validate nothing: they read the search view each theory
-caches (``_view``), whose keys settle (ii) before (iii) searches. All
+conditions validate nothing: they read the search view and the flow key
+each theory caches (``_view``, ``flow_key``), whose keys settle (ii),
+and many a failing (iii), before (iii) searches. All
 theorem-condition oracles in this module work at the labeled
 (named-state) level; reports should be read with that scope in mind.
 """
@@ -28,6 +29,7 @@ from .kripke import (
     StarredModel,
     _index,
     is_sub_model,
+    model_key,
     starred_isomorphic,
 )
 from .qrt import (
@@ -121,9 +123,28 @@ def iso_conditions(x: Qrt | LabeledTheory, y: Qrt | LabeledTheory) -> dict:
     (i) and (ii) are multiset tests: of dims, and of (dim, state count,
     true-atom count) per system, the key of the view each theory caches
     (``_view``). When (i) fails, (ii) and (iii) range over all system
-    bijections and (ii) drops the dim. Only (iii) searches. The operands
-    that are ``Qrt``s derive in one pass before either is read; nothing is
-    validated."""
+    bijections and (ii) drops the dim. Only (iii) searches, and only when
+    the two ``flow_key``s agree: a theory's flow key adds to each system's
+    profile its out- and in-degree in the relation "some function runs
+    a -> b, with a != b and a holding a named state", and the number of
+    its states that functions from other systems hit.
+
+    Unequal flow keys leave no bijection that meets (iii). Let m meet
+    (iii), and take a != b. Each x-image on (a, b) is a union of y-images
+    on (m(a), m(b)), so the union of x's images on (a, b) maps into the
+    union of y's on the mapped pair, and the converse holds the same way:
+    m carries the one union onto the other. So b and m(b) have equally
+    many states hit from other systems. A function from a system with a
+    named state has a non-empty image, so it covers a non-empty union,
+    and the mapped pair has a function too, whose source m(a) has as
+    many named states as a; the converse holds the same way. So m keeps
+    the relation, and with it each system's degrees. (A function from a
+    stateless system has the empty image, which the other side need not
+    match, so such a function is not in the relation.) m keeps each
+    system's profile, so the keys are equal.
+
+    The operands that are ``Qrt``s derive in one pass before either is
+    read; nothing is validated."""
 
     def image_cover(a: str, b: str, m: dict) -> bool:
         fx = x.functions.get((a, b), {})
@@ -137,6 +158,8 @@ def iso_conditions(x: Qrt | LabeledTheory, y: Qrt | LabeledTheory) -> dict:
     view_x, view_y = x._view(dims), y._view(dims)
     if view_x[0] != view_y[0]:
         return {"i": dims, "ii": False, "iii": False}
+    if x.flow_key(dims) != y.flow_key(dims):
+        return {"i": dims, "ii": True, "iii": False}
     return {"i": dims, "ii": True, "iii": _labeled_bijection(view_x, view_y, image_cover) is not None}
 
 
@@ -282,7 +305,9 @@ def verify_starred_injectivity(pairs: Iterable[tuple[str, Qrt | LabeledTheory, Q
         try:
             star_a = to_model(a).starred
             star_b = to_model(b).starred
-            star_ok, star_wit = starred_isomorphic(star_a, star_b)
+            # unequal cached keys leave no isomorphism, so no call is made
+            keyed = model_key(star_a) == model_key(star_b)
+            star_ok, star_wit = starred_isomorphic(star_a, star_b) if keyed else (False, None)
             entry["starred_isomorphic"] = bool(star_ok)
             if star_ok:
                 src_ok = qrt_isomorphic(a.labeled, b.labeled)[0]

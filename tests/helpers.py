@@ -2,10 +2,11 @@
 channel, random Kripke models, the convexity weights the acceptance
 criteria name, derived facts of theories and categories that only the
 tests ask for, the reference formula parser, the reference family
-builder, the per-operator channel kernels, the reference composite
-sweep, the one-pair trace-distance test over the stacked kernel, the
-one-channel induced map over the grouped derivation kernel, the numeric
-restriction and sub-theory test that the label restriction
+builder, the all-pairs isomorphism-condition sweep, the per-operator
+channel kernels, the reference composite sweep, the one-pair
+trace-distance test over the stacked kernel, the one-channel induced
+map over the grouped derivation kernel, the numeric restriction and
+sub-theory test that the label restriction
 (``LabeledTheory.restricted``) is checked against, the per-call
 model-side checks that read no model index, and a translation defect
 that only the transported functoriality check sees."""
@@ -16,7 +17,7 @@ import numpy as np
 
 from qrtmodal import harness, translate
 from qrtmodal.config import DEFAULT_TOL
-from qrtmodal.errors import FormulaSyntaxError, ShapeError, StructuralError
+from qrtmodal.errors import FormulaSyntaxError, ResourceLimitError, ShapeError, StructuralError
 from qrtmodal.errors import UnknownSymbolError
 from qrtmodal.formulas import Atom, Box, Diamond, DomainWarning, Formula, Iff, Implies, Not, _require_atoms, conj, disj
 from qrtmodal.generate import generate_qrt, random_relabeling
@@ -265,6 +266,26 @@ def reference_build_family(seed: int, count: int, config=None) -> list:
     for k in range(min(harness._N_RELABELED, len(base))):
         out.append((f"{base[k][0]}_relabeled", random_relabeling(base[k][1], rng)))
     return out
+
+
+def reference_iso_sweep(translated: list) -> tuple[list, list]:
+    """``harness._iso_sweep`` as a loop over every ordered pair, each of
+    which calls both deciders: the differential oracle of its key
+    buckets. It reads the deciders off ``harness``, so that a defect
+    planted there reaches both sweeps."""
+    mismatches, inconclusive = [], []
+    for la, qa, ra in translated:
+        for lb, qb, rb in translated:
+            try:
+                cond = harness.iso_conditions(qa.labeled, qb.labeled)
+                conj = cond["i"] and cond["ii"] and cond["iii"]
+                oracle = harness.models_isomorphic(ra.model, rb.model)[0]
+            except ResourceLimitError as exc:
+                inconclusive.append({"pair": [la, lb], "reason": str(exc)})
+                continue
+            if conj != oracle:
+                mismatches.append({"pair": [la, lb], "conditions": cond, "models_isomorphic": oracle})
+    return mismatches, inconclusive
 
 
 def reference_kraus_ops(kraus_ops) -> tuple:

@@ -28,7 +28,7 @@ from qrtmodal.errors import GenerationError, QrtModalError, ResourceLimitError, 
 from qrtmodal.generate import GeneratorConfig
 from qrtmodal.harness import build_family, run_theorems
 from qrtmodal.kripke import KripkeModel, StarredModel, models_isomorphic, starred_isomorphic
-from qrtmodal.linalg import KrausChannel, scalar_one
+from qrtmodal.linalg import KrausChannel, basis_state, function_channel, scalar_one
 from qrtmodal.qrt import (
     ChannelDecl,
     LabeledTheory,
@@ -40,7 +40,7 @@ from qrtmodal.qrt import (
 )
 from qrtmodal.translate import iso_conditions, to_model
 
-from helpers import plant_mirrored_truth, reference_build_family
+from helpers import plant_mirrored_truth, reference_build_family, reference_iso_sweep
 
 
 def test_family_members_are_pairwise_fresh(monkeypatch):
@@ -244,6 +244,112 @@ def test_report_paths_pinned(make_kwargs, cap, status, digest, monkeypatch):
     report = run_theorems(**kwargs)
     assert report["status"] == status
     assert hashlib.sha256(io.dumps(report).encode()).hexdigest()[:16] == digest
+
+
+# -- the bucketed iso sweep against the all-pairs loop -------------------------
+
+MIXED_DIMS = GeneratorConfig(seed=4, n_systems=3, dims=(1, 2, 3), states_per_system=2)
+
+
+def plant_strict_iii(monkeypatch) -> None:
+    """Plant a mismatch: (iii) holds only for a theory with itself, so
+    every pair of distinct isomorphic theories (a relabeled copy and its
+    source) disagrees with the model oracle."""
+    real = harness.iso_conditions
+
+    def strict(x, y):
+        cond = real(x, y)
+        return {**cond, "iii": cond["iii"] and x == y}
+
+    monkeypatch.setattr(harness, "iso_conditions", strict)
+
+
+def flow_gap_family() -> list:
+    """Two theories over a trivial system c and systems A and B of two
+    states, whose one function A -> B is a constant in the first and a
+    bijection in the second. Their models are isomorphic, but their flow
+    keys differ (one state of B hit, or two), so (iii) fails: a mismatch
+    that only the model side's bucket brings to a decider."""
+    r0, r1 = basis_state(2, 0), basis_state(2, 1)
+    systems = [SystemDecl("c", 1, {"one": scalar_one()}), *(SystemDecl(n, 2, {f"{n}0": r0, f"{n}1": r1}) for n in "AB")]
+    return [
+        (label, complete_composition(Qrt(systems, [ChannelDecl("f", "A", "B", function_channel(f, 2, 2))])))
+        for label, f in (("const", [0, 0]), ("bij", [0, 1]))
+    ]
+
+
+def stateless_gap_family() -> list:
+    """Two theories over a trivial system c, a system A with no named
+    state and a system B of two, the second with a channel A -> B. Their
+    flow keys agree and (i)-(iii) hold, since a function from A has the
+    empty image, but only the second model has the access pair (A, B): a
+    mismatch that only the theory side's bucket brings to a decider."""
+    r0, r1 = basis_state(2, 0), basis_state(2, 1)
+    systems = [SystemDecl("c", 1, {"one": scalar_one()}), SystemDecl("A", 2, {}), SystemDecl("B", 2, {"b0": r0, "b1": r1})]
+    bij = ChannelDecl("f", "A", "B", function_channel([0, 1], 2, 2))
+    return [(label, complete_composition(Qrt(systems, chans))) for label, chans in (("none", []), ("one", [bij]))]
+
+
+# the relabeled copies of build_family(1, 20) and their sources, in both orders
+COPY_PAIRS = [[f"gen{k}", f"gen{k}_relabeled"] for k in range(3)] + [[f"gen{k}_relabeled", f"gen{k}"] for k in range(3)]
+
+
+@pytest.mark.parametrize(
+    "make_kwargs, cap, plant, status, mismatched",
+    [
+        *((lambda s=s: dict(family=build_family(s, 20), seed=s), None, None, 0, []) for s in (1, 2, 3)),
+        (lambda: dict(family=build_family(4, 12, config=MIXED_DIMS), seed=4), 6, None, 3, []),
+        (lambda: dict(family=corpus_family(), injected_models=injected(), include_corpus=False), None, None, 1, []),
+        (lambda: dict(family=build_family(1, 20), seed=1), None, plant_strict_iii, 1, COPY_PAIRS),
+        (lambda: dict(family=flow_gap_family(), include_corpus=False), None, None, 1, [["const", "bij"], ["bij", "const"]]),
+        (lambda: dict(family=stateless_gap_family(), include_corpus=False), None, None, 1, [["none", "one"], ["one", "none"]]),
+        (lambda: dict(family=build_family(1, 4), seed=1), 3, None, 3, []),
+    ],
+    ids=["family1", "family2", "family3", "mixed-dims-capped", "file-family", "planted-mismatch", "flow-gap",
+         "stateless-gap", "status3"],
+)
+def test_the_bucketed_iso_sweep_reports_as_the_all_pairs_loop(make_kwargs, cap, plant, status, mismatched, monkeypatch):
+    kwargs = make_kwargs()  # any family is built before the search cap is lowered
+    if cap is not None:
+        monkeypatch.setattr(config, "MAX_ISO_NODES", cap)
+    if plant is not None:
+        plant(monkeypatch)
+    got = run_theorems(**kwargs)
+    monkeypatch.setattr(harness, "_iso_sweep", reference_iso_sweep)
+    want = run_theorems(**kwargs)
+    assert io.dumps(got) == io.dumps(want)
+    assert got["status"] == status
+    section = got["iso_conditions"]
+    assert [e["pair"] for e in section["mismatches"]] == mismatched
+    assert bool(section.get("inconclusive")) == (cap is not None)
+
+
+def test_the_iso_sweep_calls_its_deciders_only_within_a_bucket(monkeypatch):
+    """On build_family(1, 40), 46 of the 1 600 ordered pairs share a key on
+    some side: the 40 diagonal pairs and both orders of the 3 relabeled
+    copies. Only those call the deciders. Starred injectivity calls its
+    decider only on pairs whose starred models share a key: 46 of its
+    823, the 40 diagonal pairs, the 3 copies with their sources and the 3
+    xi pairs of the corpus."""
+    family = build_family(1, 40)
+    calls = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(harness, "iso_conditions")
+    counting(harness, "models_isomorphic")
+    counting(translate, "starred_isomorphic")
+    report = run_theorems(family=family)
+    assert report["status"] == 0
+    assert report["iso_conditions"]["pairs_checked"] == 1600
+    assert calls == {"iso_conditions": 46, "models_isomorphic": 46, "starred_isomorphic": 46}
 
 
 # {"<count>:<seed>": SHA-256 of io.dumps(run_theorems(seed, count))}, the

@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import qrtmodal.kripke as kripke_module
 import qrtmodal.qrt as qrt_module
@@ -20,7 +22,7 @@ from qrtmodal.generate import (
 )
 from qrtmodal.harness import build_family, default_family_config
 from qrtmodal.kripke import is_s4, is_sub_model, models_isomorphic, starred_isomorphic
-from qrtmodal.linalg import basis_state, preparation_channel, scalar_one
+from qrtmodal.linalg import basis_state, function_channel, preparation_channel, scalar_one
 from qrtmodal.qrt import ChannelDecl, Qrt, SystemDecl, complete_composition, node_name
 from qrtmodal.translate import (
     image_conditions,
@@ -198,8 +200,6 @@ class TestIsoConditions:
         assert iso_conditions(q, q) == {"i": True, "ii": True, "iii": True}
 
     def test_free_set_difference_breaks_ii(self):
-        from qrtmodal.linalg import function_channel
-
         x, _ = corpus.xi_pair()
         # same shape, but one state loses its preparation and hence its freeness
         r0, r1 = basis_state(2, 0), basis_state(2, 1)
@@ -367,6 +367,86 @@ class TestIsoConditionsAgainstReference:
         monkeypatch.setattr(config, "MAX_ISO_NODES", 1)
         with pytest.raises(ResourceLimitError, match=r"^isomorphism search exceeded 1 nodes$"):
             iso_conditions(q, q)
+
+
+@pytest.fixture(scope="module")
+def restriction_pool(theory_families) -> list:
+    """The labeled form of every theory of the families, the dims 1-3
+    family and the corpus included, and each of its restrictions to a
+    non-empty set of its systems."""
+    pool = []
+    for _, family in theory_families:
+        for _, q in family:
+            ids = [s.id for s in q.systems]
+            for n in range(1, len(ids) + 1):
+                pool += (q.labeled.restricted(keep) for keep in itertools.combinations(ids, n))
+    return pool
+
+
+def renamed(q, seed: int | None):
+    """q under the renaming drawn from seed, or q itself for None."""
+    return q if seed is None else q.relabeled(*random_renaming(q, np.random.default_rng(seed)))
+
+
+_seeds = st.none() | st.integers(0, 2**32 - 1)
+
+
+class TestFlowKey:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_unequal_flow_keys_leave_no_iii_bijection(self, restriction_pool, data):
+        """x and y are drawn from one class of the dims-free view key,
+        each renamed or not, so that (ii) often holds."""
+        x = renamed(data.draw(st.sampled_from(restriction_pool)), data.draw(_seeds))
+        peers = [q for q in restriction_pool if q._view(False)[0] == x._view(False)[0]]
+        y = renamed(data.draw(st.sampled_from(peers)), data.draw(_seeds))
+        dims = sorted(s.dim for s in x.systems) == sorted(s.dim for s in y.systems)
+        # the dims-free key, by which the harness buckets, is the coarser one
+        if x.flow_key(False) != y.flow_key(False):
+            assert x.flow_key(dims) != y.flow_key(dims)
+        if x.flow_key(dims) != y.flow_key(dims):
+            event("unequal flow keys" + (", equal view keys" if x._view(dims)[0] == y._view(dims)[0] else ""))
+            # the enumeration has no key shortcut
+            assert not reference_iso_conditions(x, y)["iii"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_a_relabeled_copy_has_its_source_flow_key(self, restriction_pool, data, seed):
+        x = renamed(data.draw(st.sampled_from(restriction_pool)), data.draw(_seeds))
+        copy = renamed(x, seed)
+        assert [copy.flow_key(d) for d in (True, False)] == [x.flow_key(d) for d in (True, False)]
+
+    @pytest.mark.parametrize("stateless", [False, True], ids=["constants", "stateless-source"])
+    def test_a_pair_meeting_iii_that_is_no_relabeling_has_equal_flow_keys(self, stateless):
+        """Two theories over A and B, two states each, whose functions
+        A -> B are the two constants, and the constants and a bijection;
+        or, with A stateless, none and one. They differ in the number of
+        functions on (A, B), yet (iii) holds by enumeration, so the flow
+        keys agree and (iii) is searched."""
+        r0, r1 = basis_state(2, 0), basis_state(2, 1)
+        a = SystemDecl("A", 2, {} if stateless else {"a0": r0, "a1": r1})
+        b = SystemDecl("B", 2, {"b0": r0, "b1": r1})
+        base = [] if stateless else [ChannelDecl(f"k{i}", "A", "B", function_channel([i, i], 2, 2)) for i in (0, 1)]
+        bij = ChannelDecl("bij", "A", "B", function_channel([0, 1], 2, 2))
+        x, y = (complete_composition(Qrt([a, b], chans)).labeled for chans in (base, [*base, bij]))
+        assert len(x.functions.get(("A", "B"), {})) < len(y.functions[("A", "B")])
+        assert reference_iso_conditions(x, y) == {"i": True, "ii": True, "iii": True}
+        assert x.flow_key(True) == y.flow_key(True)
+        assert iso_conditions(x, y) == {"i": True, "ii": True, "iii": True}
+
+    def test_unequal_flow_keys_settle_iii_without_a_search(self, theory_families, monkeypatch):
+        """On family1, gen12 and gen14 agree on the view key and differ on
+        the flow key: (iii) is false within a cap of one node, where the
+        search overruns a cap of 10."""
+        family = dict(dict(theory_families)["family1"])
+        x, y = family["gen12"].labeled, family["gen14"].labeled
+        assert x._view(True)[0] == y._view(True)[0] and x.flow_key(True) != y.flow_key(True)
+        monkeypatch.setattr(config, "MAX_ISO_NODES", 1)
+        assert iso_conditions(x, y) == {"i": True, "ii": True, "iii": False}
+        monkeypatch.setattr(config, "MAX_ISO_NODES", 10)
+        monkeypatch.setattr(type(x), "flow_key", lambda q, match_dims: ())
+        with pytest.raises(ResourceLimitError):
+            iso_conditions(x, y)
 
 
 class TestImageConditions:
