@@ -29,7 +29,7 @@ from .linalg import (
     preparation_channel,
     scalar_one,
 )
-from .qrt import ChannelDecl, Qrt, SystemDecl, complete_composition
+from .qrt import ChannelDecl, Qrt, SystemDecl, _derive_maps, complete_composition, derive
 
 
 def _prep(cid: str, dst: str, rho: DensityMatrix) -> ChannelDecl:
@@ -148,6 +148,11 @@ def convexity_demo_qrt() -> Qrt:
 def _xi_base(shift: int, with_collapse: bool) -> Qrt:
     """Both qubits fully prepared; the cross channel maps basis to basis,
     composed with a flip when shift=1. The free set is flip-invariant."""
+    return complete_composition(_xi_declared(shift, with_collapse))
+
+
+def _xi_declared(shift: int, with_collapse: bool) -> Qrt:
+    """``_xi_base`` before its closure."""
     r0, r1 = basis_state(2, 0), basis_state(2, 1)
     s0, s1 = basis_state(2, 0), basis_state(2, 1)
     systems = [
@@ -166,7 +171,7 @@ def _xi_base(shift: int, with_collapse: bool) -> Qrt:
     if with_collapse:
         channels = [c for c in channels if not c.id.startswith("prep_s")]
         channels.append(ChannelDecl("collapse", "B", "B", constant_channel(s0, 2)))
-    return complete_composition(Qrt(systems, channels))
+    return Qrt(systems, channels)
 
 
 def xi_pair(twisted: bool = True) -> tuple[Qrt, Qrt]:
@@ -183,11 +188,16 @@ def xi_collapse_pair() -> tuple[Qrt, Qrt]:
 
 
 def xi_sweep() -> list[tuple[str, Qrt, Qrt]]:
-    return [
-        ("identity", *xi_pair(twisted=False)),
-        ("flip", *xi_pair(twisted=True)),
-        ("flip-collapse", *xi_collapse_pair()),
-    ]
+    """The pairs of ``xi_pair`` (untwisted, then twisted) and
+    ``xi_collapse_pair``, built as one batch: the six declared theories
+    derive in one pass, then close, and the closed ones derive in one
+    more (``derive``), as ``generate.generate_qrts`` builds a family."""
+    variants = ((0, False), (0, False), (0, False), (1, False), (0, True), (1, True))
+    declared = [_xi_declared(shift, collapse) for shift, collapse in variants]
+    _derive_maps(declared)
+    closed = [complete_composition(q) for q in declared]
+    derive(closed)
+    return [(name, *closed[2 * k:2 * k + 2]) for k, name in enumerate(("identity", "flip", "flip-collapse"))]
 
 
 # -- negative controls -----------------------------------------------------------

@@ -29,14 +29,13 @@ from .config import DEFAULT_TOL
 from .errors import GenerationError, QrtModalError
 from .formulas import _UNARY, Atom, Formula, Implies
 from .linalg import (
-    DensityMatrix,
     KrausChannel,
     constant_channel,
     density_matrices,
     function_channel,
     preparation_channel,
     random_cptp_channel,
-    random_density,
+    random_density_matrix,
     random_isometry,
     scalar_one,
     trace_channel,
@@ -89,17 +88,19 @@ def _reject(rejections: Iterator[int]) -> None:
 
 
 def _distinct_states(
-    rng: np.random.Generator, dim: int, n: int, rejections: Iterator[int]
-) -> list[DensityMatrix]:
-    out: list[DensityMatrix] = []
-    while len(out) < n:
-        cand = random_density(rng, dim, pure=bool(rng.integers(2)))
-        kept = [prev.mat for prev in out]
-        if kept and within_trace_distances(cand.mat[None], np.array(kept), _MIN_STATE_GAP).any():
+    rng: np.random.Generator, dim: int, n: int, rejections: Iterator[int], drawn: list
+) -> list[int]:
+    """Draw random states of dim until n lie at least _MIN_STATE_GAP apart,
+    appending every candidate to ``drawn`` unchecked; the positions in
+    ``drawn`` of the n kept."""
+    kept: list[int] = []
+    while len(kept) < n:
+        drawn.append(random_density_matrix(rng, dim, pure=bool(rng.integers(2))))
+        if kept and within_trace_distances(drawn[-1][None], np.array([drawn[k] for k in kept]), _MIN_STATE_GAP).any():
             _reject(rejections)
         else:
-            out.append(cand)
-    return out
+            kept.append(len(drawn) - 1)
+    return kept
 
 
 def generate_qrt(cfg: GeneratorConfig, index: int = 0) -> Qrt:
@@ -150,7 +151,10 @@ def generate_qrts(cfg: GeneratorConfig, indices: Iterable[int]) -> list[Qrt]:
 
 def _declared_qrt(cfg: GeneratorConfig, index: int) -> Qrt:
     """The theory of (seed, index) as drawn, before its closure: its
-    systems and the channels drawn between them."""
+    systems and the channels drawn between them. Every state matrix the
+    systems draw, a rejected candidate too, is checked in one
+    ``density_matrices`` call before any channel is drawn, and the first
+    that is no state raises."""
     rng = np.random.default_rng([cfg.seed, index])
     rejections = count(1)
 
@@ -160,6 +164,8 @@ def _declared_qrt(cfg: GeneratorConfig, index: int) -> Qrt:
     classical: dict[str, tuple[np.ndarray, list[int]]] = {}
     if cfg.ensure_trivial:
         systems.append(SystemDecl("c", 1, {"one": scalar_one()}))
+    drawn: list = []  # every state matrix drawn, in order, rejected candidates too
+    named: dict = {}  # system id -> (dim, the positions in drawn of its named states)
     for sid in _SYSTEM_NAMES[: cfg.n_systems - len(systems)]:
         dim = int(rng.choice(nontrivial_dims))
         if rng.random() < 0.6:
@@ -167,11 +173,14 @@ def _declared_qrt(cfg: GeneratorConfig, index: int) -> Qrt:
             frame = random_isometry(rng, dim, dim)
             idx = [int(j) for j in rng.permutation(dim)[:n_states]]
             classical[sid] = frame, idx
-            named = density_matrices([np.outer(frame[:, j], frame[:, j].conj()) for j in idx])
+            named[sid] = dim, range(len(drawn), len(drawn) + n_states)
+            drawn += (np.outer(frame[:, j], frame[:, j].conj()) for j in idx)
         else:
             n_states = int(rng.integers(1, cfg.states_per_system + 1))
-            named = _distinct_states(rng, dim, n_states, rejections)
-        systems.append(SystemDecl(sid, dim, {f"s{i}": dm for i, dm in enumerate(named)}))
+            named[sid] = dim, _distinct_states(rng, dim, n_states, rejections, drawn)
+    states = density_matrices(drawn)
+    for sid, (dim, kept) in named.items():
+        systems.append(SystemDecl(sid, dim, {f"s{i}": states[k] for i, k in enumerate(kept)}))
 
     channels: list[ChannelDecl] = []
     for src in systems:

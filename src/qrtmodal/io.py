@@ -41,7 +41,7 @@ def decode_matrix(data: Any) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed matrix: entries must be [re, im] pairs ({exc})") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise FormatError("matrix rows are empty or ragged")
+        raise FormatError("malformed matrix: rows are empty or ragged")
     return np.array(rows, dtype=complex)
 
 

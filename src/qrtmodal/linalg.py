@@ -10,25 +10,27 @@ pass: ``apply_channels`` applies a group of channels of one output dim,
 each to its own stack of states, with one Kraus sum per input dim over
 their zero-padded Kraus lists, checks all the images with one eigensolve
 call and returns the error of each image that fails;
-``within_trace_distances`` decides, for every (image, named state) pair
+``within_trace_distances`` decides, for every (state, candidate) pair
 at once, whether the two lie within a radius, from one array of
 Frobenius bounds, and diagonalises only a pair the bounds leave open;
+its candidates are either one stack shared by every state or each
+state's own row of a stack, padded to one width;
 ``settle_cptp`` decides whether each channel of a group is CPTP, with
-one Kraus sum for every trace-preservation defect and one eigensolve
-over the Choi matrices, and keeps the verdict on the immutable channel,
-per tolerance; ``compose`` forms every Kraus product of two channels in
-one broadcast product. ``apply_channel`` and ``is_cptp`` are the
-one-state and one-channel cases of the first and third. A sum over Kraus
-terms runs in term order, one stacked term at a time, so a zero-padded
-term adds exact zeros and every result has the bits of its channel's own
-sum; the stacks are cut into blocks of bounded size, so memory stays
-linear. The tolerance semantics are those of the plain rules: a bound
-only skips an eigensolve whose outcome it proves.
+one Kraus sum per (in_dim, out_dim) for every trace-preservation defect
+and one eigensolve over the Choi matrices of each Choi size, and keeps
+the verdict on the immutable channel, per tolerance; ``compose`` forms
+every Kraus product of two channels in one broadcast product.
+``apply_channel`` and ``is_cptp`` are the one-state and one-channel
+cases of the first and third. A sum over Kraus terms runs in term
+order, one stacked term at a time, so a zero-padded term adds exact
+zeros and every result has the bits of its channel's own sum; the
+stacks are cut into blocks of bounded size, so memory stays linear.
+The tolerance semantics are those of the plain rules: a bound only
+skips an eigensolve whose outcome it proves.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cache
 from typing import Iterable, Iterator, Sequence
@@ -194,27 +196,41 @@ class DensityMatrix:
 
 
 def density_matrices(matrices: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> tuple:
-    """``DensityMatrix(m, tol)`` of each matrix, in order. Each run of
-    matrices of one shape is checked as one stack, and the first failing
-    matrix in order raises what it raises alone."""
-    out: list = []
-    for _, run in itertools.groupby(matrices, np.shape):
-        stack = np.array(list(run), dtype=complex)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] > MAX_DIM:
-            # a shape no state has: every matrix of the run fails, the first raises
-            DensityMatrix(stack[0], tol)
-        errors = _state_errors(stack, tol)
-        if errors:
-            raise errors[min(errors)]
+    """``DensityMatrix(m, tol)`` of each matrix, in order. The matrices of
+    one shape are checked as one stack, and the first failing matrix in
+    order raises what it raises alone."""
+    by_shape: dict = {}
+    for i, m in enumerate(matrices):
+        by_shape.setdefault(np.shape(m), []).append(i)
+    out: list = [None] * len(matrices)
+    errors: dict = {}
+    for shape, where in by_shape.items():
+        stack = np.array([matrices[i] for i in where], dtype=complex)
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] > MAX_DIM:
+            # a shape no state has: every matrix of the shape fails, the first says why
+            try:
+                DensityMatrix(stack[0], tol)
+            except (ShapeError, NumericalError) as exc:
+                errors[where[0]] = exc
+            continue
+        errors.update((where[k], exc) for k, exc in _state_errors(stack, tol).items())
         stack.flags.writeable = False
-        out += (DensityMatrix._checked(m) for m in stack)
+        for i, m in zip(where, stack):
+            out[i] = DensityMatrix._checked(m)
+    if errors:
+        raise errors[min(errors)]
     return tuple(out)
 
 
 def pure_state(vec) -> DensityMatrix:
+    return DensityMatrix(_projector(vec))
+
+
+def _projector(vec) -> np.ndarray:
+    """|v><v| for the unit vector along vec."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
     v = v / np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
 
 
 def basis_state(dim: int, k: int) -> DensityMatrix:
@@ -352,17 +368,30 @@ def is_cptp(c: KrausChannel, tol: float = DEFAULT_TOL) -> tuple[bool, str | None
 
 def settle_cptp(channels: Iterable[KrausChannel], tol: float) -> dict:
     """Keep the ``is_cptp`` verdict at tol on each channel that has none
-    yet, in one pass per (in_dim, out_dim) group. Returns {channel:
-    NumericalError} for each channel whose Choi eigensolve failed; such a
-    channel keeps no verdict, and ``is_cptp`` raises the error again."""
+    yet: one trace-preservation sum per (in_dim, out_dim) group, and one
+    eigensolve over the Choi matrices of every group with one in_dim *
+    out_dim. Returns {channel: NumericalError} for each channel whose
+    Choi eigensolve failed; such a channel keeps no verdict, and
+    ``is_cptp`` raises the error again."""
     groups: dict = {}
     for c in channels:
         if tol not in c._cptp:
             groups.setdefault((c.in_dim, c.out_dim), {})[c] = None
     errors: dict = {}
+    pending: dict = {}  # Choi size -> [(channels, Choi matrices)] that await their eigensolve
     for group in groups.values():
         for chunk in _chunks(list(group)):
-            errors.update(_settle_group(chunk, tol))
+            passed, choi = _settle_group(chunk, tol)
+            if not passed:
+                continue
+            size = choi.shape[-1]
+            # a solve holds at most _BOUND_BLOCK entries, or one run's
+            held = sum(len(m) for _, m in pending.get(size, ())) * size * size
+            if held and held + choi.size > _BOUND_BLOCK:
+                errors.update(_settle_choi(pending.pop(size), tol))
+            pending.setdefault(size, []).append((passed, choi))
+    for parts in pending.values():
+        errors.update(_settle_choi(parts, tol))
     return errors
 
 
@@ -379,12 +408,13 @@ def _chunks(channels: list) -> Iterator[list]:
         lo = hi
 
 
-def _settle_group(channels: list, tol: float) -> dict:
-    """``settle_cptp`` of a run of channels of one (in_dim, out_dim): one
-    Kraus sum for every trace-preservation defect and one eigensolve for
-    the Choi matrices of the channels that pass it, over the Kraus lists
-    zero-padded to the longest. Sums run in term order, so every verdict
-    has the bits of its channel's own."""
+def _settle_group(channels: list, tol: float) -> tuple[list, np.ndarray | None]:
+    """The trace-preservation half of ``settle_cptp`` for a run of
+    channels of one (in_dim, out_dim), from one Kraus sum over the Kraus
+    lists zero-padded to the longest: keep the verdict on each channel
+    that fails it, and return the channels that pass with their Choi
+    matrices, or None for none. Sums run in term order, so every defect
+    and Choi matrix has the bits of its channel's own."""
     c0 = channels[0]
     ops = np.zeros((len(channels), max(len(c.kraus_ops) for c in channels), c0.out_dim, c0.in_dim), dtype=complex)
     for i, c in enumerate(channels):
@@ -396,17 +426,23 @@ def _settle_group(channels: list, tol: float) -> dict:
     for i in np.flatnonzero(~tp):
         channels[i]._cptp[tol] = False, f"not trace preserving (defect {float(tp_defect[i]):.3e})"
     passed = np.flatnonzero(tp)
-    if not len(passed):
-        return {}
-    lo, failed = _min_eigenvalues(hermitian_part(_choi(ops[passed])))
-    errors = {channels[passed[k]]: exc for k, exc in failed.items()}
-    for k, i in enumerate(passed):
+    return [channels[i] for i in passed], _choi(ops[passed]) if len(passed) else None
+
+
+def _settle_choi(parts: list, tol: float) -> dict:
+    """Keep the complete-positivity verdict on each channel of the
+    (channels, Choi matrices) parts, all of one Choi size, from one
+    eigensolve; returns {channel: NumericalError} for each failed solve."""
+    channels = [c for cs, _ in parts for c in cs]
+    choi = parts[0][1] if len(parts) == 1 else np.concatenate([m for _, m in parts])
+    lo, failed = _min_eigenvalues(hermitian_part(choi))
+    for k, c in enumerate(channels):
         if k not in failed:
-            channels[i]._cptp[tol] = (
+            c._cptp[tol] = (
                 (True, None) if lo[k] >= -tol
                 else (False, f"not completely positive (Choi eigenvalue {float(lo[k]):.3e})")
             )
-    return errors
+    return {channels[k]: exc for k, exc in failed.items()}
 
 
 def apply_channel(c: KrausChannel, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -512,32 +548,48 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 _GUARD = 1e-12
 
 
-def within_trace_distances(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    """The (len(a), len(b)) boolean array of whether the trace distance of
-    a[i] and b[j] is at most eps, for two stacks of d x d states.
+def within_trace_distances(a: np.ndarray, b: np.ndarray, eps: float, rows: np.ndarray | None = None) -> np.ndarray:
+    """Whether the trace distance of a[i] and each of its candidates in b
+    is at most eps, for two stacks of d x d states. Without rows every
+    state of b is a candidate of every a[i], and the answer is the
+    (len(a), len(b)) array over all pairs. With rows, an (len(a), k)
+    integer array, a[i]'s c-th candidate is b[rows[i, c]]; an index below
+    0 pads a row to the width k and reads False.
 
     For the Hermitian part D of a[i] - b[j], ||D||_F <= ||D||_1 <= sqrt(d)
     ||D||_F, so half the Frobenius norm decides a miss beyond eps + _GUARD
     and half of sqrt(d) times it a hit within eps - _GUARD; only a pair
-    between the two is decided by ``trace_distance``."""
+    between the two is decided by ``trace_distance``. The rows of a are
+    taken in blocks whose candidates hold at most _BOUND_BLOCK entries."""
     dim = a.shape[-1]
-    step = max(1, _BOUND_BLOCK // max(1, len(b) * dim * dim))
+    width = len(b) if rows is None else rows.shape[1]
+    step = max(1, _BOUND_BLOCK // max(1, width * dim * dim))
     # four times the half norms: the Frobenius norms of twice the Hermitian parts
-    norm = np.concatenate([_hermitian_norms(a[lo:lo + step], b) for lo in range(0, max(len(a), 1), step)])
+    norm = np.concatenate([
+        _hermitian_norms(a[lo:lo + step], b[None] if rows is None else b[rows[lo:lo + step]])
+        for lo in range(0, max(len(a), 1), step)
+    ])
     # the bounds scaled by 4, which is exact
     hit = norm * math.sqrt(dim) <= 4 * (eps - _GUARD)
     decided = hit | (norm > 4 * (eps + _GUARD))
+    if rows is not None:
+        pad = rows < 0
+        hit &= ~pad
+        decided |= pad
     if not decided.all():
-        for i, j in zip(*np.nonzero(~decided)):
-            hit[i, j] = trace_distance(DensityMatrix._checked(a[i]), DensityMatrix._checked(b[j])) <= eps
+        for i, c in zip(*np.nonzero(~decided)):
+            j = c if rows is None else rows[i, c]
+            hit[i, c] = trace_distance(DensityMatrix._checked(a[i]), DensityMatrix._checked(b[j])) <= eps
     return hit
 
 
-def _hermitian_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (len(a), len(b)) Frobenius norms of d + d^dag for d = a[i] - b[j]."""
-    d = a[:, None] - b[None, :]
+def _hermitian_norms(a: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """The (len(a), k) Frobenius norms of d + d^dag for d = a[i] -
+    cands[i, c], where the (len(a) or 1, k, d, d) stack ``cands`` holds
+    each row's k candidates or one row that every row shares."""
+    d = a[:, None] - cands
     sq = np.square((d + d.conj().swapaxes(-1, -2)).view(np.float64))  # squared real and imaginary parts
-    return np.sqrt(sq.reshape(len(a), len(b), 2 * a.shape[-1] ** 2).sum(axis=-1))
+    return np.sqrt(sq.reshape(len(a), cands.shape[1], 2 * a.shape[-1] ** 2).sum(axis=-1))
 
 
 # -- stock channels -----------------------------------------------------------
@@ -614,10 +666,11 @@ def random_cptp_channel(rng: np.random.Generator, in_dim: int, out_dim: int) -> 
     return isometry_channel(v, out_dim)
 
 
-def random_density(rng: np.random.Generator, dim: int, pure: bool = False) -> DensityMatrix:
+def random_density_matrix(rng: np.random.Generator, dim: int, pure: bool = False) -> np.ndarray:
+    """A random state's matrix, unchecked: a pure state's projector from
+    a Gaussian vector, or a Gaussian matrix's g g^dag at unit trace."""
     if pure:
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return pure_state(v)
+        return _projector(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return m / np.trace(m).real

@@ -12,7 +12,8 @@ unique-within-tol rule, with ambiguity treated as a validation error.
 A theory derives those functions once, in one stacked pass per output
 dim of its channels (``_induced_maps``): one Kraus sum per input dim,
 one state check over all the images, and one array of Frobenius bounds
-per destination system. Only a channel that fits its systems is applied:
+over all the images, each against its own destination's named states.
+Only a channel that fits its systems is applied:
 both endpoints declared, its Kraus shape their dims, and no state of
 another dim in either. Every other channel induces nothing, and settles
 unapplied as a StructuralError that says why. The pass settles every
@@ -21,9 +22,10 @@ image fails, misses or matches ambiguously decides the channel's
 outcome, and a failure is kept as its error, which every later use
 raises again.
 
-``derive`` runs that pass, and the CPTP verdicts validation reads, for
-many theories at once: the theories of one tolerance share each pass, so
-numpy's fixed cost per call is paid once per batch, not once per theory.
+``derive`` runs that pass, the check for named states too near each
+other and the CPTP verdicts validation reads, for many theories at
+once: the theories of one tolerance share each pass, so numpy's fixed
+cost per call is paid once per batch, not once per theory or system.
 A lone theory derives as the batch of one, and the operands of an
 isomorphism decision (``qrt_isomorphic``, ``translate.iso_conditions``)
 as one batch.
@@ -132,23 +134,42 @@ def _settled(outcome):
     return outcome
 
 
-def _matches(dst: SystemDecl, images: np.ndarray, tol: float) -> list:
+def _candidates(widths: Sequence[int], counts: Sequence[int]) -> np.ndarray:
+    """The rows of ``within_trace_distances`` for groups of candidates laid
+    end to end, widths[g] of them in group g: counts[g] rows whose
+    candidates are group g's, each row padded with -1 to the widest."""
+    index = np.full((len(widths), max(widths, default=0)), -1)
+    for g, (start, width) in enumerate(zip(np.cumsum([0, *widths]).tolist(), widths)):
+        index[g, :width] = range(start, start + width)
+    return np.repeat(index, counts, axis=0)
+
+
+def _matches(images: np.ndarray, runs: Sequence[tuple], tol: float) -> list:
     """The outcome of matching each image of the (n, d, d) stack to the
-    named states of dst, each of dim d, in order: the one named state
+    named states of its destination, in order: ``runs`` holds (destination
+    system, image count) for consecutive runs of images, and every named
+    state of a destination has dim d. An outcome is the one named state
     within trace distance tol, None when there is none, or
-    (StructuralError, message) when there are several."""
+    (StructuralError, message) when there are several. One array of
+    Frobenius bounds covers every image, each against its own
+    destination's named states."""
     dim = images.shape[-1]
-    names = list(dst.states)
-    named = np.array([dm.mat for dm in dst.states.values()]).reshape(len(names), dim, dim)
-    hit = within_trace_distances(images, named, tol)
+    names = [list(dst.states) for dst, _ in runs]
+    named = np.array([dm.mat for dst, _ in runs for dm in dst.states.values()]).reshape(-1, dim, dim)
+    hit = within_trace_distances(images, named, tol, _candidates(list(map(len, names)), [n for _, n in runs]))
     counts = hit.sum(axis=1).tolist()
-    first = (hit @ np.arange(len(names))).tolist()  # the hit of a row with exactly one
-
-    def several(i: int) -> tuple:
-        hits = sorted(names[j] for j in np.flatnonzero(hit[i]))
-        return StructuralError, f"ambiguous match in system {dst.id}: {hits}"
-
-    return [names[f] if n == 1 else several(i) if n else None for i, (n, f) in enumerate(zip(counts, first))]
+    first = (hit @ np.arange(hit.shape[1])).tolist()  # the hit of a row with exactly one
+    out: list = []
+    for (dst, n), mine in zip(runs, names):
+        for i in range(len(out), len(out) + n):
+            if counts[i] == 1:
+                out.append(mine[first[i]])
+            elif counts[i]:
+                hits = sorted(mine[j] for j in np.flatnonzero(hit[i]))
+                out.append((StructuralError, f"ambiguous match in system {dst.id}: {hits}"))
+            else:
+                out.append(None)
+    return out
 
 
 def _induced_maps(derivations: Sequence[tuple], tol: float) -> list:
@@ -160,9 +181,10 @@ def _induced_maps(derivations: Sequence[tuple], tol: float) -> list:
     The triples are derived in one pass per output dim: one
     ``apply_channels`` over the channels' states, whatever their input
     dims, with the channels of one destination system side by side, then
-    one ``_matches`` per destination system over all of its images. A
-    channel's outcome is read in state order: a failing image, a miss or
-    an ambiguity, whichever comes first; else its map."""
+    one ``_matches`` over all the images, each against its own
+    destination's named states. A channel's outcome is read in state
+    order: a failing image, a miss or an ambiguity, whichever comes
+    first; else its map."""
     outcomes: list = [None] * len(derivations)
     groups: dict = {}
     for k, (c, src, dst) in enumerate(derivations):
@@ -175,20 +197,18 @@ def _induced_maps(derivations: Sequence[tuple], tol: float) -> list:
         if errors:  # a failing image is matched as a zero matrix, and never read
             images = images.copy()
             images[list(errors)] = 0
+        matched = _matches(images, [(dst, sum(len(states) for _, states in mine)) for dst, mine in by_dst.items()], tol)
         row = 0
-        for dst, mine in by_dst.items():
-            base = row
-            matched = _matches(dst, images[base:base + sum(len(states) for _, states in mine)], tol)
-            for k, states in mine:
-                fn: dict | tuple | None = {}
-                for st, r in zip(states, range(row, row + len(states))):
-                    m = (type(errors[r]), str(errors[r])) if r in errors else matched[r - base]
-                    if not isinstance(m, str):  # a failure or a miss settles the channel
-                        fn = m
-                        break
-                    fn[st] = m
-                outcomes[k] = fn
-                row += len(states)
+        for k, states in members:
+            fn: dict | tuple | None = {}
+            for st, r in zip(states, range(row, row + len(states))):
+                m = (type(errors[r]), str(errors[r])) if r in errors else matched[r]
+                if not isinstance(m, str):  # a failure or a miss settles the channel
+                    fn = m
+                    break
+                fn[st] = m
+            outcomes[k] = fn
+            row += len(states)
     return outcomes
 
 
@@ -393,6 +413,8 @@ class Qrt(_LabelRules):
         # {(src, dst): function keys} of the closure that made this theory,
         # whose last sweep found no composite missing; None for any other
         self._closure_keys: dict | None = None
+        # per system, in order: its named-state pairs within 2 tol (_near_states)
+        self._near: list | None = None
 
     @property
     def systems(self) -> tuple:
@@ -416,7 +438,7 @@ class Qrt(_LabelRules):
         odd = next((s.dim for s in dst.states.values() if s.dim != dm.dim), None)
         if odd is not None:
             raise DimensionMismatchError(f"dims differ: {dm.dim} vs {odd}")
-        (outcome,) = _matches(dst, dm.mat[None], self.tol)
+        (outcome,) = _matches(dm.mat[None], [(dst, 1)], self.tol)
         return _settled(outcome)
 
     def _outcome(self, decl: ChannelDecl):
@@ -476,9 +498,10 @@ class Qrt(_LabelRules):
 
     @cached_property
     def _report(self) -> ValidationReport:
+        derive((self,))
         issues: list[Issue] = []
         seen_sys: set[str] = set()
-        for s in self._systems:
+        for p, s in enumerate(self._systems):
             if not ID_RE.match(s.id):
                 issues.append(Issue("bad-id", s.id, "system id is not an identifier"))
             if s.id in seen_sys:
@@ -491,17 +514,7 @@ class Qrt(_LabelRules):
                     why = f"state dim {dm.dim} != system dim {s.dim}"
                     issues.append(Issue("dim-mismatch", f"{s.id}.{st}", why))
             # ambiguity: two named states of one dim closer than the matching radius allows
-            by_dim: dict = {}
-            for st in sorted(s.states):
-                by_dim.setdefault(s.states[st].dim, []).append(st)
-            near = []
-            for names in by_dim.values():
-                if len(names) > 1:
-                    stack = np.array([s.states[st].mat for st in names])
-                    rows = within_trace_distances(stack, stack, 2 * self.tol).tolist()
-                    for i, st1 in enumerate(names):
-                        near += ((st1, st2) for st2, hit in zip(names[i + 1:], rows[i][i + 1:]) if hit)
-            for st1, st2 in sorted(near):
+            for st1, st2 in sorted(self._near[p]):
                 why = f"named states only {trace_distance(s.states[st1], s.states[st2]):.3e} apart"
                 issues.append(Issue("ambiguous-states", f"{s.id}.{st1}/{st2}", why))
 
@@ -522,7 +535,6 @@ class Qrt(_LabelRules):
             elif t.dim != 1:
                 issues.append(Issue("bad-trivial", self._trivial, "trivial system must have dim 1"))
 
-        derive((self,))
         closure_ok = all(misfit is None for _, _, misfit in self._checked)
         for decl, found, misfit in self._checked:
             issues += found
@@ -621,11 +633,39 @@ def _derive_maps(theories: Iterable[Qrt]) -> None:
             q._induced[d] = outcome
 
 
+def _near_states(theories: Iterable[Qrt]) -> None:
+    """Keep on each theory that has none yet its near named states: per
+    system, the pairs (st1, st2) of its named states of one dim, st1 < st2,
+    within trace distance 2 tol. One pass per (tol, dim) covers every
+    system of the theories, each state against the states of its system
+    of that dim. A theory given twice is taken once."""
+    todo: dict = {}  # (tol, dim) -> [(theory, system position, sorted state names)]
+    for q in dict.fromkeys(theories):
+        if q._near is not None:
+            continue
+        q._near = [[] for _ in q._systems]
+        for p, s in enumerate(q._systems):
+            by_dim: dict = {}
+            for st in sorted(s.states):
+                by_dim.setdefault(s.states[st].dim, []).append(st)
+            for dim, names in by_dim.items():
+                if len(names) > 1:
+                    todo.setdefault((q.tol, dim), []).append((q, p, names))
+    for (tol, _), groups in todo.items():
+        states = np.array([q._systems[p].states[st].mat for q, p, names in groups for st in names])
+        widths = [len(names) for _, _, names in groups]
+        rows = iter(within_trace_distances(states, states, 2 * tol, _candidates(widths, widths)).tolist())
+        for q, p, names in groups:
+            for i, st1 in enumerate(names):
+                q._near[p] += ((st1, st2) for st2, near in zip(names[i + 1:], next(rows)[i + 1:]) if near)
+
+
 def derive(theories: Iterable[Qrt]) -> None:
     """Settle what validating each theory derives, for all of them at
     once: the outcome of every channel not yet derived (``_derive_maps``,
-    one state check per output dim and one match per destination system)
-    and the CPTP verdict of every channel validation checks, with one
+    one state check and one match per output dim), each theory's near
+    named states (``_near_states``, one pass per tolerance and dim) and
+    the CPTP verdict of every channel validation checks, with one
     ``settle_cptp`` call per tolerance. A theory given twice is taken
     once. A batch only adds rows to the one-theory passes, and every sum
     runs in Kraus-term order, so each outcome and verdict is the one the
@@ -633,6 +673,7 @@ def derive(theories: Iterable[Qrt]) -> None:
     channel unsettled, and validating its theory raises the error."""
     theories = list(theories)
     _derive_maps(theories)
+    _near_states(theories)
     checked: dict = {}  # tol -> the channels validation checks
     for q in theories:
         checked.setdefault(q.tol, []).extend(d.channel for d, _, misfit in q._checked if misfit is None)

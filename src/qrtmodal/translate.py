@@ -143,6 +143,13 @@ def iso_conditions(x: Qrt | LabeledTheory, y: Qrt | LabeledTheory) -> dict:
     match, so such a function is not in the relation.) m keeps each
     system's profile, so the keys are equal.
 
+    Scope: access out of a system with no named state is invisible to
+    (i)-(iii). Two theories that differ only by a channel out of such a
+    system meet all three while their translations differ by that access
+    pair, so the conditions speak only for theories in which every
+    channel's source holds a named state; ``tests/test_harness.py``
+    pins the counterexample (``stateless_gap_family``).
+
     The operands that are ``Qrt``s derive in one pass before either is
     read; nothing is validated."""
 

@@ -5,7 +5,8 @@ tests ask for, the reference formula parser, the reference family
 builder, the all-pairs isomorphism-condition sweep, the per-operator
 channel kernels, the reference composite sweep, the one-pair
 trace-distance test over the stacked kernel, the one-channel induced
-map over the grouped derivation kernel, the numeric restriction and
+map over the grouped derivation kernel, the per-destination matching and
+per-system near-state passes that the one-pass ones are checked against, the numeric restriction and
 sub-theory test that the label restriction
 (``LabeledTheory.restricted``) is checked against, the per-call
 model-side checks that read no model index, and a translation defect
@@ -27,10 +28,12 @@ from qrtmodal.linalg import (
     DensityMatrix,
     KrausChannel,
     _check_dim_cap,
+    apply_channels,
     _eigh,
     as_matrix,
     hermitian_part,
     isometry_channel,
+    random_density_matrix,
     random_isometry,
     within_trace_distances,
 )
@@ -50,6 +53,11 @@ def depolarizing_channel() -> KrausChannel:
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     return KrausChannel([0.5 * i2, 0.5 * x, 0.5 * y, 0.5 * z])
+
+
+def random_density(rng: np.random.Generator, dim: int, pure: bool = False) -> DensityMatrix:
+    """A random state of dim: ``random_density_matrix``, checked."""
+    return DensityMatrix(random_density_matrix(rng, dim, pure))
 
 
 def random_kraus_channel(rng: np.random.Generator, in_dim: int, out_dim: int, n_ops: int) -> KrausChannel:
@@ -128,6 +136,64 @@ def induced_map(channel: KrausChannel, src: SystemDecl, dst: SystemDecl, tol: fl
     per-channel reference for the grouped pass."""
     (outcome,) = _induced_maps([(channel, src, dst)], tol)
     return _settled(outcome)
+
+
+def reference_matches(dst: SystemDecl, images: np.ndarray, tol: float) -> list:
+    """The outcome of matching each image of the (n, d, d) stack to the
+    named states of dst alone, each of dim d, in order: the one named
+    state within trace distance tol, None when there is none, or
+    (StructuralError, message) when there are several. The one-destination
+    pass that ``qrt._matches`` replaced."""
+    dim = images.shape[-1]
+    names = list(dst.states)
+    named = np.array([dm.mat for dm in dst.states.values()]).reshape(len(names), dim, dim)
+    hit = within_trace_distances(images, named, tol)
+    out = []
+    for row in hit:
+        hits = [names[j] for j in np.flatnonzero(row)]
+        if len(hits) > 1:
+            out.append((StructuralError, f"ambiguous match in system {dst.id}: {sorted(hits)}"))
+        else:
+            out.append(hits[0] if hits else None)
+    return out
+
+
+def reference_induced_map(channel: KrausChannel, src: SystemDecl, dst: SystemDecl, tol: float):
+    """The ``_induced_maps`` outcome of one triple, its images matched by
+    ``reference_matches``: the map, None, or (error type, message) for the
+    first state in order whose image fails, misses or matches ambiguously."""
+    images, errors = apply_channels((channel,), (tuple(src.states.values()),), tol)
+    images = images.copy()
+    images[list(errors)] = 0  # a failing image is never read
+    matched = reference_matches(dst, images, tol)
+    fn = {}
+    for r, st in enumerate(src.states):
+        m = (type(errors[r]), str(errors[r])) if r in errors else matched[r]
+        if not isinstance(m, str):
+            return m
+        fn[st] = m
+    return fn
+
+
+def reference_near_states(q: Qrt) -> list:
+    """Per system of q, in order: the pairs (st1, st2), st1 < st2, of its
+    named states of one dim within trace distance 2 tol, from one
+    all-pairs test per system and dim. The per-system check that
+    ``qrt._near_states`` replaced."""
+    out = []
+    for s in q.systems:
+        by_dim: dict = {}
+        for st in sorted(s.states):
+            by_dim.setdefault(s.states[st].dim, []).append(st)
+        near = []
+        for names in by_dim.values():
+            if len(names) > 1:
+                stack = np.array([s.states[st].mat for st in names])
+                rows = within_trace_distances(stack, stack, 2 * q.tol).tolist()
+                for i, st1 in enumerate(names):
+                    near += ((st1, st2) for st2, hit in zip(names[i + 1:], rows[i][i + 1:]) if hit)
+        out.append(near)
+    return out
 
 
 def is_sub_qrt(x: Qrt, y: Qrt) -> bool:

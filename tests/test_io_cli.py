@@ -630,6 +630,8 @@ class TestTheoryInput:
             lambda data: data.update(trivial=5),
             lambda data: data["channels"][0].update({"from": 3}),
             lambda data: data.update(systems={}),
+            lambda data: data["systems"][1]["states"].update(rho=[]),  # an empty matrix
+            lambda data: data["systems"][1]["states"]["rho"].append([[0, 0]]),  # a ragged row
         ],
     )
     def test_malformed_theory_is_input_error(self, edit, tmp_path, capsys):

@@ -34,7 +34,6 @@ from qrtmodal.linalg import (
     maximally_mixed,
     preparation_channel,
     random_cptp_channel,
-    random_density,
     random_isometry,
     reduce_kraus,
     scalar_one,
@@ -46,6 +45,7 @@ from qrtmodal.linalg import (
 
 from helpers import (
     depolarizing_channel,
+    random_density,
     random_kraus_channel,
     reference_choi_matrix,
     reference_compose,
@@ -733,6 +733,43 @@ class TestWithinTraceDistance:
         for block in (1, 45, 10 ** 6):  # one image per block, two images, all at once
             monkeypatch.setattr(linalg_module, "_BOUND_BLOCK", block)
             assert within_trace_distances(*stacks, eps).tolist() == pairs
+
+
+    def test_rows_of_candidates_agree_with_the_pairs(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        a = np.array([random_density(rng, 3).mat for _ in range(9)])
+        b = np.array([random_density(rng, 3).mat for _ in range(6)])
+        eps = float(np.median([trace_distance(DensityMatrix(x), DensityMatrix(y)) for x in a for y in b]))
+        rows = rng.integers(-1, len(b), size=(len(a), 4))
+        rows[0] = -1  # a row of padding alone
+        pairs = within_trace_distances(a, b, eps).tolist()
+        want = [[c >= 0 and pairs[i][c] for c in row] for i, row in enumerate(rows.tolist())]
+        for block in (1, 80, 10 ** 6):  # one row per block, two rows, all at once
+            monkeypatch.setattr(linalg_module, "_BOUND_BLOCK", block)
+            assert within_trace_distances(a, b, eps, rows).tolist() == want
+
+    def test_padded_candidates_hold_bounded_memory(self, monkeypatch):
+        # 2 000 rows of 8 x 8 images, each against the states of its own
+        # destination, padded to the widest destination's 4: all the
+        # candidates at once would hold 2 000 * 4 * 64 entries, 8 MiB
+        rng = np.random.default_rng(71)
+        b = np.array([np.diag(rng.dirichlet(np.ones(8))).astype(complex) for _ in range(10)])
+        a = np.repeat(b[:4], 500, axis=0)
+        rows = np.full((2000, 4), -1)
+        for k, width in enumerate((4, 1, 2, 3)):
+            rows[500 * k:500 * (k + 1), :width] = range(width)
+        want = rows == np.repeat(np.arange(4), 500)[:, None]  # each image hits only itself
+        block = 1 << 12
+        monkeypatch.setattr(linalg_module, "_BOUND_BLOCK", block)
+        hit, peak = traced(within_trace_distances, a, b, DEFAULT_TOL, rows)
+        assert (hit == want).all()
+        # a block of candidates and the temporaries made from it, plus the
+        # bounds of every row: about 0.8 MiB
+        bound = 8 * 16 * block + 4 * 8 * rows.size
+        assert peak < bound
+        monkeypatch.setattr(linalg_module, "_BOUND_BLOCK", 1 << 20)
+        hit, peak = traced(within_trace_distances, a, b, DEFAULT_TOL, rows)
+        assert (hit == want).all() and peak > 4 * bound
 
 
 # -- one CPTP verdict per channel and tolerance ------------------------------------

@@ -55,7 +55,9 @@ from helpers import (
     reference_choi_matrix,
     reference_compose,
     reference_cptp_verdict,
+    reference_induced_map,
     reference_missing_composites,
+    reference_near_states,
     resource_states,
     sub_qrt,
     within_trace_distance,
@@ -1568,19 +1570,20 @@ def check_alone_and_batched(theories: list) -> int:
     derived alone, against fresh copies of all of them derived in one
     ``derive`` call beside a twin of each that shares its copy's system
     and channel objects: every channel settles the same outcome and keeps
-    the same CPTP verdict. Returns the count of channels compared."""
+    the same CPTP verdict, and every theory the same near named states.
+    Returns the count of channels compared."""
     cases = [(q, tol) for q in theories for tol in (DEFAULT_TOL, 1e-3)]
     alone = []
     for q, tol in cases:
         copy = fresh_copy(q, tol)
         qrt_module.derive([copy])
-        alone.append(settled_outcomes(copy))
+        alone.append((settled_outcomes(copy), copy._near))
     batch = [fresh_copy(q, tol) for q, tol in cases]
     twins = [Qrt(c.systems, c.channels, c.trivial_id, c.tol) for c in batch]
     qrt_module.derive([x for pair in zip(batch, twins) for x in pair])
     for want, copy, twin in zip(alone, batch, twins):
-        assert settled_outcomes(copy) == settled_outcomes(twin) == want
-    return sum(map(len, alone))
+        assert (settled_outcomes(copy), copy._near) == (settled_outcomes(twin), twin._near) == want
+    return sum(len(outcomes) for outcomes, _ in alone)
 
 
 _MENU = {
@@ -1726,15 +1729,64 @@ def three_dim_theory() -> Qrt:
     )
 
 
+def _count_passes(monkeypatch) -> Counter:
+    """Patch the kernels a theorems run reaches to count its match passes
+    (``_matches``), its near-state passes (the ``within_trace_distances``
+    calls at radius 2 tol), its draws and the state checks
+    (``_state_errors``) that a draw makes outside its raw channels'
+    derivations."""
+    import qrtmodal.generate as generate_module
+
+    calls, inside = Counter(), Counter()
+
+    def patch(module, name, count):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            if count(*args):
+                calls[name] += 1
+            inside[name] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside[name] -= 1
+
+        monkeypatch.setattr(module, name, counting)
+
+    patch(qrt_module, "_matches", lambda *args: True)
+    patch(qrt_module, "within_trace_distances", lambda a, b, eps, *rows: eps == 2 * DEFAULT_TOL)
+    patch(qrt_module, "apply_channels", lambda *args: False)
+    patch(generate_module, "_declared_qrt", lambda *args: True)
+    patch(linalg_module, "_state_errors", lambda *args: inside["_declared_qrt"] and not inside["apply_channels"])
+    return calls
+
+
 class TestOnePassPerOutputDim:
-    def test_a_lone_theory_applies_once_per_out_dim_and_matches_once_per_destination(self, monkeypatch):
+    def test_a_lone_theory_applies_and_matches_once_per_out_dim(self, monkeypatch):
         q = fresh_copy(complete_composition(three_dim_theory()))
         assert {(d.channel.in_dim, d.channel.out_dim) for d in q.channels} == set(itertools.product((1, 2, 3), repeat=2))
-        calls = _count_calls(monkeypatch, "apply_channels", "_matches")
+        calls = _count_calls(monkeypatch, "apply_channels", "_matches", "within_trace_distances")
         assert q.validate().ok
-        assert calls == Counter({"apply_channels": 3, "_matches": 3})
+        # a match pass per output dim, and a near-state pass for each of dims
+        # 2 and 3, the dims of a system with two named states
+        assert calls == Counter({"apply_channels": 3, "_matches": 3, "within_trace_distances": 5})
+        # six destination systems of one dim share one match pass; no
+        # system has two named states
+        guard = fresh_copy(built_theories()["guard"])
+        assert len({d.dst for d in guard.channels}) == 6
+        calls.clear()
+        guard.validate()
+        assert calls == Counter({"apply_channels": 1, "_matches": 1, "within_trace_distances": 1})
         monkeypatch.undo()
-        check_settles_every_channel([q])
+        check_settles_every_channel([q, guard])
+
+    def test_a_theorems_run_makes_one_pass_per_batch(self, monkeypatch):
+        scalar_one()  # made once per process: its own check is no draw's
+        calls = _count_passes(monkeypatch)
+        run_theorems(seed=1, count=40)
+        # one call per destination system, per system and per drawn state
+        # would make 337 match passes, 135 near-state passes and 137 checks
+        assert calls == Counter({"_declared_qrt": 45, "_state_errors": 45, "_matches": 31, "within_trace_distances": 9})
 
     @pytest.mark.parametrize("decide", [qrt_isomorphic, iso_conditions])
     def test_a_decision_derives_both_fresh_operands_in_one_pass(self, monkeypatch, decide):
@@ -1770,6 +1822,100 @@ class TestOnePassPerOutputDim:
         decide(z, y)
         assert calls == Counter({"_induced_maps": 1})
         assert applied == Counter((id(d.channel), id(dm)) for d in z.channels for dm in z.system(d.src).states.values())
+
+
+# -- the one-pass matching and near states against the per-system passes ---------
+
+
+def _settled_map(o):
+    """An outcome with a map's items in state order."""
+    return list(o.items()) if isinstance(o, dict) else o
+
+
+def check_against_per_destination(theories: list) -> int:
+    """Fresh copies of the theories at tolerance 1e-9 and at 1e-3, derived
+    in one ``derive`` call, against the passes the one-pass ones replaced:
+    every channel that fits its systems settles the outcome of
+    ``reference_induced_map`` (a map, a miss, an ambiguous match or a
+    failed image), and every theory keeps the near pairs of
+    ``reference_near_states``. Returns the count of channels compared."""
+    batch = [fresh_copy(q, tol) for q in theories for tol in (DEFAULT_TOL, 1e-3)]
+    qrt_module.derive(batch)
+    compared = 0
+    for q in batch:
+        assert q._near == reference_near_states(q)
+        for d, fit in fits(q):
+            if fit:
+                want = reference_induced_map(d.channel, q.system(d.src), q.system(d.dst), q.tol)
+                assert _settled_map(q._induced[d]) == _settled_map(want), d.id
+                compared += 1
+    return compared
+
+
+@st.composite
+def near_theories(draw) -> Qrt:
+    """Systems of one dim holding a base state and states at trace
+    distance tol or 2 tol from it, give or take up to ten guard bands,
+    with identity channels between some of them: matches, misses,
+    ambiguous matches and near pairs on either side of each radius."""
+    dim = draw(st.sampled_from([2, 3]))
+    base = maximally_mixed(dim)
+    pool = {"mid": base}
+    offsets = st.tuples(st.sampled_from([1, 2]), st.sampled_from([-10, -1, 0, 1, 10]))
+    for i, (radii, k) in enumerate(draw(st.lists(offsets, min_size=1, max_size=5))):
+        t = radii * DEFAULT_TOL + k * GUARD
+        pool[f"n{i}"] = DensityMatrix(base.mat + np.diag([t, -t] + [0.0] * (dim - 2)))
+    held = draw(st.lists(st.lists(st.sampled_from(sorted(pool)), min_size=1, max_size=4, unique=True), min_size=1, max_size=4))
+    systems = [SystemDecl(f"S{j}", dim, {n: pool[n] for n in names}) for j, names in enumerate(held)]
+    ends = st.sampled_from([s.id for s in systems])
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=6))
+    return Qrt(systems, [ChannelDecl(f"id{i}", a, b, identity_channel(dim)) for i, (a, b) in enumerate(pairs)])
+
+
+class TestOnePassAgainstPerDestination:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_family(self, seed):
+        from qrtmodal.harness import build_family
+
+        assert check_against_per_destination([q for _, q in build_family(seed, 40)]) > 300
+
+    def test_corpus_iso_pool_and_built_theories(self):
+        theories = corpus_theories() + iso_pool() + [three_dim_theory()] + list(built_theories().values())
+        assert check_against_per_destination(theories) > 300
+
+    def test_guard_band_reaches_each_outcome(self):
+        q = built_theories()["guard"]
+        check_against_per_destination([q])
+        # the pass reaches both a hit and a miss within the guard band
+        fresh = fresh_copy(q)
+        qrt_module.derive([fresh])
+        assert {fresh._induced[d] is None for d in fresh.channels} == {True, False}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(near_theories(), min_size=1, max_size=3))
+    def test_states_near_the_radii(self, theories):
+        check_against_per_destination(theories)
+
+    def test_hand_built_states_near_the_radii(self):
+        # a system holding the base state and states at tol and 2 tol off
+        # it, each copied into the others by an identity
+        base = maximally_mixed(2)
+        at = {k: DensityMatrix(base.mat + np.diag([k * DEFAULT_TOL, -k * DEFAULT_TOL])) for k in (0.5, 1.5, 3)}
+        systems = [
+            SystemDecl("M", 2, {"mid": base, "far": at[3]}),
+            SystemDecl("N", 2, {"half": at[0.5]}),
+            SystemDecl("F", 2, {"one_half": at[1.5]}),
+            SystemDecl("X", 2, {"mid": base, "half": at[0.5]}),
+        ]
+        ids = [s.id for s in systems]
+        q = Qrt(systems, [ChannelDecl(f"{a}_{b}", a, b, identity_channel(2)) for a in ids for b in ids if a != b])
+        check_against_per_destination([q])
+        fresh = fresh_copy(q)
+        qrt_module.derive([fresh])
+        outcomes = {d.id: fresh._induced[d] for d in fresh.channels}
+        assert outcomes["N_M"] == {"half": "mid"} and outcomes["F_M"] is None
+        assert outcomes["N_X"] == (StructuralError, "ambiguous match in system X: ['half', 'mid']")
+        assert fresh._near == [[], [], [], [("half", "mid")]]
 
 
 # -- the closed theory reuses its closure's last sweep ---------------------------
