@@ -545,6 +545,35 @@ def test_validate_bytes_pinned(name, tol, code, digest, pinned_corpus_dir, capsy
         assert (dumps(report.to_dict()), 0 if report.ok else 1) == (out, code)
 
 
+# the SHA-256 of every file `corpus.write_corpus` writes, theory and model
+# files alike
+CORPUS_FILE_PINS = {
+    "broken_monotone.model.json": "25178d461ee1e16fdddb2d99911e51e104e234d90574e153d86f20180e162bbf",
+    "broken_no_unit.model.json": "a0dcfdb496c453556cc5276aa8c1ba547ef7f76249081ded27e84ba5ad0ee46a",
+    "broken_smc.model.json": "33144d2a681a1f27f4ab9052c4e97b24c9e7e6ee70aefc68db9d109f8fd378c9",
+    "broken_tp.qrt.json": "5d545374c84cd1fd7299479d7486b544252121763c9a377fc5ea4fd818dccdc9",
+    "chain.qrt.json": "3c8f4fd0578b005c0dffea2c323fb71d9dabfd9ea0e2839c2f2859b1096f991a",
+    "convex_closed.qrt.json": "38d5215025a7928ddfedd70bff9c1f5bd7ddc6cc35aa0db9deafb9366545b755",
+    "convexity_demo.qrt.json": "b9918a297cdd4417cd016e1686dc9f7b4e9bc033073870dd8243aeff5c1c1ff9",
+    "entanglement.qrt.json": "7c3aef8ec6cbf6784bbec60efc5a2e7a0f7c231d6dd85bc9cb74937df16e1598",
+    "injectivity_gap_x.qrt.json": "25fb07bce5a6671cbc2d2f8cf4bbb01b957229f406bba35dbdbe1a08864d1ade",
+    "injectivity_gap_y.qrt.json": "e87e8e1e24ccf87e286c5bc433207c63eebf2b249f68793ac5b6da00853a8195",
+    "iso_gap_x.qrt.json": "96e00530b575177789e9b052a7205fe7f1d9452ab402d5fe497e87a3574f6631",
+    "iso_gap_y.qrt.json": "577869d23f8b0008093edf0ff1f746c69bcc0b9c267aa01e43bde34af411d2b9",
+    "resource_destroying.qrt.json": "fd9388b402135af73fcfe5b724928b98342cad548dbd9e60a6b0e8bf103b42a1",
+    "trivial.qrt.json": "4310c7064dbc0d782e26b8d3f9171e5a141288a9721809d1e67c9fedb234ad1a",
+    "xi_base.qrt.json": "b3798ce1e98a9f465e400cc082074f72541273ccd92eca43a7b0760bb2c7a791",
+    "xi_collapse_base.qrt.json": "daf36bb262b75e8c38268a245a7022bd52ac58c018f81079ba69ba0975bac36a",
+    "xi_collapse_flip.qrt.json": "43b90ee211675ed68018c751a81c0c97c0d29112a2cefc56bd01af02b24b28b7",
+    "xi_flip.qrt.json": "16a65ce7164097b5d3c5b34e8553671e8fa620ddcf70554326c32398de1b2dfb",
+}
+
+
+def test_corpus_file_bytes_pinned(pinned_corpus_dir):
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in pinned_corpus_dir.iterdir()}
+    assert written == CORPUS_FILE_PINS
+
+
 def small_model_dict() -> dict:
     return {
         "worlds": ["w", "u"],
