@@ -15,6 +15,7 @@ must flag.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -145,59 +146,67 @@ def convexity_demo_qrt() -> Qrt:
 # -- the automorphism-twisted family --------------------------------------------
 
 
-def _xi_base(shift: int, with_collapse: bool) -> Qrt:
-    """Both qubits fully prepared; the cross channel maps basis to basis,
-    composed with a flip when shift=1. The free set is flip-invariant."""
-    return complete_composition(_xi_declared(shift, with_collapse))
+@cache
+def _qubit_basis() -> tuple[DensityMatrix, DensityMatrix]:
+    """The qubit's basis states, built and checked once per process."""
+    return basis_state(2, 0), basis_state(2, 1)
 
 
 def _xi_declared(shift: int, with_collapse: bool) -> Qrt:
-    """``_xi_base`` before its closure."""
-    r0, r1 = basis_state(2, 0), basis_state(2, 1)
-    s0, s1 = basis_state(2, 0), basis_state(2, 1)
+    """Both qubits fully prepared; the cross channel maps basis to basis,
+    composed with a flip when shift=1. The free set is flip-invariant.
+    With the collapse, a constant channel replaces B's preparations."""
+    b0, b1 = _qubit_basis()
     systems = [
         SystemDecl("c", 1, {"one": scalar_one()}),
-        SystemDecl("A", 2, {"r0": r0, "r1": r1}),
-        SystemDecl("B", 2, {"s0": s0, "s1": s1}),
+        SystemDecl("A", 2, {"r0": b0, "r1": b1}),
+        SystemDecl("B", 2, {"s0": b0, "s1": b1}),
     ]
     f = [0 ^ shift, 1 ^ shift]
     channels = [
-        _prep("prep_r0", "A", r0),
-        _prep("prep_r1", "A", r1),
-        _prep("prep_s0", "B", s0),
-        _prep("prep_s1", "B", s1),
+        _prep("prep_r0", "A", b0),
+        _prep("prep_r1", "A", b1),
+        _prep("prep_s0", "B", b0),
+        _prep("prep_s1", "B", b1),
         ChannelDecl("cross", "A", "B", function_channel(f, 2, 2)),
     ]
     if with_collapse:
         channels = [c for c in channels if not c.id.startswith("prep_s")]
-        channels.append(ChannelDecl("collapse", "B", "B", constant_channel(s0, 2)))
+        channels.append(ChannelDecl("collapse", "B", "B", constant_channel(b0, 2)))
     return Qrt(systems, channels)
+
+
+def _xi_built(variants) -> list[Qrt]:
+    """The closed theory of each (shift, with_collapse) variant, as one
+    batch: the declared theories derive in one pass, then close, and the
+    closed ones derive in one more (``derive``)."""
+    declared = [_xi_declared(shift, collapse) for shift, collapse in variants]
+    _derive_maps(declared)
+    closed = [complete_composition(q) for q in declared]
+    derive(closed)
+    return closed
 
 
 def xi_pair(twisted: bool = True) -> tuple[Qrt, Qrt]:
     """The base theory and its twist by the basis-flip automorphism of the
     target qubit. The flip leaves the free set invariant, so the plain
     translations are isomorphic although the channel matrices differ."""
-    return _xi_base(0, False), _xi_base(1 if twisted else 0, False)
+    return tuple(_xi_built(((0, False), (1 if twisted else 0, False))))
 
 
 def xi_collapse_pair() -> tuple[Qrt, Qrt]:
     """Twist variant with a collapse channel on the target instead of
     target preparations."""
-    return _xi_base(0, True), _xi_base(1, True)
+    return tuple(_xi_built(((0, True), (1, True))))
 
 
 def xi_sweep() -> list[tuple[str, Qrt, Qrt]]:
     """The pairs of ``xi_pair`` (untwisted, then twisted) and
-    ``xi_collapse_pair``, built as one batch: the six declared theories
-    derive in one pass, then close, and the closed ones derive in one
-    more (``derive``), as ``generate.generate_qrts`` builds a family."""
-    variants = ((0, False), (0, False), (0, False), (1, False), (0, True), (1, True))
-    declared = [_xi_declared(shift, collapse) for shift, collapse in variants]
-    _derive_maps(declared)
-    closed = [complete_composition(q) for q in declared]
-    derive(closed)
-    return [(name, *closed[2 * k:2 * k + 2]) for k, name in enumerate(("identity", "flip", "flip-collapse"))]
+    ``xi_collapse_pair``, from one ``_xi_built`` batch of five theories:
+    the untwisted pair holds two separately built bases, and the twisted
+    pair reuses the first."""
+    base, copy, flip, col_base, col_flip = _xi_built(((0, False), (0, False), (1, False), (0, True), (1, True)))
+    return [("identity", base, copy), ("flip", base, flip), ("flip-collapse", col_base, col_flip)]
 
 
 # -- negative controls -----------------------------------------------------------

@@ -31,12 +31,15 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
+
+import numpy as np
 
 from .config import MAX_FORMULA_DEPTH
 from .errors import FormulaSyntaxError, UnknownSymbolError
 from .kripke import KripkeModel, _index
-from .linalg import DensityMatrix
-from .qrt import node_name
+from .linalg import density_matrices
+from .qrt import _matches, _settled, node_name
 from .translate import TranslationRecord
 
 
@@ -276,21 +279,6 @@ def is_resource_preserving(rec: TranslationRecord) -> tuple[bool, list]:
 # -- the convexity predicate ---------------------------------------------------
 
 
-def _pair_verdict(
-    q, rec: TranslationRecord, sid: str, st1: str, st2: str, p: float
-) -> str:
-    a1, a2 = node_name((sid, st1)), node_name((sid, st2))
-    if rec.model.interp[a1] == 0 or rec.model.interp[a2] == 0:
-        return "holds"  # one argument is not free
-    m1: DensityMatrix = q.system(sid).states[st1]
-    m2: DensityMatrix = q.system(sid).states[st2]
-    combo = DensityMatrix(p * m1.mat + (1 - p) * m2.mat, q.tol)
-    hit = q.match_named(sid, combo)
-    if hit is None:
-        return "closure-indeterminate"
-    return "holds" if rec.model.interp[node_name((sid, hit))] == 1 else "fails"
-
-
 def convexity_report(q, rec: TranslationRecord, p_samples) -> list[dict]:
     """The convexity predicate at each sampled weight p, one report per p.
 
@@ -300,19 +288,32 @@ def convexity_report(q, rec: TranslationRecord, p_samples) -> list[dict]:
     the pairs range over each system's own states. A pair whose
     combination leaves the named universe is indeterminate, a third
     verdict distinct from failure. Raises ValueError for a p outside
-    [0, 1]."""
-    out = []
-    for p in map(float, p_samples):
+    [0, 1]. The combinations of two free states, at every weight, are
+    checked as states in one stack per dim (``density_matrices``), and
+    those of one dim are matched in one ``_matches`` call."""
+    weights = list(map(float, p_samples))
+    for p in weights:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-        holds, fails, indet = [], [], []
-        for s in q.systems:
-            for st1 in sorted(s.states):
-                for st2 in sorted(s.states):
-                    verdict = _pair_verdict(q, rec, s.id, st1, st2, p)
-                    bucket = {"holds": holds, "fails": fails}.get(verdict, indet)
-                    bucket.append((f"{s.id}.{st1}", f"{s.id}.{st2}"))
-        out.append(
-            {"p": p, "holds": holds, "fails": fails, "indeterminate": indet, "ok": not fails}
-        )
+    true = rec.model.interp
+    pairs = [((s.id, st1), (s.id, st2)) for s in q.systems for st1 in sorted(s.states) for st2 in sorted(s.states)]
+    todo = [(p, a, b) for p in weights for a, b in pairs if true[node_name(a)] and true[node_name(b)]]
+    combos = density_matrices(
+        [p * q.system(a[0]).states[a[1]].mat + (1 - p) * q.system(b[0]).states[b[1]].mat for p, a, b in todo], q.tol
+    )
+    by_dim: dict = {}
+    for key, combo in zip(todo, combos):
+        by_dim.setdefault(combo.dim, []).append((key, combo))
+    verdicts = {}  # of the combinations; a pair with an argument that is not free holds
+    for group in by_dim.values():
+        runs = [(q.system(sid), len(list(run))) for sid, run in groupby(a[0] for (_, a, _), _ in group)]
+        for (key, _), hit in zip(group, _matches(np.array([c.mat for _, c in group]), runs, q.tol)):
+            hit = _settled(hit)
+            verdicts[key] = "indeterminate" if hit is None else "holds" if true[node_name((key[1][0], hit))] else "fails"
+    out = []
+    for p in weights:
+        report: dict = {"p": p, "holds": [], "fails": [], "indeterminate": []}
+        for a, b in pairs:
+            report[verdicts.get((p, a, b), "holds")].append((node_name(a), node_name(b)))
+        out.append({**report, "ok": not report["fails"]})
     return out

@@ -32,7 +32,7 @@ from .generate import (
     random_sub_qrt,
 )
 from .kripke import KripkeModel, StarredModel, is_s4, model_key, models_isomorphic
-from .qrt import Qrt, node_name
+from .qrt import Qrt, derive, node_name
 from .smc import SmcCategory, check_object_cap, verify_smc_laws
 from .translate import (
     image_conditions,
@@ -102,10 +102,9 @@ def build_family(
                 base.append((f"gen{idx}", q))
                 bucket.append(m)
             idx += 1
-    out = list(base)
-    for k in range(min(_N_RELABELED, len(base))):
-        out.append((f"{base[k][0]}_relabeled", random_relabeling(base[k][1], rng)))
-    return out
+    copies = [(f"{label}_relabeled", random_relabeling(q, rng)) for label, q in base[:_N_RELABELED]]
+    derive(q for _, q in copies)  # one batch, not each copy alone on its first read
+    return base + copies
 
 
 def _function_edges(q: Qrt) -> set:

@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, MAX_CHANNELS
-from .errors import DimensionMismatchError, ResourceLimitError, StructuralError
+from .errors import ResourceLimitError, StructuralError
 from .linalg import (
     DensityMatrix,
     KrausChannel,
@@ -427,19 +427,6 @@ class Qrt(_LabelRules):
     @property
     def trivial_id(self) -> str | None:
         return self._trivial
-
-    def match_named(self, sid: str, dm: DensityMatrix) -> str | None:
-        """The unique named state of system sid within trace distance tol,
-        or None: ``_matches`` of the one state.
-
-        Raises StructuralError when more than one named state matches, and
-        DimensionMismatchError when a named state has another dim than dm."""
-        dst = self._by_id[sid]
-        odd = next((s.dim for s in dst.states.values() if s.dim != dm.dim), None)
-        if odd is not None:
-            raise DimensionMismatchError(f"dims differ: {dm.dim} vs {odd}")
-        (outcome,) = _matches(dm.mat[None], [(dst, 1)], self.tol)
-        return _settled(outcome)
 
     def _outcome(self, decl: ChannelDecl):
         """The channel's ``_induced_maps`` outcome, derived once per channel

@@ -148,7 +148,9 @@ def iso_conditions(x: Qrt | LabeledTheory, y: Qrt | LabeledTheory) -> dict:
     system meet all three while their translations differ by that access
     pair, so the conditions speak only for theories in which every
     channel's source holds a named state; ``tests/test_harness.py``
-    pins the counterexample (``stateless_gap_family``).
+    pins the counterexample (``stateless_gap_family``). A translation
+    forgets dims, so (i) is not necessary for isomorphic models
+    (``dims_gap_family``).
 
     The operands that are ``Qrt``s derive in one pass before either is
     read; nothing is validated."""

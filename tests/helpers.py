@@ -6,7 +6,9 @@ builder, the all-pairs isomorphism-condition sweep, the per-operator
 channel kernels, the reference composite sweep, the one-pair
 trace-distance test over the stacked kernel, the one-channel induced
 map over the grouped derivation kernel, the per-destination matching and
-per-system near-state passes that the one-pass ones are checked against, the numeric restriction and
+per-system near-state passes that the one-pass ones are checked against,
+the lone build of a twisted corpus theory and the per-pair convexity
+verdict that the batched ones are checked against, the numeric restriction and
 sub-theory test that the label restriction
 (``LabeledTheory.restricted``) is checked against, the per-call
 model-side checks that read no model index, and a translation defect
@@ -16,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from qrtmodal import harness, translate
+from qrtmodal import corpus, harness, translate
 from qrtmodal.config import DEFAULT_TOL
 from qrtmodal.errors import FormulaSyntaxError, ResourceLimitError, ShapeError, StructuralError
 from qrtmodal.errors import UnknownSymbolError
@@ -37,7 +39,8 @@ from qrtmodal.linalg import (
     random_isometry,
     within_trace_distances,
 )
-from qrtmodal.qrt import Qrt, SystemDecl, _induced_maps, _missing_composites, _settled
+from qrtmodal.qrt import Qrt, SystemDecl, _induced_maps, _matches, _missing_composites, _settled, complete_composition
+from qrtmodal.qrt import node_name
 from qrtmodal.relations import reflexive_transitive_closure
 from qrtmodal.smc import SmcCategory
 from qrtmodal.translate import to_model
@@ -193,6 +196,45 @@ def reference_near_states(q: Qrt) -> list:
                 for i, st1 in enumerate(names):
                     near += ((st1, st2) for st2, hit in zip(names[i + 1:], rows[i][i + 1:]) if hit)
         out.append(near)
+    return out
+
+
+def reference_xi_theory(shift: int, with_collapse: bool) -> Qrt:
+    """One twisted theory built alone: ``corpus._xi_declared`` closed by
+    ``complete_composition``, deriving on its first read. The lone build
+    that ``corpus._xi_built`` replaced."""
+    return complete_composition(corpus._xi_declared(shift, with_collapse))
+
+
+def reference_convexity_report(q: Qrt, rec, p_samples) -> list[dict]:
+    """``formulas.convexity_report`` one pair at a time: the combination of
+    each pair of free states built as its own ``DensityMatrix`` and
+    matched by a one-image ``_matches``. The per-pair verdict that the
+    stacked report replaced."""
+
+    def verdict(sid: str, st1: str, st2: str, p: float) -> str:
+        a1, a2 = node_name((sid, st1)), node_name((sid, st2))
+        if rec.model.interp[a1] == 0 or rec.model.interp[a2] == 0:
+            return "holds"  # one argument is not free
+        m1, m2 = q.system(sid).states[st1], q.system(sid).states[st2]
+        combo = DensityMatrix(p * m1.mat + (1 - p) * m2.mat, q.tol)
+        (hit,) = _matches(combo.mat[None], [(q.system(sid), 1)], q.tol)
+        hit = _settled(hit)
+        if hit is None:
+            return "closure-indeterminate"
+        return "holds" if rec.model.interp[node_name((sid, hit))] == 1 else "fails"
+
+    out = []
+    for p in map(float, p_samples):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+        holds, fails, indet = [], [], []
+        for s in q.systems:
+            for st1 in sorted(s.states):
+                for st2 in sorted(s.states):
+                    bucket = {"holds": holds, "fails": fails}.get(verdict(s.id, st1, st2, p), indet)
+                    bucket.append((f"{s.id}.{st1}", f"{s.id}.{st2}"))
+        out.append({"p": p, "holds": holds, "fails": fails, "indeterminate": indet, "ok": not fails})
     return out
 
 

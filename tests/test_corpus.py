@@ -3,11 +3,12 @@ exactly the advertised way) and the twisted-pair family shows the
 intended verdicts."""
 
 from qrtmodal import corpus
+from qrtmodal.io import qrt_to_dict
 from qrtmodal.kripke import models_isomorphic, starred_isomorphic
 from qrtmodal.qrt import Qrt, qrt_isomorphic
 from qrtmodal.translate import iso_conditions, to_model, to_starred_model
 
-from helpers import is_composition_complete
+from helpers import is_composition_complete, reference_xi_theory
 
 
 def test_positive_examples_validate():
@@ -64,6 +65,27 @@ def test_xi_collapse_pair_verdicts():
     )
     q_ok, _ = qrt_isomorphic(x, y)
     assert s_ok == q_ok  # consistency is the claim; both verdicts computed
+
+
+def test_the_batched_twisted_theories_are_their_lone_builds():
+    sweep = corpus.xi_sweep()
+    built = [
+        (corpus.xi_pair(), ((0, False), (1, False))),
+        (corpus.xi_pair(twisted=False), ((0, False), (0, False))),
+        (corpus.xi_collapse_pair(), ((0, True), (1, True))),
+        *zip((pair for _, *pair in sweep), (((0, False), (0, False)), ((0, False), (1, False)), ((0, True), (1, True)))),
+    ]
+    for pair, variants in built:
+        for q, variant in zip(pair, variants, strict=True):
+            lone = reference_xi_theory(*variant)
+            assert qrt_to_dict(q) == qrt_to_dict(lone), variant
+            assert q.labeled == lone.labeled, variant
+    # five theories: the identity pair holds two separately built bases,
+    # and the flip pair reuses the first
+    (_, base, copy), (_, flip_base, _), _ = sweep
+    assert [name for name, *_ in sweep] == ["identity", "flip", "flip-collapse"]
+    assert base is not copy and flip_base is base
+    assert len({id(q) for _, *pair in sweep for q in pair}) == 5
 
 
 def test_injectivity_gap_pair_is_the_documented_falsification():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qrtmodal import corpus
 from qrtmodal.config import MAX_FORMULA_DEPTH
-from qrtmodal.errors import FormulaSyntaxError, UnknownSymbolError
+from qrtmodal.errors import FormulaSyntaxError, QrtModalError, UnknownSymbolError
 from qrtmodal.formulas import (
     Atom,
     Box,
@@ -29,11 +29,13 @@ from qrtmodal.formulas import (
     print_formula,
 )
 from qrtmodal.generate import random_formula
+from qrtmodal.harness import build_family
 from qrtmodal.kripke import KripkeModel
-from qrtmodal.qrt import node_name
+from qrtmodal.linalg import basis_state, maximally_mixed, preparation_channel, scalar_one
+from qrtmodal.qrt import ChannelDecl, Qrt, SystemDecl, complete_composition, node_name
 from qrtmodal.translate import to_model
 
-from helpers import P_SAMPLES, random_model, reference_parse
+from helpers import P_SAMPLES, random_model, reference_convexity_report, reference_parse
 
 
 class TestParse:
@@ -426,3 +428,35 @@ class TestConvexity:
         for rep in convexity_report(q, to_model(q), P_SAMPLES):
             assert ("A.a0", "A.a1") in rep["holds"]
             assert rep["ok"]
+
+    def test_a_named_unfree_midpoint_fails(self):
+        (rep,) = convexity_report(unfree_midpoint_qrt(), to_model(unfree_midpoint_qrt()), (0.5,))
+        assert ("A.q0", "A.q1") in rep["fails"] and not rep["ok"]
+
+    def test_the_stacked_report_is_the_per_pair_one(self):
+        # every corpus theory that translates, a theory whose report fails
+        # and a seeded family, at the acceptance weights and at seeded
+        # random ones
+        theories = [q for q in corpus.corpus_entries().values() if isinstance(q, Qrt)]
+        theories += [unfree_midpoint_qrt(), *(q for _, q in build_family(1, 12))]
+        weights = (*P_SAMPLES, *np.random.default_rng(11).random(4))
+        seen = set()
+        for q in theories:
+            try:
+                rec = to_model(q)
+            except QrtModalError:
+                assert q.validate().issues[0].subject == "inflate"  # broken_tp alone
+                continue
+            reports = convexity_report(q, rec, weights)
+            assert reports == reference_convexity_report(q, rec, weights)
+            seen.update(key for rep in reports for key in ("holds", "fails", "indeterminate") if rep[key])
+        assert seen == {"holds", "fails", "indeterminate"}
+
+
+def unfree_midpoint_qrt() -> Qrt:
+    """``corpus.convexity_demo_qrt`` without the midpoint's preparation: the
+    even mixture of the two free basis states is named but not free."""
+    q0, q1, qmid = basis_state(2, 0), basis_state(2, 1), maximally_mixed(2)
+    systems = [SystemDecl("c", 1, {"one": scalar_one()}), SystemDecl("A", 2, {"q0": q0, "q1": q1, "qmid": qmid})]
+    channels = [ChannelDecl(f"prep_{st}", "c", "A", preparation_channel(dm)) for st, dm in (("q0", q0), ("q1", q1))]
+    return complete_composition(Qrt(systems, channels))

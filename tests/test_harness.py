@@ -290,6 +290,15 @@ def stateless_gap_family() -> list:
     return [(label, complete_composition(Qrt(systems, chans))) for label, chans in (("none", []), ("one", [bij]))]
 
 
+def dims_gap_family() -> list:
+    """Two theories over a trivial system c and a system A with one named
+    basis state, of dim 2 in the first and 3 in the second. A translation
+    forgets dims, so their models are isomorphic while (i) fails: the
+    scope note on dims in README "Scope notes"."""
+    trivial = SystemDecl("c", 1, {"one": scalar_one()})
+    return [(f"dim{d}", complete_composition(Qrt([trivial, SystemDecl("A", d, {"a0": basis_state(d, 0)})]))) for d in (2, 3)]
+
+
 # the relabeled copies of build_family(1, 20) and their sources, in both orders
 COPY_PAIRS = [[f"gen{k}", f"gen{k}_relabeled"] for k in range(3)] + [[f"gen{k}_relabeled", f"gen{k}"] for k in range(3)]
 
@@ -303,10 +312,11 @@ COPY_PAIRS = [[f"gen{k}", f"gen{k}_relabeled"] for k in range(3)] + [[f"gen{k}_r
         (lambda: dict(family=build_family(1, 20), seed=1), None, plant_strict_iii, 1, COPY_PAIRS),
         (lambda: dict(family=flow_gap_family(), include_corpus=False), None, None, 1, [["const", "bij"], ["bij", "const"]]),
         (lambda: dict(family=stateless_gap_family(), include_corpus=False), None, None, 1, [["none", "one"], ["one", "none"]]),
+        (lambda: dict(family=dims_gap_family(), include_corpus=False), None, None, 1, [["dim2", "dim3"], ["dim3", "dim2"]]),
         (lambda: dict(family=build_family(1, 4), seed=1), 3, None, 3, []),
     ],
     ids=["family1", "family2", "family3", "mixed-dims-capped", "file-family", "planted-mismatch", "flow-gap",
-         "stateless-gap", "status3"],
+         "stateless-gap", "dims-gap", "status3"],
 )
 def test_the_bucketed_iso_sweep_reports_as_the_all_pairs_loop(make_kwargs, cap, plant, status, mismatched, monkeypatch):
     kwargs = make_kwargs()  # any family is built before the search cap is lowered
@@ -322,6 +332,14 @@ def test_the_bucketed_iso_sweep_reports_as_the_all_pairs_loop(make_kwargs, cap, 
     section = got["iso_conditions"]
     assert [e["pair"] for e in section["mismatches"]] == mismatched
     assert bool(section.get("inconclusive")) == (cap is not None)
+
+
+def test_the_dims_gap_fails_only_condition_i():
+    entries = run_theorems(family=dims_gap_family(), include_corpus=False)["iso_conditions"]["mismatches"]
+    assert entries == [
+        {"pair": pair, "conditions": {"i": False, "ii": True, "iii": True}, "models_isomorphic": True}
+        for pair in (["dim2", "dim3"], ["dim3", "dim2"])
+    ]
 
 
 def test_the_iso_sweep_calls_its_deciders_only_within_a_bucket(monkeypatch):
